@@ -20,14 +20,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wifi_proximity import fileio
+from wifi_proximity.cli import _load_features
 from wifi_proximity.cli import main as run_stage
 from wifi_proximity.evaluation import learning_curve
-from wifi_proximity.features import FEATURE_NAMES
 from wifi_proximity.models import FEATURESETS
 from wifi_proximity.pairing import split_indices
 
@@ -40,6 +38,8 @@ def parse_args(argv=None):
                    help="override the config seed (default: leave as-is)")
     p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--model", choices=["gbt", "rf"], default="gbt")
+    p.add_argument("--train-size", type=float, dest="train_size", default=None,
+                   help="train fraction in (0, 1) (default: the config's)")
     p.add_argument("--featuresets", default="FULL,SIMPLE,NEARME",
                    help="comma-separated featureset names")
     p.add_argument("--grid", action="store_true",
@@ -55,14 +55,6 @@ def stage(name, base, extra=()):
     code = run_stage([name] + base + list(extra))
     if code != 0:
         sys.exit(code)
-
-
-def load_matrix(path):
-    _, columns, rows = fileio.read_csv(path, fileio.SCHEMA_FEATURES)
-    y = np.array([int(r[5]) for r in rows])
-    X = np.array([[float(c) if c != "" else np.nan for c in r[6:]]
-                  for r in rows])
-    return y, X
 
 
 def print_single_features(report):
@@ -84,16 +76,15 @@ def print_featuresets(report):
               f"{row['test_auc']:6.3f}  {row['test_f1']:6.3f}")
 
 
-def run_curve(args, d, split_seed):
-    y, X = load_matrix(d / "features.csv")
-    n = len(y)
-    train_count = max(1, min(n - 1, int(round(0.5 * n))))
-    train_idx, test_idx = split_indices(n, train_count, split_seed)
+def run_curve(args, d, split):
+    """Learning curve on the train/test split the models were fitted on."""
+    _, _, y, X = _load_features(d / "features.csv")
+    train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
     sizes = tuple(s for s in (100, 1000, 10000) if s <= len(train_idx))
     curve = learning_curve(X[train_idx], y[train_idx],
                            X[test_idx], y[test_idx],
                            sizes=sizes, kinds=(args.model,),
-                           repetitions=20, seed=split_seed, jobs=args.jobs)
+                           repetitions=20, seed=split["seed"], jobs=args.jobs)
     out = d / "learning_curve.json"
     serializable = {
         kind: {str(size): stats for size, stats in per_size.items()}
@@ -122,6 +113,8 @@ def main(argv=None) -> int:
         base += ["--seed", str(args.seed)]
     if args.config:
         base += ["--config", args.config]
+    if args.train_size is not None:
+        base += ["--train-size", str(args.train_size)]
 
     t0 = time.monotonic()
     if not args.reuse_logs:
@@ -148,7 +141,7 @@ def main(argv=None) -> int:
     print_featuresets(report)
     if args.curve:
         split = fileio.read_json(Path(evals[0]), fileio.SCHEMA_EVAL)["split"]
-        run_curve(args, d, split["seed"])
+        run_curve(args, d, split)
     print(f"\ntotal {time.monotonic() - t0:.0f}s")
     return 0
 

@@ -20,12 +20,10 @@ from .config import ConfigError, PipelineConfig, load_config
 from .evaluation import auc_roc, prf_at_threshold, stratified_report
 from .features import (
     FEATURE_NAMES,
-    PopularityIndex,
-    PopularityIndexError,
+    ScanTable,
     apply_imputation,
-    extract_features,
+    extract_feature_matrix,
     fit_imputation,
-    vectors_to_matrix,
 )
 from .fileio import (
     SCHEMA_BLUETOOTH,
@@ -55,7 +53,6 @@ from .models import (
     select_columns,
 )
 from .pairing import WINDOW_S, build_hour_windows, generate_candidates, split_indices
-from .records import CandidatePair, MalformedRecordError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -227,49 +224,55 @@ def _read_candidates(path, expect_hash=None):
 def stage_featurize(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    _, cand_rows = _read_candidates(paths["candidates"])
     fileio.read_jsonl_header(paths["cleaned"], SCHEMA_WIFI)
     wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=cfg.strict_parse)
-
-    scan_of = {(rec.user, rec.ts): rec for rec in wifi.records}
-    popularity = PopularityIndex(wifi.records)
+    table = ScanTable.from_records(wifi.records)
+    del wifi  # the candidates reuse its memory
+    _, cand_rows = _read_candidates(paths["candidates"])
     homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES)
     home_map = {
         (entry["user"], entry["month"]): entry["bssid"]
         for entry in homes_doc["homes"]
     }
 
+    users_a, users_b, ts_a, ts_b, pair_ts = [], [], [], [], []
+    for user_a, user_b, t_a, t_b, ts, _label, _bt_rssi in cand_rows:
+        users_a.append(user_a)
+        users_b.append(user_b)
+        ts_a.append(int(t_a))
+        ts_b.append(int(t_b))
+        pair_ts.append(int(ts))
+    try:
+        scan_a = table.rows_of(users_a, ts_a)
+        scan_b = table.rows_of(users_b, ts_b)
+        pair_ts = np.array(pair_ts, dtype=np.int64)
+    except OverflowError as exc:
+        raise DataError(f"{paths['candidates']}: timestamp out of range") from exc
+    missing = np.flatnonzero((scan_a < 0) | (scan_b < 0))
+    if len(missing):
+        i = missing[0]
+        raise DataError(
+            f"candidate references missing scan {(users_a[i], ts_a[i])} / "
+            f"{(users_b[i], ts_b[i])}; "
+            "was the candidates file built from this cleaned input?"
+        )
+    X = extract_feature_matrix(
+        table,
+        scan_a,
+        scan_b,
+        pair_ts,
+        home_map,
+        campus_ssid=cfg.campus_ssid,
+        tz_offset_s=cfg.tz_offset_s,
+        alpha=cfg.alpha,
+        popularity_window_s=cfg.delta_t_s,
+    )
+
     def rows():
-        for row in cand_rows:
-            user_a, user_b, ts_a, ts_b, ts, label, bt_rssi = row
-            key_a = (user_a, int(ts_a))
-            key_b = (user_b, int(ts_b))
-            if key_a not in scan_of or key_b not in scan_of:
-                raise DataError(
-                    f"candidate references missing scan {key_a} / {key_b}; "
-                    "was the candidates file built from this cleaned input?"
-                )
-            pair = CandidatePair(
-                user_a=user_a,
-                user_b=user_b,
-                scan_a=scan_of[key_a],
-                scan_b=scan_of[key_b],
-                ts=int(ts),
-                label=int(label),
-                bt_rssi=int(bt_rssi) if bt_rssi else None,
-            )
-            vec = extract_features(
-                pair,
-                popularity,
-                home_map,
-                campus_ssid=cfg.campus_ssid,
-                tz_offset_s=cfg.tz_offset_s,
-                alpha=cfg.alpha,
-                popularity_window_s=cfg.delta_t_s,
-            )
-            arr = vec.to_array()
-            feats = [None if np.isnan(v) else float(v) for v in arr]
-            yield [user_a, user_b, int(ts_a), int(ts_b), int(ts), int(label), *feats]
+        # a NaN feature, a missing correlation, is written as an empty cell
+        for (user_a, user_b, ts_a, ts_b, ts, label, _), feats in zip(cand_rows, X):
+            yield [user_a, user_b, int(ts_a), int(ts_b), int(ts), int(label),
+                   *feats.tolist()]
 
     columns = FEATURE_KEY_COLUMNS + FEATURE_NAMES
     n = fileio.write_csv(paths["features"], SCHEMA_FEATURES, h, columns, rows())
@@ -277,9 +280,9 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def _load_features(path):
+def _load_features(path, expect_hash=None):
     """Parse features.csv into keys, label vector, and float matrix."""
-    meta, columns, rows = fileio.read_csv(path, SCHEMA_FEATURES)
+    meta, columns, rows = fileio.read_csv(path, SCHEMA_FEATURES, expect_hash)
     expected = FEATURE_KEY_COLUMNS + FEATURE_NAMES
     if columns != expected:
         raise DataError(f"{path}: unexpected columns {columns}")
@@ -287,10 +290,10 @@ def _load_features(path):
     y = np.empty(len(rows), dtype=np.int64)
     X = np.empty((len(rows), len(FEATURE_NAMES)))
     for i, row in enumerate(rows):
+        rows[i] = None  # the keys reuse the memory of converted rows
         keys.append((row[0], row[1], int(row[2]), int(row[3]), int(row[4])))
         y[i] = int(row[5])
-        for j, cell in enumerate(row[6:]):
-            X[i, j] = float(cell) if cell != "" else np.nan
+        X[i] = [float(cell) if cell != "" else np.nan for cell in row[6:]]
     return meta, keys, y, X
 
 
@@ -303,7 +306,10 @@ def _split_for(cfg: PipelineConfig, n: int):
 def stage_train(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    meta, keys, y, X = _load_features(paths["features"])
+    meta, keys, y, X = _load_features(paths["features"], h)
+    _, cand_rows = _read_candidates(paths["candidates"], h)
+    if len(cand_rows) != len(y):
+        raise DataError("features and candidates row counts differ")
     train_idx, test_idx = _split_for(cfg, len(y))
 
     imputation = fit_imputation(X[train_idx])
@@ -567,13 +573,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, MalformedRecordError, PopularityIndexError) as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except FileNotFoundError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except ValueError as exc:
+    except (DataError, FileNotFoundError, ValueError) as exc:
+        # MalformedRecordError and PopularityIndexError are ValueErrors
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

@@ -9,12 +9,18 @@ Correlations are undefined with fewer than three common routers or when
 one side reads every signal at the same level, and are dropped when not
 statistically significant; such values stay missing until mean
 imputation, whose means come from training data only.
+
+``extract_feature_matrix`` computes all 16 for every candidate at once,
+with whole-array kernels over a ``ScanTable``; ``featurize`` uses it. The
+per-pair functions (``extract_features`` and its parts) are the reference
+it matches bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from operator import attrgetter
 
 import numpy as np
 from scipy.special import stdtr
@@ -254,13 +260,21 @@ def popularity_features(view: OverlapView, ts: int, popularity: PopularityIndex,
     for bssid, _, _ in view.common:
         p = popularity.count_users(bssid, ts - window_s, ts + window_s)
         if p < 2:
-            raise PopularityIndexError(
-                f"router {bssid} has popularity {p} at ts={ts}; both pair members "
-                "scanned it, so the index was built from different records"
-            )
+            raise _popularity_error(bssid, p, ts)
         pops.append(p)
-    adamic_adar = float(sum(1.0 / math.log(p) for p in pops))
+    # left to right, as the batch kernel's bincount adds (sum() compensates
+    # float rounding from Python 3.12 on)
+    adamic_adar = 0.0
+    for p in pops:
+        adamic_adar += 1.0 / math.log(p)
     return min(pops), max(pops), adamic_adar
+
+
+def _popularity_error(bssid: str, p: int, ts: int) -> PopularityIndexError:
+    return PopularityIndexError(
+        f"router {bssid} has popularity {p} at ts={ts}; both pair members "
+        "scanned it, so the index was built from different records"
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -330,10 +344,344 @@ def extract_features(pair: CandidatePair, popularity: PopularityIndex,
     )
 
 
-def vectors_to_matrix(vectors) -> np.ndarray:
-    """(n, 16) float matrix in canonical order; missing values as NaN."""
-    return np.array([v.to_array() for v in vectors], dtype=float).reshape(
-        len(vectors), len(FEATURE_NAMES))
+# ---------------------------------------------------------------------------
+# Batch kernel: all candidates at once
+# ---------------------------------------------------------------------------
+
+# candidates per block of the batch kernel; bounds its temporary arrays
+_BLOCK_PAIRS = 2048
+
+
+@dataclass(frozen=True, slots=True)
+class ScanTable:
+    """Cleaned scans as flat arrays, one row per scan, APs in CSR layout.
+
+    Row i's access points are entries ``offsets[i]:offsets[i + 1]``,
+    sorted by bssid code. Codes index the sorted ``bssids`` list, so code
+    order is the string order in which ``intersect`` lists common routers.
+    """
+
+    users: list[str]
+    user: np.ndarray     # per row: index into users
+    ts: np.ndarray       # per row, int64
+    offsets: np.ndarray  # n_rows + 1, int64
+    bssids: list[str]
+    bssid: np.ndarray    # per entry: index into bssids
+    ssids: list[str]
+    ssid: np.ndarray     # per entry: index into ssids
+    rssi: np.ndarray     # per entry, int16
+
+    @classmethod
+    def from_records(cls, records) -> "ScanTable":
+        user_ids: dict[str, int] = {}
+        bssid_ids: dict[str, int] = {}
+        ssid_ids: dict[str, int] = {}
+        by_bssid = attrgetter("bssid")
+        aps = [ap for rec in records for ap in sorted(rec.aps, key=by_bssid)]
+        first_seen = np.fromiter(
+            (bssid_ids.setdefault(ap.bssid, len(bssid_ids)) for ap in aps),
+            dtype=np.int32, count=len(aps))
+        ssid = np.fromiter((ssid_ids.setdefault(ap.ssid, len(ssid_ids)) for ap in aps),
+                           dtype=np.int32, count=len(aps))
+        rssi = np.fromiter((ap.rssi for ap in aps), dtype=np.int16, count=len(aps))
+        del aps
+        bssids = sorted(bssid_ids)
+        code = np.empty(len(bssids), dtype=np.int32)
+        code[[bssid_ids[b] for b in bssids]] = np.arange(len(bssids))
+        offsets = np.zeros(len(records) + 1, dtype=np.int64)
+        np.cumsum(np.fromiter((len(rec.aps) for rec in records), dtype=np.int64,
+                              count=len(records)), out=offsets[1:])
+        user = np.fromiter((user_ids.setdefault(rec.user, len(user_ids)) for rec in records),
+                           dtype=np.int32, count=len(records))
+        return cls(
+            users=list(user_ids), user=user,
+            ts=np.fromiter((rec.ts for rec in records), dtype=np.int64, count=len(records)),
+            offsets=offsets, bssids=bssids, bssid=code[first_seen],
+            ssids=list(ssid_ids), ssid=ssid, rssi=rssi,
+        )
+
+    def rows_of(self, users, ts) -> np.ndarray:
+        """Row of each (user, ts) scan, -1 where there is none.
+
+        Of several rows with one user and ts, the last wins, as in a dict
+        built over the records.
+        """
+        user_ids = {u: i for i, u in enumerate(self.users)}
+        user = np.fromiter((user_ids.get(u, -1) for u in users), dtype=np.int64,
+                           count=len(users))
+        ts = np.asarray(ts, dtype=np.int64)
+        if len(self.ts) == 0 or len(ts) == 0:
+            return np.full(len(ts), -1, dtype=np.int64)
+        base = min(int(self.ts.min()), int(ts.min()))
+        span = max(int(self.ts.max()), int(ts.max())) - base + 1
+        keys = self.user.astype(np.int64) * span + (self.ts - base)
+        order = np.argsort(keys, kind="stable")
+        keys = keys[order]
+        wanted = user * span + (ts - base)
+        at = np.maximum(np.searchsorted(keys, wanted, side="right") - 1, 0)
+        return np.where((user >= 0) & (keys[at] == wanted), order[at], -1)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self.ts), dtype=np.int32), np.diff(self.offsets))
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """(owner, index) of every position in the ranges [start, start + length)."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
+
+
+def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """_average_ranks within each owner's entries; ties share the mean rank."""
+    order = np.lexsort((values, owner))
+    so, sv = owner[order], values[order]
+    new_owner = np.ones(len(order), dtype=bool)
+    new_owner[1:] = so[1:] != so[:-1]
+    new_run = new_owner.copy()
+    new_run[1:] |= sv[1:] != sv[:-1]
+    pos = np.arange(len(order))
+    owner_start = np.maximum.accumulate(np.where(new_owner, pos, 0))
+    run_start = np.maximum.accumulate(np.where(new_run, pos, 0))
+    run_last = np.flatnonzero(np.append(new_run[1:], True))
+    run_end = run_last[np.cumsum(new_run) - 1]
+    ranks = np.empty(len(order))
+    ranks[order] = 0.5 * ((run_start - owner_start) + (run_end - owner_start)) + 1.0
+    return ranks
+
+
+def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """_pearson_coefficient of every row pair of two (k, n) matrices.
+
+    Each dot product is a stacked matmul of one row by one column, which
+    numpy hands to the same BLAS ddot of length n as ``da @ db``, so each
+    row rounds exactly as the per-pair function does.
+    """
+    n = a.shape[1]
+    da = a - (a.sum(axis=1) / n)[:, None]
+    db = b - (b.sum(axis=1) / n)[:, None]
+
+    def dot(x, y):
+        return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
+
+    denom = np.sqrt(dot(da, da) * dot(db, db))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(dot(da, db) / denom, -1.0, 1.0)
+    return np.where(denom == 0.0, np.nan, r)
+
+
+def _significant_rows(r: np.ndarray, n: int, alpha: float) -> np.ndarray:
+    """r where _two_sided_p says it is significant at alpha, else NaN."""
+    df = n - 2
+    q = 1.0 - r * r
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.abs(r) * np.sqrt(df / q)
+    p = np.where(q <= 0.0, 0.0, 2.0 * stdtr(df, -t))
+    return np.where(np.isnan(r) | (p >= alpha), np.nan, r)
+
+
+def _correlation_columns(cp, ra, rb, overlap, alpha):
+    """(spearman, pearson) per pair, NaN where rssi_correlations gives None."""
+    spearman = np.full(len(overlap), np.nan)
+    pearson = np.full(len(overlap), np.nan)
+    rank_a = _average_ranks_by_owner(cp, ra)
+    rank_b = _average_ranks_by_owner(cp, rb)
+    starts = np.cumsum(overlap) - overlap
+    for n in np.unique(overlap[overlap >= 3]).tolist():
+        pairs = np.flatnonzero(overlap == n)
+        idx = starts[pairs][:, None] + np.arange(n)
+        a, b = ra[idx].astype(float), rb[idx].astype(float)
+        varied = (a.min(axis=1) != a.max(axis=1)) & (b.min(axis=1) != b.max(axis=1))
+        pairs, idx = pairs[varied], idx[varied]
+        pearson[pairs] = _significant_rows(
+            _pearson_rows(a[varied], b[varied]), n, alpha)
+        spearman[pairs] = _significant_rows(
+            _pearson_rows(rank_a[idx], rank_b[idx]), n, alpha)
+    return spearman, pearson
+
+
+class _WindowUsers:
+    """PopularityIndex.count_users for many (bssid code, ts) queries at once.
+
+    Observations are sorted by the key ``code * span + (ts - base)``, so a
+    query's window is one slice; the slices are gathered and their
+    distinct users counted with one sort.
+    """
+
+    def __init__(self, table: ScanTable, rows: np.ndarray, query_ts: np.ndarray,
+                 window_s: int):
+        self.window_s = window_s
+        self.base = min(int(table.ts.min()), int(query_ts.min())) - window_s
+        self.span = max(int(table.ts.max()), int(query_ts.max())) + window_s - self.base + 1
+        obs = table.ts[rows]
+        obs += np.multiply(table.bssid, self.span, dtype=np.int64) - self.base
+        self.uid = table.user[rows[np.argsort(obs)]]
+        obs.sort()
+        self.obs = obs
+        self.n_users = max(len(table.users), 1)
+
+    def count(self, code: np.ndarray, ts: np.ndarray) -> np.ndarray:
+        queries, inverse = np.unique(code.astype(np.int64) * self.span + (ts - self.base),
+                                     return_inverse=True)
+        lo = np.searchsorted(self.obs, queries - self.window_s, side="left")
+        hi = np.searchsorted(self.obs, queries + self.window_s, side="right")
+        owner, index = _ranges(lo, hi - lo)
+        distinct = np.unique(owner * self.n_users + self.uid[index])
+        return np.bincount(distinct // self.n_users, minlength=len(queries))[inverse]
+
+
+def _overlap_columns(table: ScanTable, scan_a, scan_b, ts, row_max: np.ndarray,
+                     users: _WindowUsers, alpha: float) -> dict[str, np.ndarray]:
+    """The features of a block of pairs that depend on their common routers."""
+    n_pairs = len(ts)
+    offsets, n_bssid = table.offsets, max(len(table.bssids), 1)
+    len_a = offsets[scan_a + 1] - offsets[scan_a]
+    len_b = offsets[scan_b + 1] - offsets[scan_b]
+
+    # both sides' (pair, bssid) keys are sorted, so one searchsorted finds
+    # the common routers, in intersect's bssid order within each pair
+    pa, ea = _ranges(offsets[scan_a], len_a)
+    pb, eb = _ranges(offsets[scan_b], len_b)
+    key_a = pa * n_bssid + table.bssid[ea]
+    key_b = pb * n_bssid + table.bssid[eb]
+    if len(key_b):
+        pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
+        hit = key_b[pos] == key_a
+    else:
+        pos, hit = np.zeros(len(key_a), dtype=np.int64), np.zeros(len(key_a), dtype=bool)
+    ea, eb = ea[hit], eb[pos[hit]]
+    cp, code = pa[hit], table.bssid[ea]
+    ra, rb = table.rssi[ea].astype(np.int64), table.rssi[eb].astype(np.int64)
+    overlap = np.bincount(cp, minlength=n_pairs)
+    union = len_a + len_b - overlap
+    per_pair = np.maximum(overlap, 1)
+
+    diff = (ra - rb).astype(float)
+    spearman, pearson = _correlation_columns(cp, ra, rb, overlap, alpha)
+
+    max_a, max_b = row_max[scan_a][cp], row_max[scan_b][cp]
+    tol = DEFAULT_TOP_AP_TOLERANCE_DB
+    top = (ra == max_a) & (rb == max_b)
+    near = (ra >= max_a - tol) & (rb >= max_b - tol)
+
+    mins = np.zeros(n_pairs, dtype=np.int64)
+    maxs = np.zeros(n_pairs, dtype=np.int64)
+    adamic_adar = np.zeros(n_pairs)
+    if len(cp):
+        pops = users.count(code, ts[cp])
+        low = np.flatnonzero(pops < 2)
+        if len(low):
+            i = low[0]
+            raise _popularity_error(table.bssids[code[i]], int(pops[i]), int(ts[cp[i]]))
+        starts = (np.cumsum(overlap) - overlap)[overlap > 0]
+        mins[overlap > 0] = np.minimum.reduceat(pops, starts)
+        maxs[overlap > 0] = np.maximum.reduceat(pops, starts)
+        values, which = np.unique(pops, return_inverse=True)
+        inv_log = np.array([1.0 / math.log(v) for v in values.tolist()])
+        # bincount adds each pair's terms left to right, as the loop does
+        adamic_adar = np.bincount(cp, weights=inv_log[which], minlength=n_pairs)
+
+    return {
+        "overlap": overlap, "non_overlap": union - overlap, "union": union,
+        "jaccard": overlap / np.maximum(union, 1),
+        "spearman": spearman, "pearson": pearson,
+        "manhattan": np.bincount(cp, weights=np.abs(diff), minlength=n_pairs) / per_pair,
+        "euclidean": np.sqrt(np.bincount(cp, weights=diff * diff,
+                                         minlength=n_pairs)) / per_pair,
+        "top_ap": np.bincount(cp[top], minlength=n_pairs) > 0,
+        "top_ap_6db": np.bincount(cp[near], minlength=n_pairs) > 0,
+        "min_popularity": mins, "max_popularity": maxs, "adamic_adar": adamic_adar,
+    }
+
+
+def _home_matrix(table, month_ids, home_map) -> np.ndarray:
+    """Home router code per (user, month) of the table, -1 where unknown."""
+    user_ids = {u: i for i, u in enumerate(table.users)}
+    bssid_ids = {b: i for i, b in enumerate(table.bssids)}
+    homes = np.full((len(user_ids), len(month_ids)), -1, dtype=np.int64)
+    for (user, month), bssid in home_map.items():
+        if user in user_ids and month in month_ids and bssid in bssid_ids:
+            homes[user_ids[user], month_ids[month]] = bssid_ids[bssid]
+    return homes
+
+
+def _context_columns(table: ScanTable, entry_rows, scan_a, scan_b, ts, home_map,
+                     campus_ssid, tz_offset_s) -> dict[str, np.ndarray]:
+    """hour_of_week, at_home and at_campus, as timing_location_features."""
+    n_bssid = max(len(table.bssids), 1)
+    hours = (ts + tz_offset_s) // 3600
+    days, day_of = np.unique((ts + tz_offset_s) // 86400, return_inverse=True)
+    day_months = [month_key(d * 86400) for d in days.tolist()]
+    month_ids = {m: i for i, m in enumerate(dict.fromkeys(day_months))}
+    month = np.array([month_ids[m] for m in day_months], dtype=np.int64)[day_of]
+    homes = _home_matrix(table, month_ids, home_map)
+    entry_key = np.multiply(entry_rows, n_bssid, dtype=np.int64) + table.bssid
+
+    def scan_has(rows, codes):
+        if len(entry_key) == 0:
+            return np.zeros(len(rows), dtype=bool)
+        keys = rows * n_bssid + codes
+        at = np.minimum(np.searchsorted(entry_key, keys), len(entry_key) - 1)
+        return (codes >= 0) & (entry_key[at] == keys)
+
+    at_home = np.zeros(len(ts), dtype=bool)
+    for rows in (scan_a, scan_b):
+        home = homes[table.user[rows], month]
+        at_home |= scan_has(scan_a, home) | scan_has(scan_b, home)
+    campus = table.ssids.index(campus_ssid) if campus_ssid in table.ssids else -1
+    campus_row = np.bincount(entry_rows[table.ssid == campus],
+                             minlength=len(table.ts)) > 0
+    return {
+        "hour_of_week": (hours // 24 + 3) % 7 * 24 + hours % 24,
+        "at_home": at_home,
+        "at_campus": campus_row[scan_a] | campus_row[scan_b],
+    }
+
+
+def extract_feature_matrix(table: ScanTable, scan_a, scan_b, ts,
+                           home_map: dict[tuple[str, str], str],
+                           campus_ssid: str = DEFAULT_CAMPUS_SSID,
+                           tz_offset_s: int = 0,
+                           alpha: float = DEFAULT_ALPHA,
+                           popularity_window_s: int = DEFAULT_POPULARITY_WINDOW_S,
+                           ) -> np.ndarray:
+    """The 16 features of every candidate, as extract_features gives them.
+
+    Candidate i pairs table rows ``scan_a[i]`` and ``scan_b[i]`` at
+    interaction time ``ts[i]``. Returns an (n, 16) float matrix in
+    FEATURE_NAMES order with missing correlations as NaN, equal bit for
+    bit to ``extract_features(...).to_array()`` row by row, with
+    popularity counted over every row of the table. Candidates are
+    processed in blocks of _BLOCK_PAIRS.
+
+    Raises:
+        PopularityIndexError: a common router with popularity below 2.
+    """
+    scan_a = np.asarray(scan_a, dtype=np.int64)
+    scan_b = np.asarray(scan_b, dtype=np.int64)
+    ts = np.asarray(ts, dtype=np.int64)
+    out = np.empty((len(ts), len(FEATURE_NAMES)))
+    if len(ts) == 0:
+        return out
+    row_max = np.zeros(len(table.ts), dtype=np.int64)
+    full = np.diff(table.offsets) > 0
+    if full.any():
+        row_max[full] = np.maximum.reduceat(table.rssi, table.offsets[:-1][full])
+    entry_rows = table.entry_rows()
+    users = _WindowUsers(table, entry_rows, ts, popularity_window_s)
+    columns = _context_columns(table, entry_rows, scan_a, scan_b, ts, home_map,
+                               campus_ssid, tz_offset_s)
+    del entry_rows
+    for name, values in columns.items():
+        out[:, FEATURE_NAMES.index(name)] = values
+    for lo in range(0, len(ts), _BLOCK_PAIRS):
+        block = slice(lo, lo + _BLOCK_PAIRS)
+        columns = _overlap_columns(table, scan_a[block], scan_b[block], ts[block],
+                                   row_max, users, alpha)
+        for name, values in columns.items():
+            out[block, FEATURE_NAMES.index(name)] = values
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -396,11 +744,3 @@ def apply_imputation(matrix: np.ndarray, state: ImputationState) -> np.ndarray:
         raise ValueError("matrix has missing values outside the correlation columns")
     return out
 
-
-def impute_vector(vector: FeatureVector, state: ImputationState) -> FeatureVector:
-    """Single-vector form of apply_imputation."""
-    return replace(
-        vector,
-        spearman=state.spearman_mean if vector.spearman is None else vector.spearman,
-        pearson=state.pearson_mean if vector.pearson is None else vector.pearson,
-    )

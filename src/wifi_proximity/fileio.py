@@ -2,7 +2,9 @@
 
 Every file the pipeline writes starts with a header that embeds the
 schema name+version and the hash of the configuration that produced it,
-so downstream stages can refuse to mix incompatible artifacts.
+so downstream stages can refuse to mix incompatible artifacts. Writers
+build the file beside its target and rename it into place, so an
+artifact is either complete or absent.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -23,7 +27,6 @@ SCHEMA_EVAL = "eval.v1"
 SCHEMA_REPORT = "report.v1"
 SCHEMA_CLEANING = "cleaning_report.v1"
 SCHEMA_HOMES = "home_routers.v1"
-SCHEMA_SUMMARY = "scan_summary.v1"
 
 
 class DataError(Exception):
@@ -45,6 +48,25 @@ def check_schema(found_schema, found_hash, expect_schema, expect_hash=None, path
         )
 
 
+@contextmanager
+def _replacing(path):
+    """Open ``<path>.tmp`` for writing; on success it replaces path.
+
+    On an exception the temp file is removed and path is left as it was,
+    so a reader sees a complete artifact or the previous one, never part
+    of one.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 # ---------------------------------------------------------------------------
 # JSONL
 # ---------------------------------------------------------------------------
@@ -52,7 +74,7 @@ def check_schema(found_schema, found_hash, expect_schema, expect_hash=None, path
 def write_jsonl(path, schema: str, cfg_hash: str, rows: Iterable[dict]) -> int:
     """Write a JSONL file with a leading header line. Returns the row count."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(json.dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
         for row in rows:
             fh.write(json.dumps(row, separators=(",", ":")) + "\n")
@@ -116,7 +138,7 @@ def write_csv(path, schema: str, cfg_hash: str, columns: list[str],
               rows: Iterable[tuple]) -> int:
     """Write a CSV with a '#' metadata line before the column header."""
     n = 0
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         fh.write(f"# schema={schema} config_hash={cfg_hash}\n")
         fh.write(",".join(columns) + "\n")
         for row in rows:
@@ -168,7 +190,7 @@ def _decode_special(obj):
 def write_json(path, schema: str, cfg_hash: str, payload: dict) -> None:
     doc = {"schema": schema, "config_hash": cfg_hash}
     doc.update(payload)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _replacing(path) as fh:
         json.dump(_encode_special(doc), fh, indent=2, allow_nan=False)
         fh.write("\n")
 

@@ -18,6 +18,7 @@ from .records import (
     BluetoothSighting,
     MalformedRecordError,
     WifiScanRecord,
+    check_id,
     validate_record,
 )
 
@@ -94,8 +95,7 @@ def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
     if not isinstance(obj, dict):
         raise MalformedRecordError("line is not a JSON object", line_no)
     user, ts, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
-    if not isinstance(user, str) or not user:
-        raise MalformedRecordError("missing or empty user", line_no)
+    check_id(user, "user", line_no)
     if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
         raise MalformedRecordError("missing or invalid ts", line_no)
     if not isinstance(seen, list):
@@ -107,6 +107,8 @@ def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
         peer, mac, rssi = entry.get("peer"), entry.get("mac"), entry.get("rssi")
         if peer is not None and mac is not None:
             raise MalformedRecordError("both peer and mac set", line_no)
+        if peer is not None:
+            check_id(peer, "peer", line_no)
         if isinstance(rssi, bool) or not isinstance(rssi, int) or rssi > 0:
             raise MalformedRecordError("missing or positive rssi", line_no)
         out.append(BluetoothSighting(user=user, ts=ts, peer=peer, mac=mac, rssi=rssi))

@@ -10,8 +10,9 @@ the task close to the deployed setting instead of random dyads.
 
 from __future__ import annotations
 
-from bisect import insort
+from bisect import bisect_left, insort
 from dataclasses import dataclass
+from operator import itemgetter
 
 import numpy as np
 
@@ -137,7 +138,7 @@ def _strongest_sighting(pair_bt, ts: int, delta_t: int):
         return None
     best = None
     # pair_bt is sorted by ts; scan the [ts-delta_t, ts+delta_t] slice
-    lo = _bisect_ts(pair_bt, ts - delta_t)
+    lo = bisect_left(pair_bt, ts - delta_t, key=itemgetter(0))
     for k in range(lo, len(pair_bt)):
         ts_bt, rssi = pair_bt[k]
         if ts_bt > ts + delta_t:
@@ -147,34 +148,11 @@ def _strongest_sighting(pair_bt, ts: int, delta_t: int):
     return best
 
 
-def _bisect_ts(items, ts):
-    lo, hi = 0, len(items)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if items[mid][0] < ts:
-            lo = mid + 1
-        else:
-            hi = mid
-    return lo
-
-
-def split_train_test(items, train_size: int, seed: int):
-    """Uniform random train sample without replacement; the rest is test.
-
-    Deterministic for a given seed; both splits keep the input order.
-    """
-    n = len(items)
-    if train_size > n:
-        raise ValueError(f"train_size {train_size} exceeds population {n}")
-    rng = np.random.default_rng(seed)
-    perm = rng.permutation(n)
-    train_idx = np.sort(perm[:train_size])
-    test_idx = np.sort(perm[train_size:])
-    return [items[i] for i in train_idx], [items[i] for i in test_idx]
-
-
 def split_indices(n: int, train_size: int, seed: int):
-    """Index form of split_train_test, for array-shaped data."""
+    """Uniform random train indices without replacement; the rest is test.
+
+    Deterministic for a given seed; both index arrays are sorted.
+    """
     if train_size > n:
         raise ValueError(f"train_size {train_size} exceeds population {n}")
     rng = np.random.default_rng(seed)

@@ -11,6 +11,8 @@ import sys
 from dataclasses import dataclass, field
 
 BSSID_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
+# ids are written unquoted into CSV artifacts
+CSV_UNSAFE_RE = re.compile(r"[,\r\n]")
 
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = 0
@@ -108,18 +110,27 @@ class OverlapView:
         object.__setattr__(self, "size", len(self.common))
 
 
+def check_id(value, what: str, line_no: int | None = None) -> None:
+    """Reject a missing or empty id, or one that would break a CSV row."""
+    if not isinstance(value, str) or not value:
+        raise MalformedRecordError(f"missing or empty {what}", line_no)
+    if CSV_UNSAFE_RE.search(value):
+        raise MalformedRecordError(f"{what} {value!r} contains a comma or newline",
+                                   line_no)
+
+
 def validate_record(user, ts, aps, line_no: int | None = None) -> WifiScanRecord:
     """Build a validated WifiScanRecord from raw parsed fields.
 
     Canonicalizes bssids to lowercase, collapses duplicate bssids keeping
     the strongest RSSI, and rejects records with a missing timestamp or
-    out-of-schema fields.
+    out-of-schema fields, including user ids that contain a comma or a
+    line break.
 
     Raises:
         MalformedRecordError: with line context when the record is invalid.
     """
-    if not isinstance(user, str) or not user:
-        raise MalformedRecordError("missing or empty user", line_no)
+    check_id(user, "user", line_no)
     if ts is None or isinstance(ts, bool) or not isinstance(ts, int):
         raise MalformedRecordError("missing or non-integer ts", line_no)
     if ts < 0:

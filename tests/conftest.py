@@ -48,6 +48,13 @@ def random_pair(rng: np.random.Generator, label: int = 0,
                          ts=min(sa.ts, sb.ts), label=label, bt_rssi=bt)
 
 
+def world_conf(world: WorldConfig) -> str:
+    """A pipeline config file's text that generates ``world``."""
+    keys = ("n_users", "n_routers", "days", "n_buildings", "n_venues", "area_m")
+    return "".join(f"world.{k} = {getattr(world, k)}\n" for k in keys) + \
+        f"seed = {world.seed}\n"
+
+
 @pytest.fixture(scope="session")
 def tiny_world() -> WorldConfig:
     """Small world for unit tests: quick to generate, still has meetings."""

@@ -216,3 +216,49 @@ class TestSeedPropagation:
         assert run(["generate", "--dir", str(c), "--config", str(conf),
                     "--seed", "12"]) == 0
         assert (a / "wifi.jsonl").read_bytes() != (c / "wifi.jsonl").read_bytes()
+
+
+class TestArtifactIntegrity:
+    """Later stages never run on truncated, foreign or CSV-unsafe inputs."""
+
+    def test_comma_in_user_id_never_reaches_the_csv_artifacts(self, tmp_path, workdir):
+        src, base = workdir
+        conf = base[base.index("--config") + 1]
+        for name in ("wifi.jsonl", "bluetooth.jsonl"):
+            text = (src / name).read_text()
+            assert '"u005"' in text
+            (tmp_path / name).write_text(text.replace('"u005"', '"u0,5"'))
+        args = ["--dir", str(tmp_path), "--config", conf]
+        assert run(["clean"] + args + ["--strict-parse"]) == 3
+        for stage in ("clean", "pair", "featurize", "train"):
+            assert run([stage] + args) == 0, stage
+        _, _, cand = fileio.read_csv(tmp_path / "candidates.csv",
+                                     fileio.SCHEMA_CANDIDATES)
+        _, _, feats = fileio.read_csv(tmp_path / "features.csv",
+                                      fileio.SCHEMA_FEATURES)
+        assert cand and len(feats) == len(cand)
+        assert all(len(row) == 22 for row in feats)  # no id split at a comma
+        model = fileio.read_json(tmp_path / "model_full_gbt.json", fileio.SCHEMA_MODEL)
+        assert model["split"]["n"] == len(cand)
+
+    def copy_inputs(self, src, dst):
+        for name in ("candidates.csv", "features.csv"):
+            (dst / name).write_bytes((src / name).read_bytes())
+
+    def test_train_rejects_truncated_features(self, tmp_path, workdir):
+        src, base = workdir
+        self.copy_inputs(src, tmp_path)
+        lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
+        (tmp_path / "features.csv").write_text("".join(lines[:len(lines) // 2]))
+        args = ["--dir", str(tmp_path)] + base[2:]
+        assert run(["train"] + args) == 3
+        (tmp_path / "features.csv").write_text("".join(lines[:2]))  # header only
+        assert run(["train"] + args) == 3
+        assert not list(tmp_path.glob("model_*"))
+
+    def test_train_rejects_features_of_another_config(self, tmp_path, workdir):
+        src, base = workdir
+        self.copy_inputs(src, tmp_path)
+        args = ["--dir", str(tmp_path)] + base[2:]
+        assert run(["train"] + args) == 0
+        assert run(["train"] + args + ["--train-size", "0.4"]) == 3

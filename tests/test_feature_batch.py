@@ -1,0 +1,214 @@
+"""The batch feature kernel against the per-pair reference, bit for bit."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wifi_proximity import fileio
+from wifi_proximity.cli import main
+from wifi_proximity.features import (
+    PopularityIndex,
+    PopularityIndexError,
+    ScanTable,
+    _pearson_coefficient,
+    _pearson_rows,
+    extract_feature_matrix,
+    extract_features,
+)
+from wifi_proximity.ingest import month_key, parse_wifi_log
+from wifi_proximity.records import CandidatePair
+
+from conftest import ap, mac, scan, world_conf
+
+T0 = 1601510400 - 600  # ten minutes before 2020-10-01 00:00 UTC
+
+
+def reference_matrix(records, pairs, home_map, **kwargs):
+    """extract_features row by row over (scan index a, scan index b, ts)."""
+    index = PopularityIndex(records)
+    rows = []
+    for i, j, ts in pairs:
+        pair = CandidatePair(records[i].user, records[j].user, records[i],
+                             records[j], ts, 0)
+        rows.append(extract_features(pair, index, home_map, **kwargs).to_array())
+    return np.array(rows).reshape(len(pairs), 16)
+
+
+def batch_matrix(records, pairs, home_map, **kwargs):
+    table = ScanTable.from_records(records)
+    a, b, ts = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*pairs))
+    return extract_feature_matrix(table, a, b, ts, home_map, **kwargs)
+
+
+def assert_bit_identical(got, want):
+    assert got.shape == want.shape
+    diff = np.argwhere(got.view(np.int64) != want.view(np.int64))
+    assert len(diff) == 0, [(int(r), int(c), got[r, c], want[r, c])
+                            for r, c in diff[:5]]
+
+
+@st.composite
+def worlds(draw):
+    """Scans over a small router pool with narrow RSSIs (many ties), the
+    pairs to featurize, homes, and a time zone."""
+    n_scans = draw(st.integers(2, 8))
+    records = []
+    for _ in range(n_scans):
+        user = draw(st.sampled_from(["u0", "u1", "u2", "u3"]))
+        ts = T0 + draw(st.integers(0, 1200))
+        routers = draw(st.lists(st.integers(0, 31), unique=True, max_size=28))
+        aps = [ap(i, draw(st.integers(-62, -55)), "dtu" if i % 5 == 0 else "")
+               for i in routers]
+        records.append(scan(user, ts, aps))
+    order = [(i, j) for i in range(n_scans) for j in range(n_scans)
+             if records[i].user < records[j].user]
+    if not order:  # one user only: add a partner
+        records.append(scan("u9", T0, [ap(0, -60)]))
+        order = [(0, n_scans)]
+    picks = draw(st.lists(st.sampled_from(order), min_size=1, max_size=6))
+    pairs = [(i, j, min(records[i].ts, records[j].ts)) for i, j in picks]
+    tz = draw(st.sampled_from([0, 3600, -7200]))
+    home_map = {}
+    for user in {rec.user for rec in records}:
+        for ts in (T0, T0 + 1200):
+            router = draw(st.integers(0, 40))
+            home_map[(user, month_key(ts, tz))] = mac(router)
+    return records, pairs, home_map, tz
+
+
+@given(worlds(), st.sampled_from([60, 300, 900]))
+@settings(max_examples=150, deadline=None)
+def test_hypothesis_worlds_match_per_pair(world, window):
+    records, pairs, home_map, tz = world
+    kwargs = dict(tz_offset_s=tz, popularity_window_s=window)
+    try:
+        want = reference_matrix(records, pairs, home_map, **kwargs)
+    except PopularityIndexError as exc:
+        with pytest.raises(PopularityIndexError) as got:
+            batch_matrix(records, pairs, home_map, **kwargs)
+        assert str(got.value) == str(exc)
+        return
+    assert_bit_identical(batch_matrix(records, pairs, home_map, **kwargs), want)
+
+
+def test_overlap_sizes_from_0_to_32_match_per_pair():
+    rng = np.random.default_rng(41)
+    records, pairs = [], []
+    for k in range(400):
+        n_common = k % 33
+        common = rng.choice(64, size=n_common, replace=False)
+        extra = rng.choice(np.arange(64, 96), size=2 * int(rng.integers(0, 4)),
+                           replace=False)
+        half = len(extra) // 2
+        ts = T0 + int(rng.integers(0, 600))
+        lo, hi = (-95, -20) if k % 2 else (-61, -58)  # wide, or full of ties
+        rssi_a = rng.integers(lo, hi, size=n_common)
+        rssi_b = rssi_a + rng.integers(-3, 4, size=n_common)  # correlated
+        if k % 3 == 0:
+            rssi_b = rng.integers(lo, hi, size=n_common)
+        side_a = [ap(int(i), int(r)) for i, r in zip(common, rssi_a)]
+        side_b = [ap(int(i), int(r)) for i, r in zip(common, rssi_b)]
+        side_a += [ap(int(i), int(rng.integers(lo, hi))) for i in extra[:half]]
+        side_b += [ap(int(i), int(rng.integers(lo, hi))) for i in extra[half:]]
+        records += [scan("a", ts, side_a), scan("b", ts + 30, side_b)]
+        pairs.append((2 * k, 2 * k + 1, ts))
+    records.append(scan("c", T0, []))
+    records.append(scan("d", T0, [ap(1, -50)]))
+    pairs.append((len(records) - 2, len(records) - 1, T0))  # an empty scan
+    want = reference_matrix(records, pairs, {})
+    got = batch_matrix(records, pairs, {})
+    assert_bit_identical(got, want)
+    overlaps = got[:, 0]
+    assert {0, 1, 2}.issubset(overlaps) and overlaps.max() >= 16
+    # correlations are kept on some long overlaps: the blocked ddot path
+    assert not np.isnan(got[overlaps >= 16, 5]).all()
+
+
+def test_pearson_rows_round_as_the_per_pair_dot():
+    rng = np.random.default_rng(5)
+    for n in range(3, 41):
+        a = rng.integers(-95, -20, size=(150, n)).astype(float)
+        b = a + rng.integers(-9, 10, size=(150, n))
+        got = _pearson_rows(a, b)
+        want = np.array([_pearson_coefficient(x, y) for x, y in zip(a, b)])
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+
+
+def test_low_popularity_raises_as_per_pair():
+    # the interaction time is far from both scans, so neither counts
+    records = [scan("u1", T0, [ap(1, -50), ap(2, -60)]),
+               scan("u2", T0, [ap(1, -55), ap(2, -65)])]
+    pairs = [(0, 1, T0), (0, 1, T0 + 5000)]
+    with pytest.raises(PopularityIndexError) as want:
+        reference_matrix(records, pairs, {})
+    with pytest.raises(PopularityIndexError) as got:
+        batch_matrix(records, pairs, {})
+    assert str(got.value) == str(want.value)
+    assert f"ts={T0 + 5000}" in str(got.value)
+
+
+def test_rows_of_finds_scans_and_flags_missing():
+    records = [scan("u1", 10, []), scan("u2", 10, []), scan("u1", 20, []),
+               scan("u1", 20, [ap(1, -50)])]
+    table = ScanTable.from_records(records)
+    rows = table.rows_of(["u1", "u2", "u1", "u3", "u2"], [10, 10, 20, 10, 20])
+    assert rows.tolist() == [0, 1, 3, -1, -1]  # the last duplicate wins
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory, tiny_world):
+    d = tmp_path_factory.mktemp("batch")
+    conf = d / "world.conf"
+    conf.write_text(world_conf(tiny_world))
+    base = ["--dir", str(d), "--config", str(conf)]
+    for stage in ("generate", "clean", "pair"):
+        assert main([stage] + base) == 0, stage
+    return d, base
+
+
+def test_every_tiny_world_candidate_matches_per_pair(tiny_run):
+    d, _ = tiny_run
+    records = parse_wifi_log(fileio.iter_jsonl(d / "cleaned.jsonl")).records
+    row_of = {(rec.user, rec.ts): i for i, rec in enumerate(records)}
+    homes = fileio.read_json(d / "home_routers.json", fileio.SCHEMA_HOMES)["homes"]
+    home_map = {(h["user"], h["month"]): h["bssid"] for h in homes}
+    _, _, cand = fileio.read_csv(d / "candidates.csv", fileio.SCHEMA_CANDIDATES)
+    pairs = [(row_of[(r[0], int(r[2]))], row_of[(r[1], int(r[3]))], int(r[4]))
+             for r in cand]
+    assert len(pairs) > 1000
+    want = reference_matrix(records, pairs, home_map)
+    assert_bit_identical(batch_matrix(records, pairs, home_map), want)
+
+
+def test_featurize_low_popularity_exits_3_without_features(tiny_run, tmp_path, capsys):
+    src, src_base = tiny_run
+    for name in ("cleaned.jsonl", "home_routers.json"):
+        (tmp_path / name).write_bytes((src / name).read_bytes())
+    lines = (src / "candidates.csv").read_text().splitlines(keepends=True)
+    k = max(i for i, line in enumerate(lines) if line.split(",")[5:6] == ["0"])
+    row = lines[k].split(",")  # a negative: it shares a router
+    row[4] = str(int(row[4]) + 10 ** 6)  # far from both scans
+    lines[k] = ",".join(row)
+    (tmp_path / "candidates.csv").write_text("".join(lines))
+    assert main(["featurize", "--dir", str(tmp_path)] + src_base[2:]) == 3
+    assert "has popularity 0" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "candidates.csv", "cleaned.jsonl", "home_routers.json"]
+
+
+def test_featurize_missing_scan_exits_3_without_features(tiny_run, tmp_path):
+    src, src_base = tiny_run
+    for name in ("cleaned.jsonl", "candidates.csv", "home_routers.json"):
+        (tmp_path / name).write_bytes((src / name).read_bytes())
+    _, _, cand = fileio.read_csv(src / "candidates.csv", fileio.SCHEMA_CANDIDATES)
+    user, ts = cand[len(cand) // 2][0], cand[len(cand) // 2][2]
+    lines = (src / "cleaned.jsonl").read_text().splitlines(keepends=True)
+    kept = [ln for ln in lines
+            if not (f'"user":"{user}"' in ln and f'"ts":{ts},' in ln)]
+    assert len(kept) == len(lines) - 1
+    (tmp_path / "cleaned.jsonl").write_text("".join(kept))
+    base = ["--dir", str(tmp_path)] + src_base[2:]
+    assert main(["featurize"] + base) == 3
+    assert not (tmp_path / "features.csv").exists()
+    assert not (tmp_path / "features.csv.tmp").exists()

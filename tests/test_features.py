@@ -17,11 +17,9 @@ from wifi_proximity.features import (
     extract_features,
     fit_imputation,
     hour_of_week,
-    impute_vector,
     rssi_correlations,
     rssi_distances,
     top_ap_features,
-    vectors_to_matrix,
 )
 from wifi_proximity.records import CandidatePair, OverlapView, intersect
 
@@ -335,18 +333,6 @@ class TestImputation:
         with pytest.raises(ValueError, match="outside"):
             apply_imputation(bad, state)
 
-    def test_impute_vector_matches_matrix_form(self):
-        vec = FeatureVector(overlap=2, non_overlap=1, union=3, jaccard=2 / 3,
-                            spearman=None, pearson=0.4, manhattan=1.0,
-                            euclidean=0.5, top_ap=1, top_ap_6db=1,
-                            hour_of_week=10, min_popularity=2, max_popularity=5,
-                            adamic_adar=1.1, at_home=0, at_campus=1)
-        state = ImputationState(0.33, 0.44, 0, 0)
-        out = impute_vector(vec, state)
-        assert out.spearman == 0.33 and out.pearson == 0.4
-        ref = apply_imputation(vec.to_array().reshape(1, -1), state)[0]
-        assert np.allclose(out.to_array(), ref)
-
 
 class TestVectorLayout:
     def test_to_array_order_and_nan(self):
@@ -360,11 +346,3 @@ class TestVectorLayout:
         assert arr[FEATURE_NAMES.index("overlap")] == 2
         assert math.isnan(arr[FEATURE_NAMES.index("spearman")])
         assert arr[FEATURE_NAMES.index("at_campus")] == 1
-
-    def test_vectors_to_matrix_shape(self):
-        vec = FeatureVector(1, 1, 2, 0.5, None, None, 0.0, 0.0, 0, 0, 5, 2, 2,
-                            1.4, 0, 0)
-        m = vectors_to_matrix([vec, vec, vec])
-        assert m.shape == (3, 16)
-        m_empty = vectors_to_matrix([])
-        assert m_empty.shape == (0, 16)

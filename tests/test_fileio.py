@@ -102,3 +102,60 @@ class TestJson:
         fileio.write_json(p, fileio.SCHEMA_EVAL, "abc123", {})
         with pytest.raises(DataError):
             fileio.read_json(p, fileio.SCHEMA_EVAL, "different")
+
+
+class TestAtomicWrites:
+    """A writer that fails leaves the previous artifact, never part of one."""
+
+    @staticmethod
+    def failing_rows(row, n_good=3):
+        for _ in range(n_good):
+            yield row
+        raise RuntimeError("generator failed partway")
+
+    @pytest.mark.parametrize("kind", ["jsonl", "csv"])
+    def test_failing_generator_leaves_no_file(self, tmp_path, kind):
+        p = tmp_path / f"out.{kind}"
+        with pytest.raises(RuntimeError, match="partway"):
+            if kind == "jsonl":
+                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "h",
+                                   self.failing_rows({"a": 1}))
+            else:
+                fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["a"],
+                                 self.failing_rows((1,)))
+        assert sorted(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("kind", ["jsonl", "csv"])
+    def test_failing_generator_keeps_older_artifact(self, tmp_path, kind):
+        p = tmp_path / f"out.{kind}"
+        if kind == "jsonl":
+            fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "old", [{"a": 0}])
+        else:
+            fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [(0,)])
+        before = p.read_bytes()
+        with pytest.raises(RuntimeError):
+            if kind == "jsonl":
+                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "new",
+                                   self.failing_rows({"a": 1}))
+            else:
+                fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"],
+                                 self.failing_rows((1,)))
+        assert p.read_bytes() == before
+        assert not p.with_name(p.name + ".tmp").exists()
+
+    def test_unencodable_json_keeps_older_document(self, tmp_path):
+        p = tmp_path / "d.json"
+        fileio.write_json(p, fileio.SCHEMA_EVAL, "old", {"a": 1})
+        before = p.read_bytes()
+        with pytest.raises(TypeError):
+            fileio.write_json(p, fileio.SCHEMA_EVAL, "new", {"a": object()})
+        assert p.read_bytes() == before
+        assert sorted(tmp_path.iterdir()) == [p]
+
+    def test_success_replaces_and_leaves_no_temp(self, tmp_path):
+        p = tmp_path / "t.csv"
+        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [(0,)])
+        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"], [(1,), (2,)])
+        meta, _, rows = fileio.read_csv(p, fileio.SCHEMA_FEATURES, "new")
+        assert rows == [["1"], ["2"]]
+        assert sorted(tmp_path.iterdir()) == [p]

@@ -47,6 +47,12 @@ class TestParseWifi:
         res = parse_wifi_log(numbered(["[1, 2]"]))
         assert res.skipped == 1
 
+    def test_comma_in_user_skipped_or_fatal(self):
+        lines = numbered([wifi_line(), wifi_line(user="a,b")])
+        assert parse_wifi_log(lines).skipped == 1
+        with pytest.raises(MalformedRecordError, match="line 2"):
+            parse_wifi_log(lines, strict=True)
+
     def test_missing_aps_rejected(self):
         res = parse_wifi_log(numbered([json.dumps({"user": "u", "ts": 1})]))
         assert res.skipped == 1
@@ -72,6 +78,15 @@ class TestParseBluetooth:
         with pytest.raises(MalformedRecordError):
             parse_bluetooth_log(numbered([self.line([{"peer": "u2", "rssi": 5}])]),
                                 strict=True)
+
+    @pytest.mark.parametrize("user,peer", [("u,1", "u2"), ("u1", "u,2"),
+                                           ("u1", "u2\n"), ("u\r1", "u2")])
+    def test_csv_unsafe_ids_rejected(self, user, peer):
+        line = json.dumps({"user": user, "ts": 500,
+                           "seen": [{"peer": peer, "rssi": -70}]})
+        assert parse_bluetooth_log(numbered([line])).skipped == 1
+        with pytest.raises(MalformedRecordError, match="comma or newline"):
+            parse_bluetooth_log(numbered([line]), strict=True)
 
     def test_empty_seen_list_yields_nothing(self):
         res = parse_bluetooth_log(numbered([self.line([])]))

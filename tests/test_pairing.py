@@ -10,7 +10,6 @@ from wifi_proximity.pairing import (
     build_hour_windows,
     generate_candidates,
     split_indices,
-    split_train_test,
 )
 from wifi_proximity.records import BluetoothSighting
 
@@ -139,22 +138,16 @@ class TestGenerateCandidates:
 
 class TestSplits:
     def test_partition(self):
-        items = list(range(100))
-        train, test = split_train_test(items, 30, seed=1)
+        train, test = split_indices(100, 30, seed=1)
         assert len(train) == 30 and len(test) == 70
-        assert sorted(train + test) == items
-        assert set(train).isdisjoint(test)
+        assert sorted(np.concatenate([train, test]).tolist()) == list(range(100))
+        assert set(train.tolist()).isdisjoint(test.tolist())
+        assert list(train) == sorted(train) and list(test) == sorted(test)
 
     def test_deterministic(self):
-        items = list(range(50))
-        assert split_train_test(items, 20, seed=5) == split_train_test(items, 20, seed=5)
-        assert split_train_test(items, 20, seed=5) != split_train_test(items, 20, seed=6)
-
-    def test_indices_match_item_split(self):
-        items = list(range(80))
-        train, test = split_train_test(items, 25, seed=9)
-        tr_idx, te_idx = split_indices(80, 25, seed=9)
-        assert train == list(tr_idx) and test == list(te_idx)
+        a, b, c = (split_indices(50, 20, seed=s) for s in (5, 5, 6))
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        assert not np.array_equal(a[0], c[0])
 
     def test_oversized_train_rejected(self):
         with pytest.raises(ValueError):

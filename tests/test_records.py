@@ -54,6 +54,11 @@ class TestValidateRecord:
         with pytest.raises(MalformedRecordError):
             validate_record(user, ts, aps)
 
+    @pytest.mark.parametrize("user", ["u,1", "u\n1", "u\r1", ","])
+    def test_rejects_csv_unsafe_user(self, user):
+        with pytest.raises(MalformedRecordError, match="comma or newline"):
+            validate_record(user, 0, [])
+
     def test_line_number_in_message(self):
         with pytest.raises(MalformedRecordError, match="line 42"):
             validate_record("", 0, [], line_no=42)
