@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import argparse
 import sys
-from concurrent.futures import ThreadPoolExecutor
+# unused here, but perfbench/tracing.py patches this name in every module
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from pathlib import Path
 
 import numpy as np
@@ -179,25 +180,18 @@ def stage_pair(cfg: PipelineConfig, args) -> int:
     sightings = sorted(bt.records, key=lambda s: s.ts)
     sight_ts = np.array([s.ts for s in sightings], dtype=np.int64)
 
-    def window_job(window):
+    candidates = []
+    for window in windows:
         scans = [
             rec
             for rec in scans_by_hour.get(window.start_ts, [])
             if rec.user in window.active_users
         ]
         if not scans:
-            return []
+            continue
         lo = int(np.searchsorted(sight_ts, window.start_ts - cfg.delta_t_s))
         hi = int(np.searchsorted(sight_ts, window.start_ts + WINDOW_S + cfg.delta_t_s))
-        return generate_candidates(scans, sightings[lo:hi], cfg.delta_t_s)
-
-    if cfg.jobs > 1 and len(windows) > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            per_window = list(pool.map(window_job, windows))
-    else:
-        per_window = [window_job(w) for w in windows]
-
-    candidates = [c for chunk in per_window for c in chunk]
+        candidates.extend(generate_candidates(scans, sightings[lo:hi], cfg.delta_t_s))
     candidates.sort(key=lambda c: (c.ts, c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts))
 
     rows = (
@@ -363,9 +357,9 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     model_file = _model_path(paths["dir"], cfg)
-    model, doc = load_model(model_file)
-    meta, keys, y, X = _load_features(paths["features"])
-    _, cand_rows = _read_candidates(paths["candidates"])
+    model, doc = load_model(model_file, h)
+    meta, keys, y, X = _load_features(paths["features"], h)
+    _, cand_rows = _read_candidates(paths["candidates"], h)
     if len(cand_rows) != len(y):
         raise DataError("features and candidates row counts differ")
 
@@ -506,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
                         dest="strict_parse", help="abort on malformed input lines")
     common.add_argument("--grid", action="store_const", const=True,
                         help="grid-search hyperparameters during train")
-    common.add_argument("--jobs", type=int, help="worker threads for parallel stages")
+    common.add_argument("--jobs", type=int,
+                        help="worker threads for the RF tree pool")
 
     parser = argparse.ArgumentParser(
         prog="wifi-proximity",

@@ -258,7 +258,7 @@ def miss_rate_vs_bt_rssi(scores, bt_rssi, classifier,
 # ---------------------------------------------------------------------------
 
 def _single_curve_run(kind, params, X_pool, y_pool, X_test, y_test,
-                      size, rep, seed, jobs):
+                      size, rep, seed):
     from .models import fit_model, predict
 
     rng = np.random.default_rng([seed, size, rep])
@@ -271,7 +271,7 @@ def _single_curve_run(kind, params, X_pool, y_pool, X_test, y_test,
     model_seed = int(rng.integers(2 ** 31))
     imp = fit_imputation(X_pool[rows])
     model = fit_model(kind, apply_imputation(X_pool[rows], imp), y_pool[rows],
-                      params, seed=model_seed, jobs=jobs)
+                      params, seed=model_seed)
     return auc_roc(predict(model, apply_imputation(X_test, imp)), y_test)
 
 
@@ -299,7 +299,7 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     def run(task):
         kind, size, rep = task
         return _single_curve_run(kind, params_by_kind.get(kind), X_pool, y_pool,
-                                 X_test, y_test, size, rep, seed, jobs=1)
+                                 X_test, y_test, size, rep, seed)
 
     if jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:

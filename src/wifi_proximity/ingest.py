@@ -13,7 +13,6 @@ import json
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
-from .fileio import iter_jsonl
 from .records import (
     BluetoothSighting,
     MalformedRecordError,
@@ -201,17 +200,3 @@ def build_home_router_map(records, bin_minutes: int = 10,
             homes[key] = home
     return homes
 
-
-def stream_wifi_records(path, strict: bool = False):
-    """Iterate validated records from a WiFi JSONL file, skipping the header.
-
-    Yields records one at a time; malformed lines raise in strict mode and
-    are silently counted otherwise (count available via .skipped afterwards
-    when using parse_wifi_log instead).
-    """
-    for line_no, line in iter_jsonl(path):
-        try:
-            yield parse_wifi_line(line, line_no)
-        except MalformedRecordError:
-            if strict:
-                raise

@@ -157,16 +157,15 @@ def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
     return X, y
 
 
-def fit_gbt(X, y, params: dict | None = None, seed: int = 0, jobs: int = 1,
+def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
             feature_names=None, featureset_name: str = "FULL",
             imputation: ImputationState | None = None) -> TreeEnsembleModel:
     """Stagewise boosting with logistic loss.
 
     Starts from the log-odds of training prevalence; each stage fits a
     variance-reduction regression tree to the residuals y - p with Newton
-    leaf values sum(g)/sum(h), scaled by the learning rate. jobs > 1
-    parallelizes the split search of large nodes; results are bit-equal
-    to a serial run.
+    leaf values sum(g)/sum(h), scaled by the learning rate. Trees are
+    grown one after another on one thread: each stage needs the last.
     """
     params = {**DEFAULT_GBT_PARAMS, **(params or {})}
     X, y = _check_training_input(X, y)
@@ -181,24 +180,18 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0, jobs: int = 1,
     base = math.log(prevalence / (1.0 - prevalence))
     F = np.full(n, base)
     trees: list[Tree] = []
-    executor = ThreadPoolExecutor(max_workers=jobs) if jobs > 1 else None
-    try:
-        for _ in range(int(params["n_trees"])):
-            p = expit(F)
-            g = y - p
-            h = p * (1.0 - p)
-            raw = grow_tree(X, g, criterion="variance", hess=h,
-                            max_depth=params["max_depth"],
-                            min_samples_leaf=int(params.get("min_samples_leaf", 1)),
-                            executor=executor)
-            tree = Tree(feature=raw.feature, threshold=raw.threshold,
-                        left=raw.left, right=raw.right, value=raw.value * lr,
-                        n_samples=raw.n_samples, gain=raw.gain)
-            F = F + tree.predict(X)
-            trees.append(tree)
-    finally:
-        if executor is not None:
-            executor.shutdown()
+    for _ in range(int(params["n_trees"])):
+        p = expit(F)
+        g = y - p
+        h = p * (1.0 - p)
+        raw = grow_tree(X, g, criterion="variance", hess=h,
+                        max_depth=params["max_depth"],
+                        min_samples_leaf=int(params.get("min_samples_leaf", 1)))
+        tree = Tree(feature=raw.feature, threshold=raw.threshold,
+                    left=raw.left, right=raw.right, value=raw.value * lr,
+                    n_samples=raw.n_samples, gain=raw.gain)
+        F = F + tree.predict(X)
+        trees.append(tree)
 
     return TreeEnsembleModel(
         kind=KIND_GBT, trees=tuple(trees), learning_rate=lr, base_score=base,
@@ -277,8 +270,9 @@ def predict(model: TreeEnsembleModel, X) -> np.ndarray:
 
 def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0,
               jobs: int = 1, **meta) -> TreeEnsembleModel:
+    """Fit either ensemble; jobs sizes the forest's tree pool only."""
     if kind == KIND_GBT or kind == "gbt":
-        return fit_gbt(X, y, params, seed=seed, jobs=jobs, **meta)
+        return fit_gbt(X, y, params, seed=seed, **meta)
     if kind == KIND_RF or kind == "rf":
         return fit_rf(X, y, params, seed=seed, jobs=jobs, **meta)
     raise ValueError(f"unknown model kind {kind!r}")
@@ -376,10 +370,10 @@ def save_model(model: TreeEnsembleModel, path, cfg_hash: str,
     fileio.write_json(path, fileio.SCHEMA_MODEL, cfg_hash, doc)
 
 
-def load_model(path) -> tuple[TreeEnsembleModel, dict]:
+def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel, dict]:
     """Returns (model, full document); the document carries config_hash
     and any extra metadata stored alongside the model."""
-    doc = fileio.read_json(path, fileio.SCHEMA_MODEL)
+    doc = fileio.read_json(path, fileio.SCHEMA_MODEL, expect_hash)
     try:
         model = TreeEnsembleModel(
             kind=doc["kind"],

@@ -880,11 +880,11 @@ def calibrate_stats(
     """
     from scipy.stats import mannwhitneyu
 
-    from .ingest import stream_wifi_records
+    from .ingest import parse_wifi_log
 
     counts: list[int] = []
     by_user: dict[str, list[tuple[int, frozenset]]] = {}
-    for rec in stream_wifi_records(wifi_path):
+    for rec in parse_wifi_log(fileio.iter_jsonl(wifi_path)).records:
         counts.append(len(rec.aps))
         by_user.setdefault(rec.user, []).append((rec.ts, rec.bssids()))
 

@@ -1,15 +1,15 @@
 """Binary decision trees grown from scratch, shared by both ensemble learners.
 
-One grower serves two criteria: variance reduction on real-valued targets
-(regression trees for boosting, with Newton leaf values when a hessian is
-given) and Gini impurity on binary labels (classification trees for the
-forest, with class-fraction leaves).
+One grower and one split scan serve two criteria: variance reduction on
+real-valued targets (regression trees for boosting, with Newton leaf values
+when a hessian is given) and Gini impurity on binary labels (classification
+trees for the forest, with class-fraction leaves). The criteria differ only
+in how a cut is scored.
 
 Determinism contract: splits are chosen by strictly-greater gain
 comparisons scanning features in ascending index order, and within a
 feature the smallest qualifying threshold wins, so rebuilding from the
-same data, hyperparameters and rng state reproduces the tree exactly,
-with or without a thread pool.
+same data, hyperparameters and rng state reproduces the tree exactly.
 """
 
 from __future__ import annotations
@@ -91,19 +91,29 @@ class Tree:
         )
 
 
-def _scan_variance(vals: np.ndarray, t: np.ndarray, min_leaf: int):
-    """Best variance-reduction cut of one feature's sorted values.
+def _best_cut(vals: np.ndarray, t: np.ndarray, min_leaf: int, gini: bool):
+    """Best cut of one feature's sorted values under either criterion.
 
-    Returns (gain, threshold, left_count) or None. Gain is the SSE
-    decrease; thresholds are midpoints of consecutive distinct values and
-    the smallest one wins ties.
+    Returns (gain, threshold, left_count) or None. Every cut gets a score
+    to maximize: for variance, sum over children of (sum t)^2 / n, whose
+    excess over the parent's is the SSE decrease; for Gini on 0/1 targets,
+    minus the weighted impurity sum n_child * gini(child), which is
+    2 p (n_child - p) / n_child. Thresholds are midpoints of consecutive
+    distinct values and the smallest one wins ties.
     """
     n = len(vals)
     cum = np.cumsum(t)
     total = cum[-1]
     nl = np.arange(1, n, dtype=float)
-    gl = cum[:-1]
-    score = gl * gl / nl + (total - gl) ** 2 / (n - nl)
+    nr = n - nl
+    sl = cum[:-1]
+    sr = total - sl
+    if gini:
+        score = -(2.0 * sl * (nl - sl) / nl + 2.0 * sr * (nr - sr) / nr)
+        parent = -(2.0 * total * (n - total) / n)
+    else:
+        score = sl * sl / nl + sr ** 2 / nr
+        parent = total * total / n
     mids = (vals[:-1] + vals[1:]) * 0.5
     valid = (mids > vals[:-1]) & (mids < vals[1:])
     if min_leaf > 1:
@@ -113,39 +123,10 @@ def _scan_variance(vals: np.ndarray, t: np.ndarray, min_leaf: int):
         return None
     score = np.where(valid, score, -np.inf)
     i = int(np.argmax(score))
-    gain = float(score[i] - total * total / n)
+    gain = float(score[i] - parent)
     if gain <= 0.0:
         return None
     return gain, float(mids[i]), i + 1
-
-
-def _scan_gini(vals: np.ndarray, t: np.ndarray, min_leaf: int):
-    """Best Gini cut of one feature's sorted values; see _scan_variance."""
-    n = len(vals)
-    cum = np.cumsum(t)
-    total = cum[-1]
-    nl = np.arange(1, n, dtype=float)
-    nr = n - nl
-    pl = cum[:-1]
-    pr = total - pl
-    # weighted impurity sum: n_child * gini(child) = 2 p (n_child - p) / n_child
-    cost = 2.0 * pl * (nl - pl) / nl + 2.0 * pr * (nr - pr) / nr
-    mids = (vals[:-1] + vals[1:]) * 0.5
-    valid = (mids > vals[:-1]) & (mids < vals[1:])
-    if min_leaf > 1:
-        k = np.arange(1, n)
-        valid &= (k >= min_leaf) & (n - k >= min_leaf)
-    if not valid.any():
-        return None
-    cost = np.where(valid, cost, np.inf)
-    i = int(np.argmin(cost))
-    gain = float(2.0 * total * (n - total) / n - cost[i])
-    if gain <= 0.0:
-        return None
-    return gain, float(mids[i]), i + 1
-
-
-_PARALLEL_SCAN_MIN_ROWS = 20000
 
 
 def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
@@ -154,8 +135,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
               min_samples_leaf: int = 1,
               min_samples_split: int = 2,
               max_features: int | None = None,
-              rng: np.random.Generator | None = None,
-              executor=None) -> Tree:
+              rng: np.random.Generator | None = None) -> Tree:
     """Grow one tree on the full row set of X.
 
     criterion "variance" fits real targets y; leaves output sum(y)/sum(hess)
@@ -164,8 +144,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
 
     max_features, when set, samples that many candidate features per node
     from rng (consumed in depth-first pre-order, left subtree first).
-    executor, when set, fans the per-feature split scans of large nodes
-    out to threads; the merge is order-independent.
     """
     if criterion not in ("variance", "gini"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -174,7 +152,7 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
     n, d = X.shape
     if n == 0:
         raise ValueError("cannot grow a tree on zero rows")
-    scan = _scan_variance if criterion == "variance" else _scan_gini
+    gini = criterion == "gini"
 
     # row indices sorted per feature once; partitions inherit the order
     orders = [np.argsort(X[:, j], kind="stable").astype(np.int32) for j in range(d)]
@@ -189,8 +167,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
     gain_l: list[float] = []
 
     def leaf_value(rows: np.ndarray) -> float:
-        if criterion == "gini":
-            return float(y[rows].sum() / len(rows))
         num = float(y[rows].sum())
         if hess is None:
             return num / len(rows)
@@ -221,12 +197,10 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
         if max_depth is not None and depth >= max_depth:
             splittable = False
         if splittable:
+            # on 0/1 targets this is the test that both classes are present
             t_node = y[rows]
             s = float(t_node.sum())
-            if criterion == "gini":
-                splittable = 0.0 < s < n_node
-            else:
-                splittable = float(t_node @ t_node) - s * s / n_node > _PURE_SSE
+            splittable = float(t_node @ t_node) - s * s / n_node > _PURE_SSE
 
         best = None  # (gain, feature, threshold, left_count)
         if splittable:
@@ -234,14 +208,8 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
                 feats = np.sort(rng.choice(d, size=max_features, replace=False))
             else:
                 feats = range(d)
-            if executor is not None and n_node >= _PARALLEL_SCAN_MIN_ROWS:
-                futures = [(j, executor.submit(
-                    scan, X[idx[j], j], y[idx[j]], min_samples_leaf)) for j in feats]
-                results = [(j, f.result()) for j, f in futures]
-            else:
-                results = [(j, scan(X[idx[j], j], y[idx[j]], min_samples_leaf))
-                           for j in feats]
-            for j, res in results:
+            for j in feats:
+                res = _best_cut(X[idx[j], j], y[idx[j]], min_samples_leaf, gini)
                 if res is not None and (best is None or res[0] > best[0]):
                     best = (res[0], j, res[1], res[2])
 

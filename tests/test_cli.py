@@ -262,3 +262,51 @@ class TestArtifactIntegrity:
         args = ["--dir", str(tmp_path)] + base[2:]
         assert run(["train"] + args) == 0
         assert run(["train"] + args + ["--train-size", "0.4"]) == 3
+
+    def assert_one_line_data_error(self, capsys):
+        err = capsys.readouterr().err
+        assert err.startswith("data error: ") and err.count("\n") == 1, err
+
+    def test_train_rejects_single_class_labels(self, tmp_path, workdir, capsys):
+        src, base = workdir
+        self.copy_inputs(src, tmp_path)
+        _, columns, rows = fileio.read_csv(tmp_path / "features.csv",
+                                           fileio.SCHEMA_FEATURES)
+        label = columns.index("label")
+        assert {row[label] for row in rows} == {"0", "1"}
+        lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
+        for i in range(2, len(lines)):
+            cells = lines[i].split(",")
+            cells[label] = "0"
+            lines[i] = ",".join(cells)
+        (tmp_path / "features.csv").write_text("".join(lines))
+        capsys.readouterr()
+        assert run(["train", "--dir", str(tmp_path)] + base[2:]) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("model_*"))
+
+    @pytest.mark.parametrize("foreign", [None, "features.csv", "candidates.csv",
+                                         "model_full_gbt.json"])
+    def test_evaluate_rejects_inputs_of_another_config(self, tmp_path, workdir,
+                                                       capsys, foreign):
+        src, base = workdir
+        for name in ("candidates.csv", "features.csv", "model_full_gbt.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        if foreign is None:
+            # all three inputs were made with the default train size
+            assert run(["evaluate"] + args + ["--train-size", "0.4"]) == 3
+        else:
+            path = tmp_path / foreign
+            text = path.read_text()
+            h = fileio.read_json(src / "model_full_gbt.json",
+                                 fileio.SCHEMA_MODEL)["config_hash"]
+            assert text.count(h) == 1
+            path.write_text(text.replace(h, "deadbeef0000"))
+            assert run(["evaluate"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("eval_*"))
+        if foreign is None:
+            assert run(["evaluate"] + args) == 0
+            assert list(tmp_path.glob("eval_*"))

@@ -13,7 +13,7 @@ from wifi_proximity.fileio import SCHEMA_BLUETOOTH, SCHEMA_GROUND_TRUTH, SCHEMA_
 from wifi_proximity.ingest import (
     build_home_router_map,
     parse_bluetooth_log,
-    stream_wifi_records,
+    parse_wifi_log,
 )
 from wifi_proximity.synthgen import (
     WEEKDAY_HOUR_PROFILE,
@@ -214,14 +214,14 @@ class TestGeneratedFiles:
 
     def test_wifi_rows_parse_and_count(self, world):
         cfg, (wifi, _, _), _ = world
-        records = list(stream_wifi_records(wifi, strict=True))
+        records = parse_wifi_log(iter_jsonl(wifi), strict=True).records
         assert len(records) == cfg.n_users * cfg.n_slots
         users = {r.user for r in records}
         assert len(users) == cfg.n_users
 
     def test_rssi_within_radio_bounds(self, world):
         cfg, (wifi, _, _), _ = world
-        for rec in stream_wifi_records(wifi, strict=True):
+        for rec in parse_wifi_log(iter_jsonl(wifi), strict=True).records:
             for a in rec.aps:
                 assert cfg.wifi_detect_floor_dbm <= a.rssi <= -1
 
@@ -263,7 +263,7 @@ class TestGeneratedFiles:
 
     def test_home_recovery_on_tiny_world(self, world):
         cfg, (wifi, _, _), truth = world
-        records = list(stream_wifi_records(wifi))
+        records = parse_wifi_log(iter_jsonl(wifi)).records
         homes = build_home_router_map(records, bin_minutes=10)
         detected = {u: b for (u, _m), b in homes.items()}
         hits = sum(1 for u, b in truth.homes.items() if detected.get(u) == b)
@@ -315,7 +315,7 @@ class TestEmptyArea:
                           site_pitch_m=1000.0)
         paths = (tmp_path / "w.jsonl", tmp_path / "b.jsonl", tmp_path / "t.jsonl")
         generate(cfg, *paths)
-        records = list(stream_wifi_records(paths[0], strict=True))
+        records = parse_wifi_log(iter_jsonl(paths[0]), strict=True).records
         assert len(records) == cfg.n_users * cfg.n_slots
         by_count = sum(1 for r in records if not r.aps)
         assert by_count > 0

@@ -1,11 +1,9 @@
 """Tree growing: split selection, leaf values, determinism."""
 
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
 import pytest
 
-from wifi_proximity.trees import Tree, grow_tree
+from wifi_proximity.trees import Tree, _best_cut, grow_tree
 
 X6 = np.array([[0.0], [1.0], [2.0], [3.0], [4.0], [5.0]])
 Y6 = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
@@ -116,21 +114,6 @@ class TestDeterminism:
         t2 = grow_tree(X, y, criterion="gini", max_depth=6)
         assert t1.as_dict() == t2.as_dict()
 
-    def test_executor_matches_serial(self):
-        # force the parallel path by patching the row threshold
-        import wifi_proximity.trees as trees_mod
-        X, y = self.random_problem(1, n=500)
-        serial = grow_tree(X, y, criterion="variance", max_depth=5)
-        old = trees_mod._PARALLEL_SCAN_MIN_ROWS
-        trees_mod._PARALLEL_SCAN_MIN_ROWS = 1
-        try:
-            with ThreadPoolExecutor(max_workers=4) as pool:
-                parallel = grow_tree(X, y, criterion="variance", max_depth=5,
-                                     executor=pool)
-        finally:
-            trees_mod._PARALLEL_SCAN_MIN_ROWS = old
-        assert serial.as_dict() == parallel.as_dict()
-
     def test_max_features_reproducible_from_seed(self):
         X, y = self.random_problem(2)
         t1 = grow_tree(X, y, criterion="gini", max_depth=4, max_features=2,
@@ -174,3 +157,111 @@ class TestTreeStructure:
         probe2 = probe.copy()
         probe2[:, 2] = 3.0 * probe2[:, 2] + 10.0
         assert np.array_equal(tree.predict(probe), tree2.predict(probe2))
+
+
+# The two per-criterion scans that _best_cut replaced, kept verbatim as the
+# reference: the merged scan must return the same bits on every input.
+
+def _scan_variance(vals: np.ndarray, t: np.ndarray, min_leaf: int):
+    """Best variance-reduction cut of one feature's sorted values.
+
+    Returns (gain, threshold, left_count) or None. Gain is the SSE
+    decrease; thresholds are midpoints of consecutive distinct values and
+    the smallest one wins ties.
+    """
+    n = len(vals)
+    cum = np.cumsum(t)
+    total = cum[-1]
+    nl = np.arange(1, n, dtype=float)
+    gl = cum[:-1]
+    score = gl * gl / nl + (total - gl) ** 2 / (n - nl)
+    mids = (vals[:-1] + vals[1:]) * 0.5
+    valid = (mids > vals[:-1]) & (mids < vals[1:])
+    if min_leaf > 1:
+        k = np.arange(1, n)
+        valid &= (k >= min_leaf) & (n - k >= min_leaf)
+    if not valid.any():
+        return None
+    score = np.where(valid, score, -np.inf)
+    i = int(np.argmax(score))
+    gain = float(score[i] - total * total / n)
+    if gain <= 0.0:
+        return None
+    return gain, float(mids[i]), i + 1
+
+
+def _scan_gini(vals: np.ndarray, t: np.ndarray, min_leaf: int):
+    """Best Gini cut of one feature's sorted values; see _scan_variance."""
+    n = len(vals)
+    cum = np.cumsum(t)
+    total = cum[-1]
+    nl = np.arange(1, n, dtype=float)
+    nr = n - nl
+    pl = cum[:-1]
+    pr = total - pl
+    # weighted impurity sum: n_child * gini(child) = 2 p (n_child - p) / n_child
+    cost = 2.0 * pl * (nl - pl) / nl + 2.0 * pr * (nr - pr) / nr
+    mids = (vals[:-1] + vals[1:]) * 0.5
+    valid = (mids > vals[:-1]) & (mids < vals[1:])
+    if min_leaf > 1:
+        k = np.arange(1, n)
+        valid &= (k >= min_leaf) & (n - k >= min_leaf)
+    if not valid.any():
+        return None
+    cost = np.where(valid, cost, np.inf)
+    i = int(np.argmin(cost))
+    gain = float(2.0 * total * (n - total) / n - cost[i])
+    if gain <= 0.0:
+        return None
+    return gain, float(mids[i]), i + 1
+
+
+def _sorted_values(rng, n):
+    """Sorted feature values, mostly with few distinct levels (heavy ties)."""
+    kind = rng.integers(4)
+    if kind == 0:  # a handful of levels
+        vals = rng.integers(0, rng.integers(1, 6), n) * 0.5
+    elif kind == 1:  # levels one ulp apart: some midpoints equal an end
+        vals = 1.0 + rng.integers(0, 3, n) * np.spacing(1.0)
+    elif kind == 2:  # mostly one value with a few outliers
+        vals = np.where(rng.random(n) < 0.8, 3.0, rng.normal(size=n))
+    else:  # continuous
+        vals = rng.normal(size=n)
+    return np.sort(vals)
+
+
+class TestBestCut:
+    """_best_cut gives the same (gain, threshold, left_count) bits as the
+    per-criterion scans it replaced."""
+
+    CASES = 3000
+
+    def test_variance_matches_reference(self):
+        rng = np.random.default_rng(2016)
+        splits = 0
+        for _ in range(self.CASES):
+            n = int(rng.integers(2, 50))
+            vals = _sorted_values(rng, n)
+            scale = rng.choice([1e-8, 1.0, 1e6])
+            if rng.random() < 0.5:  # tied targets
+                t = rng.integers(-2, 3, n) * 0.25 * scale
+            else:
+                t = rng.normal(size=n) * scale
+            min_leaf = int(rng.integers(1, 4))
+            want = _scan_variance(vals, t, min_leaf)
+            assert _best_cut(vals, t, min_leaf, False) == want, (vals, t, min_leaf)
+            splits += want is not None
+        assert splits > self.CASES // 3
+
+    def test_gini_matches_reference(self):
+        rng = np.random.default_rng(2017)
+        splits = 0
+        for _ in range(self.CASES):
+            n = int(rng.integers(2, 50))
+            vals = _sorted_values(rng, n)
+            t = (rng.random(n) < rng.random()).astype(float)
+            min_leaf = int(rng.integers(1, 4))
+            want = _scan_gini(vals, t, min_leaf)
+            assert _best_cut(vals, t, min_leaf, True) == want, (vals, t, min_leaf)
+            splits += want is not None
+        assert splits > self.CASES // 3
