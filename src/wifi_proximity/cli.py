@@ -167,7 +167,8 @@ def stage_pair(cfg: PipelineConfig, args) -> int:
     h = cfg.data_hash()
     fileio.read_jsonl_header(paths["cleaned"], SCHEMA_WIFI)
     fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
-    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=cfg.strict_parse)
+    # clean wrote this file: a malformed line means it is corrupt
+    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=True)
     bt = parse_bluetooth_log(
         fileio.iter_jsonl(paths["bluetooth"]), strict=cfg.strict_parse
     )
@@ -191,8 +192,8 @@ def stage_pair(cfg: PipelineConfig, args) -> int:
             continue
         lo = int(np.searchsorted(sight_ts, window.start_ts - cfg.delta_t_s))
         hi = int(np.searchsorted(sight_ts, window.start_ts + WINDOW_S + cfg.delta_t_s))
+        # hour-ordered windows of sorted candidates: the list stays sorted
         candidates.extend(generate_candidates(scans, sightings[lo:hi], cfg.delta_t_s))
-    candidates.sort(key=lambda c: (c.ts, c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts))
 
     rows = (
         [c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts, c.ts, c.label, c.bt_rssi]
@@ -219,7 +220,7 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     fileio.read_jsonl_header(paths["cleaned"], SCHEMA_WIFI)
-    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=cfg.strict_parse)
+    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=True)
     table = ScanTable.from_records(wifi.records)
     del wifi  # the candidates reuse its memory
     _, cand_rows = _read_candidates(paths["candidates"])
@@ -319,7 +320,6 @@ def stage_train(cfg: PipelineConfig, args) -> int:
             X_sel[train_idx],
             y[train_idx],
             seed=cfg.seed,
-            jobs=cfg.jobs,
         )
 
     model = fit_model(
@@ -328,7 +328,6 @@ def stage_train(cfg: PipelineConfig, args) -> int:
         y[train_idx],
         params,
         seed=cfg.seed,
-        jobs=cfg.jobs,
         feature_names=names,
         featureset_name=cfg.featureset,
         imputation=imputation,
@@ -419,8 +418,8 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
 
 def stage_report(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
-    meta, keys, y, X = _load_features(paths["features"])
-    features_hash = meta.get("config_hash")
+    h = cfg.data_hash()
+    _, keys, y, X = _load_features(paths["features"], h)
     train_idx, test_idx = _split_for(cfg, len(y))
 
     imputation = fit_imputation(X[train_idx])
@@ -449,10 +448,10 @@ def stage_report(cfg: PipelineConfig, args) -> int:
     featuresets = {}
     for path in eval_paths:
         doc = fileio.read_json(path, SCHEMA_EVAL)
-        if doc.get("config_hash") != features_hash:
+        if doc.get("config_hash") != h:
             raise DataError(
                 f"{path}: config hash {doc.get('config_hash')} does not match "
-                f"features file {features_hash}; refusing to mix runs"
+                f"features file {h}; refusing to mix runs"
             )
         key = f"{doc['featureset']}:{doc['kind']}"
         featuresets[key] = {
@@ -474,7 +473,7 @@ def stage_report(cfg: PipelineConfig, args) -> int:
         "single_features": single,
         "featuresets": featuresets,
     }
-    fileio.write_json(paths["report"], SCHEMA_REPORT, features_hash, payload)
+    fileio.write_json(paths["report"], SCHEMA_REPORT, h, payload)
     print(
         f"report: {len(single)} single-feature baselines, "
         f"{len(featuresets)} model evals -> {paths['report'].name}"
@@ -501,7 +500,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", action="store_const", const=True,
                         help="grid-search hyperparameters during train")
     common.add_argument("--jobs", type=int,
-                        help="worker threads for the RF tree pool")
+                        help="worker threads: accepted, but no stage uses "
+                             "them (run_experiment.py --curve does)")
 
     parser = argparse.ArgumentParser(
         prog="wifi-proximity",

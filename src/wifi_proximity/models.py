@@ -9,8 +9,9 @@ and tuned, when asked, by stratified 5-fold grid search on validation AUC.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+# unused here, but perfbench/tracing.py patches this name in every module
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -18,7 +19,7 @@ from scipy.special import expit
 from . import fileio
 from .evaluation import auc_roc
 from .features import FEATURE_NAMES, ImputationState
-from .trees import Tree, grow_tree
+from .trees import Tree, encode_columns, grow_tree
 
 DIRECTION_GREATER = "greater-is-positive"
 DIRECTION_LESS = "less-is-positive"
@@ -179,17 +180,15 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
     prevalence = float(y.mean())
     base = math.log(prevalence / (1.0 - prevalence))
     F = np.full(n, base)
+    values, codes = encode_columns(X)
     trees: list[Tree] = []
     for _ in range(int(params["n_trees"])):
         p = expit(F)
         g = y - p
         h = p * (1.0 - p)
-        raw = grow_tree(X, g, criterion="variance", hess=h,
-                        max_depth=params["max_depth"],
-                        min_samples_leaf=int(params.get("min_samples_leaf", 1)))
-        tree = Tree(feature=raw.feature, threshold=raw.threshold,
-                    left=raw.left, right=raw.right, value=raw.value * lr,
-                    n_samples=raw.n_samples, gain=raw.gain)
+        raw = grow_tree(codes, values, g, criterion="variance", hess=h,
+                        max_depth=params["max_depth"])
+        tree = replace(raw, value=raw.value * lr)
         F = F + tree.predict(X)
         trees.append(tree)
 
@@ -199,14 +198,14 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
         imputation=imputation, hyperparameters=params, seed=seed)
 
 
-def fit_rf(X, y, params: dict | None = None, seed: int = 0, jobs: int = 1,
+def fit_rf(X, y, params: dict | None = None, seed: int = 0,
            feature_names=None, featureset_name: str = "FULL",
            imputation: ImputationState | None = None) -> TreeEnsembleModel:
     """Bagged Gini classification trees.
 
-    Each tree draws a bootstrap sample and considers sqrt(d) random
-    features per node, from a generator derived as (seed, tree index), so
-    parallel and serial training produce identical forests.
+    Each tree draws a bootstrap sample, held as integer row weights, and
+    considers isqrt(d) random features per node, from a generator derived
+    as (seed, tree index).
     """
     params = {**DEFAULT_RF_PARAMS, **(params or {})}
     X, y = _check_training_input(X, y)
@@ -216,33 +215,14 @@ def fit_rf(X, y, params: dict | None = None, seed: int = 0, jobs: int = 1,
     if len(feature_names) != d:
         raise ValueError("feature_names length does not match matrix width")
 
-    bootstrap = bool(params.get("bootstrap", True))
-    max_features = params.get("max_features", "sqrt")
-    if max_features == "sqrt":
-        k = max(1, int(math.isqrt(d)))
-    elif max_features is None:
-        k = d
-    else:
-        k = int(max_features)
-
-    def build(t: int) -> Tree:
+    values, codes = encode_columns(X)
+    trees = []
+    for t in range(int(params["n_trees"])):
         rng = np.random.default_rng([seed, t])
-        if bootstrap:
-            rows = rng.integers(0, n, size=n)
-            Xb, yb = X[rows], y[rows]
-        else:
-            Xb, yb = X, y
-        return grow_tree(Xb, yb, criterion="gini",
-                         max_depth=params["max_depth"],
-                         min_samples_leaf=int(params.get("min_samples_leaf", 1)),
-                         max_features=k if k < d else None, rng=rng)
-
-    n_trees = int(params["n_trees"])
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            trees = list(pool.map(build, range(n_trees)))
-    else:
-        trees = [build(t) for t in range(n_trees)]
+        weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
+        trees.append(grow_tree(codes, values, y, criterion="gini", weight=weight,
+                               max_depth=params["max_depth"],
+                               max_features=max(1, math.isqrt(d)), rng=rng))
 
     return TreeEnsembleModel(
         kind=KIND_RF, trees=tuple(trees), learning_rate=None, base_score=None,
@@ -269,12 +249,12 @@ def predict(model: TreeEnsembleModel, X) -> np.ndarray:
 
 
 def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0,
-              jobs: int = 1, **meta) -> TreeEnsembleModel:
-    """Fit either ensemble; jobs sizes the forest's tree pool only."""
+              **meta) -> TreeEnsembleModel:
+    """Fit either ensemble."""
     if kind == KIND_GBT or kind == "gbt":
         return fit_gbt(X, y, params, seed=seed, **meta)
     if kind == KIND_RF or kind == "rf":
-        return fit_rf(X, y, params, seed=seed, jobs=jobs, **meta)
+        return fit_rf(X, y, params, seed=seed, **meta)
     raise ValueError(f"unknown model kind {kind!r}")
 
 
@@ -294,8 +274,7 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0,
-                   jobs: int = 1):
+def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0):
     """Hyperparameters with the best mean validation AUC.
 
     Returns (best_params, results) where results has one entry per grid
@@ -320,7 +299,7 @@ def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0,
         fold_aucs = []
         for f in range(folds):
             val = fold_of == f
-            model = fit_model(kind, X[~val], y[~val], params, seed=seed, jobs=jobs)
+            model = fit_model(kind, X[~val], y[~val], params, seed=seed)
             fold_aucs.append(auc_roc(predict(model, X[val]), y[val]))
         mean_auc = float(np.mean(fold_aucs))
         results.append({"params": params, "mean_auc": mean_auc,

@@ -1,10 +1,15 @@
 """Binary decision trees grown from scratch, shared by both ensemble learners.
 
-One grower and one split scan serve two criteria: variance reduction on
+One grower and one split search serve two criteria: variance reduction on
 real-valued targets (regression trees for boosting, with Newton leaf values
 when a hessian is given) and Gini impurity on binary labels (classification
 trees for the forest, with class-fraction leaves). The criteria differ only
 in how a cut is scored.
+
+The split search is exact over each column's distinct values: columns are
+coded once per fit (`encode_columns`), a node holds one row-index array,
+and a `bincount` of its rows' codes gives each value's count and target
+sum. Integer row weights stand for repeated rows, as in a bootstrap.
 
 Determinism contract: splits are chosen by strictly-greater gain
 comparisons scanning features in ascending index order, and within a
@@ -91,20 +96,39 @@ class Tree:
         )
 
 
-def _best_cut(vals: np.ndarray, t: np.ndarray, min_leaf: int, gini: bool):
-    """Best cut of one feature's sorted values under either criterion.
+def encode_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    """Each column's sorted distinct values, and the (n, d) int32 matrix of
+    every cell's index into its column's values."""
+    values = []
+    codes = np.empty(X.shape, dtype=np.int32, order="F")
+    for j in range(X.shape[1]):
+        uniq, inv = np.unique(X[:, j], return_inverse=True)
+        values.append(uniq)
+        codes[:, j] = inv
+    return values, codes
 
-    Returns (gain, threshold, left_count) or None. Every cut gets a score
-    to maximize: for variance, sum over children of (sum t)^2 / n, whose
-    excess over the parent's is the SSE decrease; for Gini on 0/1 targets,
-    minus the weighted impurity sum n_child * gini(child), which is
-    2 p (n_child - p) / n_child. Thresholds are midpoints of consecutive
-    distinct values and the smallest one wins ties.
+
+def _best_cut(vals: np.ndarray, count: np.ndarray, tsum: np.ndarray, gini: bool):
+    """Best cut of one feature from the node's row count and target sum at
+    each of the column's sorted distinct values `vals` (absent ones skipped).
+
+    Returns (gain, threshold, code) or None; rows of code <= `code` go left.
+
+    Every cut gets a score to maximize: for variance, sum over children of
+    (sum t)^2 / n, whose excess over the parent's is the SSE decrease; for
+    Gini on 0/1 targets, minus the weighted impurity sum n_child *
+    gini(child), which is 2 p (n_child - p) / n_child. Thresholds are
+    midpoints of consecutive present values and the smallest one wins ties.
     """
-    n = len(vals)
-    cum = np.cumsum(t)
+    present = np.flatnonzero(count)
+    if len(present) < 2:
+        return None
+    vals = vals[present]
+    cum_n = np.cumsum(count[present])
+    cum = np.cumsum(tsum[present])
+    n = cum_n[-1]
     total = cum[-1]
-    nl = np.arange(1, n, dtype=float)
+    nl = cum_n[:-1]
     nr = n - nl
     sl = cum[:-1]
     sr = total - sl
@@ -116,9 +140,6 @@ def _best_cut(vals: np.ndarray, t: np.ndarray, min_leaf: int, gini: bool):
         parent = total * total / n
     mids = (vals[:-1] + vals[1:]) * 0.5
     valid = (mids > vals[:-1]) & (mids < vals[1:])
-    if min_leaf > 1:
-        k = np.arange(1, n)
-        valid &= (k >= min_leaf) & (n - k >= min_leaf)
     if not valid.any():
         return None
     score = np.where(valid, score, -np.inf)
@@ -126,37 +147,43 @@ def _best_cut(vals: np.ndarray, t: np.ndarray, min_leaf: int, gini: bool):
     gain = float(score[i] - parent)
     if gain <= 0.0:
         return None
-    return gain, float(mids[i]), i + 1
+    return gain, float(mids[i]), int(present[i])
 
 
-def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
+def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
+              criterion: str,
+              weight: np.ndarray | None = None,
               hess: np.ndarray | None = None,
               max_depth: int | None = None,
-              min_samples_leaf: int = 1,
-              min_samples_split: int = 2,
               max_features: int | None = None,
               rng: np.random.Generator | None = None) -> Tree:
-    """Grow one tree on the full row set of X.
+    """Grow one tree on the rows of a matrix encoded by encode_columns.
 
     criterion "variance" fits real targets y; leaves output sum(y)/sum(hess)
     (a Newton step) when hess is given, else the mean. criterion "gini"
     expects y in {0,1} and leaves output the positive fraction.
 
-    max_features, when set, samples that many candidate features per node
-    from rng (consumed in depth-first pre-order, left subtree first).
+    weight, when given, holds integer row multiplicities: row i counts
+    weight[i] times.
+
+    max_features, when below the column count, samples that many candidate
+    features per node from rng (consumed in depth-first pre-order, left
+    subtree first).
     """
     if criterion not in ("variance", "gini"):
         raise ValueError(f"unknown criterion {criterion!r}")
     if max_features is not None and rng is None:
         raise ValueError("max_features requires an rng")
-    n, d = X.shape
-    if n == 0:
-        raise ValueError("cannot grow a tree on zero rows")
+    n, d = codes.shape
     gini = criterion == "gini"
-
-    # row indices sorted per feature once; partitions inherit the order
-    orders = [np.argsort(X[:, j], kind="stable").astype(np.int32) for j in range(d)]
-    mask = np.zeros(n, dtype=bool)
+    if weight is None:
+        weight = np.ones(n, dtype=np.int64)
+    wy = y * weight
+    if hess is not None:
+        hess = hess * weight
+    root = np.flatnonzero(weight)
+    if len(root) == 0:
+        raise ValueError("cannot grow a tree on zero rows")
 
     feature_l: list[int] = []
     threshold_l: list[float] = []
@@ -165,12 +192,6 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
     value_l: list[float] = []
     nsamp_l: list[int] = []
     gain_l: list[float] = []
-
-    def leaf_value(rows: np.ndarray) -> float:
-        num = float(y[rows].sum())
-        if hess is None:
-            return num / len(rows)
-        return num / max(float(hess[rows].sum()), _MIN_HESSIAN)
 
     def new_node(parent: int, is_left: bool) -> int:
         node_id = len(feature_l)
@@ -185,56 +206,48 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
             (left_l if is_left else right_l)[parent] = node_id
         return node_id
 
-    stack = [(-1, False, 0, orders)]
+    stack = [(-1, False, 0, root)]
     while stack:
-        parent, is_left, depth, idx = stack.pop()
+        parent, is_left, depth, rows = stack.pop()
         node = new_node(parent, is_left)
-        rows = idx[0]
-        n_node = len(rows)
+        w_node = weight[rows]
+        n_node = int(w_node.sum())
         nsamp_l[node] = n_node
+        t_node = wy[rows]
+        s = float(t_node.sum())
 
-        splittable = n_node >= min_samples_split and n_node >= 2 * min_samples_leaf
-        if max_depth is not None and depth >= max_depth:
-            splittable = False
-        if splittable:
-            # on 0/1 targets this is the test that both classes are present
-            t_node = y[rows]
-            s = float(t_node.sum())
-            splittable = float(t_node @ t_node) - s * s / n_node > _PURE_SSE
+        # on 0/1 targets the SSE test is the test that both classes are present
+        splittable = (max_depth is None or depth < max_depth) and (
+            float(t_node @ y[rows]) - s * s / n_node > _PURE_SSE)
 
-        best = None  # (gain, feature, threshold, left_count)
+        best = None  # (gain, feature, threshold, code)
         if splittable:
             if max_features is not None and max_features < d:
                 feats = np.sort(rng.choice(d, size=max_features, replace=False))
             else:
                 feats = range(d)
             for j in feats:
-                res = _best_cut(X[idx[j], j], y[idx[j]], min_samples_leaf, gini)
+                col = codes[rows, j]
+                k = len(values[j])
+                res = _best_cut(values[j], np.bincount(col, w_node, k),
+                                np.bincount(col, t_node, k), gini)
                 if res is not None and (best is None or res[0] > best[0]):
                     best = (res[0], j, res[1], res[2])
 
         if best is None:
-            value_l[node] = leaf_value(rows)
+            den = n_node if hess is None else max(float(hess[rows].sum()), _MIN_HESSIAN)
+            value_l[node] = s / den
             continue
 
-        gain, j_star, thr, left_count = best
+        gain, j_star, thr, code = best
         feature_l[node] = j_star
         threshold_l[node] = thr
         gain_l[node] = gain
 
-        left_rows = idx[j_star][:left_count]
-        mask[left_rows] = True
-        left_idx = []
-        right_idx = []
-        for j in range(d):
-            m = mask[idx[j]]
-            left_idx.append(idx[j][m])
-            right_idx.append(idx[j][~m])
-        mask[left_rows] = False
-
+        go_left = codes[rows, j_star] <= code
         # push right first so the left subtree is built first
-        stack.append((node, False, depth + 1, right_idx))
-        stack.append((node, True, depth + 1, left_idx))
+        stack.append((node, False, depth + 1, rows[~go_left]))
+        stack.append((node, True, depth + 1, rows[go_left]))
 
     return Tree(
         feature=np.array(feature_l, dtype=np.int32),

@@ -253,7 +253,7 @@ def test_08_importance_normalized_and_jaccard_ranks_high(default_run):
         idx = rng.choice(len(yp), size=10000, replace=False)
         state = fit_imputation(Xp[idx])
         m = fit_model("gbt", apply_imputation(Xp[idx], state), yp[idx],
-                      seed=r, jobs=2, feature_names=FEATURE_NAMES,
+                      seed=r, feature_names=FEATURE_NAMES,
                       featureset_name="FULL")
         w = feature_importance(m)
         assert abs(sum(w.values()) - 1.0) <= 1e-9

@@ -183,12 +183,6 @@ class TestDeterminism:
         assert run(["pair"] + base) == 0
         assert (d / "candidates.csv").read_bytes() == before
 
-    def test_parallel_pair_matches_serial(self, workdir):
-        d, base = workdir
-        serial = (d / "candidates.csv").read_bytes()
-        assert run(["pair"] + base + ["--jobs", "4"]) == 0
-        assert (d / "candidates.csv").read_bytes() == serial
-
     def test_train_rerun_is_byte_identical(self, workdir):
         d, base = workdir
         before = (d / "model_full_gbt.json").read_bytes()
@@ -310,3 +304,48 @@ class TestArtifactIntegrity:
         if foreign is None:
             assert run(["evaluate"] + args) == 0
             assert list(tmp_path.glob("eval_*"))
+
+    def test_report_rejects_features_of_another_config(self, tmp_path, workdir,
+                                                      capsys):
+        src, base = workdir
+        for name in ("features.csv", "eval_full_gbt.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        # features.csv was made with the default train size
+        assert run(["report"] + args + ["--train-size", "0.4"]) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not (tmp_path / "report.json").exists()
+        assert run(["report"] + args) == 0
+        assert (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("referenced", [True, False])
+    def test_pair_and_featurize_reject_corrupt_cleaned_scans(
+            self, tmp_path, workdir, capsys, referenced):
+        src, base = workdir
+        _, _, cand = fileio.read_csv(src / "candidates.csv",
+                                     fileio.SCHEMA_CANDIDATES)
+        used = {(row[0], row[2]) for row in cand} | {(row[1], row[3]) for row in cand}
+        lines = (src / "cleaned.jsonl").read_text().splitlines(keepends=True)
+
+        def scan_key(line):
+            rec = json.loads(line)
+            return rec["user"], str(rec["ts"])
+
+        # line 0 is the header
+        cut = next(i for i in range(1, len(lines))
+                   if (scan_key(lines[i]) in used) == referenced)
+        lines[cut] = lines[cut][:len(lines[cut]) // 2] + "\n"
+        (tmp_path / "cleaned.jsonl").write_text("".join(lines))
+        for name in ("bluetooth.jsonl", "home_routers.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        # --strict-parse governs the raw logs only: clean wrote this file
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        assert run(["pair"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not (tmp_path / "candidates.csv").exists()
+        (tmp_path / "candidates.csv").write_bytes((src / "candidates.csv").read_bytes())
+        assert run(["featurize"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not (tmp_path / "features.csv").exists()

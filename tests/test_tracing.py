@@ -8,6 +8,7 @@ This installs the tracer and uninstalls it again, without running a stage.
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wifi_proximity import cli, features, fileio, models, trees
@@ -48,3 +49,21 @@ def test_install_wraps_and_uninstall_restores(tracing):
     after = _bindings()
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
+
+
+def test_tree_growth_is_traced(tracing):
+    rng = np.random.default_rng(0)
+    n, d = 80, 4
+    X = rng.normal(size=(n, d))
+    y = (X[:, 0] + rng.normal(size=n) > 0).astype(float)
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        fitted = [models.fit_model(kind, X, y, {"n_trees": 2, "max_depth": 2})
+                  for kind in ("gbt", "rf")]
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["trees.grow"] == 4
+    assert tracer.counts["trees.grow_cells"] == 4 * n * d
+    nodes = sum(tree.n_nodes for model in fitted for tree in model.trees)
+    assert nodes > 4 and tracer.counts["trees.nodes"] == nodes
