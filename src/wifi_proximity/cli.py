@@ -54,6 +54,7 @@ from .models import (
     select_columns,
 )
 from .pairing import WINDOW_S, build_hour_windows, generate_candidates, split_indices
+from .records import MalformedRecordError
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -72,6 +73,7 @@ def _paths(args) -> dict[str, Path]:
         "bluetooth": d / "bluetooth.jsonl",
         "truth": d / "ground_truth.jsonl",
         "cleaned": d / "cleaned.jsonl",
+        "scans": d / "scans.npz",
         "cleaning_report": d / "cleaning_report.json",
         "homes": d / "home_routers.json",
         "candidates": d / "candidates.csv",
@@ -117,7 +119,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     fileio.read_jsonl_header(paths["wifi"], SCHEMA_WIFI)
-    parsed = parse_wifi_log(fileio.iter_jsonl(paths["wifi"]), strict=cfg.strict_parse)
+    parsed = _parse_log(parse_wifi_log, paths["wifi"], cfg.strict_parse)
     records, report = filter_ambiguous_macs(
         parsed.records, cfg.ambiguous_ssid_threshold
     )
@@ -134,6 +136,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
             }
 
     n = fileio.write_jsonl(paths["cleaned"], SCHEMA_WIFI, h, rows())
+    ScanTable.from_records(records).save(paths["scans"], h)
     fileio.write_json(
         paths["cleaning_report"],
         SCHEMA_CLEANING,
@@ -165,48 +168,52 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
 def stage_pair(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    fileio.read_jsonl_header(paths["cleaned"], SCHEMA_WIFI)
+    table = ScanTable.load(paths["scans"], h)
     fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
-    # clean wrote this file: a malformed line means it is corrupt
-    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=True)
-    bt = parse_bluetooth_log(
-        fileio.iter_jsonl(paths["bluetooth"]), strict=cfg.strict_parse
-    )
+    bt = _parse_log(parse_bluetooth_log, paths["bluetooth"], cfg.strict_parse)
 
     windows = build_hour_windows(bt.records)
-    scans_by_hour: dict[int, list] = {}
-    for rec in wifi.records:
-        hour = (rec.ts // WINDOW_S) * WINDOW_S
-        scans_by_hour.setdefault(hour, []).append(rec)
+    hours = table.ts // WINDOW_S * WINDOW_S
+    by_hour = np.argsort(hours, kind="stable")  # file order within an hour
+    hours = hours[by_hour]
     sightings = sorted(bt.records, key=lambda s: s.ts)
     sight_ts = np.array([s.ts for s in sightings], dtype=np.int64)
 
     candidates = []
     for window in windows:
-        scans = [
-            rec
-            for rec in scans_by_hour.get(window.start_ts, [])
-            if rec.user in window.active_users
-        ]
-        if not scans:
+        first, last = np.searchsorted(hours, [window.start_ts, window.start_ts + WINDOW_S])
+        in_hour = by_hour[first:last]
+        active = np.array([u in window.active_users for u in table.users], dtype=bool)
+        rows = in_hour[active[table.user[in_hour]]]
+        if not len(rows):
             continue
         lo = int(np.searchsorted(sight_ts, window.start_ts - cfg.delta_t_s))
         hi = int(np.searchsorted(sight_ts, window.start_ts + WINDOW_S + cfg.delta_t_s))
         # hour-ordered windows of sorted candidates: the list stays sorted
-        candidates.extend(generate_candidates(scans, sightings[lo:hi], cfg.delta_t_s))
+        candidates.extend(generate_candidates(table, rows, sightings[lo:hi],
+                                              cfg.delta_t_s))
 
+    users, user, ts = table.users, table.user.tolist(), table.ts.tolist()
     rows = (
-        [c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts, c.ts, c.label, c.bt_rssi]
-        for c in candidates
+        [users[user[a]], users[user[b]], ts[a], ts[b], pair_ts, label, bt_rssi]
+        for a, b, pair_ts, label, bt_rssi in candidates
     )
     n = fileio.write_csv(paths["candidates"], SCHEMA_CANDIDATES, h, CANDIDATE_COLUMNS, rows)
-    n_pos = sum(c.label for c in candidates)
+    n_pos = sum(c[3] for c in candidates)
     share = n_pos / n if n else 0.0
     print(
         f"pair: {n} candidates from {len(windows)} active hour windows, "
         f"{n_pos} positive ({share:.1%})"
     )
     return EXIT_OK
+
+
+def _parse_log(parse, path, strict: bool):
+    """Run parse over the JSONL log at path; a strict-mode error names the file."""
+    try:
+        return parse(fileio.iter_jsonl(path), strict=strict)
+    except MalformedRecordError as exc:
+        raise DataError(f"{path}: {exc}") from exc
 
 
 def _read_candidates(path, expect_hash=None):
@@ -219,12 +226,9 @@ def _read_candidates(path, expect_hash=None):
 def stage_featurize(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    fileio.read_jsonl_header(paths["cleaned"], SCHEMA_WIFI)
-    wifi = parse_wifi_log(fileio.iter_jsonl(paths["cleaned"]), strict=True)
-    table = ScanTable.from_records(wifi.records)
-    del wifi  # the candidates reuse its memory
-    _, cand_rows = _read_candidates(paths["candidates"])
-    homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES)
+    table = ScanTable.load(paths["scans"], h)
+    _, cand_rows = _read_candidates(paths["candidates"], h)
+    homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES, h)
     home_map = {
         (entry["user"], entry["month"]): entry["bssid"]
         for entry in homes_doc["homes"]

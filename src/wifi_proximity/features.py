@@ -25,6 +25,8 @@ from operator import attrgetter
 import numpy as np
 from scipy.special import stdtr
 
+from . import fileio
+from .fileio import DataError
 from .ingest import month_key
 from .records import CandidatePair, OverlapView, WifiScanRecord, intersect
 
@@ -351,10 +353,17 @@ def extract_features(pair: CandidatePair, popularity: PopularityIndex,
 # candidates per block of the batch kernel; bounds its temporary arrays
 _BLOCK_PAIRS = 2048
 
+# the arrays of a ScanTable and their dtypes, as saved
+_SCAN_ARRAYS = {"user": np.int32, "ts": np.int64, "offsets": np.int64,
+                "bssid": np.int32, "ssid": np.int32, "rssi": np.int16}
+
 
 @dataclass(frozen=True, slots=True)
 class ScanTable:
     """Cleaned scans as flat arrays, one row per scan, APs in CSR layout.
+
+    ``clean`` saves the table as scans.npz; ``pair`` and ``featurize``
+    load it.
 
     Row i's access points are entries ``offsets[i]:offsets[i + 1]``,
     sorted by bssid code. Codes index the sorted ``bssids`` list, so code
@@ -399,6 +408,70 @@ class ScanTable:
             offsets=offsets, bssids=bssids, bssid=code[first_seen],
             ssids=list(ssid_ids), ssid=ssid, rssi=rssi,
         )
+
+    def save(self, path, cfg_hash: str) -> None:
+        """Write the table as a scans.v1 archive stamped with cfg_hash."""
+        fileio.write_npz(
+            path, fileio.SCHEMA_SCANS, cfg_hash,
+            {"users": self.users, "bssids": self.bssids, "ssids": self.ssids},
+            {name: getattr(self, name) for name in _SCAN_ARRAYS},
+        )
+
+    @classmethod
+    def load(cls, path, expect_hash: str | None = None) -> "ScanTable":
+        """Read a table written by save.
+
+        Raises DataError unless the archive is readable, carries the
+        expected schema and hash, and holds a consistent table: string
+        tables, arrays of the saved dtypes and lengths, offsets rising
+        from 0 to the entry count, and codes within their tables.
+        """
+        header, arrays = fileio.read_npz(path, fileio.SCHEMA_SCANS, expect_hash)
+        tables = {}
+        for name in ("users", "bssids", "ssids"):
+            names = header.get(name)
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise DataError(f"{path}: {name} is not a list of strings")
+            tables[name] = names
+        if sorted(arrays) != sorted(_SCAN_ARRAYS):
+            raise DataError(f"{path}: arrays {sorted(arrays)}, "
+                            f"expected {sorted(_SCAN_ARRAYS)}")
+        for name, dtype in _SCAN_ARRAYS.items():
+            if arrays[name].dtype != dtype or arrays[name].ndim != 1:
+                raise DataError(f"{path}: {name} is not a 1-d {np.dtype(dtype)} array")
+        table = cls(**tables, **arrays)
+        n_rows, n_entries = len(table.ts), len(table.bssid)
+        offsets = table.offsets
+        if (len(table.user) != n_rows or len(offsets) != n_rows + 1
+                or len(table.ssid) != n_entries or len(table.rssi) != n_entries):
+            raise DataError(f"{path}: array lengths disagree")
+        if offsets[0] != 0 or offsets[-1] != n_entries or (np.diff(offsets) < 0).any():
+            raise DataError(f"{path}: offsets do not rise from 0 to {n_entries}")
+        for codes, names in ((table.user, table.users), (table.bssid, table.bssids),
+                             (table.ssid, table.ssids)):
+            if len(codes) and (codes.min() < 0 or codes.max() >= len(names)):
+                raise DataError(f"{path}: a code lies outside its string table")
+        return table
+
+    def common(self, scan_a, scan_b):
+        """The routers rows scan_a[i] and scan_b[i] share, for every i.
+
+        Returns (pair, entry_a, entry_b): one element per common router,
+        grouped by pair in ascending order and in bssid order within a
+        pair, the order in which ``intersect`` lists them.
+        """
+        offsets, n_bssid = self.offsets, max(len(self.bssids), 1)
+        # both sides' (pair, bssid) keys are sorted, so one searchsorted
+        # finds the common routers
+        pa, ea = _ranges(offsets[scan_a], offsets[scan_a + 1] - offsets[scan_a])
+        pb, eb = _ranges(offsets[scan_b], offsets[scan_b + 1] - offsets[scan_b])
+        key_a = pa * n_bssid + self.bssid[ea]
+        key_b = pb * n_bssid + self.bssid[eb]
+        if len(key_b) == 0:
+            return pa[:0], ea[:0], eb[:0]
+        pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
+        hit = key_b[pos] == key_a
+        return pa[hit], ea[hit], eb[pos[hit]]
 
     def rows_of(self, users, ts) -> np.ndarray:
         """Row of each (user, ts) scan, -1 where there is none.
@@ -535,23 +608,11 @@ def _overlap_columns(table: ScanTable, scan_a, scan_b, ts, row_max: np.ndarray,
                      users: _WindowUsers, alpha: float) -> dict[str, np.ndarray]:
     """The features of a block of pairs that depend on their common routers."""
     n_pairs = len(ts)
-    offsets, n_bssid = table.offsets, max(len(table.bssids), 1)
+    offsets = table.offsets
     len_a = offsets[scan_a + 1] - offsets[scan_a]
     len_b = offsets[scan_b + 1] - offsets[scan_b]
-
-    # both sides' (pair, bssid) keys are sorted, so one searchsorted finds
-    # the common routers, in intersect's bssid order within each pair
-    pa, ea = _ranges(offsets[scan_a], len_a)
-    pb, eb = _ranges(offsets[scan_b], len_b)
-    key_a = pa * n_bssid + table.bssid[ea]
-    key_b = pb * n_bssid + table.bssid[eb]
-    if len(key_b):
-        pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
-        hit = key_b[pos] == key_a
-    else:
-        pos, hit = np.zeros(len(key_a), dtype=np.int64), np.zeros(len(key_a), dtype=bool)
-    ea, eb = ea[hit], eb[pos[hit]]
-    cp, code = pa[hit], table.bssid[ea]
+    cp, ea, eb = table.common(scan_a, scan_b)
+    code = table.bssid[ea]
     ra, rb = table.rssi[ea].astype(np.int64), table.rssi[eb].astype(np.int64)
     overlap = np.bincount(cp, minlength=n_pairs)
     union = len_a + len_b - overlap

@@ -13,9 +13,12 @@ import hashlib
 import json
 import math
 import os
+import zipfile
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
+
+import numpy as np
 
 SCHEMA_WIFI = "wifi.v1"
 SCHEMA_BLUETOOTH = "bluetooth.v1"
@@ -27,6 +30,7 @@ SCHEMA_EVAL = "eval.v1"
 SCHEMA_REPORT = "report.v1"
 SCHEMA_CLEANING = "cleaning_report.v1"
 SCHEMA_HOMES = "home_routers.v1"
+SCHEMA_SCANS = "scans.v1"
 
 
 class DataError(Exception):
@@ -49,7 +53,7 @@ def check_schema(found_schema, found_hash, expect_schema, expect_hash=None, path
 
 
 @contextmanager
-def _replacing(path):
+def _replacing(path, binary: bool = False):
     """Open ``<path>.tmp`` for writing; on success it replaces path.
 
     On an exception the temp file is removed and path is left as it was,
@@ -59,7 +63,7 @@ def _replacing(path):
     path = Path(path)
     tmp = path.with_name(path.name + ".tmp")
     try:
-        with open(tmp, "w", encoding="utf-8") as fh:
+        with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -204,3 +208,47 @@ def read_json(path, expect_schema: str, expect_hash: str | None = None) -> dict:
     check_schema(doc.get("schema"), doc.get("config_hash"),
                  expect_schema, expect_hash, str(path))
     return doc
+
+
+# ---------------------------------------------------------------------------
+# Array archives (.npz with a JSON header)
+# ---------------------------------------------------------------------------
+
+def write_npz(path, schema: str, cfg_hash: str, header: dict, arrays: dict) -> None:
+    """Write named arrays as an uncompressed .npz archive.
+
+    The archive also holds a ``header`` array: the UTF-8 bytes of a JSON
+    object with the schema, the config hash and ``header``'s entries.
+    Strings go there rather than into numpy string arrays, which drop
+    trailing NUL characters. Equal inputs give equal bytes.
+    """
+    doc = json.dumps({"schema": schema, "config_hash": cfg_hash, **header})
+    with _replacing(path, binary=True) as fh:
+        # a file handle, because np.savez appends .npz to a path
+        np.savez(fh, header=np.frombuffer(doc.encode(), dtype=np.uint8), **arrays)
+
+
+def read_npz(path, expect_schema: str, expect_hash: str | None = None):
+    """Read an archive written by write_npz. Returns (header, arrays).
+
+    A missing, truncated or otherwise unreadable archive, or one without
+    a JSON object header, raises DataError.
+    """
+    path = Path(path)
+    if not path.exists():
+        raise DataError(f"missing input file: {path}")
+    try:
+        with zipfile.ZipFile(path) as archive:
+            arrays = {
+                name.removesuffix(".npy"):
+                    np.lib.format.read_array(archive.open(name), allow_pickle=False)
+                for name in archive.namelist()
+            }
+        header = json.loads(arrays.pop("header").tobytes())
+    except (zipfile.BadZipFile, ValueError, EOFError, KeyError) as exc:
+        raise DataError(f"{path}: unreadable array archive ({exc})") from exc
+    if not isinstance(header, dict):
+        raise DataError(f"{path}: archive header is not a JSON object")
+    check_schema(header.get("schema"), header.get("config_hash"),
+                 expect_schema, expect_hash, str(path))
+    return header, arrays

@@ -10,15 +10,16 @@ the task close to the deployed setting instead of random dyads.
 
 from __future__ import annotations
 
-from bisect import bisect_left, insort
 from dataclasses import dataclass
-from operator import itemgetter
 
 import numpy as np
 
-from .records import LABEL_NEGATIVE, LABEL_POSITIVE, CandidatePair
+from .features import ScanTable, _ranges
+from .records import LABEL_NEGATIVE, LABEL_POSITIVE
 
 WINDOW_S = 3600
+# _strongest_sightings' value for "no sighting": above any RSSI, which is <= 0
+_NO_SIGHTING = 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -50,101 +51,123 @@ def build_hour_windows(sightings) -> list[HourWindow]:
     return windows
 
 
-def _index_sightings(sightings):
-    """Pair -> time-sorted (ts, rssi) lists for participant sightings."""
-    by_pair: dict[tuple[str, str], list[tuple[int, int]]] = {}
-    for s in sightings:
-        if s.peer is None or s.peer == s.user:
-            continue
-        key = (s.user, s.peer) if s.user < s.peer else (s.peer, s.user)
-        insort(by_pair.setdefault(key, []), (s.ts, s.rssi))
-    return by_pair
-
-
-def generate_candidates(wifi, bt, delta_t: int = 300) -> list[CandidatePair]:
+def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[tuple]:
     """Build labeled candidate pairs from one window's scans and sightings.
 
-    For each unordered user pair, every scan of the lexicographically
-    smaller user pairs with its nearest-in-time scan of the other user,
-    provided the gap is at most ``delta_t``; this keeps one five-minute
-    meeting from spawning near-identical samples for every scan cross
-    product. A candidate is positive when some sighting between the two
-    users (either direction) lies within ``delta_t`` of the interaction
-    timestamp min(ts_a, ts_b); ``bt_rssi`` records the strongest such
-    sighting. Negatives are kept only when the scans share a router.
+    ``rows`` are the window's scans, as rows of ``table``; ``bt`` are its
+    Bluetooth sightings. For each unordered user pair, every scan of the
+    lexicographically smaller user pairs with its nearest-in-time scan of
+    the other user (the earlier one on an exact tie), provided the gap is
+    at most ``delta_t``; this keeps one five-minute meeting from spawning
+    near-identical samples for every scan cross product. A candidate is
+    positive when some sighting between the two users (either direction)
+    lies within ``delta_t`` of the interaction timestamp min(ts_a, ts_b);
+    ``bt_rssi`` records the strongest such sighting. Negatives are kept
+    only when the scans share a router.
+
+    Returns one ``(row_a, row_b, ts, label, bt_rssi)`` tuple per candidate,
+    sorted by (ts, user_a, user_b, ts_a, ts_b), with ``bt_rssi`` None on
+    negatives.
     """
-    by_user: dict[str, list] = {}
-    for rec in wifi:
-        by_user.setdefault(rec.user, []).append(rec)
+    rows = np.asarray(rows, dtype=np.int64)
+    if len(rows) == 0:
+        return []
+    codes = np.unique(table.user[rows])
+    names = sorted(table.users[c] for c in codes.tolist())
+    n_users = len(names)
+    rank_of = {name: i for i, name in enumerate(names)}
+    rank = np.zeros(len(table.users), dtype=np.int64)
+    rank[codes] = [rank_of[table.users[c]] for c in codes.tolist()]
 
-    users = sorted(by_user)
-    scan_ts: dict[str, np.ndarray] = {}
-    union_bssids: dict[str, frozenset] = {}
-    for user in users:
-        recs = by_user[user]
-        recs.sort(key=lambda r: r.ts)
-        scan_ts[user] = np.array([r.ts for r in recs], dtype=np.int64)
-        union_bssids[user] = frozenset().union(*(r.bssids() for r in recs))
+    # the window's scans by user, in string order, then by ts; lexsort is
+    # stable, so scans with one user and ts keep their order in rows
+    user, ts = rank[table.user[rows]], table.ts[rows]
+    order = np.lexsort((ts, user))
+    rows, user, ts = rows[order], user[order], ts[order]
+    first = np.searchsorted(user, np.arange(n_users + 1))
 
-    bt_index = _index_sightings(bt)
+    sight_pair, sight_ts, sight_rssi = _sightings(bt, rank_of)
+    linked = np.zeros((n_users, n_users), dtype=bool)
+    linked.flat[sight_pair] = True
+    # cheap reject: users who share no sighting and no router in the window
+    starts = table.offsets[rows]
+    owner, entry = _ranges(starts, table.offsets[rows + 1] - starts)
+    routers, router = np.unique(table.bssid[entry], return_inverse=True)
+    heard = np.zeros((n_users, len(routers)), dtype=np.float32)
+    heard[user[owner], router] = 1.0
+    linked |= heard @ heard.T > 0
+    user_a, user_b = np.nonzero(np.triu(linked, 1))
 
-    out = []
-    for i, user_a in enumerate(users):
-        recs_a = by_user[user_a]
-        set_a = union_bssids[user_a]
-        for user_b in users[i + 1:]:
-            pair_bt = bt_index.get((user_a, user_b))
-            # cheap reject: no sighting and no router either scan could share
-            if pair_bt is None and set_a.isdisjoint(union_bssids[user_b]):
-                continue
-            recs_b = by_user[user_b]
-            ts_b = scan_ts[user_b]
-            pos = np.searchsorted(ts_b, scan_ts[user_a])
-            for j, rec_a in enumerate(recs_a):
-                rec_b = _nearest(recs_b, ts_b, pos[j], rec_a.ts)
-                if rec_b is None or abs(rec_a.ts - rec_b.ts) > delta_t:
-                    continue
-                ts = min(rec_a.ts, rec_b.ts)
-                bt_rssi = _strongest_sighting(pair_bt, ts, delta_t)
-                if bt_rssi is None and rec_a.bssids().isdisjoint(rec_b.bssids()):
-                    continue  # no overlap and no Bluetooth support
-                label = LABEL_NEGATIVE if bt_rssi is None else LABEL_POSITIVE
-                out.append(CandidatePair(
-                    user_a=user_a, user_b=user_b,
-                    scan_a=rec_a, scan_b=rec_b,
-                    ts=ts, label=label, bt_rssi=bt_rssi,
-                ))
-    out.sort(key=lambda c: (c.ts, c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts))
-    return out
+    # every scan of A, and the scan of B nearest to it in time: of B's
+    # scans before and at or after it (one of them when the other does not
+    # exist), the earlier wins an exact tie
+    pair, scan_a = _ranges(first[user_a], first[user_a + 1] - first[user_a])
+    user_b = user_b[pair]
+    base, span = int(ts.min()), int(np.ptp(ts)) + 1
+    pos = np.searchsorted(user * span + (ts - base),
+                          user_b * span + (ts[scan_a] - base))
+    before = np.maximum(pos - 1, first[user_b])
+    after = np.minimum(pos, first[user_b + 1] - 1)
+    scan_b = np.where(ts[scan_a] - ts[before] <= ts[after] - ts[scan_a], before, after)
+    near = np.abs(ts[scan_a] - ts[scan_b]) <= delta_t
+    user_a, user_b = user_a[pair[near]], user_b[near]
+    scan_a, scan_b = scan_a[near], scan_b[near]
+    pair_ts = np.minimum(ts[scan_a], ts[scan_b])
 
-
-def _nearest(recs_b, ts_b, pos, ts_a):
-    """The scan of B closest in time to ts_a; earlier one wins exact ties."""
-    if len(recs_b) == 0:
-        return None
-    lo = pos - 1
-    if lo < 0:
-        return recs_b[0]
-    if pos >= len(recs_b):
-        return recs_b[lo]
-    if ts_a - ts_b[lo] <= ts_b[pos] - ts_a:
-        return recs_b[lo]
-    return recs_b[pos]
+    bt_rssi = _strongest_sightings(user_a * n_users + user_b, pair_ts, delta_t,
+                                   sight_pair, sight_ts, sight_rssi)
+    shared = np.zeros(len(pair_ts), dtype=bool)
+    shared[table.common(rows[scan_a], rows[scan_b])[0]] = True
+    keep = np.flatnonzero((bt_rssi != _NO_SIGHTING) | shared)
+    keep = keep[np.lexsort((ts[scan_b[keep]], ts[scan_a[keep]], user_b[keep],
+                           user_a[keep], pair_ts[keep]))]
+    return [
+        (a, b, t, LABEL_NEGATIVE, None) if r == _NO_SIGHTING
+        else (a, b, t, LABEL_POSITIVE, r)
+        for a, b, t, r in zip(rows[scan_a[keep]].tolist(), rows[scan_b[keep]].tolist(),
+                              pair_ts[keep].tolist(), bt_rssi[keep].tolist())
+    ]
 
 
-def _strongest_sighting(pair_bt, ts: int, delta_t: int):
-    """Max RSSI over sightings with |ts_bt - ts| <= delta_t, else None."""
-    if not pair_bt:
-        return None
-    best = None
-    # pair_bt is sorted by ts; scan the [ts-delta_t, ts+delta_t] slice
-    lo = bisect_left(pair_bt, ts - delta_t, key=itemgetter(0))
-    for k in range(lo, len(pair_bt)):
-        ts_bt, rssi = pair_bt[k]
-        if ts_bt > ts + delta_t:
-            break
-        if best is None or rssi > best:
-            best = rssi
+def _sightings(bt, rank_of):
+    """Sightings between two of the window's users: (pair, ts, rssi) arrays.
+
+    A pair of user ranks a < b is ``a * n_users + b``; sightings of
+    non-participants and of oneself are dropped.
+    """
+    n_users = len(rank_of)
+    pair, ts, rssi = [], [], []
+    for s in bt:
+        a, b = rank_of.get(s.user), rank_of.get(s.peer)
+        if a is None or b is None or a == b:
+            continue
+        pair.append(min(a, b) * n_users + max(a, b))
+        ts.append(s.ts)
+        rssi.append(s.rssi)
+    return (np.array(pair, dtype=np.int64), np.array(ts, dtype=np.int64),
+            np.array(rssi, dtype=np.int64))
+
+
+def _strongest_sightings(pair, ts, delta_t, sight_pair, sight_ts, sight_rssi):
+    """Per query, the max RSSI of the pair's sightings with
+    |ts_bt - ts| <= delta_t; _NO_SIGHTING where there is none."""
+    best = np.full(len(ts), _NO_SIGHTING, dtype=np.int64)
+    if len(sight_ts) == 0 or len(ts) == 0:
+        return best
+    base = min(int(sight_ts.min()), int(ts.min())) - delta_t
+    span = max(int(sight_ts.max()), int(ts.max())) + delta_t - base + 1
+    keys = sight_pair * span + (sight_ts - base)
+    order = np.argsort(keys, kind="stable")
+    keys, rssi = keys[order], sight_rssi[order]
+    query = pair * span + (ts - base)
+    lo = np.searchsorted(keys, query - delta_t, side="left")
+    hi = np.searchsorted(keys, query + delta_t, side="right")
+    count = hi - lo
+    found = count > 0
+    if found.any():
+        _, index = _ranges(lo[found], count[found])
+        starts = np.cumsum(count[found]) - count[found]
+        best[found] = np.maximum.reduceat(rssi[index], starts)
     return best
 
 

@@ -283,8 +283,8 @@ def test_09_same_seed_runs_are_byte_identical(tmp_path):
     run_all(b, jobs=8)
     run_all(c, jobs=1)
     names = ["wifi.jsonl", "bluetooth.jsonl", "ground_truth.jsonl",
-             "cleaned.jsonl", "cleaning_report.json", "home_routers.json",
-             "candidates.csv", "features.csv",
+             "cleaned.jsonl", "scans.npz", "cleaning_report.json",
+             "home_routers.json", "candidates.csv", "features.csv",
              "model_full_gbt.json", "eval_full_gbt.json", "report.json"]
     for name in names:
         blob = (a / name).read_bytes()

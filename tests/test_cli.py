@@ -1,12 +1,13 @@
 """The pipeline CLI: stage wiring, exit codes, artifact discipline."""
 
-import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
+from wifi_proximity.features import ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 
 
@@ -40,8 +41,8 @@ class TestHappyPath:
     def test_artifacts_exist(self, workdir):
         d, _ = workdir
         for name in ("wifi.jsonl", "bluetooth.jsonl", "ground_truth.jsonl",
-                     "cleaned.jsonl", "cleaning_report.json", "home_routers.json",
-                     "candidates.csv", "features.csv",
+                     "cleaned.jsonl", "scans.npz", "cleaning_report.json",
+                     "home_routers.json", "candidates.csv", "features.csv",
                      "model_full_gbt.json", "eval_full_gbt.json",
                      "model_nearme_gbt.json", "eval_nearme_gbt.json",
                      "report.json"):
@@ -319,27 +320,26 @@ class TestArtifactIntegrity:
         assert run(["report"] + args) == 0
         assert (tmp_path / "report.json").exists()
 
-    @pytest.mark.parametrize("referenced", [True, False])
+    @pytest.mark.parametrize("fault", ["truncated", "offsets", "foreign_hash",
+                                       "missing"])
     def test_pair_and_featurize_reject_corrupt_cleaned_scans(
-            self, tmp_path, workdir, capsys, referenced):
+            self, tmp_path, workdir, capsys, fault):
         src, base = workdir
-        _, _, cand = fileio.read_csv(src / "candidates.csv",
-                                     fileio.SCHEMA_CANDIDATES)
-        used = {(row[0], row[2]) for row in cand} | {(row[1], row[3]) for row in cand}
-        lines = (src / "cleaned.jsonl").read_text().splitlines(keepends=True)
-
-        def scan_key(line):
-            rec = json.loads(line)
-            return rec["user"], str(rec["ts"])
-
-        # line 0 is the header
-        cut = next(i for i in range(1, len(lines))
-                   if (scan_key(lines[i]) in used) == referenced)
-        lines[cut] = lines[cut][:len(lines[cut]) // 2] + "\n"
-        (tmp_path / "cleaned.jsonl").write_text("".join(lines))
+        scans = tmp_path / "scans.npz"
+        h = fileio.read_json(src / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
+        table = ScanTable.load(src / "scans.npz", h)
+        if fault == "truncated":
+            blob = (src / "scans.npz").read_bytes()
+            scans.write_bytes(blob[:len(blob) // 2])
+        elif fault == "offsets":
+            offsets = table.offsets.copy()
+            offsets[1], offsets[2] = offsets[2], offsets[1]
+            assert offsets[1] != offsets[2]
+            replace(table, offsets=offsets).save(scans, h)
+        elif fault == "foreign_hash":
+            table.save(scans, "deadbeef0000")
         for name in ("bluetooth.jsonl", "home_routers.json"):
             (tmp_path / name).write_bytes((src / name).read_bytes())
-        # --strict-parse governs the raw logs only: clean wrote this file
         args = ["--dir", str(tmp_path)] + base[2:]
         capsys.readouterr()
         assert run(["pair"] + args) == 3
@@ -349,3 +349,36 @@ class TestArtifactIntegrity:
         assert run(["featurize"] + args) == 3
         self.assert_one_line_data_error(capsys)
         assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("foreign", ["candidates.csv", "home_routers.json"])
+    def test_featurize_rejects_inputs_of_another_config(self, tmp_path, workdir,
+                                                        capsys, foreign):
+        src, base = workdir
+        for name in ("scans.npz", "candidates.csv", "home_routers.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        path = tmp_path / foreign
+        text = path.read_text()
+        h = fileio.read_json(src / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
+        assert text.count(h) == 1
+        path.write_text(text.replace(h, "deadbeef0000"))
+        capsys.readouterr()
+        assert run(["featurize", "--dir", str(tmp_path)] + base[2:]) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not (tmp_path / "features.csv").exists()
+
+    @pytest.mark.parametrize("log,stage", [("wifi.jsonl", "clean"),
+                                           ("bluetooth.jsonl", "pair")])
+    def test_strict_parse_error_names_the_file(self, tmp_path, workdir, capsys,
+                                               log, stage):
+        src, base = workdir
+        for name in ("wifi.jsonl", "bluetooth.jsonl", "scans.npz"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        lines = (src / log).read_text().splitlines(keepends=True)
+        lines[5] = lines[5][:len(lines[5]) // 2] + "\n"
+        (tmp_path / log).write_text("".join(lines))
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        assert run([stage] + args + ["--strict-parse"]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / log}: malformed record (line 6): ")
+        assert err.count("\n") == 1, err

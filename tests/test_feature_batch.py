@@ -1,5 +1,7 @@
 """The batch feature kernel against the per-pair reference, bit for bit."""
 
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
+from wifi_proximity.fileio import DataError
 from wifi_proximity.features import (
     PopularityIndex,
     PopularityIndexError,
@@ -181,9 +184,13 @@ def test_every_tiny_world_candidate_matches_per_pair(tiny_run):
     assert_bit_identical(batch_matrix(records, pairs, home_map), want)
 
 
+def run_hash(d):
+    return fileio.read_json(d / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
+
+
 def test_featurize_low_popularity_exits_3_without_features(tiny_run, tmp_path, capsys):
     src, src_base = tiny_run
-    for name in ("cleaned.jsonl", "home_routers.json"):
+    for name in ("scans.npz", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
     lines = (src / "candidates.csv").read_text().splitlines(keepends=True)
     k = max(i for i, line in enumerate(lines) if line.split(",")[5:6] == ["0"])
@@ -194,21 +201,86 @@ def test_featurize_low_popularity_exits_3_without_features(tiny_run, tmp_path, c
     assert main(["featurize", "--dir", str(tmp_path)] + src_base[2:]) == 3
     assert "has popularity 0" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "candidates.csv", "cleaned.jsonl", "home_routers.json"]
+        "candidates.csv", "home_routers.json", "scans.npz"]
 
 
 def test_featurize_missing_scan_exits_3_without_features(tiny_run, tmp_path):
     src, src_base = tiny_run
-    for name in ("cleaned.jsonl", "candidates.csv", "home_routers.json"):
+    for name in ("candidates.csv", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
     _, _, cand = fileio.read_csv(src / "candidates.csv", fileio.SCHEMA_CANDIDATES)
-    user, ts = cand[len(cand) // 2][0], cand[len(cand) // 2][2]
-    lines = (src / "cleaned.jsonl").read_text().splitlines(keepends=True)
-    kept = [ln for ln in lines
-            if not (f'"user":"{user}"' in ln and f'"ts":{ts},' in ln)]
-    assert len(kept) == len(lines) - 1
-    (tmp_path / "cleaned.jsonl").write_text("".join(kept))
+    user, ts = cand[len(cand) // 2][0], int(cand[len(cand) // 2][2])
+    records = parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records
+    kept = [rec for rec in records if (rec.user, rec.ts) != (user, ts)]
+    assert len(kept) == len(records) - 1
+    ScanTable.from_records(kept).save(tmp_path / "scans.npz", run_hash(src))
     base = ["--dir", str(tmp_path)] + src_base[2:]
     assert main(["featurize"] + base) == 3
     assert not (tmp_path / "features.csv").exists()
     assert not (tmp_path / "features.csv.tmp").exists()
+
+
+def assert_same_table(got, want):
+    for field in fields(ScanTable):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        if isinstance(b, list):
+            assert type(a) is list and a == b, field.name
+        else:
+            assert a.dtype == b.dtype and a.shape == b.shape, field.name
+            assert a.tobytes() == b.tobytes(), field.name
+
+
+@pytest.mark.parametrize("records", [
+    [],
+    [scan("u1\x00", 10, [ap(3, -50, "dtu\x00"), ap(1, -61, "caf\u00e9 \u2615")]),
+     scan("u1", 10, []),
+     scan("\u00fc2", 5, [ap(1, -70, "")])],
+], ids=["zero_scans", "nul_and_non_ascii"])
+def test_scan_file_round_trips(tmp_path, records):
+    table = ScanTable.from_records(records)
+    table.save(tmp_path / "scans.npz", "abc123abc123")
+    got = ScanTable.load(tmp_path / "scans.npz", "abc123abc123")
+    assert_same_table(got, table)
+    if records:
+        assert got.users == ["u1\x00", "u1", "\u00fc2"]
+        assert "dtu\x00" in got.ssids and "caf\u00e9 \u2615" in got.ssids
+
+
+def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
+    src, _ = tiny_run
+    records = parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records
+    assert_same_table(ScanTable.load(src / "scans.npz", run_hash(src)),
+                      ScanTable.from_records(records))
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda t: {"offsets": t.offsets[:-1]},
+    lambda t: {"offsets": t.offsets + 1},
+    lambda t: {"offsets": np.concatenate([t.offsets[:-1], t.offsets[-1:] - 1])},
+    lambda t: {"offsets": np.array([0, 4, 3], dtype=np.int64)},
+    lambda t: {"user": t.user[:-1]},
+    lambda t: {"ssid": t.ssid[1:]},
+    lambda t: {"user": np.full_like(t.user, len(t.users))},
+    lambda t: {"bssid": t.bssid - 1},
+    lambda t: {"ssid": t.ssid + len(t.ssids)},
+    lambda t: {"rssi": t.rssi.astype(np.int64)},
+    lambda t: {"ts": t.ts.reshape(1, -1)},
+    lambda t: {"users": [1] * len(t.users)},
+], ids=["offsets_short", "offsets_from_1", "offsets_end", "offsets_falling",
+        "user_short", "ssid_short", "user_code", "bssid_code", "ssid_code",
+        "rssi_dtype", "ts_2d", "users_not_str"])
+def test_scan_file_rejects_inconsistent_tables(tmp_path, corrupt):
+    records = [scan("u1", 10, [ap(1, -50, "a"), ap(2, -60, "b")]),
+               scan("u2", 20, [ap(2, -55, "b")])]
+    table = ScanTable.from_records(records)
+    replace(table, **corrupt(table)).save(tmp_path / "scans.npz", "h")
+    with pytest.raises(DataError):
+        ScanTable.load(tmp_path / "scans.npz", "h")
+
+
+@pytest.mark.parametrize("blob", [b"", b"not an archive", b"PK\x03\x04" + b"\0" * 40],
+                         ids=["empty", "text", "zip_magic"])
+def test_scan_file_rejects_unreadable_archives(tmp_path, blob):
+    (tmp_path / "scans.npz").write_bytes(blob)
+    with pytest.raises(DataError):
+        ScanTable.load(tmp_path / "scans.npz")

@@ -5,19 +5,35 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from wifi_proximity.pairing import (
-    WINDOW_S,
-    build_hour_windows,
-    generate_candidates,
-    split_indices,
-)
-from wifi_proximity.records import BluetoothSighting
+import pairing_reference as reference
+from wifi_proximity import fileio, pairing
+from wifi_proximity.cli import main
+from wifi_proximity.features import ScanTable
+from wifi_proximity.ingest import parse_bluetooth_log, parse_wifi_log
+from wifi_proximity.pairing import WINDOW_S, build_hour_windows, split_indices
+from wifi_proximity.records import BluetoothSighting, CandidatePair
 
-from conftest import ap, scan
+from conftest import ap, scan, world_conf
 
 
 def bt(user, ts, peer=None, mac=None, rssi=-60):
     return BluetoothSighting(user=user, ts=ts, peer=peer, mac=mac, rssi=rssi)
+
+
+def table_candidates(wifi, sightings, delta_t, rows=None):
+    """pairing.generate_candidates over the scans ``rows`` of wifi (all of
+    them by default), each candidate as the CandidatePair of its scans."""
+    table = ScanTable.from_records(wifi)
+    rows = range(len(wifi)) if rows is None else rows
+    return [
+        CandidatePair(wifi[a].user, wifi[b].user, wifi[a], wifi[b], ts, label, bt_rssi)
+        for a, b, ts, label, bt_rssi in pairing.generate_candidates(
+            table, np.array(rows, dtype=np.int64), sightings, delta_t)
+    ]
+
+
+def generate_candidates(wifi, sightings, delta_t):
+    return table_candidates(wifi, sightings, delta_t)
 
 
 def brute_windows(sightings):
@@ -134,6 +150,76 @@ class TestGenerateCandidates:
         keys = [(c.ts, c.user_a, c.user_b, c.scan_a.ts, c.scan_b.ts) for c in out]
         assert keys == sorted(keys)
         assert all(c.user_a < c.user_b for c in out)
+
+
+T0 = 1_600_000_000
+
+
+@st.composite
+def candidate_windows(draw):
+    """A window's scans and sightings on a 10 s grid: equal-distance ties,
+    duplicate (user, ts) scans, scans with no APs, sightings exactly
+    delta_t (and one second more) from a scan, and one-user windows."""
+    users = draw(st.lists(st.sampled_from(["u0", "u1", "u1\x00", "u2"]),
+                          min_size=1, max_size=4, unique=True))
+    delta_t = draw(st.sampled_from([0, 10, 20, 50]))
+    records = []
+    for _ in range(draw(st.integers(0, 14))):
+        routers = draw(st.lists(st.integers(0, 5), unique=True, max_size=4))
+        records.append(scan(draw(st.sampled_from(users)),
+                            T0 + 10 * draw(st.integers(0, 20)),
+                            [ap(i, -50 - i) for i in routers]))
+    sightings = []
+    for _ in range(draw(st.integers(0, 8))):
+        user = draw(st.sampled_from(users))
+        peer = draw(st.sampled_from(users + [None]))
+        offset = draw(st.sampled_from([0, delta_t, -delta_t, delta_t + 1,
+                                       -delta_t - 1]))
+        sightings.append(bt(user, T0 + 10 * draw(st.integers(0, 20)) + offset,
+                            peer=peer, mac=None if peer else "ff:ee:dd:00:00:01",
+                            rssi=draw(st.integers(-90, -20))))
+    rows = draw(st.permutations(range(len(records))))
+    rows = rows[:draw(st.integers(0, len(rows)))]
+    return records, rows, sightings, delta_t
+
+
+class TestMatchesRecordReference:
+    """The table-based generator against tests/pairing_reference.py."""
+
+    @given(candidate_windows())
+    @settings(max_examples=400, deadline=None)
+    def test_hypothesis_windows(self, window):
+        records, rows, sightings, delta_t = window
+        want = reference.generate_candidates(
+            [records[i] for i in rows], sightings, delta_t)
+        assert table_candidates(records, sightings, delta_t, rows) == want
+
+    def test_tiny_world(self, tmp_path, tiny_world):
+        (tmp_path / "world.conf").write_text(world_conf(tiny_world))
+        base = ["--dir", str(tmp_path), "--config", str(tmp_path / "world.conf")]
+        for stage in ("generate", "clean", "pair"):
+            assert main([stage] + base) == 0, stage
+        records = parse_wifi_log(fileio.iter_jsonl(tmp_path / "cleaned.jsonl")).records
+        sightings = sorted(
+            parse_bluetooth_log(fileio.iter_jsonl(tmp_path / "bluetooth.jsonl")).records,
+            key=lambda s: s.ts)
+        delta_t = 300
+        rows = []
+        for window in build_hour_windows(sightings):
+            scans = [i for i, rec in enumerate(records)
+                     if rec.ts // WINDOW_S * WINDOW_S == window.start_ts
+                     and rec.user in window.active_users]
+            lo, hi = window.start_ts - delta_t, window.start_ts + WINDOW_S + delta_t
+            near = [s for s in sightings if lo <= s.ts < hi]
+            want = reference.generate_candidates([records[i] for i in scans], near, delta_t)
+            assert table_candidates(records, near, delta_t, scans) == want
+            rows += [[c.user_a, c.user_b, str(c.scan_a.ts), str(c.scan_b.ts), str(c.ts),
+                      str(c.label), "" if c.bt_rssi is None else str(c.bt_rssi)]
+                     for c in want]
+        assert len(rows) > 1000
+        _, _, written = fileio.read_csv(tmp_path / "candidates.csv",
+                                        fileio.SCHEMA_CANDIDATES)
+        assert written == rows
 
 
 class TestSplits:
