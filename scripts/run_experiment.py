@@ -23,9 +23,9 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wifi_proximity import fileio
-from wifi_proximity.cli import _load_features
 from wifi_proximity.cli import main as run_stage
 from wifi_proximity.evaluation import learning_curve
+from wifi_proximity.features import FeatureTable
 from wifi_proximity.models import FEATURESETS
 from wifi_proximity.pairing import split_indices
 
@@ -78,7 +78,8 @@ def print_featuresets(report):
 
 def run_curve(args, d, split):
     """Learning curve on the train/test split the models were fitted on."""
-    _, _, y, X = _load_features(d / "features.csv")
+    feats = FeatureTable.load(d / "features.npz")
+    X, y = feats.X, feats.label
     train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
     sizes = tuple(s for s in (100, 1000, 10000) if s <= len(train_idx))
     curve = learning_curve(X[train_idx], y[train_idx],

@@ -3,6 +3,10 @@
 Stages communicate through files in one working directory and run in the
 order listed. Every output embeds the config hash, so a report can
 refuse to aggregate results produced under different configurations.
+From ``pair`` on, stages read arrays: ``pair`` writes candidates.npz, which
+``featurize`` reads, and ``featurize`` writes features.npz, which ``train``,
+``evaluate`` and ``report`` read. candidates.csv and features.csv are
+readable copies of the same rows that no stage reads.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 config error.
 """
@@ -21,6 +25,7 @@ from .config import ConfigError, PipelineConfig, load_config
 from .evaluation import auc_roc, prf_at_threshold, stratified_report
 from .features import (
     FEATURE_NAMES,
+    FeatureTable,
     ScanTable,
     apply_imputation,
     extract_feature_matrix,
@@ -53,7 +58,13 @@ from .models import (
     save_model,
     select_columns,
 )
-from .pairing import WINDOW_S, build_hour_windows, generate_candidates, split_indices
+from .pairing import (
+    WINDOW_S,
+    CandidateTable,
+    build_hour_windows,
+    generate_candidates,
+    split_indices,
+)
 from .records import MalformedRecordError
 
 EXIT_OK = 0
@@ -76,8 +87,10 @@ def _paths(args) -> dict[str, Path]:
         "scans": d / "scans.npz",
         "cleaning_report": d / "cleaning_report.json",
         "homes": d / "home_routers.json",
-        "candidates": d / "candidates.csv",
-        "features": d / "features.csv",
+        "candidates": d / "candidates.npz",
+        "candidates_csv": d / "candidates.csv",
+        "features": d / "features.npz",
+        "features_csv": d / "features.csv",
         "report": d / "report.json",
     }
 
@@ -123,6 +136,17 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
     records, report = filter_ambiguous_macs(
         parsed.records, cfg.ambiguous_ssid_threshold
     )
+    # everything is computed before the first write, so a data error
+    # leaves no artifact of this run
+    table = ScanTable.from_records(records)
+    homes = build_home_router_map(records, cfg.home_bin_minutes, cfg.tz_offset_s)
+    homes_doc = {
+        "bin_minutes": cfg.home_bin_minutes,
+        "homes": [
+            {"user": user, "month": month, "bssid": bssid}
+            for (user, month), bssid in sorted(homes.items())
+        ],
+    }
 
     def rows():
         for rec in records:
@@ -136,27 +160,14 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
             }
 
     n = fileio.write_jsonl(paths["cleaned"], SCHEMA_WIFI, h, rows())
-    ScanTable.from_records(records).save(paths["scans"], h)
+    table.save(paths["scans"], h)
     fileio.write_json(
         paths["cleaning_report"],
         SCHEMA_CLEANING,
         h,
         {**report.as_dict(), "skipped_lines": parsed.skipped, "records": n},
     )
-
-    homes = build_home_router_map(records, cfg.home_bin_minutes, cfg.tz_offset_s)
-    fileio.write_json(
-        paths["homes"],
-        SCHEMA_HOMES,
-        h,
-        {
-            "bin_minutes": cfg.home_bin_minutes,
-            "homes": [
-                {"user": user, "month": month, "bssid": bssid}
-                for (user, month), bssid in sorted(homes.items())
-            ],
-        },
-    )
+    fileio.write_json(paths["homes"], SCHEMA_HOMES, h, homes_doc)
     print(
         f"clean: {n} records kept, {report.removed_observations} observations "
         f"from {report.ambiguous_macs} ambiguous MACs removed, "
@@ -193,13 +204,15 @@ def stage_pair(cfg: PipelineConfig, args) -> int:
         candidates.extend(generate_candidates(table, rows, sightings[lo:hi],
                                               cfg.delta_t_s))
 
-    users, user, ts = table.users, table.user.tolist(), table.ts.tolist()
-    rows = (
-        [users[user[a]], users[user[b]], ts[a], ts[b], pair_ts, label, bt_rssi]
-        for a, b, pair_ts, label, bt_rssi in candidates
-    )
-    n = fileio.write_csv(paths["candidates"], SCHEMA_CANDIDATES, h, CANDIDATE_COLUMNS, rows)
-    n_pos = sum(c[3] for c in candidates)
+    cands = CandidateTable.from_tuples(candidates)
+    found = ~np.isnan(cands.bt_rssi)
+    bt_rssi = np.full(len(found), "", dtype=object)
+    bt_rssi[found] = cands.bt_rssi[found].astype(np.int64).astype(str)
+    cands.save(paths["candidates"], h, len(table.ts))
+    n = fileio.write_csv(
+        paths["candidates_csv"], SCHEMA_CANDIDATES, h, CANDIDATE_COLUMNS,
+        fileio.column_blocks(_key_columns(table, cands) + [bt_rssi]))
+    n_pos = int(cands.label.sum())
     share = n_pos / n if n else 0.0
     print(
         f"pair: {n} candidates from {len(windows)} active hour windows, "
@@ -216,50 +229,28 @@ def _parse_log(parse, path, strict: bool):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _read_candidates(path, expect_hash=None):
-    meta, columns, rows = fileio.read_csv(path, SCHEMA_CANDIDATES, expect_hash)
-    if columns != CANDIDATE_COLUMNS:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    return meta, rows
+def _key_columns(table: ScanTable, cands: CandidateTable) -> list:
+    """The user_a, user_b, ts_a, ts_b, ts and label columns of the CSV copies."""
+    users = np.array(table.users, dtype=object)
+    return [users[table.user[cands.row_a]], users[table.user[cands.row_b]],
+            table.ts[cands.row_a], table.ts[cands.row_b], cands.ts, cands.label]
 
 
 def stage_featurize(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     table = ScanTable.load(paths["scans"], h)
-    _, cand_rows = _read_candidates(paths["candidates"], h)
+    cands = CandidateTable.load(paths["candidates"], h, len(table.ts))
     homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES, h)
     home_map = {
         (entry["user"], entry["month"]): entry["bssid"]
         for entry in homes_doc["homes"]
     }
-
-    users_a, users_b, ts_a, ts_b, pair_ts = [], [], [], [], []
-    for user_a, user_b, t_a, t_b, ts, _label, _bt_rssi in cand_rows:
-        users_a.append(user_a)
-        users_b.append(user_b)
-        ts_a.append(int(t_a))
-        ts_b.append(int(t_b))
-        pair_ts.append(int(ts))
-    try:
-        scan_a = table.rows_of(users_a, ts_a)
-        scan_b = table.rows_of(users_b, ts_b)
-        pair_ts = np.array(pair_ts, dtype=np.int64)
-    except OverflowError as exc:
-        raise DataError(f"{paths['candidates']}: timestamp out of range") from exc
-    missing = np.flatnonzero((scan_a < 0) | (scan_b < 0))
-    if len(missing):
-        i = missing[0]
-        raise DataError(
-            f"candidate references missing scan {(users_a[i], ts_a[i])} / "
-            f"{(users_b[i], ts_b[i])}; "
-            "was the candidates file built from this cleaned input?"
-        )
     X = extract_feature_matrix(
         table,
-        scan_a,
-        scan_b,
-        pair_ts,
+        cands.row_a,
+        cands.row_b,
+        cands.ts,
         home_map,
         campus_ssid=cfg.campus_ssid,
         tz_offset_s=cfg.tz_offset_s,
@@ -267,33 +258,13 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
         popularity_window_s=cfg.delta_t_s,
     )
 
-    def rows():
-        # a NaN feature, a missing correlation, is written as an empty cell
-        for (user_a, user_b, ts_a, ts_b, ts, label, _), feats in zip(cand_rows, X):
-            yield [user_a, user_b, int(ts_a), int(ts_b), int(ts), int(label),
-                   *feats.tolist()]
-
-    columns = FEATURE_KEY_COLUMNS + FEATURE_NAMES
-    n = fileio.write_csv(paths["features"], SCHEMA_FEATURES, h, columns, rows())
+    FeatureTable(X, cands.label, cands.ts, cands.bt_rssi).save(paths["features"], h)
+    # a NaN feature, a missing correlation, is written as an empty cell
+    n = fileio.write_csv(
+        paths["features_csv"], SCHEMA_FEATURES, h, FEATURE_KEY_COLUMNS + FEATURE_NAMES,
+        fileio.column_blocks(_key_columns(table, cands) + list(X.T)))
     print(f"featurize: {n} rows, {len(FEATURE_NAMES)} features each")
     return EXIT_OK
-
-
-def _load_features(path, expect_hash=None):
-    """Parse features.csv into keys, label vector, and float matrix."""
-    meta, columns, rows = fileio.read_csv(path, SCHEMA_FEATURES, expect_hash)
-    expected = FEATURE_KEY_COLUMNS + FEATURE_NAMES
-    if columns != expected:
-        raise DataError(f"{path}: unexpected columns {columns}")
-    keys = []
-    y = np.empty(len(rows), dtype=np.int64)
-    X = np.empty((len(rows), len(FEATURE_NAMES)))
-    for i, row in enumerate(rows):
-        rows[i] = None  # the keys reuse the memory of converted rows
-        keys.append((row[0], row[1], int(row[2]), int(row[3]), int(row[4])))
-        y[i] = int(row[5])
-        X[i] = [float(cell) if cell != "" else np.nan for cell in row[6:]]
-    return meta, keys, y, X
 
 
 def _split_for(cfg: PipelineConfig, n: int):
@@ -305,10 +276,8 @@ def _split_for(cfg: PipelineConfig, n: int):
 def stage_train(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    meta, keys, y, X = _load_features(paths["features"], h)
-    _, cand_rows = _read_candidates(paths["candidates"], h)
-    if len(cand_rows) != len(y):
-        raise DataError("features and candidates row counts differ")
+    feats = FeatureTable.load(paths["features"], h)
+    X, y = feats.X, feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
 
     imputation = fit_imputation(X[train_idx])
@@ -361,10 +330,8 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     h = cfg.data_hash()
     model_file = _model_path(paths["dir"], cfg)
     model, doc = load_model(model_file, h)
-    meta, keys, y, X = _load_features(paths["features"], h)
-    _, cand_rows = _read_candidates(paths["candidates"], h)
-    if len(cand_rows) != len(y):
-        raise DataError("features and candidates row counts differ")
+    feats = FeatureTable.load(paths["features"], h)
+    X, y = feats.X, feats.label
 
     split = doc.get("split")
     if not split or split.get("n") != len(y):
@@ -381,10 +348,6 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     classifier = fit_threshold(scores_train, y[train_idx], feature_name="model_score")
 
     train_prf = prf_at_threshold(scores_train, y[train_idx], classifier)
-    bt_rssi = np.full(len(y), np.nan)
-    for i, row in enumerate(cand_rows):
-        if row[6] != "":
-            bt_rssi[i] = float(row[6])
 
     col = FEATURE_NAMES.index
     report = stratified_report(
@@ -394,9 +357,9 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
         union_sizes=X[test_idx, col("union")],
         at_campus=X[test_idx, col("at_campus")],
         hours=X[test_idx, col("hour_of_week")],
-        ts=np.array([keys[i][4] for i in test_idx], dtype=np.int64),
+        ts=feats.ts[test_idx],
         tz_offset_s=cfg.tz_offset_s,
-        bt_rssi=bt_rssi[test_idx],
+        bt_rssi=feats.bt_rssi[test_idx],
     )
     payload = {
         "featureset": model.featureset_name,
@@ -423,7 +386,8 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
 def stage_report(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    _, keys, y, X = _load_features(paths["features"], h)
+    feats = FeatureTable.load(paths["features"], h)
+    X, y = feats.X, feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
 
     imputation = fit_imputation(X[train_idx])

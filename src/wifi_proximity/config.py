@@ -12,6 +12,7 @@ from pathlib import Path
 
 from . import fileio
 from .models import FEATURESETS, KIND_GBT, KIND_RF
+from .records import DAY_S
 from .synthgen import WorldConfig
 
 
@@ -51,6 +52,8 @@ class PipelineConfig:
             raise ConfigError("delta_t_s must be positive")
         if self.home_bin_minutes <= 0:
             raise ConfigError("home_bin_minutes must be positive")
+        if not -DAY_S < self.tz_offset_s < DAY_S:
+            raise ConfigError(f"tz_offset_s must lie within a day (|offset| < {DAY_S})")
         if self.ambiguous_ssid_threshold < 2:
             raise ConfigError("ambiguous_ssid_threshold must be at least 2")
         if not 0.0 < self.alpha < 1.0:

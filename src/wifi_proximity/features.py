@@ -363,7 +363,7 @@ class ScanTable:
     """Cleaned scans as flat arrays, one row per scan, APs in CSR layout.
 
     ``clean`` saves the table as scans.npz; ``pair`` and ``featurize``
-    load it.
+    load it. Candidates name their scans by row.
 
     Row i's access points are entries ``offsets[i]:offsets[i + 1]``,
     sorted by bssid code. Codes index the sorted ``bssids`` list, so code
@@ -433,12 +433,8 @@ class ScanTable:
             if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
                 raise DataError(f"{path}: {name} is not a list of strings")
             tables[name] = names
-        if sorted(arrays) != sorted(_SCAN_ARRAYS):
-            raise DataError(f"{path}: arrays {sorted(arrays)}, "
-                            f"expected {sorted(_SCAN_ARRAYS)}")
-        for name, dtype in _SCAN_ARRAYS.items():
-            if arrays[name].dtype != dtype or arrays[name].ndim != 1:
-                raise DataError(f"{path}: {name} is not a 1-d {np.dtype(dtype)} array")
+        fileio.check_arrays(path, arrays,
+                            {name: (dtype, 1) for name, dtype in _SCAN_ARRAYS.items()})
         table = cls(**tables, **arrays)
         n_rows, n_entries = len(table.ts), len(table.bssid)
         offsets = table.offsets
@@ -472,27 +468,6 @@ class ScanTable:
         pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
         hit = key_b[pos] == key_a
         return pa[hit], ea[hit], eb[pos[hit]]
-
-    def rows_of(self, users, ts) -> np.ndarray:
-        """Row of each (user, ts) scan, -1 where there is none.
-
-        Of several rows with one user and ts, the last wins, as in a dict
-        built over the records.
-        """
-        user_ids = {u: i for i, u in enumerate(self.users)}
-        user = np.fromiter((user_ids.get(u, -1) for u in users), dtype=np.int64,
-                           count=len(users))
-        ts = np.asarray(ts, dtype=np.int64)
-        if len(self.ts) == 0 or len(ts) == 0:
-            return np.full(len(ts), -1, dtype=np.int64)
-        base = min(int(self.ts.min()), int(ts.min()))
-        span = max(int(self.ts.max()), int(ts.max())) - base + 1
-        keys = self.user.astype(np.int64) * span + (self.ts - base)
-        order = np.argsort(keys, kind="stable")
-        keys = keys[order]
-        wanted = user * span + (ts - base)
-        at = np.maximum(np.searchsorted(keys, wanted, side="right") - 1, 0)
-        return np.where((user >= 0) & (keys[at] == wanted), order[at], -1)
 
     def entry_rows(self) -> np.ndarray:
         """The row of every entry."""
@@ -743,6 +718,55 @@ def extract_feature_matrix(table: ScanTable, scan_a, scan_b, ts,
         for name, values in columns.items():
             out[block, FEATURE_NAMES.index(name)] = values
     return out
+
+
+# the arrays of a FeatureTable: (dtype, ndim)
+_FEATURE_ARRAYS = {"X": (np.float64, 2), "label": (np.int64, 1),
+                   "ts": (np.int64, 1), "bt_rssi": (np.float64, 1)}
+
+
+@dataclass(frozen=True, slots=True)
+class FeatureTable:
+    """The labeled feature matrix, one row per candidate.
+
+    ``featurize`` saves it as features.npz; ``train``, ``evaluate`` and
+    ``report`` load it. ``evaluate`` reads ``ts`` and ``bt_rssi`` for its
+    strata.
+    """
+
+    X: np.ndarray        # (n, 16) float, FEATURE_NAMES order, NaN if missing
+    label: np.ndarray    # int64, 0 or 1
+    ts: np.ndarray       # int64 interaction time
+    bt_rssi: np.ndarray  # float, the supporting sighting's RSSI; NaN on negatives
+
+    def save(self, path, cfg_hash: str) -> None:
+        """Write the table as a feature_arrays.v1 archive stamped with cfg_hash."""
+        fileio.write_npz(path, fileio.SCHEMA_FEATURE_ARRAYS, cfg_hash,
+                         {"features": FEATURE_NAMES},
+                         {name: getattr(self, name) for name in _FEATURE_ARRAYS})
+
+    @classmethod
+    def load(cls, path, expect_hash: str | None = None) -> "FeatureTable":
+        """Read a table written by save.
+
+        Raises DataError unless the archive is readable, carries the
+        expected schema and hash and this package's feature names, and
+        holds arrays of the saved dtypes, one row per candidate, with
+        labels of 0 or 1.
+        """
+        header, arrays = fileio.read_npz(path, fileio.SCHEMA_FEATURE_ARRAYS, expect_hash)
+        if header.get("features") != FEATURE_NAMES:
+            raise DataError(f"{path}: features {header.get('features')}, "
+                            f"expected {FEATURE_NAMES}")
+        fileio.check_arrays(path, arrays, _FEATURE_ARRAYS)
+        table = cls(**arrays)
+        n = len(table.label)
+        if (table.X.shape != (n, len(FEATURE_NAMES)) or len(table.ts) != n
+                or len(table.bt_rssi) != n):
+            raise DataError(f"{path}: array lengths disagree")
+        if ((table.label != 0) & (table.label != 1)).any():
+            raise DataError(f"{path}: a label is neither 0 nor 1")
+        return table
 
 
 # ---------------------------------------------------------------------------

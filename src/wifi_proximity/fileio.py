@@ -1,10 +1,17 @@
-"""Shared file formats: JSONL and CSV layouts, schema tags, config hashes.
+"""Shared file formats: JSONL, CSV, JSON and .npz layouts, schema tags,
+config hashes.
 
-Every file the pipeline writes starts with a header that embeds the
-schema name+version and the hash of the configuration that produced it,
-so downstream stages can refuse to mix incompatible artifacts. Writers
+Every file the pipeline writes carries a header that embeds the schema
+name+version and the hash of the configuration that produced it, so
+downstream stages can refuse to mix incompatible artifacts. Writers
 build the file beside its target and rename it into place, so an
 artifact is either complete or absent.
+
+Logs and the cleaned scans are JSONL; reports and models are JSON. From
+``clean`` on, stages hand each other arrays in .npz archives (write_npz,
+read_npz): scans.npz, candidates.npz and features.npz. The CSV files,
+candidates.csv and features.csv, are readable copies that no stage reads;
+write_csv formats them a block of rows at a time, column by column.
 """
 
 from __future__ import annotations
@@ -31,6 +38,8 @@ SCHEMA_REPORT = "report.v1"
 SCHEMA_CLEANING = "cleaning_report.v1"
 SCHEMA_HOMES = "home_routers.v1"
 SCHEMA_SCANS = "scans.v1"
+SCHEMA_CANDIDATE_ARRAYS = "candidate_arrays.v1"
+SCHEMA_FEATURE_ARRAYS = "feature_arrays.v1"
 
 
 class DataError(Exception):
@@ -128,26 +137,50 @@ def iter_jsonl(path) -> Iterator[tuple[int, str]]:
 # CSV (header comment line + column header + rows)
 # ---------------------------------------------------------------------------
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        if math.isnan(value):
-            return ""
-        return repr(value)
-    return str(value)
+CSV_BLOCK_ROWS = 4096
+
+
+def column_blocks(columns, size: int = CSV_BLOCK_ROWS) -> Iterator[list]:
+    """Cut equal-length column arrays into blocks of at most size rows.
+
+    Yields, per block, the list ``[column[lo:lo + size] for column in
+    columns]``: the form write_csv takes.
+    """
+    for lo in range(0, len(columns[0]), size):
+        yield [column[lo:lo + size] for column in columns]
+
+
+def _cells(column: np.ndarray) -> list[str]:
+    """One column's cells: repr for floats, with NaN as an empty cell, and
+    str for anything else."""
+    if column.dtype.kind != "f":
+        return list(map(str, column.tolist()))
+    cells = list(map(repr, column.tolist()))
+    for i in np.flatnonzero(np.isnan(column)).tolist():
+        cells[i] = ""
+    return cells
 
 
 def write_csv(path, schema: str, cfg_hash: str, columns: list[str],
-              rows: Iterable[tuple]) -> int:
-    """Write a CSV with a '#' metadata line before the column header."""
+              blocks: Iterable[list]) -> int:
+    """Write a CSV with a '#' metadata line before the column header.
+
+    ``blocks`` yields the rows a block at a time, each block a list of
+    1-d numpy arrays, one per column and all of one length (see
+    column_blocks). It is iterated once. String ids go in object arrays,
+    as numpy string arrays drop trailing NUL characters. Returns the row
+    count.
+    """
     n = 0
     with _replacing(path) as fh:
         fh.write(f"# schema={schema} config_hash={cfg_hash}\n")
         fh.write(",".join(columns) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
-            n += 1
+        for block in blocks:
+            cells = [_cells(column) for column in block]
+            rows = len(cells[0])
+            if rows:
+                fh.write("\n".join(map(",".join, zip(*cells))) + "\n")
+                n += rows
     return n
 
 
@@ -252,3 +285,13 @@ def read_npz(path, expect_schema: str, expect_hash: str | None = None):
     check_schema(header.get("schema"), header.get("config_hash"),
                  expect_schema, expect_hash, str(path))
     return header, arrays
+
+
+def check_arrays(path, arrays: dict, spec: dict) -> None:
+    """Raise DataError unless arrays holds exactly the names in spec, each
+    an array of spec[name] = (dtype, ndim)."""
+    if sorted(arrays) != sorted(spec):
+        raise DataError(f"{path}: arrays {sorted(arrays)}, expected {sorted(spec)}")
+    for name, (dtype, ndim) in spec.items():
+        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
+            raise DataError(f"{path}: {name} is not a {ndim}-d {np.dtype(dtype)} array")

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 from .records import (
+    TS_END,
     BluetoothSighting,
     MalformedRecordError,
     WifiScanRecord,
@@ -95,7 +96,7 @@ def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
         raise MalformedRecordError("line is not a JSON object", line_no)
     user, ts, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
     check_id(user, "user", line_no)
-    if isinstance(ts, bool) or not isinstance(ts, int) or ts < 0:
+    if isinstance(ts, bool) or not isinstance(ts, int) or not 0 <= ts < TS_END:
         raise MalformedRecordError("missing or invalid ts", line_no)
     if not isinstance(seen, list):
         raise MalformedRecordError("missing seen list", line_no)

@@ -14,7 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fileio
 from .features import ScanTable, _ranges
+from .fileio import DataError
 from .records import LABEL_NEGATIVE, LABEL_POSITIVE
 
 WINDOW_S = 3600
@@ -127,6 +129,71 @@ def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[
         for a, b, t, r in zip(rows[scan_a[keep]].tolist(), rows[scan_b[keep]].tolist(),
                               pair_ts[keep].tolist(), bt_rssi[keep].tolist())
     ]
+
+
+# the arrays of a CandidateTable: (dtype, ndim)
+_CANDIDATE_ARRAYS = {"row_a": (np.int64, 1), "row_b": (np.int64, 1), "ts": (np.int64, 1),
+                     "label": (np.int64, 1), "bt_rssi": (np.float64, 1)}
+
+
+@dataclass(frozen=True, slots=True)
+class CandidateTable:
+    """Candidate pairs as arrays, one element per candidate.
+
+    ``pair`` saves them as candidates.npz; ``featurize`` loads it.
+    ``row_a`` and ``row_b`` are rows of the scan table the candidates
+    were built from, and ``bt_rssi`` is NaN on negatives.
+    """
+
+    row_a: np.ndarray
+    row_b: np.ndarray
+    ts: np.ndarray
+    label: np.ndarray
+    bt_rssi: np.ndarray
+
+    @classmethod
+    def from_tuples(cls, candidates) -> "CandidateTable":
+        """The table of generate_candidates' (row_a, row_b, ts, label,
+        bt_rssi) tuples."""
+        n = len(candidates)
+        columns = list(zip(*candidates)) or [()] * 5
+        ints = {name: np.fromiter(values, dtype=np.int64, count=n)
+                for name, values in zip(("row_a", "row_b", "ts", "label"), columns)}
+        bt_rssi = np.fromiter((np.nan if r is None else r for r in columns[4]),
+                              dtype=np.float64, count=n)
+        return cls(**ints, bt_rssi=bt_rssi)
+
+    def save(self, path, cfg_hash: str, n_scans: int) -> None:
+        """Write a candidate_arrays.v1 archive stamped with cfg_hash and
+        the row count of the scan table."""
+        fileio.write_npz(path, fileio.SCHEMA_CANDIDATE_ARRAYS, cfg_hash,
+                         {"scans": n_scans},
+                         {name: getattr(self, name) for name in _CANDIDATE_ARRAYS})
+
+    @classmethod
+    def load(cls, path, expect_hash: str | None, n_scans: int) -> "CandidateTable":
+        """Read a table written by save, for a scan table of n_scans rows.
+
+        Raises DataError unless the archive is readable, carries the
+        expected schema and hash, was built from a table of n_scans rows,
+        and holds 1-d arrays of the saved dtypes and one length, with
+        rows inside the table and labels of 0 or 1.
+        """
+        header, arrays = fileio.read_npz(path, fileio.SCHEMA_CANDIDATE_ARRAYS, expect_hash)
+        if header.get("scans") != n_scans:
+            raise DataError(
+                f"{path}: built from {header.get('scans')} scans, the scan "
+                f"table has {n_scans}; was it built from this cleaned input?")
+        fileio.check_arrays(path, arrays, _CANDIDATE_ARRAYS)
+        table = cls(**arrays)
+        if len({len(column) for column in arrays.values()}) > 1:
+            raise DataError(f"{path}: array lengths disagree")
+        for rows in (table.row_a, table.row_b):
+            if len(rows) and (rows.min() < 0 or rows.max() >= n_scans):
+                raise DataError(f"{path}: a row lies outside the scan table")
+        if ((table.label != 0) & (table.label != 1)).any():
+            raise DataError(f"{path}: a label is neither 0 nor 1")
+        return table
 
 
 def _sightings(bt, rank_of):

@@ -17,6 +17,12 @@ CSV_UNSAFE_RE = re.compile(r"[,\r\n]")
 LABEL_POSITIVE = 1
 LABEL_NEGATIVE = 0
 
+DAY_S = 86400
+# Timestamps lie in [0, TS_END): a day short of 10000-01-01T00:00:00Z
+# (253402300800), where datetime's range ends, so that ts + tz_offset_s is
+# a date for every offset the config accepts, and ts fits in an int64.
+TS_END = 253402300800 - DAY_S
+
 
 class MalformedRecordError(ValueError):
     """A scan record that violates the schema, with line context when known."""
@@ -124,8 +130,8 @@ def validate_record(user, ts, aps, line_no: int | None = None) -> WifiScanRecord
 
     Canonicalizes bssids to lowercase, collapses duplicate bssids keeping
     the strongest RSSI, and rejects records with a missing timestamp or
-    out-of-schema fields, including user ids that contain a comma or a
-    line break.
+    out-of-schema fields, including a ts outside [0, TS_END) and user ids
+    that contain a comma or a line break.
 
     Raises:
         MalformedRecordError: with line context when the record is invalid.
@@ -133,8 +139,8 @@ def validate_record(user, ts, aps, line_no: int | None = None) -> WifiScanRecord
     check_id(user, "user", line_no)
     if ts is None or isinstance(ts, bool) or not isinstance(ts, int):
         raise MalformedRecordError("missing or non-integer ts", line_no)
-    if ts < 0:
-        raise MalformedRecordError(f"negative ts {ts}", line_no)
+    if not 0 <= ts < TS_END:
+        raise MalformedRecordError(f"ts {ts} outside [0, {TS_END})", line_no)
 
     best: dict[str, ApObservation] = {}
     for raw in aps:

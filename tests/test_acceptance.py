@@ -14,10 +14,11 @@ import pytest
 from scipy import stats
 
 from wifi_proximity import fileio
-from wifi_proximity.cli import _load_features, main
+from wifi_proximity.cli import main
 from wifi_proximity.evaluation import auc_roc, learning_curve
 from wifi_proximity.features import (
     FEATURE_NAMES,
+    FeatureTable,
     PopularityIndex,
     apply_imputation,
     extract_features,
@@ -209,7 +210,8 @@ def test_05_end_to_end_default_world(default_run):
 
 def test_06_learning_curve_saturates(default_run):
     d, _ = default_run
-    _, _, y, X = _load_features(d / "features.csv")
+    feats = FeatureTable.load(d / "features.npz")
+    X, y = feats.X, feats.label
     train_idx, test_idx = _default_split(len(y))
     curve = learning_curve(X[train_idx], y[train_idx], X[test_idx], y[test_idx],
                            sizes=(100, 1000, 10000), kinds=("gbt",),
@@ -244,7 +246,8 @@ def test_08_importance_normalized_and_jaccard_ranks_high(default_run):
     imp = feature_importance(model)
     assert abs(sum(imp.values()) - 1.0) <= 1e-9
 
-    _, _, y, X = _load_features(d / "features.csv")
+    feats = FeatureTable.load(d / "features.npz")
+    X, y = feats.X, feats.label
     train_idx, _ = _default_split(len(y))
     Xp, yp = X[train_idx], y[train_idx]
     rng = np.random.default_rng(808)
@@ -285,7 +288,8 @@ def test_09_same_seed_runs_are_byte_identical(tmp_path):
     names = ["wifi.jsonl", "bluetooth.jsonl", "ground_truth.jsonl",
              "cleaned.jsonl", "scans.npz", "cleaning_report.json",
              "home_routers.json", "candidates.csv", "features.csv",
-             "model_full_gbt.json", "eval_full_gbt.json", "report.json"]
+             "model_full_gbt.json", "eval_full_gbt.json", "report.json",
+             "candidates.npz", "features.npz"]
     for name in names:
         blob = (a / name).read_bytes()
         assert blob == (b / name).read_bytes(), f"{name} differs between runs"

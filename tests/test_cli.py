@@ -1,5 +1,6 @@
 """The pipeline CLI: stage wiring, exit codes, artifact discipline."""
 
+import json
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,31 @@ import pytest
 
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
-from wifi_proximity.features import ScanTable
+from wifi_proximity.features import FeatureTable, ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
+from wifi_proximity.pairing import CandidateTable
 
 
 def run(args):
     return main(args)
+
+
+def run_hash(d):
+    return fileio.read_json(d / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
+
+
+def restamp(path, old, new="deadbeef0000"):
+    """Give an artifact another config hash and leave the rest as it was."""
+    if path.suffix == ".npz":
+        with np.load(path) as archive:
+            arrays = dict(archive)
+        header = json.loads(arrays.pop("header").tobytes())
+        assert header.pop("config_hash") == old
+        fileio.write_npz(path, header.pop("schema"), new, header, arrays)
+    else:
+        text = path.read_text()
+        assert text.count(old) == 1
+        path.write_text(text.replace(old, new))
 
 
 @pytest.fixture(scope="module")
@@ -42,8 +62,8 @@ class TestHappyPath:
         d, _ = workdir
         for name in ("wifi.jsonl", "bluetooth.jsonl", "ground_truth.jsonl",
                      "cleaned.jsonl", "scans.npz", "cleaning_report.json",
-                     "home_routers.json", "candidates.csv", "features.csv",
-                     "model_full_gbt.json", "eval_full_gbt.json",
+                     "home_routers.json", "candidates.npz", "candidates.csv",
+                     "features.npz", "features.csv", "model_full_gbt.json", "eval_full_gbt.json",
                      "model_nearme_gbt.json", "eval_nearme_gbt.json",
                      "report.json"):
             assert (d / name).exists(), name
@@ -237,17 +257,19 @@ class TestArtifactIntegrity:
         assert model["split"]["n"] == len(cand)
 
     def copy_inputs(self, src, dst):
-        for name in ("candidates.csv", "features.csv"):
-            (dst / name).write_bytes((src / name).read_bytes())
+        (dst / "features.npz").write_bytes((src / "features.npz").read_bytes())
 
     def test_train_rejects_truncated_features(self, tmp_path, workdir):
         src, base = workdir
         self.copy_inputs(src, tmp_path)
-        lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
-        (tmp_path / "features.csv").write_text("".join(lines[:len(lines) // 2]))
+        blob = (tmp_path / "features.npz").read_bytes()
+        (tmp_path / "features.npz").write_bytes(blob[:len(blob) // 2])
         args = ["--dir", str(tmp_path)] + base[2:]
         assert run(["train"] + args) == 3
-        (tmp_path / "features.csv").write_text("".join(lines[:2]))  # header only
+        feats = FeatureTable.load(src / "features.npz")
+        replace(feats, X=feats.X[:0], label=feats.label[:0], ts=feats.ts[:0],
+                bt_rssi=feats.bt_rssi[:0]).save(tmp_path / "features.npz",
+                                                run_hash(src))  # no rows
         assert run(["train"] + args) == 3
         assert not list(tmp_path.glob("model_*"))
 
@@ -264,41 +286,28 @@ class TestArtifactIntegrity:
 
     def test_train_rejects_single_class_labels(self, tmp_path, workdir, capsys):
         src, base = workdir
-        self.copy_inputs(src, tmp_path)
-        _, columns, rows = fileio.read_csv(tmp_path / "features.csv",
-                                           fileio.SCHEMA_FEATURES)
-        label = columns.index("label")
-        assert {row[label] for row in rows} == {"0", "1"}
-        lines = (tmp_path / "features.csv").read_text().splitlines(keepends=True)
-        for i in range(2, len(lines)):
-            cells = lines[i].split(",")
-            cells[label] = "0"
-            lines[i] = ",".join(cells)
-        (tmp_path / "features.csv").write_text("".join(lines))
+        feats = FeatureTable.load(src / "features.npz")
+        assert set(feats.label.tolist()) == {0, 1}
+        replace(feats, label=np.zeros_like(feats.label)).save(
+            tmp_path / "features.npz", run_hash(src))
         capsys.readouterr()
         assert run(["train", "--dir", str(tmp_path)] + base[2:]) == 3
         self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("model_*"))
 
-    @pytest.mark.parametrize("foreign", [None, "features.csv", "candidates.csv",
-                                         "model_full_gbt.json"])
+    @pytest.mark.parametrize("foreign", [None, "features.npz", "model_full_gbt.json"])
     def test_evaluate_rejects_inputs_of_another_config(self, tmp_path, workdir,
                                                        capsys, foreign):
         src, base = workdir
-        for name in ("candidates.csv", "features.csv", "model_full_gbt.json"):
+        for name in ("features.npz", "model_full_gbt.json"):
             (tmp_path / name).write_bytes((src / name).read_bytes())
         args = ["--dir", str(tmp_path)] + base[2:]
         capsys.readouterr()
         if foreign is None:
-            # all three inputs were made with the default train size
+            # both inputs were made with the default train size
             assert run(["evaluate"] + args + ["--train-size", "0.4"]) == 3
         else:
-            path = tmp_path / foreign
-            text = path.read_text()
-            h = fileio.read_json(src / "model_full_gbt.json",
-                                 fileio.SCHEMA_MODEL)["config_hash"]
-            assert text.count(h) == 1
-            path.write_text(text.replace(h, "deadbeef0000"))
+            restamp(tmp_path / foreign, run_hash(src))
             assert run(["evaluate"] + args) == 3
         self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("eval_*"))
@@ -309,11 +318,11 @@ class TestArtifactIntegrity:
     def test_report_rejects_features_of_another_config(self, tmp_path, workdir,
                                                       capsys):
         src, base = workdir
-        for name in ("features.csv", "eval_full_gbt.json"):
+        for name in ("features.npz", "eval_full_gbt.json"):
             (tmp_path / name).write_bytes((src / name).read_bytes())
         args = ["--dir", str(tmp_path)] + base[2:]
         capsys.readouterr()
-        # features.csv was made with the default train size
+        # features.npz was made with the default train size
         assert run(["report"] + args + ["--train-size", "0.4"]) == 3
         self.assert_one_line_data_error(capsys)
         assert not (tmp_path / "report.json").exists()
@@ -344,27 +353,100 @@ class TestArtifactIntegrity:
         capsys.readouterr()
         assert run(["pair"] + args) == 3
         self.assert_one_line_data_error(capsys)
-        assert not (tmp_path / "candidates.csv").exists()
-        (tmp_path / "candidates.csv").write_bytes((src / "candidates.csv").read_bytes())
+        assert not list(tmp_path.glob("candidates.*"))
+        (tmp_path / "candidates.npz").write_bytes((src / "candidates.npz").read_bytes())
         assert run(["featurize"] + args) == 3
         self.assert_one_line_data_error(capsys)
-        assert not (tmp_path / "features.csv").exists()
+        assert not list(tmp_path.glob("features.*"))
 
-    @pytest.mark.parametrize("foreign", ["candidates.csv", "home_routers.json"])
+    @pytest.mark.parametrize("foreign", ["candidates.npz", "home_routers.json"])
     def test_featurize_rejects_inputs_of_another_config(self, tmp_path, workdir,
                                                         capsys, foreign):
         src, base = workdir
-        for name in ("scans.npz", "candidates.csv", "home_routers.json"):
+        for name in ("scans.npz", "candidates.npz", "home_routers.json"):
             (tmp_path / name).write_bytes((src / name).read_bytes())
-        path = tmp_path / foreign
-        text = path.read_text()
-        h = fileio.read_json(src / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
-        assert text.count(h) == 1
-        path.write_text(text.replace(h, "deadbeef0000"))
+        restamp(tmp_path / foreign, run_hash(src))
         capsys.readouterr()
         assert run(["featurize", "--dir", str(tmp_path)] + base[2:]) == 3
         self.assert_one_line_data_error(capsys)
-        assert not (tmp_path / "features.csv").exists()
+        assert not list(tmp_path.glob("features.*"))
+
+    @pytest.mark.parametrize("fault", ["truncated", "lengths", "row_outside",
+                                       "row_negative", "scan_count", "foreign_hash",
+                                       "missing"])
+    def test_featurize_rejects_corrupt_candidate_arrays(self, tmp_path, workdir,
+                                                        capsys, fault):
+        src, base = workdir
+        for name in ("scans.npz", "candidates.npz", "home_routers.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        path, h = tmp_path / "candidates.npz", run_hash(src)
+        n_scans = len(ScanTable.load(src / "scans.npz").ts)
+        cands = CandidateTable.load(path, h, n_scans)
+        if fault == "truncated":
+            blob = path.read_bytes()
+            path.write_bytes(blob[:len(blob) // 2])
+        elif fault == "lengths":
+            replace(cands, row_b=cands.row_b[:-1]).save(path, h, n_scans)
+        elif fault in ("row_outside", "row_negative"):
+            cands.row_a[len(cands.ts) // 2] = n_scans if fault == "row_outside" else -1
+            cands.save(path, h, n_scans)
+        elif fault == "scan_count":
+            cands.save(path, h, n_scans + 1)
+        elif fault == "foreign_hash":
+            restamp(path, h)
+        else:
+            path.unlink()
+        capsys.readouterr()
+        assert run(["featurize", "--dir", str(tmp_path)] + base[2:]) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("features.*"))
+
+    @pytest.mark.parametrize("fault", ["truncated", "lengths", "columns", "labels",
+                                       "foreign_hash", "missing"])
+    def test_train_evaluate_report_reject_corrupt_feature_arrays(
+            self, tmp_path, workdir, capsys, fault):
+        src, base = workdir
+        path, h = tmp_path / "features.npz", run_hash(src)
+        feats = FeatureTable.load(src / "features.npz", h)
+        if fault == "truncated":
+            blob = (src / "features.npz").read_bytes()
+            path.write_bytes(blob[:len(blob) // 2])
+        elif fault == "lengths":
+            replace(feats, ts=feats.ts[:-1]).save(path, h)
+        elif fault == "columns":
+            replace(feats, X=feats.X[:, :-1]).save(path, h)
+        elif fault == "labels":
+            replace(feats, label=feats.label * 2).save(path, h)
+        elif fault == "foreign_hash":
+            feats.save(path, "deadbeef0000")
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        assert run(["train"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("model_*"))
+        (tmp_path / "model_full_gbt.json").write_bytes(
+            (src / "model_full_gbt.json").read_bytes())
+        assert run(["evaluate"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("eval_*"))
+        assert run(["report"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not (tmp_path / "report.json").exists()
+
+    def test_stages_after_featurize_do_not_read_the_csv_copies(self, tmp_path, workdir):
+        src, base = workdir
+        outputs = ("model_full_gbt.json", "eval_full_gbt.json", "model_nearme_gbt.json",
+                   "eval_nearme_gbt.json", "report.json")
+        for p in src.iterdir():
+            if p.name not in outputs + ("candidates.csv", "features.csv"):
+                (tmp_path / p.name).write_bytes(p.read_bytes())
+        args = ["--dir", str(tmp_path)] + base[2:]
+        for fs in ("FULL", "NEARME"):
+            assert run(["train"] + args + ["--featureset", fs]) == 0
+            assert run(["evaluate"] + args + ["--featureset", fs]) == 0
+        assert run(["report"] + args) == 0
+        for name in outputs:
+            assert (tmp_path / name).read_bytes() == (src / name).read_bytes(), name
 
     @pytest.mark.parametrize("log,stage", [("wifi.jsonl", "clean"),
                                            ("bluetooth.jsonl", "pair")])
@@ -382,3 +464,47 @@ class TestArtifactIntegrity:
         err = capsys.readouterr().err
         assert err.startswith(f"data error: {tmp_path / log}: malformed record (line 6): ")
         assert err.count("\n") == 1, err
+
+
+class TestTimestampBounds:
+    """A ts that no later stage can hold is a malformed line at ingest."""
+
+    @pytest.mark.parametrize("log,stage,ts", [
+        ("wifi.jsonl", "clean", 2 ** 63),         # beyond int64
+        ("wifi.jsonl", "clean", 3 * 10 ** 11),    # beyond the year 9999
+        ("bluetooth.jsonl", "pair", 2 ** 63),
+    ], ids=["wifi_int64", "wifi_year_10000", "bluetooth_int64"])
+    def test_out_of_range_ts_is_a_malformed_line(self, tmp_path, workdir, capsys,
+                                                 log, stage, ts):
+        src, base = workdir
+        outputs = {"clean": ["cleaned.jsonl", "scans.npz", "cleaning_report.json",
+                             "home_routers.json"],
+                   "pair": ["candidates.npz", "candidates.csv"]}[stage]
+        inputs = {"clean": ["wifi.jsonl"], "pair": ["scans.npz", "bluetooth.jsonl"]}[stage]
+        lines = (src / log).read_text().splitlines(keepends=True)
+        bad = json.loads(lines[-1])
+        bad["ts"] = ts
+        for mode in ("lenient", "strict"):
+            d = tmp_path / mode
+            d.mkdir()
+            for name in inputs:
+                (d / name).write_bytes((src / name).read_bytes())
+            (d / log).write_text("".join(lines) + json.dumps(bad) + "\n")
+            args = [stage, "--dir", str(d)] + base[2:]
+            capsys.readouterr()
+            if mode == "lenient":
+                assert run(args) == 0
+                for name in outputs:  # as if the line were not there
+                    if name != "cleaning_report.json":
+                        assert (d / name).read_bytes() == (src / name).read_bytes(), name
+            else:
+                assert run(args + ["--strict-parse"]) == 3
+                err = capsys.readouterr().err
+                assert err.startswith(f"data error: {d / log}: malformed record "
+                                      f"(line {len(lines) + 1}): "), err
+                assert err.count("\n") == 1, err
+                assert not any((d / name).exists() for name in outputs)
+        if stage == "clean":
+            doc = fileio.read_json(tmp_path / "lenient" / "cleaning_report.json",
+                                   fileio.SCHEMA_CLEANING)
+            assert doc["skipped_lines"] == 1

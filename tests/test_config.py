@@ -90,6 +90,8 @@ class TestValidation:
         {"featureset": "KITCHEN_SINK"},
         {"model": "svm"},
         {"jobs": 0},
+        {"tz_offset_s": 86400},
+        {"tz_offset_s": -86400},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):

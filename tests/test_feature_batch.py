@@ -20,6 +20,7 @@ from wifi_proximity.features import (
     extract_features,
 )
 from wifi_proximity.ingest import month_key, parse_wifi_log
+from wifi_proximity.pairing import CandidateTable
 from wifi_proximity.records import CandidatePair
 
 from conftest import ap, mac, scan, world_conf
@@ -151,14 +152,6 @@ def test_low_popularity_raises_as_per_pair():
     assert f"ts={T0 + 5000}" in str(got.value)
 
 
-def test_rows_of_finds_scans_and_flags_missing():
-    records = [scan("u1", 10, []), scan("u2", 10, []), scan("u1", 20, []),
-               scan("u1", 20, [ap(1, -50)])]
-    table = ScanTable.from_records(records)
-    rows = table.rows_of(["u1", "u2", "u1", "u3", "u2"], [10, 10, 20, 10, 20])
-    assert rows.tolist() == [0, 1, 3, -1, -1]  # the last duplicate wins
-
-
 @pytest.fixture(scope="module")
 def tiny_run(tmp_path_factory, tiny_world):
     d = tmp_path_factory.mktemp("batch")
@@ -192,32 +185,32 @@ def test_featurize_low_popularity_exits_3_without_features(tiny_run, tmp_path, c
     src, src_base = tiny_run
     for name in ("scans.npz", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
-    lines = (src / "candidates.csv").read_text().splitlines(keepends=True)
-    k = max(i for i, line in enumerate(lines) if line.split(",")[5:6] == ["0"])
-    row = lines[k].split(",")  # a negative: it shares a router
-    row[4] = str(int(row[4]) + 10 ** 6)  # far from both scans
-    lines[k] = ",".join(row)
-    (tmp_path / "candidates.csv").write_text("".join(lines))
+    h = run_hash(src)
+    n_scans = len(ScanTable.load(src / "scans.npz", h).ts)
+    cands = CandidateTable.load(src / "candidates.npz", h, n_scans)
+    k = np.flatnonzero(cands.label == 0)[-1]  # a negative: it shares a router
+    cands.ts[k] += 10 ** 6  # far from both scans
+    cands.save(tmp_path / "candidates.npz", h, n_scans)
     assert main(["featurize", "--dir", str(tmp_path)] + src_base[2:]) == 3
     assert "has popularity 0" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
-        "candidates.csv", "home_routers.json", "scans.npz"]
+        "candidates.npz", "home_routers.json", "scans.npz"]
 
 
 def test_featurize_missing_scan_exits_3_without_features(tiny_run, tmp_path):
     src, src_base = tiny_run
-    for name in ("candidates.csv", "home_routers.json"):
+    for name in ("candidates.npz", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
-    _, _, cand = fileio.read_csv(src / "candidates.csv", fileio.SCHEMA_CANDIDATES)
-    user, ts = cand[len(cand) // 2][0], int(cand[len(cand) // 2][2])
     records = parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records
-    kept = [rec for rec in records if (rec.user, rec.ts) != (user, ts)]
-    assert len(kept) == len(records) - 1
+    cands = CandidateTable.load(src / "candidates.npz", run_hash(src), len(records))
+    row = cands.row_a[len(cands.ts) // 2]
+    kept = records[:row] + records[row + 1:]
     ScanTable.from_records(kept).save(tmp_path / "scans.npz", run_hash(src))
     base = ["--dir", str(tmp_path)] + src_base[2:]
     assert main(["featurize"] + base) == 3
-    assert not (tmp_path / "features.csv").exists()
-    assert not (tmp_path / "features.csv.tmp").exists()
+    for name in ("features.npz", "features.csv"):
+        assert not (tmp_path / name).exists()
+        assert not (tmp_path / (name + ".tmp")).exists()
 
 
 def assert_same_table(got, want):

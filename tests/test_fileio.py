@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from wifi_proximity import fileio
@@ -56,20 +57,50 @@ class TestJsonl:
 class TestCsv:
     def test_roundtrip_and_missing_cells(self, tmp_path):
         p = tmp_path / "t.csv"
-        rows = [("u1", 1, 0.5), ("u2", 2, None), ("u3", 3, float("nan"))]
-        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["user", "n", "v"], rows)
-        meta, columns, out = fileio.read_csv(p, fileio.SCHEMA_FEATURES, "h")
+        columns = [np.array(["u1", "u2", "u3"], dtype=object), np.array([1, 2, 3]),
+                   np.array([0.5, np.nan, -0.0])]
+        n = fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["user", "n", "v"],
+                             fileio.column_blocks(columns))
+        meta, names, out = fileio.read_csv(p, fileio.SCHEMA_FEATURES, "h")
+        assert n == 3
         assert meta["schema"] == fileio.SCHEMA_FEATURES
-        assert columns == ["user", "n", "v"]
-        assert out[0] == ["u1", "1", "0.5"]
-        assert out[1][2] == "" and out[2][2] == ""  # None and NaN render empty
+        assert names == ["user", "n", "v"]
+        assert out == [["u1", "1", "0.5"], ["u2", "2", ""], ["u3", "3", "-0.0"]]
 
     def test_float_cells_roundtrip_exactly(self, tmp_path):
         p = tmp_path / "t.csv"
         val = 0.1 + 0.2  # not representable prettily; repr must round-trip
-        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["v"], [(val,)])
+        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["v"],
+                         fileio.column_blocks([np.array([val])]))
         _, _, rows = fileio.read_csv(p, fileio.SCHEMA_FEATURES)
         assert float(rows[0][0]) == val
+
+    def test_block_size_does_not_change_the_bytes(self, tmp_path):
+        rng = np.random.default_rng(3)
+        x = rng.normal(size=1000)
+        x[rng.random(1000) < 0.3] = np.nan
+        columns = [np.array([f"u{i}\x00" for i in range(1000)], dtype=object),
+                   np.arange(1000) * 10 ** 9, x, x * 1e300]
+        blobs = set()
+        for size in (1, 7, 999, 1000, fileio.CSV_BLOCK_ROWS):
+            p = tmp_path / f"{size}.csv"
+            n = fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["u", "t", "x", "y"],
+                                 fileio.column_blocks(columns, size))
+            assert n == 1000
+            blobs.add(p.read_bytes())
+        assert len(blobs) == 1
+        lines = blobs.pop().decode().splitlines()
+        for i in (0, 1, 500, 999):
+            want = [f"u{i}\x00", str(i * 10 ** 9)] + [
+                "" if np.isnan(v) else repr(float(v)) for v in (x[i], x[i] * 1e300)]
+            assert lines[2 + i].split(",") == want
+
+    def test_zero_rows_write_the_header_only(self, tmp_path):
+        p = tmp_path / "t.csv"
+        n = fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["a", "b"],
+                             fileio.column_blocks([np.array([]), np.array([])]))
+        assert n == 0
+        assert p.read_text() == f"# schema={fileio.SCHEMA_FEATURES} config_hash=h\na,b\n"
 
     def test_schema_mismatch_raises(self, tmp_path):
         p = tmp_path / "t.csv"
@@ -122,7 +153,7 @@ class TestAtomicWrites:
                                    self.failing_rows({"a": 1}))
             else:
                 fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["a"],
-                                 self.failing_rows((1,)))
+                                 self.failing_rows([np.array([1])]))
         assert sorted(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("kind", ["jsonl", "csv"])
@@ -131,7 +162,7 @@ class TestAtomicWrites:
         if kind == "jsonl":
             fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "old", [{"a": 0}])
         else:
-            fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [(0,)])
+            fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [[np.array([0])]])
         before = p.read_bytes()
         with pytest.raises(RuntimeError):
             if kind == "jsonl":
@@ -139,7 +170,7 @@ class TestAtomicWrites:
                                    self.failing_rows({"a": 1}))
             else:
                 fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"],
-                                 self.failing_rows((1,)))
+                                 self.failing_rows([np.array([1])]))
         assert p.read_bytes() == before
         assert not p.with_name(p.name + ".tmp").exists()
 
@@ -154,8 +185,8 @@ class TestAtomicWrites:
 
     def test_success_replaces_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "t.csv"
-        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [(0,)])
-        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"], [(1,), (2,)])
+        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [[np.array([0])]])
+        fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"], [[np.array([1, 2])]])
         meta, _, rows = fileio.read_csv(p, fileio.SCHEMA_FEATURES, "new")
         assert rows == [["1"], ["2"]]
         assert sorted(tmp_path.iterdir()) == [p]

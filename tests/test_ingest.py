@@ -14,7 +14,7 @@ from wifi_proximity.ingest import (
     parse_bluetooth_log,
     parse_wifi_log,
 )
-from wifi_proximity.records import MalformedRecordError
+from wifi_proximity.records import TS_END, MalformedRecordError
 
 from conftest import ap, mac, scan
 
@@ -87,6 +87,15 @@ class TestParseBluetooth:
         assert parse_bluetooth_log(numbered([line])).skipped == 1
         with pytest.raises(MalformedRecordError, match="comma or newline"):
             parse_bluetooth_log(numbered([line]), strict=True)
+
+    @pytest.mark.parametrize("ts", [-1, TS_END, 2 ** 63, 1.5, True])
+    def test_out_of_range_ts_rejected(self, ts):
+        line = json.dumps({"user": "u1", "ts": ts, "seen": [{"peer": "u2", "rssi": -70}]})
+        assert parse_bluetooth_log(numbered([line])).skipped == 1
+        with pytest.raises(MalformedRecordError, match="invalid ts"):
+            parse_bluetooth_log(numbered([line]), strict=True)
+        ok = json.dumps({"user": "u1", "ts": TS_END - 1, "seen": []})
+        assert parse_bluetooth_log(numbered([ok])).skipped == 0
 
     def test_empty_seen_list_yields_nothing(self):
         res = parse_bluetooth_log(numbered([self.line([])]))

@@ -6,12 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wifi_proximity.records import (
+    TS_END,
     CandidatePair,
     MalformedRecordError,
     OverlapView,
     intersect,
     validate_record,
 )
+
+from wifi_proximity.ingest import month_key
 
 from conftest import ap, mac, random_scan, scan
 
@@ -49,10 +52,17 @@ class TestValidateRecord:
         ("u", 0, [raw_ap(mac(1), rssi=1.5)]),            # float rssi
         ("u", 0, [{"bssid": 3, "ssid": "", "rssi": -1}]),  # non-string bssid
         ("u", 0, [{"bssid": mac(1), "ssid": 3, "rssi": -1}]),  # non-string ssid
+        ("u", TS_END, []),                  # too late for every tz offset
+        ("u", 2 ** 63, []),                 # beyond int64
     ])
     def test_rejects_malformed(self, user, ts, aps):
         with pytest.raises(MalformedRecordError):
             validate_record(user, ts, aps)
+
+    def test_last_ts_is_a_date_at_every_accepted_tz_offset(self):
+        rec = validate_record("u", TS_END - 1, [])
+        assert month_key(rec.ts, 86399) == "9999-12"
+        assert month_key(0, -86399) == "1969-12"
 
     @pytest.mark.parametrize("user", ["u,1", "u\n1", "u\r1", ","])
     def test_rejects_csv_unsafe_user(self, user):

@@ -2,7 +2,9 @@
 
 perfbench/tracing.py looks functions, methods and module attributes up by
 name; a rename in the package would break a `--trace 1` benchmark run.
-This installs the tracer and uninstalls it again, without running a stage.
+The first tests install the tracer and uninstall it again without
+running a stage; the last runs `pair` and `featurize` under it, since the
+tracer hands `fileio.write_csv` its own one-pass iterator of row blocks.
 """
 
 import sys
@@ -12,6 +14,8 @@ import numpy as np
 import pytest
 
 from wifi_proximity import cli, features, fileio, models, trees
+
+from conftest import world_conf
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -67,3 +71,26 @@ def test_tree_growth_is_traced(tracing):
     assert tracer.counts["trees.grow_cells"] == 4 * n * d
     nodes = sum(tree.n_nodes for model in fitted for tree in model.trees)
     assert nodes > 4 and tracer.counts["trees.nodes"] == nodes
+
+
+def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_world):
+    plain, traced = tmp_path / "plain", tmp_path / "traced"
+    plain.mkdir()
+    traced.mkdir()
+    conf = tmp_path / "world.conf"
+    conf.write_text(world_conf(tiny_world))
+    for stage in ("generate", "clean", "pair", "featurize"):
+        assert cli.main([stage, "--dir", str(plain), "--config", str(conf)]) == 0
+    for name in ("bluetooth.jsonl", "scans.npz", "home_routers.json"):
+        (traced / name).write_bytes((plain / name).read_bytes())
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        for stage in ("pair", "featurize"):
+            assert cli.main([stage, "--dir", str(traced), "--config", str(conf)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.calls["fileio.write"] == 2
+    assert tracer.wall_s["cli.pair"] > 0 and tracer.wall_s["cli.featurize"] > 0
+    for name in ("candidates.csv", "features.csv", "candidates.npz", "features.npz"):
+        assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
