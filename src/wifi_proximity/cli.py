@@ -133,13 +133,11 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
     h = cfg.data_hash()
     fileio.read_jsonl_header(paths["wifi"], SCHEMA_WIFI)
     parsed = _parse_log(parse_wifi_log, paths["wifi"], cfg.strict_parse)
-    records, report = filter_ambiguous_macs(
-        parsed.records, cfg.ambiguous_ssid_threshold
-    )
+    scans, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
     # everything is computed before the first write, so a data error
     # leaves no artifact of this run
-    table = ScanTable.from_records(records)
-    homes = build_home_router_map(records, cfg.home_bin_minutes, cfg.tz_offset_s)
+    table = ScanTable.from_scans(scans)
+    homes = build_home_router_map(scans, cfg.home_bin_minutes, cfg.tz_offset_s)
     homes_doc = {
         "bin_minutes": cfg.home_bin_minutes,
         "homes": [
@@ -147,19 +145,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
             for (user, month), bssid in sorted(homes.items())
         ],
     }
-
-    def rows():
-        for rec in records:
-            yield {
-                "user": rec.user,
-                "ts": rec.ts,
-                "aps": [
-                    {"bssid": ap.bssid, "ssid": ap.ssid, "rssi": ap.rssi}
-                    for ap in rec.aps
-                ],
-            }
-
-    n = fileio.write_jsonl(paths["cleaned"], SCHEMA_WIFI, h, rows())
+    n = fileio.write_jsonl(paths["cleaned"], SCHEMA_WIFI, h, scans.lines())
     table.save(paths["scans"], h)
     fileio.write_json(
         paths["cleaning_report"],

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import attrgetter
 
 import numpy as np
 from scipy.special import stdtr
@@ -381,32 +380,29 @@ class ScanTable:
     rssi: np.ndarray     # per entry, int16
 
     @classmethod
-    def from_records(cls, records) -> "ScanTable":
-        user_ids: dict[str, int] = {}
-        bssid_ids: dict[str, int] = {}
-        ssid_ids: dict[str, int] = {}
-        by_bssid = attrgetter("bssid")
-        aps = [ap for rec in records for ap in sorted(rec.aps, key=by_bssid)]
-        first_seen = np.fromiter(
-            (bssid_ids.setdefault(ap.bssid, len(bssid_ids)) for ap in aps),
-            dtype=np.int32, count=len(aps))
-        ssid = np.fromiter((ssid_ids.setdefault(ap.ssid, len(ssid_ids)) for ap in aps),
-                           dtype=np.int32, count=len(aps))
-        rssi = np.fromiter((ap.rssi for ap in aps), dtype=np.int16, count=len(aps))
-        del aps
-        bssids = sorted(bssid_ids)
-        code = np.empty(len(bssids), dtype=np.int32)
-        code[[bssid_ids[b] for b in bssids]] = np.arange(len(bssids))
-        offsets = np.zeros(len(records) + 1, dtype=np.int64)
-        np.cumsum(np.fromiter((len(rec.aps) for rec in records), dtype=np.int64,
-                              count=len(records)), out=offsets[1:])
-        user = np.fromiter((user_ids.setdefault(rec.user, len(user_ids)) for rec in records),
-                           dtype=np.int32, count=len(records))
+    def from_scans(cls, scans) -> "ScanTable":
+        """The table of an ``ingest.WifiScans``.
+
+        ``bssids`` lists the bssids the entries use, sorted, and each
+        row's entries are sorted by bssid. ``ssids`` lists the ssids the
+        entries use, in order of first appearance in that entry order.
+        """
+        used = np.unique(scans.bssid)
+        by_name = sorted(used.tolist(), key=scans.bssids.__getitem__)
+        code = np.zeros(len(scans.bssids), dtype=np.int32)
+        code[by_name] = np.arange(len(by_name))
+        bssid = code[scans.bssid]
+        order = np.lexsort((bssid, scans.entry_rows()))
+        bssid, ssid = bssid[order], scans.ssid[order]
+        ssid_used, first = np.unique(ssid, return_index=True)
+        ssid_used = ssid_used[np.argsort(first)]
+        ssid_code = np.zeros(len(scans.ssids), dtype=np.int32)
+        ssid_code[ssid_used] = np.arange(len(ssid_used))
         return cls(
-            users=list(user_ids), user=user,
-            ts=np.fromiter((rec.ts for rec in records), dtype=np.int64, count=len(records)),
-            offsets=offsets, bssids=bssids, bssid=code[first_seen],
-            ssids=list(ssid_ids), ssid=ssid, rssi=rssi,
+            users=list(scans.users), user=scans.user, ts=scans.ts,
+            offsets=scans.offsets, bssids=[scans.bssids[c] for c in by_name],
+            bssid=bssid, ssids=[scans.ssids[c] for c in ssid_used.tolist()],
+            ssid=ssid_code[ssid], rssi=scans.rssi[order],
         )
 
     def save(self, path, cfg_hash: str) -> None:

@@ -1,5 +1,12 @@
 """Scan-log ingestion: parsing, ambiguous-router filtering, home detection.
 
+``parse_wifi_log`` checks each WiFi log line and keeps the scans as
+integer codes in flat typed buffers, a ``WifiScans`` table; it builds no
+object per scan or per access point. Each distinct raw bssid string is
+checked and lower-cased once. The filter and the home detection count
+distinct keys on those codes, and ``WifiScans.lines`` encodes the scans
+as cleaned.jsonl rows.
+
 Routers that broadcast five or more distinct network names over the whole
 input are treated as ambiguous (several physical devices sharing a MAC)
 and dropped from every scan. Each user gets at most one home router per
@@ -10,22 +17,28 @@ bins of their scan history.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from array import array
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 
+import numpy as np
+
 from .records import (
+    BSSID_RE,
+    DAY_S,
+    RSSI_MIN,
     TS_END,
     BluetoothSighting,
     MalformedRecordError,
-    WifiScanRecord,
     check_id,
-    validate_record,
 )
+
+JSONL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
 class ParseResult:
-    records: list
+    records: WifiScans | list  # the scans, or one BluetoothSighting per sighting
     skipped: int  # malformed lines dropped in lenient mode
 
 
@@ -43,35 +56,187 @@ class CleaningReport:
         }
 
 
-def parse_wifi_line(line: str, line_no: int | None = None) -> WifiScanRecord:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no)
-    if not isinstance(obj, dict):
-        raise MalformedRecordError("line is not a JSON object", line_no)
-    aps = obj.get("aps")
-    if not isinstance(aps, list):
-        raise MalformedRecordError("missing aps list", line_no)
-    return validate_record(obj.get("user"), obj.get("ts"), aps, line_no)
+@dataclass(frozen=True, slots=True)
+class WifiScans:
+    """WiFi scans as codes: one row per scan, its APs in CSR layout.
 
+    Row i's APs are entries ``offsets[i]:offsets[i + 1]``, one per bssid,
+    in the order the line first lists each. Codes index the string
+    tables: users in order of first appearance, lower-cased bssids and
+    ssids in the order first read. The bssid and ssid tables may hold
+    strings that no entry uses.
+    """
+
+    users: list[str]
+    user: np.ndarray     # per row, int32
+    ts: np.ndarray       # per row, int64
+    offsets: np.ndarray  # n_rows + 1, int64
+    bssids: list[str]
+    bssid: np.ndarray    # per entry, int32
+    ssids: list[str]
+    ssid: np.ndarray     # per entry, int32
+    rssi: np.ndarray     # per entry, int16
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every entry."""
+        return np.repeat(np.arange(len(self.ts)), np.diff(self.offsets))
+
+    def lines(self):
+        """Yield each scan as the JSON text of its cleaned.jsonl row.
+
+        The text is what ``json.dumps`` gives the row with compact
+        separators. Each distinct user, bssid and ssid is encoded once,
+        and so is each distinct entry; the rows are built JSONL_BLOCK_ROWS
+        at a time, which bounds the memory the texts take.
+        """
+        users = [json.dumps(user) for user in self.users]
+        bssids = [json.dumps(bssid) for bssid in self.bssids]
+        ssids = [json.dumps(ssid) for ssid in self.ssids]
+        n_ssids, n_rssis = max(len(ssids), 1), 1 - RSSI_MIN
+        pairs, pair_of = np.unique(self.bssid.astype(np.int64) * n_ssids + self.ssid,
+                                   return_inverse=True)
+        keys, key_of = np.unique(pair_of * n_rssis + (self.rssi.astype(np.int64) - RSSI_MIN),
+                                 return_inverse=True)
+        pair = pairs[keys // n_rssis]
+        # the text of each distinct (bssid, ssid, rssi) entry
+        aps = np.array([f'{{"bssid":{bssids[b]},"ssid":{ssids[s]},"rssi":{r}}}'
+                        for b, s, r in zip((pair // n_ssids).tolist(), (pair % n_ssids).tolist(),
+                                           (keys % n_rssis + RSSI_MIN).tolist())],
+                       dtype=object)
+        for lo in range(0, len(self), JSONL_BLOCK_ROWS):
+            hi = lo + JSONL_BLOCK_ROWS
+            bounds = self.offsets[lo:hi + 1]
+            first = bounds[0]
+            row_aps = aps[key_of[first:bounds[-1]]].tolist()
+            bounds = (bounds - first).tolist()
+            for user, ts, a, b in zip(self.user[lo:hi].tolist(), self.ts[lo:hi].tolist(),
+                                      bounds, bounds[1:]):
+                yield f'{{"user":{users[user]},"ts":{ts},"aps":[{",".join(row_aps[a:b])}]}}'
+
+
+# ---------------------------------------------------------------------------
+# Parsing
+# ---------------------------------------------------------------------------
 
 def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
-    """Parse WiFi JSONL lines into validated records.
+    """Parse WiFi JSONL lines into a WifiScans table.
 
     ``lines`` is an iterable of (line_no, text) pairs, e.g. from
-    ``fileio.iter_jsonl``. Malformed lines are counted and skipped;
-    in strict mode the first one aborts the parse.
+    ``fileio.iter_jsonl``. A line is malformed unless it is a JSON object
+    with a valid user id (see ``check_id``), an integer ts in [0, TS_END)
+    and an aps list whose entries each hold a bssid of six colon-separated
+    hex bytes in either case, a string ssid and an integer rssi in
+    [RSSI_MIN, 0]. Malformed lines are counted and skipped; in strict
+    mode the first one aborts the parse. Of the APs of one line that
+    share a bssid, one entry is kept, at the first one's place: the
+    strongest, the first of equals.
     """
-    records, skipped = [], 0
+    users: dict[str, int] = {}
+    raw_bssids: dict[str, int] = {}  # raw string -> code of its lower-case form
+    bssids: dict[str, int] = {}
+    ssids: dict[str, int] = {}
+    user, ts, counts = array("i"), array("q"), array("q")
+    bssid, ssid, rssi = array("i"), array("i"), array("h")
+    skipped = 0
     for line_no, line in lines:
+        start = len(bssid)
         try:
-            records.append(parse_wifi_line(line, line_no))
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no)
+            if type(obj) is not dict:
+                raise MalformedRecordError("line is not a JSON object", line_no)
+            aps = obj.get("aps")
+            if type(aps) is not list:
+                raise MalformedRecordError("missing aps list", line_no)
+            name = obj.get("user")
+            code = users.get(name) if type(name) is str else None
+            if code is None:
+                check_id(name, "user", line_no)
+            t = obj.get("ts")
+            if type(t) is not int:
+                raise MalformedRecordError("missing or non-integer ts", line_no)
+            if not 0 <= t < TS_END:
+                raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
+            for raw in aps:
+                try:
+                    b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
+                except (TypeError, KeyError) as exc:
+                    raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
+                bc = raw_bssids.get(b) if type(b) is str else None
+                if bc is None:
+                    bc = _bssid_code(b, raw_bssids, bssids, line_no)
+                if type(s) is not str:
+                    raise MalformedRecordError("ssid is not a string", line_no)
+                sc = ssids.get(s)
+                if sc is None:
+                    sc = ssids[s] = len(ssids)
+                if type(r) is not int or not RSSI_MIN <= r <= 0:
+                    raise _bad_rssi(r, line_no)
+                bssid.append(bc)
+                ssid.append(sc)
+                rssi.append(r)
+            n = len(bssid) - start
+            if n > 1 and len(set(bssid[start:])) < n:
+                _keep_strongest(bssid, ssid, rssi, start)
         except MalformedRecordError:
+            del bssid[start:], ssid[start:], rssi[start:]
             if strict:
                 raise
             skipped += 1
-    return ParseResult(records, skipped)
+            continue
+        if code is None:
+            code = users[name] = len(users)
+        user.append(code)
+        ts.append(t)
+        counts.append(len(bssid) - start)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.array(counts, dtype=np.int64), out=offsets[1:])
+    scans = WifiScans(
+        users=list(users), user=np.array(user, dtype=np.int32),
+        ts=np.array(ts, dtype=np.int64), offsets=offsets,
+        bssids=list(bssids), bssid=np.array(bssid, dtype=np.int32),
+        ssids=list(ssids), ssid=np.array(ssid, dtype=np.int32),
+        rssi=np.array(rssi, dtype=np.int16),
+    )
+    return ParseResult(scans, skipped)
+
+
+def _bssid_code(raw, raw_bssids: dict, bssids: dict, line_no) -> int:
+    """Check a raw bssid not seen before and return its code."""
+    if not isinstance(raw, str):
+        raise MalformedRecordError("bssid is not a string", line_no)
+    bssid = raw.lower()
+    if not BSSID_RE.match(bssid):
+        raise MalformedRecordError(f"bad bssid {bssid!r}", line_no)
+    code = raw_bssids[raw] = bssids.setdefault(bssid, len(bssids))
+    return code
+
+
+def _bad_rssi(rssi, line_no) -> MalformedRecordError:
+    if isinstance(rssi, bool) or not isinstance(rssi, int):
+        return MalformedRecordError("rssi is not an integer", line_no)
+    if rssi > 0:
+        return MalformedRecordError(f"positive rssi {rssi}", line_no)
+    return MalformedRecordError(f"rssi {rssi} below {RSSI_MIN}", line_no)
+
+
+def _keep_strongest(bssid: array, ssid: array, rssi: array, start: int) -> None:
+    """Collapse the entries from start on to one per bssid, in place."""
+    best: dict[int, tuple[int, int]] = {}
+    for b, s, r in zip(bssid[start:], ssid[start:], rssi[start:]):
+        kept = best.get(b)
+        if kept is None or r > kept[1]:
+            best[b] = (s, r)
+    del bssid[start:], ssid[start:], rssi[start:]
+    for b, (s, r) in best.items():
+        bssid.append(b)
+        ssid.append(s)
+        rssi.append(r)
 
 
 def parse_bluetooth_log(lines, strict: bool = False) -> ParseResult:
@@ -109,8 +274,9 @@ def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
             raise MalformedRecordError("both peer and mac set", line_no)
         if peer is not None:
             check_id(peer, "peer", line_no)
-        if isinstance(rssi, bool) or not isinstance(rssi, int) or rssi > 0:
-            raise MalformedRecordError("missing or positive rssi", line_no)
+        if (isinstance(rssi, bool) or not isinstance(rssi, int)
+                or not RSSI_MIN <= rssi <= 0):
+            raise MalformedRecordError("missing or out-of-range rssi", line_no)
         out.append(BluetoothSighting(user=user, ts=ts, peer=peer, mac=mac, rssi=rssi))
     return out
 
@@ -119,42 +285,35 @@ def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
 # Ambiguous-router filter
 # ---------------------------------------------------------------------------
 
-def collect_ssid_sets(records) -> dict[str, set[str]]:
-    """Global bssid -> set of distinct SSIDs seen anywhere in the input."""
-    ssids: dict[str, set[str]] = {}
-    for rec in records:
-        for ap in rec.aps:
-            ssids.setdefault(ap.bssid, set()).add(ap.ssid)
-    return ssids
+def filter_ambiguous_macs(scans: WifiScans, max_ssids: int = 5):
+    """Drop every entry of a bssid seen with >= max_ssids distinct SSIDs.
 
-
-def ambiguous_macs(ssid_sets: dict[str, set[str]], max_ssids: int = 5) -> set[str]:
+    The SSID census counts distinct (bssid, ssid) pairs over every entry
+    of the input, so it sees only the observations that survived
+    deduplication. Scans are never dropped, only entries. Returns
+    (filtered WifiScans, CleaningReport).
+    """
     if max_ssids < 1:
         raise ValueError("max_ssids must be >= 1")
-    return {bssid for bssid, names in ssid_sets.items() if len(names) >= max_ssids}
-
-
-def filter_ambiguous_macs(records, max_ssids: int = 5):
-    """Drop every observation of a bssid seen with >= max_ssids SSIDs.
-
-    The SSID census runs over the entire input, so the filter is a
-    two-phase global pass. Returns (filtered records, CleaningReport).
-    """
-    bad = ambiguous_macs(collect_ssid_sets(records), max_ssids)
-    total = sum(len(rec.aps) for rec in records)
-    removed = 0
-    out = []
-    for rec in records:
-        kept = tuple(ap for ap in rec.aps if ap.bssid not in bad)
-        removed += len(rec.aps) - len(kept)
-        out.append(rec if len(kept) == len(rec.aps)
-                   else WifiScanRecord(rec.user, rec.ts, kept))
+    n_ssids = max(len(scans.ssids), 1)
+    pairs = np.unique(scans.bssid.astype(np.int64) * n_ssids + scans.ssid)
+    names = np.bincount(pairs // n_ssids, minlength=len(scans.bssids))
+    bad = names >= max_ssids
+    drop = bad[scans.bssid]
+    removed = int(drop.sum())
     report = CleaningReport(
-        ambiguous_macs=len(bad),
+        ambiguous_macs=int(bad.sum()),
         removed_observations=removed,
-        total_observations=total,
+        total_observations=len(scans.bssid),
     )
-    return out, report
+    if not removed:
+        return scans, report
+    dropped = np.zeros(len(scans.offsets), dtype=np.int64)
+    np.cumsum(np.bincount(scans.entry_rows()[drop], minlength=len(scans)),
+              out=dropped[1:])
+    keep = ~drop
+    return replace(scans, offsets=scans.offsets - dropped, bssid=scans.bssid[keep],
+                   ssid=scans.ssid[keep], rssi=scans.rssi[keep]), report
 
 
 # ---------------------------------------------------------------------------
@@ -167,37 +326,48 @@ def month_key(ts: int, tz_offset_s: int = 0) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
-def detect_home_router(records, bin_minutes: int = 10) -> str | None:
-    """Pick the router appearing in the most time bins of these records.
+def build_home_router_map(scans: WifiScans, bin_minutes: int = 10,
+                          tz_offset_s: int = 0) -> dict[tuple[str, str], str]:
+    """Home router per (user, calendar month), for all users in the input.
 
-    Caller is expected to pass one user's records for one month. Bins are
-    ``bin_minutes`` wide, aligned to the Unix epoch; a router counts once
-    per bin regardless of how many observations fall inside. Ties break
-    to the lexicographically smallest bssid; no observations -> None.
+    The home of a user's month is the router seen in the most time bins
+    of the user's scans that month. Bins are ``bin_minutes`` wide,
+    aligned to the Unix epoch; a router counts once per bin however many
+    observations fall inside. Ties break to the lexicographically
+    smallest bssid. Months are taken at ``tz_offset_s``; a month without
+    observations has no home.
     """
     if bin_minutes <= 0:
         raise ValueError("bin_minutes must be > 0")
-    bin_s = bin_minutes * 60
-    bins: dict[str, set[int]] = {}
-    for rec in records:
-        b = rec.ts // bin_s
-        for ap in rec.aps:
-            bins.setdefault(ap.bssid, set()).add(b)
-    if not bins:
-        return None
-    return min(bins, key=lambda bssid: (-len(bins[bssid]), bssid))
-
-
-def build_home_router_map(records, bin_minutes: int = 10,
-                          tz_offset_s: int = 0) -> dict[tuple[str, str], str]:
-    """Home router per (user, calendar month), for all users in the input."""
-    grouped: dict[tuple[str, str], list] = {}
-    for rec in records:
-        grouped.setdefault((rec.user, month_key(rec.ts, tz_offset_s)), []).append(rec)
+    rows = scans.entry_rows()
+    days, day_of = np.unique((scans.ts + tz_offset_s) // DAY_S, return_inverse=True)
+    day_months = [month_key(day * DAY_S) for day in days.tolist()]
+    months = sorted(set(day_months))
+    month_ids = {month: i for i, month in enumerate(months)}
+    month_of_day = np.array([month_ids[m] for m in day_months], dtype=np.int64)
+    # (user, month) codes, compacted so that code * n_bssids fits an int64
+    n_months = max(len(months), 1)
+    user_months, user_month_of = np.unique(
+        scans.user.astype(np.int64) * n_months + month_of_day[day_of], return_inverse=True)
+    by_name = sorted(range(len(scans.bssids)), key=scans.bssids.__getitem__)
+    rank = np.empty(len(by_name), dtype=np.int64)
+    rank[by_name] = np.arange(len(by_name))
+    n_bssids = max(len(by_name), 1)
+    group = user_month_of[rows] * n_bssids + rank[scans.bssid]
+    bins = (scans.ts // (bin_minutes * 60))[rows]
+    order = np.lexsort((bins, group))
+    group, bins = group[order], bins[order]
+    distinct = np.ones(len(group), dtype=bool)
+    distinct[1:] = (group[1:] != group[:-1]) | (bins[1:] != bins[:-1])
+    groups, n_bins = np.unique(group[distinct], return_counts=True)
+    user_month, router = groups // n_bssids, groups % n_bssids
+    # per (user, month): most bins first, then the smallest bssid
+    best = np.lexsort((router, -n_bins, user_month))
+    first = np.ones(len(best), dtype=bool)
+    first[1:] = user_month[best][1:] != user_month[best][:-1]
     homes = {}
-    for key, recs in grouped.items():
-        home = detect_home_router(recs, bin_minutes)
-        if home is not None:
-            homes[key] = home
+    for um, r in zip(user_month[best][first].tolist(), router[best][first].tolist()):
+        key = int(user_months[um])
+        homes[scans.users[key // n_months], months[key % n_months]] = \
+            scans.bssids[by_name[r]]
     return homes
-

@@ -7,7 +7,6 @@ threads; the operations in this module are pure functions.
 from __future__ import annotations
 
 import re
-import sys
 from dataclasses import dataclass, field
 
 BSSID_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
@@ -22,6 +21,8 @@ DAY_S = 86400
 # (253402300800), where datetime's range ends, so that ts + tz_offset_s is
 # a date for every offset the config accepts, and ts fits in an int64.
 TS_END = 253402300800 - DAY_S
+# RSSIs lie in [RSSI_MIN, 0] dBm: scans.npz stores them as int16
+RSSI_MIN = -32768
 
 
 class MalformedRecordError(ValueError):
@@ -117,53 +118,18 @@ class OverlapView:
 
 
 def check_id(value, what: str, line_no: int | None = None) -> None:
-    """Reject a missing or empty id, or one that would break a CSV row."""
+    """Reject a missing or empty id, one that would break a CSV row, or one
+    that UTF-8 cannot encode (a lone surrogate)."""
     if not isinstance(value, str) or not value:
         raise MalformedRecordError(f"missing or empty {what}", line_no)
     if CSV_UNSAFE_RE.search(value):
         raise MalformedRecordError(f"{what} {value!r} contains a comma or newline",
                                    line_no)
-
-
-def validate_record(user, ts, aps, line_no: int | None = None) -> WifiScanRecord:
-    """Build a validated WifiScanRecord from raw parsed fields.
-
-    Canonicalizes bssids to lowercase, collapses duplicate bssids keeping
-    the strongest RSSI, and rejects records with a missing timestamp or
-    out-of-schema fields, including a ts outside [0, TS_END) and user ids
-    that contain a comma or a line break.
-
-    Raises:
-        MalformedRecordError: with line context when the record is invalid.
-    """
-    check_id(user, "user", line_no)
-    if ts is None or isinstance(ts, bool) or not isinstance(ts, int):
-        raise MalformedRecordError("missing or non-integer ts", line_no)
-    if not 0 <= ts < TS_END:
-        raise MalformedRecordError(f"ts {ts} outside [0, {TS_END})", line_no)
-
-    best: dict[str, ApObservation] = {}
-    for raw in aps:
+    if not value.isascii():
         try:
-            bssid, ssid, rssi = raw["bssid"], raw["ssid"], raw["rssi"]
-        except (TypeError, KeyError) as exc:
-            raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
-        if not isinstance(bssid, str):
-            raise MalformedRecordError("bssid is not a string", line_no)
-        bssid = sys.intern(bssid.lower())
-        if not BSSID_RE.match(bssid):
-            raise MalformedRecordError(f"bad bssid {bssid!r}", line_no)
-        if not isinstance(ssid, str):
-            raise MalformedRecordError("ssid is not a string", line_no)
-        if isinstance(rssi, bool) or not isinstance(rssi, int):
-            raise MalformedRecordError("rssi is not an integer", line_no)
-        if rssi > 0:
-            raise MalformedRecordError(f"positive rssi {rssi}", line_no)
-        prev = best.get(bssid)
-        if prev is None or rssi > prev.rssi:
-            best[bssid] = ApObservation(bssid, sys.intern(ssid), rssi)
-
-    return WifiScanRecord(user=sys.intern(user), ts=ts, aps=tuple(best.values()))
+            value.encode("utf-8")
+        except UnicodeEncodeError:
+            raise MalformedRecordError(f"{what} {value!r} is not valid UTF-8", line_no)
 
 
 def intersect(scan_a: WifiScanRecord, scan_b: WifiScanRecord) -> OverlapView:

@@ -882,13 +882,14 @@ def calibrate_stats(
 
     from .ingest import parse_wifi_log
 
-    counts: list[int] = []
+    scans = parse_wifi_log(fileio.iter_jsonl(wifi_path)).records
+    # a scan's routers as a set of bssid codes, one code per bssid
     by_user: dict[str, list[tuple[int, frozenset]]] = {}
-    for rec in parse_wifi_log(fileio.iter_jsonl(wifi_path)).records:
-        counts.append(len(rec.aps))
-        by_user.setdefault(rec.user, []).append((rec.ts, rec.bssids()))
+    bssid, bounds = scans.bssid.tolist(), scans.offsets.tolist()
+    for user, ts, lo, hi in zip(scans.user.tolist(), scans.ts.tolist(), bounds, bounds[1:]):
+        by_user.setdefault(scans.users[user], []).append((ts, frozenset(bssid[lo:hi])))
 
-    arr = np.array(counts) if counts else np.zeros(0, dtype=int)
+    arr = np.diff(scans.offsets)
     out: dict = {
         "n_scans": int(arr.size),
         "mean_aps": float(arr.mean()) if arr.size else 0.0,

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
+from wifi_proximity.ingest import WifiScans, parse_wifi_log
 from wifi_proximity.records import ApObservation, CandidatePair, WifiScanRecord
 from wifi_proximity.synthgen import WorldConfig
 
@@ -20,6 +23,25 @@ def ap(i: int, rssi: int, ssid: str = "") -> ApObservation:
 
 def scan(user: str, ts: int, aps) -> WifiScanRecord:
     return WifiScanRecord(user=user, ts=ts, aps=tuple(aps))
+
+
+def scans_of(records) -> WifiScans:
+    """The WifiScans that parse_wifi_log makes of these records' log lines."""
+    lines = [json.dumps({"user": rec.user, "ts": rec.ts,
+                         "aps": [{"bssid": a.bssid, "ssid": a.ssid, "rssi": a.rssi}
+                                 for a in rec.aps]})
+             for rec in records]
+    return parse_wifi_log(enumerate(lines, start=1), strict=True).records
+
+
+def records_of(scans: WifiScans) -> list[WifiScanRecord]:
+    """One WifiScanRecord per row of scans, its APs in entry order."""
+    bounds = scans.offsets.tolist()
+    aps = [ApObservation(scans.bssids[b], scans.ssids[s], r) for b, s, r in
+           zip(scans.bssid.tolist(), scans.ssid.tolist(), scans.rssi.tolist())]
+    return [WifiScanRecord(scans.users[user], ts, tuple(aps[lo:hi]))
+            for user, ts, lo, hi in zip(scans.user.tolist(), scans.ts.tolist(),
+                                        bounds, bounds[1:])]
 
 
 def random_scan(rng: np.random.Generator, user: str, ts: int,

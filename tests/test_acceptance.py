@@ -24,11 +24,7 @@ from wifi_proximity.features import (
     extract_features,
     fit_imputation,
 )
-from wifi_proximity.ingest import (
-    ambiguous_macs,
-    collect_ssid_sets,
-    filter_ambiguous_macs,
-)
+from wifi_proximity.ingest import filter_ambiguous_macs
 from wifi_proximity.models import (
     feature_importance,
     fit_model,
@@ -39,7 +35,8 @@ from wifi_proximity.pairing import split_indices
 from wifi_proximity.records import CandidatePair
 from wifi_proximity.synthgen import load_ground_truth
 
-from conftest import ap, mac, random_pair, scan
+from conftest import ap, mac, random_pair, records_of, scan, scans_of
+from ingest_reference import ambiguous_macs, collect_ssid_sets
 from oracles import oracle_auc, oracle_best_f1, oracle_features, oracle_month
 
 INT_EXACT = {"overlap", "non_overlap", "union", "top_ap", "top_ap_6db",
@@ -309,7 +306,8 @@ def test_10_ambiguity_filter_and_home_recovery(default_run):
                ap(3, -66)]                               # single blank ssid
         records.append(scan(f"u{j % 2}", 1000 + 100 * j, aps))
     assert ambiguous_macs(collect_ssid_sets(records)) == {bad0, bad1}
-    filtered, rep = filter_ambiguous_macs(records)
+    scans, rep = filter_ambiguous_macs(scans_of(records))
+    filtered = records_of(scans)
     assert rep.ambiguous_macs == 2
     assert rep.removed_observations == 14
     assert rep.total_observations == 28

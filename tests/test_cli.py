@@ -11,6 +11,7 @@ from wifi_proximity.cli import main
 from wifi_proximity.features import FeatureTable, ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable
+from wifi_proximity.records import RSSI_MIN
 
 
 def run(args):
@@ -466,6 +467,47 @@ class TestArtifactIntegrity:
         assert err.count("\n") == 1, err
 
 
+def assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, edit):
+    """Append to log a copy of its last line with an RSSI, changed by edit.
+
+    Lenient parsing skips the line: the stage writes what it writes
+    without it. Under --strict-parse the stage exits 3 with a one-line
+    error naming the file and the line, and writes nothing.
+    """
+    src, base = workdir
+    outputs = {"clean": ["cleaned.jsonl", "scans.npz", "cleaning_report.json",
+                         "home_routers.json"],
+               "pair": ["candidates.npz", "candidates.csv"]}[stage]
+    inputs = {"clean": ["wifi.jsonl"], "pair": ["scans.npz", "bluetooth.jsonl"]}[stage]
+    lines = (src / log).read_text().splitlines(keepends=True)
+    bad = json.loads(next(line for line in reversed(lines) if '"rssi"' in line))
+    edit(bad)
+    for mode in ("lenient", "strict"):
+        d = tmp_path / mode
+        d.mkdir()
+        for name in inputs:
+            (d / name).write_bytes((src / name).read_bytes())
+        (d / log).write_text("".join(lines) + json.dumps(bad) + "\n")
+        args = [stage, "--dir", str(d)] + base[2:]
+        capsys.readouterr()
+        if mode == "lenient":
+            assert run(args) == 0
+            for name in outputs:  # as if the line were not there
+                if name != "cleaning_report.json":
+                    assert (d / name).read_bytes() == (src / name).read_bytes(), name
+        else:
+            assert run(args + ["--strict-parse"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {d / log}: malformed record "
+                                  f"(line {len(lines) + 1}): "), err
+            assert err.count("\n") == 1, err
+            assert not any((d / name).exists() for name in outputs)
+    if stage == "clean":
+        doc = fileio.read_json(tmp_path / "lenient" / "cleaning_report.json",
+                               fileio.SCHEMA_CLEANING)
+        assert doc["skipped_lines"] == 1
+
+
 class TestTimestampBounds:
     """A ts that no later stage can hold is a malformed line at ingest."""
 
@@ -476,35 +518,62 @@ class TestTimestampBounds:
     ], ids=["wifi_int64", "wifi_year_10000", "bluetooth_int64"])
     def test_out_of_range_ts_is_a_malformed_line(self, tmp_path, workdir, capsys,
                                                  log, stage, ts):
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage,
+                                            lambda line: line.update(ts=ts))
+
+
+class TestRssiBounds:
+    """An RSSI that no later stage can hold is a malformed line at ingest:
+    scans.npz stores RSSIs as int16, and pair keeps them in int64 arrays."""
+
+    @pytest.mark.parametrize("log,stage,key,rssi", [
+        ("wifi.jsonl", "clean", "aps", RSSI_MIN - 1),
+        ("wifi.jsonl", "clean", "aps", -40000),
+        ("bluetooth.jsonl", "pair", "seen", -10 ** 400),
+    ], ids=["wifi_below_int16", "wifi_-40000", "bluetooth_below_int64"])
+    def test_out_of_range_rssi_is_a_malformed_line(self, tmp_path, workdir, capsys,
+                                                   log, stage, key, rssi):
+        def edit(line):
+            line[key][-1]["rssi"] = rssi
+
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, edit)
+
+    def test_lowest_int16_rssi_is_kept(self, tmp_path, workdir):
         src, base = workdir
-        outputs = {"clean": ["cleaned.jsonl", "scans.npz", "cleaning_report.json",
-                             "home_routers.json"],
-                   "pair": ["candidates.npz", "candidates.csv"]}[stage]
-        inputs = {"clean": ["wifi.jsonl"], "pair": ["scans.npz", "bluetooth.jsonl"]}[stage]
-        lines = (src / log).read_text().splitlines(keepends=True)
-        bad = json.loads(lines[-1])
-        bad["ts"] = ts
-        for mode in ("lenient", "strict"):
-            d = tmp_path / mode
-            d.mkdir()
-            for name in inputs:
-                (d / name).write_bytes((src / name).read_bytes())
-            (d / log).write_text("".join(lines) + json.dumps(bad) + "\n")
-            args = [stage, "--dir", str(d)] + base[2:]
+        lines = (src / "wifi.jsonl").read_text().splitlines(keepends=True)
+        k = next(i for i in range(len(lines) - 1, 0, -1) if '"rssi"' in lines[i])
+        scan = json.loads(lines[k])
+        scan["aps"][0]["rssi"] = RSSI_MIN
+        lines[k] = json.dumps(scan) + "\n"
+        (tmp_path / "wifi.jsonl").write_text("".join(lines))
+        assert run(["clean", "--dir", str(tmp_path), "--strict-parse"] + base[2:]) == 0
+        table = ScanTable.load(tmp_path / "scans.npz")
+        assert table.rssi.min() == RSSI_MIN
+
+
+class TestUnencodableIds:
+    """A user or peer id that UTF-8 cannot encode is a malformed line."""
+
+    def test_lone_surrogate_id_is_skipped_or_fatal(self, tmp_path, workdir, capsys):
+        src, base = workdir
+        for name in ("wifi.jsonl", "bluetooth.jsonl"):
+            text = (src / name).read_text()
+            assert '"u000"' in text
+            (tmp_path / name).write_text(text.replace('"u000"', '"u\\ud800"'))
+        n_bad = (src / "wifi.jsonl").read_text().count('"u000"')
+        args = ["--dir", str(tmp_path)] + base[2:]
+        for stage, log, outputs in (
+                ("clean", "wifi.jsonl", ("cleaned.jsonl", "scans.npz")),
+                ("pair", "bluetooth.jsonl", ("candidates.npz", "candidates.csv"))):
             capsys.readouterr()
-            if mode == "lenient":
-                assert run(args) == 0
-                for name in outputs:  # as if the line were not there
-                    if name != "cleaning_report.json":
-                        assert (d / name).read_bytes() == (src / name).read_bytes(), name
-            else:
-                assert run(args + ["--strict-parse"]) == 3
-                err = capsys.readouterr().err
-                assert err.startswith(f"data error: {d / log}: malformed record "
-                                      f"(line {len(lines) + 1}): "), err
-                assert err.count("\n") == 1, err
-                assert not any((d / name).exists() for name in outputs)
-        if stage == "clean":
-            doc = fileio.read_json(tmp_path / "lenient" / "cleaning_report.json",
-                                   fileio.SCHEMA_CLEANING)
-            assert doc["skipped_lines"] == 1
+            assert run([stage, "--strict-parse"] + args) == 3, stage
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {tmp_path / log}: malformed record "
+                                  "(line "), err
+            assert "not valid UTF-8" in err and err.count("\n") == 1, err
+            assert not any((tmp_path / name).exists() for name in outputs)
+            assert run([stage] + args) == 0, stage
+        doc = fileio.read_json(tmp_path / "cleaning_report.json", fileio.SCHEMA_CLEANING)
+        assert doc["skipped_lines"] == n_bad
+        table = ScanTable.load(tmp_path / "scans.npz")
+        assert "u000" not in table.users and all(u.isascii() for u in table.users)

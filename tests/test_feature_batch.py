@@ -23,7 +23,8 @@ from wifi_proximity.ingest import month_key, parse_wifi_log
 from wifi_proximity.pairing import CandidateTable
 from wifi_proximity.records import CandidatePair
 
-from conftest import ap, mac, scan, world_conf
+from conftest import ap, mac, records_of, scan, world_conf
+from ingest_reference import scan_table_from_records
 
 T0 = 1601510400 - 600  # ten minutes before 2020-10-01 00:00 UTC
 
@@ -40,7 +41,7 @@ def reference_matrix(records, pairs, home_map, **kwargs):
 
 
 def batch_matrix(records, pairs, home_map, **kwargs):
-    table = ScanTable.from_records(records)
+    table = scan_table_from_records(records)
     a, b, ts = (np.array(col, dtype=np.int64).reshape(-1) for col in zip(*pairs))
     return extract_feature_matrix(table, a, b, ts, home_map, **kwargs)
 
@@ -165,7 +166,7 @@ def tiny_run(tmp_path_factory, tiny_world):
 
 def test_every_tiny_world_candidate_matches_per_pair(tiny_run):
     d, _ = tiny_run
-    records = parse_wifi_log(fileio.iter_jsonl(d / "cleaned.jsonl")).records
+    records = records_of(parse_wifi_log(fileio.iter_jsonl(d / "cleaned.jsonl")).records)
     row_of = {(rec.user, rec.ts): i for i, rec in enumerate(records)}
     homes = fileio.read_json(d / "home_routers.json", fileio.SCHEMA_HOMES)["homes"]
     home_map = {(h["user"], h["month"]): h["bssid"] for h in homes}
@@ -201,11 +202,11 @@ def test_featurize_missing_scan_exits_3_without_features(tiny_run, tmp_path):
     src, src_base = tiny_run
     for name in ("candidates.npz", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
-    records = parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records
+    records = records_of(parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records)
     cands = CandidateTable.load(src / "candidates.npz", run_hash(src), len(records))
     row = cands.row_a[len(cands.ts) // 2]
     kept = records[:row] + records[row + 1:]
-    ScanTable.from_records(kept).save(tmp_path / "scans.npz", run_hash(src))
+    scan_table_from_records(kept).save(tmp_path / "scans.npz", run_hash(src))
     base = ["--dir", str(tmp_path)] + src_base[2:]
     assert main(["featurize"] + base) == 3
     for name in ("features.npz", "features.csv"):
@@ -230,7 +231,7 @@ def assert_same_table(got, want):
      scan("\u00fc2", 5, [ap(1, -70, "")])],
 ], ids=["zero_scans", "nul_and_non_ascii"])
 def test_scan_file_round_trips(tmp_path, records):
-    table = ScanTable.from_records(records)
+    table = scan_table_from_records(records)
     table.save(tmp_path / "scans.npz", "abc123abc123")
     got = ScanTable.load(tmp_path / "scans.npz", "abc123abc123")
     assert_same_table(got, table)
@@ -241,9 +242,9 @@ def test_scan_file_round_trips(tmp_path, records):
 
 def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
     src, _ = tiny_run
-    records = parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records
+    records = records_of(parse_wifi_log(fileio.iter_jsonl(src / "cleaned.jsonl")).records)
     assert_same_table(ScanTable.load(src / "scans.npz", run_hash(src)),
-                      ScanTable.from_records(records))
+                      scan_table_from_records(records))
 
 
 @pytest.mark.parametrize("corrupt", [
@@ -265,7 +266,7 @@ def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
 def test_scan_file_rejects_inconsistent_tables(tmp_path, corrupt):
     records = [scan("u1", 10, [ap(1, -50, "a"), ap(2, -60, "b")]),
                scan("u2", 20, [ap(2, -55, "b")])]
-    table = ScanTable.from_records(records)
+    table = scan_table_from_records(records)
     replace(table, **corrupt(table)).save(tmp_path / "scans.npz", "h")
     with pytest.raises(DataError):
         ScanTable.load(tmp_path / "scans.npz", "h")

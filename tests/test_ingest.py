@@ -4,11 +4,9 @@ import json
 
 import pytest
 
+from ingest_reference import ambiguous_macs, collect_ssid_sets
 from wifi_proximity.ingest import (
-    ambiguous_macs,
     build_home_router_map,
-    collect_ssid_sets,
-    detect_home_router,
     filter_ambiguous_macs,
     month_key,
     parse_bluetooth_log,
@@ -16,7 +14,7 @@ from wifi_proximity.ingest import (
 )
 from wifi_proximity.records import TS_END, MalformedRecordError
 
-from conftest import ap, mac, scan
+from conftest import ap, mac, records_of, scan, scans_of
 
 
 def wifi_line(user="u1", ts=1000, aps=None) -> str:
@@ -29,11 +27,24 @@ def numbered(lines):
     return list(enumerate(lines, start=1))
 
 
+def filter_records(records, max_ssids: int = 5):
+    """filter_ambiguous_macs over the records, with records out."""
+    scans, report = filter_ambiguous_macs(scans_of(records), max_ssids)
+    return records_of(scans), report
+
+
+def detect_home_router(records, bin_minutes: int = 10):
+    """The home build_home_router_map finds in one user's month of records."""
+    homes = build_home_router_map(scans_of(records), bin_minutes)
+    assert len(homes) <= 1
+    return next(iter(homes.values()), None)
+
+
 class TestParseWifi:
     def test_parses_valid_lines(self):
         res = parse_wifi_log(numbered([wifi_line(), wifi_line(user="u2")]))
         assert len(res.records) == 2 and res.skipped == 0
-        assert res.records[0].user == "u1"
+        assert records_of(res.records)[0].user == "u1"
 
     def test_lenient_mode_counts_malformed(self):
         res = parse_wifi_log(numbered([wifi_line(), "not json", wifi_line(ts=-1)]))
@@ -122,7 +133,7 @@ class TestAmbiguityFilter:
 
     def test_exactly_the_planted_macs_removed(self):
         recs = self.planted_records()
-        filtered, report = filter_ambiguous_macs(recs, max_ssids=5)
+        filtered, report = filter_records(recs, max_ssids=5)
         remaining = {a.bssid for r in filtered for a in r.aps}
         assert mac(0) not in remaining
         assert mac(1) in remaining and mac(2) in remaining
@@ -137,13 +148,13 @@ class TestAmbiguityFilter:
 
     def test_filter_preserves_record_count_and_order(self):
         recs = self.planted_records()
-        filtered, _ = filter_ambiguous_macs(recs)
+        filtered, _ = filter_records(recs)
         assert len(filtered) == len(recs)
         assert [r.ts for r in filtered] == [r.ts for r in recs]
 
     def test_bad_threshold_rejected(self):
         with pytest.raises(ValueError):
-            ambiguous_macs({}, max_ssids=0)
+            filter_records([], max_ssids=0)
 
 
 class TestHomeDetection:
@@ -179,7 +190,7 @@ class TestHomeDetection:
         recs = [scan("u1", jan + i * 600, [ap(0, -50)]) for i in range(5)]
         recs += [scan("u1", jan + 40 * 86400 + i * 600, [ap(1, -50)]) for i in range(5)]
         recs += [scan("u2", jan, [ap(2, -50)])]
-        homes = build_home_router_map(recs)
+        homes = build_home_router_map(scans_of(recs))
         months = {m for (u, m) in homes if u == "u1"}
         assert len(months) == 2
         assert set(homes.values()) == {mac(0), mac(1), mac(2)}

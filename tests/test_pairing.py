@@ -6,14 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pairing_reference as reference
+from ingest_reference import scan_table_from_records
 from wifi_proximity import fileio, pairing
 from wifi_proximity.cli import main
-from wifi_proximity.features import ScanTable
 from wifi_proximity.ingest import parse_bluetooth_log, parse_wifi_log
 from wifi_proximity.pairing import WINDOW_S, build_hour_windows, split_indices
 from wifi_proximity.records import BluetoothSighting, CandidatePair
 
-from conftest import ap, scan, world_conf
+from conftest import ap, records_of, scan, world_conf
 
 
 def bt(user, ts, peer=None, mac=None, rssi=-60):
@@ -23,7 +23,7 @@ def bt(user, ts, peer=None, mac=None, rssi=-60):
 def table_candidates(wifi, sightings, delta_t, rows=None):
     """pairing.generate_candidates over the scans ``rows`` of wifi (all of
     them by default), each candidate as the CandidatePair of its scans."""
-    table = ScanTable.from_records(wifi)
+    table = scan_table_from_records(wifi)
     rows = range(len(wifi)) if rows is None else rows
     return [
         CandidatePair(wifi[a].user, wifi[b].user, wifi[a], wifi[b], ts, label, bt_rssi)
@@ -199,7 +199,8 @@ class TestMatchesRecordReference:
         base = ["--dir", str(tmp_path), "--config", str(tmp_path / "world.conf")]
         for stage in ("generate", "clean", "pair"):
             assert main([stage] + base) == 0, stage
-        records = parse_wifi_log(fileio.iter_jsonl(tmp_path / "cleaned.jsonl")).records
+        records = records_of(
+            parse_wifi_log(fileio.iter_jsonl(tmp_path / "cleaned.jsonl")).records)
         sightings = sorted(
             parse_bluetooth_log(fileio.iter_jsonl(tmp_path / "bluetooth.jsonl")).records,
             key=lambda s: s.ts)

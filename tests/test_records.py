@@ -5,13 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ingest_reference import validate_record
 from wifi_proximity.records import (
     TS_END,
     CandidatePair,
     MalformedRecordError,
     OverlapView,
     intersect,
-    validate_record,
 )
 
 from wifi_proximity.ingest import month_key

@@ -27,6 +27,8 @@ from wifi_proximity.synthgen import (
     load_ground_truth,
 )
 
+from conftest import records_of
+
 
 class TestWorldConfig:
     @pytest.mark.parametrize("kwargs", [
@@ -214,14 +216,14 @@ class TestGeneratedFiles:
 
     def test_wifi_rows_parse_and_count(self, world):
         cfg, (wifi, _, _), _ = world
-        records = parse_wifi_log(iter_jsonl(wifi), strict=True).records
+        records = records_of(parse_wifi_log(iter_jsonl(wifi), strict=True).records)
         assert len(records) == cfg.n_users * cfg.n_slots
         users = {r.user for r in records}
         assert len(users) == cfg.n_users
 
     def test_rssi_within_radio_bounds(self, world):
         cfg, (wifi, _, _), _ = world
-        for rec in parse_wifi_log(iter_jsonl(wifi), strict=True).records:
+        for rec in records_of(parse_wifi_log(iter_jsonl(wifi), strict=True).records):
             for a in rec.aps:
                 assert cfg.wifi_detect_floor_dbm <= a.rssi <= -1
 
@@ -275,6 +277,17 @@ class TestGeneratedFiles:
         assert stats["proximate_overlap_mean"] > stats["distant_overlap_mean"]
         assert stats["overlap_mannwhitney_p"] < 0.01
 
+    def test_calibration_stats_unchanged(self, world):
+        # the figures the record-based parse gave on the tiny world
+        _, (wifi, _, truth_path), _ = world
+        assert calibrate_stats(wifi, truth_path) == {
+            "n_scans": 13824, "mean_aps": 4.048755787037037, "median_aps": 4.0,
+            "empty_fraction": 0.016059027777777776,
+            "proximate_overlap_mean": 6.727556596409055,
+            "distant_overlap_mean": 0.6830601092896175,
+            "n_proximate": 1281, "n_distant": 1281, "overlap_mannwhitney_p": 0.0,
+        }
+
     def test_calibration_stats_sane(self, world):
         cfg, (wifi, _, _), _ = world
         stats = calibrate_stats(wifi)
@@ -315,7 +328,7 @@ class TestEmptyArea:
                           site_pitch_m=1000.0)
         paths = (tmp_path / "w.jsonl", tmp_path / "b.jsonl", tmp_path / "t.jsonl")
         generate(cfg, *paths)
-        records = parse_wifi_log(iter_jsonl(paths[0]), strict=True).records
+        records = records_of(parse_wifi_log(iter_jsonl(paths[0]), strict=True).records)
         assert len(records) == cfg.n_users * cfg.n_slots
         by_count = sum(1 for r in records if not r.aps)
         assert by_count > 0

@@ -3,8 +3,10 @@
 perfbench/tracing.py looks functions, methods and module attributes up by
 name; a rename in the package would break a `--trace 1` benchmark run.
 The first tests install the tracer and uninstall it again without
-running a stage; the last runs `pair` and `featurize` under it, since the
-tracer hands `fileio.write_csv` its own one-pass iterator of row blocks.
+running a stage; the last runs `clean`, `pair` and `featurize` under it,
+since the tracer hands `fileio.write_jsonl` and `fileio.write_csv` its own
+one-pass iterators of rows and row blocks, and wraps the three ingest
+functions `clean` calls by name.
 """
 
 import sys
@@ -81,16 +83,23 @@ def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_
     conf.write_text(world_conf(tiny_world))
     for stage in ("generate", "clean", "pair", "featurize"):
         assert cli.main([stage, "--dir", str(plain), "--config", str(conf)]) == 0
-    for name in ("bluetooth.jsonl", "scans.npz", "home_routers.json"):
+    for name in ("wifi.jsonl", "bluetooth.jsonl"):
         (traced / name).write_bytes((plain / name).read_bytes())
     tracer = tracing.Tracer()
     tracer.install()
     try:
-        for stage in ("pair", "featurize"):
+        for stage in ("clean", "pair", "featurize"):
             assert cli.main([stage, "--dir", str(traced), "--config", str(conf)]) == 0
     finally:
         tracer.uninstall()
-    assert tracer.calls["fileio.write"] == 2
-    assert tracer.wall_s["cli.pair"] > 0 and tracer.wall_s["cli.featurize"] > 0
-    for name in ("candidates.csv", "features.csv", "candidates.npz", "features.npz"):
+    # clean: cleaned.jsonl and two JSON reports; pair and featurize: one CSV each
+    assert tracer.calls["fileio.write"] == 5
+    assert tracer.calls["ingest.parse_wifi"] == 1
+    assert tracer.calls["ingest.filter"] == 1 and tracer.calls["ingest.homes"] == 1
+    kept = fileio.read_json(plain / "cleaning_report.json", fileio.SCHEMA_CLEANING)
+    assert tracer.counts["ingest.records"] == kept["records"] > 0
+    for stage in ("clean", "pair", "featurize"):
+        assert tracer.wall_s[f"cli.{stage}"] > 0, stage
+    for name in ("cleaned.jsonl", "scans.npz", "cleaning_report.json", "home_routers.json",
+                 "candidates.csv", "features.csv", "candidates.npz", "features.npz"):
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
