@@ -12,7 +12,6 @@ __version__ = "0.1.0"
 
 from .records import (
     ApObservation,
-    BluetoothSighting,
     CandidatePair,
     MalformedRecordError,
     WifiScanRecord,
@@ -20,7 +19,6 @@ from .records import (
 
 __all__ = [
     "ApObservation",
-    "BluetoothSighting",
     "CandidatePair",
     "MalformedRecordError",
     "WifiScanRecord",

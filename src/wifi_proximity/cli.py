@@ -3,8 +3,9 @@
 Stages communicate through files in one working directory and run in the
 order listed. Every output embeds the config hash, so a report can
 refuse to aggregate results produced under different configurations.
-From ``pair`` on, stages read arrays: ``pair`` writes candidates.npz, which
-``featurize`` reads, and ``featurize`` writes features.npz, which ``train``,
+From ``pair`` on, stages read arrays: ``pair`` writes the candidates that
+``pairing.pair_windows`` returns as candidates.npz, which ``featurize``
+reads, and ``featurize`` writes features.npz, which ``train``,
 ``evaluate`` and ``report`` read. candidates.csv and features.csv are
 readable copies of the same rows that no stage reads.
 
@@ -58,13 +59,7 @@ from .models import (
     save_model,
     select_columns,
 )
-from .pairing import (
-    WINDOW_S,
-    CandidateTable,
-    build_hour_windows,
-    generate_candidates,
-    split_indices,
-)
+from .pairing import CandidateTable, pair_windows, split_indices
 from .records import MalformedRecordError
 
 EXIT_OK = 0
@@ -168,29 +163,7 @@ def stage_pair(cfg: PipelineConfig, args) -> int:
     table = ScanTable.load(paths["scans"], h)
     fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
     bt = _parse_log(parse_bluetooth_log, paths["bluetooth"], cfg.strict_parse)
-
-    windows = build_hour_windows(bt.records)
-    hours = table.ts // WINDOW_S * WINDOW_S
-    by_hour = np.argsort(hours, kind="stable")  # file order within an hour
-    hours = hours[by_hour]
-    sightings = sorted(bt.records, key=lambda s: s.ts)
-    sight_ts = np.array([s.ts for s in sightings], dtype=np.int64)
-
-    candidates = []
-    for window in windows:
-        first, last = np.searchsorted(hours, [window.start_ts, window.start_ts + WINDOW_S])
-        in_hour = by_hour[first:last]
-        active = np.array([u in window.active_users for u in table.users], dtype=bool)
-        rows = in_hour[active[table.user[in_hour]]]
-        if not len(rows):
-            continue
-        lo = int(np.searchsorted(sight_ts, window.start_ts - cfg.delta_t_s))
-        hi = int(np.searchsorted(sight_ts, window.start_ts + WINDOW_S + cfg.delta_t_s))
-        # hour-ordered windows of sorted candidates: the list stays sorted
-        candidates.extend(generate_candidates(table, rows, sightings[lo:hi],
-                                              cfg.delta_t_s))
-
-    cands = CandidateTable.from_tuples(candidates)
+    windows, cands = pair_windows(table, bt.records, cfg.delta_t_s)
     found = ~np.isnan(cands.bt_rssi)
     bt_rssi = np.full(len(found), "", dtype=object)
     bt_rssi[found] = cands.bt_rssi[found].astype(np.int64).astype(str)

@@ -26,7 +26,7 @@ from scipy.special import stdtr
 
 from . import fileio
 from .fileio import DataError
-from .ingest import month_key
+from .ingest import month_codes, month_key
 from .records import CandidatePair, OverlapView, WifiScanRecord, intersect
 
 FEATURE_NAMES = [
@@ -643,11 +643,8 @@ def _context_columns(table: ScanTable, entry_rows, scan_a, scan_b, ts, home_map,
     """hour_of_week, at_home and at_campus, as timing_location_features."""
     n_bssid = max(len(table.bssids), 1)
     hours = (ts + tz_offset_s) // 3600
-    days, day_of = np.unique((ts + tz_offset_s) // 86400, return_inverse=True)
-    day_months = [month_key(d * 86400) for d in days.tolist()]
-    month_ids = {m: i for i, m in enumerate(dict.fromkeys(day_months))}
-    month = np.array([month_ids[m] for m in day_months], dtype=np.int64)[day_of]
-    homes = _home_matrix(table, month_ids, home_map)
+    months, month = month_codes(ts, tz_offset_s)
+    homes = _home_matrix(table, {m: i for i, m in enumerate(months)}, home_map)
     entry_key = np.multiply(entry_rows, n_bssid, dtype=np.int64) + table.bssid
 
     def scan_has(rows, codes):

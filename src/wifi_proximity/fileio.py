@@ -106,11 +106,11 @@ def read_jsonl_header(path, expect_schema: str, expect_hash: str | None = None) 
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing input file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         first = fh.readline()
     try:
         header = json.loads(first)
-    except json.JSONDecodeError:
+    except (ValueError, RecursionError):
         raise DataError(f"{path}: missing JSONL header line")
     if not isinstance(header, dict) or "schema" not in header:
         raise DataError(f"{path}: missing JSONL header line")
@@ -123,8 +123,10 @@ def iter_jsonl(path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) for the data lines of a JSONL file.
 
     Line numbers are 1-based file positions; the header line is skipped.
+    A byte that UTF-8 cannot decode spoils only its line: it comes as a
+    lone surrogate, which no decoded text holds, and callers reject it.
     """
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
@@ -132,7 +134,7 @@ def iter_jsonl(path) -> Iterator[tuple[int, str]]:
             if line_no == 1 and '"schema"' in line:
                 try:
                     obj = json.loads(line)
-                except json.JSONDecodeError:
+                except (ValueError, RecursionError):
                     obj = None
                 if isinstance(obj, dict) and "schema" in obj:
                     continue

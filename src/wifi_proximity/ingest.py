@@ -5,7 +5,9 @@ integer codes in flat typed buffers, a ``WifiScans`` table; it builds no
 object per scan or per access point. Each distinct raw bssid string is
 checked and lower-cased once. The filter and the home detection count
 distinct keys on those codes, and ``WifiScans.lines`` encodes the scans
-as cleaned.jsonl rows.
+as cleaned.jsonl rows. ``parse_bluetooth_log`` keeps the sightings the
+same way, as a ``BluetoothSightings`` table. In both logs, a line that is
+not UTF-8, or that ``json.loads`` rejects, is malformed.
 
 Routers that broadcast five or more distinct network names over the whole
 input are treated as ambiguous (several physical devices sharing a MAC)
@@ -28,7 +30,6 @@ from .records import (
     DAY_S,
     RSSI_MIN,
     TS_END,
-    BluetoothSighting,
     MalformedRecordError,
     check_id,
 )
@@ -38,7 +39,7 @@ JSONL_BLOCK_ROWS = 4096
 
 @dataclass(frozen=True, slots=True)
 class ParseResult:
-    records: WifiScans | list  # the scans, or one BluetoothSighting per sighting
+    records: WifiScans | BluetoothSightings
     skipped: int  # malformed lines dropped in lenient mode
 
 
@@ -117,9 +118,39 @@ class WifiScans:
                 yield f'{{"user":{users[user]},"ts":{ts},"aps":[{",".join(row_aps[a:b])}]}}'
 
 
+@dataclass(frozen=True, slots=True)
+class BluetoothSightings:
+    """Bluetooth sightings, one row per device seen, in log order. ``user``
+    (who scanned) and ``peer`` (the participant seen, -1 for an outside
+    device) index ``users``, which may hold ids of rejected lines."""
+
+    users: list[str]
+    user: np.ndarray  # per row, int32
+    peer: np.ndarray  # per row, int32
+    ts: np.ndarray    # per row, int64
+    rssi: np.ndarray  # per row, int16
+
+    def __len__(self) -> int:
+        return len(self.ts)
+
+
 # ---------------------------------------------------------------------------
 # Parsing
 # ---------------------------------------------------------------------------
+
+def _load(line: str, line_no):
+    """The JSON value of a log line. Malformed: bytes UTF-8 cannot decode (lone
+    surrogates, see fileio.iter_jsonl), and all json.loads rejects, by
+    JSONDecodeError, ValueError (too many digits) or RecursionError."""
+    try:
+        if not line.isascii():
+            line.encode("utf-8")
+        return json.loads(line)
+    except UnicodeEncodeError:
+        raise MalformedRecordError("line is not valid UTF-8", line_no)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedRecordError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
+
 
 def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     """Parse WiFi JSONL lines into a WifiScans table.
@@ -144,10 +175,7 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     for line_no, line in lines:
         start = len(bssid)
         try:
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no)
+            obj = _load(line, line_no)
             if type(obj) is not dict:
                 raise MalformedRecordError("line is not a JSON object", line_no)
             aps = obj.get("aps")
@@ -240,45 +268,49 @@ def _keep_strongest(bssid: array, ssid: array, rssi: array, start: int) -> None:
 
 
 def parse_bluetooth_log(lines, strict: bool = False) -> ParseResult:
-    """Parse Bluetooth JSONL lines; one sighting per seen device."""
-    sightings, skipped = [], 0
+    """Parse Bluetooth JSONL lines, taken as by parse_wifi_log, into a
+    BluetoothSightings table. A line is malformed unless it is a JSON
+    object with a valid user id, an integer ts in [0, TS_END) and a seen
+    list of objects, each with an integer rssi in [RSSI_MIN, 0] and at
+    most one of a valid peer id and a mac."""
+    users: dict[str, int] = {}
+    user, peer, ts, rssi = array("i"), array("i"), array("q"), array("h")
+    skipped = 0
     for line_no, line in lines:
+        start = len(ts)
         try:
-            sightings.extend(_parse_bt_line(line, line_no))
+            obj = _load(line, line_no)
+            if type(obj) is not dict:
+                raise MalformedRecordError("line is not a JSON object", line_no)
+            name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
+            check_id(name, "user", line_no)
+            code = users.setdefault(name, len(users))
+            if type(t) is not int or not 0 <= t < TS_END:
+                raise MalformedRecordError("missing or invalid ts", line_no)
+            if type(seen) is not list:
+                raise MalformedRecordError("missing seen list", line_no)
+            for entry in seen:
+                if type(entry) is not dict:
+                    raise MalformedRecordError("seen entry is not an object", line_no)
+                p, r = entry.get("peer"), entry.get("rssi")
+                if p is not None and entry.get("mac") is not None:
+                    raise MalformedRecordError("both peer and mac set", line_no)
+                if p is not None:
+                    check_id(p, "peer", line_no)
+                if type(r) is not int or not RSSI_MIN <= r <= 0:
+                    raise MalformedRecordError("missing or out-of-range rssi", line_no)
+                user.append(code)
+                peer.append(-1 if p is None else users.setdefault(p, len(users)))
+                ts.append(t)
+                rssi.append(r)
         except MalformedRecordError:
+            del user[start:], peer[start:], ts[start:], rssi[start:]
             if strict:
                 raise
             skipped += 1
-    return ParseResult(sightings, skipped)
-
-
-def _parse_bt_line(line: str, line_no: int | None) -> list[BluetoothSighting]:
-    try:
-        obj = json.loads(line)
-    except json.JSONDecodeError as exc:
-        raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no)
-    if not isinstance(obj, dict):
-        raise MalformedRecordError("line is not a JSON object", line_no)
-    user, ts, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
-    check_id(user, "user", line_no)
-    if isinstance(ts, bool) or not isinstance(ts, int) or not 0 <= ts < TS_END:
-        raise MalformedRecordError("missing or invalid ts", line_no)
-    if not isinstance(seen, list):
-        raise MalformedRecordError("missing seen list", line_no)
-    out = []
-    for entry in seen:
-        if not isinstance(entry, dict):
-            raise MalformedRecordError("seen entry is not an object", line_no)
-        peer, mac, rssi = entry.get("peer"), entry.get("mac"), entry.get("rssi")
-        if peer is not None and mac is not None:
-            raise MalformedRecordError("both peer and mac set", line_no)
-        if peer is not None:
-            check_id(peer, "peer", line_no)
-        if (isinstance(rssi, bool) or not isinstance(rssi, int)
-                or not RSSI_MIN <= rssi <= 0):
-            raise MalformedRecordError("missing or out-of-range rssi", line_no)
-        out.append(BluetoothSighting(user=user, ts=ts, peer=peer, mac=mac, rssi=rssi))
-    return out
+    return ParseResult(BluetoothSightings(
+        list(users), np.array(user, dtype=np.int32), np.array(peer, dtype=np.int32),
+        np.array(ts, dtype=np.int64), np.array(rssi, dtype=np.int16)), skipped)
 
 
 # ---------------------------------------------------------------------------
@@ -326,6 +358,16 @@ def month_key(ts: int, tz_offset_s: int = 0) -> str:
     return f"{dt.year:04d}-{dt.month:02d}"
 
 
+def month_codes(ts: np.ndarray, tz_offset_s: int = 0) -> tuple[list[str], np.ndarray]:
+    """The distinct month_keys of timestamps, ascending, and each one's
+    index into them; month_key runs once per distinct local day."""
+    days, day_of = np.unique((ts + tz_offset_s) // DAY_S, return_inverse=True)
+    day_months = [month_key(day * DAY_S) for day in days.tolist()]
+    months = list(dict.fromkeys(day_months))  # days ascend, so months do
+    month_ids = {month: i for i, month in enumerate(months)}
+    return months, np.array([month_ids[m] for m in day_months], dtype=np.int64)[day_of]
+
+
 def build_home_router_map(scans: WifiScans, bin_minutes: int = 10,
                           tz_offset_s: int = 0) -> dict[tuple[str, str], str]:
     """Home router per (user, calendar month), for all users in the input.
@@ -340,15 +382,11 @@ def build_home_router_map(scans: WifiScans, bin_minutes: int = 10,
     if bin_minutes <= 0:
         raise ValueError("bin_minutes must be > 0")
     rows = scans.entry_rows()
-    days, day_of = np.unique((scans.ts + tz_offset_s) // DAY_S, return_inverse=True)
-    day_months = [month_key(day * DAY_S) for day in days.tolist()]
-    months = sorted(set(day_months))
-    month_ids = {month: i for i, month in enumerate(months)}
-    month_of_day = np.array([month_ids[m] for m in day_months], dtype=np.int64)
+    months, month = month_codes(scans.ts, tz_offset_s)
     # (user, month) codes, compacted so that code * n_bssids fits an int64
     n_months = max(len(months), 1)
     user_months, user_month_of = np.unique(
-        scans.user.astype(np.int64) * n_months + month_of_day[day_of], return_inverse=True)
+        scans.user.astype(np.int64) * n_months + month, return_inverse=True)
     by_name = sorted(range(len(scans.bssids)), key=scans.bssids.__getitem__)
     rank = np.empty(len(by_name), dtype=np.int64)
     rank[by_name] = np.arange(len(by_name))

@@ -6,6 +6,10 @@ participant and were seen by at least one participant in that hour.
 Positives are scan pairs backed by a Bluetooth sighting near the
 interaction time; negatives must share at least one router, which keeps
 the task close to the deployed setting instead of random dyads.
+
+``pair_windows`` runs this window by window over the scan table and an
+``ingest.BluetoothSightings`` table, on codes and arrays: no object is
+built per sighting or per candidate.
 """
 
 from __future__ import annotations
@@ -17,47 +21,67 @@ import numpy as np
 from . import fileio
 from .features import ScanTable, _ranges
 from .fileio import DataError
+from .ingest import BluetoothSightings
 from .records import LABEL_NEGATIVE, LABEL_POSITIVE
 
 WINDOW_S = 3600
-# _strongest_sightings' value for "no sighting": above any RSSI, which is <= 0
-_NO_SIGHTING = 1
 
 
-@dataclass(frozen=True, slots=True)
-class HourWindow:
-    start_ts: int  # aligned to the hour
-    active_users: frozenset[str]
-
-
-def build_hour_windows(sightings) -> list[HourWindow]:
-    """One window per hour containing at least one Bluetooth-active user.
+def build_hour_windows(sightings: BluetoothSightings) -> list[tuple[int, np.ndarray]]:
+    """One window per hour containing at least one Bluetooth-active user:
+    its start, aligned to the hour, and its active users' codes, ascending.
 
     A user is active iff, within the hour, they appear as the scanner of
-    a participant sighting and as a sighted peer. Sightings of
-    non-participant devices (peer=None) do not count.
+    a participant sighting and as a sighted peer. Sightings of outside
+    devices (peer -1) do not count.
     """
-    saw: dict[int, set[str]] = {}
-    seen: dict[int, set[str]] = {}
-    for s in sightings:
-        if s.peer is None:
-            continue
-        hour = (s.ts // WINDOW_S) * WINDOW_S
-        saw.setdefault(hour, set()).add(s.user)
-        seen.setdefault(hour, set()).add(s.peer)
-    windows = []
-    for hour in sorted(saw.keys() & seen.keys()):
-        active = saw[hour] & seen[hour]
-        if active:
-            windows.append(HourWindow(hour, frozenset(active)))
-    return windows
+    linked = sightings.peer >= 0
+    hours, hour_of = np.unique(sightings.ts[linked] // WINDOW_S, return_inverse=True)
+    n_users = max(len(sightings.users), 1)
+    key = hour_of * n_users
+    # the sorted (hour, user) keys of the users who saw and were seen in the hour
+    active = np.intersect1d(key + sightings.user[linked], key + sightings.peer[linked])
+    window, first = np.unique(active // n_users, return_index=True)
+    return list(zip((hours[window] * WINDOW_S).tolist(),
+                    np.split(active % n_users, first[1:])))
 
 
-def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[tuple]:
+def pair_windows(table: ScanTable, sightings: BluetoothSightings, delta_t: int = 300):
+    """The sightings' hour windows and the CandidateTable of their candidates,
+    window after window: generate_candidates over the rows of each window's
+    active users in its hour, in table order, and the sightings within delta_t of it."""
+    windows = build_hour_windows(sightings)
+    codes = {name: i for i, name in enumerate(table.users)}
+    # the table code of each sighting code, -1 for a user without scans;
+    # the appended -1 is what peer -1, an outside device, maps to
+    to_table = np.array([codes.get(name, -1) for name in sightings.users] + [-1])
+    user, peer = to_table[sightings.user], to_table[sightings.peer]
+    # the sightings between two users with scans, in time order
+    near = np.flatnonzero((user >= 0) & (peer >= 0))
+    near = near[np.argsort(sightings.ts[near], kind="stable")]
+    user, peer, ts, rssi = user[near], peer[near], sightings.ts[near], sightings.rssi[near]
+    hours = table.ts // WINDOW_S * WINDOW_S
+    by_hour = np.argsort(hours, kind="stable")  # table order within an hour
+    hours = hours[by_hour]
+    parts = []
+    for start, active in windows:
+        first, last = np.searchsorted(hours, [start, start + WINDOW_S])
+        in_hour = by_hour[first:last]
+        rows = in_hour[np.isin(table.user[in_hour], to_table[active])]
+        if len(rows):
+            lo, hi = np.searchsorted(ts, [start - delta_t, start + WINDOW_S + delta_t])
+            bt = BluetoothSightings(table.users, user[lo:hi], peer[lo:hi], ts[lo:hi], rssi[lo:hi])
+            parts.append(generate_candidates(table, rows, bt, delta_t))
+    return windows, CandidateTable.concatenate(parts)
+
+
+def generate_candidates(table: ScanTable, rows, sightings: BluetoothSightings,
+                        delta_t: int = 300) -> CandidateTable:
     """Build labeled candidate pairs from one window's scans and sightings.
 
-    ``rows`` are the window's scans, as rows of ``table``; ``bt`` are its
-    Bluetooth sightings. For each unordered user pair, every scan of the
+    ``rows`` are the window's scans, as rows of ``table``; ``sightings``
+    are its Bluetooth sightings, with user and peer coded as the table's
+    users. For each unordered user pair, every scan of the
     lexicographically smaller user pairs with its nearest-in-time scan of
     the other user (the earlier one on an exact tie), provided the gap is
     at most ``delta_t``; this keeps one five-minute meeting from spawning
@@ -67,19 +91,17 @@ def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[
     ``bt_rssi`` records the strongest such sighting. Negatives are kept
     only when the scans share a router.
 
-    Returns one ``(row_a, row_b, ts, label, bt_rssi)`` tuple per candidate,
-    sorted by (ts, user_a, user_b, ts_a, ts_b), with ``bt_rssi`` None on
-    negatives.
+    The candidates are sorted by (ts, user_a, user_b, ts_a, ts_b), with
+    ``bt_rssi`` NaN on negatives.
     """
     rows = np.asarray(rows, dtype=np.int64)
     if len(rows) == 0:
-        return []
-    codes = np.unique(table.user[rows])
-    names = sorted(table.users[c] for c in codes.tolist())
-    n_users = len(names)
-    rank_of = {name: i for i, name in enumerate(names)}
-    rank = np.zeros(len(table.users), dtype=np.int64)
-    rank[codes] = [rank_of[table.users[c]] for c in codes.tolist()]
+        return CandidateTable.concatenate([])
+    # the window's users, ranked in string order; -1 for the others
+    codes = sorted(set(table.user[rows].tolist()), key=table.users.__getitem__)
+    n_users = len(codes)
+    rank = np.full(len(table.users), -1, dtype=np.int64)
+    rank[codes] = np.arange(n_users)
 
     # the window's scans by user, in string order, then by ts; lexsort is
     # stable, so scans with one user and ts keep their order in rows
@@ -88,7 +110,11 @@ def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[
     rows, user, ts = rows[order], user[order], ts[order]
     first = np.searchsorted(user, np.arange(n_users + 1))
 
-    sight_pair, sight_ts, sight_rssi = _sightings(bt, rank_of)
+    # sightings between two of the window's users: a pair of ranks a < b
+    # is a * n_users + b
+    a, b = np.sort([rank[sightings.user], rank[sightings.peer]], axis=0)
+    mutual = (a >= 0) & (a != b)
+    sight_pair = (a * n_users + b)[mutual]
     linked = np.zeros((n_users, n_users), dtype=bool)
     linked.flat[sight_pair] = True
     # cheap reject: users who share no sighting and no router in the window
@@ -117,18 +143,18 @@ def generate_candidates(table: ScanTable, rows, bt, delta_t: int = 300) -> list[
     pair_ts = np.minimum(ts[scan_a], ts[scan_b])
 
     bt_rssi = _strongest_sightings(user_a * n_users + user_b, pair_ts, delta_t,
-                                   sight_pair, sight_ts, sight_rssi)
+                                   sight_pair, sightings.ts[mutual],
+                                   sightings.rssi[mutual])
     shared = np.zeros(len(pair_ts), dtype=bool)
     shared[table.common(rows[scan_a], rows[scan_b])[0]] = True
-    keep = np.flatnonzero((bt_rssi != _NO_SIGHTING) | shared)
+    found = ~np.isnan(bt_rssi)
+    keep = np.flatnonzero(found | shared)
     keep = keep[np.lexsort((ts[scan_b[keep]], ts[scan_a[keep]], user_b[keep],
                            user_a[keep], pair_ts[keep]))]
-    return [
-        (a, b, t, LABEL_NEGATIVE, None) if r == _NO_SIGHTING
-        else (a, b, t, LABEL_POSITIVE, r)
-        for a, b, t, r in zip(rows[scan_a[keep]].tolist(), rows[scan_b[keep]].tolist(),
-                              pair_ts[keep].tolist(), bt_rssi[keep].tolist())
-    ]
+    return CandidateTable(
+        row_a=rows[scan_a[keep]], row_b=rows[scan_b[keep]], ts=pair_ts[keep],
+        label=np.where(found[keep], LABEL_POSITIVE, LABEL_NEGATIVE).astype(np.int64),
+        bt_rssi=bt_rssi[keep])
 
 
 # the arrays of a CandidateTable: (dtype, ndim)
@@ -151,17 +177,15 @@ class CandidateTable:
     label: np.ndarray
     bt_rssi: np.ndarray
 
+    def __len__(self) -> int:
+        return len(self.ts)
+
     @classmethod
-    def from_tuples(cls, candidates) -> "CandidateTable":
-        """The table of generate_candidates' (row_a, row_b, ts, label,
-        bt_rssi) tuples."""
-        n = len(candidates)
-        columns = list(zip(*candidates)) or [()] * 5
-        ints = {name: np.fromiter(values, dtype=np.int64, count=n)
-                for name, values in zip(("row_a", "row_b", "ts", "label"), columns)}
-        bt_rssi = np.fromiter((np.nan if r is None else r for r in columns[4]),
-                              dtype=np.float64, count=n)
-        return cls(**ints, bt_rssi=bt_rssi)
+    def concatenate(cls, tables) -> "CandidateTable":
+        """The rows of tables, one table after another; no rows for no tables."""
+        return cls(**{name: np.concatenate([getattr(table, name) for table in tables]
+                                           + [np.empty(0, dtype=dtype)])
+                      for name, (dtype, _) in _CANDIDATE_ARRAYS.items()})
 
     def save(self, path, cfg_hash: str, n_scans: int) -> None:
         """Write a candidate_arrays.v1 archive stamped with cfg_hash and
@@ -196,29 +220,10 @@ class CandidateTable:
         return table
 
 
-def _sightings(bt, rank_of):
-    """Sightings between two of the window's users: (pair, ts, rssi) arrays.
-
-    A pair of user ranks a < b is ``a * n_users + b``; sightings of
-    non-participants and of oneself are dropped.
-    """
-    n_users = len(rank_of)
-    pair, ts, rssi = [], [], []
-    for s in bt:
-        a, b = rank_of.get(s.user), rank_of.get(s.peer)
-        if a is None or b is None or a == b:
-            continue
-        pair.append(min(a, b) * n_users + max(a, b))
-        ts.append(s.ts)
-        rssi.append(s.rssi)
-    return (np.array(pair, dtype=np.int64), np.array(ts, dtype=np.int64),
-            np.array(rssi, dtype=np.int64))
-
-
 def _strongest_sightings(pair, ts, delta_t, sight_pair, sight_ts, sight_rssi):
     """Per query, the max RSSI of the pair's sightings with
-    |ts_bt - ts| <= delta_t; _NO_SIGHTING where there is none."""
-    best = np.full(len(ts), _NO_SIGHTING, dtype=np.int64)
+    |ts_bt - ts| <= delta_t, as a float; NaN where there is none."""
+    best = np.full(len(ts), np.nan)
     if len(sight_ts) == 0 or len(ts) == 0:
         return best
     base = min(int(sight_ts.min()), int(ts.min())) - delta_t

@@ -9,7 +9,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 
-BSSID_RE = re.compile(r"^[0-9a-f]{2}(:[0-9a-f]{2}){5}$")
+BSSID_RE = re.compile(r"[0-9a-f]{2}(:[0-9a-f]{2}){5}\Z")  # $ would match before "\n"
 # ids are written unquoted into CSV artifacts
 CSV_UNSAFE_RE = re.compile(r"[,\r\n]")
 
@@ -58,21 +58,6 @@ class WifiScanRecord:
 
     def bssids(self) -> frozenset[str]:
         return frozenset(ap.bssid for ap in self.aps)
-
-
-@dataclass(frozen=True, slots=True)
-class BluetoothSighting:
-    """One device seen in a Bluetooth scan.
-
-    ``peer`` is set when the seen device belongs to a study participant;
-    otherwise ``mac`` identifies an outside device. Never both.
-    """
-
-    user: str
-    ts: int
-    peer: str | None
-    mac: str | None
-    rssi: int
 
 
 @dataclass(frozen=True, slots=True)

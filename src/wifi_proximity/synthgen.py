@@ -852,8 +852,8 @@ def load_ground_truth(path) -> GroundTruth:
     proximity: dict[int, list[tuple[str, str, float]]] = {}
     for line_no, line in fileio.iter_jsonl(path):
         try:
-            doc = json.loads(line)
-        except ValueError as exc:
+            doc = json.loads(line.encode("utf-8"))  # lone surrogates: bytes not UTF-8
+        except (ValueError, RecursionError) as exc:
             raise fileio.DataError(f"{path}:{line_no}: bad JSON: {exc}") from exc
         if "home_bssid" in doc:
             homes[doc["user"]] = doc["home_bssid"]

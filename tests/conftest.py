@@ -7,7 +7,8 @@ import json
 import numpy as np
 import pytest
 
-from wifi_proximity.ingest import WifiScans, parse_wifi_log
+from pairing_reference import BluetoothSighting
+from wifi_proximity.ingest import BluetoothSightings, WifiScans, parse_wifi_log
 from wifi_proximity.records import ApObservation, CandidatePair, WifiScanRecord
 from wifi_proximity.synthgen import WorldConfig
 
@@ -42,6 +43,15 @@ def records_of(scans: WifiScans) -> list[WifiScanRecord]:
     return [WifiScanRecord(scans.users[user], ts, tuple(aps[lo:hi]))
             for user, ts, lo, hi in zip(scans.user.tolist(), scans.ts.tolist(),
                                         bounds, bounds[1:])]
+
+
+def sightings_of(sightings: BluetoothSightings) -> list[BluetoothSighting]:
+    """One BluetoothSighting per row of sightings; an outside device has
+    neither peer nor mac, as the table keeps no macs."""
+    users = sightings.users
+    return [BluetoothSighting(users[user], ts, users[peer] if peer >= 0 else None, None, rssi)
+            for user, peer, ts, rssi in zip(sightings.user.tolist(), sightings.peer.tolist(),
+                                            sightings.ts.tolist(), sightings.rssi.tolist())]
 
 
 def random_scan(rng: np.random.Generator, user: str, ts: int,

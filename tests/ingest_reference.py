@@ -5,9 +5,13 @@ It parses each line into a `WifiScanRecord` of `ApObservation`s, filters
 and finds homes on those objects, and builds the `ScanTable` from them.
 `clean` below writes the four artifacts of the `clean` stage from this
 path; the columnar stage must write the same bytes and raise the same
-errors. The only change from the replaced code is the RSSI lower bound
+errors. The changes from the replaced code are the RSSI lower bound
 (RSSI_MIN), which ingest now enforces because scans.npz stores RSSIs as
-int16.
+int16, and the lines that are malformed besides those `json.loads`
+rejects with JSONDecodeError: a line that is not valid UTF-8, which
+`fileio.iter_jsonl` hands over with lone surrogates, and the lines on
+which `json.loads` raises a plain ValueError (an integer too long to
+convert) or RecursionError (nesting too deep).
 """
 
 from __future__ import annotations
@@ -78,9 +82,15 @@ def validate_record(user, ts, aps, line_no: int | None = None) -> WifiScanRecord
 
 def parse_wifi_line(line: str, line_no: int | None = None) -> WifiScanRecord:
     try:
+        line.encode("utf-8")
+    except UnicodeEncodeError:
+        raise MalformedRecordError("line is not valid UTF-8", line_no)
+    try:
         obj = json.loads(line)
     except json.JSONDecodeError as exc:
         raise MalformedRecordError(f"invalid JSON ({exc.msg})", line_no)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedRecordError(f"invalid JSON ({exc})", line_no)
     if not isinstance(obj, dict):
         raise MalformedRecordError("line is not a JSON object", line_no)
     aps = obj.get("aps")

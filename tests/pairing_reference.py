@@ -1,19 +1,37 @@
 """The record-based candidate generator that `pairing.generate_candidates`
 replaced, kept as the reference the table-based one is compared with.
 
-It takes one window's `WifiScanRecord` list and returns `CandidatePair`
-objects; the table-based generator must choose the same scans, labels
-and Bluetooth RSSIs, in the same order.
+It takes one window's `WifiScanRecord` list and `BluetoothSighting`
+list and returns `CandidatePair` objects; the table-based generator must
+choose the same scans, labels and Bluetooth RSSIs, in the same order.
+`BluetoothSighting` is the per-sighting record that ingest built before
+it kept the sightings as an `ingest.BluetoothSightings` table.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
+from dataclasses import dataclass
 from operator import itemgetter
 
 import numpy as np
 
 from wifi_proximity.records import LABEL_NEGATIVE, LABEL_POSITIVE, CandidatePair
+
+
+@dataclass(frozen=True, slots=True)
+class BluetoothSighting:
+    """One device seen in a Bluetooth scan.
+
+    ``peer`` is set when the seen device belongs to a study participant;
+    otherwise ``mac`` identifies an outside device. Never both.
+    """
+
+    user: str
+    ts: int
+    peer: str | None
+    mac: str | None
+    rssi: int
 
 
 def _index_sightings(sightings):

@@ -54,6 +54,7 @@ BAD_APS = [
     {"bssid": mac(1), "ssid": "", "rssi": "x"},
     {"bssid": mac(1), "ssid": "", "rssi": 5},
     {"bssid": mac(1), "ssid": "", "rssi": RSSI_MIN - 1},
+    {"bssid": mac(1) + "\n", "ssid": "", "rssi": -1},
 ]
 
 aps = st.lists(st.fixed_dictionaries({
@@ -168,6 +169,19 @@ def test_drawn_logs_clean_as_the_reference_does(case):
         write_log(d, lines)
         (d / "world.conf").write_text(conf_text)
         assert_clean_matches_reference(d, d / "world.conf")
+
+
+@pytest.mark.parametrize("line", [
+    '{"user": "u1", "ts": ' + "9" * 5000 + ', "aps": []}',
+    "[" * 100_000 + "]" * 100_000,
+    '{"user": "u1", "ts": 5, "aps": [], "x": "\udcff"}',
+], ids=["5000_digit_int", "deep_nesting", "not_utf8"])
+def test_lines_json_loads_or_utf8_reject_fail_as_in_the_reference(line):
+    """Lines that json.loads rejects without JSONDecodeError, and a line
+    with a byte that is not UTF-8 (a lone surrogate, as iter_jsonl hands
+    it over), are malformed with the reference's message."""
+    want = strict_error(reference.parse_wifi_log, [(1, line)])
+    assert want and strict_error(parse_wifi_log, [(1, line)]) == want
 
 
 @pytest.mark.parametrize("extra", ["", "ambiguous_ssid_threshold = 2\ntz_offset_s = -3600\n"],

@@ -257,6 +257,31 @@ class TestArtifactIntegrity:
         model = fileio.read_json(tmp_path / "model_full_gbt.json", fileio.SCHEMA_MODEL)
         assert model["split"]["n"] == len(cand)
 
+    def test_pair_of_a_header_only_bluetooth_log(self, tmp_path, workdir, capsys):
+        src, base = workdir
+        for name in ("scans.npz", "home_routers.json"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        header = (src / "bluetooth.jsonl").read_text().splitlines(keepends=True)[0]
+        (tmp_path / "bluetooth.jsonl").write_text(header)
+        args = ["--dir", str(tmp_path)] + base[2:]
+        assert run(["pair"] + args) == 0
+        with np.load(tmp_path / "candidates.npz") as archive:
+            assert {name: (archive[name].dtype, archive[name].shape)
+                    for name in archive.files if name != "header"} == {
+                "row_a": (np.int64, (0,)), "row_b": (np.int64, (0,)),
+                "ts": (np.int64, (0,)), "label": (np.int64, (0,)),
+                "bt_rssi": (np.float64, (0,))}
+        _, columns, rows = fileio.read_csv(tmp_path / "candidates.csv",
+                                           fileio.SCHEMA_CANDIDATES)
+        assert columns == ["user_a", "user_b", "ts_a", "ts_b", "ts", "label", "bt_rssi"]
+        assert rows == []
+        assert run(["featurize"] + args) == 0
+        assert len(FeatureTable.load(tmp_path / "features.npz").label) == 0
+        capsys.readouterr()
+        assert run(["train"] + args) == 3
+        self.assert_one_line_data_error(capsys)
+        assert not list(tmp_path.glob("model_*"))
+
     def copy_inputs(self, src, dst):
         (dst / "features.npz").write_bytes((src / "features.npz").read_bytes())
 
@@ -467,8 +492,16 @@ class TestArtifactIntegrity:
         assert err.count("\n") == 1, err
 
 
-def assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, edit):
-    """Append to log a copy of its last line with an RSSI, changed by edit.
+def edited_line(workdir, log, edit) -> str:
+    """The text of log's last line with an RSSI, changed by edit."""
+    lines = (workdir[0] / log).read_text().splitlines()
+    line = json.loads(next(line for line in reversed(lines) if '"rssi"' in line))
+    edit(line)
+    return json.dumps(line)
+
+
+def assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, bad):
+    """Append the line bad, text or bytes, to log.
 
     Lenient parsing skips the line: the stage writes what it writes
     without it. Under --strict-parse the stage exits 3 with a one-line
@@ -479,15 +512,16 @@ def assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, e
                          "home_routers.json"],
                "pair": ["candidates.npz", "candidates.csv"]}[stage]
     inputs = {"clean": ["wifi.jsonl"], "pair": ["scans.npz", "bluetooth.jsonl"]}[stage]
-    lines = (src / log).read_text().splitlines(keepends=True)
-    bad = json.loads(next(line for line in reversed(lines) if '"rssi"' in line))
-    edit(bad)
+    text = (src / log).read_bytes()
+    lines = text.splitlines()
+    if isinstance(bad, str):
+        bad = bad.encode()
     for mode in ("lenient", "strict"):
         d = tmp_path / mode
         d.mkdir()
         for name in inputs:
             (d / name).write_bytes((src / name).read_bytes())
-        (d / log).write_text("".join(lines) + json.dumps(bad) + "\n")
+        (d / log).write_bytes(text + bad + b"\n")
         args = [stage, "--dir", str(d)] + base[2:]
         capsys.readouterr()
         if mode == "lenient":
@@ -518,8 +552,8 @@ class TestTimestampBounds:
     ], ids=["wifi_int64", "wifi_year_10000", "bluetooth_int64"])
     def test_out_of_range_ts_is_a_malformed_line(self, tmp_path, workdir, capsys,
                                                  log, stage, ts):
-        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage,
-                                            lambda line: line.update(ts=ts))
+        bad = edited_line(workdir, log, lambda line: line.update(ts=ts))
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, bad)
 
 
 class TestRssiBounds:
@@ -536,7 +570,8 @@ class TestRssiBounds:
         def edit(line):
             line[key][-1]["rssi"] = rssi
 
-        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, edit)
+        bad = edited_line(workdir, log, edit)
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, bad)
 
     def test_lowest_int16_rssi_is_kept(self, tmp_path, workdir):
         src, base = workdir
@@ -549,6 +584,31 @@ class TestRssiBounds:
         assert run(["clean", "--dir", str(tmp_path), "--strict-parse"] + base[2:]) == 0
         table = ScanTable.load(tmp_path / "scans.npz")
         assert table.rssi.min() == RSSI_MIN
+
+
+class TestUnparsableLines:
+    """A line that json.loads rejects without JSONDecodeError, or that is
+    not valid UTF-8, is a malformed line in both logs."""
+
+    @pytest.mark.parametrize("log,stage", [("wifi.jsonl", "clean"),
+                                           ("bluetooth.jsonl", "pair")],
+                             ids=["wifi", "bluetooth"])
+    @pytest.mark.parametrize("kind", ["5000_digit_int", "deep_nesting"])
+    def test_line_json_loads_rejects_is_a_malformed_line(self, tmp_path, workdir,
+                                                          capsys, log, stage, kind):
+        # json.dumps cannot write a 5000-digit integer, so the line is built as text
+        bad = {"5000_digit_int": '{"user": "u1", "ts": ' + "9" * 5000 + "}",
+               "deep_nesting": "[" * 100_000 + "]" * 100_000}[kind]
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, bad)
+
+    @pytest.mark.parametrize("log,stage", [("wifi.jsonl", "clean"),
+                                           ("bluetooth.jsonl", "pair")],
+                             ids=["wifi", "bluetooth"])
+    def test_line_that_is_not_utf8_is_a_malformed_line(self, tmp_path, workdir, capsys,
+                                                       log, stage):
+        bad = edited_line(workdir, log, lambda line: line.update(user="u\u00ff"))
+        bad = bad.replace("\\u00ff", "\xff").encode("latin-1")
+        assert_bad_line_is_skipped_or_fatal(tmp_path, workdir, capsys, log, stage, bad)
 
 
 class TestUnencodableIds:

@@ -76,9 +76,11 @@ class TestParseBluetooth:
     def test_one_sighting_per_seen_entry(self):
         res = parse_bluetooth_log(numbered([self.line(
             [{"peer": "u2", "rssi": -70}, {"mac": "ff:ee:dd:00:00:01", "rssi": -80}])]))
-        assert len(res.records) == 2
-        assert res.records[0].peer == "u2" and res.records[0].mac is None
-        assert res.records[1].peer is None
+        sightings = res.records
+        assert len(sightings) == 2 and sightings.users == ["u1", "u2"]
+        assert sightings.user.tolist() == [0, 0] and sightings.peer.tolist() == [1, -1]
+        assert sightings.ts.tolist() == [500, 500]
+        assert sightings.rssi.tolist() == [-70, -80]
 
     def test_peer_and_mac_both_set_rejected(self):
         res = parse_bluetooth_log(numbered([self.line(
@@ -110,7 +112,7 @@ class TestParseBluetooth:
 
     def test_empty_seen_list_yields_nothing(self):
         res = parse_bluetooth_log(numbered([self.line([])]))
-        assert res.records == [] and res.skipped == 0
+        assert len(res.records) == 0 and res.skipped == 0
 
 
 class TestAmbiguityFilter:

@@ -1,5 +1,7 @@
 """Hour windows, candidate generation, and train/test splitting."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,17 +9,44 @@ from hypothesis import strategies as st
 
 import pairing_reference as reference
 from ingest_reference import scan_table_from_records
+from pairing_reference import BluetoothSighting
 from wifi_proximity import fileio, pairing
 from wifi_proximity.cli import main
-from wifi_proximity.ingest import parse_bluetooth_log, parse_wifi_log
+from wifi_proximity.ingest import BluetoothSightings, parse_bluetooth_log, parse_wifi_log
 from wifi_proximity.pairing import WINDOW_S, build_hour_windows, split_indices
-from wifi_proximity.records import BluetoothSighting, CandidatePair
+from wifi_proximity.records import CandidatePair
 
-from conftest import ap, records_of, scan, world_conf
+from conftest import ap, records_of, scan, sightings_of, world_conf
 
 
 def bt(user, ts, peer=None, mac=None, rssi=-60):
     return BluetoothSighting(user=user, ts=ts, peer=peer, mac=mac, rssi=rssi)
+
+
+def sighting_table(sightings) -> BluetoothSightings:
+    """The table parse_bluetooth_log makes of these sightings' log lines."""
+    lines = [json.dumps({"user": s.user, "ts": s.ts, "seen": [
+        {"peer": s.peer, "rssi": s.rssi} if s.peer else {"mac": s.mac, "rssi": s.rssi}]})
+        for s in sightings]
+    return parse_bluetooth_log(enumerate(lines, start=1), strict=True).records
+
+
+def coded_sightings(sightings, users) -> BluetoothSightings:
+    """The sightings between two of users, coded as indices into users:
+    the form generate_candidates takes."""
+    code = {user: i for i, user in enumerate(users)}
+    kept = [s for s in sightings if s.user in code and s.peer in code]
+    return BluetoothSightings(
+        list(users), np.array([code[s.user] for s in kept], dtype=np.int32),
+        np.array([code[s.peer] for s in kept], dtype=np.int32),
+        np.array([s.ts for s in kept], dtype=np.int64),
+        np.array([s.rssi for s in kept], dtype=np.int16))
+
+
+def window_sets(windows, users) -> list[tuple[int, frozenset]]:
+    """Each window as its start and the set of its active users' ids."""
+    return [(start, frozenset(users[u] for u in active.tolist()))
+            for start, active in windows]
 
 
 def table_candidates(wifi, sightings, delta_t, rows=None):
@@ -25,10 +54,19 @@ def table_candidates(wifi, sightings, delta_t, rows=None):
     them by default), each candidate as the CandidatePair of its scans."""
     table = scan_table_from_records(wifi)
     rows = range(len(wifi)) if rows is None else rows
+    return candidate_pairs(wifi, pairing.generate_candidates(
+        table, np.array(rows, dtype=np.int64), coded_sightings(sightings, table.users),
+        delta_t))
+
+
+def candidate_pairs(wifi, cands) -> list[CandidatePair]:
+    """The CandidatePair of each row of a CandidateTable over wifi's scans."""
     return [
-        CandidatePair(wifi[a].user, wifi[b].user, wifi[a], wifi[b], ts, label, bt_rssi)
-        for a, b, ts, label, bt_rssi in pairing.generate_candidates(
-            table, np.array(rows, dtype=np.int64), sightings, delta_t)
+        CandidatePair(wifi[a].user, wifi[b].user, wifi[a], wifi[b], ts, label,
+                      None if np.isnan(bt_rssi) else int(bt_rssi))
+        for a, b, ts, label, bt_rssi in zip(cands.row_a.tolist(), cands.row_b.tolist(),
+                                            cands.ts.tolist(), cands.label.tolist(),
+                                            cands.bt_rssi.tolist())
     ]
 
 
@@ -50,6 +88,12 @@ def brute_windows(sightings):
     return out
 
 
+def hour_windows(sightings) -> list[tuple[int, frozenset]]:
+    """build_hour_windows over these sightings, as window_sets."""
+    table = sighting_table(sightings)
+    return window_sets(build_hour_windows(table), table.users)
+
+
 class TestHourWindows:
     def test_random_sightings_match_brute_force(self):
         rng = np.random.default_rng(3)
@@ -61,31 +105,35 @@ class TestHourWindows:
             m = None if peer else "ff:ee:dd:00:00:01"
             sightings.append(bt(users[u], int(rng.integers(0, 6 * WINDOW_S)),
                                 peer=peer, mac=m))
-        got = [(w.start_ts, w.active_users) for w in build_hour_windows(sightings)]
-        assert got == brute_windows(sightings)
+        assert hour_windows(sightings) == brute_windows(sightings)
 
     def test_active_needs_both_saw_and_was_seen(self):
         # u1 sees u2; u2 never scans anyone, u1 is never seen
-        windows = build_hour_windows([bt("u1", 100, peer="u2")])
-        assert windows == []
+        assert hour_windows([bt("u1", 100, peer="u2")]) == []
 
     def test_mutual_pair_is_active(self):
-        windows = build_hour_windows([
-            bt("u1", 100, peer="u2"), bt("u2", 150, peer="u1")])
-        assert len(windows) == 1
-        assert windows[0].start_ts == 0
-        assert windows[0].active_users == {"u1", "u2"}
+        windows = hour_windows([bt("u1", 100, peer="u2"), bt("u2", 150, peer="u1")])
+        assert windows == [(0, {"u1", "u2"})]
 
     def test_nonparticipant_sightings_ignored(self):
-        windows = build_hour_windows([
-            bt("u1", 100, mac="ff:ee:dd:00:00:01"),
-            bt("u2", 100, mac="ff:ee:dd:00:00:02")])
-        assert windows == []
+        assert hour_windows([bt("u1", 100, mac="ff:ee:dd:00:00:01"),
+                             bt("u2", 100, mac="ff:ee:dd:00:00:02")]) == []
 
     def test_windows_align_to_the_hour(self):
-        windows = build_hour_windows([
+        windows = hour_windows([
             bt("u1", WINDOW_S + 5, peer="u2"), bt("u2", 2 * WINDOW_S - 1, peer="u1")])
-        assert [w.start_ts for w in windows] == [WINDOW_S]
+        assert [start for start, _ in windows] == [WINDOW_S]
+
+    def test_window_of_users_without_scans_counts(self):
+        # u2 and u3 are active at hour 1 but have no scans: their window
+        # counts, and yields no candidates
+        wifi = [scan("u1", 100, [ap(1, -50)]), scan("u2", 150, [ap(1, -60)])]
+        sightings = sighting_table([bt("u1", 100, peer="u2"), bt("u2", 120, peer="u1"),
+                                    bt("u3", WINDOW_S + 5, peer="u4"),
+                                    bt("u4", WINDOW_S + 9, peer="u3")])
+        windows, cands = pairing.pair_windows(scan_table_from_records(wifi), sightings)
+        assert [start for start, _ in windows] == [0, WINDOW_S]
+        assert cands.row_a.tolist() == [0] and cands.label.tolist() == [1]
 
 
 class TestGenerateCandidates:
@@ -183,8 +231,61 @@ def candidate_windows(draw):
     return records, rows, sightings, delta_t
 
 
+H0 = 444_445 * WINDOW_S  # an hour's start
+
+
+@st.composite
+def candidate_hours(draw):
+    """Scans and sightings over three hours, on a 300 s grid: users with
+    sightings and no scans, outside devices, and sightings exactly
+    delta_t (and one second more) from a scan or an hour's edge."""
+    users = ["u0", "u1", "u1\x00", "u2"]
+    scanners = draw(st.lists(st.sampled_from(users), min_size=1, unique=True))
+    delta_t = draw(st.sampled_from([0, 60, 300]))
+    # grid steps, half of them at an hour's edge
+    steps = st.one_of(st.sampled_from([0, 11, 12, 24, 35]), st.integers(0, 35))
+    records = []
+    for _ in range(draw(st.integers(0, 30))):
+        routers = draw(st.lists(st.integers(0, 5), unique=True, max_size=3))
+        records.append(scan(draw(st.sampled_from(scanners)), H0 + 300 * draw(steps),
+                            [ap(i, -50 - i) for i in routers]))
+    sightings = []
+    for _ in range(draw(st.integers(0, 30))):
+        peer = draw(st.sampled_from(users + [None]))
+        offset = draw(st.sampled_from([0, delta_t, -delta_t, delta_t + 1,
+                                       -delta_t - 1]))
+        sightings.append(bt(draw(st.sampled_from(users)), H0 + 300 * draw(steps) + offset,
+                            peer=peer, mac=None if peer else "ff:ee:dd:00:00:01",
+                            rssi=draw(st.integers(-90, -20))))
+    return records, sightings, delta_t
+
+
+def reference_candidates(records, sightings, delta_t) -> list[CandidatePair]:
+    """The reference's candidates of every hour window, window after window:
+    of the records of the window's active users in its hour, in record
+    order, and the sightings within delta_t of the hour."""
+    out = []
+    for start, active in brute_windows(sightings):
+        scans = [rec for rec in records
+                 if rec.ts // WINDOW_S * WINDOW_S == start and rec.user in active]
+        near = [s for s in sightings
+                if start - delta_t <= s.ts < start + WINDOW_S + delta_t]
+        out += reference.generate_candidates(scans, near, delta_t)
+    return out
+
+
 class TestMatchesRecordReference:
     """The table-based generator against tests/pairing_reference.py."""
+
+    @given(candidate_hours())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis_hours(self, case):
+        records, sightings, delta_t = case
+        windows, cands = pairing.pair_windows(
+            scan_table_from_records(records), sighting_table(sightings), delta_t)
+        assert len(windows) == len(brute_windows(sightings))
+        want = reference_candidates(records, sightings, delta_t)
+        assert candidate_pairs(records, cands) == want
 
     @given(candidate_windows())
     @settings(max_examples=400, deadline=None)
@@ -201,16 +302,14 @@ class TestMatchesRecordReference:
             assert main([stage] + base) == 0, stage
         records = records_of(
             parse_wifi_log(fileio.iter_jsonl(tmp_path / "cleaned.jsonl")).records)
-        sightings = sorted(
-            parse_bluetooth_log(fileio.iter_jsonl(tmp_path / "bluetooth.jsonl")).records,
-            key=lambda s: s.ts)
+        parsed = parse_bluetooth_log(fileio.iter_jsonl(tmp_path / "bluetooth.jsonl")).records
+        sightings = sorted(sightings_of(parsed), key=lambda s: s.ts)
         delta_t = 300
         rows = []
-        for window in build_hour_windows(sightings):
+        for start, active in window_sets(build_hour_windows(parsed), parsed.users):
             scans = [i for i, rec in enumerate(records)
-                     if rec.ts // WINDOW_S * WINDOW_S == window.start_ts
-                     and rec.user in window.active_users]
-            lo, hi = window.start_ts - delta_t, window.start_ts + WINDOW_S + delta_t
+                     if rec.ts // WINDOW_S * WINDOW_S == start and rec.user in active]
+            lo, hi = start - delta_t, start + WINDOW_S + delta_t
             near = [s for s in sightings if lo <= s.ts < hi]
             want = reference.generate_candidates([records[i] for i in scans], near, delta_t)
             assert table_candidates(records, near, delta_t, scans) == want

@@ -54,6 +54,7 @@ class TestValidateRecord:
         ("u", 0, [{"bssid": mac(1), "ssid": 3, "rssi": -1}]),  # non-string ssid
         ("u", TS_END, []),                  # too late for every tz offset
         ("u", 2 ** 63, []),                 # beyond int64
+        ("u", 0, [raw_ap(mac(1) + "\n")]),          # bssid with a trailing newline
     ])
     def test_rejects_malformed(self, user, ts, aps):
         with pytest.raises(MalformedRecordError):

@@ -8,7 +8,7 @@ import pytest
 from scipy.stats import mannwhitneyu
 
 from wifi_proximity import synthgen
-from wifi_proximity.fileio import iter_jsonl, read_jsonl_header
+from wifi_proximity.fileio import DataError, iter_jsonl, read_jsonl_header
 from wifi_proximity.fileio import SCHEMA_BLUETOOTH, SCHEMA_GROUND_TRUTH, SCHEMA_WIFI
 from wifi_proximity.ingest import (
     build_home_router_map,
@@ -27,7 +27,7 @@ from wifi_proximity.synthgen import (
     load_ground_truth,
 )
 
-from conftest import records_of
+from conftest import records_of, sightings_of
 
 
 class TestWorldConfig:
@@ -248,17 +248,23 @@ class TestGeneratedFiles:
         assert loaded.homes == truth.homes
         assert loaded.proximity == truth.proximity
 
+    def test_load_ground_truth_rejects_a_line_that_is_not_utf8(self, world, tmp_path):
+        _, (_, _, truth_path), _ = world
+        bad = tmp_path / "truth.jsonl"
+        bad.write_bytes(truth_path.read_bytes() + b'{"user": "u\xff", "home_bssid": "x"}\n')
+        with pytest.raises(DataError, match=f"{bad}:"):
+            load_ground_truth(bad)
+
     def test_bluetooth_sightings_parse(self, world):
         _, (_, bt, _), _ = world
         res = parse_bluetooth_log(iter_jsonl(bt), strict=True)
-        assert res.records
-        assert all(s.peer is not None for s in res.records)
+        assert len(res.records) and (res.records.peer >= 0).all()
 
     def test_bluetooth_ts_within_dilated_truth(self, world):
         cfg, (_, bt, _), truth = world
         episodes = truth.pair_intervals(cfg.scan_period_s)
         res = parse_bluetooth_log(iter_jsonl(bt), strict=True)
-        for s in res.records:
+        for s in sightings_of(res.records):
             key = tuple(sorted((s.user, s.peer)))
             assert any(lo <= s.ts < hi + cfg.scan_period_s
                        for lo, hi in episodes[key]), (s, episodes[key])

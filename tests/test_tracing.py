@@ -9,6 +9,7 @@ one-pass iterators of rows and row blocks, and wraps the three ingest
 functions `clean` calls by name.
 """
 
+import re
 import sys
 from pathlib import Path
 
@@ -75,7 +76,8 @@ def test_tree_growth_is_traced(tracing):
     assert nodes > 4 and tracer.counts["trees.nodes"] == nodes
 
 
-def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_world):
+def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_world,
+                                                        capsys):
     plain, traced = tmp_path / "plain", tmp_path / "traced"
     plain.mkdir()
     traced.mkdir()
@@ -87,11 +89,17 @@ def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_
         (traced / name).write_bytes((plain / name).read_bytes())
     tracer = tracing.Tracer()
     tracer.install()
+    capsys.readouterr()
     try:
         for stage in ("clean", "pair", "featurize"):
             assert cli.main([stage, "--dir", str(traced), "--config", str(conf)]) == 0
     finally:
         tracer.uninstall()
+    # the counts the benchmark reads: the windows pair prints, the rows it writes
+    windows = re.search(r"from (\d+) active hour windows", capsys.readouterr().out)
+    assert tracer.counts["pairing.windows"] == int(windows.group(1)) > 0
+    _, _, candidates = fileio.read_csv(plain / "candidates.csv", fileio.SCHEMA_CANDIDATES)
+    assert tracer.counts["pairing.candidates"] == len(candidates) > 0
     # clean: cleaned.jsonl and two JSON reports; pair and featurize: one CSV each
     assert tracer.calls["fileio.write"] == 5
     assert tracer.calls["ingest.parse_wifi"] == 1
