@@ -226,6 +226,14 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+def _nonempty_features(path, h: str) -> FeatureTable:
+    """features.npz, which must hold at least one row to split."""
+    feats = FeatureTable.load(path, h)
+    if len(feats.label) == 0:
+        raise DataError(f"{path}: has no rows")
+    return feats
+
+
 def _split_for(cfg: PipelineConfig, n: int):
     train_count = int(round(cfg.train_size * n))
     train_count = max(1, min(n - 1, train_count))
@@ -235,7 +243,7 @@ def _split_for(cfg: PipelineConfig, n: int):
 def stage_train(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    feats = FeatureTable.load(paths["features"], h)
+    feats = _nonempty_features(paths["features"], h)
     X, y = feats.X, feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
 
@@ -289,7 +297,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     h = cfg.data_hash()
     model_file = _model_path(paths["dir"], cfg)
     model, doc = load_model(model_file, h)
-    feats = FeatureTable.load(paths["features"], h)
+    feats = _nonempty_features(paths["features"], h)
     X, y = feats.X, feats.label
 
     split = doc.get("split")
@@ -300,10 +308,10 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
 
     X_imp = apply_imputation(X, model.imputation)
-    X_sel = select_columns(X_imp, model.feature_names)
-
-    scores_train = predict(model, X_sel[train_idx])
-    scores_test = predict(model, X_sel[test_idx])
+    # rows first, then columns: a column selection comes out column-major,
+    # so a tree reads each column's rows from contiguous memory
+    scores_train = predict(model, select_columns(X_imp[train_idx], model.feature_names))
+    scores_test = predict(model, select_columns(X_imp[test_idx], model.feature_names))
     classifier = fit_threshold(scores_train, y[train_idx], feature_name="model_score")
 
     train_prf = prf_at_threshold(scores_train, y[train_idx], classifier)
@@ -345,7 +353,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
 def stage_report(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    feats = FeatureTable.load(paths["features"], h)
+    feats = _nonempty_features(paths["features"], h)
     X, y = feats.X, feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
 

@@ -5,6 +5,10 @@ a random negative, ties counting one half). The report slices test AUC by
 union-size tercile, campus flag, calendar week and hour of week, bins the
 missed positives by Bluetooth RSSI, and the learning-curve driver retrains
 on growing subsamples against a fixed test set.
+
+The campus, week and hour strata are grouped by code: a key is computed
+once per distinct value (per distinct local day for the week), and one
+stable sort gathers each stratum's rows in their original order.
 """
 
 from __future__ import annotations
@@ -143,13 +147,25 @@ def iso_week_key(ts: int, tz_offset_s: int = 0) -> str:
     return f"{year}-W{week:02d}"
 
 
-def _group_strata(scores, labels, keys) -> tuple[StratumResult, ...]:
+def _group_strata(scores, labels, values, key_of) -> tuple[StratumResult, ...]:
+    """One result per distinct key, in key order.
+
+    key_of maps one distinct entry of values to its key, and is called
+    once per distinct entry. A stratum's rows keep their order in scores,
+    so its AUC is that of a boolean-mask selection.
+    """
+    uniq, inv = np.unique(values, return_inverse=True)
+    value_keys = [key_of(v) for v in uniq.tolist()]
+    keys = sorted(set(value_keys))
+    rank = {key: i for i, key in enumerate(keys)}
+    code = np.array([rank[key] for key in value_keys], dtype=np.int64)[inv]
+    order = np.argsort(code, kind="stable")
+    bounds = np.cumsum(np.bincount(code, minlength=len(keys)))
     out = []
-    for key in sorted(set(keys)):
-        m = np.array([k == key for k in keys])
+    for key, rows in zip(keys, np.split(order, bounds[:-1])):
         out.append(StratumResult(
-            key=str(key), n=int(m.sum()), n_pos=int(labels[m].sum()),
-            auc=_auc_or_none(scores[m], labels[m])))
+            key=key, n=len(rows), n_pos=int(labels[rows].sum()),
+            auc=_auc_or_none(scores[rows], labels[rows])))
     return tuple(out)
 
 
@@ -187,12 +203,14 @@ def stratified_report(scores, labels, *, classifier, union_sizes, at_campus,
     strata = {
         "union_tercile": tuple(tercile_results),
         "at_campus": _group_strata(
-            scores, labels,
-            ["on_campus" if c else "off_campus" for c in at_campus]),
+            scores, labels, at_campus,
+            lambda c: "on_campus" if c else "off_campus"),
+        # the ISO week of a local day: one datetime per distinct day
         "week": _group_strata(
-            scores, labels, [iso_week_key(int(t), tz_offset_s) for t in ts]),
+            scores, labels, (ts.astype(np.int64) + tz_offset_s) // 86400,
+            lambda day: iso_week_key(day * 86400)),
         "hour_of_week": _group_strata(
-            scores, labels, [f"how_{int(h):03d}" for h in hours]),
+            scores, labels, hours, lambda h: f"how_{int(h):03d}"),
     }
 
     miss_bins = None
@@ -287,7 +305,8 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     """
     X_pool = np.ascontiguousarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
-    X_test = np.ascontiguousarray(X_test, dtype=float)
+    # column-major, the layout in which trees read a column's rows fastest
+    X_test = np.asfortranarray(X_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     params_by_kind = params_by_kind or {}
     if max(sizes) > len(y_pool):

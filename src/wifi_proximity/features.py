@@ -811,8 +811,9 @@ def fit_imputation(matrix: np.ndarray) -> ImputationState:
 
 
 def apply_imputation(matrix: np.ndarray, state: ImputationState) -> np.ndarray:
-    """Copy of the matrix with missing correlations set to the stored means."""
-    out = matrix.copy()
+    """Copy of the matrix, in its memory layout, with missing correlations
+    set to the stored means."""
+    out = matrix.copy(order="K")
     means = {"spearman": state.spearman_mean, "pearson": state.pearson_mean}
     for name in CORRELATION_FEATURES:
         col = FEATURE_NAMES.index(name)

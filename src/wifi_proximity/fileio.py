@@ -11,7 +11,8 @@ Logs and the cleaned scans are JSONL; reports and models are JSON. From
 ``clean`` on, stages hand each other arrays in .npz archives (write_npz,
 read_npz): scans.npz, candidates.npz and features.npz. The CSV files,
 candidates.csv and features.csv, are readable copies that no stage reads;
-write_csv formats them a block of rows at a time, column by column.
+write_csv formats them a block of rows at a time, column by column, and
+each distinct number in a block's column once.
 """
 
 from __future__ import annotations
@@ -160,13 +161,25 @@ def column_blocks(columns, size: int = CSV_BLOCK_ROWS) -> Iterator[list]:
 
 def _cells(column: np.ndarray) -> list[str]:
     """One column's cells: repr for floats, with NaN as an empty cell, and
-    str for anything else."""
-    if column.dtype.kind != "f":
+    str for anything else.
+
+    A number column formats each distinct value once; floats are told
+    apart by their bits, so -0.0 and 0.0 keep their own cells. An object
+    column holds ids that are text already, which sorting would only slow.
+    """
+    if column.dtype.kind == "O":
         return list(map(str, column.tolist()))
-    cells = list(map(repr, column.tolist()))
-    for i in np.flatnonzero(np.isnan(column)).tolist():
-        cells[i] = ""
-    return cells
+    if column.dtype.kind == "f":
+        bits, inv = np.unique(column.astype(np.float64).view(np.int64),
+                              return_inverse=True)
+        uniq = bits.view(np.float64)
+        text = list(map(repr, uniq.tolist()))
+        for i in np.flatnonzero(np.isnan(uniq)).tolist():
+            text[i] = ""
+    else:
+        uniq, inv = np.unique(column, return_inverse=True)
+        text = list(map(str, uniq.tolist()))
+    return np.array(text, dtype=object)[inv].tolist()
 
 
 def write_csv(path, schema: str, cfg_hash: str, columns: list[str],
@@ -241,11 +254,21 @@ def write_json(path, schema: str, cfg_hash: str, payload: dict) -> None:
 
 
 def read_json(path, expect_schema: str, expect_hash: str | None = None) -> dict:
+    """Read a document written by write_json.
+
+    A missing file, text that is not UTF-8 JSON, or a document that is not
+    an object raises DataError naming the file.
+    """
     path = Path(path)
     if not path.exists():
         raise DataError(f"missing input file: {path}")
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh, object_hook=_decode_special)
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, object_hook=_decode_special)
+    except (ValueError, TypeError, RecursionError) as exc:
+        raise DataError(f"{path}: unreadable JSON document ({exc})") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: not a JSON object")
     check_schema(doc.get("schema"), doc.get("config_hash"),
                  expect_schema, expect_hash, str(path))
     return doc

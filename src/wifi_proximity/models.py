@@ -4,6 +4,8 @@ Three families: single-feature threshold rules (the per-feature baseline),
 gradient-boosted regression trees with logistic loss, and a random forest
 of Gini classification trees. The ensembles are built on trees.grow_tree
 and tuned, when asked, by stratified 5-fold grid search on validation AUC.
+Boosting adds each new tree's leaf values to the training scores from the
+leaf rows the grower returns. load_model checks every tree it reads.
 """
 
 from __future__ import annotations
@@ -165,8 +167,9 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
 
     Starts from the log-odds of training prevalence; each stage fits a
     variance-reduction regression tree to the residuals y - p with Newton
-    leaf values sum(g)/sum(h), scaled by the learning rate. Trees are
-    grown one after another on one thread: each stage needs the last.
+    leaf values sum(g)/sum(h), scaled by the learning rate, which are
+    added to the scores of the leaf's training rows. Trees are grown one
+    after another on one thread: each stage needs the last.
     """
     params = {**DEFAULT_GBT_PARAMS, **(params or {})}
     X, y = _check_training_input(X, y)
@@ -186,10 +189,12 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
         p = expit(F)
         g = y - p
         h = p * (1.0 - p)
+        leaves: list = []
         raw = grow_tree(codes, values, g, criterion="variance", hess=h,
-                        max_depth=params["max_depth"])
+                        max_depth=params["max_depth"], leaves=leaves)
         tree = replace(raw, value=raw.value * lr)
-        F = F + tree.predict(X)
+        for node, rows in leaves:
+            F[rows] += tree.value[node]
         trees.append(tree)
 
     return TreeEnsembleModel(
@@ -231,8 +236,8 @@ def fit_rf(X, y, params: dict | None = None, seed: int = 0,
 
 
 def predict(model: TreeEnsembleModel, X) -> np.ndarray:
-    """Scores in [0, 1], one per row."""
-    X = np.ascontiguousarray(X, dtype=float)
+    """Scores in [0, 1], one per row. A column-major X is read fastest."""
+    X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[1] != len(model.feature_names):
         raise ValueError(
             f"expected {len(model.feature_names)} feature columns, got shape {X.shape}")
@@ -351,7 +356,12 @@ def save_model(model: TreeEnsembleModel, path, cfg_hash: str,
 
 def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel, dict]:
     """Returns (model, full document); the document carries config_hash
-    and any extra metadata stored alongside the model."""
+    and any extra metadata stored alongside the model.
+
+    Raises DataError naming the file unless the model is of a known kind
+    with at least one tree, a boosted model has a finite base score, and
+    every tree is well formed (Tree.check) on the model's feature columns.
+    """
     doc = fileio.read_json(path, fileio.SCHEMA_MODEL, expect_hash)
     try:
         model = TreeEnsembleModel(
@@ -366,6 +376,18 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
             hyperparameters=doc["hyperparameters"],
             seed=doc["seed"],
         )
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise fileio.DataError(f"{path}: malformed model file: {exc}") from exc
+    if model.kind not in (KIND_GBT, KIND_RF) or not model.trees:
+        raise fileio.DataError(f"{path}: malformed model file: kind {model.kind!r} "
+                               f"with {len(model.trees)} trees")
+    if model.kind == KIND_GBT and not (isinstance(model.base_score, (int, float))
+                                       and math.isfinite(model.base_score)):
+        raise fileio.DataError(f"{path}: malformed model file: base score "
+                               f"{model.base_score!r}")
+    for i, tree in enumerate(model.trees):
+        try:
+            tree.check(len(model.feature_names))
+        except ValueError as exc:
+            raise fileio.DataError(f"{path}: malformed model file: tree {i}: {exc}") from exc
     return model, doc

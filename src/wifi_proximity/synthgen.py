@@ -187,26 +187,6 @@ class GroundTruth:
     homes: dict[str, str]
     proximity: dict[int, list[tuple[str, str, float]]]
 
-    def pair_intervals(self, period_s: int) -> dict[tuple[str, str], list[tuple[int, int]]]:
-        """Merge per-slot proximity into [start, end) episodes per pair."""
-        slots_by_pair: dict[tuple[str, str], list[int]] = {}
-        for ts, pairs in self.proximity.items():
-            for ua, ub, _ in pairs:
-                slots_by_pair.setdefault((ua, ub), []).append(ts)
-        episodes: dict[tuple[str, str], list[tuple[int, int]]] = {}
-        for key, slots in slots_by_pair.items():
-            slots.sort()
-            runs: list[tuple[int, int]] = []
-            start = prev = slots[0]
-            for ts in slots[1:]:
-                if ts - prev > period_s:
-                    runs.append((start, prev + period_s))
-                    start = ts
-                prev = ts
-            runs.append((start, prev + period_s))
-            episodes[key] = runs
-        return episodes
-
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
     return np.random.default_rng([seed, *tags])

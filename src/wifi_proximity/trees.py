@@ -9,7 +9,14 @@ in how a cut is scored.
 The split search is exact over each column's distinct values: columns are
 coded once per fit (`encode_columns`), a node holds one row-index array,
 and a `bincount` of its rows' codes gives each value's count and target
-sum. Integer row weights stand for repeated rows, as in a bootstrap.
+sum. Integer row weights stand for repeated rows, as in a bootstrap. The
+grower can hand out each leaf's rows, so boosting updates its training
+scores without predicting.
+
+Prediction routes row sets the same way: each internal node splits its
+row array with one comparison and each leaf writes its value into its
+rows. `Tree.check` rejects a tree that could not be routed, such as one
+read from a damaged model file.
 
 Determinism contract: splits are chosen by strictly-greater gain
 comparisons scanning features in ascending index order, and within a
@@ -50,20 +57,25 @@ class Tree:
         return len(self.feature)
 
     def predict(self, X: np.ndarray) -> np.ndarray:
-        """Leaf value reached by each row."""
-        n = X.shape[0]
-        node = np.zeros(n, dtype=np.int32)
-        if n == 0:
-            return np.empty(0)
-        while True:
-            feat = self.feature[node]
-            active = np.nonzero(feat != _LEAF)[0]
-            if len(active) == 0:
-                break
-            cur = node[active]
-            go_left = X[active, feat[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
-        return self.value[node]
+        """Leaf value reached by each row.
+
+        Rows travel down the tree as index arrays: an internal node splits
+        its rows with one comparison on its feature, and a leaf writes its
+        value into its rows. Children have larger indices than their
+        parent (see check), so every path ends at a leaf.
+        """
+        out = np.empty(X.shape[0])
+        stack = [(0, np.arange(X.shape[0]))]
+        while stack:
+            node, rows = stack.pop()
+            j = self.feature[node]
+            if j == _LEAF:
+                out[rows] = self.value[node]
+            elif len(rows):
+                go_left = X[:, j][rows] <= self.threshold[node]
+                stack.append((self.right[node], rows.compress(~go_left)))
+                stack.append((self.left[node], rows.compress(go_left)))
+        return out
 
     def importance_sums(self, n_features: int) -> np.ndarray:
         """Per-feature sum of split gains, for impurity-based importance."""
@@ -85,15 +97,45 @@ class Tree:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":
+        """Raises ValueError where an index or count is not an integer,
+        which the integer arrays would otherwise truncate."""
+        def ints(key, dtype):
+            if len(d[key]) and np.array(d[key]).dtype.kind not in "iu":
+                raise ValueError(f"{key} holds an entry that is not an integer")
+            return np.array(d[key], dtype=dtype)
+
         return cls(
-            feature=np.array(d["feature"], dtype=np.int32),
+            feature=ints("feature", np.int32),
             threshold=np.array(d["threshold"], dtype=float),
-            left=np.array(d["left"], dtype=np.int32),
-            right=np.array(d["right"], dtype=np.int32),
+            left=ints("left", np.int32),
+            right=ints("right", np.int32),
             value=np.array(d["value"], dtype=float),
-            n_samples=np.array(d["n_samples"], dtype=np.int64),
+            n_samples=ints("n_samples", np.int64),
             gain=np.array(d["gain"], dtype=float),
         )
+
+    def check(self, n_features: int) -> None:
+        """Raise ValueError unless this is a well-formed tree on n_features
+        columns: seven 1-d arrays of one non-zero length, features in
+        [-1, n_features), an internal node's children after it, -1
+        children at leaves, finite thresholds."""
+        arrays = [self.feature, self.threshold, self.left, self.right,
+                  self.value, self.n_samples, self.gain]
+        n = len(self.feature)
+        if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+            raise ValueError("node arrays are empty or differ in length")
+        if ((self.feature < _LEAF) | (self.feature >= n_features)).any():
+            raise ValueError(f"a feature index lies outside [-1, {n_features})")
+        node = np.arange(n)
+        leaf = self.feature == _LEAF
+        for name, child in (("left", self.left), ("right", self.right)):
+            if (child[leaf] != _LEAF).any():
+                raise ValueError(f"a leaf has a {name} child")
+            if ((child[~leaf] <= node[~leaf]) | (child[~leaf] >= n)).any():
+                raise ValueError(f"a {name} child does not lie after its "
+                                 "parent in the tree")
+        if not np.isfinite(self.threshold).all():
+            raise ValueError("a threshold is not finite")
 
 
 def encode_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
@@ -156,7 +198,8 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
               hess: np.ndarray | None = None,
               max_depth: int | None = None,
               max_features: int | None = None,
-              rng: np.random.Generator | None = None) -> Tree:
+              rng: np.random.Generator | None = None,
+              leaves: list | None = None) -> Tree:
     """Grow one tree on the rows of a matrix encoded by encode_columns.
 
     criterion "variance" fits real targets y; leaves output sum(y)/sum(hess)
@@ -169,6 +212,9 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
     max_features, when below the column count, samples that many candidate
     features per node from rng (consumed in depth-first pre-order, left
     subtree first).
+
+    leaves, when given, receives one (node, rows) pair per leaf: the leaf's
+    index and the rows of non-zero weight that reach it.
     """
     if criterion not in ("variance", "gini"):
         raise ValueError(f"unknown criterion {criterion!r}")
@@ -237,6 +283,8 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
         if best is None:
             den = n_node if hess is None else max(float(hess[rows].sum()), _MIN_HESSIAN)
             value_l[node] = s / den
+            if leaves is not None:
+                leaves.append((node, rows))
             continue
 
         gain, j_star, thr, code = best

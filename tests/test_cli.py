@@ -1,11 +1,16 @@
 """The pipeline CLI: stage wiring, exit codes, artifact discipline."""
 
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import wifi_proximity
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
 from wifi_proximity.features import FeatureTable, ScanTable
@@ -354,6 +359,98 @@ class TestArtifactIntegrity:
         assert not (tmp_path / "report.json").exists()
         assert run(["report"] + args) == 0
         assert (tmp_path / "report.json").exists()
+
+    def test_train_and_report_name_an_empty_feature_table(self, tmp_path, workdir,
+                                                          capsys):
+        src, base = workdir
+        feats = FeatureTable.load(src / "features.npz")
+        replace(feats, X=feats.X[:0], label=feats.label[:0], ts=feats.ts[:0],
+                bt_rssi=feats.bt_rssi[:0]).save(tmp_path / "features.npz",
+                                                run_hash(src))
+        args = ["--dir", str(tmp_path)] + base[2:]
+        capsys.readouterr()
+        for stage in ("train", "report"):
+            assert run([stage] + args) == 3, stage
+            err = capsys.readouterr().err
+            assert err == f"data error: {tmp_path / 'features.npz'}: has no rows\n"
+        assert not list(tmp_path.glob("model_*")) and not list(tmp_path.glob("report*"))
+
+    def edit_model(self, src, dst, edit):
+        """Copy the run's features and gbt model to dst, editing the model
+        document's first tree."""
+        (dst / "features.npz").write_bytes((src / "features.npz").read_bytes())
+        doc = fileio.read_json(src / "model_full_gbt.json", fileio.SCHEMA_MODEL)
+        edit(doc["trees"][0])
+        payload = {k: v for k, v in doc.items() if k not in ("schema", "config_hash")}
+        fileio.write_json(dst / "model_full_gbt.json", fileio.SCHEMA_MODEL,
+                          doc["config_hash"], payload)
+
+    @pytest.mark.parametrize("edit", [
+        lambda t: t["feature"].__setitem__(0, 99),
+        lambda t: t["feature"].__setitem__(0, -2),
+        lambda t: t["right"].__setitem__(0, len(t["right"])),
+        lambda t: t["left"].__setitem__(t["feature"].index(-1), 1),
+        lambda t: t["threshold"].__setitem__(0, float("inf")),
+        lambda t: t["gain"].pop(),
+        lambda t: t.update({k: [] for k in t}),
+        lambda t: t.update(left=[[0, 1]] * len(t["left"])),
+        lambda t: t["feature"].__setitem__(0, t["feature"][0] + 0.5),
+        lambda t: t["left"].__setitem__(0, t["left"][0] + 0.9),
+    ], ids=["feature_99", "feature_-2", "child_outside", "leaf_child",
+            "threshold_inf", "short_gain", "no_nodes", "nested_lists",
+            "feature_fraction", "child_fraction"])
+    def test_evaluate_rejects_a_malformed_tree(self, tmp_path, workdir, capsys, edit):
+        src, base = workdir
+        self.edit_model(src, tmp_path, edit)
+        capsys.readouterr()
+        assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(
+            f"data error: {tmp_path / 'model_full_gbt.json'}: malformed model file")
+        assert err.count("\n") == 1
+        assert not list(tmp_path.glob("eval_*"))
+
+    def test_evaluate_of_a_tree_with_a_cycle_ends(self, tmp_path, workdir):
+        """A root whose left child is itself must not send evaluate round
+        the loop for ever."""
+        src, base = workdir
+        self.edit_model(src, tmp_path, lambda t: t["left"].__setitem__(0, 0))
+        env = dict(os.environ)
+        package_root = str(Path(wifi_proximity.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-m", "wifi_proximity", "evaluate", "--dir", str(tmp_path)]
+            + base[2:], env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.startswith(
+            f"data error: {tmp_path / 'model_full_gbt.json'}: malformed model file")
+        assert proc.stderr.count("\n") == 1
+        assert not list(tmp_path.glob("eval_*"))
+
+    @pytest.mark.parametrize("text", ["[]", '{"schema": "model.v1", "trees": [1'])
+    def test_evaluate_names_an_unreadable_model_file(self, tmp_path, workdir, capsys,
+                                                     text):
+        src, base = workdir
+        (tmp_path / "features.npz").write_bytes((src / "features.npz").read_bytes())
+        (tmp_path / "model_full_gbt.json").write_text(text)
+        capsys.readouterr()
+        assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'model_full_gbt.json'}: ")
+        assert err.count("\n") == 1
+
+    def test_report_names_a_cut_eval_file(self, tmp_path, workdir, capsys):
+        src, base = workdir
+        (tmp_path / "features.npz").write_bytes((src / "features.npz").read_bytes())
+        blob = (src / "eval_full_gbt.json").read_bytes()
+        (tmp_path / "eval_full_gbt.json").write_bytes(blob[:150])
+        capsys.readouterr()
+        assert run(["report", "--dir", str(tmp_path)] + base[2:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'eval_full_gbt.json'}: ")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("fault", ["truncated", "offsets", "foreign_hash",
                                        "missing"])

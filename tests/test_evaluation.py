@@ -2,9 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import expit
 
 from wifi_proximity.evaluation import (
+    StratumResult,
+    _auc_or_none,
     auc_roc,
     iso_week_key,
     learning_curve,
@@ -157,6 +161,69 @@ class TestStratifiedReport:
         assert d["n"] == 50
         assert isinstance(d["strata"]["week"], list)
         assert d["miss_rate_by_bt_rssi"] is not None
+
+
+def reference_strata(scores, labels, keys):
+    """The per-row grouping stratified_report replaced: one mask over every
+    row per distinct key."""
+    out = []
+    for key in sorted(set(keys)):
+        m = np.array([k == key for k in keys])
+        out.append(StratumResult(
+            key=str(key), n=int(m.sum()), n_pos=int(labels[m].sum()),
+            auc=_auc_or_none(scores[m], labels[m])))
+    return tuple(out)
+
+
+# 2020-12-31 is in ISO week 2020-W53 and 2021-01-04 starts 2021-W01
+NEW_YEAR_TS = (1609372800 - 5 * 86400, 1609718400 + 9 * 86400)
+
+
+@st.composite
+def report_case(draw):
+    n = draw(st.integers(3, 40))  # a row per union tercile at least
+    column = lambda elements: np.array(draw(st.lists(elements, min_size=n, max_size=n)))
+    labels = column(st.integers(0, 1))
+    labels[:2] = [0, 1]
+    scores = column(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 1.0))
+    campus = column(st.sampled_from([0.0, 1.0]))
+    # half-hours too, so that two values can share a key
+    hours = column(st.integers(0, 2 * 167).map(lambda k: k / 2))
+    ts = column(st.integers(*NEW_YEAR_TS)).astype(np.int64)
+    tz_offset_s = draw(st.sampled_from([0, 3600, -3600, 86399, -86399])
+                       | st.integers(-86399, 86399))
+    return scores, labels, campus, hours, ts, tz_offset_s
+
+
+class TestStrataMatchPerRowReference:
+    @given(report_case())
+    @settings(max_examples=300, deadline=None)
+    def test_hypothesis(self, case):
+        scores, labels, campus, hours, ts, tz_offset_s = case
+        rep = stratified_report(scores, labels, classifier=greater(0.5),
+                                union_sizes=np.arange(len(labels)), at_campus=campus,
+                                hours=hours, ts=ts, tz_offset_s=tz_offset_s)
+        assert rep.strata["at_campus"] == reference_strata(
+            scores, labels, ["on_campus" if c else "off_campus" for c in campus])
+        assert rep.strata["week"] == reference_strata(
+            scores, labels, [iso_week_key(int(t), tz_offset_s) for t in ts])
+        assert rep.strata["hour_of_week"] == reference_strata(
+            scores, labels, [f"how_{int(h):03d}" for h in hours])
+
+    def test_week_strata_span_the_iso_year_boundary(self):
+        ts = np.array([1609372800, 1609372800 + 3 * 86400, 1609718400, 1609718400])
+        scores = np.array([0.1, 0.9, 0.2, 0.8])
+        labels = np.array([0, 1, 0, 1])
+        rep = stratified_report(scores, labels, classifier=greater(0.5),
+                                union_sizes=np.arange(4), at_campus=np.zeros(4),
+                                hours=np.zeros(4), ts=ts, tz_offset_s=-3600)
+        # an hour west of UTC, midnight on 2021-01-04 is still Sunday in W53
+        assert [(s.key, s.n) for s in rep.strata["week"]] == [("2020-W53", 4)]
+        rep = stratified_report(scores, labels, classifier=greater(0.5),
+                                union_sizes=np.arange(4), at_campus=np.zeros(4),
+                                hours=np.zeros(4), ts=ts)
+        assert [(s.key, s.n, s.auc) for s in rep.strata["week"]] == [
+            ("2020-W53", 2, 1.0), ("2021-W01", 2, 1.0)]
 
 
 class TestMissRate:

@@ -95,6 +95,21 @@ class TestCsv:
                 "" if np.isnan(v) else repr(float(v)) for v in (x[i], x[i] * 1e300)]
             assert lines[2 + i].split(",") == want
 
+    def test_cells_formats_each_distinct_value_as_every_cell_did(self):
+        rng = np.random.default_rng(5)
+        other_nan = np.array([0x7FF8000000000001]).view(np.float64)[0]
+        pool = np.array([0.0, -0.0, np.nan, other_nan, np.inf, -np.inf, 0.1 + 0.2,
+                         1e-300, -1.5, 5e-324])
+        floats = pool[rng.integers(0, len(pool), 500)]
+        ints = rng.integers(-3, 4, 500)
+        ids = np.array(["", "u1", "u1\x00", "u\u00e9"], dtype=object)[
+            rng.integers(0, 4, 500)]
+        assert fileio._cells(floats) == [
+            "" if math.isnan(v) else repr(v) for v in floats.tolist()]
+        assert fileio._cells(ints) == [str(v) for v in ints.tolist()]
+        assert fileio._cells(ids) == ids.tolist()
+        assert fileio._cells(floats[:0]) == []
+
     def test_zero_rows_write_the_header_only(self, tmp_path):
         p = tmp_path / "t.csv"
         n = fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["a", "b"],
@@ -133,6 +148,24 @@ class TestJson:
         fileio.write_json(p, fileio.SCHEMA_EVAL, "abc123", {})
         with pytest.raises(DataError):
             fileio.read_json(p, fileio.SCHEMA_EVAL, "different")
+
+
+    @pytest.mark.parametrize("text", [
+        '{"schema": "eval.v1", "config_hash": "h", "auc": ',  # cut short
+        "[]", "null", '"text"',
+        '{"schema": "eval.v1", "x": {"__float__": []}}',
+    ])
+    def test_unreadable_document_raises_dataerror_naming_the_file(self, tmp_path, text):
+        p = tmp_path / "eval.json"
+        p.write_text(text)
+        with pytest.raises(DataError, match="eval.json: "):
+            fileio.read_json(p, fileio.SCHEMA_EVAL)
+
+    def test_document_that_is_not_utf8_raises_dataerror(self, tmp_path):
+        p = tmp_path / "eval.json"
+        p.write_bytes(b'{"schema": "eval.v1", "x": "\xff"}')
+        with pytest.raises(DataError, match="eval.json: "):
+            fileio.read_json(p, fileio.SCHEMA_EVAL)
 
 
 class TestAtomicWrites:

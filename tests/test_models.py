@@ -1,5 +1,6 @@
 """Threshold rules, the two tree ensembles, grid search, persistence."""
 
+import json
 import math
 
 import numpy as np
@@ -247,6 +248,23 @@ class TestPersistence:
         p = tmp_path / "bad.json"
         fileio.write_json(p, fileio.SCHEMA_MODEL, "h", {"kind": "gradient-boosted"})
         with pytest.raises(fileio.DataError):
+            load_model(p)
+
+
+    @pytest.mark.parametrize("edit", [
+        {"trees": []}, {"kind": "nonsense"}, {"base_score": None},
+        {"base_score": {"__float__": "nan"}}, {"base_score": "0.5"},
+    ], ids=["no_trees", "unknown_kind", "no_base_score", "nan_base_score",
+            "text_base_score"])
+    def test_model_that_cannot_score_raises_dataerror(self, tmp_path, edit):
+        X, y = random_problem(13, n=120)
+        p = tmp_path / "gbt.json"
+        save_model(fit_model("gbt", X, y, {"n_trees": 2}), p, "h")
+        doc = fileio.read_json(p, fileio.SCHEMA_MODEL)
+        doc.update(edit)
+        with open(p, "w") as fh:
+            json.dump(doc, fh)
+        with pytest.raises(fileio.DataError, match="gbt.json: malformed model file"):
             load_model(p)
 
 

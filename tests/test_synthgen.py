@@ -186,6 +186,28 @@ class TestBluetoothAndTruth:
         assert len(proximity) == n  # truth is unaffected by detection
 
 
+def pair_intervals(truth: GroundTruth,
+                   period_s: int) -> dict[tuple[str, str], list[tuple[int, int]]]:
+    """Merge per-slot proximity into [start, end) episodes per pair."""
+    slots_by_pair: dict[tuple[str, str], list[int]] = {}
+    for ts, pairs in truth.proximity.items():
+        for ua, ub, _ in pairs:
+            slots_by_pair.setdefault((ua, ub), []).append(ts)
+    episodes: dict[tuple[str, str], list[tuple[int, int]]] = {}
+    for key, slots in slots_by_pair.items():
+        slots.sort()
+        runs: list[tuple[int, int]] = []
+        start = prev = slots[0]
+        for ts in slots[1:]:
+            if ts - prev > period_s:
+                runs.append((start, prev + period_s))
+                start = ts
+            prev = ts
+        runs.append((start, prev + period_s))
+        episodes[key] = runs
+    return episodes
+
+
 class TestGroundTruthEpisodes:
     def test_pair_intervals_merge_consecutive_slots(self):
         proximity = {
@@ -195,7 +217,7 @@ class TestGroundTruthEpisodes:
             4000: [("a", "b", 2.0)],
         }
         gt = GroundTruth(homes={}, proximity=proximity)
-        episodes = gt.pair_intervals(period_s=300)
+        episodes = pair_intervals(gt, period_s=300)
         assert episodes[("a", "b")] == [(1000, 1900), (4000, 4300)]
 
 
@@ -262,7 +284,7 @@ class TestGeneratedFiles:
 
     def test_bluetooth_ts_within_dilated_truth(self, world):
         cfg, (_, bt, _), truth = world
-        episodes = truth.pair_intervals(cfg.scan_period_s)
+        episodes = pair_intervals(truth, cfg.scan_period_s)
         res = parse_bluetooth_log(iter_jsonl(bt), strict=True)
         for s in sightings_of(res.records):
             key = tuple(sorted((s.user, s.peer)))

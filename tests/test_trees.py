@@ -1,10 +1,13 @@
 """Tree growing: split selection, leaf values, determinism."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from wifi_proximity.models import fit_gbt
 from wifi_proximity.trees import Tree, _best_cut, encode_columns, grow_tree
 
 import tree_reference
@@ -369,3 +372,76 @@ class TestEncodeColumns:
         for j, vals in enumerate(values):
             assert np.array_equal(vals, np.unique(X[:, j]))
             assert np.array_equal(vals[codes[:, j]], X[:, j])
+
+
+class TestPredictMatchesLevelwise:
+    """Row-set routing against the level-wise walk it replaced."""
+
+    def trees(self, seed):
+        rng = np.random.default_rng(seed)
+        for s in range(30):
+            n = int(rng.integers(5, 300))
+            d = int(rng.integers(1, 7))
+            X = _tied_problem(rng, n, d)
+            depth = [None, 2, 8][s % 3]
+            t = rng.normal(size=n)
+            yield X, grow(X, t, criterion="variance", hess=rng.uniform(0.01, 0.25, n),
+                          max_depth=depth)
+            y = (X[:, -1] + rng.normal(size=n) > 1.0).astype(float)
+            weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            yield X, grow(X, y, criterion="gini", weight=weight, max_depth=depth,
+                          max_features=max(1, math.isqrt(d)), rng=rng)
+
+    @staticmethod
+    def at_thresholds(tree, X, rng):
+        """Rows of X with cells set to the tree's own thresholds, so that
+        some rows sit exactly on a cut."""
+        out = X[rng.integers(0, len(X), size=2 * len(X))]
+        split = np.flatnonzero(tree.feature >= 0)
+        if len(split):
+            picks = split[rng.integers(0, len(split), size=out.shape)]
+            hit = rng.random(out.shape) < 0.5
+            for (i, k), node in np.ndenumerate(picks):
+                if hit[i, k]:
+                    out[i, tree.feature[node]] = tree.threshold[node]
+        return out
+
+    def test_bit_identical_on_training_rows_and_thresholds(self):
+        rng = np.random.default_rng(99)
+        at_cut = 0
+        for X, tree in self.trees(5):
+            on_cuts = self.at_thresholds(tree, X, rng)
+            for rows in (X, on_cuts, X[:0]):
+                got = tree.predict(rows)
+                want = tree_reference.predict_levelwise(tree, rows)
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert np.array_equal(got, want)
+            at_cut += int(np.isin(on_cuts, tree.threshold[tree.feature >= 0]).any())
+        assert at_cut > 40
+
+    def test_single_leaf_tree(self):
+        tree = grow(X6, np.full(6, 0.25), criterion="variance")
+        assert tree.n_nodes == 1
+        for rows in (X6, X6[:0]):
+            assert np.array_equal(tree.predict(rows),
+                                  tree_reference.predict_levelwise(tree, rows))
+
+    def test_fit_gbt_trees_are_unchanged(self):
+        """fit_gbt updates scores from the grower's leaf rows; the trees equal
+        those of boosting on the level-wise predictions."""
+        rng = np.random.default_rng(11)
+        for _ in range(4):
+            n, d = int(rng.integers(50, 300)), int(rng.integers(1, 6))
+            X = _tied_problem(rng, n, d)
+            y = (X[:, 0] + rng.normal(size=n) > 0).astype(float)
+            params = {"n_trees": 15, "max_depth": 3, "learning_rate": 0.3}
+            model = fit_gbt(X, y, params)
+            F = np.full(n, model.base_score)
+            values, codes = encode_columns(X)
+            for got in model.trees:
+                p = expit(F)
+                raw = grow_tree(codes, values, y - p, criterion="variance",
+                                hess=p * (1.0 - p), max_depth=3)
+                want = replace(raw, value=raw.value * 0.3)
+                assert got.as_dict() == want.as_dict()
+                F = F + tree_reference.predict_levelwise(want, X)

@@ -1,9 +1,10 @@
 """The presorted tree grower that `trees.grow_tree` replaced, kept as the
-reference the per-value grower is compared with.
+reference the per-value grower is compared with, and the level-wise walk
+that `Tree.predict` replaced, kept as its reference.
 
-It argsorts every column once per tree, carries one sorted row list per
-feature through every split, and scans each feature's sorted rows. A
-bootstrap sample is a copy of the matrix with repeated rows.
+The grower argsorts every column once per tree, carries one sorted row
+list per feature through every split, and scans each feature's sorted
+rows. A bootstrap sample is a copy of the matrix with repeated rows.
 """
 
 from __future__ import annotations
@@ -171,3 +172,21 @@ def grow_tree(X: np.ndarray, y: np.ndarray, *, criterion: str,
         n_samples=np.array(nsamp_l, dtype=np.int64),
         gain=np.array(gain_l, dtype=float),
     )
+
+
+def predict_levelwise(tree: Tree, X: np.ndarray) -> np.ndarray:
+    """Leaf value reached by each row, walking every row down one level
+    at a time."""
+    n = X.shape[0]
+    node = np.zeros(n, dtype=np.int32)
+    if n == 0:
+        return np.empty(0)
+    while True:
+        feat = tree.feature[node]
+        active = np.nonzero(feat != _LEAF)[0]
+        if len(active) == 0:
+            break
+        cur = node[active]
+        go_left = X[active, feat[active]] <= tree.threshold[cur]
+        node[active] = np.where(go_left, tree.left[cur], tree.right[cur])
+    return tree.value[node]
