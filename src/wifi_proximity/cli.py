@@ -306,6 +306,9 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
             f"{model_file}: split metadata missing or for a different dataset"
         )
     train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
+    if len(test_idx) < 3:
+        raise DataError(f"{paths['features']}: {len(test_idx)} test rows, too few "
+                        "for the three union-size terciles")
 
     X_imp = apply_imputation(X, model.imputation)
     # rows first, then columns: a column selection comes out column-major,

@@ -18,9 +18,23 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .features import apply_imputation, fit_imputation
+
+
+def midranks(values) -> np.ndarray:
+    """1-based ranks of values, ties sharing the mean of their ranks; all
+    NaN when any value is NaN. The ranks scipy.stats.rankdata gives."""
+    values = np.asarray(values, dtype=float)
+    if np.isnan(values).any():
+        return np.full(values.shape, np.nan)
+    order = np.argsort(values, kind="stable")
+    ordered = values[order]
+    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    sizes = np.diff(np.r_[starts, len(values)])
+    ranks = np.empty(len(values))
+    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
+    return ranks
 
 
 def auc_roc(scores, labels) -> float:
@@ -32,7 +46,7 @@ def auc_roc(scores, labels) -> float:
     n_neg = len(labels) - n_pos
     if n_pos == 0 or n_neg == 0:
         raise ValueError("AUC needs both classes present")
-    ranks = rankdata(scores)
+    ranks = midranks(scores)
     return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 
 

@@ -61,11 +61,13 @@ class CleaningReport:
 class WifiScans:
     """WiFi scans as codes: one row per scan, its APs in CSR layout.
 
-    Row i's APs are entries ``offsets[i]:offsets[i + 1]``, one per bssid,
-    in the order the line first lists each. Codes index the string
-    tables: users in order of first appearance, lower-cased bssids and
-    ssids in the order first read. The bssid and ssid tables may hold
-    strings that no entry uses.
+    Row i's APs are entries ``offsets[i]:offsets[i + 1]``, one per bssid.
+    Codes index the string tables. From parse_wifi_log, the APs keep the
+    order in which the line first lists each bssid, and the tables hold
+    users in order of first appearance and distinct lower-cased bssids
+    and ssids in the order first read. synthgen's table uses the layout's
+    router tables, in which an ssid may repeat. The bssid and ssid tables
+    may hold strings that no entry uses.
     """
 
     users: list[str]
@@ -138,10 +140,25 @@ class BluetoothSightings:
 # Parsing
 # ---------------------------------------------------------------------------
 
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
 def _load(line: str, line_no):
     """The JSON value of a log line. Malformed: bytes UTF-8 cannot decode (lone
     surrogates, see fileio.iter_jsonl), and all json.loads rejects, by
-    JSONDecodeError, ValueError (too many digits) or RecursionError."""
+    JSONDecodeError, ValueError (too many digits) or RecursionError.
+
+    An ASCII line is first decoded by the scanner behind json.loads, whose
+    value is json.loads' when it spans the whole line; every other line,
+    and every error, takes json.loads itself.
+    """
+    if line.isascii():
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(line):
+            return obj
     try:
         if not line.isascii():
             line.encode("utf-8")

@@ -10,6 +10,12 @@ the proximity ground truth.
 
 Everything is driven by named substreams of one seed, so identical
 configs produce byte-identical output files.
+
+The WiFi scans are built as an ``ingest.WifiScans`` table, a block of
+slots per user at a time, and written by ``WifiScans.lines``, the
+encoder of cleaned.jsonl; no object is made per scan. Each slot's
+Bluetooth contacts come from a sweep along x over the sorted users, so
+only pairs within a band of ``bt_range_m`` are measured.
 """
 from __future__ import annotations
 
@@ -17,7 +23,7 @@ import json
 import math
 import statistics
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator
+from typing import Iterator
 
 import numpy as np
 
@@ -27,6 +33,8 @@ from .fileio import (
     SCHEMA_GROUND_TRUTH,
     SCHEMA_WIFI,
 )
+from .ingest import WifiScans, parse_wifi_log
+from .records import RSSI_MIN
 
 TAU = 2.0 * math.pi
 
@@ -136,6 +144,11 @@ class WorldConfig:
             raise ValueError("meeting duration bounds are inconsistent")
         if not self.group_size_cycle or min(self.group_size_cycle) < 2:
             raise ValueError("group sizes must be at least 2")
+        # generated RSSIs lie in [floor, -1], which ingest must accept
+        floor = self.wifi_detect_floor_dbm
+        if not (math.isfinite(floor) and floor >= RSSI_MIN):
+            raise ValueError(f"wifi_detect_floor_dbm must be finite and >= {RSSI_MIN}, "
+                             f"got {floor!r}")
 
     @property
     def slots_per_day(self) -> int:
@@ -625,6 +638,33 @@ def materialize_positions(
     return positions
 
 
+def _close_pairs(pos: np.ndarray, range_m: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The user pairs (a, b), a < b, closer than range_m, in np.triu_indices
+    order, with their distances.
+
+    A sweep along x finds candidates: after sorting the users by x, each
+    one's partners lie within a band of range_m plus a slack that covers
+    rounding in the band's edge. The band only prefilters; each
+    candidate's distance is computed as for an all-pairs search.
+    """
+    n = len(pos)
+    order = np.argsort(pos[:, 0], kind="stable")
+    xs = pos[order, 0]
+    band = range_m + 1.0 + 1e-9 * float(np.abs(xs).max(initial=0.0))
+    hi = np.searchsorted(xs, xs + band, side="right")
+    counts = np.maximum(hi - np.arange(1, n + 1), 0)
+    first = np.repeat(np.arange(n), counts)
+    # the k-th partner of sorted user i is sorted user i + 1 + k
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    a = np.minimum(order[first], order[second])
+    b = np.maximum(order[first], order[second])
+    diff = pos[a] - pos[b]
+    dist = np.hypot(diff[:, 0], diff[:, 1])
+    close = np.flatnonzero(dist < range_m)
+    close = close[np.argsort(a[close] * n + b[close])]
+    return a[close], b[close], dist[close]
+
+
 def bluetooth_and_truth(
     cfg: WorldConfig,
     positions: np.ndarray,
@@ -640,20 +680,13 @@ def bluetooth_and_truth(
     """
     n_users, n_slots = positions.shape[:2]
     rng = _substream(cfg.seed, _STREAM_BLUETOOTH)
-    iu, jv = np.triu_indices(n_users, k=1)
     sightings: dict[int, list[tuple[int, str, int]]] = {u: [] for u in range(n_users)}
     proximity: dict[int, list[tuple[str, str, float]]] = {}
 
     for t in range(n_slots):
-        pos = positions[:, t]
-        diff = pos[iu] - pos[jv]
-        dist = np.hypot(diff[:, 0], diff[:, 1])
-        close = dist < cfg.bt_range_m
-        if not close.any():
+        a_idx, b_idx, d = _close_pairs(positions[:, t], cfg.bt_range_m)
+        if not len(d):
             continue
-        a_idx = iu[close]
-        b_idx = jv[close]
-        d = dist[close]
         slot_ts = cfg.start_ts + t * cfg.scan_period_s
         proximity[slot_ts] = [
             (user_ids[a], user_ids[b], round(float(dd), 2))
@@ -674,18 +707,21 @@ def bluetooth_and_truth(
     return sightings, proximity
 
 
-def wifi_scan_rows(
+def wifi_scans(
     cfg: WorldConfig,
     layout: Layout,
     positions: np.ndarray,
     user_ids: list[str],
     phases: np.ndarray,
-) -> Iterator[dict]:
-    """Per-user scan rows, user-major then time-major.
+) -> WifiScans:
+    """Every user's scans as a WifiScans table, user-major then time-major.
 
-    Work is vectorized over runs of slots that share an anchor: the
-    candidate router set is looked up once per run, then distances and
-    shadowing noise are drawn for the whole run at once.
+    User codes are user indices; the bssid and ssid tables are the
+    layout's, so an entry's bssid and ssid codes are both its router's
+    index. A scan lists its routers by descending RSSI, then by bssid.
+    Work is vectorized over fixed blocks of slots: the candidate router
+    set is looked up once per block, then distances and shadowing noise
+    are drawn for the whole block at once.
     """
     # beyond this mean-path distance a router cannot clear the floor
     margin = 4.0 * cfg.noise_sigma_db
@@ -698,23 +734,23 @@ def wifi_scan_rows(
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
         0.0, cfg.noise_sigma_db, (len(rpos), n_slots)
     )
+    by_name = sorted(range(len(rpos)), key=layout.router_bssid.__getitem__)
+    bssid_rank = np.empty(len(rpos), dtype=np.int64)
+    bssid_rank[by_name] = np.arange(len(rpos))
 
+    rows, routers, levels = ([np.zeros(0, np.int64)] for _ in range(3))
+    block = 64
     for uidx in range(cfg.n_users):
         rng = _substream(cfg.seed, _STREAM_WIFI_NOISE, uidx)
         pos = positions[uidx]
-        # fixed-size slot blocks: one candidate lookup covers the block
-        out: list[tuple[int, list[tuple[str, str, int]]]] = []
-        block = 64
         for s0 in range(0, n_slots, block):
             s1 = min(n_slots, s0 + block)
             chunk = pos[s0:s1]
             center = chunk.mean(axis=0)
-            spread = np.max(np.hypot(*(chunk - center).T)) if s1 > s0 else 0.0
+            spread = np.max(np.hypot(*(chunk - center).T))
             d_center = np.hypot(*(rpos - center).T)
             cand = np.nonzero(d_center <= cutoff + spread)[0]
             if len(cand) == 0:
-                for t in range(s0, s1):
-                    out.append((t, []))
                 continue
             d = np.hypot(
                 chunk[:, 0][:, None] - rpos[cand, 0][None, :],
@@ -730,33 +766,33 @@ def wifi_scan_rows(
                 base + rng.normal(0.0, cfg.device_noise_sigma_db, d.shape)
             )
             rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
-            for t in range(s0, s1):
-                row = np.nonzero(visible[t - s0])[0]
-                aps = [
-                    (layout.router_bssid[cand[j]], layout.router_ssid[cand[j]], int(rssi[t - s0, j]))
-                    for j in row
-                ]
-                aps.sort(key=lambda item: (-item[2], item[0]))
-                out.append((t, aps))
-        uid = user_ids[uidx]
-        phase = int(phases[uidx])
-        for t, aps in out:
-            yield {
-                "user": uid,
-                "ts": cfg.start_ts + t * cfg.scan_period_s + phase,
-                "aps": [{"bssid": b, "ssid": s, "rssi": r} for b, s, r in aps],
-            }
+            t, j = np.nonzero(visible)
+            # whole dBm, truncated as int() does a fractional floor
+            router, level = cand[j], rssi[t, j].astype(np.int64)
+            # a scan's routers are distinct, so this order is total
+            order = np.lexsort((bssid_rank[router], -level, t))
+            rows.append(uidx * n_slots + s0 + t[order])
+            routers.append(router[order])
+            levels.append(level[order])
+
+    n_rows = cfg.n_users * n_slots
+    offsets = np.zeros(n_rows + 1, dtype=np.int64)
+    np.cumsum(np.bincount(np.concatenate(rows), minlength=n_rows), out=offsets[1:])
+    router = np.concatenate(routers).astype(np.int32)
+    user = np.repeat(np.arange(cfg.n_users, dtype=np.int32), n_slots)
+    ts = (cfg.start_ts + np.tile(np.arange(n_slots, dtype=np.int64) * cfg.scan_period_s,
+                                 cfg.n_users)
+          + np.asarray(phases, dtype=np.int64)[user])
+    return WifiScans(
+        users=list(user_ids), user=user, ts=ts, offsets=offsets,
+        bssids=list(layout.router_bssid), bssid=router,
+        ssids=list(layout.router_ssid), ssid=router,
+        rssi=np.concatenate(levels).astype(np.int16),
+    )
 
 
-def generate(
-    cfg: WorldConfig,
-    wifi_path,
-    bluetooth_path,
-    truth_path,
-    config_hash: str | None = None,
-) -> GroundTruth:
-    """Simulate the world and emit WiFi, Bluetooth, and truth files."""
-    cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
+def _world(cfg: WorldConfig) -> tuple[Layout, list[str], np.ndarray, np.ndarray]:
+    """The layout, user ids, per-slot positions and scan phases of a world."""
     rng_layout = _substream(cfg.seed, _STREAM_LAYOUT)
     layout = build_layout(cfg, rng_layout)
 
@@ -784,15 +820,20 @@ def generate(
     phases = _substream(cfg.seed, _STREAM_PHASES).integers(
         0, cfg.scan_period_s, cfg.n_users
     )
+    return layout, user_ids, positions, phases
 
-    sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
 
-    fileio.write_jsonl(
-        wifi_path,
-        SCHEMA_WIFI,
-        cfg_hash,
-        wifi_scan_rows(cfg, layout, positions, user_ids, phases),
-    )
+def _write_bluetooth_and_truth(
+    cfg: WorldConfig,
+    layout: Layout,
+    user_ids: list[str],
+    sightings: dict[int, list[tuple[int, str, int]]],
+    proximity: dict[int, list[tuple[str, str, float]]],
+    bluetooth_path,
+    truth_path,
+    cfg_hash: str,
+) -> GroundTruth:
+    """Write the Bluetooth log and the truth file; return the truth."""
 
     def bt_rows() -> Iterator[dict]:
         for uidx in range(cfg.n_users):
@@ -823,6 +864,23 @@ def generate(
 
     fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, truth_rows())
     return GroundTruth(homes=homes, proximity=proximity)
+
+
+def generate(
+    cfg: WorldConfig,
+    wifi_path,
+    bluetooth_path,
+    truth_path,
+    config_hash: str | None = None,
+) -> GroundTruth:
+    """Simulate the world and emit WiFi, Bluetooth, and truth files."""
+    cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
+    layout, user_ids, positions, phases = _world(cfg)
+    sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
+    scans = wifi_scans(cfg, layout, positions, user_ids, phases)
+    fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash, scans.lines())
+    return _write_bluetooth_and_truth(
+        cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -859,8 +917,6 @@ def calibrate_stats(
     randomly drawn distant ones (Mann-Whitney one-sided p-value).
     """
     from scipy.stats import mannwhitneyu
-
-    from .ingest import parse_wifi_log
 
     scans = parse_wifi_log(fileio.iter_jsonl(wifi_path)).records
     # a scan's routers as a set of bssid codes, one code per bssid

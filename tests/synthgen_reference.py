@@ -1,0 +1,162 @@
+"""The per-scan WiFi writer and the all-pairs Bluetooth search that
+`synthgen.generate` replaced, kept as the reference they are compared with.
+
+`wifi_scan_rows` yields one dict per scan, which `fileio.write_jsonl`
+encodes with `json.dumps`; `bluetooth_and_truth` measures every user pair
+in every slot. `generate` below writes the three raw logs from these two
+and from the parts of `synthgen` that did not change; `synthgen.generate`
+must write the same bytes and return the same `GroundTruth`.
+"""
+
+from __future__ import annotations
+
+from typing import Iterator
+
+import numpy as np
+
+from wifi_proximity import fileio, synthgen
+from wifi_proximity.fileio import SCHEMA_WIFI
+from wifi_proximity.synthgen import (
+    _STREAM_BLUETOOTH,
+    _STREAM_WIFI_FIELD,
+    _STREAM_WIFI_NOISE,
+    GroundTruth,
+    Layout,
+    WorldConfig,
+    _substream,
+)
+
+
+def bluetooth_and_truth(
+    cfg: WorldConfig,
+    positions: np.ndarray,
+    user_ids: list[str],
+    phases: np.ndarray,
+) -> tuple[dict[int, list[tuple[int, str, int]]], dict[int, list[tuple[str, str, float]]]]:
+    """Scan-period Bluetooth detections plus the true proximity table.
+
+    For every slot, every ordered pair within bt_range_m yields a sighting
+    with probability bt_detect_prob per direction; sighting RSSI decays
+    log-linearly with distance. All pairs within range enter the truth
+    table regardless of detection.
+    """
+    n_users, n_slots = positions.shape[:2]
+    rng = _substream(cfg.seed, _STREAM_BLUETOOTH)
+    iu, jv = np.triu_indices(n_users, k=1)
+    sightings: dict[int, list[tuple[int, str, int]]] = {u: [] for u in range(n_users)}
+    proximity: dict[int, list[tuple[str, str, float]]] = {}
+
+    for t in range(n_slots):
+        pos = positions[:, t]
+        diff = pos[iu] - pos[jv]
+        dist = np.hypot(diff[:, 0], diff[:, 1])
+        close = dist < cfg.bt_range_m
+        if not close.any():
+            continue
+        a_idx = iu[close]
+        b_idx = jv[close]
+        d = dist[close]
+        slot_ts = cfg.start_ts + t * cfg.scan_period_s
+        proximity[slot_ts] = [
+            (user_ids[a], user_ids[b], round(float(dd), 2))
+            for a, b, dd in zip(a_idx, b_idx, d)
+        ]
+        detect = rng.random((len(d), 2)) < cfg.bt_detect_prob
+        noise = rng.normal(0.0, cfg.bt_noise_sigma_db, (len(d), 2))
+        base = cfg.bt_rssi_at_1m - 10.0 * cfg.bt_path_exponent * np.log10(
+            np.maximum(d, 0.3)
+        )
+        rssi = np.minimum(-1, np.rint(base[:, None] + noise)).astype(int)
+        for k in range(len(d)):
+            a, b = int(a_idx[k]), int(b_idx[k])
+            if detect[k, 0]:
+                sightings[a].append((slot_ts + int(phases[a]), user_ids[b], int(rssi[k, 0])))
+            if detect[k, 1]:
+                sightings[b].append((slot_ts + int(phases[b]), user_ids[a], int(rssi[k, 1])))
+    return sightings, proximity
+
+
+def wifi_scan_rows(
+    cfg: WorldConfig,
+    layout: Layout,
+    positions: np.ndarray,
+    user_ids: list[str],
+    phases: np.ndarray,
+) -> Iterator[dict]:
+    """Per-user scan rows, user-major then time-major.
+
+    Work is vectorized over runs of slots that share an anchor: the
+    candidate router set is looked up once per run, then distances and
+    shadowing noise are drawn for the whole run at once.
+    """
+    # beyond this mean-path distance a router cannot clear the floor
+    margin = 4.0 * cfg.noise_sigma_db
+    cutoff = 10.0 ** (
+        (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
+        / (10.0 * cfg.path_loss_exponent)
+    )
+    rpos = layout.router_pos
+    n_slots = cfg.n_slots
+    field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
+        0.0, cfg.noise_sigma_db, (len(rpos), n_slots)
+    )
+
+    for uidx in range(cfg.n_users):
+        rng = _substream(cfg.seed, _STREAM_WIFI_NOISE, uidx)
+        pos = positions[uidx]
+        # fixed-size slot blocks: one candidate lookup covers the block
+        out: list[tuple[int, list[tuple[str, str, int]]]] = []
+        block = 64
+        for s0 in range(0, n_slots, block):
+            s1 = min(n_slots, s0 + block)
+            chunk = pos[s0:s1]
+            center = chunk.mean(axis=0)
+            spread = np.max(np.hypot(*(chunk - center).T)) if s1 > s0 else 0.0
+            d_center = np.hypot(*(rpos - center).T)
+            cand = np.nonzero(d_center <= cutoff + spread)[0]
+            if len(cand) == 0:
+                for t in range(s0, s1):
+                    out.append((t, []))
+                continue
+            d = np.hypot(
+                chunk[:, 0][:, None] - rpos[cand, 0][None, :],
+                chunk[:, 1][:, None] - rpos[cand, 1][None, :],
+            )
+            mean_rssi = cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(
+                np.maximum(d, 1.0)
+            )
+            base = mean_rssi + field[cand, s0:s1].T
+            visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
+            # sensitivity-limited readings pile up at the floor
+            rssi = np.rint(
+                base + rng.normal(0.0, cfg.device_noise_sigma_db, d.shape)
+            )
+            rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
+            for t in range(s0, s1):
+                row = np.nonzero(visible[t - s0])[0]
+                aps = [
+                    (layout.router_bssid[cand[j]], layout.router_ssid[cand[j]], int(rssi[t - s0, j]))
+                    for j in row
+                ]
+                aps.sort(key=lambda item: (-item[2], item[0]))
+                out.append((t, aps))
+        uid = user_ids[uidx]
+        phase = int(phases[uidx])
+        for t, aps in out:
+            yield {
+                "user": uid,
+                "ts": cfg.start_ts + t * cfg.scan_period_s + phase,
+                "aps": [{"bssid": b, "ssid": s, "rssi": r} for b, s, r in aps],
+            }
+
+
+def generate(cfg: WorldConfig, wifi_path, bluetooth_path, truth_path,
+             config_hash: str | None = None) -> GroundTruth:
+    """synthgen.generate with the two functions above in place of its own."""
+    cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
+    layout, user_ids, positions, phases = synthgen._world(cfg)
+    sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
+    fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash,
+                       wifi_scan_rows(cfg, layout, positions, user_ids, phases))
+    return synthgen._write_bluetooth_and_truth(
+        cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)

@@ -15,7 +15,7 @@ from wifi_proximity import fileio
 from wifi_proximity.cli import main
 from wifi_proximity.features import FeatureTable, ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
-from wifi_proximity.pairing import CandidateTable
+from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN
 
 
@@ -203,6 +203,22 @@ class TestExitCodes:
         assert code == 3
 
 
+class TestStartup:
+    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
+        """Every CLI process pays for what the package imports, and
+        scipy.stats alone takes over half a second to import."""
+        env = dict(os.environ)
+        package_root = str(Path(wifi_proximity.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(
+            [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, wifi_proximity.cli; print('scipy.stats' in sys.modules)"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
+
+
 class TestDeterminism:
     def test_stage_rerun_is_byte_identical(self, workdir):
         d, base = workdir
@@ -374,6 +390,27 @@ class TestArtifactIntegrity:
             err = capsys.readouterr().err
             assert err == f"data error: {tmp_path / 'features.npz'}: has no rows\n"
         assert not list(tmp_path.glob("model_*")) and not list(tmp_path.glob("report*"))
+
+    def test_evaluate_names_a_test_split_too_small_for_terciles(self, tmp_path, workdir,
+                                                                capsys):
+        """Four rows, split so that each side holds one row of each class:
+        train fits, and evaluate names the file and its two test rows."""
+        src, base = workdir
+        feats = FeatureTable.load(src / "features.npz")
+        train_idx, test_idx = split_indices(4, 2, seed=7)  # the tiny world's seed
+        pos, neg = np.flatnonzero(feats.label == 1)[:2], np.flatnonzero(feats.label == 0)[:2]
+        rows = np.empty(4, dtype=np.int64)
+        rows[train_idx], rows[test_idx] = [pos[0], neg[0]], [pos[1], neg[1]]
+        replace(feats, X=feats.X[rows], label=feats.label[rows], ts=feats.ts[rows],
+                bt_rssi=feats.bt_rssi[rows]).save(tmp_path / "features.npz", run_hash(src))
+        args = ["--dir", str(tmp_path)] + base[2:]
+        assert run(["train"] + args) == 0
+        capsys.readouterr()
+        assert run(["evaluate"] + args) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {tmp_path / 'features.npz'}: 2 test rows, too few "
+                       "for the three union-size terciles\n")
+        assert not list(tmp_path.glob("eval_*"))
 
     def edit_model(self, src, dst, edit):
         """Copy the run's features and gbt model to dst, editing the model

@@ -2,9 +2,10 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
+from scipy.stats import rankdata
 
 from wifi_proximity.evaluation import (
     StratumResult,
@@ -12,6 +13,7 @@ from wifi_proximity.evaluation import (
     auc_roc,
     iso_week_key,
     learning_curve,
+    midranks,
     miss_rate_vs_bt_rssi,
     prf_at_threshold,
     stratified_report,
@@ -53,6 +55,39 @@ class TestAuc:
     def test_perfect_and_inverted(self):
         assert auc_roc([0.9, 0.1], [1, 0]) == pytest.approx(1.0)
         assert auc_roc([0.1, 0.9], [1, 0]) == pytest.approx(0.0)
+
+    def test_nan_score_gives_nan(self):
+        assert np.isnan(auc_roc([0.1, np.nan, 0.9], [1, 0, 1]))
+
+
+# few distinct values, so that ties are common; NaN and the signed zeros
+score_lists = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, np.inf, -np.inf, np.nan]) |
+                  st.floats(allow_nan=False), max_size=40)
+
+
+class TestMidranks:
+    @settings(max_examples=300, deadline=None)
+    @given(values=score_lists)
+    @example(values=[0.3])
+    @example(values=[])
+    @example(values=[1.0, 1.0, 1.0])
+    @example(values=[0.5, np.nan, 0.5])
+    def test_match_scipy_rankdata(self, values):
+        got, want = midranks(values), rankdata(values)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want, equal_nan=True)
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=score_lists, labels=st.lists(st.integers(0, 1), min_size=40, max_size=40))
+    def test_auc_matches_rankdata_bit_for_bit(self, values, labels):
+        labels = np.array(labels[:len(values)])
+        if len(set(labels.tolist())) < 2:
+            return
+        pos = labels == 1
+        n_pos, n_neg = int(pos.sum()), int((~pos).sum())
+        want = float((rankdata(values)[pos].sum() - n_pos * (n_pos + 1) / 2.0)
+                     / (n_pos * n_neg))
+        assert np.array_equal(auc_roc(values, labels), want, equal_nan=True)
 
 
 class TestPrf:

@@ -189,6 +189,21 @@ class TestGridSearch:
         assert [r["mean_auc"] for r in results] == pytest.approx(recomputed)
         assert best == grid[int(np.argmax(recomputed))]
 
+    @pytest.mark.parametrize("kind", ["gbt", "rf"])
+    def test_row_and_column_major_input_agree(self, tmp_path, kind):
+        X, y = random_problem(11, n=150)
+        grid = [{"n_trees": 3, "max_depth": 1}, {"n_trees": 4, "max_depth": 3}]
+        best_c, results_c = grid_search_cv(kind, np.ascontiguousarray(X), y, grid=grid,
+                                           folds=3, seed=0)
+        best_f, results_f = grid_search_cv(kind, np.asfortranarray(X), y, grid=grid,
+                                           folds=3, seed=0)
+        assert best_c == best_f and results_c == results_f
+        docs = []
+        for layout, X_in in (("c", np.ascontiguousarray(X)), ("f", np.asfortranarray(X))):
+            save_model(fit_model(kind, X_in, y, best_c, seed=0), tmp_path / layout, "h")
+            docs.append((tmp_path / layout).read_bytes())
+        assert docs[0] == docs[1]
+
     def test_stratified_folds_balance_classes(self):
         y = np.array([1] * 10 + [0] * 40)
         fold_of = stratified_folds(y, 5, seed=0)

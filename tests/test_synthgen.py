@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from wifi_proximity import synthgen
@@ -15,6 +17,7 @@ from wifi_proximity.ingest import (
     parse_bluetooth_log,
     parse_wifi_log,
 )
+from wifi_proximity.records import RSSI_MIN
 from wifi_proximity.synthgen import (
     WEEKDAY_HOUR_PROFILE,
     WEEKEND_HOUR_PROFILE,
@@ -27,6 +30,7 @@ from wifi_proximity.synthgen import (
     load_ground_truth,
 )
 
+import synthgen_reference
 from conftest import records_of, sightings_of
 
 
@@ -41,6 +45,10 @@ class TestWorldConfig:
         {"meeting_max_slots": 1, "meeting_min_slots": 5},
         {"group_size_cycle": (1, 3)},  # singleton groups disallowed
         {"group_size_cycle": ()},
+        {"wifi_detect_floor_dbm": RSSI_MIN - 1},  # readings would not fit an int16
+        {"wifi_detect_floor_dbm": float("nan")},
+        {"wifi_detect_floor_dbm": float("-inf")},
+        {"wifi_detect_floor_dbm": float("inf")},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -360,3 +368,70 @@ class TestEmptyArea:
         assert len(records) == cfg.n_users * cfg.n_slots
         by_count = sum(1 for r in records if not r.aps)
         assert by_count > 0
+
+
+# Small worlds: few users and routers and one day of slots of 5 minutes
+# to an hour (the schedules need a slot an hour at least), so that each
+# example generates in well under a second.
+small_worlds = st.builds(
+    lambda seed, n_users, spare, period, p0, floor, noise, device, bt_range:
+        WorldConfig(seed=seed, n_users=n_users, n_routers=2 * n_users + spare, days=1,
+                    scan_period_s=period, n_buildings=2, n_venues=2, area_m=1200.0,
+                    p0_dbm=p0, wifi_detect_floor_dbm=floor, noise_sigma_db=noise,
+                    device_noise_sigma_db=device, bt_range_m=bt_range),
+    seed=st.integers(0, 2 ** 32 - 1),
+    n_users=st.integers(2, 8),
+    spare=st.integers(0, 12),
+    period=st.sampled_from([300, 900, 1800, 3600]),
+    p0=st.floats(-70.0, -30.0),
+    floor=st.floats(-100.0, -60.0),  # fractional too: int() truncates it
+    noise=st.floats(0.0, 6.0),
+    device=st.floats(0.0, 6.0),
+    bt_range=st.floats(0.5, 400.0),
+)
+
+
+@settings(max_examples=40, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=small_worlds)
+# no router is ever heard: every scan is empty
+@example(cfg=WorldConfig(seed=1, n_users=4, n_routers=12, days=1, scan_period_s=1800,
+                         n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-200.0))
+# sites 1 km apart, so that a user out walking logs empty scans
+@example(cfg=WorldConfig(seed=5, n_users=4, n_routers=20, days=1, scan_period_s=300,
+                         n_buildings=1, n_venues=0, area_m=5000.0, site_pitch_m=1000.0))
+# every reading clips to -1 dBm, so a scan's RSSIs all tie
+@example(cfg=WorldConfig(seed=2, n_users=5, n_routers=20, days=1, scan_period_s=1800,
+                         n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=60.0,
+                         wifi_detect_floor_dbm=-1.0))
+# everyone is within Bluetooth range of everyone
+@example(cfg=WorldConfig(seed=3, n_users=6, n_routers=14, days=1, scan_period_s=3600,
+                         n_buildings=2, n_venues=2, area_m=1200.0, bt_range_m=1e6))
+def test_generated_logs_match_the_reference(tmp_path, cfg):
+    """The three raw logs are the bytes the per-scan writer and the
+    all-pairs Bluetooth search give, and so is the returned truth."""
+    got, want = tmp_path / "got", tmp_path / "want"
+    for d in (got, want):
+        d.mkdir(exist_ok=True)
+    names = ("wifi.jsonl", "bluetooth.jsonl", "truth.jsonl")
+    truth = generate(cfg, *(got / n for n in names), config_hash="h")
+    reference = synthgen_reference.generate(cfg, *(want / n for n in names),
+                                            config_hash="h")
+    assert truth == reference
+    for name in names:
+        assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def test_scans_with_no_router_in_reach_match_the_reference():
+    """Blocks of slots spent far outside the town, where no router is a
+    candidate, give empty scans, as the per-scan writer's do."""
+    cfg = WorldConfig(seed=4, n_users=3, n_routers=10, days=1, n_buildings=1,
+                      n_venues=1, area_m=1200.0)
+    layout, user_ids, positions, phases = synthgen._world(cfg)
+    positions[1, :100] = 1e6          # a whole block of 64 slots and part of the next
+    positions[2, 64:128] += 5e5
+    got = list(synthgen.wifi_scans(cfg, layout, positions, user_ids, phases).lines())
+    want = [json.dumps(row, separators=(",", ":")) for row in
+            synthgen_reference.wifi_scan_rows(cfg, layout, positions, user_ids, phases)]
+    assert got == want
+    assert got[cfg.n_slots].endswith('"aps":[]}')
