@@ -27,7 +27,6 @@ from .evaluation import auc_roc, prf_at_threshold, stratified_report
 from .features import (
     FEATURE_NAMES,
     FeatureTable,
-    ScanTable,
     apply_imputation,
     extract_feature_matrix,
     fit_imputation,
@@ -44,6 +43,7 @@ from .fileio import (
     DataError,
 )
 from .ingest import (
+    WifiScans,
     build_home_router_map,
     filter_ambiguous_macs,
     parse_bluetooth_log,
@@ -51,6 +51,7 @@ from .ingest import (
 )
 from .models import (
     FEATURESETS,
+    KIND_SHORT,
     fit_model,
     fit_threshold,
     grid_search_cv,
@@ -90,15 +91,12 @@ def _paths(args) -> dict[str, Path]:
     }
 
 
-_KIND_SHORT = {"gradient-boosted": "gbt", "random-forest": "rf"}
-
-
 def _model_path(d: Path, cfg: PipelineConfig) -> Path:
-    return d / f"model_{cfg.featureset.lower()}_{_KIND_SHORT[cfg.model_kind]}.json"
+    return d / f"model_{cfg.featureset.lower()}_{KIND_SHORT[cfg.model_kind]}.json"
 
 
 def _eval_path(d: Path, cfg: PipelineConfig) -> Path:
-    return d / f"eval_{cfg.featureset.lower()}_{_KIND_SHORT[cfg.model_kind]}.json"
+    return d / f"eval_{cfg.featureset.lower()}_{KIND_SHORT[cfg.model_kind]}.json"
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +129,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
     scans, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
     # everything is computed before the first write, so a data error
     # leaves no artifact of this run
-    table = ScanTable.from_scans(scans)
+    table = scans.by_bssid()
     homes = build_home_router_map(scans, cfg.home_bin_minutes, cfg.tz_offset_s)
     homes_doc = {
         "bin_minutes": cfg.home_bin_minutes,
@@ -160,7 +158,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
 def stage_pair(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    table = ScanTable.load(paths["scans"], h)
+    table = WifiScans.load(paths["scans"], h)
     fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
     bt = _parse_log(parse_bluetooth_log, paths["bluetooth"], cfg.strict_parse)
     windows, cands = pair_windows(table, bt.records, cfg.delta_t_s)
@@ -188,7 +186,7 @@ def _parse_log(parse, path, strict: bool):
         raise DataError(f"{path}: {exc}") from exc
 
 
-def _key_columns(table: ScanTable, cands: CandidateTable) -> list:
+def _key_columns(table: WifiScans, cands: CandidateTable) -> list:
     """The user_a, user_b, ts_a, ts_b, ts and label columns of the CSV copies."""
     users = np.array(table.users, dtype=object)
     return [users[table.user[cands.row_a]], users[table.user[cands.row_b]],
@@ -198,7 +196,7 @@ def _key_columns(table: ScanTable, cands: CandidateTable) -> list:
 def stage_featurize(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
-    table = ScanTable.load(paths["scans"], h)
+    table = WifiScans.load(paths["scans"], h)
     cands = CandidateTable.load(paths["candidates"], h, len(table.ts))
     homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES, h)
     home_map = {
@@ -430,7 +428,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, help="pipeline seed")
     common.add_argument("--delta-t", type=int, dest="delta_t", help="pairing window, seconds")
     common.add_argument("--featureset", help="feature subset name, e.g. FULL or NEARME")
-    common.add_argument("--model", choices=["gbt", "rf"], help="model kind")
+    common.add_argument("--model", choices=list(KIND_SHORT.values()), help="model kind")
     common.add_argument("--train-size", type=float, dest="train_size",
                         help="train fraction in (0, 1)")
     common.add_argument("--strict-parse", action="store_const", const=True,

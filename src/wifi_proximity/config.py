@@ -11,21 +11,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
-from .models import FEATURESETS, KIND_GBT, KIND_RF
+from .models import FEATURESETS, KIND_SHORT, MODEL_KINDS
 from .records import DAY_S
 from .synthgen import WorldConfig
 
 
 class ConfigError(Exception):
     """Invalid configuration value or file."""
-
-
-_MODEL_ALIASES = {
-    "gbt": KIND_GBT,
-    "rf": KIND_RF,
-    KIND_GBT: KIND_GBT,
-    KIND_RF: KIND_RF,
-}
 
 
 @dataclass(frozen=True)
@@ -63,14 +55,15 @@ class PipelineConfig:
         if self.featureset not in FEATURESETS:
             known = ", ".join(sorted(FEATURESETS))
             raise ConfigError(f"unknown featureset {self.featureset!r}; one of {known}")
-        if self.model not in _MODEL_ALIASES:
-            raise ConfigError(f"model must be one of gbt, rf; got {self.model!r}")
+        if self.model not in MODEL_KINDS:
+            raise ConfigError(f"model must be one of {', '.join(KIND_SHORT.values())}; "
+                              f"got {self.model!r}")
         if self.jobs < 1:
             raise ConfigError("jobs must be at least 1")
 
     @property
     def model_kind(self) -> str:
-        return _MODEL_ALIASES[self.model]
+        return MODEL_KINDS[self.model]
 
     def data_hash(self) -> str:
         """Hash of every value that shapes the data and the split.
@@ -121,49 +114,29 @@ def _coerce(name: str, text: str, target_type) -> object:
             if lowered in ("false", "0", "no", "off"):
                 return False
             raise ValueError(f"not a boolean: {text!r}")
-        if target_type is int:
-            return int(text)
-        if target_type is float:
-            return float(text)
-        if target_type is str:
-            return text
-        if target_type in (tuple, "tuple[int, ...]"):
+        if target_type is tuple:
             return tuple(int(part) for part in text.split(",") if part.strip())
+        return target_type(text)  # int, float or str
     except ValueError as exc:
         raise ConfigError(f"bad value for {name}: {exc}") from exc
-    raise ConfigError(f"cannot parse config key {name}")
 
 
-_PIPELINE_TYPES = {
-    "delta_t_s": int,
-    "home_bin_minutes": int,
-    "ambiguous_ssid_threshold": int,
-    "campus_ssid": str,
-    "tz_offset_s": int,
-    "alpha": float,
-    "seed": int,
-    "featureset": str,
-    "model": str,
-    "grid": bool,
-    "train_size": float,
-    "strict_parse": bool,
-    "jobs": int,
-}
-
-_WORLD_TYPES = {
-    f.name: (tuple if f.name == "group_size_cycle" else f.type)
-    for f in fields(WorldConfig)
-}
 # dataclass field types arrive as strings under `from __future__ import
 # annotations`; map them back to constructors
-_TYPE_NAMES = {"int": int, "float": float, "str": str, "bool": bool}
+_TYPE_NAMES = {"int": int, "float": float, "str": str, "bool": bool, "tuple[int, ...]": tuple}
+# the type of every config key; world generator knobs take a "world." prefix
+_KEY_TYPES = {
+    **{f.name: _TYPE_NAMES[f.type] for f in fields(PipelineConfig) if f.name != "world"},
+    **{f"world.{f.name}": _TYPE_NAMES[f.type] for f in fields(WorldConfig)},
+}
 
 
-def _world_type(name: str):
-    t = _WORLD_TYPES[name]
-    if isinstance(t, str):
-        return _TYPE_NAMES.get(t, tuple)
-    return t
+def _key_type(key: str):
+    """The type of a config key; ConfigError for an unknown key."""
+    if key not in _KEY_TYPES:
+        what = "world config key" if key.startswith("world.") else "config key"
+        raise ConfigError(f"unknown {what}: {key}")
+    return _KEY_TYPES[key]
 
 
 def build_config(file_values: dict | None = None, overrides: dict | None = None) -> PipelineConfig:
@@ -173,41 +146,21 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
     ``overrides`` holds already-typed values (e.g. from CLI flags) keyed
     the same way, with ``None`` entries ignored.
     """
+    values = {key: _coerce(key, text, _key_type(key))
+              for key, text in (file_values or {}).items()}
+    values.update((key, value) for key, value in (overrides or {}).items()
+                  if value is not None)
     pipeline_kwargs: dict = {}
     world_kwargs: dict = {}
-    explicit_world_seed = False
-
-    for key, text in (file_values or {}).items():
+    for key, value in values.items():
+        _key_type(key)  # rejects an unknown override key
         if key.startswith("world."):
-            name = key[len("world.") :]
-            if name not in _WORLD_TYPES:
-                raise ConfigError(f"unknown world config key: {key}")
-            world_kwargs[name] = _coerce(key, text, _world_type(name))
-            if name == "seed":
-                explicit_world_seed = True
-        elif key in _PIPELINE_TYPES:
-            pipeline_kwargs[key] = _coerce(key, text, _PIPELINE_TYPES[key])
+            world_kwargs[key[len("world."):]] = value
         else:
-            raise ConfigError(f"unknown config key: {key}")
-
-    for key, value in (overrides or {}).items():
-        if value is None:
-            continue
-        if key.startswith("world."):
-            name = key[len("world.") :]
-            if name not in _WORLD_TYPES:
-                raise ConfigError(f"unknown world config key: {key}")
-            world_kwargs[name] = value
-            if name == "seed":
-                explicit_world_seed = True
-        elif key in _PIPELINE_TYPES:
             pipeline_kwargs[key] = value
-        else:
-            raise ConfigError(f"unknown config key: {key}")
 
     # the world inherits the pipeline seed unless one was given explicitly
-    if not explicit_world_seed:
-        world_kwargs["seed"] = pipeline_kwargs.get("seed", PipelineConfig.seed)
+    world_kwargs.setdefault("seed", pipeline_kwargs.get("seed", PipelineConfig.seed))
 
     try:
         world = WorldConfig(**world_kwargs)

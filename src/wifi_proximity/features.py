@@ -11,9 +11,10 @@ statistically significant; such values stay missing until mean
 imputation, whose means come from training data only.
 
 ``extract_feature_matrix`` computes all 16 for every candidate at once,
-with whole-array kernels over a ``ScanTable``; ``featurize`` uses it. The
-per-pair functions (``extract_features`` and its parts) are the reference
-it matches bit for bit.
+with whole-array kernels over an ``ingest.WifiScans`` table in bssid
+order, the table ``clean`` saves as scans.npz; ``featurize`` uses it.
+The per-pair functions (``extract_features`` and its parts) are the
+reference it matches bit for bit.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from scipy.special import stdtr
 
 from . import fileio
 from .fileio import DataError
-from .ingest import month_codes, month_key
+from .ingest import WifiScans, _ranges, month_codes, month_key
 from .records import CandidatePair, OverlapView, WifiScanRecord, intersect
 
 FEATURE_NAMES = [
@@ -352,130 +353,6 @@ def extract_features(pair: CandidatePair, popularity: PopularityIndex,
 # candidates per block of the batch kernel; bounds its temporary arrays
 _BLOCK_PAIRS = 2048
 
-# the arrays of a ScanTable and their dtypes, as saved
-_SCAN_ARRAYS = {"user": np.int32, "ts": np.int64, "offsets": np.int64,
-                "bssid": np.int32, "ssid": np.int32, "rssi": np.int16}
-
-
-@dataclass(frozen=True, slots=True)
-class ScanTable:
-    """Cleaned scans as flat arrays, one row per scan, APs in CSR layout.
-
-    ``clean`` saves the table as scans.npz; ``pair`` and ``featurize``
-    load it. Candidates name their scans by row.
-
-    Row i's access points are entries ``offsets[i]:offsets[i + 1]``,
-    sorted by bssid code. Codes index the sorted ``bssids`` list, so code
-    order is the string order in which ``intersect`` lists common routers.
-    """
-
-    users: list[str]
-    user: np.ndarray     # per row: index into users
-    ts: np.ndarray       # per row, int64
-    offsets: np.ndarray  # n_rows + 1, int64
-    bssids: list[str]
-    bssid: np.ndarray    # per entry: index into bssids
-    ssids: list[str]
-    ssid: np.ndarray     # per entry: index into ssids
-    rssi: np.ndarray     # per entry, int16
-
-    @classmethod
-    def from_scans(cls, scans) -> "ScanTable":
-        """The table of an ``ingest.WifiScans``.
-
-        ``bssids`` lists the bssids the entries use, sorted, and each
-        row's entries are sorted by bssid. ``ssids`` lists the ssids the
-        entries use, in order of first appearance in that entry order.
-        """
-        used = np.unique(scans.bssid)
-        by_name = sorted(used.tolist(), key=scans.bssids.__getitem__)
-        code = np.zeros(len(scans.bssids), dtype=np.int32)
-        code[by_name] = np.arange(len(by_name))
-        bssid = code[scans.bssid]
-        order = np.lexsort((bssid, scans.entry_rows()))
-        bssid, ssid = bssid[order], scans.ssid[order]
-        ssid_used, first = np.unique(ssid, return_index=True)
-        ssid_used = ssid_used[np.argsort(first)]
-        ssid_code = np.zeros(len(scans.ssids), dtype=np.int32)
-        ssid_code[ssid_used] = np.arange(len(ssid_used))
-        return cls(
-            users=list(scans.users), user=scans.user, ts=scans.ts,
-            offsets=scans.offsets, bssids=[scans.bssids[c] for c in by_name],
-            bssid=bssid, ssids=[scans.ssids[c] for c in ssid_used.tolist()],
-            ssid=ssid_code[ssid], rssi=scans.rssi[order],
-        )
-
-    def save(self, path, cfg_hash: str) -> None:
-        """Write the table as a scans.v1 archive stamped with cfg_hash."""
-        fileio.write_npz(
-            path, fileio.SCHEMA_SCANS, cfg_hash,
-            {"users": self.users, "bssids": self.bssids, "ssids": self.ssids},
-            {name: getattr(self, name) for name in _SCAN_ARRAYS},
-        )
-
-    @classmethod
-    def load(cls, path, expect_hash: str | None = None) -> "ScanTable":
-        """Read a table written by save.
-
-        Raises DataError unless the archive is readable, carries the
-        expected schema and hash, and holds a consistent table: string
-        tables, arrays of the saved dtypes and lengths, offsets rising
-        from 0 to the entry count, and codes within their tables.
-        """
-        header, arrays = fileio.read_npz(path, fileio.SCHEMA_SCANS, expect_hash)
-        tables = {}
-        for name in ("users", "bssids", "ssids"):
-            names = header.get(name)
-            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-                raise DataError(f"{path}: {name} is not a list of strings")
-            tables[name] = names
-        fileio.check_arrays(path, arrays,
-                            {name: (dtype, 1) for name, dtype in _SCAN_ARRAYS.items()})
-        table = cls(**tables, **arrays)
-        n_rows, n_entries = len(table.ts), len(table.bssid)
-        offsets = table.offsets
-        if (len(table.user) != n_rows or len(offsets) != n_rows + 1
-                or len(table.ssid) != n_entries or len(table.rssi) != n_entries):
-            raise DataError(f"{path}: array lengths disagree")
-        if offsets[0] != 0 or offsets[-1] != n_entries or (np.diff(offsets) < 0).any():
-            raise DataError(f"{path}: offsets do not rise from 0 to {n_entries}")
-        for codes, names in ((table.user, table.users), (table.bssid, table.bssids),
-                             (table.ssid, table.ssids)):
-            if len(codes) and (codes.min() < 0 or codes.max() >= len(names)):
-                raise DataError(f"{path}: a code lies outside its string table")
-        return table
-
-    def common(self, scan_a, scan_b):
-        """The routers rows scan_a[i] and scan_b[i] share, for every i.
-
-        Returns (pair, entry_a, entry_b): one element per common router,
-        grouped by pair in ascending order and in bssid order within a
-        pair, the order in which ``intersect`` lists them.
-        """
-        offsets, n_bssid = self.offsets, max(len(self.bssids), 1)
-        # both sides' (pair, bssid) keys are sorted, so one searchsorted
-        # finds the common routers
-        pa, ea = _ranges(offsets[scan_a], offsets[scan_a + 1] - offsets[scan_a])
-        pb, eb = _ranges(offsets[scan_b], offsets[scan_b + 1] - offsets[scan_b])
-        key_a = pa * n_bssid + self.bssid[ea]
-        key_b = pb * n_bssid + self.bssid[eb]
-        if len(key_b) == 0:
-            return pa[:0], ea[:0], eb[:0]
-        pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
-        hit = key_b[pos] == key_a
-        return pa[hit], ea[hit], eb[pos[hit]]
-
-    def entry_rows(self) -> np.ndarray:
-        """The row of every entry."""
-        return np.repeat(np.arange(len(self.ts), dtype=np.int32), np.diff(self.offsets))
-
-
-def _ranges(starts: np.ndarray, lengths: np.ndarray):
-    """(owner, index) of every position in the ranges [start, start + length)."""
-    owner = np.repeat(np.arange(len(starts)), lengths)
-    first = np.cumsum(lengths) - lengths
-    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
-
 
 def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
     """_average_ranks within each owner's entries; ties share the mean rank."""
@@ -553,7 +430,7 @@ class _WindowUsers:
     distinct users counted with one sort.
     """
 
-    def __init__(self, table: ScanTable, rows: np.ndarray, query_ts: np.ndarray,
+    def __init__(self, table: WifiScans, rows: np.ndarray, query_ts: np.ndarray,
                  window_s: int):
         self.window_s = window_s
         self.base = min(int(table.ts.min()), int(query_ts.min())) - window_s
@@ -575,7 +452,7 @@ class _WindowUsers:
         return np.bincount(distinct // self.n_users, minlength=len(queries))[inverse]
 
 
-def _overlap_columns(table: ScanTable, scan_a, scan_b, ts, row_max: np.ndarray,
+def _overlap_columns(table: WifiScans, scan_a, scan_b, ts, row_max: np.ndarray,
                      users: _WindowUsers, alpha: float) -> dict[str, np.ndarray]:
     """The features of a block of pairs that depend on their common routers."""
     n_pairs = len(ts)
@@ -638,7 +515,7 @@ def _home_matrix(table, month_ids, home_map) -> np.ndarray:
     return homes
 
 
-def _context_columns(table: ScanTable, entry_rows, scan_a, scan_b, ts, home_map,
+def _context_columns(table: WifiScans, entry_rows, scan_a, scan_b, ts, home_map,
                      campus_ssid, tz_offset_s) -> dict[str, np.ndarray]:
     """hour_of_week, at_home and at_campus, as timing_location_features."""
     n_bssid = max(len(table.bssids), 1)
@@ -668,7 +545,7 @@ def _context_columns(table: ScanTable, entry_rows, scan_a, scan_b, ts, home_map,
     }
 
 
-def extract_feature_matrix(table: ScanTable, scan_a, scan_b, ts,
+def extract_feature_matrix(table: WifiScans, scan_a, scan_b, ts,
                            home_map: dict[tuple[str, str], str],
                            campus_ssid: str = DEFAULT_CAMPUS_SSID,
                            tz_offset_s: int = 0,

@@ -5,9 +5,12 @@ integer codes in flat typed buffers, a ``WifiScans`` table; it builds no
 object per scan or per access point. Each distinct raw bssid string is
 checked and lower-cased once. The filter and the home detection count
 distinct keys on those codes, and ``WifiScans.lines`` encodes the scans
-as cleaned.jsonl rows. ``parse_bluetooth_log`` keeps the sightings the
-same way, as a ``BluetoothSightings`` table. In both logs, a line that is
-not UTF-8, or that ``json.loads`` rejects, is malformed.
+as cleaned.jsonl rows. ``WifiScans`` is the one scan table: ``by_bssid``,
+``save`` and ``load`` give and check the bssid order of scans.npz, and
+``common`` finds the routers scan pairs share. ``parse_bluetooth_log``
+keeps the sightings the same way, as a ``BluetoothSightings`` table. In
+both logs, a line that is not UTF-8, or that ``json.loads`` rejects, is
+malformed.
 
 Routers that broadcast five or more distinct network names over the whole
 input are treated as ambiguous (several physical devices sharing a MAC)
@@ -25,6 +28,8 @@ from datetime import datetime, timezone
 
 import numpy as np
 
+from . import fileio
+from .fileio import DataError
 from .records import (
     BSSID_RE,
     DAY_S,
@@ -57,6 +62,11 @@ class CleaningReport:
         }
 
 
+# the arrays of a WifiScans and their dtypes, as saved
+_SCAN_ARRAYS = {"user": np.int32, "ts": np.int64, "offsets": np.int64,
+                "bssid": np.int32, "ssid": np.int32, "rssi": np.int16}
+
+
 @dataclass(frozen=True, slots=True)
 class WifiScans:
     """WiFi scans as codes: one row per scan, its APs in CSR layout.
@@ -67,7 +77,9 @@ class WifiScans:
     users in order of first appearance and distinct lower-cased bssids
     and ssids in the order first read. synthgen's table uses the layout's
     router tables, in which an ssid may repeat. The bssid and ssid tables
-    may hold strings that no entry uses.
+    may hold strings that no entry uses. by_bssid gives the order of
+    scans.npz, which ``pair`` and ``featurize`` load; candidates name
+    their scans by its rows.
     """
 
     users: list[str]
@@ -85,7 +97,100 @@ class WifiScans:
 
     def entry_rows(self) -> np.ndarray:
         """The row of every entry."""
-        return np.repeat(np.arange(len(self.ts)), np.diff(self.offsets))
+        return np.repeat(np.arange(len(self.ts), dtype=np.int32), np.diff(self.offsets))
+
+    def by_bssid(self) -> WifiScans:
+        """The same scans in bssid order, as scans.npz holds them.
+
+        ``bssids`` lists the bssids the entries use, sorted, and each
+        row's entries are sorted by bssid. ``ssids`` lists the ssids the
+        entries use, in order of first appearance in that entry order.
+        """
+        used = np.unique(self.bssid)
+        by_name = sorted(used.tolist(), key=self.bssids.__getitem__)
+        code = np.zeros(len(self.bssids), dtype=np.int32)
+        code[by_name] = np.arange(len(by_name))
+        bssid = code[self.bssid]
+        order = np.lexsort((bssid, self.entry_rows()))
+        bssid, ssid = bssid[order], self.ssid[order]
+        ssid_used, first = np.unique(ssid, return_index=True)
+        ssid_used = ssid_used[np.argsort(first)]
+        ssid_code = np.zeros(len(self.ssids), dtype=np.int32)
+        ssid_code[ssid_used] = np.arange(len(ssid_used))
+        return replace(
+            self, bssids=[self.bssids[c] for c in by_name], bssid=bssid,
+            ssids=[self.ssids[c] for c in ssid_used.tolist()], ssid=ssid_code[ssid],
+            rssi=self.rssi[order],
+        )
+
+    def save(self, path, cfg_hash: str) -> None:
+        """Write the table as a scans.v1 archive stamped with cfg_hash."""
+        fileio.write_npz(
+            path, fileio.SCHEMA_SCANS, cfg_hash,
+            {"users": self.users, "bssids": self.bssids, "ssids": self.ssids},
+            {name: getattr(self, name) for name in _SCAN_ARRAYS},
+        )
+
+    @classmethod
+    def load(cls, path, expect_hash: str | None = None) -> WifiScans:
+        """Read a table written by save, in bssid order.
+
+        Raises DataError unless the archive is readable, carries the
+        expected schema and hash, and holds a consistent table: string
+        tables of distinct strings, bssids sorted; arrays of the saved
+        dtypes and lengths; offsets rising from 0 to the entry count;
+        codes within their tables; and bssid codes rising strictly
+        within each row, the order ``common`` needs.
+        """
+        header, arrays = fileio.read_npz(path, fileio.SCHEMA_SCANS, expect_hash)
+        tables = {}
+        for name in ("users", "bssids", "ssids"):
+            names = header.get(name)
+            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+                raise DataError(f"{path}: {name} is not a list of strings")
+            if len(set(names)) < len(names):
+                raise DataError(f"{path}: {name} repeats a string")
+            tables[name] = names
+        if tables["bssids"] != sorted(tables["bssids"]):
+            raise DataError(f"{path}: bssids are not sorted")
+        fileio.check_arrays(path, arrays,
+                            {name: (dtype, 1) for name, dtype in _SCAN_ARRAYS.items()})
+        table = cls(**tables, **arrays)
+        n_rows, n_entries = len(table.ts), len(table.bssid)
+        offsets = table.offsets
+        if (len(table.user) != n_rows or len(offsets) != n_rows + 1
+                or len(table.ssid) != n_entries or len(table.rssi) != n_entries):
+            raise DataError(f"{path}: array lengths disagree")
+        if offsets[0] != 0 or offsets[-1] != n_entries or (np.diff(offsets) < 0).any():
+            raise DataError(f"{path}: offsets do not rise from 0 to {n_entries}")
+        for codes, names in ((table.user, table.users), (table.bssid, table.bssids),
+                             (table.ssid, table.ssids)):
+            if len(codes) and (codes.min() < 0 or codes.max() >= len(names)):
+                raise DataError(f"{path}: a code lies outside its string table")
+        if ((np.diff(table.bssid) <= 0) & (np.diff(table.entry_rows()) == 0)).any():
+            raise DataError(f"{path}: a row's bssid codes do not rise strictly")
+        return table
+
+    def common(self, scan_a, scan_b):
+        """The routers rows scan_a[i] and scan_b[i] share, for every i.
+
+        Needs the bssid order of by_bssid. Returns (pair, entry_a,
+        entry_b): one element per common router, grouped by pair in
+        ascending order and in bssid order within a pair, the order in
+        which ``intersect`` lists them.
+        """
+        offsets, n_bssid = self.offsets, max(len(self.bssids), 1)
+        # both sides' (pair, bssid) keys are sorted, so one searchsorted
+        # finds the common routers
+        pa, ea = _ranges(offsets[scan_a], offsets[scan_a + 1] - offsets[scan_a])
+        pb, eb = _ranges(offsets[scan_b], offsets[scan_b + 1] - offsets[scan_b])
+        key_a = pa * n_bssid + self.bssid[ea]
+        key_b = pb * n_bssid + self.bssid[eb]
+        if len(key_b) == 0:
+            return pa[:0], ea[:0], eb[:0]
+        pos = np.minimum(np.searchsorted(key_b, key_a), len(key_b) - 1)
+        hit = key_b[pos] == key_a
+        return pa[hit], ea[hit], eb[pos[hit]]
 
     def lines(self):
         """Yield each scan as the JSON text of its cleaned.jsonl row.
@@ -134,6 +239,13 @@ class BluetoothSightings:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray):
+    """(owner, index) of every position in the ranges [start, start + length)."""
+    owner = np.repeat(np.arange(len(starts)), lengths)
+    first = np.cumsum(lengths) - lengths
+    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
 
 
 # ---------------------------------------------------------------------------

@@ -28,6 +28,10 @@ DIRECTION_LESS = "less-is-positive"
 
 KIND_GBT = "gradient-boosted"
 KIND_RF = "random-forest"
+# the short name of each model kind, for the command line and file names
+KIND_SHORT = {KIND_GBT: "gbt", KIND_RF: "rf"}
+# the kind that each accepted model name selects: a kind or its short name
+MODEL_KINDS = {**{short: kind for kind, short in KIND_SHORT.items()}, **{k: k for k in KIND_SHORT}}
 
 _AP_PRESENCE = ["overlap", "non_overlap", "union", "jaccard"]
 _RSSI = ["spearman", "pearson", "manhattan", "euclidean"]
@@ -255,12 +259,11 @@ def predict(model: TreeEnsembleModel, X) -> np.ndarray:
 
 def fit_model(kind: str, X, y, params: dict | None = None, seed: int = 0,
               **meta) -> TreeEnsembleModel:
-    """Fit either ensemble."""
-    if kind == KIND_GBT or kind == "gbt":
-        return fit_gbt(X, y, params, seed=seed, **meta)
-    if kind == KIND_RF or kind == "rf":
-        return fit_rf(X, y, params, seed=seed, **meta)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Fit either ensemble; kind is a kind or its short name."""
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    fit = fit_gbt if MODEL_KINDS[kind] == KIND_GBT else fit_rf
+    return fit(X, y, params, seed=seed, **meta)
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,7 @@ def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0):
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if grid is None:
-        grid = DEFAULT_GBT_GRID if kind in (KIND_GBT, "gbt") else DEFAULT_RF_GRID
+        grid = DEFAULT_GBT_GRID if MODEL_KINDS.get(kind) == KIND_GBT else DEFAULT_RF_GRID
     n_pos = int((y == 1).sum())
     n_neg = int((y == 0).sum())
     if n_pos < folds or n_neg < folds:

@@ -7,7 +7,8 @@ Positives are scan pairs backed by a Bluetooth sighting near the
 interaction time; negatives must share at least one router, which keeps
 the task close to the deployed setting instead of random dyads.
 
-``pair_windows`` runs this window by window over the scan table and an
+``pair_windows`` runs this window by window over an ``ingest.WifiScans``
+table in bssid order, as scans.npz holds it, and an
 ``ingest.BluetoothSightings`` table, on codes and arrays: no object is
 built per sighting or per candidate.
 """
@@ -19,9 +20,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fileio
-from .features import ScanTable, _ranges
 from .fileio import DataError
-from .ingest import BluetoothSightings
+from .ingest import BluetoothSightings, WifiScans, _ranges
 from .records import LABEL_NEGATIVE, LABEL_POSITIVE
 
 WINDOW_S = 3600
@@ -46,7 +46,7 @@ def build_hour_windows(sightings: BluetoothSightings) -> list[tuple[int, np.ndar
                     np.split(active % n_users, first[1:])))
 
 
-def pair_windows(table: ScanTable, sightings: BluetoothSightings, delta_t: int = 300):
+def pair_windows(table: WifiScans, sightings: BluetoothSightings, delta_t: int = 300):
     """The sightings' hour windows and the CandidateTable of their candidates,
     window after window: generate_candidates over the rows of each window's
     active users in its hour, in table order, and the sightings within delta_t of it."""
@@ -75,7 +75,7 @@ def pair_windows(table: ScanTable, sightings: BluetoothSightings, delta_t: int =
     return windows, CandidateTable.concatenate(parts)
 
 
-def generate_candidates(table: ScanTable, rows, sightings: BluetoothSightings,
+def generate_candidates(table: WifiScans, rows, sightings: BluetoothSightings,
                         delta_t: int = 300) -> CandidateTable:
     """Build labeled candidate pairs from one window's scans and sightings.
 

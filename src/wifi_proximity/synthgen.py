@@ -34,7 +34,7 @@ from .fileio import (
     SCHEMA_WIFI,
 )
 from .ingest import WifiScans, parse_wifi_log
-from .records import RSSI_MIN
+from .records import DAY_S, RSSI_MIN
 
 TAU = 2.0 * math.pi
 
@@ -51,6 +51,9 @@ _STREAM_WIFI_FIELD = 7
 # interval kinds in per-slot anchor arrays
 _KIND_FIXED = 0  # position exactly at anchor
 _KIND_JITTER = 1  # position uniform in a disc around anchor
+
+# build_plans draws its times in units of 5 minutes, whatever the scan period
+_PLAN_UNIT_S = 300
 
 
 @dataclass(frozen=True)
@@ -138,8 +141,9 @@ class WorldConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
-        if 86400 % self.scan_period_s != 0:
-            raise ValueError("scan_period_s must divide 86400")
+        # the schedules place whole scans in every hour
+        if 3600 % self.scan_period_s != 0:
+            raise ValueError(f"scan_period_s must divide 3600, got {self.scan_period_s}")
         if self.meeting_min_slots < 1 or self.meeting_max_slots < self.meeting_min_slots:
             raise ValueError("meeting duration bounds are inconsistent")
         if not self.group_size_cycle or min(self.group_size_cycle) < 2:
@@ -487,17 +491,18 @@ def schedule_meetings(
 
 
 class _PlanWriter:
-    """Fills per-slot anchor arrays for one user."""
+    """Fills per-slot anchor arrays for one user from times in plan units."""
 
-    def __init__(self, n_slots: int) -> None:
+    def __init__(self, n_slots: int, scan_period_s: int) -> None:
         self.ax = np.zeros(n_slots, dtype=np.float64)
         self.ay = np.zeros(n_slots, dtype=np.float64)
         self.jr = np.zeros(n_slots, dtype=np.float64)
         self.n_slots = n_slots
+        self.scan_period_s = scan_period_s
 
-    def put(self, s0: int, s1: int, xy: np.ndarray, jitter: float) -> None:
-        s0 = max(0, min(self.n_slots, s0))
-        s1 = max(0, min(self.n_slots, s1))
+    def put(self, u0: int, u1: int, xy: np.ndarray, jitter: float) -> None:
+        s0 = max(0, min(self.n_slots, u0 * _PLAN_UNIT_S // self.scan_period_s))
+        s1 = max(0, min(self.n_slots, u1 * _PLAN_UNIT_S // self.scan_period_s))
         if s1 <= s0:
             return
         self.ax[s0:s1] = xy[0]
@@ -506,7 +511,8 @@ class _PlanWriter:
 
 
 def _slot(hour: float) -> int:
-    return int(hour * 12)
+    """The plan unit at an hour of the day."""
+    return int(hour * (3600 // _PLAN_UNIT_S))
 
 
 def build_plans(
@@ -520,9 +526,8 @@ def build_plans(
     Returns per-slot anchor arrays (x, y, jitter radius) of shape
     (n_users, n_slots) and, for campus goers, the building chosen per day.
     """
-    S = cfg.slots_per_day
+    S = DAY_S // _PLAN_UNIT_S  # plan units per day
     n_slots = cfg.n_slots
-    per_slot = S // 24
 
     def u(lo: int, hi: int) -> int:
         return int(rng.integers(lo, hi + 1))
@@ -540,9 +545,9 @@ def build_plans(
         return rng.random(2) * cfg.area_m
 
     for uidx in range(cfg.n_users):
-        plan = _PlanWriter(n_slots)
+        plan = _PlanWriter(n_slots, cfg.scan_period_s)
         home = layout.home_pos[uidx]
-        plan.put(0, n_slots, home, 0.0)
+        plan.put(0, cfg.days * S, home, 0.0)
 
         for day in range(cfg.days):
             base = day * S

@@ -24,8 +24,8 @@ from pathlib import Path
 import numpy as np
 
 from wifi_proximity import fileio
-from wifi_proximity.features import ScanTable
 from wifi_proximity.ingest import CleaningReport, ParseResult, month_key
+from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.records import (
     BSSID_RE,
     RSSI_MIN,

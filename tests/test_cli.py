@@ -13,7 +13,8 @@ import pytest
 import wifi_proximity
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
-from wifi_proximity.features import FeatureTable, ScanTable
+from wifi_proximity.features import FeatureTable
+from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN
@@ -175,6 +176,16 @@ class TestExitCodes:
                     "--config", str(tmp_path / "missing.conf")]) == 4
         bad.write_text("unknown_key = 1\n")
         assert run(["clean", "--dir", str(tmp_path), "--config", str(bad)]) == 4
+
+    def test_scan_period_that_does_not_divide_an_hour(self, tmp_path, capsys):
+        conf = tmp_path / "c.conf"
+        conf.write_text("world.n_users = 8\nworld.scan_period_s = 7200\n")
+        capsys.readouterr()
+        assert run(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "scan_period_s" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wifi.jsonl").exists()
 
     def test_data_error_on_missing_inputs(self, tmp_path):
         assert run(["clean", "--dir", str(tmp_path)]) == 3

@@ -1,5 +1,8 @@
 """Config files, flag overrides, validation, and the data hash."""
 
+from dataclasses import fields
+from pathlib import Path
+
 import pytest
 
 from wifi_proximity.config import (
@@ -134,3 +137,9 @@ class TestLoadConfig:
 
     def test_no_file(self):
         assert load_config(None, {"seed": 3}).seed == 3
+
+    def test_example_file_lists_the_defaults_and_every_pipeline_key(self):
+        example = Path(__file__).resolve().parents[1] / "scripts" / "example.conf"
+        assert load_config(example) == load_config(None)
+        keys = {f.name for f in fields(PipelineConfig)} - {"world"}
+        assert keys <= set(parse_config_file(example))

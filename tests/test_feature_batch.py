@@ -13,13 +13,12 @@ from wifi_proximity.fileio import DataError
 from wifi_proximity.features import (
     PopularityIndex,
     PopularityIndexError,
-    ScanTable,
     _pearson_coefficient,
     _pearson_rows,
     extract_feature_matrix,
     extract_features,
 )
-from wifi_proximity.ingest import month_key, parse_wifi_log
+from wifi_proximity.ingest import WifiScans as ScanTable, month_key, parse_wifi_log
 from wifi_proximity.pairing import CandidateTable
 from wifi_proximity.records import CandidatePair
 
@@ -260,9 +259,17 @@ def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
     lambda t: {"rssi": t.rssi.astype(np.int64)},
     lambda t: {"ts": t.ts.reshape(1, -1)},
     lambda t: {"users": [1] * len(t.users)},
+    lambda t: {"bssid": t.bssid[[1, 0, 2]]},
+    lambda t: {"bssid": t.bssid[[0, 0, 2]]},
+    lambda t: {"bssids": t.bssids[::-1]},
+    lambda t: {"users": [t.users[0]] * len(t.users)},
+    lambda t: {"bssids": [t.bssids[0]] * len(t.bssids)},
+    lambda t: {"ssids": [t.ssids[0]] * len(t.ssids)},
 ], ids=["offsets_short", "offsets_from_1", "offsets_end", "offsets_falling",
         "user_short", "ssid_short", "user_code", "bssid_code", "ssid_code",
-        "rssi_dtype", "ts_2d", "users_not_str"])
+        "rssi_dtype", "ts_2d", "users_not_str", "row_out_of_order",
+        "bssid_repeated_in_row", "bssids_unsorted", "users_repeat", "bssids_repeat",
+        "ssids_repeat"])
 def test_scan_file_rejects_inconsistent_tables(tmp_path, corrupt):
     records = [scan("u1", 10, [ap(1, -50, "a"), ap(2, -60, "b")]),
                scan("u2", 20, [ap(2, -55, "b")])]

@@ -40,7 +40,7 @@ class TestWorldConfig:
         {"days": -1},
         {"campus_fraction": 1.5},
         {"bt_detect_prob": -0.1},
-        {"scan_period_s": 7},          # does not divide a day
+        {"scan_period_s": 7},          # does not divide an hour
         {"meeting_min_slots": 0},
         {"meeting_max_slots": 1, "meeting_min_slots": 5},
         {"group_size_cycle": (1, 3)},  # singleton groups disallowed
@@ -49,6 +49,7 @@ class TestWorldConfig:
         {"wifi_detect_floor_dbm": float("nan")},
         {"wifi_detect_floor_dbm": float("-inf")},
         {"wifi_detect_floor_dbm": float("inf")},
+        {"scan_period_s": 7200},       # divides a day, not an hour
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -58,6 +59,15 @@ class TestWorldConfig:
         cfg = WorldConfig(days=2, scan_period_s=300)
         assert cfg.slots_per_day == 288
         assert cfg.n_slots == 576
+
+    @pytest.mark.parametrize("period", [300, 900, 1800, 3600])
+    def test_everyone_is_home_until_six_at_any_scan_period(self, period):
+        cfg = WorldConfig(seed=3, n_users=24, n_routers=80, days=2, n_buildings=2,
+                          n_venues=2, area_m=1200.0, scan_period_s=period)
+        layout, _, positions, _ = synthgen._world(cfg)
+        night = (np.arange(cfg.n_slots) % cfg.slots_per_day) * period < 6 * 3600
+        assert night.sum() == cfg.days * 6 * 3600 // period
+        assert (positions[:, night] == layout.home_pos[:, None]).all()
 
     def test_as_dict_replace_round_trip(self):
         cfg = WorldConfig(seed=4, n_users=30)
