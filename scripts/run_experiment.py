@@ -26,18 +26,18 @@ from wifi_proximity import fileio
 from wifi_proximity.cli import main as run_stage
 from wifi_proximity.evaluation import learning_curve
 from wifi_proximity.features import FeatureTable
-from wifi_proximity.models import FEATURESETS
+from wifi_proximity.models import FEATURESETS, KIND_SHORT
 from wifi_proximity.pairing import split_indices
 
 
-def parse_args(argv=None):
+def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--dir", default="run", help="working directory")
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed (default: leave as-is)")
     p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--model", choices=["gbt", "rf"], default="gbt")
+    p.add_argument("--model", choices=list(KIND_SHORT.values()), default="gbt")
     p.add_argument("--train-size", type=float, dest="train_size", default=None,
                    help="train fraction in (0, 1) (default: the config's)")
     p.add_argument("--featuresets", default="FULL,SIMPLE,NEARME",
@@ -48,7 +48,11 @@ def parse_args(argv=None):
                    help="also compute the training-size saturation curve")
     p.add_argument("--reuse-logs", action="store_true",
                    help="skip generation; expects raw logs in --dir")
-    return p.parse_args(argv)
+    return p
+
+
+def parse_args(argv=None):
+    return build_parser().parse_args(argv)
 
 
 def stage(name, base, extra=()):

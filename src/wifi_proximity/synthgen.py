@@ -48,10 +48,6 @@ _STREAM_WIFI_NOISE = 5
 _STREAM_PHASES = 6
 _STREAM_WIFI_FIELD = 7
 
-# interval kinds in per-slot anchor arrays
-_KIND_FIXED = 0  # position exactly at anchor
-_KIND_JITTER = 1  # position uniform in a disc around anchor
-
 # build_plans draws its times in units of 5 minutes, whatever the scan period
 _PLAN_UNIT_S = 300
 

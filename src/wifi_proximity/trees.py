@@ -9,9 +9,13 @@ in how a cut is scored.
 The split search is exact over each column's distinct values: columns are
 coded once per fit (`encode_columns`), a node holds one row-index array,
 and a `bincount` of its rows' codes gives each value's count and target
-sum. Integer row weights stand for repeated rows, as in a bootstrap. The
-grower can hand out each leaf's rows, so boosting updates its training
-scores without predicting.
+sum. A node with under a quarter as many rows as a column has values
+first recodes its rows over the values they hold, so a node's split
+search costs in proportion to its rows, not to its columns' distinct
+values; only the winning cut's threshold is computed. Integer row
+weights stand for repeated rows, as in a bootstrap. The grower can hand
+out each leaf's rows, so boosting updates its training scores without
+predicting.
 
 Prediction routes row sets the same way: each internal node splits its
 row array with one comparison and each leaf writes its value into its
@@ -152,7 +156,7 @@ def encode_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
 
 def _best_cut(vals: np.ndarray, count: np.ndarray, tsum: np.ndarray, gini: bool):
     """Best cut of one feature from the node's row count and target sum at
-    each of the column's sorted distinct values `vals` (absent ones skipped).
+    each of the sorted distinct values `vals` (absent ones skipped).
 
     Returns (gain, threshold, code) or None; rows of code <= `code` go left.
 
@@ -161,13 +165,16 @@ def _best_cut(vals: np.ndarray, count: np.ndarray, tsum: np.ndarray, gini: bool)
     Gini on 0/1 targets, minus the weighted impurity sum n_child *
     gini(child), which is 2 p (n_child - p) / n_child. Thresholds are
     midpoints of consecutive present values and the smallest one wins ties.
+    Only the winning cut's midpoint is computed, unless it rounds onto an
+    end (see _valid_argmax).
     """
-    present = np.flatnonzero(count)
+    present = count.nonzero()[0]
     if len(present) < 2:
         return None
-    vals = vals[present]
-    cum_n = np.cumsum(count[present])
-    cum = np.cumsum(tsum[present])
+    if len(present) < len(count):
+        vals, count, tsum = vals[present], count[present], tsum[present]
+    cum_n = count.cumsum()
+    cum = tsum.cumsum()
     n = cum_n[-1]
     total = cum[-1]
     nl = cum_n[:-1]
@@ -180,16 +187,29 @@ def _best_cut(vals: np.ndarray, count: np.ndarray, tsum: np.ndarray, gini: bool)
     else:
         score = sl * sl / nl + sr ** 2 / nr
         parent = total * total / n
+    i = int(score.argmax())
+    mid = (vals[i] + vals[i + 1]) * 0.5
+    if not vals[i] < mid < vals[i + 1]:
+        i = _valid_argmax(vals, score)
+        if i is None:
+            return None
+        mid = (vals[i] + vals[i + 1]) * 0.5
+    gain = float(score[i] - parent)
+    if gain <= 0.0:
+        return None
+    return gain, float(mid), int(present[i])
+
+
+def _valid_argmax(vals: np.ndarray, score: np.ndarray) -> int | None:
+    """Index of the best-scoring cut of the sorted distinct values `vals`
+    whose midpoint lies strictly between its two values, or None if none
+    does. Only values one ulp apart have a midpoint that rounds onto an
+    end, so _best_cut falls back to this mask only for them."""
     mids = (vals[:-1] + vals[1:]) * 0.5
     valid = (mids > vals[:-1]) & (mids < vals[1:])
     if not valid.any():
         return None
-    score = np.where(valid, score, -np.inf)
-    i = int(np.argmax(score))
-    gain = float(score[i] - parent)
-    if gain <= 0.0:
-        return None
-    return gain, float(mids[i]), int(present[i])
+    return int(np.argmax(np.where(valid, score, -np.inf)))
 
 
 def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
@@ -222,8 +242,8 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
         raise ValueError("max_features requires an rng")
     n, d = codes.shape
     gini = criterion == "gini"
-    if weight is None:
-        weight = np.ones(n, dtype=np.int64)
+    # float weights, as bincount would convert them on every call
+    weight = np.ones(n) if weight is None else weight.astype(float)
     wy = y * weight
     if hess is not None:
         hess = hess * weight
@@ -256,15 +276,15 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
     while stack:
         parent, is_left, depth, rows = stack.pop()
         node = new_node(parent, is_left)
-        w_node = weight[rows]
+        w_node = weight.take(rows)
         n_node = int(w_node.sum())
         nsamp_l[node] = n_node
-        t_node = wy[rows]
+        t_node = wy.take(rows)
         s = float(t_node.sum())
 
         # on 0/1 targets the SSE test is the test that both classes are present
         splittable = (max_depth is None or depth < max_depth) and (
-            float(t_node @ y[rows]) - s * s / n_node > _PURE_SSE)
+            float(t_node @ y.take(rows)) - s * s / n_node > _PURE_SSE)
 
         best = None  # (gain, feature, threshold, code)
         if splittable:
@@ -273,15 +293,23 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
             else:
                 feats = range(d)
             for j in feats:
-                col = codes[rows, j]
-                k = len(values[j])
-                res = _best_cut(values[j], np.bincount(col, w_node, k),
+                col = codes[:, j].take(rows)
+                vals = values[j]
+                local = None
+                if 4 * len(rows) < len(vals):
+                    # few rows on many values: count over the node's own
+                    # values; each bin still adds its rows in row order
+                    local, col = np.unique(col, return_inverse=True)
+                    vals = vals.take(local)
+                k = len(vals)
+                res = _best_cut(vals, np.bincount(col, w_node, k),
                                 np.bincount(col, t_node, k), gini)
                 if res is not None and (best is None or res[0] > best[0]):
-                    best = (res[0], j, res[1], res[2])
+                    code = res[2] if local is None else int(local[res[2]])
+                    best = (res[0], j, res[1], code)
 
         if best is None:
-            den = n_node if hess is None else max(float(hess[rows].sum()), _MIN_HESSIAN)
+            den = n_node if hess is None else max(float(hess.take(rows).sum()), _MIN_HESSIAN)
             value_l[node] = s / den
             if leaves is not None:
                 leaves.append((node, rows))
@@ -292,10 +320,10 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
         threshold_l[node] = thr
         gain_l[node] = gain
 
-        go_left = codes[rows, j_star] <= code
+        go_left = codes[:, j_star].take(rows) <= code
         # push right first so the left subtree is built first
-        stack.append((node, False, depth + 1, rows[~go_left]))
-        stack.append((node, True, depth + 1, rows[go_left]))
+        stack.append((node, False, depth + 1, rows.compress(~go_left)))
+        stack.append((node, True, depth + 1, rows.compress(go_left)))
 
     return Tree(
         feature=np.array(feature_l, dtype=np.int32),

@@ -1,11 +1,12 @@
 """scripts/run_experiment.py end to end on the tiny world."""
 
+import argparse
 import importlib.util
 from pathlib import Path
 
 import pytest
 
-from wifi_proximity import fileio, models
+from wifi_proximity import cli, fileio, models
 
 from conftest import world_conf
 
@@ -42,3 +43,19 @@ def test_curve_pool_is_the_models_train_split(run_experiment, monkeypatch,
     assert split["train_size"] == 0.3
     assert seen["pool"] == split["train_count"] == round(0.3 * split["n"])
     assert seen["test"] == split["n"] - split["train_count"]
+
+
+def model_choices(parser: argparse.ArgumentParser) -> list:
+    """The --model choices of a parser, or of its first subcommand."""
+    for action in parser._actions:
+        if action.dest == "model":
+            return list(action.choices)
+        if isinstance(action, argparse._SubParsersAction):
+            return model_choices(next(iter(action.choices.values())))
+    raise AssertionError("parser has no --model option")
+
+
+def test_model_choices_are_the_clis(run_experiment):
+    choices = model_choices(run_experiment.build_parser())
+    assert choices == model_choices(cli.build_parser())
+    assert choices == list(models.KIND_SHORT.values())

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.special import expit
 
+from wifi_proximity import trees
 from wifi_proximity.models import fit_gbt
 from wifi_proximity.trees import Tree, _best_cut, encode_columns, grow_tree
 
@@ -218,24 +219,30 @@ def _scan_gini(vals: np.ndarray, t: np.ndarray, min_leaf: int):
     return gain, float(mids[i]), i + 1
 
 
-def _sorted_values(rng, n):
-    """Sorted feature values, mostly with few distinct levels (heavy ties)."""
-    kind = rng.integers(4)
+def _sorted_values(rng, n, kind=None):
+    """Sorted feature values, mostly with few distinct levels (heavy ties).
+    kind is drawn from 0-3 unless given; kind 4 is drawn only when given."""
+    if kind is None:
+        kind = rng.integers(4)
     if kind == 0:  # a handful of levels
         vals = rng.integers(0, rng.integers(1, 6), n) * 0.5
     elif kind == 1:  # levels one ulp apart: some midpoints equal an end
         vals = 1.0 + rng.integers(0, 3, n) * np.spacing(1.0)
     elif kind == 2:  # mostly one value with a few outliers
         vals = np.where(rng.random(n) < 0.8, 3.0, rng.normal(size=n))
-    else:  # continuous
+    elif kind == 3:  # continuous
         vals = rng.normal(size=n)
+    else:  # levels one ulp apart beside continuous ones
+        vals = 1.0 + np.where(rng.random(n) < 0.5,
+                              rng.integers(0, 3, n) * np.spacing(1.0),
+                              rng.normal(size=n))
     return np.sort(vals)
 
 
-def _value_arrays(rng, gini):
+def _value_arrays(rng, gini, kind=None):
     """One feature's sorted distinct values with the per-value row counts
     (zero where a value is absent at the node) and target sums."""
-    vals = np.unique(_sorted_values(rng, int(rng.integers(1, 30))))
+    vals = np.unique(_sorted_values(rng, int(rng.integers(1, 30)), kind))
     k = len(vals)
     count = rng.integers(1, 5, k) * (rng.random(k) < 0.8)
     if gini:  # positives per value
@@ -272,6 +279,21 @@ def _expand(vals, count, tsum, gini):
     return rows, t
 
 
+@pytest.fixture
+def fallbacks(monkeypatch):
+    """What _valid_argmax returns, once for each time _best_cut falls back
+    to it because the winning cut's midpoint rounds onto an end."""
+    seen = []
+    valid_argmax = trees._valid_argmax
+
+    def spy(vals, score):
+        seen.append(valid_argmax(vals, score))
+        return seen[-1]
+
+    monkeypatch.setattr(trees, "_valid_argmax", spy)
+    return seen
+
+
 class TestBestCut:
     """The per-value _best_cut gives the same gain and threshold bits as the
     per-criterion row scans it replaced, run on the node's rows, and its
@@ -279,11 +301,11 @@ class TestBestCut:
 
     CASES = 3000
 
-    def check(self, seed, gini, reference):
+    def check(self, seed, gini, reference, kind=None):
         rng = np.random.default_rng(seed)
         splits = 0
         for _ in range(self.CASES):
-            vals, count, tsum = _value_arrays(rng, gini)
+            vals, count, tsum = _value_arrays(rng, gini, kind)
             if not count.any():
                 continue
             rows, t = _expand(vals, count, tsum, gini)
@@ -298,11 +320,18 @@ class TestBestCut:
             splits += 1
         assert splits > self.CASES // 3
 
-    def test_variance_matches_reference(self):
+    def test_variance_matches_reference(self, fallbacks):
         self.check(2016, False, _scan_variance)
+        assert fallbacks  # reached by the one-ulp values (kind 1)
 
-    def test_gini_matches_reference(self):
+    def test_gini_matches_reference(self, fallbacks):
         self.check(2017, True, _scan_gini)
+        assert fallbacks
+
+    @pytest.mark.parametrize("gini", [False, True])
+    def test_fallback_finds_cuts_beside_one_ulp_values(self, fallbacks, gini):
+        self.check(2018 + gini, gini, _scan_gini if gini else _scan_variance, kind=4)
+        assert any(i is not None for i in fallbacks)
 
 
 def _tied_problem(rng, n, d):
@@ -362,6 +391,96 @@ class TestGrowerMatchesReference:
             got = grow(X, t, criterion="variance", hess=hess, max_depth=depth)
             np.testing.assert_allclose(got.predict(X), want.predict(X),
                                        rtol=0, atol=1e-12, err_msg=str(s))
+
+
+def _many_valued_problem(rng, n, d):
+    """Columns of about 0.8 n distinct values with some ties, but for a
+    first column of a few levels when d > 1."""
+    X = rng.integers(0, 2 * n, size=(n, d)) / 7.0
+    if d > 1:
+        X[:, 0] = rng.integers(0, 4, n) * 0.5
+    return X
+
+
+class TestGrowerMatchesColumnBincount:
+    """The grower against the column-bincount one it replaced, whose every
+    node counts all of a column's values: the trees are equal to the last
+    bit, on float targets too."""
+
+    PROBLEMS = 60
+
+    def problems(self, seed, many_valued):
+        rng = np.random.default_rng(seed)
+        make = _many_valued_problem if many_valued else _tied_problem
+        for s in range(self.PROBLEMS):
+            n = int(rng.integers(5, 300))
+            d = int(rng.integers(1, 7))
+            yield s, rng, n, d, make(rng, n, d), [None, 2, 8][s % 3]
+
+    @staticmethod
+    def grow_both(X, y, seed=None, **kwargs):
+        """[(tree, rng), (reference tree, its rng)] and the column values.
+        Each grower draws from its own generator of the same seed, so the
+        two rngs must end in one state."""
+        values, codes = encode_columns(X)
+        out = []
+        for grow_fn in (grow_tree, tree_reference.bincount_grow_tree):
+            rng = None if seed is None else np.random.default_rng(seed)
+            out.append((grow_fn(codes, values, y, rng=rng, **kwargs), rng))
+        return out, values
+
+    @pytest.fixture
+    def searches(self, monkeypatch):
+        """The `vals` of each _best_cut call: a column's own values array,
+        or the node's values when the node counts over those alone."""
+        seen = []
+        best_cut = trees._best_cut
+
+        def spy(vals, *args):
+            seen.append(vals)
+            return best_cut(vals, *args)
+
+        monkeypatch.setattr(trees, "_best_cut", spy)
+        return seen
+
+    @staticmethod
+    def node_local_share(searches, values):
+        node_local = [not any(v is col for col in values) for v in searches]
+        return sum(node_local) / len(node_local)
+
+    @pytest.mark.parametrize("many_valued", [False, True])
+    @pytest.mark.parametrize("with_hess", [False, True])
+    def test_variance_on_float_targets(self, searches, many_valued, with_hess):
+        shares = []
+        for s, rng, n, d, X, depth in self.problems(4, many_valued):
+            t = rng.normal(size=n)
+            hess = rng.uniform(0.01, 0.25, n) if with_hess else None
+            searches.clear()
+            ((got, _), (want, _)), values = self.grow_both(
+                X, t, criterion="variance", hess=hess, max_depth=depth)
+            assert got.as_dict() == want.as_dict(), s
+            if depth is None and searches:
+                shares.append(self.node_local_share(searches, values))
+        if many_valued:  # most searches of a deep tree count node-local values
+            assert np.median(shares) > 0.5
+
+    @pytest.mark.parametrize("many_valued", [False, True])
+    def test_gini_bootstrap_weights(self, searches, many_valued):
+        shares = []
+        for s, rng, n, d, X, depth in self.problems(5, many_valued):
+            x = X[:, -1]
+            y = (x + rng.normal(scale=x.std() + 0.5, size=n) > np.median(x)).astype(float)
+            weight = np.bincount(rng.integers(0, n, size=n), minlength=n)
+            searches.clear()
+            ((got, rng_new), (want, rng_ref)), values = self.grow_both(
+                X, y, seed=[s, 1], criterion="gini", weight=weight,
+                max_depth=depth, max_features=max(1, math.isqrt(d)))
+            assert got.as_dict() == want.as_dict(), s
+            assert rng_new.random() == rng_ref.random(), s
+            if depth is None and searches:
+                shares.append(self.node_local_share(searches, values))
+        if many_valued:
+            assert np.median(shares) > 0.5
 
 
 class TestEncodeColumns:
