@@ -13,9 +13,12 @@ configs produce byte-identical output files.
 
 The WiFi scans are built as an ``ingest.WifiScans`` table, a block of
 slots per user at a time, and written by ``WifiScans.lines``, the
-encoder of cleaned.jsonl; no object is made per scan. Each slot's
-Bluetooth contacts come from a sweep along x over the sorted users, so
-only pairs within a band of ``bt_range_m`` are measured.
+encoder of cleaned.jsonl; no object is made per scan. The radio model
+is computed only on the cells within a router's reach, though every
+noise draw is made. Each slot's Bluetooth contacts come from a sweep
+along x over the sorted users, so only pairs within a band of
+``bt_range_m`` are measured; Bluetooth and truth rows are written as
+JSON text.
 """
 from __future__ import annotations
 
@@ -106,6 +109,8 @@ class WorldConfig:
     weekday_meeting_rate: float = 1.3
     weekend_meeting_rate: float = 0.9
     meeting_attendance: float = 0.8
+    # meeting lengths in 5-minute units, whatever the scan period (the
+    # names predate that; renaming them would change every config hash)
     meeting_min_slots: int = 4
     meeting_max_slots: int = 24
     loose_meeting_prob: float = 0.3
@@ -149,6 +154,17 @@ class WorldConfig:
         if not (math.isfinite(floor) and floor >= RSSI_MIN):
             raise ValueError(f"wifi_detect_floor_dbm must be finite and >= {RSSI_MIN}, "
                              f"got {floor!r}")
+        # the radio model: loss that grows with distance, a finite level at
+        # 1 m, and shadowing of finite, non-negative spread
+        exponent = self.path_loss_exponent
+        if not (math.isfinite(exponent) and exponent > 0):
+            raise ValueError(f"path_loss_exponent must be finite and > 0, got {exponent!r}")
+        if not math.isfinite(self.p0_dbm):
+            raise ValueError(f"p0_dbm must be finite, got {self.p0_dbm!r}")
+        for name in ("noise_sigma_db", "device_noise_sigma_db"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
 
     @property
     def slots_per_day(self) -> int:
@@ -409,9 +425,13 @@ def schedule_meetings(
     day_building: dict[int, np.ndarray],
     rng: np.random.Generator,
 ) -> list[Meeting]:
-    """Draw group meetings from the weekday/weekend hour intensity tables."""
-    slots = cfg.slots_per_day
-    per_slot = slots // 24
+    """Draw group meetings from the weekday/weekend hour intensity tables.
+
+    Start and length are drawn in 5-minute plan units, as build_plans
+    draws its times, and placed in slots by _PlanWriter.put's floor rule.
+    """
+    units = DAY_S // _PLAN_UNIT_S  # plan units per day
+    per_hour = 3600 // _PLAN_UNIT_S
     meetings: list[Meeting] = []
     for day in range(cfg.days):
         weekend = _weekday(cfg, day) >= 5
@@ -425,9 +445,9 @@ def schedule_meetings(
                 placed = None
                 for _attempt in range(6):
                     hour = int(rng.choice(24, p=weights))
-                    start = hour * per_slot + int(rng.integers(0, per_slot))
+                    start = hour * per_hour + int(rng.integers(0, per_hour))
                     dur = int(rng.integers(cfg.meeting_min_slots, cfg.meeting_max_slots + 1))
-                    if start + dur > slots:
+                    if start + dur > units:
                         continue
                     if any(start < e and s < start + dur for s, e in taken):
                         continue
@@ -449,7 +469,7 @@ def schedule_meetings(
                     continue
                 attending.sort()
 
-                hour = start // per_slot
+                hour = start // per_hour
                 goers = [a for a in attending if is_goer[a]]
                 anchor = None
                 if not weekend and 8 <= hour < 17 and goers and layout.n_buildings:
@@ -476,8 +496,8 @@ def schedule_meetings(
                 offsets = np.column_stack((radii * np.cos(theta), radii * np.sin(theta)))
                 meetings.append(
                     Meeting(
-                        start_slot=day * slots + start,
-                        end_slot=day * slots + end,
+                        start_slot=(day * units + start) * _PLAN_UNIT_S // cfg.scan_period_s,
+                        end_slot=(day * units + end) * _PLAN_UNIT_S // cfg.scan_period_s,
                         attendees=attending,
                         anchor=np.asarray(anchor, dtype=float),
                         offsets=offsets,
@@ -708,6 +728,20 @@ def bluetooth_and_truth(
     return sightings, proximity
 
 
+def _squared_reach(cfg: WorldConfig, field: np.ndarray) -> np.ndarray:
+    """The squared distance within which a router under shadowing ``field``
+    may be heard, never below 1 m: beyond it a cell cannot be visible.
+
+    Visibility needs rint(base) >= floor, so base >= floor - 0.5, that is
+    10 n log10(max(d, 1)) <= p0 + field - floor + 0.5. The relative slack
+    covers the rounding of this bound and of the model's own arithmetic.
+    """
+    with np.errstate(over="ignore"):
+        reach = 10.0 ** ((cfg.p0_dbm - cfg.wifi_detect_floor_dbm + 0.5 + field)
+                         / (10.0 * cfg.path_loss_exponent))
+        return np.maximum(reach, 1.0) ** 2 * (1.0 + 1e-6)
+
+
 def wifi_scans(
     cfg: WorldConfig,
     layout: Layout,
@@ -721,15 +755,20 @@ def wifi_scans(
     layout's, so an entry's bssid and ssid codes are both its router's
     index. A scan lists its routers by descending RSSI, then by bssid.
     Work is vectorized over fixed blocks of slots: the candidate router
-    set is looked up once per block, then distances and shadowing noise
-    are drawn for the whole block at once.
+    set is looked up once per block, and the device noise is drawn for
+    the whole block at once. The radio model is then evaluated only on
+    the cells within reach of their router at the block's peak field
+    (``_squared_reach``), a squared-distance test. Every noise draw is
+    still made, so each stream is consumed as if every cell were computed.
     """
     # beyond this mean-path distance a router cannot clear the floor
     margin = 4.0 * cfg.noise_sigma_db
-    cutoff = 10.0 ** (
-        (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
-        / (10.0 * cfg.path_loss_exponent)
-    )
+    # a float64 overflows to inf, where a float would raise, at a tiny exponent
+    with np.errstate(over="ignore"):
+        cutoff = np.float64(10.0) ** (
+            (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
+            / (10.0 * cfg.path_loss_exponent)
+        )
     rpos = layout.router_pos
     n_slots = cfg.n_slots
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
@@ -741,6 +780,8 @@ def wifi_scans(
 
     rows, routers, levels = ([np.zeros(0, np.int64)] for _ in range(3))
     block = 64
+    # (router, block): the squared reach at the block's peak field
+    reach2 = _squared_reach(cfg, np.maximum.reduceat(field, range(0, n_slots, block), axis=1))
     for uidx in range(cfg.n_users):
         rng = _substream(cfg.seed, _STREAM_WIFI_NOISE, uidx)
         pos = positions[uidx]
@@ -753,23 +794,22 @@ def wifi_scans(
             cand = np.nonzero(d_center <= cutoff + spread)[0]
             if len(cand) == 0:
                 continue
-            d = np.hypot(
-                chunk[:, 0][:, None] - rpos[cand, 0][None, :],
-                chunk[:, 1][:, None] - rpos[cand, 1][None, :],
-            )
+            noise = rng.normal(0.0, cfg.device_noise_sigma_db, (s1 - s0, len(cand)))
+            dx = chunk[:, 0][:, None] - rpos[cand, 0][None, :]
+            dy = chunk[:, 1][:, None] - rpos[cand, 1][None, :]
+            t, j = np.nonzero(dx * dx + dy * dy <= reach2[cand, s0 // block])
+            d = np.hypot(dx[t, j], dy[t, j])
             mean_rssi = cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(
                 np.maximum(d, 1.0)
             )
-            base = mean_rssi + field[cand, s0:s1].T
+            base = mean_rssi + field[cand[j], s0 + t]
             visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
+            t, j, base = t[visible], j[visible], base[visible]
             # sensitivity-limited readings pile up at the floor
-            rssi = np.rint(
-                base + rng.normal(0.0, cfg.device_noise_sigma_db, d.shape)
-            )
+            rssi = np.rint(base + noise[t, j])
             rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
-            t, j = np.nonzero(visible)
             # whole dBm, truncated as int() does a fractional floor
-            router, level = cand[j], rssi[t, j].astype(np.int64)
+            router, level = cand[j], rssi.astype(np.int64)
             # a scan's routers are distinct, so this order is total
             order = np.lexsort((bssid_rank[router], -level, t))
             rows.append(uidx * n_slots + s0 + t[order])
@@ -834,20 +874,23 @@ def _write_bluetooth_and_truth(
     truth_path,
     cfg_hash: str,
 ) -> GroundTruth:
-    """Write the Bluetooth log and the truth file; return the truth."""
+    """Write the Bluetooth log and the truth file; return the truth.
 
-    def bt_rows() -> Iterator[dict]:
+    Rows are built as JSON text: each id is encoded once with json.dumps,
+    and a distance with repr, as json formats a float.
+    """
+    quoted = {uid: json.dumps(uid) for uid in user_ids}
+
+    def bt_rows() -> Iterator[str]:
         for uidx in range(cfg.n_users):
             by_ts: dict[int, list[tuple[str, int]]] = {}
             for ts, peer, rssi in sightings[uidx]:
                 by_ts.setdefault(ts, []).append((peer, rssi))
+            user = quoted[user_ids[uidx]]
             for ts in sorted(by_ts):
-                seen = sorted(by_ts[ts])
-                yield {
-                    "user": user_ids[uidx],
-                    "ts": ts,
-                    "seen": [{"peer": p, "rssi": r} for p, r in seen],
-                }
+                seen = ",".join(f'{{"peer":{quoted[p]},"rssi":{r}}}'
+                                for p, r in sorted(by_ts[ts]))
+                yield f'{{"user":{user},"ts":{ts},"seen":[{seen}]}}'
 
     fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, bt_rows())
 
@@ -856,12 +899,13 @@ def _write_bluetooth_and_truth(
         for u in range(cfg.n_users)
     }
 
-    def truth_rows() -> Iterator[dict]:
+    def truth_rows() -> Iterator[str]:
         for uid in user_ids:
-            yield {"user": uid, "home_bssid": homes[uid]}
+            yield f'{{"user":{quoted[uid]},"home_bssid":{json.dumps(homes[uid])}}}'
         for ts in sorted(proximity):
-            pairs = [[ua, ub, d] for ua, ub, d in sorted(proximity[ts])]
-            yield {"ts": ts, "pairs": pairs}
+            pairs = ",".join(f"[{quoted[ua]},{quoted[ub]},{d!r}]"
+                             for ua, ub, d in sorted(proximity[ts]))
+            yield f'{{"ts":{ts},"pairs":[{pairs}]}}'
 
     fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, truth_rows())
     return GroundTruth(homes=homes, proximity=proximity)

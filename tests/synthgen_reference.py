@@ -1,11 +1,15 @@
-"""The per-scan WiFi writer and the all-pairs Bluetooth search that
-`synthgen.generate` replaced, kept as the reference they are compared with.
+"""The per-scan WiFi writer, the all-pairs Bluetooth search and the
+dict-row Bluetooth and truth writer that `synthgen.generate` replaced,
+kept as the reference they are compared with.
 
 `wifi_scan_rows` yields one dict per scan, which `fileio.write_jsonl`
-encodes with `json.dumps`; `bluetooth_and_truth` measures every user pair
-in every slot. `generate` below writes the three raw logs from these two
-and from the parts of `synthgen` that did not change; `synthgen.generate`
-must write the same bytes and return the same `GroundTruth`.
+encodes with `json.dumps`, and evaluates the radio model on every
+(slot, candidate router) cell; `bluetooth_and_truth` measures every user
+pair in every slot; `write_bluetooth_and_truth` yields dict rows for
+`json.dumps` too. `generate` below writes the three raw logs from these
+three and from the parts of `synthgen` that did not change;
+`synthgen.generate` must write the same bytes and return the same
+`GroundTruth`.
 """
 
 from __future__ import annotations
@@ -15,7 +19,7 @@ from typing import Iterator
 import numpy as np
 
 from wifi_proximity import fileio, synthgen
-from wifi_proximity.fileio import SCHEMA_WIFI
+from wifi_proximity.fileio import SCHEMA_BLUETOOTH, SCHEMA_GROUND_TRUTH, SCHEMA_WIFI
 from wifi_proximity.synthgen import (
     _STREAM_BLUETOOTH,
     _STREAM_WIFI_FIELD,
@@ -150,13 +154,56 @@ def wifi_scan_rows(
             }
 
 
+def write_bluetooth_and_truth(
+    cfg: WorldConfig,
+    layout: Layout,
+    user_ids: list[str],
+    sightings: dict[int, list[tuple[int, str, int]]],
+    proximity: dict[int, list[tuple[str, str, float]]],
+    bluetooth_path,
+    truth_path,
+    cfg_hash: str,
+) -> GroundTruth:
+    """Write the Bluetooth log and the truth file; return the truth."""
+
+    def bt_rows() -> Iterator[dict]:
+        for uidx in range(cfg.n_users):
+            by_ts: dict[int, list[tuple[str, int]]] = {}
+            for ts, peer, rssi in sightings[uidx]:
+                by_ts.setdefault(ts, []).append((peer, rssi))
+            for ts in sorted(by_ts):
+                seen = sorted(by_ts[ts])
+                yield {
+                    "user": user_ids[uidx],
+                    "ts": ts,
+                    "seen": [{"peer": p, "rssi": r} for p, r in seen],
+                }
+
+    fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, bt_rows())
+
+    homes = {
+        user_ids[u]: layout.router_bssid[int(layout.home_router_idx[u])]
+        for u in range(cfg.n_users)
+    }
+
+    def truth_rows() -> Iterator[dict]:
+        for uid in user_ids:
+            yield {"user": uid, "home_bssid": homes[uid]}
+        for ts in sorted(proximity):
+            pairs = [[ua, ub, d] for ua, ub, d in sorted(proximity[ts])]
+            yield {"ts": ts, "pairs": pairs}
+
+    fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, truth_rows())
+    return GroundTruth(homes=homes, proximity=proximity)
+
+
 def generate(cfg: WorldConfig, wifi_path, bluetooth_path, truth_path,
              config_hash: str | None = None) -> GroundTruth:
-    """synthgen.generate with the two functions above in place of its own."""
+    """synthgen.generate with the three functions above in place of its own."""
     cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
     layout, user_ids, positions, phases = synthgen._world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash,
                        wifi_scan_rows(cfg, layout, positions, user_ids, phases))
-    return synthgen._write_bluetooth_and_truth(
+    return write_bluetooth_and_truth(
         cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)

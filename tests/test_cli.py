@@ -187,6 +187,20 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "wifi.jsonl").exists()
 
+    @pytest.mark.parametrize("key, value", [
+        ("path_loss_exponent", "0"), ("path_loss_exponent", "inf"), ("p0_dbm", "nan"),
+        ("noise_sigma_db", "inf"), ("device_noise_sigma_db", "-1"),
+    ])
+    def test_radio_key_out_of_range(self, tmp_path, capsys, key, value):
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"world.n_users = 8\nworld.{key} = {value}\n")
+        capsys.readouterr()
+        assert run(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wifi.jsonl").exists()
+
     def test_data_error_on_missing_inputs(self, tmp_path):
         assert run(["clean", "--dir", str(tmp_path)]) == 3
         assert run(["pair", "--dir", str(tmp_path)]) == 3

@@ -50,6 +50,16 @@ class TestWorldConfig:
         {"wifi_detect_floor_dbm": float("-inf")},
         {"wifi_detect_floor_dbm": float("inf")},
         {"scan_period_s": 7200},       # divides a day, not an hour
+        {"path_loss_exponent": 0.0},   # the model divides by it
+        {"path_loss_exponent": -2.0},
+        {"path_loss_exponent": float("inf")},
+        {"path_loss_exponent": float("nan")},
+        {"p0_dbm": float("nan")},
+        {"p0_dbm": float("inf")},
+        {"noise_sigma_db": float("inf")},
+        {"noise_sigma_db": -1.0},
+        {"device_noise_sigma_db": float("nan")},
+        {"device_noise_sigma_db": -0.5},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -68,6 +78,17 @@ class TestWorldConfig:
         night = (np.arange(cfg.n_slots) % cfg.slots_per_day) * period < 6 * 3600
         assert night.sum() == cfg.days * 6 * 3600 // period
         assert (positions[:, night] == layout.home_pos[:, None]).all()
+
+    def test_a_tiny_path_loss_exponent_generates(self, tmp_path):
+        # every router is heard at p0, however far: the reach overflows
+        cfg = WorldConfig(seed=1, n_users=4, n_routers=12, days=1, scan_period_s=3600,
+                          n_buildings=2, n_venues=2, area_m=1200.0, path_loss_exponent=1e-9,
+                          noise_sigma_db=0.0, device_noise_sigma_db=0.0)
+        paths = [tmp_path / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
+        generate(cfg, *paths)
+        scans = parse_wifi_log(iter_jsonl(paths[0]), strict=True).records
+        assert (np.diff(scans.offsets) == cfg.n_routers).all()
+        assert (scans.rssi == cfg.p0_dbm).all()
 
     def test_as_dict_replace_round_trip(self):
         cfg = WorldConfig(seed=4, n_users=30)
@@ -143,6 +164,38 @@ class TestGroups:
         groups = assign_groups(cfg)
         assert sorted(len(g) for g in groups) == [3, 4]
         assert all(len(g) >= 2 for g in groups)
+
+
+class TestMeetings:
+    def meetings(self, period):
+        cfg = WorldConfig(seed=5, n_users=60, n_routers=160, days=3, n_buildings=2,
+                          n_venues=2, area_m=1400.0, scan_period_s=period)
+        layout = build_layout(cfg, synthgen._substream(cfg.seed, synthgen._STREAM_LAYOUT))
+        is_goer = np.arange(cfg.n_users) % 2 == 0
+        _, _, _, day_building = synthgen.build_plans(
+            cfg, layout, is_goer, synthgen._substream(cfg.seed, synthgen._STREAM_PLANS))
+        rng = synthgen._substream(cfg.seed, synthgen._STREAM_MEETINGS)
+        return cfg, synthgen.schedule_meetings(cfg, layout, assign_groups(cfg), is_goer,
+                                               day_building, rng)
+
+    @pytest.mark.parametrize("period", [300, 900, 1800, 3600])
+    def test_meeting_lengths_in_hours_do_not_follow_the_scan_period(self, period):
+        # lengths count 5-minute units; placing them in slots rounds each
+        # end down, which moves a length by less than one slot
+        cfg, meetings = self.meetings(period)
+        assert len(meetings) > 20
+        hours = np.array([(m.end_slot - m.start_slot) * period / 3600 for m in meetings])
+        lo, hi = cfg.meeting_min_slots / 12, cfg.meeting_max_slots / 12
+        assert (hours > lo - period / 3600).all() and (hours < hi + period / 3600).all()
+        assert all(0 <= m.start_slot <= m.end_slot <= cfg.n_slots for m in meetings)
+
+    def test_meetings_start_at_the_same_times_at_every_scan_period(self):
+        # the draws do not depend on the period; only the slot grid does
+        _, fine = self.meetings(300)
+        for period in (900, 1800, 3600):
+            _, coarse = self.meetings(period)
+            assert [m.start_slot * 300 // period for m in fine] == \
+                [m.start_slot for m in coarse]
 
 
 class TestBluetoothAndTruth:
@@ -384,16 +437,18 @@ class TestEmptyArea:
 # to an hour (the schedules need a slot an hour at least), so that each
 # example generates in well under a second.
 small_worlds = st.builds(
-    lambda seed, n_users, spare, period, p0, floor, noise, device, bt_range:
+    lambda seed, n_users, spare, period, p0, exponent, floor, noise, device, bt_range:
         WorldConfig(seed=seed, n_users=n_users, n_routers=2 * n_users + spare, days=1,
                     scan_period_s=period, n_buildings=2, n_venues=2, area_m=1200.0,
-                    p0_dbm=p0, wifi_detect_floor_dbm=floor, noise_sigma_db=noise,
-                    device_noise_sigma_db=device, bt_range_m=bt_range),
+                    p0_dbm=p0, path_loss_exponent=exponent, wifi_detect_floor_dbm=floor,
+                    noise_sigma_db=noise, device_noise_sigma_db=device,
+                    bt_range_m=bt_range),
     seed=st.integers(0, 2 ** 32 - 1),
     n_users=st.integers(2, 8),
     spare=st.integers(0, 12),
     period=st.sampled_from([300, 900, 1800, 3600]),
     p0=st.floats(-70.0, -30.0),
+    exponent=st.floats(1.5, 4.5),
     floor=st.floats(-100.0, -60.0),  # fractional too: int() truncates it
     noise=st.floats(0.0, 6.0),
     device=st.floats(0.0, 6.0),
@@ -417,6 +472,16 @@ small_worlds = st.builds(
 # everyone is within Bluetooth range of everyone
 @example(cfg=WorldConfig(seed=3, n_users=6, n_routers=14, days=1, scan_period_s=3600,
                          n_buildings=2, n_venues=2, area_m=1200.0, bt_range_m=1e6))
+# no shadowing and a fractional floor: a user at home hears their own
+# router at exactly p0, so those cells sit on the rint boundary, -80.5
+@example(cfg=WorldConfig(seed=6, n_users=4, n_routers=14, days=1, scan_period_s=1800,
+                         n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-80.5,
+                         wifi_detect_floor_dbm=-80.5, noise_sigma_db=0.0,
+                         device_noise_sigma_db=0.0))
+@example(cfg=WorldConfig(seed=8, n_users=6, n_routers=20, days=1, scan_period_s=900,
+                         n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-60.0,
+                         path_loss_exponent=2.0, wifi_detect_floor_dbm=-80.5,
+                         noise_sigma_db=0.0, device_noise_sigma_db=0.0))
 def test_generated_logs_match_the_reference(tmp_path, cfg):
     """The three raw logs are the bytes the per-scan writer and the
     all-pairs Bluetooth search give, and so is the returned truth."""
@@ -445,3 +510,34 @@ def test_scans_with_no_router_in_reach_match_the_reference():
             synthgen_reference.wifi_scan_rows(cfg, layout, positions, user_ids, phases)]
     assert got == want
     assert got[cfg.n_slots].endswith('"aps":[]}')
+
+
+@settings(max_examples=200, deadline=None)
+@given(p0=st.floats(-120.0, 60.0), exponent=st.floats(0.5, 6.0),
+       floor=st.floats(-150.0, -1.0), seed=st.integers(0, 2 ** 32 - 1))
+@example(p0=-80.5, exponent=2.8, floor=-80.5, seed=0)
+@example(p0=-48.0, exponent=2.0, floor=-92.0, seed=1)  # an even floor: -92.5 rounds up
+def test_every_heard_cell_lies_within_reach(p0, exponent, floor, seed):
+    """Cells drawn on and around the boundary of the floor: each that the
+    radio model hears lies within _squared_reach of its router."""
+    cfg = WorldConfig(p0_dbm=p0, path_loss_exponent=exponent, wifi_detect_floor_dbm=floor)
+    rng = np.random.default_rng(seed)
+    n = 20000
+    d = 10.0 ** rng.uniform(-1.0, 4.0, n)
+    theta = rng.uniform(0.0, 2 * math.pi, n)
+    dx, dy = d * np.cos(theta), d * np.sin(theta)
+    d = np.hypot(dx, dy)
+
+    def mean_rssi(d):
+        # wifi_scans' expression
+        return cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(d, 1.0))
+
+    # a field that puts base on the lowest level heard, ceil(floor) - 0.5,
+    # give or take a few ulps or a little more
+    field = math.ceil(cfg.wifi_detect_floor_dbm) - 0.5 - mean_rssi(d)
+    field += np.where(rng.random(n) < 0.5, rng.integers(-4, 5, n) * np.spacing(field),
+                      rng.uniform(-0.6, 0.6, n))
+    heard = np.rint(mean_rssi(d) + field) >= cfg.wifi_detect_floor_dbm
+    assert heard.any()
+    reach2 = synthgen._squared_reach(cfg, field)
+    assert ((dx * dx + dy * dy)[heard] <= reach2[heard]).all()
