@@ -85,18 +85,16 @@ def _replacing(path, binary: bool = False):
 # JSONL
 # ---------------------------------------------------------------------------
 
-def write_jsonl(path, schema: str, cfg_hash: str, rows: Iterable[dict | str]) -> int:
+def write_jsonl(path, schema: str, cfg_hash: str, rows: Iterable[str]) -> int:
     """Write a JSONL file with a leading header line. Returns the row count.
 
-    ``rows`` yields each row as a dict, which is encoded here, or as the
-    str of its JSON text, encoded by the caller. It is iterated once.
+    ``rows`` yields each row as the str of its JSON text, on one line,
+    encoded by the caller. It is iterated once.
     """
     n = 0
     with _replacing(path) as fh:
         fh.write(json.dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
         for row in rows:
-            if not isinstance(row, str):
-                row = json.dumps(row, separators=(",", ":"))
             fh.write(row + "\n")
             n += 1
     return n

@@ -8,7 +8,8 @@ distinct keys on those codes, and ``WifiScans.lines`` encodes the scans
 as cleaned.jsonl rows. ``WifiScans`` is the one scan table: ``by_bssid``,
 ``save`` and ``load`` give and check the bssid order of scans.npz, and
 ``common`` finds the routers scan pairs share. ``parse_bluetooth_log``
-keeps the sightings the same way, as a ``BluetoothSightings`` table. In
+keeps the sightings the same way, as a ``BluetoothSightings`` table,
+which ``BluetoothSightings.lines`` encodes as bluetooth.jsonl rows. In
 both logs, a line that is not UTF-8, or that ``json.loads`` rejects, is
 malformed.
 
@@ -239,6 +240,21 @@ class BluetoothSightings:
 
     def __len__(self) -> int:
         return len(self.ts)
+
+    def lines(self):
+        """Yield each run of rows with one (user, ts) as the text of its
+        bluetooth.jsonl line, what ``json.dumps`` gives with compact
+        separators. Each id is encoded once. A peer of -1 is written
+        without a peer, which parse_bluetooth_log reads back as -1."""
+        users = [json.dumps(user) for user in self.users]
+        seen = [f'{{"peer":{users[p]},"rssi":{r}}}' if p >= 0 else f'{{"rssi":{r}}}'
+                for p, r in zip(self.peer.tolist(), self.rssi.tolist())]
+        # codes and times are >= 0, so the first row differs from -1 in both
+        starts = np.flatnonzero(np.diff(self.user, prepend=-1) | np.diff(self.ts, prepend=-1))
+        bounds = starts.tolist() + [len(self)]
+        for user, ts, lo, hi in zip(self.user[starts].tolist(), self.ts[starts].tolist(),
+                                    bounds, bounds[1:]):
+            yield f'{{"user":{users[user]},"ts":{ts},"seen":[{",".join(seen[lo:hi])}]}}'
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray):

@@ -17,8 +17,10 @@ encoder of cleaned.jsonl; no object is made per scan. The radio model
 is computed only on the cells within a router's reach, though every
 noise draw is made. Each slot's Bluetooth contacts come from a sweep
 along x over the sorted users, so only pairs within a band of
-``bt_range_m`` are measured; Bluetooth and truth rows are written as
-JSON text.
+``bt_range_m`` are measured. The sightings are an
+``ingest.BluetoothSightings`` table in log order, written by
+``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
+formats; truth rows are written as JSON text.
 """
 from __future__ import annotations
 
@@ -36,8 +38,8 @@ from .fileio import (
     SCHEMA_GROUND_TRUTH,
     SCHEMA_WIFI,
 )
-from .ingest import WifiScans, parse_wifi_log
-from .records import DAY_S, RSSI_MIN
+from .ingest import BluetoothSightings, WifiScans, parse_wifi_log
+from .records import DAY_S, RSSI_MIN, TS_END
 
 TAU = 2.0 * math.pi
 
@@ -122,9 +124,26 @@ class WorldConfig:
     walk_prob: float = 0.3
 
     def __post_init__(self) -> None:
-        for name in ("area_m", "n_routers", "n_users", "days", "scan_period_s"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, (int, float)) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite, got {value!r}")
+        # counts and lengths the code divides by or draws from, and the
+        # radio model's loss, which must grow with distance
+        for name in ("area_m", "n_routers", "n_users", "days", "scan_period_s",
+                     "site_pitch_m", "rooms_per_building", "dense_complex_units",
+                     "path_loss_exponent", "bt_range_m", "bt_path_exponent"):
+            value = getattr(self, name)
+            if value <= 0:
+                raise ValueError(f"{name} must be > 0, got {value!r}")
+        for name in ("seed", "start_ts", "n_buildings", "n_venues",
+                     "street_routers_per_dense_complex", "building_radius_m", "room_ring_m",
+                     "room_radius_m", "venue_radius_m", "visitor_radius_m", "complex_pitch_m",
+                     "weekday_meeting_rate", "weekend_meeting_rate", "noise_sigma_db",
+                     "device_noise_sigma_db", "bt_noise_sigma_db"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0, got {value!r}")
         for name in (
             "campus_fraction",
             "bt_detect_prob",
@@ -142,6 +161,10 @@ class WorldConfig:
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
+        # every generated ts lies in [0, TS_END), which ingest accepts
+        if self.start_ts + self.days * DAY_S > TS_END:
+            raise ValueError(f"start_ts + days * {DAY_S} must be <= {TS_END}, "
+                             f"got start_ts {self.start_ts!r}")
         # the schedules place whole scans in every hour
         if 3600 % self.scan_period_s != 0:
             raise ValueError(f"scan_period_s must divide 3600, got {self.scan_period_s}")
@@ -150,21 +173,9 @@ class WorldConfig:
         if not self.group_size_cycle or min(self.group_size_cycle) < 2:
             raise ValueError("group sizes must be at least 2")
         # generated RSSIs lie in [floor, -1], which ingest must accept
-        floor = self.wifi_detect_floor_dbm
-        if not (math.isfinite(floor) and floor >= RSSI_MIN):
-            raise ValueError(f"wifi_detect_floor_dbm must be finite and >= {RSSI_MIN}, "
-                             f"got {floor!r}")
-        # the radio model: loss that grows with distance, a finite level at
-        # 1 m, and shadowing of finite, non-negative spread
-        exponent = self.path_loss_exponent
-        if not (math.isfinite(exponent) and exponent > 0):
-            raise ValueError(f"path_loss_exponent must be finite and > 0, got {exponent!r}")
-        if not math.isfinite(self.p0_dbm):
-            raise ValueError(f"p0_dbm must be finite, got {self.p0_dbm!r}")
-        for name in ("noise_sigma_db", "device_noise_sigma_db"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+        if self.wifi_detect_floor_dbm < RSSI_MIN:
+            raise ValueError(f"wifi_detect_floor_dbm must be >= {RSSI_MIN}, "
+                             f"got {self.wifi_detect_floor_dbm!r}")
 
     @property
     def slots_per_day(self) -> int:
@@ -691,20 +702,21 @@ def bluetooth_and_truth(
     positions: np.ndarray,
     user_ids: list[str],
     phases: np.ndarray,
-) -> tuple[dict[int, list[tuple[int, str, int]]], dict[int, list[tuple[str, str, float]]]]:
+) -> tuple[BluetoothSightings, dict[int, list[tuple[str, str, float]]]]:
     """Scan-period Bluetooth detections plus the true proximity table.
 
     For every slot, every ordered pair within bt_range_m yields a sighting
     with probability bt_detect_prob per direction; sighting RSSI decays
-    log-linearly with distance. All pairs within range enter the truth
-    table regardless of detection.
+    log-linearly with distance and is clipped to [RSSI_MIN, -1]. All pairs
+    within range enter the truth table regardless of detection. The
+    sightings are a BluetoothSightings table in log order, coded by index
+    into user_ids.
     """
-    n_users, n_slots = positions.shape[:2]
     rng = _substream(cfg.seed, _STREAM_BLUETOOTH)
-    sightings: dict[int, list[tuple[int, str, int]]] = {u: [] for u in range(n_users)}
+    parts = [(np.zeros(0, np.int64),) * 4]  # per slot: user, peer, ts, rssi
     proximity: dict[int, list[tuple[str, str, float]]] = {}
 
-    for t in range(n_slots):
+    for t in range(positions.shape[1]):
         a_idx, b_idx, d = _close_pairs(positions[:, t], cfg.bt_range_m)
         if not len(d):
             continue
@@ -718,14 +730,18 @@ def bluetooth_and_truth(
         base = cfg.bt_rssi_at_1m - 10.0 * cfg.bt_path_exponent * np.log10(
             np.maximum(d, 0.3)
         )
-        rssi = np.minimum(-1, np.rint(base[:, None] + noise)).astype(int)
-        for k in range(len(d)):
-            a, b = int(a_idx[k]), int(b_idx[k])
-            if detect[k, 0]:
-                sightings[a].append((slot_ts + int(phases[a]), user_ids[b], int(rssi[k, 0])))
-            if detect[k, 1]:
-                sightings[b].append((slot_ts + int(phases[b]), user_ids[a], int(rssi[k, 1])))
-    return sightings, proximity
+        level = np.clip(np.rint(base[:, None] + noise), RSSI_MIN, -1).astype(np.int64)
+        # in column 0 of detect and level a sees b, in column 1 b sees a
+        seer, seen = np.concatenate((a_idx, b_idx)), np.concatenate((b_idx, a_idx))
+        hit = detect.T.ravel()
+        parts.append((seer[hit], seen[hit], slot_ts + phases[seer[hit]], level.T.ravel()[hit]))
+    user, peer, ts, rssi = map(np.concatenate, zip(*parts))
+    # _user_id zero-pads the ids, so index order is string order and this
+    # is log order: by user, then ts, then peer id
+    order = np.lexsort((peer, ts, user))
+    return BluetoothSightings(
+        list(user_ids), user[order].astype(np.int32), peer[order].astype(np.int32),
+        ts[order], rssi[order].astype(np.int16)), proximity
 
 
 def _squared_reach(cfg: WorldConfig, field: np.ndarray) -> np.ndarray:
@@ -864,36 +880,13 @@ def _world(cfg: WorldConfig) -> tuple[Layout, list[str], np.ndarray, np.ndarray]
     return layout, user_ids, positions, phases
 
 
-def _write_bluetooth_and_truth(
-    cfg: WorldConfig,
-    layout: Layout,
-    user_ids: list[str],
-    sightings: dict[int, list[tuple[int, str, int]]],
-    proximity: dict[int, list[tuple[str, str, float]]],
-    bluetooth_path,
-    truth_path,
-    cfg_hash: str,
-) -> GroundTruth:
-    """Write the Bluetooth log and the truth file; return the truth.
-
-    Rows are built as JSON text: each id is encoded once with json.dumps,
-    and a distance with repr, as json formats a float.
-    """
+def _write_truth(cfg: WorldConfig, layout: Layout, user_ids: list[str],
+                 proximity: dict[int, list[tuple[str, str, float]]],
+                 truth_path, cfg_hash: str) -> GroundTruth:
+    """Write the truth file and return the truth. Rows are built as JSON
+    text: each id is encoded once with json.dumps, and a distance with
+    repr, as json formats a float."""
     quoted = {uid: json.dumps(uid) for uid in user_ids}
-
-    def bt_rows() -> Iterator[str]:
-        for uidx in range(cfg.n_users):
-            by_ts: dict[int, list[tuple[str, int]]] = {}
-            for ts, peer, rssi in sightings[uidx]:
-                by_ts.setdefault(ts, []).append((peer, rssi))
-            user = quoted[user_ids[uidx]]
-            for ts in sorted(by_ts):
-                seen = ",".join(f'{{"peer":{quoted[p]},"rssi":{r}}}'
-                                for p, r in sorted(by_ts[ts]))
-                yield f'{{"user":{user},"ts":{ts},"seen":[{seen}]}}'
-
-    fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, bt_rows())
-
     homes = {
         user_ids[u]: layout.router_bssid[int(layout.home_router_idx[u])]
         for u in range(cfg.n_users)
@@ -924,8 +917,8 @@ def generate(
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     scans = wifi_scans(cfg, layout, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash, scans.lines())
-    return _write_bluetooth_and_truth(
-        cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)
+    fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, sightings.lines())
+    return _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
 
 
 def load_ground_truth(path) -> GroundTruth:

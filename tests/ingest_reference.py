@@ -245,9 +245,9 @@ def clean(wifi_path, out_dir, cfg, strict: bool = False) -> None:
     records, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
     table = scan_table_from_records(records)
     homes = build_home_router_map(records, cfg.home_bin_minutes, cfg.tz_offset_s)
-    rows = ({"user": rec.user, "ts": rec.ts,
-             "aps": [{"bssid": ap.bssid, "ssid": ap.ssid, "rssi": ap.rssi}
-                     for ap in rec.aps]}
+    rows = (json.dumps({"user": rec.user, "ts": rec.ts,
+                        "aps": [{"bssid": ap.bssid, "ssid": ap.ssid, "rssi": ap.rssi}
+                                for ap in rec.aps]}, separators=(",", ":"))
             for rec in records)
     n = fileio.write_jsonl(out_dir / "cleaned.jsonl", fileio.SCHEMA_WIFI, h, rows)
     table.save(out_dir / "scans.npz", h)

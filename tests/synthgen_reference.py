@@ -1,20 +1,24 @@
-"""The per-scan WiFi writer, the all-pairs Bluetooth search and the
-dict-row Bluetooth and truth writer that `synthgen.generate` replaced,
-kept as the reference they are compared with.
+"""The per-scan WiFi writer, the all-pairs Bluetooth search with its
+per-user sighting lists, and the dict-row Bluetooth and truth writer
+that `synthgen.generate` replaced, kept as the reference they are
+compared with.
 
-`wifi_scan_rows` yields one dict per scan, which `fileio.write_jsonl`
-encodes with `json.dumps`, and evaluates the radio model on every
-(slot, candidate router) cell; `bluetooth_and_truth` measures every user
-pair in every slot; `write_bluetooth_and_truth` yields dict rows for
-`json.dumps` too. `generate` below writes the three raw logs from these
-three and from the parts of `synthgen` that did not change;
-`synthgen.generate` must write the same bytes and return the same
-`GroundTruth`.
+`wifi_scan_rows` yields one dict per scan and evaluates the radio model
+on every (slot, candidate router) cell; `bluetooth_and_truth` measures
+every user pair in every slot and keeps each user's sightings as a list
+of (ts, peer id, rssi) tuples; `write_bluetooth_and_truth` groups them
+into dict rows. Every dict row is encoded with `json.dumps` and compact
+separators (`encoded`). `generate` below writes the three raw logs from
+these three and from the parts of `synthgen` that did not change;
+`synthgen.generate`, which builds an `ingest.BluetoothSightings` table
+and writes it with `BluetoothSightings.lines`, must write the same bytes
+and return the same `GroundTruth`.
 """
 
 from __future__ import annotations
 
-from typing import Iterator
+import json
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -29,6 +33,11 @@ from wifi_proximity.synthgen import (
     WorldConfig,
     _substream,
 )
+
+
+def encoded(rows: Iterable[dict]) -> Iterator[str]:
+    """Each row's JSON text, as `json.dumps` gives it with compact separators."""
+    return (json.dumps(row, separators=(",", ":")) for row in rows)
 
 
 def bluetooth_and_truth(
@@ -179,7 +188,7 @@ def write_bluetooth_and_truth(
                     "seen": [{"peer": p, "rssi": r} for p, r in seen],
                 }
 
-    fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, bt_rows())
+    fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, encoded(bt_rows()))
 
     homes = {
         user_ids[u]: layout.router_bssid[int(layout.home_router_idx[u])]
@@ -193,7 +202,7 @@ def write_bluetooth_and_truth(
             pairs = [[ua, ub, d] for ua, ub, d in sorted(proximity[ts])]
             yield {"ts": ts, "pairs": pairs}
 
-    fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, truth_rows())
+    fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, encoded(truth_rows()))
     return GroundTruth(homes=homes, proximity=proximity)
 
 
@@ -204,6 +213,6 @@ def generate(cfg: WorldConfig, wifi_path, bluetooth_path, truth_path,
     layout, user_ids, positions, phases = synthgen._world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash,
-                       wifi_scan_rows(cfg, layout, positions, user_ids, phases))
+                       encoded(wifi_scan_rows(cfg, layout, positions, user_ids, phases)))
     return write_bluetooth_and_truth(
         cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)

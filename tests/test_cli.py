@@ -190,10 +190,30 @@ class TestExitCodes:
     @pytest.mark.parametrize("key, value", [
         ("path_loss_exponent", "0"), ("path_loss_exponent", "inf"), ("p0_dbm", "nan"),
         ("noise_sigma_db", "inf"), ("device_noise_sigma_db", "-1"),
+        ("bt_rssi_at_1m", "nan"), ("bt_path_exponent", "inf"), ("bt_noise_sigma_db", "-1"),
+        ("bt_range_m", "-5"), ("bt_range_m", "nan"),
     ])
     def test_radio_key_out_of_range(self, tmp_path, capsys, key, value):
         conf = tmp_path / "c.conf"
         conf.write_text(f"world.n_users = 8\nworld.{key} = {value}\n")
+        capsys.readouterr()
+        assert run(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wifi.jsonl").exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("site_pitch_m", "0"), ("dense_complex_units", "0"), ("n_venues", "-1"),
+        ("rooms_per_building", "0"), ("street_routers_per_dense_complex", "-1"),
+        ("weekday_meeting_rate", "-1"), ("weekday_meeting_rate", "nan"), ("area_m", "inf"),
+        ("area_m", "nan"), ("start_ts", "253402214000"), ("building_radius_m", "nan"),
+    ])
+    def test_world_key_that_generate_cannot_use(self, tmp_path, capsys, key, value):
+        # each crashed generate, failed it with a message naming no key, or
+        # wrote logs that ingest rejects or that hold NaN positions
+        conf = tmp_path / "c.conf"
+        conf.write_text(f"world.n_users = 8\nworld.days = 1\nworld.{key} = {value}\n")
         capsys.readouterr()
         assert run(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 4
         err = capsys.readouterr().err

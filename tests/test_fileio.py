@@ -1,5 +1,6 @@
 """Headers, hashing, and round trips for the pipeline's file formats."""
 
+import json
 import math
 
 import numpy as np
@@ -22,7 +23,7 @@ class TestConfigHash:
 class TestJsonl:
     def test_roundtrip_with_header(self, tmp_path):
         p = tmp_path / "rows.jsonl"
-        rows = [{"a": 1}, {"a": 2}]
+        rows = [json.dumps(row, separators=(",", ":")) for row in ({"a": 1}, {"a": 2})]
         n = fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "h" * 12, iter(rows))
         assert n == 2
         header = fileio.read_jsonl_header(p, fileio.SCHEMA_WIFI, "h" * 12)
@@ -182,8 +183,8 @@ class TestAtomicWrites:
         p = tmp_path / f"out.{kind}"
         with pytest.raises(RuntimeError, match="partway"):
             if kind == "jsonl":
-                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "h",
-                                   self.failing_rows({"a": 1}))
+                row = json.dumps({"a": 1}, separators=(",", ":"))
+                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "h", self.failing_rows(row))
             else:
                 fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["a"],
                                  self.failing_rows([np.array([1])]))
@@ -193,14 +194,15 @@ class TestAtomicWrites:
     def test_failing_generator_keeps_older_artifact(self, tmp_path, kind):
         p = tmp_path / f"out.{kind}"
         if kind == "jsonl":
-            fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "old", [{"a": 0}])
+            fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "old",
+                               [json.dumps({"a": 0}, separators=(",", ":"))])
         else:
             fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [[np.array([0])]])
         before = p.read_bytes()
         with pytest.raises(RuntimeError):
             if kind == "jsonl":
-                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "new",
-                                   self.failing_rows({"a": 1}))
+                row = json.dumps({"a": 1}, separators=(",", ":"))
+                fileio.write_jsonl(p, fileio.SCHEMA_WIFI, "new", self.failing_rows(row))
             else:
                 fileio.write_csv(p, fileio.SCHEMA_FEATURES, "new", ["a"],
                                  self.failing_rows([np.array([1])]))

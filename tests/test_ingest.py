@@ -2,19 +2,21 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from ingest_reference import ambiguous_macs, collect_ssid_sets
 from wifi_proximity.ingest import (
+    BluetoothSightings,
     build_home_router_map,
     filter_ambiguous_macs,
     month_key,
     parse_bluetooth_log,
     parse_wifi_log,
 )
-from wifi_proximity.records import TS_END, MalformedRecordError
+from wifi_proximity.records import RSSI_MIN, TS_END, MalformedRecordError
 
-from conftest import ap, mac, records_of, scan, scans_of
+from conftest import ap, mac, records_of, scan, scans_of, sightings_of
 
 
 def wifi_line(user="u1", ts=1000, aps=None) -> str:
@@ -113,6 +115,56 @@ class TestParseBluetooth:
     def test_empty_seen_list_yields_nothing(self):
         res = parse_bluetooth_log(numbered([self.line([])]))
         assert len(res.records) == 0 and res.skipped == 0
+
+
+class TestBluetoothLines:
+    """BluetoothSightings.lines against json.dumps, and back through the parser."""
+
+    @staticmethod
+    def table(users, rows):
+        """A table of (user, peer, ts, rssi) code rows, in the order given."""
+        columns = list(zip(*rows)) or [()] * 4
+        return BluetoothSightings(users, *(np.array(c, dtype=d) for c, d in zip(
+            columns, (np.int32, np.int32, np.int64, np.int16))))
+
+    @staticmethod
+    def check(table, docs):
+        """lines gives docs' compact json.dumps texts, which parse back to
+        the table's sightings."""
+        lines = list(table.lines())
+        assert lines == [json.dumps(doc, separators=(",", ":")) for doc in docs]
+        parsed = parse_bluetooth_log(enumerate(lines, 2), strict=True).records
+        assert sightings_of(parsed) == sightings_of(table)
+
+    def test_an_outside_device_has_no_peer(self):
+        table = self.table(["u1", "u2"], [(0, -1, 500, -80), (0, 1, 500, -70)])
+        self.check(table, [{"user": "u1", "ts": 500,
+                            "seen": [{"rssi": -80}, {"peer": "u2", "rssi": -70}]}])
+
+    def test_rows_of_one_user_and_ts_share_a_line(self):
+        table = self.table(["a", "b", "c"], [
+            (0, 1, 500, -70), (0, 2, 500, -71), (0, 1, 800, -72), (1, 0, 500, -60),
+            (2, 0, 500, 0), (2, 1, 500, RSSI_MIN)])
+        self.check(table, [
+            {"user": "a", "ts": 500, "seen": [{"peer": "b", "rssi": -70},
+                                              {"peer": "c", "rssi": -71}]},
+            {"user": "a", "ts": 800, "seen": [{"peer": "b", "rssi": -72}]},
+            {"user": "b", "ts": 500, "seen": [{"peer": "a", "rssi": -60}]},
+            {"user": "c", "ts": 500, "seen": [{"peer": "a", "rssi": 0},
+                                              {"peer": "b", "rssi": RSSI_MIN}]},
+        ])
+
+    @pytest.mark.parametrize("users", [["u1\x00", "u2\x00\x00"], ["ü", "用户\u2028"],
+                                       ['q"\\', "\x7f\t"]])
+    def test_ids_are_encoded_as_json_dumps_does(self, users):
+        table = self.table(users, [(0, 1, 0, -5), (1, 0, TS_END - 1, -6)])
+        self.check(table, [{"user": users[0], "ts": 0, "seen": [{"peer": users[1], "rssi": -5}]},
+                           {"user": users[1], "ts": TS_END - 1,
+                            "seen": [{"peer": users[0], "rssi": -6}]}])
+
+    @pytest.mark.parametrize("users", [[], ["u1", "u2"]])
+    def test_an_empty_table_has_no_lines(self, users):
+        self.check(self.table(users, []), [])
 
 
 class TestAmbiguityFilter:

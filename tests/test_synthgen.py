@@ -17,7 +17,7 @@ from wifi_proximity.ingest import (
     parse_bluetooth_log,
     parse_wifi_log,
 )
-from wifi_proximity.records import RSSI_MIN
+from wifi_proximity.records import DAY_S, RSSI_MIN, TS_END
 from wifi_proximity.synthgen import (
     WEEKDAY_HOUR_PROFILE,
     WEEKEND_HOUR_PROFILE,
@@ -60,10 +60,36 @@ class TestWorldConfig:
         {"noise_sigma_db": -1.0},
         {"device_noise_sigma_db": float("nan")},
         {"device_noise_sigma_db": -0.5},
+        {"bt_range_m": -5.0},          # the Bluetooth radio
+        {"bt_range_m": 0.0},
+        {"bt_range_m": float("nan")},
+        {"bt_path_exponent": 0.0},
+        {"bt_path_exponent": float("inf")},
+        {"bt_rssi_at_1m": float("nan")},
+        {"bt_rssi_at_1m": float("-inf")},
+        {"bt_noise_sigma_db": -1.0},
+        {"bt_noise_sigma_db": float("inf")},
+        {"site_pitch_m": 0.0},         # the layout and the schedules
+        {"dense_complex_units": 0},
+        {"n_venues": -1},
+        {"rooms_per_building": 0},
+        {"street_routers_per_dense_complex": -1},
+        {"weekday_meeting_rate": -1.0},
+        {"weekend_meeting_rate": float("nan")},
+        {"area_m": float("inf")},
+        {"area_m": float("nan")},
+        {"building_radius_m": float("nan")},
+        {"start_ts": -1},
+        {"start_ts": 253402214000},    # the last day would pass TS_END
+        {"seed": -1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             WorldConfig(**kwargs)
+
+    def test_the_last_start_ts_that_fits_is_accepted(self):
+        cfg = WorldConfig(days=2, start_ts=TS_END - 2 * DAY_S)
+        assert cfg.start_ts + cfg.n_slots * cfg.scan_period_s == TS_END
 
     def test_slot_arithmetic(self):
         cfg = WorldConfig(days=2, scan_period_s=300)
@@ -199,6 +225,14 @@ class TestMeetings:
 
 
 class TestBluetoothAndTruth:
+    @staticmethod
+    def by_user(table):
+        """The table's sightings as {user index: [(ts, peer id, rssi)]}."""
+        out = {u: [] for u in range(len(table.users))}
+        for s in sightings_of(table):
+            out[table.users.index(s.user)].append((s.ts, s.peer, s.rssi))
+        return out
+
     def pinned_world(self):
         """Two users standing together all day; a third far away."""
         cfg = WorldConfig(seed=1, n_users=3, n_routers=10, days=1,
@@ -215,6 +249,7 @@ class TestBluetoothAndTruth:
         cfg, positions, phases = self.pinned_world()
         sightings, proximity = synthgen.bluetooth_and_truth(
             cfg, positions, ["u0", "u1", "u2"], phases)
+        sightings = self.by_user(sightings)
         assert len(sightings[0]) == cfg.n_slots
         assert len(sightings[1]) == cfg.n_slots
         assert sightings[2] == []
@@ -228,6 +263,7 @@ class TestBluetoothAndTruth:
         cfg, positions, phases = self.pinned_world()
         sightings, _ = synthgen.bluetooth_and_truth(
             cfg, positions, ["u0", "u1", "u2"], phases)
+        sightings = self.by_user(sightings)
         assert all(ts % cfg.scan_period_s == 0 for ts, _, _ in sightings[0])
         assert all(ts % cfg.scan_period_s == 30 for ts, _, _ in sightings[1])
 
@@ -242,6 +278,7 @@ class TestBluetoothAndTruth:
         phases = np.zeros(4, dtype=int)
         sightings, _ = synthgen.bluetooth_and_truth(
             cfg, positions, ["u0", "u1", "u2", "u3"], phases)
+        sightings = self.by_user(sightings)
         near = [r for _, peer, r in sightings[0] if peer == "u1"]
         far = [r for _, peer, r in sightings[0] if peer == "u2"]
         assert np.mean(near) > np.mean(far)
@@ -252,6 +289,7 @@ class TestBluetoothAndTruth:
         cfg2 = cfg.replace(bt_detect_prob=0.5)
         sightings, proximity = synthgen.bluetooth_and_truth(
             cfg2, positions, ["u0", "u1", "u2"], phases)
+        sightings = self.by_user(sightings)
         n = cfg2.n_slots
         assert 0.3 * n < len(sightings[0]) < 0.7 * n
         assert len(proximity) == n  # truth is unaffected by detection
@@ -495,6 +533,40 @@ def test_generated_logs_match_the_reference(tmp_path, cfg):
     assert truth == reference
     for name in names:
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def assert_bluetooth_lines_round_trip(cfg):
+    """The generated sightings, written by BluetoothSightings.lines and
+    parsed strictly, are the same sightings."""
+    _, user_ids, positions, phases = synthgen._world(cfg)
+    table, _ = synthgen.bluetooth_and_truth(cfg, positions, user_ids, phases)
+    parsed = parse_bluetooth_log(enumerate(table.lines(), 2), strict=True).records
+    assert sightings_of(parsed) == sightings_of(table)
+    return table
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=small_worlds)
+# two users who are never in range: an empty table, and no lines
+@example(cfg=WorldConfig(seed=0, n_users=2, n_routers=4, days=1, scan_period_s=3600,
+                         n_buildings=2, n_venues=2, area_m=1200.0, bt_range_m=0.5))
+def test_generated_bluetooth_lines_round_trip(cfg):
+    assert_bluetooth_lines_round_trip(cfg)
+
+
+def test_town_bluetooth_lines_round_trip():
+    assert len(assert_bluetooth_lines_round_trip(WorldConfig(days=1, seed=3))) > 10000
+
+
+def test_a_bt_level_below_the_rssi_range_clips_to_rssi_min(tmp_path):
+    """Sighting RSSIs are clipped to [RSSI_MIN, -1], so a strict parse reads
+    every line of the Bluetooth log."""
+    cfg = WorldConfig(seed=7, n_users=8, n_routers=24, days=1, n_buildings=2, n_venues=2,
+                      area_m=1200.0, bt_rssi_at_1m=-40000.0)
+    paths = [tmp_path / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
+    generate(cfg, *paths)
+    sightings = parse_bluetooth_log(iter_jsonl(paths[1]), strict=True).records
+    assert len(sightings) and (sightings.rssi == RSSI_MIN).all()
 
 
 def test_scans_with_no_router_in_reach_match_the_reference():
