@@ -8,7 +8,7 @@ training-size saturation curve.
 
 Typical use:
 
-    python3 scripts/run_experiment.py --dir run --jobs 4
+    python3 scripts/run_experiment.py --dir run
     python3 scripts/run_experiment.py --dir run --config scripts/example.conf \
         --featuresets FULL,SIMPLE,NEARME --curve
 """
@@ -36,7 +36,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", help="key=value config file")
     p.add_argument("--seed", type=int, default=None,
                    help="override the config seed (default: leave as-is)")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--model", choices=list(KIND_SHORT.values()), default="gbt")
     p.add_argument("--train-size", type=float, dest="train_size", default=None,
                    help="train fraction in (0, 1) (default: the config's)")
@@ -89,7 +88,7 @@ def run_curve(args, d, split):
     curve = learning_curve(X[train_idx], y[train_idx],
                            X[test_idx], y[test_idx],
                            sizes=sizes, kinds=(args.model,),
-                           repetitions=20, seed=split["seed"], jobs=args.jobs)
+                           repetitions=20, seed=split["seed"])
     out = d / "learning_curve.json"
     serializable = {
         kind: {str(size): stats for size, stats in per_size.items()}
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
             return 2
 
     d = Path(args.dir)
-    base = ["--dir", str(d), "--jobs", str(args.jobs), "--model", args.model]
+    base = ["--dir", str(d), "--model", args.model]
     if args.seed is not None:
         base += ["--seed", str(args.seed)]
     if args.config:

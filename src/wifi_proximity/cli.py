@@ -436,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", action="store_const", const=True,
                         help="grid-search hyperparameters during train")
     common.add_argument("--jobs", type=int,
-                        help="worker threads: accepted, but no stage uses "
-                             "them (run_experiment.py --curve does)")
+                        help="ignored (stages run on one thread); kept until the "
+                             "benchmark harness stops passing it")
 
     parser = argparse.ArgumentParser(
         prog="wifi-proximity",
@@ -491,7 +491,6 @@ def main(argv=None) -> int:
         "train_size": args.train_size,
         "strict_parse": args.strict_parse,
         "grid": args.grid,
-        "jobs": args.jobs,
     }
     try:
         cfg = load_config(args.config, overrides)

@@ -12,7 +12,7 @@ from pathlib import Path
 
 from . import fileio
 from .models import FEATURESETS, KIND_SHORT, MODEL_KINDS
-from .records import DAY_S
+from .records import DAY_S, TS_END
 from .synthgen import WorldConfig
 
 
@@ -36,12 +36,18 @@ class PipelineConfig:
     grid: bool = False
     train_size: float = 0.5
     strict_parse: bool = False
-    jobs: int = 1
     world: WorldConfig = field(default_factory=WorldConfig)
 
     def __post_init__(self) -> None:
-        if self.delta_t_s <= 0:
-            raise ConfigError("delta_t_s must be positive")
+        # any two timestamps ingest accepts lie less than TS_END apart, so a
+        # larger window pairs, labels and counts popularity as TS_END does.
+        # At TS_END the window keys still fit an int64: those of
+        # features._WindowUsers for up to about 1.2e7 routers, and those of
+        # pairing._strongest_sightings for up to about 3,480 users in a window.
+        if not 0 < self.delta_t_s <= TS_END:
+            raise ConfigError(f"delta_t_s must lie in [1, {TS_END}]")
+        if self.seed < 0:
+            raise ConfigError("seed must be non-negative")
         if self.home_bin_minutes <= 0:
             raise ConfigError("home_bin_minutes must be positive")
         if not -DAY_S < self.tz_offset_s < DAY_S:
@@ -58,8 +64,6 @@ class PipelineConfig:
         if self.model not in MODEL_KINDS:
             raise ConfigError(f"model must be one of {', '.join(KIND_SHORT.values())}; "
                               f"got {self.model!r}")
-        if self.jobs < 1:
-            raise ConfigError("jobs must be at least 1")
 
     @property
     def model_kind(self) -> str:

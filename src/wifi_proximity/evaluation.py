@@ -6,14 +6,15 @@ union-size tercile, campus flag, calendar week and hour of week, bins the
 missed positives by Bluetooth RSSI, and the learning-curve driver retrains
 on growing subsamples against a fixed test set.
 
-The campus, week and hour strata are grouped by code: a key is computed
-once per distinct value (per distinct local day for the week), and one
-stable sort gathers each stratum's rows in their original order.
+Every breakdown (terciles, strata, RSSI bins) is grouped by code: a key
+is computed once per distinct value (per distinct local day for the
+week), and one stable sort gathers each group's rows in their order.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
+# unused here, but perfbench/tracing.py patches this name in every module
+from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import dataclass
 from datetime import datetime, timezone
 
@@ -141,6 +142,10 @@ class EvalReport:
         }
 
 
+TERCILE_NAMES = ("tercile_small", "tercile_mid", "tercile_large")
+BT_RSSI_BIN_DB = 5  # width of the miss-rate breakdown's RSSI bins, dB
+
+
 def tercile_assignment(values: np.ndarray) -> np.ndarray:
     """0/1/2 per row by rank thirds; group sizes differ by at most one."""
     n = len(values)
@@ -161,79 +166,66 @@ def iso_week_key(ts: int, tz_offset_s: int = 0) -> str:
     return f"{year}-W{week:02d}"
 
 
-def _group_strata(scores, labels, values, key_of) -> tuple[StratumResult, ...]:
-    """One result per distinct key, in key order.
+def _group_rows(values, key_of) -> list[tuple[object, np.ndarray]]:
+    """(key, ascending indices of the values with that key) per key.
 
-    key_of maps one distinct entry of values to its key, and is called
-    once per distinct entry. A stratum's rows keep their order in scores,
-    so its AUC is that of a boolean-mask selection.
+    key_of is called once per distinct value, in ascending order. Keys
+    come out in the order of the first value that gives each; no key_of
+    used here decreases as the value grows, so that is key order.
     """
     uniq, inv = np.unique(values, return_inverse=True)
-    value_keys = [key_of(v) for v in uniq.tolist()]
-    keys = sorted(set(value_keys))
-    rank = {key: i for i, key in enumerate(keys)}
-    code = np.array([rank[key] for key in value_keys], dtype=np.int64)[inv]
+    rank: dict = {}
+    code = np.array([rank.setdefault(key_of(v), len(rank)) for v in uniq.tolist()],
+                    dtype=np.int64)[inv]
     order = np.argsort(code, kind="stable")
-    bounds = np.cumsum(np.bincount(code, minlength=len(keys)))
-    out = []
-    for key, rows in zip(keys, np.split(order, bounds[:-1])):
-        out.append(StratumResult(
-            key=key, n=len(rows), n_pos=int(labels[rows].sum()),
-            auc=_auc_or_none(scores[rows], labels[rows])))
-    return tuple(out)
+    bounds = np.cumsum(np.bincount(code, minlength=len(rank)))
+    return list(zip(rank, np.split(order, bounds[:-1])))
 
 
 def stratified_report(scores, labels, *, classifier, union_sizes, at_campus,
-                      hours, ts, tz_offset_s: int = 0, bt_rssi=None,
-                      bin_db: int = 5) -> EvalReport:
+                      hours, ts, tz_offset_s: int = 0, bt_rssi=None) -> EvalReport:
     """Overall and per-stratum evaluation of one scored candidate set.
 
     classifier is the operating ThresholdClassifier (fitted on training
     scores). Strata with a single class get auc=None rather than being
     dropped. bt_rssi, when given, holds the Bluetooth RSSI of positives
-    (NaN elsewhere) and enables the miss-rate breakdown.
+    (NaN elsewhere) and enables the miss-rate breakdown. The three union
+    terciles need at least three rows.
     """
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     union_sizes = np.asarray(union_sizes)
-    at_campus = np.asarray(at_campus)
-    hours = np.asarray(hours)
     ts = np.asarray(ts)
+    if len(labels) < 3:
+        raise ValueError(f"{len(labels)} rows, too few for the three union-size terciles")
 
     auc = auc_roc(scores, labels)
     prf = prf_at_threshold(scores, labels, classifier)
 
-    terciles = tercile_assignment(union_sizes)
-    tercile_names = ("tercile_small", "tercile_mid", "tercile_large")
-    edges = []
-    tercile_results = []
-    for k, name in enumerate(tercile_names):
-        m = terciles == k
-        edges.append((float(union_sizes[m].min()), float(union_sizes[m].max())))
-        tercile_results.append(StratumResult(
-            key=name, n=int(m.sum()), n_pos=int(labels[m].sum()),
-            auc=_auc_or_none(scores[m], labels[m])))
-
-    strata = {
-        "union_tercile": tuple(tercile_results),
-        "at_campus": _group_strata(
-            scores, labels, at_campus,
-            lambda c: "on_campus" if c else "off_campus"),
+    groups = {
+        "union_tercile": _group_rows(tercile_assignment(union_sizes),
+                                     TERCILE_NAMES.__getitem__),
+        "at_campus": _group_rows(at_campus, lambda c: "on_campus" if c else "off_campus"),
         # the ISO week of a local day: one datetime per distinct day
-        "week": _group_strata(
-            scores, labels, (ts.astype(np.int64) + tz_offset_s) // 86400,
-            lambda day: iso_week_key(day * 86400)),
-        "hour_of_week": _group_strata(
-            scores, labels, hours, lambda h: f"how_{int(h):03d}"),
+        "week": _group_rows((ts.astype(np.int64) + tz_offset_s) // 86400,
+                            lambda day: iso_week_key(day * 86400)),
+        "hour_of_week": _group_rows(hours, lambda h: f"how_{int(h):03d}"),
     }
+    strata = {
+        name: tuple(StratumResult(key=key, n=len(rows), n_pos=int(labels[rows].sum()),
+                                  auc=_auc_or_none(scores[rows], labels[rows]))
+                    for key, rows in group)
+        for name, group in groups.items()
+    }
+    edges = tuple((float(union_sizes[rows].min()), float(union_sizes[rows].max()))
+                  for _, rows in groups["union_tercile"])
 
     miss_bins = None
     if bt_rssi is not None:
         bt_rssi = np.asarray(bt_rssi, dtype=float)
         pos_mask = (labels == 1) & ~np.isnan(bt_rssi)
         if pos_mask.any():
-            miss_bins = miss_rate_vs_bt_rssi(
-                scores[pos_mask], bt_rssi[pos_mask], classifier, bin_db)
+            miss_bins = miss_rate_vs_bt_rssi(scores[pos_mask], bt_rssi[pos_mask], classifier)
 
     return EvalReport(
         n=len(labels), n_pos=int((labels == 1).sum()),
@@ -241,7 +233,7 @@ def stratified_report(scores, labels, *, classifier, union_sizes, at_campus,
         auc=auc, threshold=classifier.threshold, direction=classifier.direction,
         precision=prf.precision, recall=prf.recall, f1=prf.f1,
         zero_predicted=prf.zero_predicted,
-        strata=strata, tercile_edges=tuple(edges), miss_rate_by_bt_rssi=miss_bins)
+        strata=strata, tercile_edges=edges, miss_rate_by_bt_rssi=miss_bins)
 
 
 # ---------------------------------------------------------------------------
@@ -264,25 +256,20 @@ class BtRssiBin:
                 "missed": self.missed, "miss_rate": self.miss_rate}
 
 
-def miss_rate_vs_bt_rssi(scores, bt_rssi, classifier,
-                         bin_db: int = 5) -> tuple[BtRssiBin, ...]:
+def miss_rate_vs_bt_rssi(scores, bt_rssi, classifier) -> tuple[BtRssiBin, ...]:
     """Fraction of positives predicted negative, per right-open RSSI bin.
 
     All rows must be true positives carrying a Bluetooth RSSI. Bins are
-    [lo, lo + bin_db) on multiples of bin_db; empty bins are omitted.
+    [lo, lo + BT_RSSI_BIN_DB) on multiples of BT_RSSI_BIN_DB, in
+    ascending order; empty bins are omitted.
     """
     scores = np.asarray(scores, dtype=float)
     bt_rssi = np.asarray(bt_rssi, dtype=float)
-    if len(scores) == 0:
-        return ()
     missed = classifier.predict(scores) == 0
-    lo_of = (np.floor(bt_rssi / bin_db) * bin_db).astype(int)
-    bins = []
-    for lo in sorted(set(lo_of.tolist())):
-        m = lo_of == lo
-        bins.append(BtRssiBin(lo=int(lo), hi=int(lo) + bin_db,
-                              n=int(m.sum()), missed=int(missed[m].sum())))
-    return tuple(bins)
+    lo_of = (np.floor(bt_rssi / BT_RSSI_BIN_DB) * BT_RSSI_BIN_DB).astype(int)
+    return tuple(BtRssiBin(lo=lo, hi=lo + BT_RSSI_BIN_DB, n=len(rows),
+                           missed=int(missed[rows].sum()))
+                 for lo, rows in _group_rows(lo_of, int))
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +302,7 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     X_pool and X_test are unimputed matrices; every repetition draws its
     own subsample with a seed derived from (seed, size, repetition), fits
     imputation on that subsample, trains, and scores the fixed test set.
+    The fits run one at a time; jobs is ignored (perfbench still passes it).
     Returns kind -> size -> {"aucs", "median", "q25", "q75"}.
     """
     X_pool = np.ascontiguousarray(X_pool, dtype=float)
@@ -326,27 +314,16 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     if max(sizes) > len(y_pool):
         raise ValueError("largest size exceeds the training pool")
 
-    tasks = [(kind, size, rep)
-             for kind in kinds for size in sizes for rep in range(repetitions)]
-
-    def run(task):
-        kind, size, rep = task
-        return _single_curve_run(kind, params_by_kind.get(kind), X_pool, y_pool,
-                                 X_test, y_test, size, rep, seed)
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            aucs = list(pool.map(run, tasks))
-    else:
-        aucs = [run(t) for t in tasks]
-
     out: dict = {}
-    for (kind, size, rep), auc in zip(tasks, aucs):
-        out.setdefault(kind, {}).setdefault(size, []).append(auc)
-    for kind in out:
-        for size in out[kind]:
-            vals = np.array(out[kind][size])
-            q25, med, q75 = np.percentile(vals, [25, 50, 75])
-            out[kind][size] = {"aucs": vals.tolist(), "median": float(med),
-                               "q25": float(q25), "q75": float(q75)}
+    for kind in kinds:
+        for size in sizes:
+            for rep in range(repetitions):
+                out.setdefault(kind, {}).setdefault(size, []).append(_single_curve_run(
+                    kind, params_by_kind.get(kind), X_pool, y_pool, X_test, y_test,
+                    size, rep, seed))
+    for per_size in out.values():
+        for size, aucs in per_size.items():
+            q25, med, q75 = np.percentile(aucs, [25, 50, 75])
+            per_size[size] = {"aucs": aucs, "median": float(med),
+                              "q25": float(q25), "q75": float(q75)}
     return out

@@ -212,7 +212,7 @@ def test_06_learning_curve_saturates(default_run):
     train_idx, test_idx = _default_split(len(y))
     curve = learning_curve(X[train_idx], y[train_idx], X[test_idx], y[test_idx],
                            sizes=(100, 1000, 10000), kinds=("gbt",),
-                           repetitions=20, seed=0, jobs=4)
+                           repetitions=20, seed=0)
     med = [curve["gbt"][s]["median"] for s in (100, 1000, 10000)]
     assert med[1] >= med[0] - 0.01, med
     assert med[2] >= med[1] - 0.01, med

@@ -221,6 +221,27 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert not (tmp_path / "wifi.jsonl").exists()
 
+    def test_negative_seed_beside_an_explicit_world_seed(self, tmp_path, capsys):
+        # the world seed was valid, so every stage up to train used to run
+        conf = tmp_path / "c.conf"
+        conf.write_text("world.n_users = 8\nworld.days = 1\nworld.seed = 7\n")
+        capsys.readouterr()
+        assert run(["generate", "--dir", str(tmp_path), "--config", str(conf),
+                    "--seed", "-1"]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "seed" in err
+        assert err.count("\n") == 1
+        assert not (tmp_path / "wifi.jsonl").exists()
+
+    def test_delta_t_beyond_the_timestamp_range(self, tmp_path, capsys):
+        # with 2**62, pair raised OverflowError; the config now refuses it
+        # before any input is read
+        capsys.readouterr()
+        assert run(["pair", "--dir", str(tmp_path), "--delta-t", str(2 ** 62)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "delta_t_s" in err
+        assert err.count("\n") == 1
+
     def test_data_error_on_missing_inputs(self, tmp_path):
         assert run(["clean", "--dir", str(tmp_path)]) == 3
         assert run(["pair", "--dir", str(tmp_path)]) == 3

@@ -12,6 +12,7 @@ from wifi_proximity.config import (
     load_config,
     parse_config_file,
 )
+from wifi_proximity.records import TS_END
 
 
 class TestParseFile:
@@ -67,6 +68,8 @@ class TestBuildConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
             build_config({"delta_t": "300"})
+        with pytest.raises(ConfigError, match="unknown config key: jobs"):
+            build_config({"jobs": "1"})
         with pytest.raises(ConfigError, match="unknown world config key"):
             build_config({"world.nope": "1"})
 
@@ -92,13 +95,18 @@ class TestValidation:
         {"train_size": 1.0},
         {"featureset": "KITCHEN_SINK"},
         {"model": "svm"},
-        {"jobs": 0},
         {"tz_offset_s": 86400},
         {"tz_offset_s": -86400},
+        {"seed": -1},
+        {"delta_t_s": TS_END + 1},
     ])
     def test_rejects(self, kwargs):
         with pytest.raises(ConfigError):
             PipelineConfig(**kwargs)
+
+    def test_the_widest_delta_t_is_accepted(self):
+        # no two timestamps ingest accepts lie further apart
+        assert PipelineConfig(delta_t_s=TS_END).delta_t_s == TS_END
 
     def test_model_aliases(self):
         assert PipelineConfig(model="gbt").model_kind == "gradient-boosted"
@@ -108,12 +116,11 @@ class TestValidation:
 
 class TestDataHash:
     def test_stable_across_evaluation_knobs(self):
-        # featureset/model/grid/jobs pick what to train, not what the data
+        # featureset/model/grid pick what to train, not what the data
         # is; artifacts for different models must share the hash
         base = PipelineConfig()
         assert base.data_hash() == PipelineConfig(featureset="NEARME").data_hash()
         assert base.data_hash() == PipelineConfig(model="rf").data_hash()
-        assert base.data_hash() == PipelineConfig(jobs=8).data_hash()
         assert base.data_hash() == PipelineConfig(grid=True).data_hash()
 
     def test_changes_with_data_shaping_values(self):

@@ -8,6 +8,7 @@ from scipy.special import expit
 from scipy.stats import rankdata
 
 from wifi_proximity.evaluation import (
+    BtRssiBin,
     StratumResult,
     _auc_or_none,
     auc_roc,
@@ -186,6 +187,13 @@ class TestStratifiedReport:
         assert edges[0][0] == union.min() and edges[2][1] == union.max()
         assert edges[0][1] <= edges[1][0] and edges[1][1] <= edges[2][0]
 
+    def test_fewer_rows_than_terciles_rejected(self):
+        with pytest.raises(ValueError, match="terciles"):
+            stratified_report(np.array([0.2, 0.8]), np.array([0, 1]),
+                              classifier=greater(0.5), union_sizes=np.array([1, 2]),
+                              at_campus=np.zeros(2), hours=np.zeros(2),
+                              ts=np.zeros(2, dtype=int))
+
     def test_as_dict_serializes(self):
         scores, labels, union, campus, hours, ts = self.build(seed=7, n=50)
         bt = np.where(labels == 1, -60.0, np.nan)
@@ -210,6 +218,33 @@ def reference_strata(scores, labels, keys):
     return tuple(out)
 
 
+def reference_terciles(scores, labels, union):
+    """Union terciles and their edges, one mask per tercile code."""
+    codes = tercile_assignment(union)
+    strata, edges = [], []
+    for k, key in enumerate(("tercile_small", "tercile_mid", "tercile_large")):
+        m = codes == k
+        strata.append(StratumResult(key=key, n=int(m.sum()), n_pos=int(labels[m].sum()),
+                                    auc=_auc_or_none(scores[m], labels[m])))
+        edges.append((float(union[m].min()), float(union[m].max())))
+    return tuple(strata), tuple(edges)
+
+
+def reference_miss_rate(scores, labels, bt_rssi, classifier):
+    """The 5 dB bins of the positives that carry an RSSI, one mask per bin."""
+    keep = (labels == 1) & ~np.isnan(bt_rssi)
+    if not keep.any():
+        return None
+    missed = classifier.predict(scores[keep]) == 0
+    lo_of = np.floor(bt_rssi[keep] / 5) * 5
+    bins = []
+    for lo in sorted(set(lo_of.tolist())):
+        m = lo_of == lo
+        bins.append(BtRssiBin(lo=int(lo), hi=int(lo) + 5, n=int(m.sum()),
+                              missed=int(missed[m].sum())))
+    return tuple(bins)
+
+
 # 2020-12-31 is in ISO week 2020-W53 and 2021-01-04 starts 2021-W01
 NEW_YEAR_TS = (1609372800 - 5 * 86400, 1609718400 + 9 * 86400)
 
@@ -227,17 +262,29 @@ def report_case(draw):
     ts = column(st.integers(*NEW_YEAR_TS)).astype(np.int64)
     tz_offset_s = draw(st.sampled_from([0, 3600, -3600, 86399, -86399])
                        | st.integers(-86399, 86399))
-    return scores, labels, campus, hours, ts, tz_offset_s
+    # few sizes, so that ties straddle the tercile cuts
+    union = column(st.integers(1, 6))
+    # on and just off the 5 dB bin edges; NaN on negatives and on some positives
+    bt_rssi = column(st.sampled_from([-65.0, -60.000001, -60.0, -59.999999, -55.0])
+                     | st.floats(-100.0, -1.0))
+    bt_rssi[(labels == 0) | column(st.booleans())] = np.nan
+    return scores, labels, campus, hours, ts, tz_offset_s, union, bt_rssi
 
 
 class TestStrataMatchPerRowReference:
     @given(report_case())
     @settings(max_examples=300, deadline=None)
     def test_hypothesis(self, case):
-        scores, labels, campus, hours, ts, tz_offset_s = case
+        scores, labels, campus, hours, ts, tz_offset_s, union, bt_rssi = case
         rep = stratified_report(scores, labels, classifier=greater(0.5),
-                                union_sizes=np.arange(len(labels)), at_campus=campus,
-                                hours=hours, ts=ts, tz_offset_s=tz_offset_s)
+                                union_sizes=union, at_campus=campus,
+                                hours=hours, ts=ts, tz_offset_s=tz_offset_s,
+                                bt_rssi=bt_rssi)
+        strata, edges = reference_terciles(scores, labels, union)
+        assert rep.strata["union_tercile"] == strata
+        assert rep.tercile_edges == edges
+        assert rep.miss_rate_by_bt_rssi == reference_miss_rate(
+            scores, labels, bt_rssi, greater(0.5))
         assert rep.strata["at_campus"] == reference_strata(
             scores, labels, ["on_campus" if c else "off_campus" for c in campus])
         assert rep.strata["week"] == reference_strata(
@@ -265,7 +312,7 @@ class TestMissRate:
     def test_hand_binning(self):
         scores = np.array([0.9, 0.1, 0.9, 0.1, 0.9])
         rssi = np.array([-62, -63, -78, -51, -90])
-        bins = miss_rate_vs_bt_rssi(scores, rssi, greater(0.5), bin_db=5)
+        bins = miss_rate_vs_bt_rssi(scores, rssi, greater(0.5))
         by_lo = {b.lo: b for b in bins}
         assert set(by_lo) == {-65, -80, -55, -90}
         assert by_lo[-65].n == 2 and by_lo[-65].missed == 1
@@ -312,6 +359,7 @@ class TestLearningCurve:
         assert a == b
 
     def test_parallel_matches_serial(self):
+        # jobs is accepted and ignored: the fits run on one thread
         X, y = self.pool(seed=10)
         kw = dict(sizes=(60,), kinds=("gbt",),
                   params_by_kind={"gbt": {"n_trees": 3, "max_depth": 2}},

@@ -3,10 +3,12 @@
 perfbench/tracing.py looks functions, methods and module attributes up by
 name; a rename in the package would break a `--trace 1` benchmark run.
 The first tests install the tracer and uninstall it again without
-running a stage; the last runs `clean`, `pair` and `featurize` under it,
+running a stage; the next runs `clean`, `pair` and `featurize` under it,
 since the tracer hands `fileio.write_jsonl` and `fileio.write_csv` its own
 one-pass iterators of rows and row blocks, and wraps the three ingest
-functions `clean` calls by name.
+functions `clean` calls by name. The last runs perfbench/workloads.py's own
+calls into the package: every stage with `--jobs`, `features.csv` read back
+with `fileio.read_csv`, and `learning_curve(jobs=1)`.
 """
 
 import re
@@ -30,6 +32,16 @@ def tracing(monkeypatch):
     import tracing
 
     return tracing
+
+
+@pytest.fixture
+def workloads(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    for name in ("workloads", "speed"):
+        monkeypatch.delitem(sys.modules, name, raising=False)
+    import workloads
+
+    return workloads
 
 
 def _bindings():
@@ -111,3 +123,13 @@ def test_traced_pair_and_featurize_write_the_same_bytes(tracing, tmp_path, tiny_
     for name in ("cleaned.jsonl", "scans.npz", "cleaning_report.json", "home_routers.json",
                  "candidates.csv", "features.csv", "candidates.npz", "features.npz"):
         assert (traced / name).read_bytes() == (plain / name).read_bytes(), name
+
+
+def test_benchmark_workloads_run_on_the_tiny_world(workloads, tmp_path, tiny_world):
+    conf = tmp_path / "world.conf"
+    conf.write_text(world_conf(tiny_world))
+    for stage in ("generate", "clean", "pair", "featurize", "report"):
+        assert workloads.run_stage(stage, tmp_path, conf, tiny_world.seed, 2) == 0, stage
+    workloads.load_curve_matrix(tmp_path, tiny_world.seed)
+    ops = workloads.curve_pass(workloads.curve_data(tmp_path), tiny_world.seed)["ops"]
+    assert ops and all(ok for _, ok, _ in ops), ops
