@@ -107,7 +107,7 @@ def stage_generate(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     paths["dir"].mkdir(parents=True, exist_ok=True)
     h = cfg.data_hash()
-    synthgen.generate(
+    scans, truth = synthgen.generate(
         cfg.world, paths["wifi"], paths["bluetooth"], paths["truth"], config_hash=h
     )
     print(
@@ -115,7 +115,7 @@ def stage_generate(cfg: PipelineConfig, args) -> int:
         f"{paths['truth'].name} in {paths['dir']} (config {h})"
     )
     if args.stats:
-        stats = synthgen.calibrate_stats(paths["wifi"], paths["truth"])
+        stats = synthgen.calibrate_stats(scans, truth)
         for key in sorted(stats):
             print(f"  {key} = {stats[key]}")
     return EXIT_OK
@@ -290,6 +290,24 @@ def stage_train(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
+def _split_of(model_file, split, n: int) -> tuple[int, int]:
+    """The train count and seed of a model file's split of n rows.
+
+    ``split`` must be an object whose ``n`` is n, whose ``train_count``
+    lies in [0, n] and whose ``seed`` is at least 0, each an integer and
+    not a bool; otherwise DataError names the file and the field.
+    """
+    if not isinstance(split, dict) or type(split.get("n")) is not int or split["n"] != n:
+        raise DataError(f"{model_file}: split metadata missing or for a different dataset")
+    train_count, seed = split.get("train_count"), split.get("seed")
+    if type(train_count) is not int or not 0 <= train_count <= n:
+        raise DataError(f"{model_file}: split train_count {train_count!r} "
+                        f"is not an integer in [0, {n}]")
+    if type(seed) is not int or seed < 0:
+        raise DataError(f"{model_file}: split seed {seed!r} is not an integer >= 0")
+    return train_count, seed
+
+
 def stage_evaluate(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
@@ -299,11 +317,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     X, y = feats.X, feats.label
 
     split = doc.get("split")
-    if not split or split.get("n") != len(y):
-        raise DataError(
-            f"{model_file}: split metadata missing or for a different dataset"
-        )
-    train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
+    train_idx, test_idx = split_indices(len(y), *_split_of(model_file, split, len(y)))
     if len(test_idx) < 3:
         raise DataError(f"{paths['features']}: {len(test_idx)} test rows, too few "
                         "for the three union-size terciles")

@@ -671,14 +671,17 @@ class ImputationState:
 
 
 def fit_imputation(matrix: np.ndarray) -> ImputationState:
-    """Means of the non-missing correlation columns of a training matrix."""
+    """Means of the non-missing correlation columns of a training matrix.
+
+    A column with no value in the training rows is filled with 0.0: a
+    correlation lies in [-1, 1], and a missing one means no significant
+    correlation, whose null is 0.
+    """
     state = {}
     for name in CORRELATION_FEATURES:
         col = matrix[:, FEATURE_NAMES.index(name)]
         valid = col[~np.isnan(col)]
-        if len(valid) == 0:
-            raise ValueError(f"cannot fit imputation: every {name} value is missing")
-        state[name] = (float(valid.mean()), int(np.isnan(col).sum()))
+        state[name] = (float(valid.mean()) if len(valid) else 0.0, int(np.isnan(col).sum()))
     return ImputationState(
         spearman_mean=state["spearman"][0],
         pearson_mean=state["pearson"][0],

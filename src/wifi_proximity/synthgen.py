@@ -20,7 +20,10 @@ along x over the sorted users, so only pairs within a band of
 ``bt_range_m`` are measured. The sightings are an
 ``ingest.BluetoothSightings`` table in log order, written by
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
-formats; truth rows are written as JSON text.
+formats; truth rows are written as JSON text. ``generate`` returns the
+scans and the truth, and ``calibrate_stats`` (``--stats``) reads no file:
+it counts overlaps with ``WifiScans.common`` and draws at most
+``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream.
 """
 from __future__ import annotations
 
@@ -38,7 +41,7 @@ from .fileio import (
     SCHEMA_GROUND_TRUTH,
     SCHEMA_WIFI,
 )
-from .ingest import BluetoothSightings, WifiScans, parse_wifi_log
+from .ingest import BluetoothSightings, WifiScans
 from .records import DAY_S, RSSI_MIN, TS_END
 
 TAU = 2.0 * math.pi
@@ -55,6 +58,9 @@ _STREAM_WIFI_FIELD = 7
 
 # build_plans draws its times in units of 5 minutes, whatever the scan period
 _PLAN_UNIT_S = 300
+
+# calibrate_stats draws at most this many distant dyads, from this seed
+DISTANT_PAIRS, STATS_SEED = 20000, 0
 
 
 @dataclass(frozen=True)
@@ -910,15 +916,15 @@ def generate(
     bluetooth_path,
     truth_path,
     config_hash: str | None = None,
-) -> GroundTruth:
-    """Simulate the world and emit WiFi, Bluetooth, and truth files."""
+) -> tuple[WifiScans, GroundTruth]:
+    """Simulate the world, write its WiFi, Bluetooth and truth files, return (scans, truth)."""
     cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
     layout, user_ids, positions, phases = _world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     scans = wifi_scans(cfg, layout, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash, scans.lines())
     fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, sightings.lines())
-    return _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
+    return scans, _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
 
 
 def load_ground_truth(path) -> GroundTruth:
@@ -942,95 +948,69 @@ def load_ground_truth(path) -> GroundTruth:
     return GroundTruth(homes=homes, proximity=proximity)
 
 
-def calibrate_stats(
-    wifi_path,
-    truth_path=None,
-    max_distant_pairs: int = 20000,
-    seed: int = 0,
-) -> dict:
-    """Summary statistics of a generated WiFi file, for tuning the world.
+def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
+    """APs-per-scan moments, the share of empty scans, and the AP overlap
+    (``WifiScans.common``) of truly proximate dyads against random distant
+    ones, with a one-sided Mann-Whitney p-value, of what generate returns.
 
-    Reports APs-per-scan moments, the share of empty scans, and, when the
-    truth file is given, AP-set overlap for truly proximate dyads versus
-    randomly drawn distant ones (Mann-Whitney one-sided p-value).
+    A user's scan at a truth slot is their first at or after it within
+    one period (the smallest gap between truth slots, else 300 s); of two
+    at one ts, the first in table order. Distant dyads are drawn from
+    default_rng([STATS_SEED, 7]), as many as the proximate ones but at
+    least 200 and at most DISTANT_PAIRS, in at most 20 x DISTANT_PAIRS
+    draws; a dyad in the truth, or with no scan at the slot, is rejected.
     """
     from scipy.stats import mannwhitneyu
 
-    scans = parse_wifi_log(fileio.iter_jsonl(wifi_path)).records
-    # a scan's routers as a set of bssid codes, one code per bssid
-    by_user: dict[str, list[tuple[int, frozenset]]] = {}
-    bssid, bounds = scans.bssid.tolist(), scans.offsets.tolist()
-    for user, ts, lo, hi in zip(scans.user.tolist(), scans.ts.tolist(), bounds, bounds[1:]):
-        by_user.setdefault(scans.users[user], []).append((ts, frozenset(bssid[lo:hi])))
-
+    # generate makes a scan per user and slot, so every user has scans
     arr = np.diff(scans.offsets)
-    out: dict = {
-        "n_scans": int(arr.size),
-        "mean_aps": float(arr.mean()) if arr.size else 0.0,
-        "median_aps": float(np.median(arr)) if arr.size else 0.0,
-        "empty_fraction": float((arr == 0).mean()) if arr.size else 0.0,
-    }
-    if truth_path is None:
-        return out
+    out: dict = {"n_scans": len(arr), "mean_aps": float(arr.mean()),
+                 "median_aps": float(np.median(arr)), "empty_fraction": float((arr == 0).mean())}
 
-    truth = load_ground_truth(truth_path)
-    ts_index: dict[str, np.ndarray] = {}
-    for user, rows in by_user.items():
-        rows.sort()
-        ts_index[user] = np.array([ts for ts, _ in rows], dtype=np.int64)
+    rank_of = {uid: r for r, uid in enumerate(sorted(scans.users))}
+    slots = sorted(truth.proximity)
+    period = int(np.diff(slots).min()) if len(slots) > 1 else 300
+    slot_ts = np.array(slots or [0], dtype=np.int64)  # a draw with no slot looks at ts 0
+    # ts lie in [0, TS_END), so the key orders rows by (rank, ts); the
+    # stable sort keeps table order among a user's scans at one ts
+    code_rank = np.array([rank_of[uid] for uid in scans.users], dtype=np.int64)
+    key = code_rank[scans.user] * TS_END + scans.ts
+    rows = np.argsort(key, kind="stable")
+    user_rank = np.arange(len(rank_of))[:, None]
+    found = rows[np.minimum(np.searchsorted(key[rows], user_rank * TS_END + slot_ts),
+                            len(rows) - 1)]
+    # at[r, k]: the row of user r's scan at slot k, or -1
+    ts = scans.ts[found]
+    at = np.where((key[found] // TS_END == user_rank) & (slot_ts <= ts) & (ts < slot_ts + period),
+                  found, -1)
 
-    def scan_at(user: str, slot_ts: int, period: int) -> frozenset | None:
-        rows = by_user.get(user)
-        if not rows:
-            return None
-        idx = int(np.searchsorted(ts_index[user], slot_ts))
-        if idx >= len(rows) or rows[idx][0] >= slot_ts + period:
-            return None
-        return rows[idx][1]
+    table = scans.by_bssid()
+    close = [(rank_of[ua], rank_of[ub], k) for k, slot in enumerate(slots)
+             for ua, ub, _ in truth.proximity[slot]]
+    ra, rb, k = np.array(close, dtype=np.int64).reshape(-1, 3).T
+    a, b = at[ra, k], at[rb, k]
+    keep = (a >= 0) & (b >= 0)
+    proximate = np.bincount(table.common(a[keep], b[keep])[0], minlength=keep.sum())
 
-    slot_list = sorted(truth.proximity)
-    period = 300
-    if len(slot_list) > 1:
-        gaps = np.diff(np.array(slot_list))
-        period = int(gaps.min())
-
-    proximate: list[int] = []
-    seen_keys = set()
-    for slot_ts in slot_list:
-        for ua, ub, _ in truth.proximity[slot_ts]:
-            seen_keys.add((ua, ub, slot_ts))
-            sa = scan_at(ua, slot_ts, period)
-            sb = scan_at(ub, slot_ts, period)
-            if sa is not None and sb is not None:
-                proximate.append(len(sa & sb))
-
-    users = sorted(by_user)
-    rng = np.random.default_rng([seed, 7])
-    distant: list[int] = []
-    guard = 0
-    while len(distant) < min(max_distant_pairs, max(200, len(proximate))):
-        guard += 1
-        if guard > 20 * max_distant_pairs:
+    seen = set(close)
+    rng = np.random.default_rng([STATS_SEED, 7])
+    drawn: list[tuple[int, int]] = []
+    for _ in range(20 * DISTANT_PAIRS):
+        if len(drawn) >= min(DISTANT_PAIRS, max(200, len(proximate))):
             break
-        ua, ub = (users[int(i)] for i in rng.integers(0, len(users), 2))
+        ua, ub = sorted(rng.integers(0, len(rank_of), 2).tolist())
         if ua == ub:
             continue
-        if ua > ub:
-            ua, ub = ub, ua
-        slot_ts = int(rng.choice(slot_list)) if slot_list else 0
-        if (ua, ub, slot_ts) in seen_keys:
-            continue
-        sa = scan_at(ua, slot_ts, period)
-        sb = scan_at(ub, slot_ts, period)
-        if sa is None or sb is None:
-            continue
-        distant.append(len(sa & sb))
+        k = int(rng.choice(len(slots))) if slots else 0
+        if (ua, ub, k) not in seen and at[ua, k] >= 0 and at[ub, k] >= 0:
+            drawn.append((at[ua, k], at[ub, k]))
+    a, b = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
+    distant = np.bincount(table.common(a, b)[0], minlength=len(a))
 
-    out["proximate_overlap_mean"] = float(np.mean(proximate)) if proximate else 0.0
-    out["distant_overlap_mean"] = float(np.mean(distant)) if distant else 0.0
-    out["n_proximate"] = len(proximate)
-    out["n_distant"] = len(distant)
-    if proximate and distant:
+    for name, counts in (("proximate", proximate), ("distant", distant)):
+        out[f"{name}_overlap_mean"] = float(counts.mean()) if len(counts) else 0.0
+        out[f"n_{name}"] = len(counts)
+    if len(proximate) and len(distant):
         stat = mannwhitneyu(proximate, distant, alternative="greater")
         out["overlap_mannwhitney_p"] = float(stat.pvalue)
     return out

@@ -13,6 +13,17 @@ from wifi_proximity.records import ApObservation, CandidatePair, WifiScanRecord
 from wifi_proximity.synthgen import WorldConfig
 
 
+# calibrate_stats on the tiny world: the figures that a record-based parse
+# of its wifi.jsonl gave
+TINY_WORLD_STATS = {
+    "n_scans": 13824, "mean_aps": 4.048755787037037, "median_aps": 4.0,
+    "empty_fraction": 0.016059027777777776,
+    "proximate_overlap_mean": 6.727556596409055,
+    "distant_overlap_mean": 0.6830601092896175,
+    "n_proximate": 1281, "n_distant": 1281, "overlap_mannwhitney_p": 0.0,
+}
+
+
 def mac(i: int) -> str:
     """Deterministic distinct bssid for index i."""
     return f"aa:bb:cc:{(i >> 16) & 0xFF:02x}:{(i >> 8) & 0xFF:02x}:{i & 0xFF:02x}"

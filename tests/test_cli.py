@@ -13,11 +13,13 @@ import pytest
 import wifi_proximity
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
-from wifi_proximity.features import FeatureTable
+from wifi_proximity.features import FEATURE_NAMES, FeatureTable
 from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN
+
+from conftest import TINY_WORLD_STATS, world_conf
 
 
 def run(args):
@@ -299,6 +301,50 @@ class TestDeterminism:
         assert (d / "model_full_gbt.json").read_bytes() == before
 
 
+class TestGenerateStats:
+    def test_stats_come_from_the_tables_generate_built(self, tmp_path, tiny_world,
+                                                       capsys, monkeypatch):
+        """generate --stats prints the tiny world's pinned figures, one
+        line per key in key order, and reads no log back to do it."""
+        conf = tmp_path / "world.conf"
+        conf.write_text(world_conf(tiny_world))
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("generate --stats read a log back")
+
+        monkeypatch.setattr(fileio, "iter_jsonl", no_read)
+        capsys.readouterr()
+        assert run(["generate", "--stats", "--dir", str(tmp_path), "--config", str(conf)]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out[0].startswith("generate: wrote wifi.jsonl")
+        assert out[1:] == [f"  {key} = {value}" for key, value in sorted(TINY_WORLD_STATS.items())]
+
+
+class TestCorrelationsWithNoValue:
+    def test_scans_of_two_aps_run_from_clean_to_report(self, tmp_path, workdir):
+        """Scans cut to their first two APs give no spearman or pearson
+        value at all; train, evaluate and report still run."""
+        src, base = workdir
+        lines = (src / "wifi.jsonl").read_text().splitlines()
+        rows = [json.loads(line) for line in lines[1:]]
+        for row in rows:
+            row["aps"] = row["aps"][:2]
+        (tmp_path / "wifi.jsonl").write_text(
+            "\n".join([lines[0]] + [json.dumps(row) for row in rows]) + "\n")
+        (tmp_path / "bluetooth.jsonl").write_bytes((src / "bluetooth.jsonl").read_bytes())
+        args = ["--dir", str(tmp_path)] + base[2:]
+        for stage in ("clean", "pair", "featurize"):
+            assert run([stage] + args) == 0, stage
+        X = FeatureTable.load(tmp_path / "features.npz").X
+        assert np.isnan(X[:, [FEATURE_NAMES.index("spearman"),
+                              FEATURE_NAMES.index("pearson")]]).all()
+        for featureset in ("FULL", "AP_PRESENCE"):
+            for stage in ("train", "evaluate"):
+                assert run([stage] + args + ["--model", "gbt", "--featureset", featureset]) == 0
+        assert run(["report"] + args) == 0
+        assert (tmp_path / "report.json").exists()
+
+
 class TestSeedPropagation:
     def test_generate_honors_seed_flag(self, tmp_path):
         args = ["--dir", str(tmp_path), "--seed", "11"]
@@ -480,10 +526,10 @@ class TestArtifactIntegrity:
 
     def edit_model(self, src, dst, edit):
         """Copy the run's features and gbt model to dst, editing the model
-        document's first tree."""
+        document."""
         (dst / "features.npz").write_bytes((src / "features.npz").read_bytes())
         doc = fileio.read_json(src / "model_full_gbt.json", fileio.SCHEMA_MODEL)
-        edit(doc["trees"][0])
+        edit(doc)
         payload = {k: v for k, v in doc.items() if k not in ("schema", "config_hash")}
         fileio.write_json(dst / "model_full_gbt.json", fileio.SCHEMA_MODEL,
                           doc["config_hash"], payload)
@@ -504,7 +550,7 @@ class TestArtifactIntegrity:
             "feature_fraction", "child_fraction"])
     def test_evaluate_rejects_a_malformed_tree(self, tmp_path, workdir, capsys, edit):
         src, base = workdir
-        self.edit_model(src, tmp_path, edit)
+        self.edit_model(src, tmp_path, lambda doc: edit(doc["trees"][0]))
         capsys.readouterr()
         assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
         err = capsys.readouterr().err
@@ -513,11 +559,43 @@ class TestArtifactIntegrity:
         assert err.count("\n") == 1
         assert not list(tmp_path.glob("eval_*"))
 
+    @pytest.mark.parametrize("edit,field", [
+        (lambda split: split.pop("train_count"), "train_count"),
+        (lambda split: split.update(seed="x"), "seed"),
+        (lambda split: split.update(seed=True), "seed"),
+        (lambda split: split.update(train_count=3.5), "train_count"),
+        (lambda split: split.update(train_count=-5), "train_count"),
+        (lambda split: split.update(train_count=split["n"] + 5), "train_count"),
+        (lambda split: split.update(n=split["n"] - 1), "split"),
+    ], ids=["no_train_count", "seed_text", "seed_bool", "train_count_fraction",
+            "train_count_negative", "train_count_above_n", "n_of_other_rows"])
+    def test_evaluate_rejects_bad_split_metadata(self, tmp_path, workdir, capsys,
+                                                 edit, field):
+        src, base = workdir
+        self.edit_model(src, tmp_path, lambda doc: edit(doc["split"]))
+        capsys.readouterr()
+        assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {tmp_path / 'model_full_gbt.json'}: split ")
+        assert field in err and err.count("\n") == 1, err
+        assert not list(tmp_path.glob("eval_*"))
+
+    def test_evaluate_rejects_a_split_that_is_not_an_object(self, tmp_path, workdir,
+                                                            capsys):
+        src, base = workdir
+        self.edit_model(src, tmp_path, lambda doc: doc.update(split=[1, 2]))
+        capsys.readouterr()
+        assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
+        err = capsys.readouterr().err
+        assert err == (f"data error: {tmp_path / 'model_full_gbt.json'}: split metadata "
+                       "missing or for a different dataset\n")
+        assert not list(tmp_path.glob("eval_*"))
+
     def test_evaluate_of_a_tree_with_a_cycle_ends(self, tmp_path, workdir):
         """A root whose left child is itself must not send evaluate round
         the loop for ever."""
         src, base = workdir
-        self.edit_model(src, tmp_path, lambda t: t["left"].__setitem__(0, 0))
+        self.edit_model(src, tmp_path, lambda doc: doc["trees"][0]["left"].__setitem__(0, 0))
         env = dict(os.environ)
         package_root = str(Path(wifi_proximity.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(

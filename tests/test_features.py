@@ -320,10 +320,13 @@ class TestImputation:
         state = ImputationState(0.25, -0.5, 3, 7)
         assert ImputationState.from_dict(state.as_dict()) == state
 
-    def test_all_missing_column_rejected(self):
+    def test_all_missing_column_filled_with_zero(self):
         train = self.matrix([np.nan, np.nan], [0.1, 0.2])
-        with pytest.raises(ValueError, match="spearman"):
-            fit_imputation(train)
+        state = fit_imputation(train)
+        assert (state.spearman_mean, state.n_missing_spearman) == (0.0, 2)
+        assert (state.pearson_mean, state.n_missing_pearson) == (pytest.approx(0.15), 0)
+        col = FEATURE_NAMES.index("spearman")
+        assert (apply_imputation(train, state)[:, col] == 0.0).all()
 
     def test_nan_outside_correlations_rejected(self):
         train = self.matrix([0.5, 0.7], [0.1, 0.3])

@@ -31,7 +31,7 @@ from wifi_proximity.synthgen import (
 )
 
 import synthgen_reference
-from conftest import records_of, sightings_of
+from conftest import TINY_WORLD_STATS, records_of, sightings_of
 
 
 class TestWorldConfig:
@@ -331,11 +331,17 @@ class TestGroundTruthEpisodes:
 
 
 @pytest.fixture(scope="module")
-def world(tmp_path_factory, tiny_world):
+def generated(tmp_path_factory, tiny_world):
     d = tmp_path_factory.mktemp("world")
     paths = (d / "wifi.jsonl", d / "bluetooth.jsonl", d / "truth.jsonl")
-    truth = generate(tiny_world, *paths, config_hash="testhash")
-    return tiny_world, paths, truth
+    scans, truth = generate(tiny_world, *paths, config_hash="testhash")
+    return tiny_world, paths, scans, truth
+
+
+@pytest.fixture(scope="module")
+def world(generated):
+    cfg, paths, _, truth = generated
+    return cfg, paths, truth
 
 
 class TestGeneratedFiles:
@@ -408,26 +414,20 @@ class TestGeneratedFiles:
         hits = sum(1 for u, b in truth.homes.items() if detected.get(u) == b)
         assert hits / len(truth.homes) >= 0.9
 
-    def test_proximate_pairs_overlap_more(self, world):
-        cfg, (wifi, _, truth_path), _ = world
-        stats = calibrate_stats(wifi, truth_path, seed=1)
+    def test_proximate_pairs_overlap_more(self, generated):
+        _, _, scans, truth = generated
+        stats = calibrate_stats(scans, truth)
         assert stats["proximate_overlap_mean"] > stats["distant_overlap_mean"]
         assert stats["overlap_mannwhitney_p"] < 0.01
 
-    def test_calibration_stats_unchanged(self, world):
-        # the figures the record-based parse gave on the tiny world
-        _, (wifi, _, truth_path), _ = world
-        assert calibrate_stats(wifi, truth_path) == {
-            "n_scans": 13824, "mean_aps": 4.048755787037037, "median_aps": 4.0,
-            "empty_fraction": 0.016059027777777776,
-            "proximate_overlap_mean": 6.727556596409055,
-            "distant_overlap_mean": 0.6830601092896175,
-            "n_proximate": 1281, "n_distant": 1281, "overlap_mannwhitney_p": 0.0,
-        }
+    def test_calibration_stats_unchanged(self, generated):
+        # the figures the record-based parse of wifi.jsonl gave on the tiny world
+        _, _, scans, truth = generated
+        assert calibrate_stats(scans, truth) == TINY_WORLD_STATS
 
-    def test_calibration_stats_sane(self, world):
-        cfg, (wifi, _, _), _ = world
-        stats = calibrate_stats(wifi)
+    def test_calibration_stats_sane(self, generated):
+        cfg, _, scans, truth = generated
+        stats = calibrate_stats(scans, truth)
         assert stats["n_scans"] == cfg.n_users * cfg.n_slots
         assert 1.0 < stats["mean_aps"] < 20.0
         assert 0.0 <= stats["empty_fraction"] < 0.3
@@ -527,7 +527,7 @@ def test_generated_logs_match_the_reference(tmp_path, cfg):
     for d in (got, want):
         d.mkdir(exist_ok=True)
     names = ("wifi.jsonl", "bluetooth.jsonl", "truth.jsonl")
-    truth = generate(cfg, *(got / n for n in names), config_hash="h")
+    _, truth = generate(cfg, *(got / n for n in names), config_hash="h")
     reference = synthgen_reference.generate(cfg, *(want / n for n in names),
                                             config_hash="h")
     assert truth == reference
@@ -556,6 +556,28 @@ def test_generated_bluetooth_lines_round_trip(cfg):
 
 def test_town_bluetooth_lines_round_trip():
     assert len(assert_bluetooth_lines_round_trip(WorldConfig(days=1, seed=3))) > 10000
+
+
+def assert_returned_scans_are_written(cfg, d):
+    """The WifiScans that generate returns are the scans a strict parse
+    reads back from the wifi.jsonl it wrote."""
+    paths = [d / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
+    scans, _ = generate(cfg, *paths)
+    parsed = parse_wifi_log(iter_jsonl(paths[0]), strict=True).records
+    assert records_of(scans) == records_of(parsed)
+    return scans
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=small_worlds)
+def test_returned_scans_are_the_written_scans(tmp_path, cfg):
+    assert_returned_scans_are_written(cfg, tmp_path)
+
+
+def test_town_returned_scans_are_the_written_scans(tmp_path):
+    scans = assert_returned_scans_are_written(WorldConfig(days=1, seed=3), tmp_path)
+    assert len(scans) == 57600
 
 
 def test_a_bt_level_below_the_rssi_range_clips_to_rssi_min(tmp_path):
