@@ -9,18 +9,3 @@ synthetic world generator provides data at desk scale.
 """
 
 __version__ = "0.1.0"
-
-from .records import (
-    ApObservation,
-    CandidatePair,
-    MalformedRecordError,
-    WifiScanRecord,
-)
-
-__all__ = [
-    "ApObservation",
-    "CandidatePair",
-    "MalformedRecordError",
-    "WifiScanRecord",
-    "__version__",
-]

@@ -17,6 +17,7 @@ import argparse
 import sys
 # unused here, but perfbench/tracing.py patches this name in every module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -144,7 +145,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
         paths["cleaning_report"],
         SCHEMA_CLEANING,
         h,
-        {**report.as_dict(), "skipped_lines": parsed.skipped, "records": n},
+        {**asdict(report), "skipped_lines": parsed.skipped, "records": n},
     )
     fileio.write_json(paths["homes"], SCHEMA_HOMES, h, homes_doc)
     print(
@@ -317,10 +318,15 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     X, y = feats.X, feats.label
 
     split = doc.get("split")
-    train_idx, test_idx = split_indices(len(y), *_split_of(model_file, split, len(y)))
+    train_count, seed = _split_of(model_file, split, len(y))
+    train_idx, test_idx = split_indices(len(y), train_count, seed)
     if len(test_idx) < 3:
         raise DataError(f"{paths['features']}: {len(test_idx)} test rows, too few "
                         "for the three union-size terciles")
+    for side, rows in (("train", train_idx), ("test", test_idx)):
+        if len(np.unique(y[rows])) < 2:
+            raise DataError(f"{model_file}: split train_count {train_count} leaves "
+                            f"{side} rows without both classes")
 
     X_imp = apply_imputation(X, model.imputation)
     # rows first, then columns: a column selection comes out column-major,
@@ -352,9 +358,9 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
             "n": int(len(train_idx)),
             "auc": auc_roc(scores_train, y[train_idx]),
             "threshold": classifier.threshold,
-            **train_prf.as_dict(),
+            **asdict(train_prf),
         },
-        "test": report.as_dict(),
+        "test": asdict(report),
     }
     out = _eval_path(paths["dir"], cfg)
     fileio.write_json(out, SCHEMA_EVAL, h, payload)

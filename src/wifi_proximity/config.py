@@ -7,7 +7,7 @@ flags override file values, which override defaults.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import fileio
@@ -70,24 +70,17 @@ class PipelineConfig:
         return MODEL_KINDS[self.model]
 
     def data_hash(self) -> str:
-        """Hash of every value that shapes the data and the split.
+        """Hash of every field, the world's fields included, except four
+        that shape neither the data nor the split.
 
-        Featureset and model kind are deliberately excluded: they are the
-        units being compared, so artifacts for different featuresets or
-        model kinds trained on the same data share one hash.
+        Featureset and model kind are the units being compared, so
+        artifacts for different featuresets or model kinds trained on the
+        same data share one hash; ``grid`` and ``strict_parse`` are left
+        out too. Any other field, a new one too, is hashed.
         """
-        values = {
-            "delta_t_s": self.delta_t_s,
-            "home_bin_minutes": self.home_bin_minutes,
-            "ambiguous_ssid_threshold": self.ambiguous_ssid_threshold,
-            "campus_ssid": self.campus_ssid,
-            "tz_offset_s": self.tz_offset_s,
-            "alpha": self.alpha,
-            "seed": self.seed,
-            "train_size": self.train_size,
-            "world": self.world.as_dict(),
-        }
-        return fileio.config_hash(values)
+        unhashed = ("featureset", "model", "grid", "strict_parse")
+        return fileio.config_hash({key: value for key, value in asdict(self).items()
+                                   if key not in unhashed})
 
 
 def parse_config_file(path) -> dict[str, str]:

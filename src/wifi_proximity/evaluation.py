@@ -15,7 +15,7 @@ from __future__ import annotations
 
 # unused here, but perfbench/tracing.py patches this name in every module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 import numpy as np
@@ -69,11 +69,6 @@ class PrfResult:
     tn: int
     zero_predicted: bool
 
-    def as_dict(self) -> dict:
-        return {"precision": self.precision, "recall": self.recall, "f1": self.f1,
-                "tp": self.tp, "fp": self.fp, "fn": self.fn, "tn": self.tn,
-                "zero_predicted": self.zero_predicted}
-
 
 def prf_at_threshold(scores, labels, classifier) -> PrfResult:
     """Precision, recall, F1 of a ThresholdClassifier's predictions.
@@ -106,12 +101,12 @@ class StratumResult:
     n_pos: int
     auc: float | None
 
-    def as_dict(self) -> dict:
-        return {"key": self.key, "n": self.n, "n_pos": self.n_pos, "auc": self.auc}
-
 
 @dataclass(frozen=True, slots=True)
 class EvalReport:
+    """The test side of an eval file: ``dataclasses.asdict`` writes it,
+    nested records and all, with its fields as keys in field order."""
+
     n: int
     n_pos: int
     n_neg: int
@@ -125,21 +120,6 @@ class EvalReport:
     strata: dict[str, tuple[StratumResult, ...]]
     tercile_edges: tuple[tuple[float, float], ...]
     miss_rate_by_bt_rssi: tuple["BtRssiBin", ...] | None
-
-    def as_dict(self) -> dict:
-        return {
-            "n": self.n, "n_pos": self.n_pos, "n_neg": self.n_neg,
-            "auc": self.auc,
-            "threshold": self.threshold, "direction": self.direction,
-            "precision": self.precision, "recall": self.recall, "f1": self.f1,
-            "zero_predicted": self.zero_predicted,
-            "strata": {group: [s.as_dict() for s in items]
-                       for group, items in self.strata.items()},
-            "tercile_edges": [list(e) for e in self.tercile_edges],
-            "miss_rate_by_bt_rssi": (
-                None if self.miss_rate_by_bt_rssi is None
-                else [b.as_dict() for b in self.miss_rate_by_bt_rssi]),
-        }
 
 
 TERCILE_NAMES = ("tercile_small", "tercile_mid", "tercile_large")
@@ -242,18 +222,19 @@ def stratified_report(scores, labels, *, classifier, union_sizes, at_campus,
 
 @dataclass(frozen=True, slots=True)
 class BtRssiBin:
+    """Positives with Bluetooth RSSI in [lo, hi): n of them, missed ones
+    predicted negative. miss_rate is derived, but a field, so that
+    ``dataclasses.asdict`` writes it."""
+
     lo: int
     hi: int
     n: int
     missed: int
 
-    @property
-    def miss_rate(self) -> float:
-        return self.missed / self.n
+    miss_rate: float = field(init=False)
 
-    def as_dict(self) -> dict:
-        return {"lo": self.lo, "hi": self.hi, "n": self.n,
-                "missed": self.missed, "miss_rate": self.miss_rate}
+    def __post_init__(self):
+        object.__setattr__(self, "miss_rate", self.missed / self.n)
 
 
 def miss_rate_vs_bt_rssi(scores, bt_rssi, classifier) -> tuple[BtRssiBin, ...]:

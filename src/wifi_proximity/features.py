@@ -648,26 +648,15 @@ class ImputationState:
     """Training means used to fill missing correlation values.
 
     Fitted on training rows only and preserved, so test-time imputation
-    never looks at test statistics.
+    never looks at test statistics. A model file holds its fields as the
+    ``imputation`` object, written by ``dataclasses.asdict`` and read back
+    by keyword, so a missing or unknown key is an error.
     """
 
     spearman_mean: float
     pearson_mean: float
     n_missing_spearman: int
     n_missing_pearson: int
-
-    def as_dict(self) -> dict:
-        return {
-            "spearman_mean": self.spearman_mean,
-            "pearson_mean": self.pearson_mean,
-            "n_missing_spearman": self.n_missing_spearman,
-            "n_missing_pearson": self.n_missing_pearson,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "ImputationState":
-        return cls(d["spearman_mean"], d["pearson_mean"],
-                   d["n_missing_spearman"], d["n_missing_pearson"])
 
 
 def fit_imputation(matrix: np.ndarray) -> ImputationState:

@@ -51,16 +51,11 @@ class ParseResult:
 
 @dataclass(frozen=True, slots=True)
 class CleaningReport:
+    """What filter_ambiguous_macs removed: cleaning_report.json's first keys."""
+
     ambiguous_macs: int
     removed_observations: int
     total_observations: int
-
-    def as_dict(self) -> dict:
-        return {
-            "ambiguous_macs": self.ambiguous_macs,
-            "removed_observations": self.removed_observations,
-            "total_observations": self.total_observations,
-        }
 
 
 # the arrays of a WifiScans and their dtypes, as saved

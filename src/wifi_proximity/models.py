@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 # unused here, but perfbench/tracing.py patches this name in every module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 from scipy.special import expit
@@ -351,7 +351,7 @@ def save_model(model: TreeEnsembleModel, path, cfg_hash: str,
         "seed": model.seed,
         "learning_rate": model.learning_rate,
         "base_score": model.base_score,
-        "imputation": None if model.imputation is None else model.imputation.as_dict(),
+        "imputation": None if model.imputation is None else asdict(model.imputation),
         "trees": [t.as_dict() for t in model.trees],
     }
     if extra:
@@ -364,7 +364,8 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
     and any extra metadata stored alongside the model.
 
     Raises DataError naming the file unless the model is of a known kind
-    with at least one tree, a boosted model has a finite base score, and
+    with at least one tree, a boosted model has a finite base score, the
+    imputation is null or holds exactly ImputationState's fields, and
     every tree is well formed (Tree.check) on the model's feature columns.
     """
     doc = fileio.read_json(path, fileio.SCHEMA_MODEL, expect_hash)
@@ -377,7 +378,7 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
             feature_names=tuple(doc["feature_names"]),
             featureset_name=doc["featureset"],
             imputation=(None if doc["imputation"] is None
-                        else ImputationState.from_dict(doc["imputation"])),
+                        else ImputationState(**doc["imputation"])),
             hyperparameters=doc["hyperparameters"],
             seed=doc["seed"],
         )

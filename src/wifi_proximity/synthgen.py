@@ -29,8 +29,7 @@ from __future__ import annotations
 
 import json
 import math
-import statistics
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Iterator
 
 import numpy as np
@@ -65,7 +64,11 @@ DISTANT_PAIRS, STATS_SEED = 20000, 0
 
 @dataclass(frozen=True)
 class WorldConfig:
-    """Knobs for the synthetic town. Defaults give a week of campus life."""
+    """Knobs for the synthetic town. Defaults give a week of campus life.
+
+    ``dataclasses.asdict`` gives the values that the config hash covers,
+    and ``dataclasses.replace`` a variant, checked again by __post_init__.
+    """
 
     seed: int = 0
     area_m: float = 2000.0
@@ -190,18 +193,6 @@ class WorldConfig:
     @property
     def n_slots(self) -> int:
         return self.days * self.slots_per_day
-
-    def as_dict(self) -> dict:
-        out = {}
-        for f in fields(self):
-            value = getattr(self, f.name)
-            out[f.name] = list(value) if isinstance(value, tuple) else value
-        return out
-
-    def replace(self, **kwargs) -> "WorldConfig":
-        merged = {f.name: getattr(self, f.name) for f in fields(self)}
-        merged.update(kwargs)
-        return WorldConfig(**merged)
 
 
 @dataclass
@@ -918,7 +909,7 @@ def generate(
     config_hash: str | None = None,
 ) -> tuple[WifiScans, GroundTruth]:
     """Simulate the world, write its WiFi, Bluetooth and truth files, return (scans, truth)."""
-    cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
+    cfg_hash = config_hash or fileio.config_hash(asdict(cfg))
     layout, user_ids, positions, phases = _world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     scans = wifi_scans(cfg, layout, positions, user_ids, phases)
@@ -959,6 +950,7 @@ def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
     default_rng([STATS_SEED, 7]), as many as the proximate ones but at
     least 200 and at most DISTANT_PAIRS, in at most 20 x DISTANT_PAIRS
     draws; a dyad in the truth, or with no scan at the slot, is rejected.
+    When every (dyad, slot) triple would be rejected, none is drawn.
     """
     from scipy.stats import mannwhitneyu
 
@@ -993,10 +985,17 @@ def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
     proximate = np.bincount(table.common(a[keep], b[keep])[0], minlength=keep.sum())
 
     seen = set(close)
+    # the (dyad, slot) triples that a draw can accept: dyads with a scan
+    # each at the slot, less those in the truth
+    present = at >= 0
+    per_slot = present.sum(0)
+    n_acceptable = (per_slot * (per_slot - 1) // 2).sum() - sum(
+        present[ua, k] and present[ub, k] for ua, ub, k in seen if ua < ub)
+    want = min(DISTANT_PAIRS, max(200, len(proximate))) if n_acceptable else 0
     rng = np.random.default_rng([STATS_SEED, 7])
     drawn: list[tuple[int, int]] = []
     for _ in range(20 * DISTANT_PAIRS):
-        if len(drawn) >= min(DISTANT_PAIRS, max(200, len(proximate))):
+        if len(drawn) >= want:
             break
         ua, ub = sorted(rng.integers(0, len(rank_of), 2).tolist())
         if ua == ub:

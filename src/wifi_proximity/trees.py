@@ -30,7 +30,7 @@ same data, hyperparameters and rng state reproduces the tree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -89,15 +89,8 @@ class Tree:
         return sums
 
     def as_dict(self) -> dict:
-        return {
-            "feature": self.feature.tolist(),
-            "threshold": self.threshold.tolist(),
-            "left": self.left.tolist(),
-            "right": self.right.tolist(),
-            "value": self.value.tolist(),
-            "n_samples": self.n_samples.tolist(),
-            "gain": self.gain.tolist(),
-        }
+        """Every array as a list, keyed by field name, as a model file holds it."""
+        return {f.name: getattr(self, f.name).tolist() for f in fields(self)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Tree":

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import sys
+from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
 
@@ -252,7 +253,7 @@ def clean(wifi_path, out_dir, cfg, strict: bool = False) -> None:
     n = fileio.write_jsonl(out_dir / "cleaned.jsonl", fileio.SCHEMA_WIFI, h, rows)
     table.save(out_dir / "scans.npz", h)
     fileio.write_json(out_dir / "cleaning_report.json", fileio.SCHEMA_CLEANING, h,
-                      {**report.as_dict(), "skipped_lines": parsed.skipped, "records": n})
+                      {**asdict(report), "skipped_lines": parsed.skipped, "records": n})
     fileio.write_json(out_dir / "home_routers.json", fileio.SCHEMA_HOMES, h, {
         "bin_minutes": cfg.home_bin_minutes,
         "homes": [{"user": user, "month": month, "bssid": bssid}

@@ -18,6 +18,7 @@ and return the same `GroundTruth`.
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -209,7 +210,7 @@ def write_bluetooth_and_truth(
 def generate(cfg: WorldConfig, wifi_path, bluetooth_path, truth_path,
              config_hash: str | None = None) -> GroundTruth:
     """synthgen.generate with the three functions above in place of its own."""
-    cfg_hash = config_hash or fileio.config_hash(cfg.as_dict())
+    cfg_hash = config_hash or fileio.config_hash(asdict(cfg))
     layout, user_ids, positions, phases = synthgen._world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash,

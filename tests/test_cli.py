@@ -17,7 +17,7 @@ from wifi_proximity.features import FEATURE_NAMES, FeatureTable
 from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
-from wifi_proximity.records import RSSI_MIN
+from wifi_proximity.records import RSSI_MIN, TS_END
 
 from conftest import TINY_WORLD_STATS, world_conf
 
@@ -42,6 +42,16 @@ def restamp(path, old, new="deadbeef0000"):
         text = path.read_text()
         assert text.count(old) == 1
         path.write_text(text.replace(old, new))
+
+
+def copy_logs(src, dst, edit):
+    """Write src's wifi.jsonl to dst with its rows passed through edit,
+    and copy bluetooth.jsonl as it is."""
+    lines = (src / "wifi.jsonl").read_text().splitlines()
+    rows = edit([json.loads(line) for line in lines[1:]])
+    (dst / "wifi.jsonl").write_text(
+        "\n".join([lines[0]] + [json.dumps(row) for row in rows]) + "\n")
+    (dst / "bluetooth.jsonl").write_bytes((src / "bluetooth.jsonl").read_bytes())
 
 
 @pytest.fixture(scope="module")
@@ -325,13 +335,13 @@ class TestCorrelationsWithNoValue:
         """Scans cut to their first two APs give no spearman or pearson
         value at all; train, evaluate and report still run."""
         src, base = workdir
-        lines = (src / "wifi.jsonl").read_text().splitlines()
-        rows = [json.loads(line) for line in lines[1:]]
-        for row in rows:
-            row["aps"] = row["aps"][:2]
-        (tmp_path / "wifi.jsonl").write_text(
-            "\n".join([lines[0]] + [json.dumps(row) for row in rows]) + "\n")
-        (tmp_path / "bluetooth.jsonl").write_bytes((src / "bluetooth.jsonl").read_bytes())
+
+        def first_two_aps(rows):
+            for row in rows:
+                row["aps"] = row["aps"][:2]
+            return rows
+
+        copy_logs(src, tmp_path, first_two_aps)
         args = ["--dir", str(tmp_path)] + base[2:]
         for stage in ("clean", "pair", "featurize"):
             assert run([stage] + args) == 0, stage
@@ -343,6 +353,57 @@ class TestCorrelationsWithNoValue:
                 assert run([stage] + args + ["--model", "gbt", "--featureset", featureset]) == 0
         assert run(["report"] + args) == 0
         assert (tmp_path / "report.json").exists()
+
+
+def upper_case_every_other_bssid(rows):
+    for ap in [ap for row in rows for ap in row["aps"]][::2]:
+        ap["bssid"] = ap["bssid"].upper()
+    return rows
+
+
+def empty_aps_every_third_line(rows):
+    for row in rows[::3]:
+        row["aps"] = []
+    return rows
+
+
+def rename_two_users(rows):
+    """One user id that is not ASCII, and one ending in a NUL."""
+    names = {"u000": "u\u00e9000", "u001": "u001\x00"}
+    for row in rows:
+        row["user"] = names.get(row["user"], row["user"])
+    return rows
+
+
+def ts_at_both_ends(rows):
+    rows[0]["ts"], rows[-1]["ts"] = 0, TS_END - 1
+    return rows
+
+
+def empty_ssids(rows):
+    for row in rows:
+        for ap in row["aps"]:
+            ap["ssid"] = ""
+    return rows
+
+
+class TestAcceptedLogsRunToReport:
+    @pytest.mark.parametrize("edit", [
+        upper_case_every_other_bssid,
+        lambda rows: [row for row in rows for _ in range(2)],
+        empty_aps_every_third_line,
+        rename_two_users,
+        ts_at_both_ends,
+        empty_ssids,
+    ], ids=["upper_case_bssids", "every_line_doubled", "empty_aps_every_third_line",
+            "odd_user_ids", "ts_at_both_ends", "empty_ssids"])
+    def test_every_stage_exits_zero(self, tmp_path, workdir, edit):
+        """A wifi.jsonl that ingest accepts runs from clean to report."""
+        src, base = workdir
+        copy_logs(src, tmp_path, edit)
+        args = ["--dir", str(tmp_path)] + base[2:] + ["--model", "gbt", "--featureset", "FULL"]
+        for stage in ("clean", "pair", "featurize", "train", "evaluate", "report"):
+            assert run([stage] + args) == 0, stage
 
 
 class TestSeedPropagation:
@@ -567,8 +628,11 @@ class TestArtifactIntegrity:
         (lambda split: split.update(train_count=-5), "train_count"),
         (lambda split: split.update(train_count=split["n"] + 5), "train_count"),
         (lambda split: split.update(n=split["n"] - 1), "split"),
+        (lambda split: split.update(train_count=0), "train_count 0 leaves train rows"),
+        (lambda split: split.update(train_count=split["n"] - 3), "leaves test rows"),
     ], ids=["no_train_count", "seed_text", "seed_bool", "train_count_fraction",
-            "train_count_negative", "train_count_above_n", "n_of_other_rows"])
+            "train_count_negative", "train_count_above_n", "n_of_other_rows",
+            "train_count_zero", "test_rows_of_one_class"])
     def test_evaluate_rejects_bad_split_metadata(self, tmp_path, workdir, capsys,
                                                  edit, field):
         src, base = workdir

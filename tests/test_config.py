@@ -122,6 +122,7 @@ class TestDataHash:
         assert base.data_hash() == PipelineConfig(featureset="NEARME").data_hash()
         assert base.data_hash() == PipelineConfig(model="rf").data_hash()
         assert base.data_hash() == PipelineConfig(grid=True).data_hash()
+        assert base.data_hash() == PipelineConfig(strict_parse=True).data_hash()
 
     def test_changes_with_data_shaping_values(self):
         base = PipelineConfig().data_hash()
@@ -133,6 +134,12 @@ class TestDataHash:
         from wifi_proximity.synthgen import WorldConfig
         base = PipelineConfig().data_hash()
         assert PipelineConfig(world=WorldConfig(n_users=100)).data_hash() != base
+
+    def test_pinned_values(self, tiny_world):
+        """Every artifact carries this hash, so a new or renamed field
+        shows here before it restamps every run."""
+        assert PipelineConfig().data_hash() == "c0d1c1cfe668"
+        assert PipelineConfig(seed=7, world=tiny_world).data_hash() == "ae9c6fde892f"
 
 
 class TestLoadConfig:

@@ -1,5 +1,7 @@
 """AUC, precision/recall, stratified reporting, and the learning curve."""
 
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -200,10 +202,13 @@ class TestStratifiedReport:
         rep = stratified_report(scores, labels, classifier=greater(0.5),
                                 union_sizes=union, at_campus=campus,
                                 hours=hours, ts=ts, bt_rssi=bt)
-        d = rep.as_dict()
+        d = asdict(rep)
         assert d["n"] == 50
-        assert isinstance(d["strata"]["week"], list)
-        assert d["miss_rate_by_bt_rssi"] is not None
+        assert list(d["strata"]["week"][0]) == ["key", "n", "n_pos", "auc"]
+        (b, *_), (bin_doc, *_) = rep.miss_rate_by_bt_rssi, d["miss_rate_by_bt_rssi"]
+        assert bin_doc == {"lo": b.lo, "hi": b.hi, "n": b.n, "missed": b.missed,
+                           "miss_rate": b.missed / b.n}
+        assert list(bin_doc) == ["lo", "hi", "n", "missed", "miss_rate"]
 
 
 def reference_strata(scores, labels, keys):

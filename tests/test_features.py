@@ -1,6 +1,7 @@
 """The 16 pairwise features against brute-force oracles, plus imputation."""
 
 import math
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -318,7 +319,7 @@ class TestImputation:
 
     def test_state_round_trips_as_dict(self):
         state = ImputationState(0.25, -0.5, 3, 7)
-        assert ImputationState.from_dict(state.as_dict()) == state
+        assert ImputationState(**asdict(state)) == state
 
     def test_all_missing_column_filled_with_zero(self):
         train = self.matrix([np.nan, np.nan], [0.1, 0.2])

@@ -269,8 +269,14 @@ class TestPersistence:
     @pytest.mark.parametrize("edit", [
         {"trees": []}, {"kind": "nonsense"}, {"base_score": None},
         {"base_score": {"__float__": "nan"}}, {"base_score": "0.5"},
+        {"imputation": {"spearman_mean": 0.1, "pearson_mean": 0.2,
+                        "n_missing_spearman": 3}},
+        {"imputation": {"spearman_mean": 0.1, "pearson_mean": 0.2, "n_missing_spearman": 3,
+                        "n_missing_pearson": 4, "kendall_mean": 0.3}},
+        {"imputation": [0.1, 0.2, 3, 4]},
     ], ids=["no_trees", "unknown_kind", "no_base_score", "nan_base_score",
-            "text_base_score"])
+            "text_base_score", "imputation_missing_key", "imputation_unknown_key",
+            "imputation_list"])
     def test_model_that_cannot_score_raises_dataerror(self, tmp_path, edit):
         X, y = random_problem(13, n=120)
         p = tmp_path / "gbt.json"

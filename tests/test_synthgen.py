@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -118,11 +119,14 @@ class TestWorldConfig:
 
     def test_as_dict_replace_round_trip(self):
         cfg = WorldConfig(seed=4, n_users=30)
-        d = cfg.as_dict()
-        assert d["seed"] == 4 and d["group_size_cycle"] == [3, 4, 5, 4]
-        cfg2 = cfg.replace(n_users=40)
+        d = asdict(cfg)
+        assert d["seed"] == 4 and d["group_size_cycle"] == (3, 4, 5, 4)
+        assert WorldConfig(**d) == cfg
+        cfg2 = replace(cfg, n_users=40)
         assert cfg2.n_users == 40 and cfg2.seed == 4
         assert cfg.n_users == 30  # original untouched
+        with pytest.raises(ValueError, match="n_users"):
+            replace(cfg, n_users=0)  # the checks run again
 
     def test_hour_profiles_cover_the_day(self):
         assert len(WEEKDAY_HOUR_PROFILE) == 24
@@ -286,7 +290,7 @@ class TestBluetoothAndTruth:
 
     def test_detection_probability_thins_sightings(self):
         cfg, positions, phases = self.pinned_world()
-        cfg2 = cfg.replace(bt_detect_prob=0.5)
+        cfg2 = replace(cfg, bt_detect_prob=0.5)
         sightings, proximity = synthgen.bluetooth_and_truth(
             cfg2, positions, ["u0", "u1", "u2"], phases)
         sightings = self.by_user(sightings)
@@ -432,6 +436,24 @@ class TestGeneratedFiles:
         assert 1.0 < stats["mean_aps"] < 20.0
         assert 0.0 <= stats["empty_fraction"] < 0.3
 
+    def test_no_draw_when_no_distant_dyad_can_be_accepted(self, tmp_path, monkeypatch):
+        """Two users, close at each of the 5 truth slots: every distant
+        draw would be rejected, so none is made, and the figures stay."""
+        cfg = WorldConfig(seed=0, n_users=2, n_routers=80, days=1, scan_period_s=3600,
+                          n_buildings=2, n_venues=2, area_m=1200.0)
+        scans, truth = generate(cfg, *(tmp_path / n for n in ("w.jsonl", "b.jsonl", "t.jsonl")))
+        assert [len(pairs) for pairs in truth.proximity.values()] == [1] * 5
+
+        class NoDraws:
+            def __getattr__(self, name):
+                raise AssertionError(f"calibrate_stats drew with rng.{name}")
+
+        monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
+        assert calibrate_stats(scans, truth) == {
+            "n_scans": 48, "mean_aps": 3.6666666666666665, "median_aps": 1.0,
+            "empty_fraction": 0.020833333333333332, "proximate_overlap_mean": 9.2,
+            "n_proximate": 5, "distant_overlap_mean": 0.0, "n_distant": 0}
+
 
 class TestDeterminism:
     def test_same_seed_byte_identical(self, tmp_path, tiny_world):
@@ -450,7 +472,7 @@ class TestDeterminism:
             d = tmp_path / str(seed)
             d.mkdir()
             paths = (d / "wifi.jsonl", d / "bt.jsonl", d / "truth.jsonl")
-            generate(tiny_world.replace(seed=seed), *paths)
+            generate(replace(tiny_world, seed=seed), *paths)
             blobs.append(paths[0].read_bytes())
         assert blobs[0] != blobs[1]
 
