@@ -199,11 +199,7 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
     h = cfg.data_hash()
     table = WifiScans.load(paths["scans"], h)
     cands = CandidateTable.load(paths["candidates"], h, len(table.ts))
-    homes_doc = fileio.read_json(paths["homes"], SCHEMA_HOMES, h)
-    home_map = {
-        (entry["user"], entry["month"]): entry["bssid"]
-        for entry in homes_doc["homes"]
-    }
+    home_map = _home_map(paths["homes"], h)
     X = extract_feature_matrix(
         table,
         cands.row_a,
@@ -223,6 +219,20 @@ def stage_featurize(cfg: PipelineConfig, args) -> int:
         fileio.column_blocks(_key_columns(table, cands) + list(X.T)))
     print(f"featurize: {n} rows, {len(FEATURE_NAMES)} features each")
     return EXIT_OK
+
+
+def _home_map(path, h: str) -> dict[tuple[str, str], str]:
+    """home_routers.json's bssid for each (user, month). DataError names
+    the file unless its homes are a list of objects whose user, month and
+    bssid are strings."""
+    homes = fileio.read_json(path, SCHEMA_HOMES, h).get("homes")
+    if not isinstance(homes, list) or not all(
+            isinstance(entry, dict) and all(isinstance(entry.get(key), str)
+                                            for key in ("user", "month", "bssid"))
+            for entry in homes):
+        raise DataError(f"{path}: homes is not a list of objects with string "
+                        "user, month and bssid")
+    return {(entry["user"], entry["month"]): entry["bssid"] for entry in homes}
 
 
 def _nonempty_features(path, h: str) -> FeatureTable:
@@ -268,7 +278,7 @@ def stage_train(cfg: PipelineConfig, args) -> int:
         params,
         seed=cfg.seed,
         feature_names=names,
-        featureset_name=cfg.featureset,
+        featureset=cfg.featureset,
         imputation=imputation,
     )
     extra = {
@@ -350,7 +360,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
         bt_rssi=feats.bt_rssi[test_idx],
     )
     payload = {
-        "featureset": model.featureset_name,
+        "featureset": model.featureset,
         "kind": model.kind,
         "hyperparameters": dict(model.hyperparameters),
         "split": split,
@@ -365,7 +375,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     out = _eval_path(paths["dir"], cfg)
     fileio.write_json(out, SCHEMA_EVAL, h, payload)
     print(
-        f"evaluate: {model.featureset_name} {model.kind} "
+        f"evaluate: {model.featureset} {model.kind} "
         f"test auc {report.auc:.4f} f1 {report.f1:.4f} -> {out.name}"
     )
     return EXIT_OK
@@ -409,16 +419,24 @@ def stage_report(cfg: PipelineConfig, args) -> int:
                 f"{path}: config hash {doc.get('config_hash')} does not match "
                 f"features file {h}; refusing to mix runs"
             )
+        train, test = doc.get("train"), doc.get("test")
+        if not (isinstance(doc.get("featureset"), str) and isinstance(doc.get("kind"), str)
+                and all(isinstance(side, dict) and type(side.get("n")) is int
+                        and all(type(side.get(key)) in (int, float) for key in ("auc", "f1"))
+                        for side in (train, test))):
+            raise DataError(f"{path}: malformed eval file: it needs string featureset "
+                            "and kind, and train and test objects with numeric auc "
+                            "and f1 and an integer n")
         key = f"{doc['featureset']}:{doc['kind']}"
         featuresets[key] = {
             "featureset": doc["featureset"],
             "kind": doc["kind"],
-            "train_auc": doc["train"]["auc"],
-            "train_f1": doc["train"]["f1"],
-            "test_auc": doc["test"]["auc"],
-            "test_f1": doc["test"]["f1"],
-            "n_train": doc["train"]["n"],
-            "n_test": doc["test"]["n"],
+            "train_auc": train["auc"],
+            "train_f1": train["f1"],
+            "test_auc": test["auc"],
+            "test_f1": test["f1"],
+            "n_train": train["n"],
+            "n_test": test["n"],
         }
 
     payload = {
@@ -523,8 +541,9 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataError, FileNotFoundError, ValueError) as exc:
-        # MalformedRecordError and PopularityIndexError are ValueErrors
+    except (DataError, OSError, ValueError) as exc:
+        # MalformedRecordError and PopularityIndexError are ValueErrors; an
+        # OSError, such as a directory where a file should be, names its path
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

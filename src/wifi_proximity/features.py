@@ -206,9 +206,9 @@ def top_ap_features(scan_a: WifiScanRecord, scan_b: WifiScanRecord,
 class PopularityIndex:
     """How many distinct users scanned each router near a given moment.
 
-    Built in one pass over the cleaned scan records and then read-only,
-    so it can be shared across feature-extraction workers. Queries are
-    cached: co-temporal candidates hit the same (bssid, ts) pairs often.
+    Built in one pass over the cleaned scan records and then read-only.
+    Queries are cached: co-temporal candidates hit the same (bssid, ts)
+    pairs often.
     """
 
     def __init__(self, records):

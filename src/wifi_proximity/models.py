@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 # unused here, but perfbench/tracing.py patches this name in every module
 from concurrent.futures import ThreadPoolExecutor  # noqa: F401
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 from scipy.special import expit
@@ -137,18 +137,22 @@ def fit_threshold(scores, labels, feature_name: str = "") -> ThresholdClassifier
 
 @dataclass(frozen=True, slots=True)
 class TreeEnsembleModel:
+    """A fitted ensemble; its fields are the model file's keys, in order."""
+
     kind: str
-    trees: tuple[Tree, ...]
-    learning_rate: float | None
-    base_score: float | None
+    featureset: str
     feature_names: tuple[str, ...]
-    featureset_name: str
-    imputation: ImputationState | None
     hyperparameters: dict
     seed: int
+    learning_rate: float | None
+    base_score: float | None
+    imputation: ImputationState | None
+    trees: tuple[Tree, ...]
 
 
-def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _training_input(X, y, feature_names):
+    """(y, feature names, encode_columns(X)'s values and codes) for a fit;
+    the names default to x0, x1, .... Raises ValueError on unusable input."""
     X = np.ascontiguousarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(y) != X.shape[0]:
@@ -161,11 +165,15 @@ def _check_training_input(X: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.
         raise ValueError("labels must be binary")
     if y.min() == y.max():
         raise ValueError("constant labels: both classes required")
-    return X, y
+    if feature_names is None:
+        feature_names = [f"x{i}" for i in range(X.shape[1])]
+    if len(feature_names) != X.shape[1]:
+        raise ValueError("feature_names length does not match matrix width")
+    return (y, tuple(feature_names)) + encode_columns(X)
 
 
 def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
-            feature_names=None, featureset_name: str = "FULL",
+            feature_names=None, featureset: str = "FULL",
             imputation: ImputationState | None = None) -> TreeEnsembleModel:
     """Stagewise boosting with logistic loss.
 
@@ -176,18 +184,11 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
     after another on one thread: each stage needs the last.
     """
     params = {**DEFAULT_GBT_PARAMS, **(params or {})}
-    X, y = _check_training_input(X, y)
-    n, d = X.shape
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(d)]
-    if len(feature_names) != d:
-        raise ValueError("feature_names length does not match matrix width")
-
+    y, feature_names, values, codes = _training_input(X, y, feature_names)
     lr = float(params["learning_rate"])
     prevalence = float(y.mean())
     base = math.log(prevalence / (1.0 - prevalence))
-    F = np.full(n, base)
-    values, codes = encode_columns(X)
+    F = np.full(len(y), base)
     trees: list[Tree] = []
     for _ in range(int(params["n_trees"])):
         p = expit(F)
@@ -202,13 +203,13 @@ def fit_gbt(X, y, params: dict | None = None, seed: int = 0,
         trees.append(tree)
 
     return TreeEnsembleModel(
-        kind=KIND_GBT, trees=tuple(trees), learning_rate=lr, base_score=base,
-        feature_names=tuple(feature_names), featureset_name=featureset_name,
-        imputation=imputation, hyperparameters=params, seed=seed)
+        kind=KIND_GBT, featureset=featureset, feature_names=feature_names,
+        hyperparameters=params, seed=seed, learning_rate=lr, base_score=base,
+        imputation=imputation, trees=tuple(trees))
 
 
 def fit_rf(X, y, params: dict | None = None, seed: int = 0,
-           feature_names=None, featureset_name: str = "FULL",
+           feature_names=None, featureset: str = "FULL",
            imputation: ImputationState | None = None) -> TreeEnsembleModel:
     """Bagged Gini classification trees.
 
@@ -217,14 +218,8 @@ def fit_rf(X, y, params: dict | None = None, seed: int = 0,
     as (seed, tree index).
     """
     params = {**DEFAULT_RF_PARAMS, **(params or {})}
-    X, y = _check_training_input(X, y)
-    n, d = X.shape
-    if feature_names is None:
-        feature_names = [f"x{i}" for i in range(d)]
-    if len(feature_names) != d:
-        raise ValueError("feature_names length does not match matrix width")
-
-    values, codes = encode_columns(X)
+    y, feature_names, values, codes = _training_input(X, y, feature_names)
+    n, d = codes.shape
     trees = []
     for t in range(int(params["n_trees"])):
         rng = np.random.default_rng([seed, t])
@@ -234,9 +229,9 @@ def fit_rf(X, y, params: dict | None = None, seed: int = 0,
                                max_features=max(1, math.isqrt(d)), rng=rng))
 
     return TreeEnsembleModel(
-        kind=KIND_RF, trees=tuple(trees), learning_rate=None, base_score=None,
-        feature_names=tuple(feature_names), featureset_name=featureset_name,
-        imputation=imputation, hyperparameters=params, seed=seed)
+        kind=KIND_RF, featureset=featureset, feature_names=feature_names,
+        hyperparameters=params, seed=seed, learning_rate=None, base_score=None,
+        imputation=imputation, trees=tuple(trees))
 
 
 def predict(model: TreeEnsembleModel, X) -> np.ndarray:
@@ -343,57 +338,60 @@ def feature_importance(model: TreeEnsembleModel) -> dict[str, float]:
 
 def save_model(model: TreeEnsembleModel, path, cfg_hash: str,
                extra: dict | None = None) -> None:
-    doc = {
-        "kind": model.kind,
-        "featureset": model.featureset_name,
-        "feature_names": list(model.feature_names),
-        "hyperparameters": model.hyperparameters,
-        "seed": model.seed,
-        "learning_rate": model.learning_rate,
-        "base_score": model.base_score,
-        "imputation": None if model.imputation is None else asdict(model.imputation),
-        "trees": [t.as_dict() for t in model.trees],
-    }
-    if extra:
-        doc.update(extra)
+    """Write the model's fields, in order, then the keys of extra."""
+    doc = {**{f.name: getattr(model, f.name) for f in fields(model)},
+           "imputation": None if model.imputation is None else asdict(model.imputation),
+           "trees": [t.as_dict() for t in model.trees], **(extra or {})}
     fileio.write_json(path, fileio.SCHEMA_MODEL, cfg_hash, doc)
+
+
+def _finite(x) -> bool:
+    return isinstance(x, (int, float)) and math.isfinite(x)
 
 
 def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel, dict]:
     """Returns (model, full document); the document carries config_hash
     and any extra metadata stored alongside the model.
 
-    Raises DataError naming the file unless the model is of a known kind
-    with at least one tree, a boosted model has a finite base score, the
-    imputation is null or holds exactly ImputationState's fields, and
-    every tree is well formed (Tree.check) on the model's feature columns.
+    Raises DataError naming the file unless the document holds each field
+    of TreeEnsembleModel and the model can score: a known kind with a tree
+    or more, a finite base score if boosted, a string featureset,
+    hyperparameters that are an object, feature names from FEATURE_NAMES,
+    a null imputation or exactly ImputationState's fields with finite
+    means, and trees that pass Tree.check on the model's feature columns.
     """
+    def malformed(what) -> fileio.DataError:
+        return fileio.DataError(f"{path}: malformed model file: {what}")
+
     doc = fileio.read_json(path, fileio.SCHEMA_MODEL, expect_hash)
     try:
-        model = TreeEnsembleModel(
-            kind=doc["kind"],
-            trees=tuple(Tree.from_dict(t) for t in doc["trees"]),
-            learning_rate=doc["learning_rate"],
-            base_score=doc["base_score"],
-            feature_names=tuple(doc["feature_names"]),
-            featureset_name=doc["featureset"],
-            imputation=(None if doc["imputation"] is None
-                        else ImputationState(**doc["imputation"])),
-            hyperparameters=doc["hyperparameters"],
-            seed=doc["seed"],
-        )
+        keys = {f.name: doc[f.name] for f in fields(TreeEnsembleModel)}
+        imputation = keys["imputation"]
+        model = TreeEnsembleModel(**{
+            **keys,
+            "feature_names": tuple(keys["feature_names"]),
+            "imputation": None if imputation is None else ImputationState(**imputation),
+            "trees": tuple(Tree.from_dict(t) for t in keys["trees"]),
+        })
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise fileio.DataError(f"{path}: malformed model file: {exc}") from exc
+        raise malformed(exc) from exc
     if model.kind not in (KIND_GBT, KIND_RF) or not model.trees:
-        raise fileio.DataError(f"{path}: malformed model file: kind {model.kind!r} "
-                               f"with {len(model.trees)} trees")
-    if model.kind == KIND_GBT and not (isinstance(model.base_score, (int, float))
-                                       and math.isfinite(model.base_score)):
-        raise fileio.DataError(f"{path}: malformed model file: base score "
-                               f"{model.base_score!r}")
+        raise malformed(f"kind {model.kind!r} with {len(model.trees)} trees")
+    if model.kind == KIND_GBT and not _finite(model.base_score):
+        raise malformed(f"base score {model.base_score!r}")
+    if not isinstance(model.featureset, str):
+        raise malformed(f"featureset {model.featureset!r} is not a string")
+    if not isinstance(model.hyperparameters, dict):
+        raise malformed(f"hyperparameters {model.hyperparameters!r} are not an object")
+    for name in model.feature_names:
+        if name not in FEATURE_NAMES:
+            raise malformed(f"feature name {name!r} is not one of FEATURE_NAMES")
+    imp = model.imputation
+    if imp is not None and not (_finite(imp.spearman_mean) and _finite(imp.pearson_mean)):
+        raise malformed(f"imputation means {imp.spearman_mean!r}, {imp.pearson_mean!r}")
     for i, tree in enumerate(model.trees):
         try:
             tree.check(len(model.feature_names))
         except ValueError as exc:
-            raise fileio.DataError(f"{path}: malformed model file: tree {i}: {exc}") from exc
+            raise malformed(f"tree {i}: {exc}") from exc
     return model, doc

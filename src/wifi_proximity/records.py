@@ -1,8 +1,7 @@
 """Record types of the per-pair feature reference and the tests, and the
 id, bssid, RSSI and time checks that ingest applies; the stages keep
 scans and candidates as arrays. All types are immutable after
-construction and safe to share across threads; the operations in this
-module are pure functions.
+construction, and the operations in this module are pure functions.
 """
 
 from __future__ import annotations

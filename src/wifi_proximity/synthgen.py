@@ -918,27 +918,6 @@ def generate(
     return scans, _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
 
 
-def load_ground_truth(path) -> GroundTruth:
-    """Read the truth JSONL produced by generate()."""
-    fileio.read_jsonl_header(path, SCHEMA_GROUND_TRUTH)
-    homes: dict[str, str] = {}
-    proximity: dict[int, list[tuple[str, str, float]]] = {}
-    for line_no, line in fileio.iter_jsonl(path):
-        try:
-            doc = json.loads(line.encode("utf-8"))  # lone surrogates: bytes not UTF-8
-        except (ValueError, RecursionError) as exc:
-            raise fileio.DataError(f"{path}:{line_no}: bad JSON: {exc}") from exc
-        if "home_bssid" in doc:
-            homes[doc["user"]] = doc["home_bssid"]
-        elif "pairs" in doc:
-            proximity[int(doc["ts"])] = [
-                (ua, ub, float(d)) for ua, ub, d in doc["pairs"]
-            ]
-        else:
-            raise fileio.DataError(f"{path}:{line_no}: unknown ground-truth row")
-    return GroundTruth(homes=homes, proximity=proximity)
-
-
 def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
     """APs-per-scan moments, the share of empty scans, and the AP overlap
     (``WifiScans.common``) of truly proximate dyads against random distant

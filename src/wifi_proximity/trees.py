@@ -15,7 +15,8 @@ search costs in proportion to its rows, not to its columns' distinct
 values; only the winning cut's threshold is computed. Integer row
 weights stand for repeated rows, as in a bootstrap. The grower can hand
 out each leaf's rows, so boosting updates its training scores without
-predicting.
+predicting. It keeps one entry per node, in pre-order, and builds the
+arrays with the dtypes on `Tree`'s fields, as `Tree.from_dict` does.
 
 Prediction routes row sets the same way: each internal node splits its
 row array with one comparison and each leaf writes its value into its
@@ -30,7 +31,7 @@ same data, hyperparameters and rng state reproduces the tree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -45,16 +46,17 @@ class Tree:
 
     feature[i] is -1 at leaves, where threshold is 0.0 and value holds the
     leaf output. gain[i] is the split's impurity decrease in summed-over-
-    samples units (n_node * mean-impurity decrease), 0.0 at leaves.
+    samples units (n_node * mean-impurity decrease), 0.0 at leaves. Each
+    field's metadata holds its array's dtype.
     """
 
-    feature: np.ndarray
-    threshold: np.ndarray
-    left: np.ndarray
-    right: np.ndarray
-    value: np.ndarray
-    n_samples: np.ndarray
-    gain: np.ndarray
+    feature: np.ndarray = field(metadata={"dtype": np.int32})
+    threshold: np.ndarray = field(metadata={"dtype": float})
+    left: np.ndarray = field(metadata={"dtype": np.int32})
+    right: np.ndarray = field(metadata={"dtype": np.int32})
+    value: np.ndarray = field(metadata={"dtype": float})
+    n_samples: np.ndarray = field(metadata={"dtype": np.int64})
+    gain: np.ndarray = field(metadata={"dtype": float})
 
     @property
     def n_nodes(self) -> int:
@@ -96,30 +98,21 @@ class Tree:
     def from_dict(cls, d: dict) -> "Tree":
         """Raises ValueError where an index or count is not an integer,
         which the integer arrays would otherwise truncate."""
-        def ints(key, dtype):
-            if len(d[key]) and np.array(d[key]).dtype.kind not in "iu":
-                raise ValueError(f"{key} holds an entry that is not an integer")
-            return np.array(d[key], dtype=dtype)
-
-        return cls(
-            feature=ints("feature", np.int32),
-            threshold=np.array(d["threshold"], dtype=float),
-            left=ints("left", np.int32),
-            right=ints("right", np.int32),
-            value=np.array(d["value"], dtype=float),
-            n_samples=ints("n_samples", np.int64),
-            gain=np.array(d["gain"], dtype=float),
-        )
+        arrays = {}
+        for f in fields(cls):
+            entries, dtype = d[f.name], np.dtype(f.metadata["dtype"])
+            if dtype.kind == "i" and len(entries) and np.array(entries).dtype.kind not in "iu":
+                raise ValueError(f"{f.name} holds an entry that is not an integer")
+            arrays[f.name] = np.array(entries, dtype=dtype)
+        return cls(**arrays)
 
     def check(self, n_features: int) -> None:
         """Raise ValueError unless this is a well-formed tree on n_features
         columns: seven 1-d arrays of one non-zero length, features in
         [-1, n_features), an internal node's children after it, -1
         children at leaves, finite thresholds."""
-        arrays = [self.feature, self.threshold, self.left, self.right,
-                  self.value, self.n_samples, self.gain]
         n = len(self.feature)
-        if n == 0 or any(a.ndim != 1 or len(a) != n for a in arrays):
+        if n == 0 or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
             raise ValueError("node arrays are empty or differ in length")
         if ((self.feature < _LEAF) | (self.feature >= n_features)).any():
             raise ValueError(f"a feature index lies outside [-1, {n_features})")
@@ -244,34 +237,19 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
     if len(root) == 0:
         raise ValueError("cannot grow a tree on zero rows")
 
-    feature_l: list[int] = []
-    threshold_l: list[float] = []
-    left_l: list[int] = []
-    right_l: list[int] = []
-    value_l: list[float] = []
-    nsamp_l: list[int] = []
-    gain_l: list[float] = []
-
-    def new_node(parent: int, is_left: bool) -> int:
-        node_id = len(feature_l)
-        feature_l.append(_LEAF)
-        threshold_l.append(0.0)
-        left_l.append(_LEAF)
-        right_l.append(_LEAF)
-        value_l.append(0.0)
-        nsamp_l.append(0)
-        gain_l.append(0.0)
-        if parent >= 0:
-            (left_l if is_left else right_l)[parent] = node_id
-        return node_id
-
-    stack = [(-1, False, 0, root)]
+    # one [feature, threshold, left, right, value, n_samples, gain] entry
+    # per node, in pre-order; a child's index goes into its parent's slot
+    nodes: list[list] = []
+    stack = [(None, 0, 0, root)]  # (parent entry, child slot, depth, rows)
     while stack:
-        parent, is_left, depth, rows = stack.pop()
-        node = new_node(parent, is_left)
+        parent, slot, depth, rows = stack.pop()
+        node = len(nodes)
+        if parent is not None:
+            parent[slot] = node
         w_node = weight.take(rows)
         n_node = int(w_node.sum())
-        nsamp_l[node] = n_node
+        entry = [_LEAF, 0.0, _LEAF, _LEAF, 0.0, n_node, 0.0]
+        nodes.append(entry)
         t_node = wy.take(rows)
         s = float(t_node.sum())
 
@@ -303,27 +281,17 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
 
         if best is None:
             den = n_node if hess is None else max(float(hess.take(rows).sum()), _MIN_HESSIAN)
-            value_l[node] = s / den
+            entry[4] = s / den
             if leaves is not None:
                 leaves.append((node, rows))
             continue
 
         gain, j_star, thr, code = best
-        feature_l[node] = j_star
-        threshold_l[node] = thr
-        gain_l[node] = gain
-
+        entry[0], entry[1], entry[6] = j_star, thr, gain
         go_left = codes[:, j_star].take(rows) <= code
         # push right first so the left subtree is built first
-        stack.append((node, False, depth + 1, rows.compress(~go_left)))
-        stack.append((node, True, depth + 1, rows.compress(go_left)))
+        stack.append((entry, 3, depth + 1, rows.compress(~go_left)))
+        stack.append((entry, 2, depth + 1, rows.compress(go_left)))
 
-    return Tree(
-        feature=np.array(feature_l, dtype=np.int32),
-        threshold=np.array(threshold_l, dtype=float),
-        left=np.array(left_l, dtype=np.int32),
-        right=np.array(right_l, dtype=np.int32),
-        value=np.array(value_l, dtype=float),
-        n_samples=np.array(nsamp_l, dtype=np.int64),
-        gain=np.array(gain_l, dtype=float),
-    )
+    return Tree(*(np.array(column, dtype=f.metadata["dtype"])
+                  for f, column in zip(fields(Tree), zip(*nodes))))

@@ -13,6 +13,9 @@ these three and from the parts of `synthgen` that did not change;
 `synthgen.generate`, which builds an `ingest.BluetoothSightings` table
 and writes it with `BluetoothSightings.lines`, must write the same bytes
 and return the same `GroundTruth`.
+
+`load_ground_truth` reads a written truth log back into a `GroundTruth`,
+for the tests that check it against the scans and the sightings.
 """
 
 from __future__ import annotations
@@ -217,3 +220,24 @@ def generate(cfg: WorldConfig, wifi_path, bluetooth_path, truth_path,
                        encoded(wifi_scan_rows(cfg, layout, positions, user_ids, phases)))
     return write_bluetooth_and_truth(
         cfg, layout, user_ids, sightings, proximity, bluetooth_path, truth_path, cfg_hash)
+
+
+def load_ground_truth(path) -> GroundTruth:
+    """Read the truth JSONL that `synthgen.generate` wrote."""
+    fileio.read_jsonl_header(path, SCHEMA_GROUND_TRUTH)
+    homes: dict[str, str] = {}
+    proximity: dict[int, list[tuple[str, str, float]]] = {}
+    for line_no, line in fileio.iter_jsonl(path):
+        try:
+            doc = json.loads(line.encode("utf-8"))  # lone surrogates: bytes not UTF-8
+        except (ValueError, RecursionError) as exc:
+            raise fileio.DataError(f"{path}:{line_no}: bad JSON: {exc}") from exc
+        if "home_bssid" in doc:
+            homes[doc["user"]] = doc["home_bssid"]
+        elif "pairs" in doc:
+            proximity[int(doc["ts"])] = [
+                (ua, ub, float(d)) for ua, ub, d in doc["pairs"]
+            ]
+        else:
+            raise fileio.DataError(f"{path}:{line_no}: unknown ground-truth row")
+    return GroundTruth(homes=homes, proximity=proximity)

@@ -33,11 +33,11 @@ from wifi_proximity.models import (
 )
 from wifi_proximity.pairing import split_indices
 from wifi_proximity.records import CandidatePair
-from wifi_proximity.synthgen import load_ground_truth
 
 from conftest import ap, mac, random_pair, records_of, scan, scans_of
 from ingest_reference import ambiguous_macs, collect_ssid_sets
 from oracles import oracle_auc, oracle_best_f1, oracle_features, oracle_month
+from synthgen_reference import load_ground_truth
 
 INT_EXACT = {"overlap", "non_overlap", "union", "top_ap", "top_ap_6db",
              "hour_of_week", "min_popularity", "max_popularity",
@@ -254,7 +254,7 @@ def test_08_importance_normalized_and_jaccard_ranks_high(default_run):
         state = fit_imputation(Xp[idx])
         m = fit_model("gbt", apply_imputation(Xp[idx], state), yp[idx],
                       seed=r, feature_names=FEATURE_NAMES,
-                      featureset_name="FULL")
+                      featureset="FULL")
         w = feature_importance(m)
         assert abs(sum(w.values()) - 1.0) <= 1e-9
         top4 = sorted(w, key=w.get, reverse=True)[:4]

@@ -834,6 +834,80 @@ class TestArtifactIntegrity:
         assert err.count("\n") == 1, err
 
 
+def edit_doc(name, change):
+    """An edit of a run directory that passes name's JSON document through change."""
+    def edit(d):
+        doc = json.loads((d / name).read_text())
+        change(doc)
+        (d / name).write_text(json.dumps(doc, indent=2))
+    return edit
+
+
+def directory_at(name):
+    """An edit of a run directory that puts a directory where name should be."""
+    return lambda d: (d / name).mkdir()
+
+
+def file_at_run_dir(d):
+    d.rmdir()
+    d.write_text("not a directory\n")
+
+
+def snapshot(d):
+    """Every path under d, with a file's bytes."""
+    return {p: p.read_bytes() if p.is_file() else None for p in d.rglob("*")}
+
+
+HOMES, EVAL, MODEL = "home_routers.json", "eval_full_gbt.json", "model_full_gbt.json"
+FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
+
+
+@pytest.mark.parametrize("stage,inputs,edit,named", [
+    ("featurize", FEATURIZE_INPUTS, edit_doc(HOMES, lambda doc: doc.pop("homes")), HOMES),
+    ("featurize", FEATURIZE_INPUTS, edit_doc(HOMES, lambda doc: doc["homes"][0].pop("user")),
+     HOMES),
+    ("featurize", FEATURIZE_INPUTS, edit_doc(HOMES, lambda doc: doc.update(homes=5)), HOMES),
+    ("featurize", FEATURIZE_INPUTS,
+     edit_doc(HOMES, lambda doc: doc["homes"][0].update(bssid=5)), HOMES),
+    ("report", ["features.npz", EVAL], edit_doc(EVAL, lambda doc: doc.pop("train")), EVAL),
+    ("report", ["features.npz", EVAL], edit_doc(EVAL, lambda doc: doc.pop("featureset")), EVAL),
+    ("report", ["features.npz", EVAL], edit_doc(EVAL, lambda doc: doc.update(test=[1])), EVAL),
+    ("evaluate", ["features.npz", MODEL],
+     edit_doc(MODEL, lambda doc: doc.update(hyperparameters=[1, 2])), MODEL),
+    ("evaluate", ["features.npz", MODEL], edit_doc(MODEL, lambda doc: doc.update(featureset=5)),
+     MODEL),
+    ("evaluate", ["features.npz", MODEL],
+     edit_doc(MODEL, lambda doc: doc["feature_names"].__setitem__(0, "nope")), MODEL),
+    ("evaluate", ["features.npz", MODEL],
+     edit_doc(MODEL, lambda doc: doc["imputation"].update(spearman_mean="x")), MODEL),
+    ("generate", [], file_at_run_dir, ""),
+    ("train", [], directory_at("features.npz"), "features.npz"),
+    ("clean", [], directory_at("wifi.jsonl"), "wifi.jsonl"),
+], ids=["homes_missing", "home_without_user", "homes_number", "home_bssid_number",
+        "eval_without_train", "eval_without_featureset", "eval_test_list",
+        "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
+        "model_imputation_mean_text",
+        "generate_dir_is_a_file", "train_features_is_a_directory",
+        "clean_wifi_log_is_a_directory"])
+def test_known_reproductions_exit_3_with_one_line(tmp_path, workdir, capsys, stage, inputs,
+                                                  edit, named):
+    """Each malformed or unreadable input exits 3 with one data error line
+    naming the file, and the stage writes nothing."""
+    src, base = workdir
+    d = tmp_path / "run"
+    d.mkdir()
+    for name in inputs:
+        (d / name).write_bytes((src / name).read_bytes())
+    edit(d)
+    before = snapshot(tmp_path)
+    capsys.readouterr()
+    assert run([stage, "--dir", str(d)] + base[2:]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and err.count("\n") == 1, err
+    assert str(d / named) in err and "Traceback" not in err, err
+    assert snapshot(tmp_path) == before
+
+
 def edited_line(workdir, log, edit) -> str:
     """The text of log's last line with an RSSI, changed by edit."""
     lines = (workdir[0] / log).read_text().splitlines()

@@ -1,10 +1,13 @@
-"""Every name that a module of the package imports is used in that module.
+"""Every name that a module of the package imports is used in that module,
+and every top-level function and class of the package is named by code
+outside the tests.
 
 An import marked ``# noqa: F401`` is exempt: the three ``ThreadPoolExecutor``
 imports stay because the benchmark's tracer patches that name.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -12,6 +15,9 @@ import pytest
 import wifi_proximity
 
 MODULES = sorted(Path(wifi_proximity.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
+# the code outside the tests: the package, the scripts and the benchmark
+OUTSIDE_TESTS = MODULES + sorted(ROOT.glob("scripts/*.py")) + sorted(ROOT.glob("perfbench/*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,3 +53,47 @@ def test_an_unused_import_is_found():
               "from os import path, sep\nfrom sys import argv\n"
               "print(sep)\n__all__ = ['argv']\n")
     assert unused_imports(source) == ["json (line 1)", "path (line 3)"]
+
+
+def names_in(source: str) -> Counter:
+    """How often source names each identifier: as a name, an attribute, an
+    imported name, or a string that is the identifier, as the benchmark's
+    tracer names what it wraps. A definition does not name itself."""
+    counts: Counter = Counter()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            counts[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            counts[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            counts[node.name.split(".")[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            counts[node.value] += 1
+    return counts
+
+
+def unnamed_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
+    """The top-level functions and classes of the modules (name -> source)
+    that neither the modules nor the other sources name."""
+    named = sum((names_in(source) for source in [*modules.values(), *others]), Counter())
+    return [f"{module}.{node.name}" for module, source in modules.items()
+            for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and not named[node.name]]
+
+
+def test_every_definition_is_named_outside_the_tests():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in MODULES}
+    others = [path.read_text(encoding="utf-8") for path in OUTSIDE_TESTS
+              if path not in MODULES]
+    assert unnamed_definitions(modules, others) == []
+
+
+def test_an_unnamed_definition_is_found():
+    module = ("def used():\n    return helper()\n"
+              "def helper():\n    return 1\n"
+              "def traced():\n    pass\n"
+              "class Unused:\n    def method(self):\n        pass\n"
+              "def lonely():\n    pass\n")
+    other = "import m\nm.used()\nwrap(m, 'traced')\n"
+    assert unnamed_definitions({"m": module}, [other]) == ["m.Unused", "m.lonely"]

@@ -247,14 +247,16 @@ class TestPersistence:
         X, y = random_problem(13, n=120)
         for kind in ("gbt", "rf"):
             model = fit_model(kind, X, y, {"n_trees": 5, "max_depth": 3}, seed=4,
-                              feature_names=[f"f{i}" for i in range(5)],
-                              featureset_name="FULL",
+                              feature_names=FEATURE_NAMES[:5],
+                              featureset="FULL",
                               imputation=ImputationState(0.1, 0.2, 3, 4))
             p = tmp_path / f"{kind}.json"
             save_model(model, p, "hash1234", extra={"note": 1})
             loaded, doc = load_model(p)
             assert np.array_equal(predict(model, X), predict(loaded, X))
             assert loaded.kind == model.kind
+            assert loaded.featureset == "FULL"
+            assert loaded.feature_names == model.feature_names
             assert loaded.imputation == model.imputation
             assert loaded.hyperparameters == model.hyperparameters
             assert doc["config_hash"] == "hash1234" and doc["note"] == 1
@@ -274,13 +276,20 @@ class TestPersistence:
         {"imputation": {"spearman_mean": 0.1, "pearson_mean": 0.2, "n_missing_spearman": 3,
                         "n_missing_pearson": 4, "kendall_mean": 0.3}},
         {"imputation": [0.1, 0.2, 3, 4]},
+        {"hyperparameters": [1, 2]}, {"featureset": 5},
+        {"feature_names": ["nope"] + FEATURE_NAMES[1:5]},
+        {"imputation": {"spearman_mean": "x", "pearson_mean": 0.2, "n_missing_spearman": 3,
+                        "n_missing_pearson": 4}},
     ], ids=["no_trees", "unknown_kind", "no_base_score", "nan_base_score",
             "text_base_score", "imputation_missing_key", "imputation_unknown_key",
-            "imputation_list"])
+            "imputation_list", "hyperparameters_list", "featureset_number",
+            "unknown_feature_name", "imputation_mean_text"])
     def test_model_that_cannot_score_raises_dataerror(self, tmp_path, edit):
         X, y = random_problem(13, n=120)
         p = tmp_path / "gbt.json"
-        save_model(fit_model("gbt", X, y, {"n_trees": 2}), p, "h")
+        save_model(fit_model("gbt", X, y, {"n_trees": 2}, feature_names=FEATURE_NAMES[:5]),
+                   p, "h")
+        load_model(p)  # the unedited file loads
         doc = fileio.read_json(p, fileio.SCHEMA_MODEL)
         doc.update(edit)
         with open(p, "w") as fh:

@@ -28,10 +28,10 @@ from wifi_proximity.synthgen import (
     build_layout,
     calibrate_stats,
     generate,
-    load_ground_truth,
 )
 
 import synthgen_reference
+from synthgen_reference import load_ground_truth
 from conftest import TINY_WORLD_STATS, records_of, sightings_of
 
 

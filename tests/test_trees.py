@@ -1,7 +1,7 @@
 """Tree growing: split selection, leaf values, determinism."""
 
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -140,6 +140,9 @@ class TestTreeStructure:
         clone = Tree.from_dict(tree.as_dict())
         X_probe = np.linspace(-1, 6, 40).reshape(-1, 1)
         assert np.array_equal(tree.predict(X_probe), clone.predict(X_probe))
+        for f in fields(Tree):  # both carry the dtypes declared on the fields
+            dtype = np.dtype(f.metadata["dtype"])
+            assert getattr(tree, f.name).dtype == getattr(clone, f.name).dtype == dtype
 
     def test_predictions_piecewise_constant_partition(self):
         X, y = TestDeterminism().random_problem(4, n=200, d=3)
