@@ -118,16 +118,21 @@ def read_jsonl_header(path, expect_schema: str, expect_hash: str | None = None) 
     return header
 
 
+_JSON_SPACE = " \t\r\n"
+
+
 def iter_jsonl(path) -> Iterator[tuple[int, str]]:
     """Yield (line_no, line) for the data lines of a JSONL file.
 
     Line numbers are 1-based file positions; the header line is skipped.
     A byte that UTF-8 cannot decode spoils only its line: it comes as a
     lone surrogate, which no decoded text holds, and callers reject it.
+    Only JSON's whitespace is stripped from a line's ends, so a line that
+    json.loads rejects, such as one ending in a form feed, stays so.
     """
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
+            line = line.strip(_JSON_SPACE)
             if not line:
                 continue
             if line_no == 1 and '"schema"' in line:

@@ -3,15 +3,20 @@
 ``parse_wifi_log`` checks each WiFi log line and keeps the scans as
 integer codes in flat typed buffers, a ``WifiScans`` table; it builds no
 object per scan or per access point. Each distinct raw bssid string is
-checked and lower-cased once. The filter and the home detection count
-distinct keys on those codes, and ``WifiScans.lines`` encodes the scans
-as cleaned.jsonl rows. ``WifiScans`` is the one scan table: ``by_bssid``,
-``save`` and ``load`` give and check the bssid order of scans.npz, and
-``common`` finds the routers scan pairs share. ``parse_bluetooth_log``
-keeps the sightings the same way, as a ``BluetoothSightings`` table,
-which ``BluetoothSightings.lines`` encodes as bluetooth.jsonl rows. In
-both logs, a line that is not UTF-8, or that ``json.loads`` rejects, is
-malformed.
+checked and lower-cased once. The parsers read PARSE_BLOCK_LINES lines
+at a time: a block of lines in the form the ``lines()`` encoders write,
+each valid, is decoded in bulk, one check and decode per distinct user
+token and entry text; any other block is parsed line by line. The bulk
+path gives the per-line path's tables, skip counts and errors. The
+filter and the home detection count distinct keys on those codes, and
+``WifiScans.lines`` encodes the scans as cleaned.jsonl rows.
+``WifiScans`` is the one scan table: ``by_bssid``, ``save`` and ``load``
+give and check the bssid order of scans.npz, and ``common`` finds the
+routers scan pairs share. ``parse_bluetooth_log`` keeps the sightings
+the same way, as a ``BluetoothSightings`` table, which
+``BluetoothSightings.lines`` encodes as bluetooth.jsonl rows. In both
+logs, a line that is not UTF-8, or that ``json.loads`` rejects, is
+malformed; ``fileio.iter_jsonl`` strips only JSON's whitespace.
 
 Routers that broadcast five or more distinct network names over the whole
 input are treated as ambiguous (several physical devices sharing a MAC)
@@ -23,9 +28,13 @@ bins of their scan history.
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from functools import partial
+from itertools import islice, repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -263,6 +272,23 @@ def _ranges(starts: np.ndarray, lengths: np.ndarray):
 # Parsing
 # ---------------------------------------------------------------------------
 
+PARSE_BLOCK_LINES = 256  # lines a parser reads, checks and codes at a time
+
+# the written form: what WifiScans.lines and BluetoothSightings.lines give
+_STRING = r'"[^"\\]*(?:\\.[^"\\]*)*"'  # a JSON string token; json.loads checks its escapes
+_RSSI = r"0|-[1-9][0-9]{0,4}"
+_WIFI_ENTRY = re.compile(
+    rf'"bssid":"([0-9a-f]{{2}}(?::[0-9a-f]{{2}}){{5}})","ssid":({_STRING}),"rssi":({_RSSI})')
+_BT_ENTRY = re.compile(rf'(?:"peer":({_STRING}),)?"rssi":({_RSSI})')
+
+
+def _written_head(key: str) -> re.Pattern:
+    """A written line: its user token, its ts (under 13 digits, so an int64)
+    and the text of its ``key`` list between the brackets, "" or "{…}"."""
+    return re.compile(rf'\{{"user":({_STRING}),"ts":(0|[1-9][0-9]{{0,11}}),'
+                      rf'"{key}":\[((?:\{{.*\}})?)\]\}}', re.DOTALL)
+
+
 _scan_once = json.decoder.JSONDecoder().scan_once
 
 
@@ -292,6 +318,219 @@ def _load(line: str, line_no):
         raise MalformedRecordError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
 
 
+def _blocks(lines):
+    """The (line_no, text) pairs of lines, PARSE_BLOCK_LINES to a list."""
+    lines = iter(lines)
+    while block := list(islice(lines, PARSE_BLOCK_LINES)):
+        yield block
+
+
+def _extend(out: array, values: np.ndarray) -> None:
+    """Append values to out, cast to its type (a numpy dtype code too)."""
+    out.frombytes(values.astype(out.typecode).tobytes())
+
+
+def _json_string(token: str) -> str | None:
+    """The string a JSON string token holds, None if json.loads rejects it."""
+    if "\\" not in token and token.isprintable():
+        return token[1:-1]  # no escape and no control character
+    try:
+        return json.loads(token)
+    except ValueError:
+        return None
+
+
+def _checked_id(token: str, what: str) -> str | None:
+    """The id a JSON string token holds, None if check_id rejects it."""
+    name = _json_string(token)
+    try:
+        check_id(name, what)
+    except MalformedRecordError:
+        return None
+    return name
+
+
+class _Interned:
+    """Distinct strings the bulk path has decoded, numbered in the order
+    first decoded. ``codes`` holds each one's code in the parse's table,
+    or -1 while no accepted line has used it."""
+
+    def __init__(self):
+        self.ids: dict[str, int] = {}
+        self.values: list[str] = []
+        self.codes = np.empty(0, dtype=np.int32)
+
+    def id(self, value: str) -> int:
+        i = self.ids.get(value)
+        if i is None:
+            i = self.ids[value] = len(self.values)
+            self.values.append(value)
+        return i
+
+    def code(self, ids: np.ndarray, table: dict) -> np.ndarray:
+        """The int32 codes of ids in table. A string new to table gets the
+        next code there, in the order ids first hold it: the order in
+        which the per-line path would meet it."""
+        if len(self.codes) < len(self.values):  # grown to twice the need
+            codes = np.full(2 * len(self.values), -1, dtype=np.int32)
+            codes[:len(self.codes)] = self.codes
+            self.codes = codes
+        new = ids[self.codes[ids] < 0]
+        if len(new):
+            new, first = np.unique(new, return_index=True)
+            for i in new[np.argsort(first)].tolist():
+                self.codes[i] = table.setdefault(self.values[i], len(table))
+        return self.codes[ids]
+
+
+class _Decoded:
+    """Distinct texts of one kind in written lines, each decoded and
+    checked once by ``decode``: a tuple of ``width`` integers, or None
+    where the per-line path would reject the line that holds the text.
+    Rejections are cached too."""
+
+    def __init__(self, decode, width: int):
+        self.decode = decode
+        self.row: dict[str, int] = {}  # text -> its row of fields, -1 if rejected
+        self.fields = np.empty((0, width), dtype=np.int64)  # rows past n are room
+        self.n = 0
+
+    def __call__(self, texts) -> np.ndarray | None:
+        """The fields of each text, a row per text; None if one is rejected."""
+        try:
+            rows = np.fromiter(map(self.row.__getitem__, texts), np.int64, len(texts))
+        except KeyError:  # a text not seen before
+            decoded = []
+            for text in dict.fromkeys(texts):
+                if text not in self.row:
+                    fields = self.decode(text)
+                    self.row[text] = -1 if fields is None else self.n + len(decoded)
+                    if fields is not None:
+                        decoded.append(fields)
+            self._append(decoded)
+            rows = np.fromiter(map(self.row.__getitem__, texts), np.int64, len(texts))
+        if len(rows) and rows.min() < 0:
+            return None
+        return self.fields[rows]
+
+    def _append(self, decoded: list) -> None:
+        n, end = self.n, self.n + len(decoded)
+        if end > len(self.fields):  # grown to twice the need
+            fields = np.empty((2 * end, self.fields.shape[1]), dtype=np.int64)
+            fields[:n] = self.fields[:n]
+            self.fields = fields
+        if decoded:
+            self.fields[n:end] = decoded
+        self.n = end
+
+
+def _user_fields(names: _Interned, token: str):
+    name = _checked_id(token, "user")
+    return None if name is None else (names.id(name),)
+
+
+def _ap_fields(bssids: _Interned, ssids: _Interned, text: str):
+    """bssid id, ssid id, rssi. Written bssids are lower case."""
+    match = _WIFI_ENTRY.fullmatch(text)
+    if match is None:
+        return None
+    bssid, ssid, rssi = match.groups()
+    ssid, rssi = _json_string(ssid), int(rssi)
+    if ssid is None or rssi < RSSI_MIN:
+        return None
+    return bssids.id(bssid), ssids.id(ssid), rssi
+
+
+def _sighting_fields(names: _Interned, text: str):
+    """The peer's name id (-1 for an outside device), rssi."""
+    match = _BT_ENTRY.fullmatch(text)
+    if match is None:
+        return None
+    token, rssi = match.groups()
+    rssi = int(rssi)
+    if rssi < RSSI_MIN:
+        return None
+    if token is None:
+        return -1, rssi
+    peer = _checked_id(token, "peer")
+    return None if peer is None else (names.id(peer), rssi)
+
+
+class _Written:
+    """The bulk path of a log parser, for blocks of written lines: the
+    form ``lines()`` gives, with fields the per-line path accepts. It
+    decodes each distinct user token and entry text once, and assigns no
+    code until the parser accepts the whole block. A subclass sets
+    ``entries``; no cache refers back to the reader, so dropping the
+    reader frees them all."""
+
+    head: re.Pattern  # the written line, as _written_head gives it
+    entries: _Decoded
+
+    def __init__(self):
+        self.names = _Interned()
+        self.users = _Decoded(partial(_user_fields, self.names), 1)
+
+    def read(self, block):
+        """(user name ids, ts, entry counts, entry fields) of the lines of
+        block, or None unless every line is written and accepted."""
+        if self.head.fullmatch(block[0][1]) is None:
+            return None  # a log of another form pays one match per block
+        texts = list(map(itemgetter(1), block))
+        # written text is ASCII; other text may hold a lone surrogate
+        if not all(map(str.isascii, texts)):
+            return None
+        heads = list(map(self.head.fullmatch, texts))
+        if None in heads:
+            return None
+        tokens, times, lists = zip(*map(re.Match.groups, heads))
+        users = self.users(tokens)
+        if users is None:
+            return None
+        ts = np.array(list(map(int, times)), dtype=np.int64)
+        if ts.max() >= TS_END:
+            return None
+        n = len(lists)
+        counts = (np.fromiter(map(str.count, lists, repeat("},{")), np.int64, n)
+                  + (np.fromiter(map(len, lists), np.int64, n) > 0))
+        # joined with ",", the "{…}" lists hold "},{" between them and
+        # nowhere else new, as "," lies only in the middle of a "},{"
+        joined = ",".join(filter(None, lists))
+        entries = self.entries(joined[1:-1].split("},{") if joined else [])
+        if entries is None:
+            return None
+        return users[:, 0], ts, counts, entries
+
+
+class _WrittenWifi(_Written):
+    head = _written_head("aps")
+
+    def __init__(self):
+        super().__init__()
+        self.bssids, self.ssids = _Interned(), _Interned()
+        self.entries = _Decoded(partial(_ap_fields, self.bssids, self.ssids), 3)
+
+    def read(self, block):
+        """As _Written.read; None also if a line repeats a bssid, whose
+        strongest entry the per-line path keeps."""
+        read = super().read(block)
+        if read is not None and len(read[3]) > 1:
+            counts, aps = read[2], read[3]
+            rows = np.repeat(np.arange(len(counts)), counts)
+            line_bssid = np.sort(rows * len(self.bssids.values) + aps[:, 0])
+            if (line_bssid[1:] == line_bssid[:-1]).any():
+                return None
+        return read
+
+
+class _WrittenBluetooth(_Written):
+    head = _written_head("seen")
+
+    def __init__(self):
+        super().__init__()
+        self.entries = _Decoded(partial(_sighting_fields, self.names), 2)
+
+
 def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     """Parse WiFi JSONL lines into a WifiScans table.
 
@@ -304,6 +543,15 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     mode the first one aborts the parse. Of the APs of one line that
     share a bssid, one entry is kept, at the first one's place: the
     strongest, the first of equals.
+
+    The lines are read PARSE_BLOCK_LINES at a time. A block whose every
+    line is valid and in the form WifiScans.lines writes, with no bssid
+    repeated within a line, takes the bulk path: one regex match per
+    line, one split for all entry texts, one check and decode per
+    distinct user token and entry text, and numpy for the codes. Any
+    other block is parsed line by line. Codes are assigned only to a
+    whole accepted block, in line order, so either path gives the same
+    table, skip count and first strict error.
     """
     users: dict[str, int] = {}
     raw_bssids: dict[str, int] = {}  # raw string -> code of its lower-case form
@@ -312,56 +560,69 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     user, ts, counts = array("i"), array("q"), array("q")
     bssid, ssid, rssi = array("i"), array("i"), array("h")
     skipped = 0
-    for line_no, line in lines:
-        start = len(bssid)
-        try:
-            obj = _load(line, line_no)
-            if type(obj) is not dict:
-                raise MalformedRecordError("line is not a JSON object", line_no)
-            aps = obj.get("aps")
-            if type(aps) is not list:
-                raise MalformedRecordError("missing aps list", line_no)
-            name = obj.get("user")
-            code = users.get(name) if type(name) is str else None
-            if code is None:
-                check_id(name, "user", line_no)
-            t = obj.get("ts")
-            if type(t) is not int:
-                raise MalformedRecordError("missing or non-integer ts", line_no)
-            if not 0 <= t < TS_END:
-                raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
-            for raw in aps:
-                try:
-                    b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
-                except (TypeError, KeyError) as exc:
-                    raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
-                bc = raw_bssids.get(b) if type(b) is str else None
-                if bc is None:
-                    bc = _bssid_code(b, raw_bssids, bssids, line_no)
-                if type(s) is not str:
-                    raise MalformedRecordError("ssid is not a string", line_no)
-                sc = ssids.get(s)
-                if sc is None:
-                    sc = ssids[s] = len(ssids)
-                if type(r) is not int or not RSSI_MIN <= r <= 0:
-                    raise _bad_rssi(r, line_no)
-                bssid.append(bc)
-                ssid.append(sc)
-                rssi.append(r)
-            n = len(bssid) - start
-            if n > 1 and len(set(bssid[start:])) < n:
-                _keep_strongest(bssid, ssid, rssi, start)
-        except MalformedRecordError:
-            del bssid[start:], ssid[start:], rssi[start:]
-            if strict:
-                raise
-            skipped += 1
+    written = _WrittenWifi()
+    for block in _blocks(lines):
+        read = written.read(block)
+        if read is not None:
+            names, times, n_aps, aps = read
+            _extend(user, written.names.code(names, users))
+            _extend(ts, times)
+            _extend(counts, n_aps)
+            _extend(bssid, written.bssids.code(aps[:, 0], bssids))
+            _extend(ssid, written.ssids.code(aps[:, 1], ssids))
+            _extend(rssi, aps[:, 2])
             continue
-        if code is None:
-            code = users[name] = len(users)
-        user.append(code)
-        ts.append(t)
-        counts.append(len(bssid) - start)
+        for line_no, line in block:
+            start = len(bssid)
+            try:
+                obj = _load(line, line_no)
+                if type(obj) is not dict:
+                    raise MalformedRecordError("line is not a JSON object", line_no)
+                aps = obj.get("aps")
+                if type(aps) is not list:
+                    raise MalformedRecordError("missing aps list", line_no)
+                name = obj.get("user")
+                code = users.get(name) if type(name) is str else None
+                if code is None:
+                    check_id(name, "user", line_no)
+                t = obj.get("ts")
+                if type(t) is not int:
+                    raise MalformedRecordError("missing or non-integer ts", line_no)
+                if not 0 <= t < TS_END:
+                    raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
+                for raw in aps:
+                    try:
+                        b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
+                    except (TypeError, KeyError) as exc:
+                        raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
+                    bc = raw_bssids.get(b) if type(b) is str else None
+                    if bc is None:
+                        bc = _bssid_code(b, raw_bssids, bssids, line_no)
+                    if type(s) is not str:
+                        raise MalformedRecordError("ssid is not a string", line_no)
+                    sc = ssids.get(s)
+                    if sc is None:
+                        sc = ssids[s] = len(ssids)
+                    if type(r) is not int or not RSSI_MIN <= r <= 0:
+                        raise _bad_rssi(r, line_no)
+                    bssid.append(bc)
+                    ssid.append(sc)
+                    rssi.append(r)
+                n = len(bssid) - start
+                if n > 1 and len(set(bssid[start:])) < n:
+                    _keep_strongest(bssid, ssid, rssi, start)
+            except MalformedRecordError:
+                del bssid[start:], ssid[start:], rssi[start:]
+                if strict:
+                    raise
+                skipped += 1
+                continue
+            if code is None:
+                code = users[name] = len(users)
+            user.append(code)
+            ts.append(t)
+            counts.append(len(bssid) - start)
+    del written  # its caches, before the columns are copied out
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(np.array(counts, dtype=np.int64), out=offsets[1:])
     scans = WifiScans(
@@ -412,42 +673,67 @@ def parse_bluetooth_log(lines, strict: bool = False) -> ParseResult:
     BluetoothSightings table. A line is malformed unless it is a JSON
     object with a valid user id, an integer ts in [0, TS_END) and a seen
     list of objects, each with an integer rssi in [RSSI_MIN, 0] and at
-    most one of a valid peer id and a mac."""
+    most one of a valid peer id and a mac.
+
+    Blocks of lines in the form BluetoothSightings.lines writes take the
+    bulk path, as in parse_wifi_log, with one decode per distinct
+    ``{"peer":…,"rssi":…}`` or ``{"rssi":…}`` entry text. Each accepted
+    line's user takes its code before the line's peers, as line by line.
+    """
     users: dict[str, int] = {}
     user, peer, ts, rssi = array("i"), array("i"), array("q"), array("h")
     skipped = 0
-    for line_no, line in lines:
-        start = len(ts)
-        try:
-            obj = _load(line, line_no)
-            if type(obj) is not dict:
-                raise MalformedRecordError("line is not a JSON object", line_no)
-            name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
-            check_id(name, "user", line_no)
-            code = users.setdefault(name, len(users))
-            if type(t) is not int or not 0 <= t < TS_END:
-                raise MalformedRecordError("missing or invalid ts", line_no)
-            if type(seen) is not list:
-                raise MalformedRecordError("missing seen list", line_no)
-            for entry in seen:
-                if type(entry) is not dict:
-                    raise MalformedRecordError("seen entry is not an object", line_no)
-                p, r = entry.get("peer"), entry.get("rssi")
-                if p is not None and entry.get("mac") is not None:
-                    raise MalformedRecordError("both peer and mac set", line_no)
-                if p is not None:
-                    check_id(p, "peer", line_no)
-                if type(r) is not int or not RSSI_MIN <= r <= 0:
-                    raise MalformedRecordError("missing or out-of-range rssi", line_no)
-                user.append(code)
-                peer.append(-1 if p is None else users.setdefault(p, len(users)))
-                ts.append(t)
-                rssi.append(r)
-        except MalformedRecordError:
-            del user[start:], peer[start:], ts[start:], rssi[start:]
-            if strict:
-                raise
-            skipped += 1
+    written = _WrittenBluetooth()
+    for block in _blocks(lines):
+        read = written.read(block)
+        if read is not None:
+            names, times, n_seen, seen = read
+            rows = np.repeat(np.arange(len(names)), n_seen)
+            # name ids in the order the per-line path meets them: each
+            # line's user, then the line's peers
+            met = np.empty(len(names) + len(seen), dtype=np.int64)
+            met[np.arange(len(names)) + np.cumsum(n_seen) - n_seen] = names
+            met[np.arange(len(seen)) + rows + 1] = seen[:, 0]
+            written.names.code(met[met >= 0], users)
+            codes = written.names.codes
+            _extend(user, codes[names][rows])
+            _extend(peer, np.where(seen[:, 0] >= 0, codes[seen[:, 0]], -1))
+            _extend(ts, times[rows])
+            _extend(rssi, seen[:, 1])
+            continue
+        for line_no, line in block:
+            start = len(ts)
+            try:
+                obj = _load(line, line_no)
+                if type(obj) is not dict:
+                    raise MalformedRecordError("line is not a JSON object", line_no)
+                name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
+                check_id(name, "user", line_no)
+                code = users.setdefault(name, len(users))
+                if type(t) is not int or not 0 <= t < TS_END:
+                    raise MalformedRecordError("missing or invalid ts", line_no)
+                if type(seen) is not list:
+                    raise MalformedRecordError("missing seen list", line_no)
+                for entry in seen:
+                    if type(entry) is not dict:
+                        raise MalformedRecordError("seen entry is not an object", line_no)
+                    p, r = entry.get("peer"), entry.get("rssi")
+                    if p is not None and entry.get("mac") is not None:
+                        raise MalformedRecordError("both peer and mac set", line_no)
+                    if p is not None:
+                        check_id(p, "peer", line_no)
+                    if type(r) is not int or not RSSI_MIN <= r <= 0:
+                        raise MalformedRecordError("missing or out-of-range rssi", line_no)
+                    user.append(code)
+                    peer.append(-1 if p is None else users.setdefault(p, len(users)))
+                    ts.append(t)
+                    rssi.append(r)
+            except MalformedRecordError:
+                del user[start:], peer[start:], ts[start:], rssi[start:]
+                if strict:
+                    raise
+                skipped += 1
+    del written
     return ParseResult(BluetoothSightings(
         list(users), np.array(user, dtype=np.int32), np.array(peer, dtype=np.int32),
         np.array(ts, dtype=np.int64), np.array(rssi, dtype=np.int16)), skipped)

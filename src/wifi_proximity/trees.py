@@ -237,6 +237,11 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
     if len(root) == 0:
         raise ValueError("cannot grow a tree on zero rows")
 
+    def gather(a: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        # a node of all n rows (a root without zero weights) holds them in
+        # order, so the array itself stands for the gathered copy
+        return a if len(rows) == n else a.take(rows)
+
     # one [feature, threshold, left, right, value, n_samples, gain] entry
     # per node, in pre-order; a child's index goes into its parent's slot
     nodes: list[list] = []
@@ -246,16 +251,16 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
         node = len(nodes)
         if parent is not None:
             parent[slot] = node
-        w_node = weight.take(rows)
+        w_node = gather(weight, rows)
         n_node = int(w_node.sum())
         entry = [_LEAF, 0.0, _LEAF, _LEAF, 0.0, n_node, 0.0]
         nodes.append(entry)
-        t_node = wy.take(rows)
+        t_node = gather(wy, rows)
         s = float(t_node.sum())
 
         # on 0/1 targets the SSE test is the test that both classes are present
         splittable = (max_depth is None or depth < max_depth) and (
-            float(t_node @ y.take(rows)) - s * s / n_node > _PURE_SSE)
+            float(t_node @ gather(y, rows)) - s * s / n_node > _PURE_SSE)
 
         best = None  # (gain, feature, threshold, code)
         if splittable:
@@ -264,7 +269,7 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
             else:
                 feats = range(d)
             for j in feats:
-                col = codes[:, j].take(rows)
+                col = gather(codes[:, j], rows)
                 vals = values[j]
                 local = None
                 if 4 * len(rows) < len(vals):
@@ -280,7 +285,7 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
                     best = (res[0], j, res[1], code)
 
         if best is None:
-            den = n_node if hess is None else max(float(hess.take(rows).sum()), _MIN_HESSIAN)
+            den = n_node if hess is None else max(float(gather(hess, rows).sum()), _MIN_HESSIAN)
             entry[4] = s / den
             if leaves is not None:
                 leaves.append((node, rows))
@@ -288,7 +293,7 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
 
         gain, j_star, thr, code = best
         entry[0], entry[1], entry[6] = j_star, thr, gain
-        go_left = codes[:, j_star].take(rows) <= code
+        go_left = gather(codes[:, j_star], rows) <= code
         # push right first so the left subtree is built first
         stack.append((entry, 3, depth + 1, rows.compress(~go_left)))
         stack.append((entry, 2, depth + 1, rows.compress(go_left)))

@@ -12,12 +12,16 @@ rejects with JSONDecodeError: a line that is not valid UTF-8, which
 `fileio.iter_jsonl` hands over with lone surrogates, and the lines on
 which `json.loads` raises a plain ValueError (an integer too long to
 convert) or RecursionError (nesting too deep).
+
+`parse_wifi_lines` and `parse_bluetooth_lines` are the columnar parsers
+as they were before they read their lines in blocks.
 """
 
 from __future__ import annotations
 
 import json
 import sys
+from array import array
 from dataclasses import asdict
 from operator import attrgetter
 from pathlib import Path
@@ -25,7 +29,13 @@ from pathlib import Path
 import numpy as np
 
 from wifi_proximity import fileio
-from wifi_proximity.ingest import CleaningReport, ParseResult, month_key
+from wifi_proximity.ingest import (
+    BluetoothSightings,
+    CleaningReport,
+    ParseResult,
+    WifiScans,
+    month_key,
+)
 from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.records import (
     BSSID_RE,
@@ -116,6 +126,204 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
                 raise
             skipped += 1
     return ParseResult(records, skipped)
+
+
+# ---------------------------------------------------------------------------
+# The per-line columnar parsers
+# ---------------------------------------------------------------------------
+# `ingest.parse_wifi_log` and `parse_bluetooth_log` as they were before
+# they read their lines in blocks, verbatim but for their names: every
+# line is decoded and checked on its own. The block parsers must give
+# the same tables, skip counts and strict-mode errors.
+
+_scan_once = json.decoder.JSONDecoder().scan_once
+
+
+def _load(line: str, line_no):
+    """The JSON value of a log line. Malformed: bytes UTF-8 cannot decode (lone
+    surrogates, see fileio.iter_jsonl), and all json.loads rejects, by
+    JSONDecodeError, ValueError (too many digits) or RecursionError.
+
+    An ASCII line is first decoded by the scanner behind json.loads, whose
+    value is json.loads' when it spans the whole line; every other line,
+    and every error, takes json.loads itself.
+    """
+    if line.isascii():
+        try:
+            obj, end = _scan_once(line, 0)
+        except (StopIteration, ValueError, RecursionError):
+            end = -1
+        if end == len(line):
+            return obj
+    try:
+        if not line.isascii():
+            line.encode("utf-8")
+        return json.loads(line)
+    except UnicodeEncodeError:
+        raise MalformedRecordError("line is not valid UTF-8", line_no)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
+        raise MalformedRecordError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
+
+
+def parse_wifi_lines(lines, strict: bool = False) -> ParseResult:
+    """Parse WiFi JSONL lines into a WifiScans table.
+
+    ``lines`` is an iterable of (line_no, text) pairs, e.g. from
+    ``fileio.iter_jsonl``. A line is malformed unless it is a JSON object
+    with a valid user id (see ``check_id``), an integer ts in [0, TS_END)
+    and an aps list whose entries each hold a bssid of six colon-separated
+    hex bytes in either case, a string ssid and an integer rssi in
+    [RSSI_MIN, 0]. Malformed lines are counted and skipped; in strict
+    mode the first one aborts the parse. Of the APs of one line that
+    share a bssid, one entry is kept, at the first one's place: the
+    strongest, the first of equals.
+    """
+    users: dict[str, int] = {}
+    raw_bssids: dict[str, int] = {}  # raw string -> code of its lower-case form
+    bssids: dict[str, int] = {}
+    ssids: dict[str, int] = {}
+    user, ts, counts = array("i"), array("q"), array("q")
+    bssid, ssid, rssi = array("i"), array("i"), array("h")
+    skipped = 0
+    for line_no, line in lines:
+        start = len(bssid)
+        try:
+            obj = _load(line, line_no)
+            if type(obj) is not dict:
+                raise MalformedRecordError("line is not a JSON object", line_no)
+            aps = obj.get("aps")
+            if type(aps) is not list:
+                raise MalformedRecordError("missing aps list", line_no)
+            name = obj.get("user")
+            code = users.get(name) if type(name) is str else None
+            if code is None:
+                check_id(name, "user", line_no)
+            t = obj.get("ts")
+            if type(t) is not int:
+                raise MalformedRecordError("missing or non-integer ts", line_no)
+            if not 0 <= t < TS_END:
+                raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
+            for raw in aps:
+                try:
+                    b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
+                except (TypeError, KeyError) as exc:
+                    raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
+                bc = raw_bssids.get(b) if type(b) is str else None
+                if bc is None:
+                    bc = _bssid_code(b, raw_bssids, bssids, line_no)
+                if type(s) is not str:
+                    raise MalformedRecordError("ssid is not a string", line_no)
+                sc = ssids.get(s)
+                if sc is None:
+                    sc = ssids[s] = len(ssids)
+                if type(r) is not int or not RSSI_MIN <= r <= 0:
+                    raise _bad_rssi(r, line_no)
+                bssid.append(bc)
+                ssid.append(sc)
+                rssi.append(r)
+            n = len(bssid) - start
+            if n > 1 and len(set(bssid[start:])) < n:
+                _keep_strongest(bssid, ssid, rssi, start)
+        except MalformedRecordError:
+            del bssid[start:], ssid[start:], rssi[start:]
+            if strict:
+                raise
+            skipped += 1
+            continue
+        if code is None:
+            code = users[name] = len(users)
+        user.append(code)
+        ts.append(t)
+        counts.append(len(bssid) - start)
+    offsets = np.zeros(len(counts) + 1, dtype=np.int64)
+    np.cumsum(np.array(counts, dtype=np.int64), out=offsets[1:])
+    scans = WifiScans(
+        users=list(users), user=np.array(user, dtype=np.int32),
+        ts=np.array(ts, dtype=np.int64), offsets=offsets,
+        bssids=list(bssids), bssid=np.array(bssid, dtype=np.int32),
+        ssids=list(ssids), ssid=np.array(ssid, dtype=np.int32),
+        rssi=np.array(rssi, dtype=np.int16),
+    )
+    return ParseResult(scans, skipped)
+
+
+def _bssid_code(raw, raw_bssids: dict, bssids: dict, line_no) -> int:
+    """Check a raw bssid not seen before and return its code."""
+    if not isinstance(raw, str):
+        raise MalformedRecordError("bssid is not a string", line_no)
+    bssid = raw.lower()
+    if not BSSID_RE.match(bssid):
+        raise MalformedRecordError(f"bad bssid {bssid!r}", line_no)
+    code = raw_bssids[raw] = bssids.setdefault(bssid, len(bssids))
+    return code
+
+
+def _bad_rssi(rssi, line_no) -> MalformedRecordError:
+    if isinstance(rssi, bool) or not isinstance(rssi, int):
+        return MalformedRecordError("rssi is not an integer", line_no)
+    if rssi > 0:
+        return MalformedRecordError(f"positive rssi {rssi}", line_no)
+    return MalformedRecordError(f"rssi {rssi} below {RSSI_MIN}", line_no)
+
+
+def _keep_strongest(bssid: array, ssid: array, rssi: array, start: int) -> None:
+    """Collapse the entries from start on to one per bssid, in place."""
+    best: dict[int, tuple[int, int]] = {}
+    for b, s, r in zip(bssid[start:], ssid[start:], rssi[start:]):
+        kept = best.get(b)
+        if kept is None or r > kept[1]:
+            best[b] = (s, r)
+    del bssid[start:], ssid[start:], rssi[start:]
+    for b, (s, r) in best.items():
+        bssid.append(b)
+        ssid.append(s)
+        rssi.append(r)
+
+
+def parse_bluetooth_lines(lines, strict: bool = False) -> ParseResult:
+    """Parse Bluetooth JSONL lines, taken as by parse_wifi_log, into a
+    BluetoothSightings table. A line is malformed unless it is a JSON
+    object with a valid user id, an integer ts in [0, TS_END) and a seen
+    list of objects, each with an integer rssi in [RSSI_MIN, 0] and at
+    most one of a valid peer id and a mac."""
+    users: dict[str, int] = {}
+    user, peer, ts, rssi = array("i"), array("i"), array("q"), array("h")
+    skipped = 0
+    for line_no, line in lines:
+        start = len(ts)
+        try:
+            obj = _load(line, line_no)
+            if type(obj) is not dict:
+                raise MalformedRecordError("line is not a JSON object", line_no)
+            name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
+            check_id(name, "user", line_no)
+            code = users.setdefault(name, len(users))
+            if type(t) is not int or not 0 <= t < TS_END:
+                raise MalformedRecordError("missing or invalid ts", line_no)
+            if type(seen) is not list:
+                raise MalformedRecordError("missing seen list", line_no)
+            for entry in seen:
+                if type(entry) is not dict:
+                    raise MalformedRecordError("seen entry is not an object", line_no)
+                p, r = entry.get("peer"), entry.get("rssi")
+                if p is not None and entry.get("mac") is not None:
+                    raise MalformedRecordError("both peer and mac set", line_no)
+                if p is not None:
+                    check_id(p, "peer", line_no)
+                if type(r) is not int or not RSSI_MIN <= r <= 0:
+                    raise MalformedRecordError("missing or out-of-range rssi", line_no)
+                user.append(code)
+                peer.append(-1 if p is None else users.setdefault(p, len(users)))
+                ts.append(t)
+                rssi.append(r)
+        except MalformedRecordError:
+            del user[start:], peer[start:], ts[start:], rssi[start:]
+            if strict:
+                raise
+            skipped += 1
+    return ParseResult(BluetoothSightings(
+        list(users), np.array(user, dtype=np.int32), np.array(peer, dtype=np.int32),
+        np.array(ts, dtype=np.int64), np.array(rssi, dtype=np.int16)), skipped)
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,8 @@ import pytest
 
 from wifi_proximity import fileio
 from wifi_proximity.fileio import DataError
+from wifi_proximity.ingest import parse_bluetooth_log, parse_wifi_log
+from wifi_proximity.records import MalformedRecordError
 
 
 class TestConfigHash:
@@ -47,6 +49,33 @@ class TestJsonl:
     def test_missing_file_raises_dataerror(self, tmp_path):
         with pytest.raises(DataError, match="missing input file"):
             fileio.read_jsonl_header(tmp_path / "nope.jsonl", fileio.SCHEMA_WIFI)
+
+    @pytest.mark.parametrize("log", ["wifi", "bluetooth"])
+    @pytest.mark.parametrize("char", ["\x0b", "\x0c", "\x1f", "\x85", "\xa0", "\u2028"],
+                             ids=["vt", "ff", "us", "nel", "nbsp", "line_sep"])
+    def test_a_line_ending_in_other_whitespace_is_malformed(self, tmp_path, log, char):
+        """str.strip() would remove these characters, json.loads rejects them."""
+        parse, line = self.logs[log]
+        p = tmp_path / "log.jsonl"
+        p.write_text(self.header + line + char + "\n" + line + "\n", encoding="utf-8")
+        assert [text for _, text in fileio.iter_jsonl(p)] == [line + char, line]
+        assert parse(fileio.iter_jsonl(p)).skipped == 1
+        with pytest.raises(MalformedRecordError, match=r"line 2\).*invalid JSON"):
+            parse(fileio.iter_jsonl(p), strict=True)
+
+    @pytest.mark.parametrize("log", ["wifi", "bluetooth"])
+    def test_json_whitespace_around_a_line_is_stripped(self, tmp_path, log):
+        parse, line = self.logs[log]
+        p = tmp_path / "log.jsonl"
+        p.write_bytes((self.header + f" {line}\t\r\n\t{line} \r\n \t\r\n{line}\n").encode())
+        assert [text for _, text in fileio.iter_jsonl(p)] == [line] * 3
+        result = parse(fileio.iter_jsonl(p), strict=True)
+        assert len(result.records) == 3 and result.skipped == 0
+
+    header = json.dumps({"schema": "s", "config_hash": "h"}) + "\n"
+    logs = {"wifi": (parse_wifi_log, '{"user":"u1","ts":5,"aps":[]}'),
+            "bluetooth": (parse_bluetooth_log,
+                          '{"user":"u1","ts":5,"seen":[{"peer":"u2","rssi":-1}]}')}
 
     def test_headerless_file_raises(self, tmp_path):
         p = tmp_path / "rows.jsonl"
