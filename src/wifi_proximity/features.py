@@ -10,11 +10,18 @@ one side reads every signal at the same level, and are dropped when not
 statistically significant; such values stay missing until mean
 imputation, whose means come from training data only.
 
+A router's popularity at an interaction is the number of distinct users
+who scanned it within ``popularity_window_s`` (``delta_t_s`` in the
+pipeline) of the interaction time, window ends included.
+
 ``extract_feature_matrix`` computes all 16 for every candidate at once,
 with whole-array kernels over an ``ingest.WifiScans`` table in bssid
 order, the table ``clean`` saves as scans.npz; ``featurize`` uses it.
-The per-pair functions (``extract_features`` and its parts) are the
-reference it matches bit for bit.
+It counts popularity as the number of sightings that are their user's
+first in the window, with two binary searches per distinct (router,
+time) query (``_WindowPopularity``). The per-pair functions
+(``extract_features`` and its parts) are the reference it matches bit
+for bit.
 """
 
 from __future__ import annotations
@@ -27,8 +34,8 @@ from scipy.special import stdtr
 
 from . import fileio
 from .fileio import DataError
-from .ingest import WifiScans, _ranges, month_codes, month_key
-from .records import CandidatePair, OverlapView, WifiScanRecord, intersect
+from .ingest import WifiScans, month_codes, month_key
+from .records import RSSI_MIN, CandidatePair, OverlapView, WifiScanRecord, intersect
 
 FEATURE_NAMES = [
     "overlap",
@@ -355,8 +362,13 @@ _BLOCK_PAIRS = 2048
 
 
 def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """_average_ranks within each owner's entries; ties share the mean rank."""
-    order = np.lexsort((values, owner))
+    """_average_ranks within each owner's entries; ties share the mean rank.
+
+    The values are RSSIs, int16 widened to int64, so value - RSSI_MIN
+    lies in [0, 2**16) and one sort of owner * 2**16 + that orders the
+    entries by (owner, value).
+    """
+    order = np.argsort(owner * 2 ** 16 + (values - RSSI_MIN), kind="stable")
     so, sv = owner[order], values[order]
     new_owner = np.ones(len(order), dtype=bool)
     new_owner[1:] = so[1:] != so[:-1]
@@ -392,8 +404,9 @@ def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.where(denom == 0.0, np.nan, r)
 
 
-def _significant_rows(r: np.ndarray, n: int, alpha: float) -> np.ndarray:
-    """r where _two_sided_p says it is significant at alpha, else NaN."""
+def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
+    """r where _two_sided_p says it is significant at alpha, else NaN; n,
+    each pair's overlap size, broadcasts against r."""
     df = n - 2
     q = 1.0 - r * r
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -404,8 +417,7 @@ def _significant_rows(r: np.ndarray, n: int, alpha: float) -> np.ndarray:
 
 def _correlation_columns(cp, ra, rb, overlap, alpha):
     """(spearman, pearson) per pair, NaN where rssi_correlations gives None."""
-    spearman = np.full(len(overlap), np.nan)
-    pearson = np.full(len(overlap), np.nan)
+    r = np.full((2, len(overlap)), np.nan)  # spearman, pearson
     rank_a = _average_ranks_by_owner(cp, ra)
     rank_b = _average_ranks_by_owner(cp, rb)
     starts = np.cumsum(overlap) - overlap
@@ -415,45 +427,74 @@ def _correlation_columns(cp, ra, rb, overlap, alpha):
         a, b = ra[idx].astype(float), rb[idx].astype(float)
         varied = (a.min(axis=1) != a.max(axis=1)) & (b.min(axis=1) != b.max(axis=1))
         pairs, idx = pairs[varied], idx[varied]
-        pearson[pairs] = _significant_rows(
-            _pearson_rows(a[varied], b[varied]), n, alpha)
-        spearman[pairs] = _significant_rows(
-            _pearson_rows(rank_a[idx], rank_b[idx]), n, alpha)
-    return spearman, pearson
+        r[0, pairs] = _pearson_rows(rank_a[idx], rank_b[idx])
+        r[1, pairs] = _pearson_rows(a[varied], b[varied])
+    return _significant_rows(r, overlap, alpha)
 
 
-class _WindowUsers:
+class _WindowPopularity:
     """PopularityIndex.count_users for many (bssid code, ts) queries at once.
 
-    Observations are sorted by the key ``code * span + (ts - base)``, so a
-    query's window is one slice; the slices are gathered and their
-    distinct users counted with one sort.
+    A query (b, t) counts the distinct users who saw router b within
+    [L, L + 2w], with L = t - w, as the number of sightings of b that are
+    their user's first in that window. Sighting j, at t_j, is its user's
+    first exactly when a_j < L <= t_j, where a_j is the larger of the
+    user's previous sighting of b and t_j - 2w - 1. So the count is
+    #{j of b: a_j < L} - #{j of b: t_j < L}: two binary searches into the
+    sorted keys ``b * span + a_j`` and ``b * span + t_j``. Both times are
+    clipped to [base, last query L], with base one below the first query
+    L; that changes no comparison with a query's L, and keeps every key
+    below n_bssids * (the range of query times + 2).
     """
 
     def __init__(self, table: WifiScans, rows: np.ndarray, query_ts: np.ndarray,
                  window_s: int):
         self.window_s = window_s
-        self.base = min(int(table.ts.min()), int(query_ts.min())) - window_s
-        self.span = max(int(table.ts.max()), int(query_ts.max())) + window_s - self.base + 1
-        obs = table.ts[rows]
-        obs += np.multiply(table.bssid, self.span, dtype=np.int64) - self.base
-        self.uid = table.user[rows[np.argsort(obs)]]
-        obs.sort()
-        self.obs = obs
-        self.n_users = max(len(table.users), 1)
+        self.base = int(query_ts.min()) - window_s - 1
+        last = int(query_ts.max()) - window_s
+        self.span = last - self.base + 1
+        # entries in (bssid, user, ts) order: one sort of bssid * n_rows
+        # plus the rank of the entry's row in (user, ts) order; each
+        # per-entry array is dropped once used, as they set featurize's
+        # peak memory
+        by_user = np.lexsort((table.ts, table.user))
+        rank = np.empty(len(by_user), dtype=np.int64)
+        rank[by_user] = np.arange(len(by_user))
+        n_rows = max(len(by_user), 1)
+        key = np.multiply(table.bssid, n_rows, dtype=np.int64)
+        key += rank[rows]
+        del rank
+        key.sort()
+        code = key // n_rows
+        key %= n_rows
+        user = table.user[by_user][key]
+        # a sighting's user saw the same router at the sighting before it
+        same = (code[1:] == code[:-1]) & (user[1:] == user[:-1])
+        del user
+        seen = table.ts[by_user][key]
+        del key, by_user
+        first = seen - (2 * window_s + 1)
+        np.maximum(first[1:], seen[:-1], out=first[1:], where=same)
+        del same
+        code *= self.span
+        code -= self.base
+        for times in (seen, first):
+            np.clip(times, self.base, last, out=times)
+            times += code
+            times.sort()
+        self.seen, self.first = seen, first
 
     def count(self, code: np.ndarray, ts: np.ndarray) -> np.ndarray:
-        queries, inverse = np.unique(code.astype(np.int64) * self.span + (ts - self.base),
-                                     return_inverse=True)
-        lo = np.searchsorted(self.obs, queries - self.window_s, side="left")
-        hi = np.searchsorted(self.obs, queries + self.window_s, side="right")
-        owner, index = _ranges(lo, hi - lo)
-        distinct = np.unique(owner * self.n_users + self.uid[index])
-        return np.bincount(distinct // self.n_users, minlength=len(queries))[inverse]
+        queries, inverse = np.unique(
+            code.astype(np.int64) * self.span + (ts - self.window_s - self.base),
+            return_inverse=True)
+        counts = np.searchsorted(self.first, queries) - np.searchsorted(self.seen, queries)
+        return counts[inverse]
 
 
 def _overlap_columns(table: WifiScans, scan_a, scan_b, ts, row_max: np.ndarray,
-                     users: _WindowUsers, alpha: float) -> dict[str, np.ndarray]:
+                     popularity: _WindowPopularity,
+                     alpha: float) -> dict[str, np.ndarray]:
     """The features of a block of pairs that depend on their common routers."""
     n_pairs = len(ts)
     offsets = table.offsets
@@ -478,7 +519,7 @@ def _overlap_columns(table: WifiScans, scan_a, scan_b, ts, row_max: np.ndarray,
     maxs = np.zeros(n_pairs, dtype=np.int64)
     adamic_adar = np.zeros(n_pairs)
     if len(cp):
-        pops = users.count(code, ts[cp])
+        pops = popularity.count(code, ts[cp])
         low = np.flatnonzero(pops < 2)
         if len(low):
             i = low[0]
@@ -558,8 +599,10 @@ def extract_feature_matrix(table: WifiScans, scan_a, scan_b, ts,
     interaction time ``ts[i]``. Returns an (n, 16) float matrix in
     FEATURE_NAMES order with missing correlations as NaN, equal bit for
     bit to ``extract_features(...).to_array()`` row by row, with
-    popularity counted over every row of the table. Candidates are
-    processed in blocks of _BLOCK_PAIRS.
+    popularity counted over every row of the table: the sightings of a
+    common router that are their user's first within
+    ``popularity_window_s`` of ``ts[i]`` (see _WindowPopularity).
+    Candidates are processed in blocks of _BLOCK_PAIRS.
 
     Raises:
         PopularityIndexError: a common router with popularity below 2.
@@ -575,16 +618,18 @@ def extract_feature_matrix(table: WifiScans, scan_a, scan_b, ts,
     if full.any():
         row_max[full] = np.maximum.reduceat(table.rssi, table.offsets[:-1][full])
     entry_rows = table.entry_rows()
-    users = _WindowUsers(table, entry_rows, ts, popularity_window_s)
     columns = _context_columns(table, entry_rows, scan_a, scan_b, ts, home_map,
                                campus_ssid, tz_offset_s)
-    del entry_rows
     for name, values in columns.items():
         out[:, FEATURE_NAMES.index(name)] = values
+    del columns
+    # built once the context columns are freed, which lowers featurize's peak memory
+    popularity = _WindowPopularity(table, entry_rows, ts, popularity_window_s)
+    del entry_rows
     for lo in range(0, len(ts), _BLOCK_PAIRS):
         block = slice(lo, lo + _BLOCK_PAIRS)
         columns = _overlap_columns(table, scan_a[block], scan_b[block], ts[block],
-                                   row_max, users, alpha)
+                                   row_max, popularity, alpha)
         for name, values in columns.items():
             out[block, FEATURE_NAMES.index(name)] = values
     return out

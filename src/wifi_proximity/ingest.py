@@ -209,10 +209,16 @@ class WifiScans:
         bssids = [json.dumps(bssid) for bssid in self.bssids]
         ssids = [json.dumps(ssid) for ssid in self.ssids]
         n_ssids, n_rssis = max(len(ssids), 1), 1 - RSSI_MIN
-        pairs, pair_of = np.unique(self.bssid.astype(np.int64) * n_ssids + self.ssid,
-                                   return_inverse=True)
-        keys, key_of = np.unique(pair_of * n_rssis + (self.rssi.astype(np.int64) - RSSI_MIN),
-                                 return_inverse=True)
+        # keys built in place, one per-entry array at a time: clean's peak memory
+        key = self.bssid.astype(np.int64)
+        key *= n_ssids
+        key += self.ssid
+        pairs, key = np.unique(key, return_inverse=True)
+        key *= n_rssis
+        key += self.rssi
+        key -= RSSI_MIN
+        keys, key_of = np.unique(key, return_inverse=True)
+        del key
         pair = pairs[keys // n_rssis]
         # the text of each distinct (bssid, ssid, rssi) entry
         aps = np.array([f'{{"bssid":{bssids[b]},"ssid":{ssids[s]},"rssi":{r}}}'
@@ -817,13 +823,22 @@ def build_home_router_map(scans: WifiScans, bin_minutes: int = 10,
     rank = np.empty(len(by_name), dtype=np.int64)
     rank[by_name] = np.arange(len(by_name))
     n_bssids = max(len(by_name), 1)
-    group = user_month_of[rows] * n_bssids + rank[scans.bssid]
+    # each per-entry array is dropped once used: together they set
+    # clean's peak memory
     bins = (scans.ts // (bin_minutes * 60))[rows]
+    group = user_month_of[rows]
+    del rows
+    group *= n_bssids
+    group += rank[scans.bssid]
     order = np.lexsort((bins, group))
-    group, bins = group[order], bins[order]
+    bins = bins[order]
+    group = group[order]
+    del order
     distinct = np.ones(len(group), dtype=bool)
     distinct[1:] = (group[1:] != group[:-1]) | (bins[1:] != bins[:-1])
+    del bins
     groups, n_bins = np.unique(group[distinct], return_counts=True)
+    del group, distinct
     user_month, router = groups // n_bssids, groups % n_bssids
     # per (user, month): most bins first, then the smallest bssid
     best = np.lexsort((router, -n_bins, user_month))

@@ -11,8 +11,11 @@ from wifi_proximity import fileio
 from wifi_proximity.cli import main
 from wifi_proximity.fileio import DataError
 from wifi_proximity.features import (
+    FEATURE_NAMES,
+    FeatureTable,
     PopularityIndex,
     PopularityIndexError,
+    _WindowPopularity,
     _pearson_coefficient,
     _pearson_rows,
     extract_feature_matrix,
@@ -20,10 +23,12 @@ from wifi_proximity.features import (
 )
 from wifi_proximity.ingest import WifiScans as ScanTable, month_key, parse_wifi_log
 from wifi_proximity.pairing import CandidateTable
-from wifi_proximity.records import CandidatePair
+from wifi_proximity.records import TS_END, CandidatePair
 
 from conftest import ap, mac, records_of, scan, world_conf
+from feature_reference import _WindowUsers
 from ingest_reference import scan_table_from_records
+from oracles import oracle_popularity
 
 T0 = 1601510400 - 600  # ten minutes before 2020-10-01 00:00 UTC
 
@@ -150,6 +155,50 @@ def test_low_popularity_raises_as_per_pair():
         batch_matrix(records, pairs, {})
     assert str(got.value) == str(want.value)
     assert f"ts={T0 + 5000}" in str(got.value)
+
+
+@st.composite
+def popularity_cases(draw):
+    """Scans of three users over three routers at a window's edges around
+    a centre time, with repeat sightings, duplicated (user, ts) scans and
+    scans without APs; the window; and query times at the centre, at its
+    window's edges and one second past them, and before the first scan
+    and after the last."""
+    window = draw(st.sampled_from([1, 300, 3600, TS_END]))
+    centre = draw(st.sampled_from([0, 10 ** 9, TS_END - 1] if window == TS_END else
+                                  [window + 2, 10 ** 9, TS_END - window - 2]))
+    edges = [-window - 1, -window, -window + 1, 0, window - 1, window, window + 1]
+    offsets = st.one_of(st.sampled_from(edges), st.integers(-2 * window - 2, 2 * window + 2))
+
+    def at(offset):
+        return min(max(centre + offset, 0), TS_END - 1)
+
+    def routers():
+        return [ap(i, -50) for i in draw(st.lists(st.integers(0, 2), unique=True, max_size=3))]
+
+    records = [scan(draw(st.sampled_from(["u0", "u1", "u2"])), at(draw(offsets)), routers())
+               for _ in range(draw(st.integers(1, 10)))]
+    for rec in draw(st.lists(st.sampled_from(records), max_size=3)):
+        records.append(scan(rec.user, rec.ts, routers()))
+    times = [rec.ts for rec in records]
+    queries = [at(draw(offsets)) for _ in range(3)] + [at(0)]
+    queries += [t for t in (min(times) - window - 1, max(times) + window + 1)
+                if 0 <= t < TS_END]
+    return records, window, queries
+
+
+@given(popularity_cases())
+@settings(max_examples=300, deadline=None)
+def test_popularity_counts_distinct_users_as_the_oracle_does(case):
+    records, window, queries = case
+    table = scan_table_from_records(records)
+    query_ts = np.array(queries, dtype=np.int64)
+    code = np.repeat(np.arange(len(table.bssids)), len(queries))
+    ts = np.tile(query_ts, len(table.bssids))
+    popularity = _WindowPopularity(table, table.entry_rows(), query_ts, window)
+    want = [oracle_popularity(records, table.bssids[b], t - window, t + window)
+            for b, t in zip(code.tolist(), ts.tolist())]
+    assert popularity.count(code, ts).tolist() == want
 
 
 @pytest.fixture(scope="module")
@@ -285,3 +334,51 @@ def test_scan_file_rejects_unreadable_archives(tmp_path, blob):
     (tmp_path / "scans.npz").write_bytes(blob)
     with pytest.raises(DataError):
         ScanTable.load(tmp_path / "scans.npz")
+
+
+@pytest.mark.parametrize("window", [1, 300, TS_END])
+def test_popularity_of_every_tiny_world_query_is_the_replaced_count(tiny_run, window):
+    d, _ = tiny_run
+    table = ScanTable.load(d / "scans.npz", run_hash(d))
+    cands = CandidateTable.load(d / "candidates.npz", run_hash(d), len(table.ts))
+    cp, ea, _ = table.common(cands.row_a, cands.row_b)
+    code, ts = table.bssid[ea], cands.ts[cp]
+    rows = table.entry_rows()
+    got = _WindowPopularity(table, rows, cands.ts, window).count(code, ts)
+    replaced = _WindowUsers(table, rows, cands.ts, window)
+    # in slices: the replaced count gathers every sighting of every window
+    want = np.concatenate([replaced.count(code[lo:lo + 1024], ts[lo:lo + 1024])
+                           for lo in range(0, len(code), 1024)])
+    assert len(code) > 1000
+    assert got.tolist() == want.tolist()
+
+
+def test_largest_delta_t_counts_each_router_over_the_whole_log(tiny_run, tmp_path):
+    # popularity keys span the query times, so TS_END, the largest
+    # delta_t_s, keeps them within int64
+    src, src_base = tiny_run
+    for name in ("wifi.jsonl", "bluetooth.jsonl"):
+        (tmp_path / name).write_bytes((src / name).read_bytes())
+    base = ["--dir", str(tmp_path)] + src_base[2:] + ["--delta-t", str(TS_END)]
+    for stage in ("clean", "pair", "featurize", "report"):
+        assert main([stage] + base) == 0, stage
+    h = run_hash(tmp_path)
+    table = ScanTable.load(tmp_path / "scans.npz", h)
+    cands = CandidateTable.load(tmp_path / "candidates.npz", h, len(table.ts))
+    X = FeatureTable.load(tmp_path / "features.npz", h).X
+    records = records_of(table)
+    users_of = {}
+    for rec in records:
+        for a in rec.aps:
+            users_of.setdefault(a.bssid, set()).add(rec.user)
+    columns = [FEATURE_NAMES.index(name)
+               for name in ("min_popularity", "max_popularity", "adamic_adar")]
+    assert len(cands.ts) > 1000
+    for i, (a, b) in enumerate(zip(cands.row_a.tolist(), cands.row_b.tolist())):
+        common = sorted(records[a].bssids() & records[b].bssids())
+        pops = [len(users_of[bssid]) for bssid in common]
+        adamic_adar = 0.0
+        for p in pops:
+            adamic_adar += 1.0 / np.log(p)
+        want = [min(pops), max(pops), adamic_adar] if pops else [0, 0, 0.0]
+        assert X[i, columns].tolist() == want, i
