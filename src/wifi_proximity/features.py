@@ -27,7 +27,7 @@ for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import stdtr
@@ -635,50 +635,48 @@ def extract_feature_matrix(table: WifiScans, scan_a, scan_b, ts,
     return out
 
 
-# the arrays of a FeatureTable: (dtype, ndim)
-_FEATURE_ARRAYS = {"X": (np.float64, 2), "label": (np.int64, 1),
-                   "ts": (np.int64, 1), "bt_rssi": (np.float64, 1)}
-
-
 @dataclass(frozen=True, slots=True)
 class FeatureTable:
     """The labeled feature matrix, one row per candidate.
 
-    ``featurize`` saves it as features.npz; ``train``, ``evaluate`` and
-    ``report`` load it. ``evaluate`` reads ``ts`` and ``bt_rssi`` for its
-    strata.
+    ``X`` holds the features in FEATURE_NAMES order, NaN where a
+    correlation is missing; ``label`` is 0 or 1, ``ts`` the interaction
+    time, and ``bt_rssi`` the supporting sighting's RSSI, NaN on
+    negatives. ``featurize`` saves the table as features.npz; ``train``,
+    ``evaluate`` and ``report`` load it. ``evaluate`` reads ``ts`` and
+    ``bt_rssi`` for its strata. The fields are features.npz's form: see
+    fileio.load_table.
     """
 
-    X: np.ndarray        # (n, 16) float, FEATURE_NAMES order, NaN if missing
-    label: np.ndarray    # int64, 0 or 1
-    ts: np.ndarray       # int64 interaction time
-    bt_rssi: np.ndarray  # float, the supporting sighting's RSSI; NaN on negatives
+    X: np.ndarray = field(metadata={"dtype": np.float64, "ndim": 2, "group": "candidates"})
+    label: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    ts: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    bt_rssi: np.ndarray = field(metadata={"dtype": np.float64, "group": "candidates"})
 
     def save(self, path, cfg_hash: str) -> None:
         """Write the table as a feature_arrays.v1 archive stamped with cfg_hash."""
-        fileio.write_npz(path, fileio.SCHEMA_FEATURE_ARRAYS, cfg_hash,
-                         {"features": FEATURE_NAMES},
-                         {name: getattr(self, name) for name in _FEATURE_ARRAYS})
+        fileio.save_table(path, fileio.SCHEMA_FEATURE_ARRAYS, cfg_hash, self,
+                          {"features": FEATURE_NAMES})
 
     @classmethod
     def load(cls, path, expect_hash: str | None = None) -> "FeatureTable":
         """Read a table written by save.
 
-        Raises DataError unless the archive is readable, carries the
-        expected schema and hash and this package's feature names, and
-        holds arrays of the saved dtypes, one row per candidate, with
-        labels of 0 or 1.
+        Raises DataError unless load_table accepts the archive, it names
+        this package's features, X has one column per feature, every
+        value is finite or a missing correlation (NaN in a
+        CORRELATION_FEATURES column), and the labels are 0 or 1.
         """
-        header, arrays = fileio.read_npz(path, fileio.SCHEMA_FEATURE_ARRAYS, expect_hash)
-        if header.get("features") != FEATURE_NAMES:
-            raise DataError(f"{path}: features {header.get('features')}, "
-                            f"expected {FEATURE_NAMES}")
-        fileio.check_arrays(path, arrays, _FEATURE_ARRAYS)
-        table = cls(**arrays)
-        n = len(table.label)
-        if (table.X.shape != (n, len(FEATURE_NAMES)) or len(table.ts) != n
-                or len(table.bt_rssi) != n):
-            raise DataError(f"{path}: array lengths disagree")
+        header, table = fileio.load_table(cls, path, fileio.SCHEMA_FEATURE_ARRAYS, expect_hash)
+        if header.get("features") != FEATURE_NAMES or table.X.shape[1] != len(FEATURE_NAMES):
+            raise DataError(f"{path}: {table.X.shape[1]} columns of features "
+                            f"{header.get('features')}, expected {FEATURE_NAMES}")
+        usable = np.isfinite(table.X)
+        for col in map(FEATURE_NAMES.index, CORRELATION_FEATURES):
+            usable[:, col] |= np.isnan(table.X[:, col])
+        if not usable.all():
+            name = FEATURE_NAMES[np.flatnonzero(~usable.all(axis=0))[0]]
+            raise DataError(f"{path}: {name} holds an infinite or missing value")
         if ((table.label != 0) & (table.label != 1)).any():
             raise DataError(f"{path}: a label is neither 0 nor 1")
         return table

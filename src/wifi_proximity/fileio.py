@@ -8,8 +8,8 @@ build the file beside its target and rename it into place, so an
 artifact is either complete or absent.
 
 Logs and the cleaned scans are JSONL; reports and models are JSON. From
-``clean`` on, stages hand each other arrays in .npz archives (write_npz,
-read_npz): scans.npz, candidates.npz and features.npz. The CSV files,
+``clean`` on, stages hand each other tables in .npz archives (save_table,
+load_table): scans.npz, candidates.npz and features.npz. The CSV files,
 candidates.csv and features.csv, are readable copies that no stage reads;
 write_csv formats them a block of rows at a time, column by column, and
 each distinct number in a block's column once.
@@ -23,6 +23,7 @@ import math
 import os
 import zipfile
 from contextlib import contextmanager
+from dataclasses import fields
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -295,11 +296,26 @@ def write_npz(path, schema: str, cfg_hash: str, header: dict, arrays: dict) -> N
         np.savez(fh, header=np.frombuffer(doc.encode(), dtype=np.uint8), **arrays)
 
 
-def read_npz(path, expect_schema: str, expect_hash: str | None = None):
-    """Read an archive written by write_npz. Returns (header, arrays).
+def save_table(path, schema: str, cfg_hash: str, table, header: dict | None = None) -> None:
+    """Write a table dataclass with write_npz: a field whose metadata holds
+    a ``dtype`` as an array, as it is, and any other field, a string table,
+    in the JSON header before ``header``'s entries; both in field order."""
+    arrays, strings = {}, {}
+    for f in fields(table):
+        (arrays if "dtype" in f.metadata else strings)[f.name] = getattr(table, f.name)
+    write_npz(path, schema, cfg_hash, {**strings, **(header or {})}, arrays)
 
-    A missing, truncated or otherwise unreadable archive, or one without
-    a JSON object header, raises DataError.
+
+def load_table(cls, path, schema: str, expect_hash: str | None = None):
+    """Read a table of dataclass cls that save_table wrote. Returns
+    (header, table).
+
+    Raises DataError naming the file unless the archive is readable,
+    carries the schema and expected hash, holds each string table as a
+    list of distinct strings, and holds exactly cls's arrays. Each array
+    field's metadata gives its ``dtype``, its ``ndim`` (1 if absent) and
+    its length ``group``, whose arrays have one length less their
+    ``extra`` (0 if absent).
     """
     path = Path(path)
     if not path.exists():
@@ -316,16 +332,22 @@ def read_npz(path, expect_schema: str, expect_hash: str | None = None):
         raise DataError(f"{path}: unreadable array archive ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: archive header is not a JSON object")
-    check_schema(header.get("schema"), header.get("config_hash"),
-                 expect_schema, expect_hash, str(path))
-    return header, arrays
-
-
-def check_arrays(path, arrays: dict, spec: dict) -> None:
-    """Raise DataError unless arrays holds exactly the names in spec, each
-    an array of spec[name] = (dtype, ndim)."""
+    check_schema(header.get("schema"), header.get("config_hash"), schema, expect_hash, str(path))
+    spec = {f.name: f.metadata for f in fields(cls) if "dtype" in f.metadata}
+    strings = {f.name: header.get(f.name) for f in fields(cls) if f.name not in spec}
+    for name, names in strings.items():
+        if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
+            raise DataError(f"{path}: {name} is not a list of strings")
+        if len(set(names)) < len(names):
+            raise DataError(f"{path}: {name} repeats a string")
     if sorted(arrays) != sorted(spec):
         raise DataError(f"{path}: arrays {sorted(arrays)}, expected {sorted(spec)}")
-    for name, (dtype, ndim) in spec.items():
-        if arrays[name].dtype != dtype or arrays[name].ndim != ndim:
-            raise DataError(f"{path}: {name} is not a {ndim}-d {np.dtype(dtype)} array")
+    lengths = {}
+    for name, meta in spec.items():
+        array, dtype, ndim = arrays[name], np.dtype(meta["dtype"]), meta.get("ndim", 1)
+        if array.dtype != dtype or array.ndim != ndim:
+            raise DataError(f"{path}: {name} is not a {ndim}-d {dtype} array")
+        n = len(array) - meta.get("extra", 0)
+        if lengths.setdefault(meta["group"], n) != n:
+            raise DataError(f"{path}: array lengths disagree")
+    return header, cls(**strings, **arrays)

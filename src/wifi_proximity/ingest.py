@@ -30,7 +30,7 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from datetime import datetime, timezone
 from functools import partial
 from itertools import islice, repeat
@@ -67,11 +67,6 @@ class CleaningReport:
     total_observations: int
 
 
-# the arrays of a WifiScans and their dtypes, as saved
-_SCAN_ARRAYS = {"user": np.int32, "ts": np.int64, "offsets": np.int64,
-                "bssid": np.int32, "ssid": np.int32, "rssi": np.int16}
-
-
 @dataclass(frozen=True, slots=True)
 class WifiScans:
     """WiFi scans as codes: one row per scan, its APs in CSR layout.
@@ -84,18 +79,19 @@ class WifiScans:
     router tables, in which an ssid may repeat. The bssid and ssid tables
     may hold strings that no entry uses. by_bssid gives the order of
     scans.npz, which ``pair`` and ``featurize`` load; candidates name
-    their scans by its rows.
+    their scans by its rows. The fields are scans.npz's form: see
+    fileio.load_table.
     """
 
     users: list[str]
-    user: np.ndarray     # per row, int32
-    ts: np.ndarray       # per row, int64
-    offsets: np.ndarray  # n_rows + 1, int64
+    user: np.ndarray = field(metadata={"dtype": np.int32, "group": "scans"})
+    ts: np.ndarray = field(metadata={"dtype": np.int64, "group": "scans"})
+    offsets: np.ndarray = field(metadata={"dtype": np.int64, "group": "scans", "extra": 1})
     bssids: list[str]
-    bssid: np.ndarray    # per entry, int32
+    bssid: np.ndarray = field(metadata={"dtype": np.int32, "group": "entries"})
     ssids: list[str]
-    ssid: np.ndarray     # per entry, int32
-    rssi: np.ndarray     # per entry, int16
+    ssid: np.ndarray = field(metadata={"dtype": np.int32, "group": "entries"})
+    rssi: np.ndarray = field(metadata={"dtype": np.int16, "group": "entries"})
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -130,44 +126,27 @@ class WifiScans:
 
     def save(self, path, cfg_hash: str) -> None:
         """Write the table as a scans.v1 archive stamped with cfg_hash."""
-        fileio.write_npz(
-            path, fileio.SCHEMA_SCANS, cfg_hash,
-            {"users": self.users, "bssids": self.bssids, "ssids": self.ssids},
-            {name: getattr(self, name) for name in _SCAN_ARRAYS},
-        )
+        fileio.save_table(path, fileio.SCHEMA_SCANS, cfg_hash, self)
 
     @classmethod
     def load(cls, path, expect_hash: str | None = None) -> WifiScans:
         """Read a table written by save, in bssid order.
 
-        Raises DataError unless the archive is readable, carries the
-        expected schema and hash, and holds a consistent table: string
-        tables of distinct strings, bssids sorted; arrays of the saved
-        dtypes and lengths; offsets rising from 0 to the entry count;
-        codes within their tables; and bssid codes rising strictly
-        within each row, the order ``common`` needs.
+        Raises DataError unless load_table accepts the archive and it
+        holds a consistent table: bssids sorted; offsets rising from 0
+        to the entry count; timestamps in [0, TS_END) and RSSIs of at
+        most 0, as ingest accepts them; codes within their tables; and
+        bssid codes rising strictly within each row, the order
+        ``common`` needs.
         """
-        header, arrays = fileio.read_npz(path, fileio.SCHEMA_SCANS, expect_hash)
-        tables = {}
-        for name in ("users", "bssids", "ssids"):
-            names = header.get(name)
-            if not isinstance(names, list) or not all(isinstance(x, str) for x in names):
-                raise DataError(f"{path}: {name} is not a list of strings")
-            if len(set(names)) < len(names):
-                raise DataError(f"{path}: {name} repeats a string")
-            tables[name] = names
-        if tables["bssids"] != sorted(tables["bssids"]):
+        _, table = fileio.load_table(cls, path, fileio.SCHEMA_SCANS, expect_hash)
+        n_entries, offsets = len(table.bssid), table.offsets
+        if table.bssids != sorted(table.bssids):
             raise DataError(f"{path}: bssids are not sorted")
-        fileio.check_arrays(path, arrays,
-                            {name: (dtype, 1) for name, dtype in _SCAN_ARRAYS.items()})
-        table = cls(**tables, **arrays)
-        n_rows, n_entries = len(table.ts), len(table.bssid)
-        offsets = table.offsets
-        if (len(table.user) != n_rows or len(offsets) != n_rows + 1
-                or len(table.ssid) != n_entries or len(table.rssi) != n_entries):
-            raise DataError(f"{path}: array lengths disagree")
         if offsets[0] != 0 or offsets[-1] != n_entries or (np.diff(offsets) < 0).any():
             raise DataError(f"{path}: offsets do not rise from 0 to {n_entries}")
+        if ((table.ts < 0) | (table.ts >= TS_END)).any() or (table.rssi > 0).any():
+            raise DataError(f"{path}: a ts lies outside [0, {TS_END}) or an RSSI above 0")
         for codes, names in ((table.user, table.users), (table.bssid, table.bssids),
                              (table.ssid, table.ssids)):
             if len(codes) and (codes.min() < 0 or codes.max() >= len(names)):

@@ -15,7 +15,7 @@ built per sighting or per candidate.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -157,25 +157,21 @@ def generate_candidates(table: WifiScans, rows, sightings: BluetoothSightings,
         bt_rssi=bt_rssi[keep])
 
 
-# the arrays of a CandidateTable: (dtype, ndim)
-_CANDIDATE_ARRAYS = {"row_a": (np.int64, 1), "row_b": (np.int64, 1), "ts": (np.int64, 1),
-                     "label": (np.int64, 1), "bt_rssi": (np.float64, 1)}
-
-
 @dataclass(frozen=True, slots=True)
 class CandidateTable:
     """Candidate pairs as arrays, one element per candidate.
 
     ``pair`` saves them as candidates.npz; ``featurize`` loads it.
     ``row_a`` and ``row_b`` are rows of the scan table the candidates
-    were built from, and ``bt_rssi`` is NaN on negatives.
+    were built from, and ``bt_rssi`` is NaN on negatives. The fields are
+    candidates.npz's form: see fileio.load_table.
     """
 
-    row_a: np.ndarray
-    row_b: np.ndarray
-    ts: np.ndarray
-    label: np.ndarray
-    bt_rssi: np.ndarray
+    row_a: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    row_b: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    ts: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    label: np.ndarray = field(metadata={"dtype": np.int64, "group": "candidates"})
+    bt_rssi: np.ndarray = field(metadata={"dtype": np.float64, "group": "candidates"})
 
     def __len__(self) -> int:
         return len(self.ts)
@@ -183,35 +179,29 @@ class CandidateTable:
     @classmethod
     def concatenate(cls, tables) -> "CandidateTable":
         """The rows of tables, one table after another; no rows for no tables."""
-        return cls(**{name: np.concatenate([getattr(table, name) for table in tables]
-                                           + [np.empty(0, dtype=dtype)])
-                      for name, (dtype, _) in _CANDIDATE_ARRAYS.items()})
+        return cls(**{f.name: np.concatenate([getattr(table, f.name) for table in tables]
+                                             + [np.empty(0, dtype=f.metadata["dtype"])])
+                      for f in fields(cls)})
 
     def save(self, path, cfg_hash: str, n_scans: int) -> None:
         """Write a candidate_arrays.v1 archive stamped with cfg_hash and
         the row count of the scan table."""
-        fileio.write_npz(path, fileio.SCHEMA_CANDIDATE_ARRAYS, cfg_hash,
-                         {"scans": n_scans},
-                         {name: getattr(self, name) for name in _CANDIDATE_ARRAYS})
+        fileio.save_table(path, fileio.SCHEMA_CANDIDATE_ARRAYS, cfg_hash, self,
+                          {"scans": n_scans})
 
     @classmethod
     def load(cls, path, expect_hash: str | None, n_scans: int) -> "CandidateTable":
         """Read a table written by save, for a scan table of n_scans rows.
 
-        Raises DataError unless the archive is readable, carries the
-        expected schema and hash, was built from a table of n_scans rows,
-        and holds 1-d arrays of the saved dtypes and one length, with
-        rows inside the table and labels of 0 or 1.
+        Raises DataError unless load_table accepts the archive, it was
+        built from a table of n_scans rows, and its rows lie inside the
+        table and its labels are 0 or 1.
         """
-        header, arrays = fileio.read_npz(path, fileio.SCHEMA_CANDIDATE_ARRAYS, expect_hash)
+        header, table = fileio.load_table(cls, path, fileio.SCHEMA_CANDIDATE_ARRAYS, expect_hash)
         if header.get("scans") != n_scans:
             raise DataError(
                 f"{path}: built from {header.get('scans')} scans, the scan "
                 f"table has {n_scans}; was it built from this cleaned input?")
-        fileio.check_arrays(path, arrays, _CANDIDATE_ARRAYS)
-        table = cls(**arrays)
-        if len({len(column) for column in arrays.values()}) > 1:
-            raise DataError(f"{path}: array lengths disagree")
         for rows in (table.row_a, table.row_b):
             if len(rows) and (rows.min() < 0 or rows.max() >= n_scans):
                 raise DataError(f"{path}: a row lies outside the scan table")

@@ -503,6 +503,7 @@ class TestArtifactIntegrity:
     def assert_one_line_data_error(self, capsys):
         err = capsys.readouterr().err
         assert err.startswith("data error: ") and err.count("\n") == 1, err
+        return err
 
     def test_train_rejects_single_class_labels(self, tmp_path, workdir, capsys):
         src, base = workdir
@@ -698,14 +699,25 @@ class TestArtifactIntegrity:
         assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("fault", ["truncated", "offsets", "foreign_hash",
-                                       "missing"])
+                                       "missing", "ts_2_62", "ts_negative", "ts_year_10000",
+                                       "rssi_30"])
     def test_pair_and_featurize_reject_corrupt_cleaned_scans(
             self, tmp_path, workdir, capsys, fault):
         src, base = workdir
         scans = tmp_path / "scans.npz"
         h = fileio.read_json(src / "home_routers.json", fileio.SCHEMA_HOMES)["config_hash"]
         table = ScanTable.load(src / "scans.npz", h)
-        if fault == "truncated":
+        first_ts = {"ts_2_62": 2 ** 62, "ts_negative": -10 ** 12,
+                    "ts_year_10000": 253402300800}
+        if fault in first_ts:
+            ts = table.ts.copy()
+            ts[0] = first_ts[fault]
+            replace(table, ts=ts).save(scans, h)
+        elif fault == "rssi_30":
+            rssi = table.rssi.copy()
+            rssi[:50] = 30
+            replace(table, rssi=rssi).save(scans, h)
+        elif fault == "truncated":
             blob = (src / "scans.npz").read_bytes()
             scans.write_bytes(blob[:len(blob) // 2])
         elif fault == "offsets":
@@ -720,11 +732,11 @@ class TestArtifactIntegrity:
         args = ["--dir", str(tmp_path)] + base[2:]
         capsys.readouterr()
         assert run(["pair"] + args) == 3
-        self.assert_one_line_data_error(capsys)
+        assert str(scans) in self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("candidates.*"))
         (tmp_path / "candidates.npz").write_bytes((src / "candidates.npz").read_bytes())
         assert run(["featurize"] + args) == 3
-        self.assert_one_line_data_error(capsys)
+        assert str(scans) in self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("features.*"))
 
     @pytest.mark.parametrize("foreign", ["candidates.npz", "home_routers.json"])
@@ -770,13 +782,21 @@ class TestArtifactIntegrity:
         assert not list(tmp_path.glob("features.*"))
 
     @pytest.mark.parametrize("fault", ["truncated", "lengths", "columns", "labels",
-                                       "foreign_hash", "missing"])
+                                       "foreign_hash", "missing", "nan_feature",
+                                       "inf_feature"])
     def test_train_evaluate_report_reject_corrupt_feature_arrays(
             self, tmp_path, workdir, capsys, fault):
         src, base = workdir
         path, h = tmp_path / "features.npz", run_hash(src)
         feats = FeatureTable.load(src / "features.npz", h)
-        if fault == "truncated":
+        if fault in ("nan_feature", "inf_feature"):
+            # a NaN is a missing correlation, so only a correlation column may hold one
+            col, value = (("union", np.nan) if fault == "nan_feature"
+                          else ("spearman", -np.inf))
+            X = feats.X.copy()
+            X[len(X) // 2, FEATURE_NAMES.index(col)] = value
+            replace(feats, X=X).save(path, h)
+        elif fault == "truncated":
             blob = (src / "features.npz").read_bytes()
             path.write_bytes(blob[:len(blob) // 2])
         elif fault == "lengths":
@@ -790,15 +810,15 @@ class TestArtifactIntegrity:
         args = ["--dir", str(tmp_path)] + base[2:]
         capsys.readouterr()
         assert run(["train"] + args) == 3
-        self.assert_one_line_data_error(capsys)
+        assert str(path) in self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("model_*"))
         (tmp_path / "model_full_gbt.json").write_bytes(
             (src / "model_full_gbt.json").read_bytes())
         assert run(["evaluate"] + args) == 3
-        self.assert_one_line_data_error(capsys)
+        assert str(path) in self.assert_one_line_data_error(capsys)
         assert not list(tmp_path.glob("eval_*"))
         assert run(["report"] + args) == 3
-        self.assert_one_line_data_error(capsys)
+        assert str(path) in self.assert_one_line_data_error(capsys)
         assert not (tmp_path / "report.json").exists()
 
     def test_stages_after_featurize_do_not_read_the_csv_copies(self, tmp_path, workdir):
@@ -843,6 +863,29 @@ def edit_doc(name, change):
     return edit
 
 
+def edit_array(name, array, change):
+    """An edit of a run directory that passes one array of name's archive
+    through change and keeps the archive's header."""
+    def edit(d):
+        with np.load(d / name) as archive:
+            arrays = dict(archive)
+        header = json.loads(arrays.pop("header").tobytes())
+        arrays[array] = change(arrays[array].copy())
+        fileio.write_npz(d / name, header.pop("schema"), header.pop("config_hash"), header,
+                         arrays)
+    return edit
+
+
+def first_ts_at_end(ts):
+    ts[0] = TS_END
+    return ts
+
+
+def union_inf(X):
+    X[0, FEATURE_NAMES.index("union")] = np.inf
+    return X
+
+
 def directory_at(name):
     """An edit of a run directory that puts a directory where name should be."""
     return lambda d: (d / name).mkdir()
@@ -880,13 +923,17 @@ FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
      edit_doc(MODEL, lambda doc: doc["feature_names"].__setitem__(0, "nope")), MODEL),
     ("evaluate", ["features.npz", MODEL],
      edit_doc(MODEL, lambda doc: doc["imputation"].update(spearman_mean="x")), MODEL),
+    ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_ts_at_end),
+     "scans.npz"),
+    ("report", ["features.npz", EVAL], edit_array("features.npz", "X", union_inf),
+     "features.npz"),
     ("generate", [], file_at_run_dir, ""),
     ("train", [], directory_at("features.npz"), "features.npz"),
     ("clean", [], directory_at("wifi.jsonl"), "wifi.jsonl"),
 ], ids=["homes_missing", "home_without_user", "homes_number", "home_bssid_number",
         "eval_without_train", "eval_without_featureset", "eval_test_list",
         "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
-        "model_imputation_mean_text",
+        "model_imputation_mean_text", "pair_scan_at_ts_end", "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
         "clean_wifi_log_is_a_directory"])
 def test_known_reproductions_exit_3_with_one_line(tmp_path, workdir, capsys, stage, inputs,

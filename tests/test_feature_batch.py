@@ -1,5 +1,7 @@
 """The batch feature kernel against the per-pair reference, bit for bit."""
 
+import json
+import re
 from dataclasses import fields, replace
 
 import numpy as np
@@ -23,7 +25,7 @@ from wifi_proximity.features import (
 )
 from wifi_proximity.ingest import WifiScans as ScanTable, month_key, parse_wifi_log
 from wifi_proximity.pairing import CandidateTable
-from wifi_proximity.records import TS_END, CandidatePair
+from wifi_proximity.records import RSSI_MIN, TS_END, CandidatePair
 
 from conftest import ap, mac, records_of, scan, world_conf
 from feature_reference import _WindowUsers
@@ -263,7 +265,8 @@ def test_featurize_missing_scan_exits_3_without_features(tiny_run, tmp_path):
 
 
 def assert_same_table(got, want):
-    for field in fields(ScanTable):
+    assert type(got) is type(want)
+    for field in fields(want):
         a, b = getattr(got, field.name), getattr(want, field.name)
         if isinstance(b, list):
             assert type(a) is list and a == b, field.name
@@ -272,20 +275,88 @@ def assert_same_table(got, want):
             assert a.tobytes() == b.tobytes(), field.name
 
 
-@pytest.mark.parametrize("records", [
-    [],
-    [scan("u1\x00", 10, [ap(3, -50, "dtu\x00"), ap(1, -61, "caf\u00e9 \u2615")]),
-     scan("u1", 10, []),
-     scan("\u00fc2", 5, [ap(1, -70, "")])],
-], ids=["zero_scans", "nul_and_non_ascii"])
-def test_scan_file_round_trips(tmp_path, records):
-    table = scan_table_from_records(records)
-    table.save(tmp_path / "scans.npz", "abc123abc123")
-    got = ScanTable.load(tmp_path / "scans.npz", "abc123abc123")
+@pytest.fixture(scope="module")
+def tiny_tables(tiny_run):
+    """The tiny world's scan, candidate and feature tables, as pair and
+    featurize build them."""
+    d, _ = tiny_run
+    scans = ScanTable.load(d / "scans.npz", run_hash(d))
+    cands = CandidateTable.load(d / "candidates.npz", run_hash(d), len(scans))
+    homes = fileio.read_json(d / "home_routers.json", fileio.SCHEMA_HOMES)["homes"]
+    home_map = {(h["user"], h["month"]): h["bssid"] for h in homes}
+    X = extract_feature_matrix(scans, cands.row_a, cands.row_b, cands.ts, home_map)
+    return scans, cands, FeatureTable(X, cands.label, cands.ts, cands.bt_rssi)
+
+
+def scan_count(table) -> tuple:
+    """What save and load take after the hash: for a candidate table, the
+    rows of the smallest scan table that holds its scans."""
+    if not isinstance(table, CandidateTable):
+        return ()
+    return (1 + int(max(table.row_a.max(initial=0), table.row_b.max(initial=0))),)
+
+
+def saved_and_loaded(table, path, h="abc123abc123"):
+    """table written by its save and read back by its load."""
+    table.save(path, h, *scan_count(table))
+    return type(table).load(path, h, *scan_count(table))
+
+
+@pytest.mark.parametrize("table_of", [
+    lambda tiny: scan_table_from_records([]),
+    lambda tiny: scan_table_from_records(
+        [scan("u1\x00", 10, [ap(3, -50, "dtu\x00"), ap(1, -61, "caf\u00e9 \u2615")]),
+         scan("u1", 10, []),
+         scan("\u00fc2", 5, [ap(1, -70, "")])]),
+    lambda tiny: scan_table_from_records(
+        [scan("u1", 0, [ap(1, 0), ap(2, RSSI_MIN)]), scan("u2", TS_END - 1, [])]),
+    lambda tiny: tiny[0],
+    lambda tiny: CandidateTable.concatenate([]),
+    lambda tiny: tiny[1],
+    lambda tiny: FeatureTable(np.empty((0, len(FEATURE_NAMES))), np.empty(0, np.int64),
+                              np.empty(0, np.int64), np.empty(0)),
+    lambda tiny: tiny[2],
+], ids=["zero_scans", "nul_and_non_ascii", "ts_and_rssi_at_their_bounds",
+        "scans_tiny_world", "candidates_zero_rows",
+        "candidates_tiny_world", "features_zero_rows", "features_tiny_world"])
+def test_scan_file_round_trips(tmp_path, tiny_tables, table_of):
+    table = table_of(tiny_tables)
+    got = saved_and_loaded(table, tmp_path / "table.npz")
     assert_same_table(got, table)
-    if records:
+    if isinstance(table, ScanTable) and table.users[:1] == ["u1\x00"]:
         assert got.users == ["u1\x00", "u1", "\u00fc2"]
         assert "dtu\x00" in got.ssids and "caf\u00e9 \u2615" in got.ssids
+
+
+@pytest.mark.parametrize("fault,message", [
+    ("missing", "arrays "), ("extra", "arrays "), ("dtype", " is not a 1-d "),
+    ("rank", " is not a 1-d "), ("length", "array lengths disagree"),
+], ids=["missing", "extra", "dtype", "rank", "length"])
+@pytest.mark.parametrize("kind,array", [(0, "rssi"), (1, "bt_rssi"), (2, "label")],
+                         ids=["scans", "candidates", "features"])
+def test_table_archives_reject_arrays_off_their_fields(tmp_path, tiny_tables, kind, array,
+                                                       fault, message):
+    """load_table's checks, on every table: the archive holds exactly the
+    table's arrays, each of its field's dtype and rank, and each length
+    group has one length. The error names the file."""
+    table = tiny_tables[kind]
+    path = tmp_path / "table.npz"
+    table.save(path, "abc123abc123", *scan_count(table))
+    with np.load(path) as archive:
+        arrays = dict(archive)
+    header = json.loads(arrays.pop("header").tobytes())
+    column = arrays.pop(array)
+    if fault == "extra":
+        arrays["extra"], arrays[array] = column, column
+    elif fault == "dtype":
+        arrays[array] = column.astype(np.float32)
+    elif fault == "rank":
+        arrays[array] = column[:, None]
+    elif fault == "length":
+        arrays[array] = column[:-1]
+    fileio.write_npz(path, header.pop("schema"), header.pop("config_hash"), header, arrays)
+    with pytest.raises(DataError, match=re.escape(f"{path}: ") + ".*" + re.escape(message)):
+        type(table).load(path, "abc123abc123", *scan_count(table))
 
 
 def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
@@ -314,11 +385,14 @@ def test_scan_file_of_the_tiny_world_is_its_cleaned_scans(tiny_run):
     lambda t: {"users": [t.users[0]] * len(t.users)},
     lambda t: {"bssids": [t.bssids[0]] * len(t.bssids)},
     lambda t: {"ssids": [t.ssids[0]] * len(t.ssids)},
+    lambda t: {"ts": np.full_like(t.ts, -1)},
+    lambda t: {"ts": np.full_like(t.ts, TS_END)},
+    lambda t: {"rssi": np.full_like(t.rssi, 1)},
 ], ids=["offsets_short", "offsets_from_1", "offsets_end", "offsets_falling",
         "user_short", "ssid_short", "user_code", "bssid_code", "ssid_code",
         "rssi_dtype", "ts_2d", "users_not_str", "row_out_of_order",
         "bssid_repeated_in_row", "bssids_unsorted", "users_repeat", "bssids_repeat",
-        "ssids_repeat"])
+        "ssids_repeat", "ts_negative", "ts_end", "rssi_positive"])
 def test_scan_file_rejects_inconsistent_tables(tmp_path, corrupt):
     records = [scan("u1", 10, [ap(1, -50, "a"), ap(2, -60, "b")]),
                scan("u2", 20, [ap(2, -55, "b")])]

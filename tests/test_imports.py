@@ -1,6 +1,7 @@
 """Every name that a module of the package imports is used in that module,
-and every top-level function and class of the package is named by code
-outside the tests.
+every top-level function and class of the package is named by code
+outside the tests, and only ``fileio`` names what reads or writes an
+.npz archive.
 
 An import marked ``# noqa: F401`` is exempt: the three ``ThreadPoolExecutor``
 imports stay because the benchmark's tracer patches that name.
@@ -97,3 +98,27 @@ def test_an_unnamed_definition_is_found():
               "def lonely():\n    pass\n")
     other = "import m\nm.used()\nwrap(m, 'traced')\n"
     assert unnamed_definitions({"m": module}, [other]) == ["m.Unused", "m.lonely"]
+
+
+# the names through which a module could read or write an .npz archive
+ARCHIVE_NAMES = {"savez", "savez_compressed", "read_array", "ZipFile", "read_npz",
+                 "write_npz"}
+
+
+def archive_names(source: str) -> list[str]:
+    """The archive names that source names, sorted."""
+    return sorted(ARCHIVE_NAMES & set(names_in(source)))
+
+
+def test_only_fileio_reads_or_writes_archives():
+    """A table's archive goes through fileio.save_table and load_table, so
+    its format is known in one module."""
+    named = {path.name: archive_names(path.read_text(encoding="utf-8"))
+             for path in MODULES if path.name != "fileio.py"}
+    assert {name: found for name, found in named.items() if found} == {}
+
+
+def test_an_archive_name_is_found():
+    source = ("import zipfile\nimport numpy as np\nfrom numpy.lib.format import read_array\n"
+              "np.savez('a', x=1)\nzipfile.ZipFile('b')\nsave_table('c')\n")
+    assert archive_names(source) == ["ZipFile", "read_array", "savez"]
