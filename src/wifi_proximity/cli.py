@@ -366,7 +366,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
         "split": split,
         "train": {
             "n": int(len(train_idx)),
-            "auc": auc_roc(scores_train, y[train_idx]),
+            "auc": classifier.train_auc,
             "threshold": classifier.threshold,
             **asdict(train_prf),
         },
@@ -388,17 +388,21 @@ def stage_report(cfg: PipelineConfig, args) -> int:
     X, y = feats.X, feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
 
-    imputation = fit_imputation(X[train_idx])
-    X_imp = apply_imputation(X, imputation)
+    # each side's rows once, column-major, so that every feature's column is
+    # contiguous; imputing the sides, not the whole matrix, bounds peak memory
+    X_train = np.asfortranarray(X[train_idx])
+    imputation = fit_imputation(X_train)
+    X_train = apply_imputation(X_train, imputation)
+    X_test = apply_imputation(np.asfortranarray(X[test_idx]), imputation)
+    y_train, y_test = y[train_idx], y[test_idx]
 
     single = {}
-    for j, name in enumerate(FEATURE_NAMES):
-        clf = fit_threshold(X_imp[train_idx, j], y[train_idx], feature_name=name)
-        train_auc = auc_roc(X_imp[train_idx, j], y[train_idx])
-        test_auc = auc_roc(X_imp[test_idx, j], y[test_idx])
+    for name, train_col, test_col in zip(FEATURE_NAMES, X_train.T, X_test.T):
+        clf = fit_threshold(train_col, y_train, feature_name=name)
+        train_auc, test_auc = clf.train_auc, auc_roc(test_col, y_test)
         if clf.direction == "less-is-positive":
             train_auc, test_auc = 1.0 - train_auc, 1.0 - test_auc
-        test_prf = prf_at_threshold(X_imp[test_idx, j], y[test_idx], clf)
+        test_prf = prf_at_threshold(test_col, y_test, clf)
         single[name] = {
             "direction": clf.direction,
             "threshold": clf.threshold,

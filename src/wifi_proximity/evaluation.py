@@ -1,7 +1,8 @@
 """Metrics and the analysis suite run on held-out candidates.
 
-AUC ROC is the midrank statistic (probability a random positive outscores
-a random negative, ties counting one half). The report slices test AUC by
+AUC ROC is the Mann-Whitney statistic (probability a random positive
+outscores a random negative, ties counting one half), read from one count
+of each class per distinct score. The report slices test AUC by
 union-size tercile, campus flag, calendar week and hour of week, bins the
 missed positives by Bluetooth RSSI, and the learning-curve driver retrains
 on growing subsamples against a fixed test set.
@@ -23,32 +24,35 @@ import numpy as np
 from .features import apply_imputation, fit_imputation
 
 
-def midranks(values) -> np.ndarray:
-    """1-based ranks of values, ties sharing the mean of their ranks; all
-    NaN when any value is NaN. The ranks scipy.stats.rankdata gives."""
-    values = np.asarray(values, dtype=float)
-    if np.isnan(values).any():
-        return np.full(values.shape, np.nan)
-    order = np.argsort(values, kind="stable")
-    ordered = values[order]
-    starts = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
-    sizes = np.diff(np.r_[starts, len(values)])
-    ranks = np.empty(len(values))
-    ranks[order] = np.repeat(starts + (sizes + 1) / 2.0, sizes)
-    return ranks
-
-
-def auc_roc(scores, labels) -> float:
-    """Midrank AUC; raises on single-class input."""
+def class_counts(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct scores, ascending with NaN last, and the label-1 and
+    label-0 rows at each, as floats; raises ValueError unless every label
+    is 0 or 1 and both occur."""
     scores = np.asarray(scores, dtype=float)
     labels = np.asarray(labels)
     pos = labels == 1
-    n_pos = int(pos.sum())
-    n_neg = len(labels) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("AUC needs both classes present")
-    ranks = midranks(scores)
-    return float((ranks[pos].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    if not (pos | (labels == 0)).all():
+        raise ValueError("labels must be 0 or 1")
+    if pos.all() or not pos.any():
+        raise ValueError("scoring needs both classes present")
+    values, inv = np.unique(scores, return_inverse=True)
+    pos_per_value = np.bincount(inv, weights=pos, minlength=len(values))
+    return values, pos_per_value, np.bincount(inv, minlength=len(values)) - pos_per_value
+
+
+def auc_of_counts(values, pos, neg) -> float:
+    """auc_roc from class_counts' output. Every term and partial sum is a
+    multiple of 1/2 below 2**53, so the sum is exact in any order."""
+    if np.isnan(values[-1]):
+        return float("nan")
+    return float(pos @ (np.cumsum(neg) - 0.5 * neg)) / (int(pos.sum()) * int(neg.sum()))
+
+
+def auc_roc(scores, labels) -> float:
+    """Probability that a random positive outscores a random negative, ties
+    counting one half (the Mann-Whitney U over n_pos * n_neg); NaN when a
+    score is NaN. Raises ValueError as class_counts does."""
+    return auc_of_counts(*class_counts(scores, labels))
 
 
 def _auc_or_none(scores: np.ndarray, labels: np.ndarray) -> float | None:

@@ -188,16 +188,15 @@ class WifiScans:
         bssids = [json.dumps(bssid) for bssid in self.bssids]
         ssids = [json.dumps(ssid) for ssid in self.ssids]
         n_ssids, n_rssis = max(len(ssids), 1), 1 - RSSI_MIN
-        # keys built in place, one per-entry array at a time: clean's peak memory
-        key = self.bssid.astype(np.int64)
-        key *= n_ssids
-        key += self.ssid
-        pairs, key = np.unique(key, return_inverse=True)
-        key *= n_rssis
-        key += self.rssi
-        key -= RSSI_MIN
-        keys, key_of = np.unique(key, return_inverse=True)
-        del key
+        # keys built and coded in place, one entry array at a time: clean's peak memory
+        key_of = self.bssid.astype(np.int64)
+        key_of *= n_ssids
+        key_of += self.ssid
+        pairs = _code_in_place(key_of)
+        key_of *= n_rssis
+        key_of += self.rssi
+        key_of -= RSSI_MIN
+        keys = _code_in_place(key_of)
         pair = pairs[keys // n_rssis]
         # the text of each distinct (bssid, ssid, rssi) entry
         aps = np.array([f'{{"bssid":{bssids[b]},"ssid":{ssids[s]},"rssi":{r}}}'
@@ -244,6 +243,22 @@ class BluetoothSightings:
         for user, ts, lo, hi in zip(self.user[starts].tolist(), self.ts[starts].tolist(),
                                     bounds, bounds[1:]):
             yield f'{{"user":{users[user]},"ts":{ts},"seen":[{",".join(seen[lo:hi])}]}}'
+
+
+def _code_in_place(key: np.ndarray) -> np.ndarray:
+    """Replace each value of key by its index among key's distinct values,
+    and return those values ascending: np.unique with return_inverse, with
+    at most three full-length integer arrays alive at once."""
+    order = np.argsort(key)
+    ordered = key[order]
+    new = np.empty(len(key), dtype=bool)
+    new[:1] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
+    distinct = ordered[new]
+    np.cumsum(new, out=ordered)
+    key[order] = ordered
+    key -= 1
+    return distinct
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray):

@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import expit
 
 from . import fileio
-from .evaluation import auc_roc
+from .evaluation import auc_of_counts, auc_roc, class_counts
 from .features import FEATURE_NAMES, ImputationState
 from .trees import Tree, encode_columns, grow_tree
 
@@ -79,13 +79,15 @@ class ThresholdClassifier:
     """Predict positive when the score falls on one side of a threshold.
 
     Direction and threshold are fixed at fit time by whichever combination
-    maximizes F1 on the training scores.
+    maximizes F1 on the training scores. train_auc is auc_roc of the
+    training scores, whichever the direction.
     """
 
     feature_name: str
     threshold: float
     direction: str
     train_f1: float
+    train_auc: float
 
     def predict(self, scores: np.ndarray) -> np.ndarray:
         scores = np.asarray(scores, dtype=float)
@@ -95,40 +97,30 @@ class ThresholdClassifier:
 
 
 def fit_threshold(scores, labels, feature_name: str = "") -> ThresholdClassifier:
-    """Threshold and direction maximizing training F1.
+    """Threshold and direction maximizing training F1, and the training AUC,
+    from one class_counts of the scores; raises ValueError as it does.
 
     Candidate thresholds are midpoints of consecutive distinct sorted
     scores plus -inf and +inf. Ties prefer greater-is-positive, then the
     smallest threshold.
     """
-    scores = np.asarray(scores, dtype=float)
-    labels = np.asarray(labels)
-    n_pos = int((labels == 1).sum())
-    if n_pos == 0 or n_pos == len(labels):
-        raise ValueError("fit_threshold needs both classes present")
-
-    u, inv = np.unique(scores, return_inverse=True)
-    pos_per_value = np.bincount(inv, weights=(labels == 1), minlength=len(u))
-    neg_per_value = np.bincount(inv, weights=(labels == 0), minlength=len(u))
+    u, pos_per_value, neg_per_value = counts = class_counts(scores, labels)
     thresholds = np.concatenate(([-np.inf], (u[:-1] + u[1:]) * 0.5, [np.inf]))
-
-    # predicted positive = scores > thresholds[i] = values u[i:]
-    suffix_pos = np.concatenate((np.cumsum(pos_per_value[::-1])[::-1], [0.0]))
-    suffix_neg = np.concatenate((np.cumsum(neg_per_value[::-1])[::-1], [0.0]))
-    f1_greater = 2.0 * suffix_pos / (suffix_pos + suffix_neg + n_pos)
-
-    # predicted positive = scores < thresholds[i] = values u[:i]
-    prefix_pos = np.concatenate(([0.0], np.cumsum(pos_per_value)))
-    prefix_neg = np.concatenate(([0.0], np.cumsum(neg_per_value)))
-    f1_less = 2.0 * prefix_pos / (prefix_pos + prefix_neg + n_pos)
+    # rows at values u[:i]: predicted positive by scores < thresholds[i],
+    # and the rest by scores > thresholds[i]
+    below_pos = np.concatenate(([0.0], np.cumsum(pos_per_value)))
+    below_neg = np.concatenate(([0.0], np.cumsum(neg_per_value)))
+    n_pos = below_pos[-1]
+    above_pos, above_neg = n_pos - below_pos, below_neg[-1] - below_neg
+    f1_greater = 2.0 * above_pos / (above_pos + above_neg + n_pos)
+    f1_less = 2.0 * below_pos / (below_pos + below_neg + n_pos)
 
     ig = int(np.argmax(f1_greater))
     il = int(np.argmax(f1_less))
-    if f1_less[il] > f1_greater[ig]:
-        return ThresholdClassifier(feature_name, float(thresholds[il]),
-                                   DIRECTION_LESS, float(f1_less[il]))
-    return ThresholdClassifier(feature_name, float(thresholds[ig]),
-                               DIRECTION_GREATER, float(f1_greater[ig]))
+    i, direction, f1 = ((il, DIRECTION_LESS, f1_less) if f1_less[il] > f1_greater[ig]
+                        else (ig, DIRECTION_GREATER, f1_greater))
+    return ThresholdClassifier(feature_name, float(thresholds[i]), direction, float(f1[i]),
+                               auc_of_counts(*counts))
 
 
 # ---------------------------------------------------------------------------

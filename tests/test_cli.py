@@ -12,13 +12,15 @@ import pytest
 
 import wifi_proximity
 from wifi_proximity import fileio
-from wifi_proximity.cli import main
-from wifi_proximity.features import FEATURE_NAMES, FeatureTable
+from wifi_proximity.cli import _split_for, main
+from wifi_proximity.config import load_config
+from wifi_proximity.features import FEATURE_NAMES, FeatureTable, apply_imputation, fit_imputation
 from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN, TS_END
 
+import score_reference
 from conftest import TINY_WORLD_STATS, world_conf
 
 
@@ -157,6 +159,17 @@ class TestHappyPath:
                     "direction"} <= set(row)
         assert "FULL:gradient-boosted" in doc["featuresets"]
         assert doc["n"] == doc["n_train"] + doc["n_test"]
+
+    def test_single_features_match_the_reference_calls(self, workdir):
+        """Bit for bit: every field as json writes it, so -0.0 and 0.0 differ."""
+        d, _ = workdir
+        doc = fileio.read_json(d / "report.json", fileio.SCHEMA_REPORT)
+        cfg = load_config(d / "world.conf")
+        feats = FeatureTable.load(d / "features.npz")
+        train_idx, test_idx = _split_for(cfg, len(feats.label))
+        X_imp = apply_imputation(feats.X, fit_imputation(feats.X[train_idx]))
+        want = score_reference.single_features(X_imp, feats.label, train_idx, test_idx)
+        assert json.dumps(doc["single_features"]) == json.dumps(want)
 
     def test_cleaning_report_counts(self, workdir):
         d, _ = workdir

@@ -4,7 +4,7 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import expit
 from scipy.stats import rankdata
@@ -14,9 +14,9 @@ from wifi_proximity.evaluation import (
     StratumResult,
     _auc_or_none,
     auc_roc,
+    class_counts,
     iso_week_key,
     learning_curve,
-    midranks,
     miss_rate_vs_bt_rssi,
     prf_at_threshold,
     stratified_report,
@@ -29,7 +29,7 @@ from oracles import oracle_auc
 
 
 def greater(threshold):
-    return ThresholdClassifier("s", threshold, "greater-is-positive", 0.0)
+    return ThresholdClassifier("s", threshold, "greater-is-positive", 0.0, 0.5)
 
 
 class TestAuc:
@@ -52,8 +52,12 @@ class TestAuc:
                 oracle_auc(scores.tolist(), labels.tolist()), abs=1e-12)
 
     def test_single_class_rejected(self):
-        with pytest.raises(ValueError):
-            auc_roc([0.1, 0.2], [1, 1])
+        for score in (auc_roc, class_counts):
+            with pytest.raises(ValueError, match="both classes"):
+                score([0.1, 0.2], [1, 1])
+            # a label outside {0, 1} is in neither class
+            with pytest.raises(ValueError, match="labels must be 0 or 1"):
+                score([0.1, 0.2, 0.3], [1, 0, 2])
 
     def test_perfect_and_inverted(self):
         assert auc_roc([0.9, 0.1], [1, 0]) == pytest.approx(1.0)
@@ -69,17 +73,6 @@ score_lists = st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, -2.0, np.inf, -np.i
 
 
 class TestMidranks:
-    @settings(max_examples=300, deadline=None)
-    @given(values=score_lists)
-    @example(values=[0.3])
-    @example(values=[])
-    @example(values=[1.0, 1.0, 1.0])
-    @example(values=[0.5, np.nan, 0.5])
-    def test_match_scipy_rankdata(self, values):
-        got, want = midranks(values), rankdata(values)
-        assert got.dtype == want.dtype and got.shape == want.shape
-        assert np.array_equal(got, want, equal_nan=True)
-
     @settings(max_examples=200, deadline=None)
     @given(values=score_lists, labels=st.lists(st.integers(0, 1), min_size=40, max_size=40))
     def test_auc_matches_rankdata_bit_for_bit(self, values, labels):

@@ -70,6 +70,9 @@ class TestFitThreshold:
     def test_single_class_rejected(self):
         with pytest.raises(ValueError):
             fit_threshold([0.1, 0.2], [1, 1])
+        # a label outside {0, 1} is in neither class
+        with pytest.raises(ValueError, match="labels must be 0 or 1"):
+            fit_threshold([0.1, 0.2, 0.3], [1, 0, 2])
 
     def test_constant_scores_still_fit(self):
         # all candidate cuts degenerate; predicting everything positive via
