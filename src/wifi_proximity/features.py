@@ -8,7 +8,10 @@ adamic_adar), location (at_home, at_campus).
 Correlations are undefined with fewer than three common routers or when
 one side reads every signal at the same level, and are dropped when not
 statistically significant; such values stay missing until mean
-imputation, whose means come from training data only.
+imputation, whose means come from training data only. Significance is a
+two-sided Student-t test, whose p-value ``two_sided_t_p`` computes in
+numpy from the incomplete beta function's continued fraction, so that no
+stage process has to import scipy.
 
 A router's popularity at an interaction is the number of distinct users
 who scanned it within ``popularity_window_s`` (``delta_t_s`` in the
@@ -30,7 +33,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtr
 
 from . import fileio
 from .fileio import DataError
@@ -132,13 +134,85 @@ def _pearson_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     return float(min(1.0, max(-1.0, (da @ db) / denom)))
 
 
+def _half_beta_factors(k: np.ndarray) -> np.ndarray:
+    """1 / ((k/2) B(k/2, 1/2)) for integers k >= 1: 2/pi at k = 1, 1/2 at
+    k = 2, and (k + 1)/(k + 2) times that of k at k + 2."""
+    steps = np.arange(k.max(initial=2) + 1.0)
+    steps[3:] = (steps[3:] - 1.0) / steps[3:]
+    steps[1:3] = 2.0 / np.pi, 0.5
+    steps[1::2] = np.multiply.accumulate(steps[1::2])
+    steps[2::2] = np.multiply.accumulate(steps[2::2])
+    return steps[k]
+
+
+def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """The continued fraction of the regularized incomplete beta function
+    I_x(a, b) (Numerical Recipes, 3rd ed., 6.4), by the modified Lentz
+    method. Each element stops when its own last factor is within 1e-15
+    of 1, so its value does not depend on the other elements."""
+    def nonzero(v):
+        return np.where(np.abs(v) < 1e-300, 1e-300, v)
+
+    d = 1.0 / nonzero(1.0 - (a + b) * x / (a + 1.0))
+    fraction = d.copy()
+    c = np.ones_like(x)
+    live = np.arange(len(x))
+    m = 0
+    while len(live):
+        m += 1
+        a_, b_, x_ = a[live], b[live], x[live]
+        for coef in (m * (b_ - m) * x_ / ((a_ + (2 * m - 1)) * (a_ + 2 * m)),
+                     -(a_ + m) * (a_ + b_ + m) * x_ / ((a_ + 2 * m) * (a_ + (2 * m + 1)))):
+            d = 1.0 / nonzero(1.0 + coef * d)
+            c = nonzero(1.0 + coef / c)
+            fraction[live] *= d * c
+        keep = np.abs(d * c - 1.0) > 1e-15
+        live, c, d = live[keep], c[keep], d[keep]
+    return fraction
+
+
+def two_sided_t_p(t, df) -> np.ndarray:
+    """P(|T| >= t) for Student's t with integer df >= 1, elementwise over
+    the broadcast of t >= 0 and df; NaN where t is NaN.
+
+    With z = cos^2(theta) = df / (df + t^2), p is the regularized
+    incomplete beta I_z(df/2, 1/2). Its continued fraction is the upper
+    tail itself, so p keeps its relative precision however small it is.
+    That fraction converges fast only below z = (df + 2)/(df + 5), and
+    above it p is 1 - I_{1-z}(1/2, df/2) instead, whose fraction does;
+    there t < sqrt(3), so p > 0.08 and the subtraction costs little. Both
+    are sin(theta) cos^df(theta) / ((df/2) B(df/2, 1/2)) times their
+    fraction, the second also times df. Every step is elementwise, so a
+    value does not depend on what else is in the call.
+    """
+    t, df = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(df))
+    p = np.full(t.shape, np.nan)
+    ok = ~np.isnan(t)
+    t, k = t[ok], df[ok].astype(np.int64)
+    kf = k.astype(float)
+    root = np.sqrt(kf)
+    far = t >= root
+    # tan or cot of theta, at most 1, so nothing overflows, even at t = inf
+    with np.errstate(divide="ignore"):
+        u = np.where(far, root / t, t / root)
+    w = np.sqrt(1.0 + u * u)
+    cos, sin = np.where(far, u, 1.0) / w, np.where(far, 1.0, u) / w
+    scale = _half_beta_factors(k) * sin * cos ** kf
+    tail = cos * cos < (kf + 2.0) / (kf + 5.0)
+    half = kf / 2.0
+    fraction = _beta_fraction(np.where(tail, half, 0.5), np.where(tail, 0.5, half),
+                              np.where(tail, cos * cos, sin * sin))
+    p[ok] = np.where(tail, scale * fraction, 1.0 - kf * scale * fraction)
+    return p
+
+
 def _two_sided_p(r: float, n: int) -> float:
     # t approximation with n-2 degrees of freedom; |r|=1 degenerates to p=0
     df = n - 2
     if 1.0 - r * r <= 0.0:
         return 0.0
     t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    return 2.0 * float(stdtr(df, -t))
+    return float(two_sided_t_p(t, df))
 
 
 def rssi_correlations(view: OverlapView, alpha: float = DEFAULT_ALPHA):
@@ -410,8 +484,8 @@ def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
     df = n - 2
     q = 1.0 - r * r
     with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.abs(r) * np.sqrt(df / q)
-    p = np.where(q <= 0.0, 0.0, 2.0 * stdtr(df, -t))
+        t = np.abs(r) * np.sqrt(df / q)  # inf at |r| = 1, where p is 0
+    p = two_sided_t_p(t, df)
     return np.where(np.isnan(r) | (p >= alpha), np.nan, r)
 
 

@@ -1,8 +1,9 @@
 """Classifiers over pairwise feature vectors.
 
 Three families: single-feature threshold rules (the per-feature baseline),
-gradient-boosted regression trees with logistic loss, and a random forest
-of Gini classification trees. The ensembles are built on trees.grow_tree
+gradient-boosted regression trees with logistic loss, whose logistic link
+``expit`` is computed in numpy, and a random forest of Gini
+classification trees. The ensembles are built on trees.grow_tree
 and tuned, when asked, by stratified 5-fold grid search on validation AUC.
 Boosting adds each new tree's leaf values to the training scores from the
 leaf rows the grower returns. load_model checks every tree it reads.
@@ -16,7 +17,6 @@ from concurrent.futures import ThreadPoolExecutor  # noqa: F401
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
-from scipy.special import expit
 
 from . import fileio
 from .evaluation import auc_of_counts, auc_roc, class_counts
@@ -162,6 +162,14 @@ def _training_input(X, y, feature_names):
     if len(feature_names) != X.shape[1]:
         raise ValueError("feature_names length does not match matrix width")
     return (y, tuple(feature_names)) + encode_columns(X)
+
+
+def expit(x):
+    """The logistic function 1 / (1 + e^-x). Below x = -709.78, e^-x
+    overflows to inf and the result is 0, where the exact value is under
+    2e-308."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-x))
 
 
 def fit_gbt(X, y, params: dict | None = None, seed: int = 0,

@@ -294,20 +294,42 @@ class TestExitCodes:
         assert code == 3
 
 
+# the scipy modules loaded, printed last, after the code before it has run
+SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+
+
 class TestStartup:
-    def test_importing_the_cli_leaves_scipy_stats_unloaded(self):
-        """Every CLI process pays for what the package imports, and
-        scipy.stats alone takes over half a second to import."""
+    """Every CLI process pays for what the package imports, and scipy
+    costs 0.25-0.3 s and about 20 MB of it. Only generate --stats loads
+    scipy (scipy.stats, inside synthgen.calibrate_stats)."""
+
+    def scipy_loaded(self, code, *args):
         env = dict(os.environ)
         package_root = str(Path(wifi_proximity.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run(
-            [sys.executable, "-c",
-             "import sys, wifi_proximity.cli; print('scipy.stats' in sys.modules)"],
-            env=env, capture_output=True, text=True, timeout=120)
+        proc = subprocess.run([sys.executable, "-c", code + "\n" + SCIPY_LOADED, *args],
+                              env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        return proc.stdout.splitlines()[-1]
+
+    def test_importing_the_cli_loads_no_scipy(self):
+        assert self.scipy_loaded("import sys, wifi_proximity.cli") == "[]"
+
+    def test_a_run_from_clean_to_report_loads_no_scipy(self, tmp_path, workdir):
+        src, base = workdir
+        for name in ("wifi.jsonl", "bluetooth.jsonl"):
+            (tmp_path / name).write_bytes((src / name).read_bytes())
+        code = "\n".join([
+            "import sys",
+            "from wifi_proximity import cli, models",
+            "models.DEFAULT_GBT_PARAMS['n_trees'] = models.DEFAULT_RF_PARAMS['n_trees'] = 5",
+            "for stage in ('clean', 'pair', 'featurize', 'train --model gbt',",
+            "              'evaluate --model gbt', 'train --model rf',",
+            "              'evaluate --model rf', 'report'):",
+            "    assert cli.main(stage.split() + sys.argv[1:]) == 0, stage"])
+        assert self.scipy_loaded(code, "--dir", str(tmp_path), *base[2:]) == "[]"
+        assert (tmp_path / "report.json").exists()
 
 
 class TestDeterminism:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import stdtr, stdtrit
 
 from wifi_proximity.features import (
     FEATURE_NAMES,
@@ -14,6 +15,7 @@ from wifi_proximity.features import (
     ImputationState,
     PopularityIndex,
     PopularityIndexError,
+    _significant_rows,
     apply_imputation,
     extract_features,
     fit_imputation,
@@ -21,6 +23,7 @@ from wifi_proximity.features import (
     rssi_correlations,
     rssi_distances,
     top_ap_features,
+    two_sided_t_p,
 )
 from wifi_proximity.records import CandidatePair, OverlapView, intersect
 
@@ -139,6 +142,62 @@ class TestCorrelationDiscipline:
         # three nearly-uncorrelated points: p is far above 0.05
         sp, pe = rssi_correlations(self.view([-70, -60, -50], [-60, -70, -58]))
         assert sp is None and pe is None
+
+
+def scipy_p(t, df):
+    """The oracle: scipy's two-sided Student-t p-value, 2 stdtr(df, -t).
+    At df = 1 it is the Cauchy closed form atan(1/t) / (pi/2) below
+    t = 1e-5 and above t = 1e150, where scipy's value is off: by up to
+    4e-9 relative below (against mpmath at 40 digits), and 0 once t^2
+    overflows."""
+    t, df = np.broadcast_arrays(t, df)
+    cauchy = np.arctan2(1.0, t) / (np.pi / 2)
+    return np.where((df == 1) & ((t < 1e-5) | (t > 1e150)), cauchy, 2.0 * stdtr(df, -t))
+
+
+class TestTwoSidedP:
+    DF = np.arange(1, 2001)[:, None]
+    T = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 250), [np.inf]])
+
+    def test_matches_scipy_for_df_up_to_2000(self):
+        got = two_sided_t_p(self.T, self.DF)
+        want = scipy_p(self.T, self.DF)
+        assert (got[:, 0] == 1.0).all() and (got[:, -1] == 0.0).all()
+        shown = want >= 1e-300
+        np.testing.assert_allclose(got[shown], want[shown], rtol=1e-11, atol=0)
+        assert got[~shown].max() < 2e-300
+
+    def test_nan_t_is_nan_for_any_df(self):
+        p = two_sided_t_p([[np.nan, 2.0], [np.nan, np.nan]], [-1, 3])
+        assert np.isnan(p[:, 0]).all() and np.isnan(p[1, 1])
+        assert p[0, 1] == pytest.approx(2.0 * stdtr(3, -2.0), rel=1e-11)
+
+    def test_a_value_does_not_depend_on_its_batch(self):
+        rng = np.random.default_rng(5)
+        t = self.T[rng.integers(0, len(self.T), 400)]
+        df = rng.integers(1, 2001, 400)
+        batch = two_sided_t_p(t, df)
+        assert [float(two_sided_t_p(x, k)) for x, k in zip(t, df)] == batch.tolist()
+
+    @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 0.01, 0.05, 0.5, 0.999])
+    def test_keeps_and_drops_as_scipy_does(self, alpha):
+        """_significant_rows keeps r exactly where scipy's p is below alpha,
+        outside a 1e-11 relative band around alpha. Each overlap size's r
+        is probed densely around its critical value."""
+        n = np.arange(3, 203)[:, None]
+        t_crit = -stdtrit(n - 2, alpha / 2)
+        r_crit = t_crit / np.sqrt(n - 2 + t_crit ** 2)
+        steps = np.geomspace(1e-14, 0.1, 60)
+        r = np.clip(r_crit * np.concatenate([1.0 - steps, [1.0], 1.0 + steps]), -1.0, 1.0)
+        r = np.hstack([r, -r])
+        kept = ~np.isnan(_significant_rows(r, n, alpha))
+        q = 1.0 - r * r
+        with np.errstate(divide="ignore"):
+            t = np.abs(r) * np.sqrt((n - 2) / q)
+        want = np.where(q <= 0.0, 0.0, scipy_p(t, n - 2))
+        outside = np.abs(want - alpha) > 1e-11 * alpha
+        assert kept[outside].any() and not kept[outside].all()
+        assert np.array_equal(kept[outside], want[outside] < alpha)
 
 
 class TestDistances:

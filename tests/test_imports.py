@@ -1,7 +1,7 @@
 """Every name that a module of the package imports is used in that module,
 every top-level function and class of the package is named by code
-outside the tests, and only ``fileio`` names what reads or writes an
-.npz archive.
+outside the tests, only ``fileio`` names what reads or writes an .npz
+archive, and only ``synthgen.calibrate_stats`` imports scipy.
 
 An import marked ``# noqa: F401`` is exempt: the three ``ThreadPoolExecutor``
 imports stay because the benchmark's tracer patches that name.
@@ -122,3 +122,46 @@ def test_an_archive_name_is_found():
     source = ("import zipfile\nimport numpy as np\nfrom numpy.lib.format import read_array\n"
               "np.savez('a', x=1)\nzipfile.ZipFile('b')\nsave_table('c')\n")
     assert archive_names(source) == ["ZipFile", "read_array", "savez"]
+
+
+def scipy_importers(source: str) -> list[str]:
+    """Where source imports scipy, in order: "<module>" for an import that
+    runs when the module is imported (a class body's too), else the
+    qualified name of the function whose body holds it."""
+    found = []
+
+    def visit(node, names, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Import):
+                roots = {alias.name.split(".")[0] for alias in child.names}
+            elif isinstance(child, ast.ImportFrom) and not child.level:
+                roots = {child.module.split(".")[0]}
+            else:
+                roots = set()
+            if "scipy" in roots:
+                found.append(".".join(names) if in_function else "<module>")
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, names + [child.name],
+                      in_function or not isinstance(child, ast.ClassDef))
+            else:
+                visit(child, names, in_function)
+
+    visit(ast.parse(source), [], False)
+    return found
+
+
+def test_only_calibrate_stats_imports_scipy():
+    """scipy costs every stage process a quarter second or more and about
+    20 MB, so only generate --stats loads it, when it runs."""
+    found = {path.stem: scipy_importers(path.read_text(encoding="utf-8"))
+             for path in MODULES}
+    assert {name: where for name, where in found.items() if where} == {
+        "synthgen": ["calibrate_stats"]}
+
+
+def test_a_scipy_import_is_found():
+    source = ("import numpy, scipy.special as sp\nimport scipyx\nfrom .scipy import y\n"
+              "def f():\n    from scipy.stats import t\n"
+              "class C:\n    from scipy import linalg\n"
+              "    def g(self):\n        import scipy\n")
+    assert scipy_importers(source) == ["<module>", "f", "<module>", "C.g"]

@@ -1,7 +1,9 @@
-"""scripts/run_experiment.py end to end on the tiny world."""
+"""scripts/run_experiment.py end to end on the tiny world, and
+scripts/summarize_run.py on a tiny-world run."""
 
 import argparse
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -10,15 +12,19 @@ from wifi_proximity import cli, fileio, models
 
 from conftest import world_conf
 
-SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "run_experiment.py"
+SCRIPTS = Path(__file__).resolve().parents[1] / "scripts"
+
+
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture
 def run_experiment():
-    spec = importlib.util.spec_from_file_location("run_experiment", SCRIPT)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_script("run_experiment")
 
 
 def test_curve_pool_is_the_models_train_split(run_experiment, monkeypatch,
@@ -59,3 +65,68 @@ def test_model_choices_are_the_clis(run_experiment):
     choices = model_choices(run_experiment.build_parser())
     assert choices == model_choices(cli.build_parser())
     assert choices == list(models.KIND_SHORT.values())
+
+
+@pytest.fixture(scope="module")
+def tiny_run(tmp_path_factory, tiny_world):
+    """A tiny-world run from generate to report, with 5-tree ensembles."""
+    d = tmp_path_factory.mktemp("summarize")
+    conf = d / "world.conf"
+    conf.write_text(world_conf(tiny_world))
+    base = ["--dir", str(d), "--config", str(conf)]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 5)
+        mp.setitem(models.DEFAULT_RF_PARAMS, "n_trees", 5)
+        for stage in (["generate"], ["clean"], ["pair"], ["featurize"],
+                      ["train"], ["evaluate"], ["train", "--model", "rf"],
+                      ["evaluate", "--model", "rf"], ["report"]):
+            assert cli.main(stage + base) == 0, stage
+    return d
+
+
+def summarize(d, capsys):
+    """summarize_run's exit code, stdout and stderr lines on directory d."""
+    code = load_script("summarize_run").main(["--dir", str(d)])
+    out, err = capsys.readouterr()
+    return code, out, err.splitlines()
+
+
+def test_summarize_run_prints_every_eval(tiny_run, capsys):
+    code, out, err = summarize(tiny_run, capsys)
+    assert (code, err) == (0, [])
+    assert out.count("top feature importance") == 2
+
+
+def test_summarize_run_names_a_missing_report(tmp_path, capsys):
+    code, out, err = summarize(tmp_path, capsys)
+    assert (code, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tmp_path / "report.json") in err[0]
+
+
+def truncated(blob: bytes) -> bytes:
+    return blob[:len(blob) // 2]
+
+
+def without_test_results(blob: bytes) -> bytes:
+    doc = json.loads(blob)
+    del doc["test"]
+    return json.dumps(doc).encode()
+
+
+def with_a_text_fraction(blob: bytes) -> bytes:
+    return json.dumps({**json.loads(blob), "positive_fraction": "half"}).encode()
+
+
+@pytest.mark.parametrize("name, edit", [("eval_full_rf.json", truncated),
+                                        ("model_full_rf.json", truncated),
+                                        ("eval_full_gbt.json", without_test_results),
+                                        ("report.json", with_a_text_fraction)])
+def test_summarize_run_names_an_unreadable_file(tiny_run, tmp_path, capsys, name, edit):
+    for path in tiny_run.glob("*.json"):
+        blob = path.read_bytes()
+        (tmp_path / path.name).write_bytes(edit(blob) if path.name == name else blob)
+    code, out, err = summarize(tmp_path, capsys)
+    assert (code, out) == (3, "")
+    assert len(err) == 1 and err[0].startswith("data error: ")
+    assert str(tmp_path / name) in err[0]

@@ -5,10 +5,9 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from scipy.special import expit
 
 from wifi_proximity import trees
-from wifi_proximity.models import fit_gbt
+from wifi_proximity.models import expit, fit_gbt
 from wifi_proximity.trees import Tree, _best_cut, encode_columns, grow_tree
 
 import tree_reference
@@ -550,7 +549,8 @@ class TestPredictMatchesLevelwise:
 
     def test_fit_gbt_trees_are_unchanged(self):
         """fit_gbt updates scores from the grower's leaf rows; the trees equal
-        those of boosting on the level-wise predictions."""
+        those of boosting on the level-wise predictions, through the same
+        logistic that fit_gbt uses."""
         rng = np.random.default_rng(11)
         for _ in range(4):
             n, d = int(rng.integers(50, 300)), int(rng.integers(1, 6))
