@@ -7,7 +7,10 @@ From ``pair`` on, stages read arrays: ``pair`` writes the candidates that
 ``pairing.pair_windows`` returns as candidates.npz, which ``featurize``
 reads, and ``featurize`` writes features.npz, which ``train``,
 ``evaluate`` and ``report`` read. candidates.csv and features.csv are
-readable copies of the same rows that no stage reads.
+readable copies of the same rows that no stage reads. Those three build
+each side's model input with ``features.model_matrix``, one column-major
+gather of its rows, and check first that each side they use holds both
+classes, naming the file and the train count when one does not.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 config error.
 """
@@ -28,9 +31,9 @@ from .evaluation import auc_roc, prf_at_threshold, stratified_report
 from .features import (
     FEATURE_NAMES,
     FeatureTable,
-    apply_imputation,
     extract_feature_matrix,
     fit_imputation,
+    model_matrix,
 )
 from .fileio import (
     SCHEMA_BLUETOOTH,
@@ -52,6 +55,7 @@ from .ingest import (
 )
 from .models import (
     FEATURESETS,
+    GRID_FOLDS,
     KIND_SHORT,
     fit_model,
     fit_threshold,
@@ -59,7 +63,6 @@ from .models import (
     load_model,
     predict,
     save_model,
-    select_columns,
 )
 from .pairing import CandidateTable, pair_windows, split_indices
 from .records import MalformedRecordError
@@ -249,32 +252,42 @@ def _split_for(cfg: PipelineConfig, n: int):
     return split_indices(n, train_count, cfg.seed)
 
 
+def _check_classes(path, train_count: int, sides, need: int = 1) -> None:
+    """DataError naming path unless the labels of each (side, labels) in
+    sides hold at least need rows of each class."""
+    for side, labels in sides:
+        n_pos = int(np.count_nonzero(labels))
+        if min(n_pos, len(labels) - n_pos) < need:
+            what = ("without both classes" if need == 1 else
+                    f"with fewer than {need} rows of a class, one per grid search fold")
+            raise DataError(f"{path}: split train_count {train_count} leaves {side} rows {what}")
+
+
 def stage_train(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     feats = _nonempty_features(paths["features"], h)
-    X, y = feats.X, feats.label
-    train_idx, test_idx = _split_for(cfg, len(y))
+    n = len(feats.label)
+    train_idx, _ = _split_for(cfg, n)
+    y = feats.label[train_idx]
+    _check_classes(paths["features"], len(train_idx), [("train", y)],
+                   GRID_FOLDS if cfg.grid else 1)
 
-    imputation = fit_imputation(X[train_idx])
-    X_imp = apply_imputation(X, imputation)
+    imputation = fit_imputation(feats.X, train_idx)
     names = FEATURESETS[cfg.featureset]
-    X_sel = select_columns(X_imp, names)
+    X = model_matrix(feats.X, train_idx, names, imputation)
+    # the fit needs only the training rows' model matrix
+    del feats
 
     params = None
     grid_results = None
     if cfg.grid:
-        params, grid_results = grid_search_cv(
-            cfg.model_kind,
-            X_sel[train_idx],
-            y[train_idx],
-            seed=cfg.seed,
-        )
+        params, grid_results = grid_search_cv(cfg.model_kind, X, y, seed=cfg.seed)
 
     model = fit_model(
         cfg.model_kind,
-        X_sel[train_idx],
-        y[train_idx],
+        X,
+        y,
         params,
         seed=cfg.seed,
         feature_names=names,
@@ -286,7 +299,7 @@ def stage_train(cfg: PipelineConfig, args) -> int:
             "seed": cfg.seed,
             "train_size": cfg.train_size,
             "train_count": int(len(train_idx)),
-            "n": int(len(y)),
+            "n": n,
         }
     }
     if grid_results is not None:
@@ -325,7 +338,7 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     model_file = _model_path(paths["dir"], cfg)
     model, doc = load_model(model_file, h)
     feats = _nonempty_features(paths["features"], h)
-    X, y = feats.X, feats.label
+    y = feats.label
 
     split = doc.get("split")
     train_count, seed = _split_of(model_file, split, len(y))
@@ -333,31 +346,33 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
     if len(test_idx) < 3:
         raise DataError(f"{paths['features']}: {len(test_idx)} test rows, too few "
                         "for the three union-size terciles")
-    for side, rows in (("train", train_idx), ("test", test_idx)):
-        if len(np.unique(y[rows])) < 2:
-            raise DataError(f"{model_file}: split train_count {train_count} leaves "
-                            f"{side} rows without both classes")
+    y_train, y_test = y[train_idx], y[test_idx]
+    _check_classes(model_file, train_count, [("train", y_train), ("test", y_test)])
 
-    X_imp = apply_imputation(X, model.imputation)
-    # rows first, then columns: a column selection comes out column-major,
-    # so a tree reads each column's rows from contiguous memory
-    scores_train = predict(model, select_columns(X_imp[train_idx], model.feature_names))
-    scores_test = predict(model, select_columns(X_imp[test_idx], model.feature_names))
-    classifier = fit_threshold(scores_train, y[train_idx], feature_name="model_score")
-
-    train_prf = prf_at_threshold(scores_train, y[train_idx], classifier)
-
+    X, names = feats.X, model.feature_names
+    scores_train = predict(model, model_matrix(X, train_idx, names, model.imputation))
+    X_test = model_matrix(X, test_idx, names, model.imputation)
+    # of the other features, the strata read only these columns of the test rows
     col = FEATURE_NAMES.index
+    union_sizes, at_campus, hours = (X[test_idx, col(name)]
+                                     for name in ("union", "at_campus", "hour_of_week"))
+    ts, bt_rssi = feats.ts[test_idx], feats.bt_rssi[test_idx]
+    # scoring the test rows needs none of the loaded table
+    del feats, X
+    scores_test = predict(model, X_test)
+
+    classifier = fit_threshold(scores_train, y_train, feature_name="model_score")
+    train_prf = prf_at_threshold(scores_train, y_train, classifier)
     report = stratified_report(
         scores_test,
-        y[test_idx],
+        y_test,
         classifier=classifier,
-        union_sizes=X[test_idx, col("union")],
-        at_campus=X[test_idx, col("at_campus")],
-        hours=X[test_idx, col("hour_of_week")],
-        ts=feats.ts[test_idx],
+        union_sizes=union_sizes,
+        at_campus=at_campus,
+        hours=hours,
+        ts=ts,
         tz_offset_s=cfg.tz_offset_s,
-        bt_rssi=feats.bt_rssi[test_idx],
+        bt_rssi=bt_rssi,
     )
     payload = {
         "featureset": model.featureset,
@@ -385,16 +400,15 @@ def stage_report(cfg: PipelineConfig, args) -> int:
     paths = _paths(args)
     h = cfg.data_hash()
     feats = _nonempty_features(paths["features"], h)
-    X, y = feats.X, feats.label
+    y = feats.label
     train_idx, test_idx = _split_for(cfg, len(y))
-
-    # each side's rows once, column-major, so that every feature's column is
-    # contiguous; imputing the sides, not the whole matrix, bounds peak memory
-    X_train = np.asfortranarray(X[train_idx])
-    imputation = fit_imputation(X_train)
-    X_train = apply_imputation(X_train, imputation)
-    X_test = apply_imputation(np.asfortranarray(X[test_idx]), imputation)
     y_train, y_test = y[train_idx], y[test_idx]
+    _check_classes(paths["features"], len(train_idx), [("train", y_train), ("test", y_test)])
+
+    imputation = fit_imputation(feats.X, train_idx)
+    X_train, X_test = (model_matrix(feats.X, rows, FEATURE_NAMES, imputation)
+                       for rows in (train_idx, test_idx))
+    del feats
 
     single = {}
     for name, train_col, test_col in zip(FEATURE_NAMES, X_train.T, X_test.T):

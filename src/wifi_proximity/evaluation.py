@@ -5,7 +5,8 @@ outscores a random negative, ties counting one half), read from one count
 of each class per distinct score. The report slices test AUC by
 union-size tercile, campus flag, calendar week and hour of week, bins the
 missed positives by Bluetooth RSSI, and the learning-curve driver retrains
-on growing subsamples against a fixed test set.
+on growing subsamples, each gathered by ``features.model_matrix``, against
+a fixed test set.
 
 Every breakdown (terciles, strata, RSSI bins) is grouped by code: a key
 is computed once per distinct value (per distinct local day for the
@@ -21,7 +22,7 @@ from datetime import datetime, timezone
 
 import numpy as np
 
-from .features import apply_imputation, fit_imputation
+from .features import FEATURE_NAMES, apply_imputation, fit_imputation, model_matrix
 
 
 def class_counts(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -273,8 +274,8 @@ def _single_curve_run(kind, params, X_pool, y_pool, X_test, y_test,
     else:
         raise ValueError(f"could not draw a two-class subsample of size {size}")
     model_seed = int(rng.integers(2 ** 31))
-    imp = fit_imputation(X_pool[rows])
-    model = fit_model(kind, apply_imputation(X_pool[rows], imp), y_pool[rows],
+    imp = fit_imputation(X_pool, rows)
+    model = fit_model(kind, model_matrix(X_pool, rows, FEATURE_NAMES, imp), y_pool[rows],
                       params, seed=model_seed)
     return auc_roc(predict(model, apply_imputation(X_test, imp)), y_test)
 
@@ -286,13 +287,14 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
 
     X_pool and X_test are unimputed matrices; every repetition draws its
     own subsample with a seed derived from (seed, size, repetition), fits
-    imputation on that subsample, trains, and scores the fixed test set.
+    imputation on that subsample, trains on its model_matrix, and scores
+    the fixed test set.
     The fits run one at a time; jobs is ignored (perfbench still passes it).
     Returns kind -> size -> {"aucs", "median", "q25", "q75"}.
     """
-    X_pool = np.ascontiguousarray(X_pool, dtype=float)
+    X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
-    # column-major, the layout in which trees read a column's rows fastest
+    # column-major once, so that each repetition copies its columns whole
     X_test = np.asfortranarray(X_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     params_by_kind = params_by_kind or {}

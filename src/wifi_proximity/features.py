@@ -17,6 +17,12 @@ A router's popularity at an interaction is the number of distinct users
 who scanned it within ``popularity_window_s`` (``delta_t_s`` in the
 pipeline) of the interaction time, window ends included.
 
+A model's input is ``model_matrix``: the rows of one split side and the
+columns of one featureset, gathered once, column by column, into a
+column-major array, with missing correlations set to the training means
+that ``fit_imputation`` reads from the correlation columns of the train
+rows. Neither copies the whole matrix.
+
 ``extract_feature_matrix`` computes all 16 for every candidate at once,
 with whole-array kernels over an ``ingest.WifiScans`` table in bssid
 order, the table ``clean`` saves as scans.npz; ``featurize`` uses it.
@@ -776,8 +782,10 @@ class ImputationState:
     n_missing_pearson: int
 
 
-def fit_imputation(matrix: np.ndarray) -> ImputationState:
-    """Means of the non-missing correlation columns of a training matrix.
+def fit_imputation(matrix: np.ndarray, rows=slice(None)) -> ImputationState:
+    """Means of the non-missing correlations in the given rows (an index
+    array or a slice, every row by default) of a training matrix. Only
+    the two correlation columns of those rows are read.
 
     A column with no value in the training rows is filled with 0.0: a
     correlation lies in [-1, 1], and a missing one means no significant
@@ -785,9 +793,10 @@ def fit_imputation(matrix: np.ndarray) -> ImputationState:
     """
     state = {}
     for name in CORRELATION_FEATURES:
-        col = matrix[:, FEATURE_NAMES.index(name)]
-        valid = col[~np.isnan(col)]
-        state[name] = (float(valid.mean()) if len(valid) else 0.0, int(np.isnan(col).sum()))
+        col = matrix[rows, FEATURE_NAMES.index(name)]
+        missing = np.isnan(col)
+        valid = col[~missing]
+        state[name] = (float(valid.mean()) if len(valid) else 0.0, int(missing.sum()))
     return ImputationState(
         spearman_mean=state["spearman"][0],
         pearson_mean=state["pearson"][0],
@@ -796,16 +805,39 @@ def fit_imputation(matrix: np.ndarray) -> ImputationState:
     )
 
 
-def apply_imputation(matrix: np.ndarray, state: ImputationState) -> np.ndarray:
-    """Copy of the matrix, in its memory layout, with missing correlations
-    set to the stored means."""
-    out = matrix.copy(order="K")
-    means = {"spearman": state.spearman_mean, "pearson": state.pearson_mean}
-    for name in CORRELATION_FEATURES:
-        col = FEATURE_NAMES.index(name)
-        mask = np.isnan(out[:, col])
-        out[mask, col] = means[name]
-    if np.isnan(out).any():
-        raise ValueError("matrix has missing values outside the correlation columns")
+def gather(matrix: np.ndarray, rows, cols) -> np.ndarray:
+    """matrix[rows][:, cols] in one pass: each column's rows are copied
+    into a column-major array, so no row-major copy of the rows is made.
+    rows is an index array or a slice."""
+    n = len(range(matrix.shape[0])[rows]) if isinstance(rows, slice) else len(rows)
+    out = np.empty((n, len(cols)), order="F")
+    for j, col in enumerate(cols):
+        out[:, j] = matrix[rows, col]
     return out
 
+
+def model_matrix(matrix: np.ndarray, rows, names, state: ImputationState) -> np.ndarray:
+    """A model's input: the given rows (an index array or a slice) of the
+    named columns of a FEATURE_NAMES-order matrix, gathered once into a
+    column-major array, the layout in which trees read a column's rows
+    fastest, with missing correlations set to the state's training means.
+
+    Raises ValueError on a NaN in any other of those cells.
+    """
+    cols = [FEATURE_NAMES.index(name) for name in names]
+    out = gather(matrix, rows, cols)
+    means = {FEATURE_NAMES.index(name): getattr(state, f"{name}_mean")
+             for name in CORRELATION_FEATURES}
+    for column, col in zip(out.T, cols):
+        missing = np.isnan(column)
+        if col in means:
+            column[missing] = means[col]
+        elif missing.any():
+            raise ValueError("matrix has missing values outside the correlation columns")
+    return out
+
+
+def apply_imputation(matrix: np.ndarray, state: ImputationState) -> np.ndarray:
+    """Column-major copy of a whole matrix with missing correlations set to
+    the stored means: model_matrix of every row and feature."""
+    return model_matrix(matrix, slice(None), FEATURE_NAMES, state)

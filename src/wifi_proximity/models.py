@@ -4,7 +4,9 @@ Three families: single-feature threshold rules (the per-feature baseline),
 gradient-boosted regression trees with logistic loss, whose logistic link
 ``expit`` is computed in numpy, and a random forest of Gini
 classification trees. The ensembles are built on trees.grow_tree
-and tuned, when asked, by stratified 5-fold grid search on validation AUC.
+and tuned, when asked, by stratified 5-fold grid search on validation AUC,
+which gathers each fold's rows column by column. A fit reads its matrix
+in the layout given, so a column-major model matrix is never copied.
 Boosting adds each new tree's leaf values to the training scores from the
 leaf rows the grower returns. load_model checks every tree it reads.
 """
@@ -20,7 +22,7 @@ import numpy as np
 
 from . import fileio
 from .evaluation import auc_of_counts, auc_roc, class_counts
-from .features import FEATURE_NAMES, ImputationState
+from .features import FEATURE_NAMES, ImputationState, gather
 from .trees import Tree, encode_columns, grow_tree
 
 DIRECTION_GREATER = "greater-is-positive"
@@ -62,12 +64,8 @@ DEFAULT_RF_GRID = [
     {"n_trees": t, "max_depth": d}
     for t in (100, 300) for d in (None, 8)
 ]
-
-
-def select_columns(matrix: np.ndarray, names) -> np.ndarray:
-    """Columns of a canonical-order feature matrix, by feature name."""
-    idx = [FEATURE_NAMES.index(n) for n in names]
-    return matrix[:, idx]
+# the grid search's stratified folds; each needs a row of each class
+GRID_FOLDS = 5
 
 
 # ---------------------------------------------------------------------------
@@ -145,7 +143,7 @@ class TreeEnsembleModel:
 def _training_input(X, y, feature_names):
     """(y, feature names, encode_columns(X)'s values and codes) for a fit;
     the names default to x0, x1, .... Raises ValueError on unusable input."""
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if X.ndim != 2 or len(y) != X.shape[0]:
         raise ValueError("X must be 2-d with one label per row")
@@ -277,16 +275,18 @@ def stratified_folds(y: np.ndarray, folds: int, seed: int) -> np.ndarray:
     return fold_of
 
 
-def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0):
+def grid_search_cv(kind: str, X, y, grid=None, folds: int = GRID_FOLDS, seed: int = 0):
     """Hyperparameters with the best mean validation AUC.
 
+    Each fold's fit and validation rows are gathered column by column, so
+    a column-major X, as model_matrix makes it, is never copied whole.
     Returns (best_params, results) where results has one entry per grid
     point in grid order with its fold and mean AUCs. Ties keep the
     earliest grid point.
     """
     if folds < 2:
         raise ValueError("folds must be at least 2")
-    X = np.ascontiguousarray(X, dtype=float)
+    X = np.asarray(X, dtype=float)
     y = np.asarray(y, dtype=float)
     if grid is None:
         grid = DEFAULT_GBT_GRID if MODEL_KINDS.get(kind) == KIND_GBT else DEFAULT_RF_GRID
@@ -296,16 +296,16 @@ def grid_search_cv(kind: str, X, y, grid=None, folds: int = 5, seed: int = 0):
         raise ValueError("each fold needs at least one sample of each class")
 
     fold_of = stratified_folds(y, folds, seed)
+    cols = range(X.shape[1])
     results = []
     best = None
     for gi, params in enumerate(grid):
         fold_aucs = []
         for f in range(folds):
             val = fold_of == f
-            model = fit_model(kind, X[~val], y[~val], params, seed=seed)
-            # column-major, the layout in which trees read a column's rows fastest
-            X_val = np.asfortranarray(X[val])
-            fold_aucs.append(auc_roc(predict(model, X_val), y[val]))
+            fit_rows, val_rows = np.flatnonzero(~val), np.flatnonzero(val)
+            model = fit_model(kind, gather(X, fit_rows, cols), y[fit_rows], params, seed=seed)
+            fold_aucs.append(auc_roc(predict(model, gather(X, val_rows, cols)), y[val_rows]))
         mean_auc = float(np.mean(fold_aucs))
         results.append({"params": params, "mean_auc": mean_auc,
                         "fold_aucs": fold_aucs})

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -11,15 +12,22 @@ import numpy as np
 import pytest
 
 import wifi_proximity
-from wifi_proximity import fileio
+from wifi_proximity import fileio, models
 from wifi_proximity.cli import _split_for, main
 from wifi_proximity.config import load_config
-from wifi_proximity.features import FEATURE_NAMES, FeatureTable, apply_imputation, fit_imputation
+from wifi_proximity.features import (
+    FEATURE_NAMES,
+    FeatureTable,
+    apply_imputation,
+    fit_imputation,
+    model_matrix,
+)
 from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN, TS_END
 
+import matrix_reference
 import score_reference
 from conftest import TINY_WORLD_STATS, world_conf
 
@@ -170,6 +178,30 @@ class TestHappyPath:
         X_imp = apply_imputation(feats.X, fit_imputation(feats.X[train_idx]))
         want = score_reference.single_features(X_imp, feats.label, train_idx, test_idx)
         assert json.dumps(doc["single_features"]) == json.dumps(want)
+
+    def test_model_matrices_equal_the_reference_expressions(self, workdir):
+        """Bit for bit, for every featureset: the imputation, train's and
+        evaluate's matrices, and report's two sides."""
+        d, _ = workdir
+        X = FeatureTable.load(d / "features.npz").X
+        train_idx, test_idx = _split_for(load_config(d / "world.conf"), len(X))
+        imputation = fit_imputation(X, train_idx)
+
+        def same(got, want):
+            assert got.flags.f_contiguous and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        for name, names in FEATURESETS.items():
+            want_imputation, want = matrix_reference.train_matrix(X, train_idx, names)
+            assert repr(imputation) == repr(want_imputation), name
+            same(model_matrix(X, train_idx, names, imputation), want)
+            same(model_matrix(X, test_idx, names, imputation),
+                 matrix_reference.evaluate_matrix(X, test_idx, names, imputation))
+        want_imputation, want_train, want_test = matrix_reference.report_sides(
+            X, train_idx, test_idx)
+        assert repr(imputation) == repr(want_imputation)
+        same(model_matrix(X, train_idx, FEATURE_NAMES, imputation), want_train)
+        same(model_matrix(X, test_idx, FEATURE_NAMES, imputation), want_test)
 
     def test_cleaning_report_counts(self, workdir):
         d, _ = workdir
@@ -330,6 +362,40 @@ class TestStartup:
             "    assert cli.main(stage.split() + sys.argv[1:]) == 0, stage"])
         assert self.scipy_loaded(code, "--dir", str(tmp_path), *base[2:]) == "[]"
         assert (tmp_path / "report.json").exists()
+
+
+class TestPeakMemory:
+    """train, evaluate and report gather each side's model matrix once from
+    the loaded features, and train and evaluate drop the loaded matrix
+    before they fit or score the last side. Their traced peaks, in copies
+    of the feature matrix: train about 1.9 (4.6 when it imputed every row,
+    selected columns and then took the train rows), evaluate about 2.0
+    (3.7), report about 2.4 (2.8)."""
+
+    BOUNDS = {"train": 2.5, "evaluate": 2.5, "report": 2.75}
+
+    def test_traced_peaks_in_copies_of_the_matrix(self, tmp_path, monkeypatch):
+        monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 5)
+        n = 20000
+        rng = np.random.default_rng(0)
+        X = rng.integers(0, 50, size=(n, len(FEATURE_NAMES))).astype(float)
+        for name in ("spearman", "pearson"):
+            col = FEATURE_NAMES.index(name)
+            X[:, col] = rng.uniform(-1.0, 1.0, n)
+            X[rng.random(n) < 0.85, col] = np.nan
+        label = (rng.random(n) < 0.27).astype(np.int64)
+        bt_rssi = np.where(label == 1, -70.0, np.nan)
+        FeatureTable(X, label, rng.integers(0, 10 ** 6, n), bt_rssi).save(
+            tmp_path / "features.npz", load_config().data_hash())
+        peaks = {}
+        for stage in self.BOUNDS:
+            tracemalloc.start()
+            try:
+                assert run([stage, "--dir", str(tmp_path)]) == 0, stage
+                peaks[stage] = tracemalloc.get_traced_memory()[1] / X.nbytes
+            finally:
+                tracemalloc.stop()
+        assert [stage for stage, bound in self.BOUNDS.items() if peaks[stage] >= bound] == [], peaks
 
 
 class TestDeterminism:
@@ -931,6 +997,16 @@ def file_at_run_dir(d):
     d.write_text("not a directory\n")
 
 
+def at_train_size(train_size):
+    """An edit of a run directory that stamps features.npz as made under its
+    config, world.conf, with train_size, as a whole run under it would."""
+    def edit(d):
+        conf = d / "world.conf"
+        restamp(d / "features.npz", load_config(conf).data_hash(),
+                load_config(conf, {"train_size": train_size}).data_hash())
+    return edit
+
+
 def snapshot(d):
     """Every path under d, with a file's bytes."""
     return {p: p.read_bytes() if p.is_file() else None for p in d.rglob("*")}
@@ -938,6 +1014,7 @@ def snapshot(d):
 
 HOMES, EVAL, MODEL = "home_routers.json", "eval_full_gbt.json", "model_full_gbt.json"
 FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
+SPLIT_INPUTS = ["features.npz", "world.conf"]
 
 
 @pytest.mark.parametrize("stage,inputs,edit,named", [
@@ -965,16 +1042,24 @@ FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
     ("generate", [], file_at_run_dir, ""),
     ("train", [], directory_at("features.npz"), "features.npz"),
     ("clean", [], directory_at("wifi.jsonl"), "wifi.jsonl"),
+    # the tiny world's train side is one row, and its test side at 0.9995 two
+    # rows of one class
+    ("train --train-size 0.0001", SPLIT_INPUTS, at_train_size(0.0001), "features.npz"),
+    ("train --grid --train-size 0.0001", SPLIT_INPUTS, at_train_size(0.0001),
+     "features.npz"),
+    ("report --train-size 0.0001", SPLIT_INPUTS, at_train_size(0.0001), "features.npz"),
+    ("report --train-size 0.9995", SPLIT_INPUTS, at_train_size(0.9995), "features.npz"),
 ], ids=["homes_missing", "home_without_user", "homes_number", "home_bssid_number",
         "eval_without_train", "eval_without_featureset", "eval_test_list",
         "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
         "model_imputation_mean_text", "pair_scan_at_ts_end", "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
-        "clean_wifi_log_is_a_directory"])
+        "clean_wifi_log_is_a_directory", "train_side_of_one_row", "grid_train_side_of_one_row",
+        "report_train_side_of_one_row", "report_test_side_of_one_class"])
 def test_known_reproductions_exit_3_with_one_line(tmp_path, workdir, capsys, stage, inputs,
                                                   edit, named):
     """Each malformed or unreadable input exits 3 with one data error line
-    naming the file, and the stage writes nothing."""
+    naming the file, and the stage writes nothing. stage may carry flags."""
     src, base = workdir
     d = tmp_path / "run"
     d.mkdir()
@@ -983,7 +1068,7 @@ def test_known_reproductions_exit_3_with_one_line(tmp_path, workdir, capsys, sta
     edit(d)
     before = snapshot(tmp_path)
     capsys.readouterr()
-    assert run([stage, "--dir", str(d)] + base[2:]) == 3
+    assert run(stage.split() + ["--dir", str(d)] + base[2:]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: ") and err.count("\n") == 1, err
     assert str(d / named) in err and "Traceback" not in err, err

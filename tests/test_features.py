@@ -20,6 +20,7 @@ from wifi_proximity.features import (
     extract_features,
     fit_imputation,
     hour_of_week,
+    model_matrix,
     rssi_correlations,
     rssi_distances,
     top_ap_features,
@@ -27,6 +28,7 @@ from wifi_proximity.features import (
 )
 from wifi_proximity.records import CandidatePair, OverlapView, intersect
 
+import matrix_reference
 from conftest import ap, mac, random_pair, scan
 from oracles import oracle_features, oracle_hour_of_week, oracle_popularity
 
@@ -395,6 +397,64 @@ class TestImputation:
         bad[0, FEATURE_NAMES.index("jaccard")] = np.nan
         with pytest.raises(ValueError, match="outside"):
             apply_imputation(bad, state)
+
+
+@st.composite
+def matrix_cases(draw):
+    """(X, train rows, gathered rows, names, NaN cell or None): finite
+    features with drawn missing correlations, one of them possibly missing
+    on every train row, and possibly a NaN outside the correlation columns
+    in a gathered cell."""
+    n = draw(st.integers(1, 10))
+    X = np.array(draw(st.lists(st.floats(-1e3, 1e3), min_size=n * len(FEATURE_NAMES),
+                               max_size=n * len(FEATURE_NAMES)))).reshape(n, -1)
+    perm = np.array(draw(st.permutations(range(n))), dtype=np.int64)
+    k = draw(st.integers(1, n))
+    train_rows = perm[:k]
+    for name in ("spearman", "pearson"):
+        col = FEATURE_NAMES.index(name)
+        X[draw(st.lists(st.booleans(), min_size=n, max_size=n)), col] = np.nan
+    if draw(st.booleans()):
+        X[train_rows, FEATURE_NAMES.index(draw(st.sampled_from(["spearman", "pearson"])))] = np.nan
+    rows = train_rows if k == n or draw(st.booleans()) else perm[k:]
+    names = draw(st.lists(st.sampled_from(FEATURE_NAMES), min_size=1, unique=True))
+    others = [name for name in names if name not in ("spearman", "pearson")]
+    cell = None
+    if others and draw(st.booleans()):
+        cell = (draw(st.sampled_from(rows.tolist())),
+                FEATURE_NAMES.index(draw(st.sampled_from(others))))
+        X[cell] = np.nan
+    return X, train_rows, rows, names, cell
+
+
+class TestModelMatrix:
+    @settings(max_examples=300, deadline=None)
+    @given(matrix_cases())
+    def test_equals_the_whole_matrix_imputed_then_selected(self, case):
+        """Bit for bit: imputing every row, selecting the named columns and
+        taking the rows, as train and evaluate did; a NaN outside the
+        correlation columns raises in both."""
+        X, train_rows, rows, names, cell = case
+        state = fit_imputation(X, train_rows)
+        assert repr(state) == repr(matrix_reference.fit_imputation(X[train_rows]))
+        if cell is not None:
+            for build in (lambda: model_matrix(X, rows, names, state),
+                          lambda: matrix_reference.evaluate_matrix(X, rows, names, state)):
+                with pytest.raises(ValueError, match="outside"):
+                    build()
+            return
+        got = model_matrix(X, rows, names, state)
+        want = matrix_reference.evaluate_matrix(X, rows, names, state)
+        assert got.flags.f_contiguous and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_a_correlation_missing_on_every_train_row_is_zero(self):
+        X = np.ones((3, len(FEATURE_NAMES)))
+        X[:2, FEATURE_NAMES.index("pearson")] = np.nan
+        state = fit_imputation(X, np.array([1, 0]))
+        assert (state.pearson_mean, state.n_missing_pearson) == (0.0, 2)
+        out = model_matrix(X, np.array([0, 2]), ["pearson", "jaccard"], state)
+        assert out.tolist() == [[0.0, 1.0], [1.0, 1.0]]
 
 
 class TestVectorLayout:

@@ -9,7 +9,7 @@ import pytest
 from scipy.special import expit
 
 from wifi_proximity import fileio
-from wifi_proximity.features import FEATURE_NAMES, ImputationState
+from wifi_proximity.features import FEATURE_NAMES, ImputationState, model_matrix
 from wifi_proximity.models import (
     DEFAULT_GBT_PARAMS,
     FEATURESETS,
@@ -23,7 +23,6 @@ from wifi_proximity.models import (
     load_model,
     predict,
     save_model,
-    select_columns,
     stratified_folds,
 )
 
@@ -334,8 +333,9 @@ class TestFeaturesets:
             assert set(names) <= set(FEATURE_NAMES)
 
     def test_select_columns(self):
+        """model_matrix takes the named columns, in the order named."""
         m = np.arange(32, dtype=float).reshape(2, 16)
-        sel = select_columns(m, ["jaccard", "overlap"])
+        sel = model_matrix(m, slice(None), ["jaccard", "overlap"], ImputationState(0, 0, 0, 0))
         assert sel[0, 0] == FEATURE_NAMES.index("jaccard")
         assert sel[0, 1] == FEATURE_NAMES.index("overlap")
 
