@@ -41,12 +41,18 @@ def class_counts(scores, labels) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return values, pos_per_value, np.bincount(inv, minlength=len(values)) - pos_per_value
 
 
+def mann_whitney_u(pos, neg) -> float:
+    """The label-1 rows' U over the label-0 rows from class_counts' counts,
+    ties counting one half. Every term and partial sum is a multiple of 1/2
+    below 2**53, so the sum is exact in any order."""
+    return float(pos @ (np.cumsum(neg) - 0.5 * neg))
+
+
 def auc_of_counts(values, pos, neg) -> float:
-    """auc_roc from class_counts' output. Every term and partial sum is a
-    multiple of 1/2 below 2**53, so the sum is exact in any order."""
+    """auc_roc from class_counts' output: the U over n_pos * n_neg."""
     if np.isnan(values[-1]):
         return float("nan")
-    return float(pos @ (np.cumsum(neg) - 0.5 * neg)) / (int(pos.sum()) * int(neg.sum()))
+    return mann_whitney_u(pos, neg) / (int(pos.sum()) * int(neg.sum()))
 
 
 def auc_roc(scores, labels) -> float:

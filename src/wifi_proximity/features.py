@@ -10,8 +10,8 @@ one side reads every signal at the same level, and are dropped when not
 statistically significant; such values stay missing until mean
 imputation, whose means come from training data only. Significance is a
 two-sided Student-t test, whose p-value ``two_sided_t_p`` computes in
-numpy from the incomplete beta function's continued fraction, so that no
-stage process has to import scipy.
+numpy from the incomplete beta function's continued fraction, as numpy is
+the package's one runtime dependency.
 
 A router's popularity at an interaction is the number of distinct users
 who scanned it within ``popularity_window_s`` (``delta_t_s`` in the

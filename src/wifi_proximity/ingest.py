@@ -289,25 +289,10 @@ def _written_head(key: str) -> re.Pattern:
                       rf'"{key}":\[((?:\{{.*\}})?)\]\}}', re.DOTALL)
 
 
-_scan_once = json.decoder.JSONDecoder().scan_once
-
-
 def _load(line: str, line_no):
     """The JSON value of a log line. Malformed: bytes UTF-8 cannot decode (lone
     surrogates, see fileio.iter_jsonl), and all json.loads rejects, by
-    JSONDecodeError, ValueError (too many digits) or RecursionError.
-
-    An ASCII line is first decoded by the scanner behind json.loads, whose
-    value is json.loads' when it spans the whole line; every other line,
-    and every error, takes json.loads itself.
-    """
-    if line.isascii():
-        try:
-            obj, end = _scan_once(line, 0)
-        except (StopIteration, ValueError, RecursionError):
-            end = -1
-        if end == len(line):
-            return obj
+    JSONDecodeError, ValueError (too many digits) or RecursionError."""
     try:
         if not line.isascii():
             line.encode("utf-8")

@@ -357,8 +357,9 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
     of TreeEnsembleModel and the model can score: a known kind with a tree
     or more, a finite base score if boosted, a string featureset,
     hyperparameters that are an object, feature names from FEATURE_NAMES,
-    a null imputation or exactly ImputationState's fields with finite
-    means, and trees that pass Tree.check on the model's feature columns.
+    an imputation of exactly ImputationState's fields with finite means
+    (train always writes one), and trees that pass Tree.check on the
+    model's feature columns.
     """
     def malformed(what) -> fileio.DataError:
         return fileio.DataError(f"{path}: malformed model file: {what}")
@@ -366,11 +367,10 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
     doc = fileio.read_json(path, fileio.SCHEMA_MODEL, expect_hash)
     try:
         keys = {f.name: doc[f.name] for f in fields(TreeEnsembleModel)}
-        imputation = keys["imputation"]
         model = TreeEnsembleModel(**{
             **keys,
             "feature_names": tuple(keys["feature_names"]),
-            "imputation": None if imputation is None else ImputationState(**imputation),
+            "imputation": ImputationState(**keys["imputation"]),
             "trees": tuple(Tree.from_dict(t) for t in keys["trees"]),
         })
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
@@ -387,7 +387,7 @@ def load_model(path, expect_hash: str | None = None) -> tuple[TreeEnsembleModel,
         if name not in FEATURE_NAMES:
             raise malformed(f"feature name {name!r} is not one of FEATURE_NAMES")
     imp = model.imputation
-    if imp is not None and not (_finite(imp.spearman_mean) and _finite(imp.pearson_mean)):
+    if not (_finite(imp.spearman_mean) and _finite(imp.pearson_mean)):
         raise malformed(f"imputation means {imp.spearman_mean!r}, {imp.pearson_mean!r}")
     for i, tree in enumerate(model.trees):
         try:

@@ -22,8 +22,9 @@ along x over the sorted users, so only pairs within a band of
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
 formats; truth rows are written as JSON text. ``generate`` returns the
 scans and the truth, and ``calibrate_stats`` (``--stats``) reads no file:
-it counts overlaps with ``WifiScans.common`` and draws at most
-``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream.
+it counts overlaps with ``WifiScans.common``, draws at most
+``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream, and
+tests the two samples on one ``evaluation.class_counts``.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from typing import Iterator
 import numpy as np
 
 from . import fileio
+from .evaluation import class_counts, mann_whitney_u
 from .fileio import (
     SCHEMA_BLUETOOTH,
     SCHEMA_GROUND_TRUTH,
@@ -931,8 +933,6 @@ def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
     draws; a dyad in the truth, or with no scan at the slot, is rejected.
     When every (dyad, slot) triple would be rejected, none is drawn.
     """
-    from scipy.stats import mannwhitneyu
-
     # generate makes a scan per user and slot, so every user has scans
     arr = np.diff(scans.offsets)
     out: dict = {"n_scans": len(arr), "mean_aps": float(arr.mean()),
@@ -989,6 +989,14 @@ def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
         out[f"{name}_overlap_mean"] = float(counts.mean()) if len(counts) else 0.0
         out[f"n_{name}"] = len(counts)
     if len(proximate) and len(distant):
-        stat = mannwhitneyu(proximate, distant, alternative="greater")
-        out["overlap_mannwhitney_p"] = float(stat.pvalue)
+        # scipy's mannwhitneyu(proximate, distant, alternative="greater") in
+        # its asymptotic form: U's normal tail with the tie-corrected variance
+        # and a continuity correction; p = 1 when every overlap ties
+        n1, n2 = len(proximate), len(distant)
+        n = n1 + n2
+        _, pos, neg = class_counts(np.r_[proximate, distant], np.repeat([1, 0], [n1, n2]))
+        ties = pos + neg
+        sd = math.sqrt(n1 * n2 / 12 * ((n + 1) - float(ties @ (ties * ties - 1)) / (n * (n - 1))))
+        z = (mann_whitney_u(pos, neg) - n1 * n2 / 2 - 0.5) / sd if sd else -math.inf
+        out["overlap_mannwhitney_p"] = 0.5 * math.erfc(z * math.sqrt(0.5))
     return out

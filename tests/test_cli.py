@@ -331,9 +331,8 @@ SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy
 
 
 class TestStartup:
-    """Every CLI process pays for what the package imports, and scipy
-    costs 0.25-0.3 s and about 20 MB of it. Only generate --stats loads
-    scipy (scipy.stats, inside synthgen.calibrate_stats)."""
+    """Every CLI process pays for what the package imports. scipy would
+    cost each one 0.25-0.3 s and about 20 MB, so no stage loads it."""
 
     def scipy_loaded(self, code, *args):
         env = dict(os.environ)
@@ -362,6 +361,13 @@ class TestStartup:
             "    assert cli.main(stage.split() + sys.argv[1:]) == 0, stage"])
         assert self.scipy_loaded(code, "--dir", str(tmp_path), *base[2:]) == "[]"
         assert (tmp_path / "report.json").exists()
+
+    def test_generate_with_stats_loads_no_scipy(self, tmp_path, tiny_world):
+        conf = tmp_path / "world.conf"
+        conf.write_text(world_conf(tiny_world))
+        code = ("import sys\nfrom wifi_proximity import cli\n"
+                "assert cli.main(['generate', '--stats'] + sys.argv[1:]) == 0")
+        assert self.scipy_loaded(code, "--dir", str(tmp_path), "--config", str(conf)) == "[]"
 
 
 class TestPeakMemory:
@@ -1035,6 +1041,8 @@ SPLIT_INPUTS = ["features.npz", "world.conf"]
      edit_doc(MODEL, lambda doc: doc["feature_names"].__setitem__(0, "nope")), MODEL),
     ("evaluate", ["features.npz", MODEL],
      edit_doc(MODEL, lambda doc: doc["imputation"].update(spearman_mean="x")), MODEL),
+    ("evaluate", ["features.npz", MODEL],
+     edit_doc(MODEL, lambda doc: doc.update(imputation=None)), MODEL),
     ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_ts_at_end),
      "scans.npz"),
     ("report", ["features.npz", EVAL], edit_array("features.npz", "X", union_inf),
@@ -1052,7 +1060,8 @@ SPLIT_INPUTS = ["features.npz", "world.conf"]
 ], ids=["homes_missing", "home_without_user", "homes_number", "home_bssid_number",
         "eval_without_train", "eval_without_featureset", "eval_test_list",
         "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
-        "model_imputation_mean_text", "pair_scan_at_ts_end", "report_union_inf",
+        "model_imputation_mean_text", "model_imputation_null", "pair_scan_at_ts_end",
+        "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
         "clean_wifi_log_is_a_directory", "train_side_of_one_row", "grid_train_side_of_one_row",
         "report_train_side_of_one_row", "report_test_side_of_one_class"])

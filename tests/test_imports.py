@@ -1,13 +1,15 @@
 """Every name that a module of the package imports is used in that module,
 every top-level function and class of the package is named by code
 outside the tests, only ``fileio`` names what reads or writes an .npz
-archive, and only ``synthgen.calibrate_stats`` imports scipy.
+archive, and the package imports nothing but the standard library, numpy
+and itself.
 
 An import marked ``# noqa: F401`` is exempt: the three ``ThreadPoolExecutor``
 imports stay because the benchmark's tracer patches that name.
 """
 
 import ast
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -124,22 +126,28 @@ def test_an_archive_name_is_found():
     assert archive_names(source) == ["ZipFile", "read_array", "savez"]
 
 
-def scipy_importers(source: str) -> list[str]:
-    """Where source imports scipy, in order: "<module>" for an import that
-    runs when the module is imported (a class body's too), else the
-    qualified name of the function whose body holds it."""
+# what the package may import: the standard library, numpy and itself
+ALLOWED_IMPORTS = sys.stdlib_module_names | {"numpy", "wifi_proximity"}
+
+
+def foreign_imports(source: str) -> list[str]:
+    """Where source imports a package outside ALLOWED_IMPORTS, in order, as
+    "<where>: <package>". <where> is "<module>" for an import that runs
+    when the module is imported (a class body's too), else the qualified
+    name of the function whose body holds it. A relative import is the
+    package's own."""
     found = []
 
     def visit(node, names, in_function):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Import):
-                roots = {alias.name.split(".")[0] for alias in child.names}
+                roots = [alias.name.split(".")[0] for alias in child.names]
             elif isinstance(child, ast.ImportFrom) and not child.level:
-                roots = {child.module.split(".")[0]}
+                roots = [child.module.split(".")[0]]
             else:
-                roots = set()
-            if "scipy" in roots:
-                found.append(".".join(names) if in_function else "<module>")
+                roots = []
+            where = ".".join(names) if in_function else "<module>"
+            found.extend(f"{where}: {root}" for root in roots if root not in ALLOWED_IMPORTS)
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 visit(child, names + [child.name],
                       in_function or not isinstance(child, ast.ClassDef))
@@ -150,18 +158,20 @@ def scipy_importers(source: str) -> list[str]:
     return found
 
 
-def test_only_calibrate_stats_imports_scipy():
-    """scipy costs every stage process a quarter second or more and about
-    20 MB, so only generate --stats loads it, when it runs."""
-    found = {path.stem: scipy_importers(path.read_text(encoding="utf-8"))
+def test_the_package_imports_only_the_standard_library_and_numpy():
+    """numpy is the package's one runtime dependency; scipy, which costs a
+    process a quarter second or more and about 20 MB, serves only the
+    tests' oracles."""
+    found = {path.stem: foreign_imports(path.read_text(encoding="utf-8"))
              for path in MODULES}
-    assert {name: where for name, where in found.items() if where} == {
-        "synthgen": ["calibrate_stats"]}
+    assert {name: where for name, where in found.items() if where} == {}
 
 
 def test_a_scipy_import_is_found():
     source = ("import numpy, scipy.special as sp\nimport scipyx\nfrom .scipy import y\n"
+              "import os.path\nfrom wifi_proximity import cli\n"
               "def f():\n    from scipy.stats import t\n"
               "class C:\n    from scipy import linalg\n"
               "    def g(self):\n        import scipy\n")
-    assert scipy_importers(source) == ["<module>", "f", "<module>", "C.g"]
+    assert foreign_imports(source) == ["<module>: scipy", "<module>: scipyx", "f: scipy",
+                                       "<module>: scipy", "C.g: scipy"]

@@ -302,14 +302,16 @@ class TestPersistence:
         {"feature_names": ["nope"] + FEATURE_NAMES[1:5]},
         {"imputation": {"spearman_mean": "x", "pearson_mean": 0.2, "n_missing_spearman": 3,
                         "n_missing_pearson": 4}},
+        {"imputation": None},
     ], ids=["no_trees", "unknown_kind", "no_base_score", "nan_base_score",
             "text_base_score", "imputation_missing_key", "imputation_unknown_key",
             "imputation_list", "hyperparameters_list", "featureset_number",
-            "unknown_feature_name", "imputation_mean_text"])
+            "unknown_feature_name", "imputation_mean_text", "imputation_null"])
     def test_model_that_cannot_score_raises_dataerror(self, tmp_path, edit):
         X, y = random_problem(13, n=120)
         p = tmp_path / "gbt.json"
-        save_model(fit_model("gbt", X, y, {"n_trees": 2}, feature_names=FEATURE_NAMES[:5]),
+        save_model(fit_model("gbt", X, y, {"n_trees": 2}, feature_names=FEATURE_NAMES[:5],
+                             imputation=ImputationState(0.1, 0.2, 3, 4)),
                    p, "h")
         load_model(p)  # the unedited file loads
         doc = fileio.read_json(p, fileio.SCHEMA_MODEL)

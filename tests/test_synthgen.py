@@ -3,6 +3,7 @@
 import json
 import math
 from dataclasses import asdict, replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from scipy.stats import mannwhitneyu
 
 from wifi_proximity import synthgen
+from wifi_proximity.evaluation import class_counts, mann_whitney_u
 from wifi_proximity.fileio import DataError, iter_jsonl, read_jsonl_header
 from wifi_proximity.fileio import SCHEMA_BLUETOOTH, SCHEMA_GROUND_TRUTH, SCHEMA_WIFI
 from wifi_proximity.ingest import (
@@ -453,6 +455,60 @@ class TestGeneratedFiles:
             "n_scans": 48, "mean_aps": 3.6666666666666665, "median_aps": 1.0,
             "empty_fraction": 0.020833333333333332, "proximate_overlap_mean": 9.2,
             "n_proximate": 5, "distant_overlap_mean": 0.0, "n_distant": 0}
+
+
+def calibrated_p(x, y) -> float:
+    """calibrate_stats' p-value for proximate overlaps x and distant ones
+    y, fed through stand-ins for the scans and the truth: two users with a
+    scan at every slot, close at the first len(x) slots, whose common APs
+    number x at those and y at the drawn distant slots, in order."""
+    n_slots = 5 * len(x) + 20  # most draws land on a distant slot
+    ts = np.tile(np.arange(n_slots) * 300, 2)
+    samples = iter([x, y])
+
+    def common(a, b):
+        counts = next(samples)
+        assert len(a) == len(counts)
+        return (np.repeat(np.arange(len(a)), counts),)
+
+    scans = SimpleNamespace(offsets=np.arange(len(ts) + 1), users=["a", "b"], ts=ts,
+                            user=np.repeat([0, 1], n_slots),
+                            by_bssid=lambda: SimpleNamespace(common=common))
+    truth = SimpleNamespace(proximity={k * 300: [("a", "b", -60)] if k < len(x) else []
+                                       for k in range(n_slots)})
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(synthgen, "DISTANT_PAIRS", len(y))  # so len(y) distant dyads are drawn
+        stats = calibrate_stats(scans, truth)
+    assert (stats["n_proximate"], stats["n_distant"]) == (len(x), len(y))
+    return stats["overlap_mannwhitney_p"]
+
+
+@st.composite
+def overlap_samples(draw):
+    """Proximate and distant overlaps from small ranges, so that values
+    tie, with at most max(200, len(x)) distant ones: calibrate_stats draws
+    as many distant dyads as the proximate ones, but at least 200."""
+    top = draw(st.sampled_from([0, 1, 3, 10, 1000]))
+    values = st.integers(0, top)
+    x = draw(st.lists(values, min_size=1, max_size=300))
+    shift = draw(st.integers(0, 2))
+    y = draw(st.lists(values, min_size=1, max_size=max(200, len(x))))
+    return [v + shift for v in x], y
+
+
+@settings(max_examples=150, deadline=None)
+@given(samples=overlap_samples())
+@example(samples=([4] * 30, [4] * 200))  # every overlap ties: p = 1
+@example(samples=([2, 3], [0, 1, 5]))    # no tie in a sample of 8 or fewer
+def test_overlap_test_matches_scipys_asymptotic_mannwhitneyu(samples):
+    """U exactly and p to 1e-12 relative against scipy's asymptotic form,
+    the one it picks unless a sample of 8 or fewer has no ties; there
+    calibrate_stats still gives the asymptotic p."""
+    x, y = samples
+    want = mannwhitneyu(x, y, alternative="greater", method="asymptotic")
+    _, pos, neg = class_counts(x + y, [1] * len(x) + [0] * len(y))
+    assert mann_whitney_u(pos, neg) == want.statistic
+    assert calibrated_p(x, y) == pytest.approx(want.pvalue, rel=1e-12, abs=1e-300)
 
 
 class TestDeterminism:
