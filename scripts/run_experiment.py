@@ -20,10 +20,12 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "src"),
+                str(Path(__file__).resolve().parent)]
 
+from summarize_run import report_lines
 from wifi_proximity import fileio
-from wifi_proximity.cli import main as run_stage
+from wifi_proximity.cli import main as run_stage, output_paths
 from wifi_proximity.evaluation import learning_curve
 from wifi_proximity.features import FeatureTable
 from wifi_proximity.models import FEATURESETS, KIND_SHORT
@@ -60,28 +62,9 @@ def stage(name, base, extra=()):
         sys.exit(code)
 
 
-def print_single_features(report):
-    rows = sorted(report["single_features"].items(),
-                  key=lambda kv: kv[1]["test_auc"], reverse=True)
-    print("\nsingle-feature thresholds (test split)")
-    print(f"{'feature':>16}  {'auc':>6}  {'f1':>6}  direction")
-    for name, row in rows:
-        print(f"{name:>16}  {row['test_auc']:6.3f}  {row['test_f1']:6.3f}  "
-              f"{row['direction']}")
-
-
-def print_featuresets(report):
-    print("\nmodel evaluations (test split)")
-    print(f"{'featureset':>12}  {'model':>16}  {'auc':>6}  {'f1':>6}")
-    for key in sorted(report["featuresets"]):
-        row = report["featuresets"][key]
-        print(f"{row['featureset']:>12}  {row['kind']:>16}  "
-              f"{row['test_auc']:6.3f}  {row['test_f1']:6.3f}")
-
-
 def run_curve(args, d, split):
     """Learning curve on the train/test split the models were fitted on."""
-    feats = FeatureTable.load(d / "features.npz")
+    feats = FeatureTable.load(output_paths(d)["features"])
     X, y = feats.X, feats.label
     train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
     sizes = tuple(s for s in (100, 1000, 10000) if s <= len(train_idx))
@@ -134,15 +117,11 @@ def main(argv=None) -> int:
         stage("train", base, extra)
         stage("evaluate", base, extra)
     # name this run's evals so leftovers from other runs cannot mix in
-    evals = [str(d / f"eval_{fs.lower()}_{args.model}.json") for fs in names]
+    evals = [str(output_paths(d, fs, args.model)["eval"]) for fs in names]
     stage("report", base, ["--evals"] + evals)
 
-    report = fileio.read_json(d / "report.json", fileio.SCHEMA_REPORT)
-    print(f"\n{report['n']} candidates "
-          f"({report['positive_fraction']:.1%} positive), "
-          f"{report['n_train']} train / {report['n_test']} test")
-    print_single_features(report)
-    print_featuresets(report)
+    report = fileio.read_json(output_paths(d)["report"], fileio.SCHEMA_REPORT)
+    print("\n" + "\n".join(report_lines(report)))
     if args.curve:
         split = fileio.read_json(Path(evals[0]), fileio.SCHEMA_EVAL)["split"]
         run_curve(args, d, split)

@@ -6,9 +6,9 @@ prints single-feature baselines, model comparisons, feature importance,
 and the miss rate by Bluetooth signal strength. Nothing is recomputed;
 this is a viewer for artifacts on disk. It reads every file before it
 prints, and exits 3 with one line naming the file when report.json, an
-eval file or the model file beside one cannot be read or lacks a field
-it shows; an eval file whose model file is absent is shown without its
-feature importance.
+eval file or the model file of an eval's featureset and kind cannot be
+read or lacks a field it shows; an eval file whose model file is absent
+is shown without its feature importance.
 
     python3 scripts/summarize_run.py --dir run
 """
@@ -21,6 +21,7 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from wifi_proximity import fileio
+from wifi_proximity.cli import output_paths
 from wifi_proximity.models import feature_importance, load_model
 
 
@@ -68,12 +69,14 @@ def shown(path: Path, render, *docs) -> list[str]:
 
 def summary(d: Path) -> list[str]:
     """The lines to print, from report.json and each eval file with the
-    model file beside it."""
-    path = d / "report.json"
-    lines = shown(path, report_lines, fileio.read_json(path, fileio.SCHEMA_REPORT))
-    for eval_path in sorted(d.glob("eval_*.json")):
+    model file of its featureset and kind."""
+    paths = output_paths(d)
+    lines = shown(paths["report"], report_lines,
+                  fileio.read_json(paths["report"], fileio.SCHEMA_REPORT))
+    for eval_path in sorted(d.glob(paths["eval"].name)):
         doc = fileio.read_json(eval_path, fileio.SCHEMA_EVAL)
-        model_path = d / eval_path.name.replace("eval_", "model_")
+        model_path = shown(eval_path, lambda: output_paths(d, doc["featureset"],
+                                                           doc["kind"])["model"])
         model = load_model(model_path)[0] if model_path.exists() else None
         lines += shown(eval_path, eval_lines, doc, model)
     return lines

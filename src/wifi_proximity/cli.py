@@ -1,7 +1,11 @@
 """Command-line pipeline: generate, clean, pair, featurize, train, evaluate, report.
 
 Stages communicate through files in one working directory and run in the
-order listed. Every output embeds the config hash, so a report can
+order listed. ``STAGES`` is the manifest of each stage's function and the
+files it writes, and ``output_paths`` names those files in a directory.
+``main`` runs a stage inside one ``fileio.committed()`` block, so its
+outputs land together when it succeeds, and a stage that fails leaves the
+previous set as it was. Every output embeds the config hash, so a report can
 refuse to aggregate results produced under different configurations.
 From ``pair`` on, stages read arrays: ``pair`` writes the candidates that
 ``pairing.pair_windows`` returns as candidates.npz, which ``featurize``
@@ -76,47 +80,19 @@ CANDIDATE_COLUMNS = ["user_a", "user_b", "ts_a", "ts_b", "ts", "label", "bt_rssi
 FEATURE_KEY_COLUMNS = ["user_a", "user_b", "ts_a", "ts_b", "ts", "label"]
 
 
-def _paths(args) -> dict[str, Path]:
-    d = Path(args.dir)
-    return {
-        "dir": d,
-        "wifi": d / "wifi.jsonl",
-        "bluetooth": d / "bluetooth.jsonl",
-        "truth": d / "ground_truth.jsonl",
-        "cleaned": d / "cleaned.jsonl",
-        "scans": d / "scans.npz",
-        "cleaning_report": d / "cleaning_report.json",
-        "homes": d / "home_routers.json",
-        "candidates": d / "candidates.npz",
-        "candidates_csv": d / "candidates.csv",
-        "features": d / "features.npz",
-        "features_csv": d / "features.csv",
-        "report": d / "report.json",
-    }
-
-
-def _model_path(d: Path, cfg: PipelineConfig) -> Path:
-    return d / f"model_{cfg.featureset.lower()}_{KIND_SHORT[cfg.model_kind]}.json"
-
-
-def _eval_path(d: Path, cfg: PipelineConfig) -> Path:
-    return d / f"eval_{cfg.featureset.lower()}_{KIND_SHORT[cfg.model_kind]}.json"
-
-
 # ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
 
-def stage_generate(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
-    paths["dir"].mkdir(parents=True, exist_ok=True)
+def stage_generate(cfg: PipelineConfig, args, paths) -> int:
+    paths["wifi"].parent.mkdir(parents=True, exist_ok=True)
     h = cfg.data_hash()
     scans, truth = synthgen.generate(
         cfg.world, paths["wifi"], paths["bluetooth"], paths["truth"], config_hash=h
     )
     print(
         f"generate: wrote {paths['wifi'].name}, {paths['bluetooth'].name}, "
-        f"{paths['truth'].name} in {paths['dir']} (config {h})"
+        f"{paths['truth'].name} in {paths['wifi'].parent} (config {h})"
     )
     if args.stats:
         stats = synthgen.calibrate_stats(scans, truth)
@@ -125,14 +101,11 @@ def stage_generate(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def stage_clean(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_clean(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     fileio.read_jsonl_header(paths["wifi"], SCHEMA_WIFI)
     parsed = _parse_log(parse_wifi_log, paths["wifi"], cfg.strict_parse)
     scans, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
-    # everything is computed before the first write, so a data error
-    # leaves no artifact of this run
     table = scans.by_bssid()
     homes = build_home_router_map(scans, cfg.home_bin_minutes, cfg.tz_offset_s)
     homes_doc = {
@@ -159,8 +132,7 @@ def stage_clean(cfg: PipelineConfig, args) -> int:
     return EXIT_OK
 
 
-def stage_pair(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_pair(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     table = WifiScans.load(paths["scans"], h)
     fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
@@ -197,8 +169,7 @@ def _key_columns(table: WifiScans, cands: CandidateTable) -> list:
             table.ts[cands.row_a], table.ts[cands.row_b], cands.ts, cands.label]
 
 
-def stage_featurize(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_featurize(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     table = WifiScans.load(paths["scans"], h)
     cands = CandidateTable.load(paths["candidates"], h, len(table.ts))
@@ -263,8 +234,7 @@ def _check_classes(path, train_count: int, sides, need: int = 1) -> None:
             raise DataError(f"{path}: split train_count {train_count} leaves {side} rows {what}")
 
 
-def stage_train(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_train(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     feats = _nonempty_features(paths["features"], h)
     n = len(feats.label)
@@ -304,12 +274,11 @@ def stage_train(cfg: PipelineConfig, args) -> int:
     }
     if grid_results is not None:
         extra["grid"] = grid_results
-    out = _model_path(paths["dir"], cfg)
-    save_model(model, out, h, extra=extra)
+    save_model(model, paths["model"], h, extra=extra)
     chosen = params or model.hyperparameters
     print(
         f"train: {cfg.featureset} {cfg.model_kind} on {len(train_idx)} rows, "
-        f"params {chosen} -> {out.name}"
+        f"params {chosen} -> {paths['model'].name}"
     )
     return EXIT_OK
 
@@ -332,10 +301,9 @@ def _split_of(model_file, split, n: int) -> tuple[int, int]:
     return train_count, seed
 
 
-def stage_evaluate(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_evaluate(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
-    model_file = _model_path(paths["dir"], cfg)
+    model_file = paths["model"]
     model, doc = load_model(model_file, h)
     feats = _nonempty_features(paths["features"], h)
     y = feats.label
@@ -387,17 +355,15 @@ def stage_evaluate(cfg: PipelineConfig, args) -> int:
         },
         "test": asdict(report),
     }
-    out = _eval_path(paths["dir"], cfg)
-    fileio.write_json(out, SCHEMA_EVAL, h, payload)
+    fileio.write_json(paths["eval"], SCHEMA_EVAL, h, payload)
     print(
         f"evaluate: {model.featureset} {model.kind} "
-        f"test auc {report.auc:.4f} f1 {report.f1:.4f} -> {out.name}"
+        f"test auc {report.auc:.4f} f1 {report.f1:.4f} -> {paths['eval'].name}"
     )
     return EXIT_OK
 
 
-def stage_report(cfg: PipelineConfig, args) -> int:
-    paths = _paths(args)
+def stage_report(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     feats = _nonempty_features(paths["features"], h)
     y = feats.label
@@ -426,7 +392,8 @@ def stage_report(cfg: PipelineConfig, args) -> int:
             "test_f1": test_prf.f1,
         }
 
-    eval_paths = sorted(paths["dir"].glob("eval_*.json"))
+    pattern = output_paths(args.dir)["eval"]
+    eval_paths = sorted(pattern.parent.glob(pattern.name))
     if args.evals:
         eval_paths = [Path(p) for p in args.evals]
     featuresets = {}
@@ -517,19 +484,36 @@ def build_parser() -> argparse.ArgumentParser:
     rep = sub.add_parser("report", parents=[common],
                          help="aggregate single-feature baselines and model evals")
     rep.add_argument("--evals", nargs="*",
-                     help="explicit eval JSON paths (default: dir/eval_*.json)")
+                     help="explicit eval JSON paths (default: dir/eval_*_*.json)")
     return parser
 
 
+# The stage manifest: each stage's function and the files it writes, by
+# key. The model and eval names are templates over the featureset and the
+# model kind's short name.
 STAGES = {
-    "generate": stage_generate,
-    "clean": stage_clean,
-    "pair": stage_pair,
-    "featurize": stage_featurize,
-    "train": stage_train,
-    "evaluate": stage_evaluate,
-    "report": stage_report,
+    "generate": (stage_generate, {"wifi": "wifi.jsonl", "bluetooth": "bluetooth.jsonl",
+                                  "truth": "ground_truth.jsonl"}),
+    "clean": (stage_clean, {"cleaned": "cleaned.jsonl", "scans": "scans.npz",
+                            "cleaning_report": "cleaning_report.json",
+                            "homes": "home_routers.json"}),
+    "pair": (stage_pair, {"candidates": "candidates.npz", "candidates_csv": "candidates.csv"}),
+    "featurize": (stage_featurize, {"features": "features.npz", "features_csv": "features.csv"}),
+    "train": (stage_train, {"model": "model_{featureset}_{kind}.json"}),
+    "evaluate": (stage_evaluate, {"eval": "eval_{featureset}_{kind}.json"}),
+    "report": (stage_report, {"report": "report.json"}),
 }
+
+
+def output_paths(d, featureset: str = "*", kind: str = "*") -> dict[str, Path]:
+    """The path in directory d of every file in STAGES, by its key.
+
+    The model and eval names take featureset, lower-cased, and kind, a
+    model kind or its short name. Left at '*', they are glob patterns.
+    """
+    fill = {"featureset": featureset.lower(), "kind": KIND_SHORT.get(kind, kind)}
+    return {key: Path(d) / name.format(**fill)
+            for _, writes in STAGES.values() for key, name in writes.items()}
 
 
 def main(argv=None) -> int:
@@ -554,8 +538,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    stage = STAGES[args.command][0]
     try:
-        return STAGES[args.command](cfg, args)
+        with fileio.committed():
+            return stage(cfg, args, output_paths(args.dir, cfg.featureset, cfg.model_kind))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -5,7 +5,9 @@ Every file the pipeline writes carries a header that embeds the schema
 name+version and the hash of the configuration that produced it, so
 downstream stages can refuse to mix incompatible artifacts. Writers
 build the file beside its target and rename it into place, so an
-artifact is either complete or absent.
+artifact is either complete or absent. Inside a ``committed()`` block
+the renames wait for the block's end, so a set of files lands together
+or not at all.
 
 Logs and the cleaned scans are JSONL; reports and models are JSON. From
 ``clean`` on, stages hand each other tables in .npz archives (save_table,
@@ -63,9 +65,32 @@ def check_schema(found_schema, found_hash, expect_schema, expect_hash=None, path
         )
 
 
+# temp file -> target of each write finished inside a committed() block
+_held: dict[Path, Path] | None = None
+
+
+@contextmanager
+def committed():
+    """Make the files written inside the block land together: each
+    finished ``<name>.tmp`` is held and renamed onto its target, in write
+    order, when the block ends. On any exception the temp files left are
+    removed, and only the renames already done have replaced targets."""
+    global _held
+    _held = held = {}
+    try:
+        yield
+        for tmp, path in held.items():
+            os.replace(tmp, path)
+    finally:
+        _held = None
+        for tmp in held:
+            tmp.unlink(missing_ok=True)
+
+
 @contextmanager
 def _replacing(path, binary: bool = False):
-    """Open ``<path>.tmp`` for writing; on success it replaces path.
+    """Open ``<path>.tmp`` for writing; on success it replaces path, at
+    once or, inside a committed() block, when the block ends.
 
     On an exception the temp file is removed and path is left as it was,
     so a reader sees a complete artifact or the previous one, never part
@@ -76,7 +101,10 @@ def _replacing(path, binary: bool = False):
     try:
         with (open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8")) as fh:
             yield fh
-        os.replace(tmp, path)
+        if _held is None:
+            os.replace(tmp, path)
+        else:
+            _held[tmp] = path
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise

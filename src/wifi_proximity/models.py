@@ -338,9 +338,12 @@ def feature_importance(model: TreeEnsembleModel) -> dict[str, float]:
 
 def save_model(model: TreeEnsembleModel, path, cfg_hash: str,
                extra: dict | None = None) -> None:
-    """Write the model's fields, in order, then the keys of extra."""
+    """Write the model's fields, in order, then the keys of extra. A model
+    without the imputation that load_model requires raises ValueError."""
+    if model.imputation is None:
+        raise ValueError("model has no imputation; load_model would refuse its file")
     doc = {**{f.name: getattr(model, f.name) for f in fields(model)},
-           "imputation": None if model.imputation is None else asdict(model.imputation),
+           "imputation": asdict(model.imputation),
            "trees": [t.as_dict() for t in model.trees], **(extra or {})}
     fileio.write_json(path, fileio.SCHEMA_MODEL, cfg_hash, doc)
 

@@ -13,7 +13,7 @@ import pytest
 
 import wifi_proximity
 from wifi_proximity import fileio, models
-from wifi_proximity.cli import _split_for, main
+from wifi_proximity.cli import STAGES, _split_for, main, output_paths
 from wifi_proximity.config import load_config
 from wifi_proximity.features import (
     FEATURE_NAMES,
@@ -96,6 +96,17 @@ class TestHappyPath:
                      "model_nearme_gbt.json", "eval_nearme_gbt.json",
                      "report.json"):
             assert (d / name).exists(), name
+
+    def test_a_run_writes_exactly_the_manifests_files(self, tmp_path, tiny_world, monkeypatch):
+        """generate to report, FULL and gbt, writes every file that STAGES
+        declares for them and nothing else beside its config."""
+        monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 5)
+        conf = tmp_path / "world.conf"
+        conf.write_text(world_conf(tiny_world))
+        for stage in STAGES:
+            assert run([stage, "--dir", str(tmp_path), "--config", str(conf)]) == 0, stage
+        declared = {p.name for p in output_paths(tmp_path, "FULL", "gbt").values()}
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(declared | {"world.conf"})
 
     def test_candidates_schema(self, workdir):
         d, _ = workdir
@@ -998,6 +1009,16 @@ def directory_at(name):
     return lambda d: (d / name).mkdir()
 
 
+def half_the_scans_and_a_directory_at(name):
+    """An edit of a run directory that keeps wifi.jsonl's header and every
+    other data line, and puts a directory where name should be."""
+    def edit(d):
+        lines = (d / "wifi.jsonl").read_text().splitlines(keepends=True)
+        (d / "wifi.jsonl").write_text("".join(lines[:1] + lines[1::2]))
+        directory_at(name)(d)
+    return edit
+
+
 def file_at_run_dir(d):
     d.rmdir()
     d.write_text("not a directory\n")
@@ -1021,6 +1042,7 @@ def snapshot(d):
 HOMES, EVAL, MODEL = "home_routers.json", "eval_full_gbt.json", "model_full_gbt.json"
 FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
 SPLIT_INPUTS = ["features.npz", "world.conf"]
+CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
 
 
 @pytest.mark.parametrize("stage,inputs,edit,named", [
@@ -1050,6 +1072,9 @@ SPLIT_INPUTS = ["features.npz", "world.conf"]
     ("generate", [], file_at_run_dir, ""),
     ("train", [], directory_at("features.npz"), "features.npz"),
     ("clean", [], directory_at("wifi.jsonl"), "wifi.jsonl"),
+    # the first output is written before the second fails, and must not land
+    ("clean", CLEAN_OUTPUTS + ["wifi.jsonl"], half_the_scans_and_a_directory_at("scans.npz.tmp"),
+     "scans.npz.tmp"),
     # the tiny world's train side is one row, and its test side at 0.9995 two
     # rows of one class
     ("train --train-size 0.0001", SPLIT_INPUTS, at_train_size(0.0001), "features.npz"),
@@ -1063,7 +1088,8 @@ SPLIT_INPUTS = ["features.npz", "world.conf"]
         "model_imputation_mean_text", "model_imputation_null", "pair_scan_at_ts_end",
         "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
-        "clean_wifi_log_is_a_directory", "train_side_of_one_row", "grid_train_side_of_one_row",
+        "clean_wifi_log_is_a_directory", "clean_second_output_is_a_directory",
+        "train_side_of_one_row", "grid_train_side_of_one_row",
         "report_train_side_of_one_row", "report_test_side_of_one_class"])
 def test_known_reproductions_exit_3_with_one_line(tmp_path, workdir, capsys, stage, inputs,
                                                   edit, named):

@@ -247,6 +247,35 @@ class TestAtomicWrites:
         assert p.read_bytes() == before
         assert sorted(tmp_path.iterdir()) == [p]
 
+    @staticmethod
+    def write_pair(tmp_path, text):
+        """Write text over a.json and b.csv in tmp_path."""
+        fileio.write_json(tmp_path / "a.json", fileio.SCHEMA_EVAL, "h", {"text": text})
+        fileio.write_csv(tmp_path / "b.csv", fileio.SCHEMA_FEATURES, "h", ["text"],
+                         [[np.array([text], dtype=object)]])
+
+    def test_a_failed_commit_keeps_every_target(self, tmp_path):
+        self.write_pair(tmp_path, "old")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        with pytest.raises(RuntimeError, match="after both writes"):
+            with fileio.committed():
+                self.write_pair(tmp_path, "new")
+                raise RuntimeError("after both writes")
+        assert {p: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_a_commit_replaces_its_targets_when_it_ends(self, tmp_path):
+        self.write_pair(tmp_path, "old")
+        before = {p: p.read_bytes() for p in tmp_path.iterdir()}
+        with fileio.committed():
+            self.write_pair(tmp_path, "new")
+            assert all(p.read_bytes() == blob for p, blob in before.items())
+        assert sorted(tmp_path.iterdir()) == sorted(before)
+        assert fileio.read_json(tmp_path / "a.json", fileio.SCHEMA_EVAL)["text"] == "new"
+        assert fileio.read_csv(tmp_path / "b.csv", fileio.SCHEMA_FEATURES)[2] == [["new"]]
+        # outside a commit, a write replaces its target at once
+        self.write_pair(tmp_path, "newer")
+        assert fileio.read_json(tmp_path / "a.json", fileio.SCHEMA_EVAL)["text"] == "newer"
+
     def test_success_replaces_and_leaves_no_temp(self, tmp_path):
         p = tmp_path / "t.csv"
         fileio.write_csv(p, fileio.SCHEMA_FEATURES, "old", ["a"], [[np.array([0])]])

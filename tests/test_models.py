@@ -222,7 +222,9 @@ class TestGridSearch:
         assert best_c == best_f and results_c == results_f
         docs = []
         for layout, X_in in (("c", np.ascontiguousarray(X)), ("f", np.asfortranarray(X))):
-            save_model(fit_model(kind, X_in, y, best_c, seed=0), tmp_path / layout, "h")
+            save_model(fit_model(kind, X_in, y, best_c, seed=0,
+                                 imputation=ImputationState(0.1, 0.2, 3, 4)),
+                       tmp_path / layout, "h")
             docs.append((tmp_path / layout).read_bytes())
         assert docs[0] == docs[1]
 
@@ -282,6 +284,14 @@ class TestPersistence:
             assert loaded.imputation == model.imputation
             assert loaded.hyperparameters == model.hyperparameters
             assert doc["config_hash"] == "hash1234" and doc["note"] == 1
+
+    def test_model_without_imputation_is_not_saved(self, tmp_path):
+        """load_model refuses a null imputation, so save_model writes none."""
+        X, y = random_problem(13, n=120)
+        p = tmp_path / "gbt.json"
+        with pytest.raises(ValueError, match="imputation"):
+            save_model(fit_model("gbt", X, y, {"n_trees": 2}), p, "h")
+        assert list(tmp_path.iterdir()) == []
 
     def test_malformed_model_file_raises_dataerror(self, tmp_path):
         p = tmp_path / "bad.json"
