@@ -13,7 +13,7 @@ from pathlib import Path
 from . import fileio
 from .models import FEATURESETS, KIND_SHORT, MODEL_KINDS
 from .records import DAY_S, TS_END
-from .synthgen import WorldConfig
+from .synthgen import FIXED, WorldConfig
 
 
 class ConfigError(Exception):
@@ -70,8 +70,8 @@ class PipelineConfig:
         return MODEL_KINDS[self.model]
 
     def data_hash(self) -> str:
-        """Hash of every field, the world's fields included, except four
-        that shape neither the data nor the split.
+        """Hash of every field, the world's fields and ``synthgen.FIXED``
+        included, except four that shape neither the data nor the split.
 
         Featureset and model kind are the units being compared, so
         artifacts for different featuresets or model kinds trained on the
@@ -79,8 +79,8 @@ class PipelineConfig:
         out too. Any other field, a new one too, is hashed.
         """
         unhashed = ("featureset", "model", "grid", "strict_parse")
-        return fileio.config_hash({key: value for key, value in asdict(self).items()
-                                   if key not in unhashed})
+        values = {key: value for key, value in asdict(self).items() if key not in unhashed}
+        return fileio.config_hash({**values, "world": {**values["world"], **FIXED}})
 
 
 def parse_config_file(path) -> dict[str, str]:

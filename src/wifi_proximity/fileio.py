@@ -26,6 +26,7 @@ import os
 import zipfile
 from contextlib import contextmanager
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -118,14 +119,16 @@ def write_jsonl(path, schema: str, cfg_hash: str, rows: Iterable[str]) -> int:
     """Write a JSONL file with a leading header line. Returns the row count.
 
     ``rows`` yields each row as the str of its JSON text, on one line,
-    encoded by the caller. It is iterated once.
+    encoded by the caller. It is iterated once, and written a block of
+    rows per write call.
     """
     n = 0
+    rows = iter(rows)
     with _replacing(path) as fh:
         fh.write(json.dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
-        for row in rows:
-            fh.write(row + "\n")
-            n += 1
+        while block := list(islice(rows, 4096)):
+            fh.write("\n".join(block) + "\n")
+            n += len(block)
     return n
 
 

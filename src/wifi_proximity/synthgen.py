@@ -60,6 +60,28 @@ _STREAM_WIFI_FIELD = 7
 # build_plans draws its times in units of 5 minutes, whatever the scan period
 _PLAN_UNIT_S = 300
 
+# the town's layout and behaviour that no knob sets. The config hash covers
+# them beside WorldConfig's fields, so that a world's hash does not depend
+# on which of its values are knobs
+FIXED = {
+    "room_ring_m": 30.0,
+    "room_radius_m": 7.0,
+    # venue districts span a detection radius, so a visitor's AP set
+    # depends on where in the district they stand
+    "venue_radius_m": 45.0,
+    "visitor_radius_m": 30.0,
+    "dense_home_fraction": 0.5,
+    "complex_pitch_m": 30.0,
+    "meeting_attendance": 0.8,
+    "loose_meeting_prob": 0.3,
+    "meeting_venue_prob": 0.55,
+    "venue_evening_prob_weekday": 0.30,
+    "venue_evening_prob_weekend": 0.35,
+    "weekend_outing_prob": 0.55,
+    "errand_prob": 0.6,
+    "walk_prob": 0.3,
+}
+
 # calibrate_stats draws at most this many distant dyads, from this seed
 DISTANT_PAIRS, STATS_SEED = 20000, 0
 
@@ -68,8 +90,9 @@ DISTANT_PAIRS, STATS_SEED = 20000, 0
 class WorldConfig:
     """Knobs for the synthetic town. Defaults give a week of campus life.
 
-    ``dataclasses.asdict`` gives the values that the config hash covers,
-    and ``dataclasses.replace`` a variant, checked again by __post_init__.
+    ``dataclasses.asdict`` plus ``FIXED``, the values of the town that no
+    knob sets, gives the values that the config hash covers, and
+    ``dataclasses.replace`` a variant, checked again by __post_init__.
     """
 
     seed: int = 0
@@ -104,16 +127,8 @@ class WorldConfig:
     n_buildings: int = 10
     rooms_per_building: int = 9
     building_radius_m: float = 40.0
-    room_ring_m: float = 30.0
-    room_radius_m: float = 7.0
     n_venues: int = 6
-    # venue districts span a detection radius, so a visitor's AP set
-    # depends on where in the district they stand
-    venue_radius_m: float = 45.0
-    visitor_radius_m: float = 30.0
-    dense_home_fraction: float = 0.5
     dense_complex_units: int = 12
-    complex_pitch_m: float = 30.0
     street_routers_per_dense_complex: int = 2
 
     # behaviour
@@ -121,18 +136,10 @@ class WorldConfig:
     group_size_cycle: tuple[int, ...] = (3, 4, 5, 4)
     weekday_meeting_rate: float = 1.3
     weekend_meeting_rate: float = 0.9
-    meeting_attendance: float = 0.8
     # meeting lengths in 5-minute units, whatever the scan period (the
     # names predate that; renaming them would change every config hash)
     meeting_min_slots: int = 4
     meeting_max_slots: int = 24
-    loose_meeting_prob: float = 0.3
-    meeting_venue_prob: float = 0.55
-    venue_evening_prob_weekday: float = 0.30
-    venue_evening_prob_weekend: float = 0.35
-    weekend_outing_prob: float = 0.55
-    errand_prob: float = 0.6
-    walk_prob: float = 0.3
 
     def __post_init__(self) -> None:
         for f in fields(self):
@@ -148,27 +155,13 @@ class WorldConfig:
             if value <= 0:
                 raise ValueError(f"{name} must be > 0, got {value!r}")
         for name in ("seed", "start_ts", "n_buildings", "n_venues",
-                     "street_routers_per_dense_complex", "building_radius_m", "room_ring_m",
-                     "room_radius_m", "venue_radius_m", "visitor_radius_m", "complex_pitch_m",
+                     "street_routers_per_dense_complex", "building_radius_m",
                      "weekday_meeting_rate", "weekend_meeting_rate", "noise_sigma_db",
                      "device_noise_sigma_db", "bt_noise_sigma_db"):
             value = getattr(self, name)
             if value < 0:
                 raise ValueError(f"{name} must be >= 0, got {value!r}")
-        for name in (
-            "campus_fraction",
-            "bt_detect_prob",
-            "dense_home_fraction",
-            "goer_fraction",
-            "loose_meeting_prob",
-            "meeting_venue_prob",
-            "venue_evening_prob_weekday",
-            "venue_evening_prob_weekend",
-            "weekend_outing_prob",
-            "errand_prob",
-            "walk_prob",
-            "meeting_attendance",
-        ):
+        for name in ("campus_fraction", "bt_detect_prob", "goer_fraction"):
             value = getattr(self, name)
             if not 0.0 <= value <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1], got {value!r}")
@@ -187,6 +180,10 @@ class WorldConfig:
         if self.wifi_detect_floor_dbm < RSSI_MIN:
             raise ValueError(f"wifi_detect_floor_dbm must be >= {RSSI_MIN}, "
                              f"got {self.wifi_detect_floor_dbm!r}")
+        if self.n_routers >= 1 << 24:
+            raise ValueError(f"n_routers must be < {1 << 24}, the range of the bssids, "
+                             f"got {self.n_routers!r}")
+        _layout_counts(self)  # the budget and the area hold the layout
 
     @property
     def slots_per_day(self) -> int:
@@ -248,15 +245,20 @@ def _disc_points(rng: np.random.Generator, center: np.ndarray, radius: float, n:
     return center + np.column_stack((r * np.cos(theta), r * np.sin(theta)))
 
 
-def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
-    """Place sites on a coarse grid, then routers and homes inside them."""
+def _layout_counts(cfg: WorldConfig) -> tuple[int, ...]:
+    """build_layout's counts: campus and street routers, the routers left
+    for venues or else the town, buildings, venues, users in dense
+    complexes, and dense and sparse complexes. ValueError naming the key
+    when the budget lacks a home router per user, or the site grid a site
+    per building, venue and complex."""
     n_campus = int(round(cfg.campus_fraction * cfg.n_routers))
-    n_home = cfg.n_users
-    spare = cfg.n_routers - n_campus - n_home
+    spare = cfg.n_routers - n_campus - cfg.n_users
     if spare < 0:
-        raise ValueError("router budget too small for one home router per user")
+        raise ValueError(f"n_users must be <= n_routers less its {n_campus} campus routers, "
+                         f"one home router each, got n_users {cfg.n_users}, "
+                         f"n_routers {cfg.n_routers}")
 
-    n_dense_users = int(round(cfg.dense_home_fraction * cfg.n_users))
+    n_dense_users = int(round(FIXED["dense_home_fraction"] * cfg.n_users))
     n_dense_cplx = math.ceil(n_dense_users / cfg.dense_complex_units) if n_dense_users else 0
     n_sparse_users = cfg.n_users - n_dense_users
     n_sparse_cplx = math.ceil(n_sparse_users / 2) if n_sparse_users else 0
@@ -264,6 +266,24 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
     n_street = min(spare, cfg.street_routers_per_dense_complex * n_dense_cplx)
     spare -= n_street
     n_venues = min(cfg.n_venues, spare) if spare > 0 else 0
+    n_buildings = max(1, min(cfg.n_buildings, n_campus)) if n_campus else 0
+
+    # the length of build_layout's np.arange of grid coordinates, as a
+    # float: a tiny pitch may give an infinite grid
+    pitch = cfg.site_pitch_m
+    side = float(np.ceil(max(0.0, (cfg.area_m - pitch / 2.0 + 1e-9 - pitch / 2.0) / pitch)))
+    n_sites_needed = n_buildings + n_venues + n_dense_cplx + n_sparse_cplx
+    if n_sites_needed > side * side:
+        raise ValueError(f"area_m {cfg.area_m:g} holds {side * side:.0f} sites at site_pitch_m "
+                         f"{pitch:g}, need {n_sites_needed}")
+    return (n_campus, n_street, spare, n_buildings, n_venues, n_dense_users,
+            n_dense_cplx, n_sparse_cplx)
+
+
+def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
+    """Place sites on a coarse grid, then routers and homes inside them."""
+    (n_campus, n_street, spare, n_buildings, n_venues, n_dense_users,
+     n_dense_cplx, n_sparse_cplx) = _layout_counts(cfg)
     venue_router_counts = [0] * n_venues
     n_scatter = spare
     if n_venues:
@@ -275,18 +295,11 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
         venue_router_counts = shares.tolist()
         n_scatter = 0
 
-    n_buildings = max(1, min(cfg.n_buildings, n_campus)) if n_campus else 0
-
     # jitter-free site grid: far enough apart that sites never share APs
     pitch = cfg.site_pitch_m
     coords = np.arange(pitch / 2.0, cfg.area_m - pitch / 2.0 + 1e-9, pitch)
     sites = np.array([(x, y) for x in coords for y in coords])
-    n_sites_needed = n_buildings + n_venues + n_dense_cplx + n_sparse_cplx
-    if n_sites_needed > len(sites):
-        raise ValueError(
-            f"area {cfg.area_m:.0f} m holds {len(sites)} sites, need {n_sites_needed}"
-        )
-    order = rng.permutation(len(sites))[:n_sites_needed]
+    order = rng.permutation(len(sites))[:n_buildings + n_venues + n_dense_cplx + n_sparse_cplx]
     sites = sites[order]
     cursor = 0
 
@@ -309,12 +322,12 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
     room_centers = np.zeros((n_buildings, cfg.rooms_per_building, 2))
     for b, center in enumerate(building_centers):
         angles = TAU * np.arange(cfg.rooms_per_building) / cfg.rooms_per_building
-        room_centers[b, :, 0] = center[0] + cfg.room_ring_m * np.cos(angles)
-        room_centers[b, :, 1] = center[1] + cfg.room_ring_m * np.sin(angles)
+        room_centers[b, :, 0] = center[0] + FIXED["room_ring_m"] * np.cos(angles)
+        room_centers[b, :, 1] = center[1] + FIXED["room_ring_m"] * np.sin(angles)
 
     for v, center in enumerate(venue_centers):
         k = venue_router_counts[v]
-        router_pos.append(_disc_points(rng, center, cfg.venue_radius_m, k))
+        router_pos.append(_disc_points(rng, center, FIXED["venue_radius_m"], k))
         router_ssid.extend([f"venue-{v:02d}-{j}" for j in range(k)])
 
     # homes laid out on small grids inside each complex
@@ -322,8 +335,8 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
         rows = math.ceil(units / columns)
         ix = np.arange(units) % columns
         iy = np.arange(units) // columns
-        offx = (ix - (columns - 1) / 2.0) * cfg.complex_pitch_m
-        offy = (iy - (rows - 1) / 2.0) * cfg.complex_pitch_m
+        offx = (ix - (columns - 1) / 2.0) * FIXED["complex_pitch_m"]
+        offy = (iy - (rows - 1) / 2.0) * FIXED["complex_pitch_m"]
         return center + np.column_stack((offx, offy))
 
     unit_spots: list[np.ndarray] = []
@@ -468,7 +481,7 @@ def schedule_meetings(
                 taken.append(placed)
                 start, end = placed
 
-                attending = [m for m in group if rng.random() < cfg.meeting_attendance]
+                attending = [m for m in group if rng.random() < FIXED["meeting_attendance"]]
                 absent = [m for m in group if m not in attending]
                 extra = rng.permutation(len(absent)) if absent else []
                 for k in extra:
@@ -489,17 +502,17 @@ def schedule_meetings(
                 elif (
                     hour >= 17
                     and layout.n_venues
-                    and rng.random() < cfg.meeting_venue_prob
+                    and rng.random() < FIXED["meeting_venue_prob"]
                 ):
                     # somewhere in the venue district, not always its center
                     center = layout.venue_centers[int(rng.integers(layout.n_venues))]
-                    r = 0.5 * cfg.venue_radius_m * math.sqrt(rng.random())
+                    r = 0.5 * FIXED["venue_radius_m"] * math.sqrt(rng.random())
                     phi = rng.random() * TAU
                     anchor = center + r * np.array([math.cos(phi), math.sin(phi)])
                 if anchor is None:
                     anchor = layout.home_pos[attending[0]]
 
-                loose = rng.random() < cfg.loose_meeting_prob
+                loose = rng.random() < FIXED["loose_meeting_prob"]
                 lo, hi = (1.5, 6.0) if loose else (0.4, 1.8)
                 radii = rng.uniform(lo, hi, len(attending))
                 theta = rng.random(len(attending)) * TAU
@@ -588,18 +601,18 @@ def build_plans(
                     if to_venue
                     else roam_point()
                 )
-                jitter = cfg.visitor_radius_m if to_venue else 0.0
+                jitter = FIXED["visitor_radius_m"] if to_venue else 0.0
                 plan.put(base + start, base + start + 1, roam_point(), 0.0)
                 plan.put(base + start + 1, base + start + dur - 1, spot, jitter)
                 plan.put(base + start + dur - 1, base + start + dur, roam_point(), 0.0)
 
             if weekend:
-                if rng.random() < cfg.weekend_outing_prob:
+                if rng.random() < FIXED["weekend_outing_prob"]:
                     start = u(_slot(11), _slot(15))
                     venue_trip(start, u(12, 36), p_venue=0.75)
-                elif rng.random() < cfg.walk_prob:
+                elif rng.random() < FIXED["walk_prob"]:
                     venue_trip(u(_slot(13), _slot(16)), u(6, 18), p_venue=0.0)
-                p_evening = cfg.venue_evening_prob_weekend
+                p_evening = FIXED["venue_evening_prob_weekend"]
             elif is_goer[uidx] and layout.n_buildings:
                 bldg = int(day_building[uidx][day])
                 leave = _slot(8) + u(-6, 6)
@@ -614,23 +627,23 @@ def build_plans(
                     base + arrive,
                     base + block1_end,
                     layout.room_centers[bldg, room1],
-                    cfg.room_radius_m,
+                    FIXED["room_radius_m"],
                 )
                 plan.put(
                     base + block1_end,
                     base + block2_end,
                     layout.room_centers[bldg, room2],
-                    cfg.room_radius_m,
+                    FIXED["room_radius_m"],
                 )
                 plan.put(base + block2_end, base + home_back, roam_point(), 0.0)
-                p_evening = cfg.venue_evening_prob_weekday
+                p_evening = FIXED["venue_evening_prob_weekday"]
             else:
-                if rng.random() < cfg.errand_prob:
+                if rng.random() < FIXED["errand_prob"]:
                     start = u(_slot(10), _slot(15))
                     venue_trip(start, u(9, 25), p_venue=0.5)
-                elif rng.random() < cfg.walk_prob:
+                elif rng.random() < FIXED["walk_prob"]:
                     venue_trip(u(_slot(13), _slot(16)), u(6, 18), p_venue=0.0)
-                p_evening = cfg.venue_evening_prob_weekday
+                p_evening = FIXED["venue_evening_prob_weekday"]
 
             if rng.random() < p_evening:
                 start = _slot(19) + u(0, 10)
@@ -911,7 +924,7 @@ def generate(
     config_hash: str | None = None,
 ) -> tuple[WifiScans, GroundTruth]:
     """Simulate the world, write its WiFi, Bluetooth and truth files, return (scans, truth)."""
-    cfg_hash = config_hash or fileio.config_hash(asdict(cfg))
+    cfg_hash = config_hash or fileio.config_hash({**asdict(cfg), **FIXED})
     layout, user_ids, positions, phases = _world(cfg)
     sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
     scans = wifi_scans(cfg, layout, positions, user_ids, phases)

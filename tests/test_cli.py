@@ -4,12 +4,15 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 import tracemalloc
-from dataclasses import replace
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, reject, settings
+from hypothesis import strategies as st
 
 import wifi_proximity
 from wifi_proximity import fileio, models
@@ -26,6 +29,7 @@ from wifi_proximity.ingest import WifiScans as ScanTable
 from wifi_proximity.models import FEATURESETS, load_model
 from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN, TS_END
+from wifi_proximity.synthgen import WorldConfig
 
 import matrix_reference
 import score_reference
@@ -276,18 +280,22 @@ class TestExitCodes:
         ("rooms_per_building", "0"), ("street_routers_per_dense_complex", "-1"),
         ("weekday_meeting_rate", "-1"), ("weekday_meeting_rate", "nan"), ("area_m", "inf"),
         ("area_m", "nan"), ("start_ts", "253402214000"), ("building_radius_m", "nan"),
+        # a world that cannot be laid out: too few routers for a home router
+        # per user, too few sites on the grid, more routers than bssids
+        ("n_users", "400"), ("area_m", "500"), ("n_routers", str(2 ** 24)),
     ])
     def test_world_key_that_generate_cannot_use(self, tmp_path, capsys, key, value):
         # each crashed generate, failed it with a message naming no key, or
-        # wrote logs that ingest rejects or that hold NaN positions
+        # wrote logs that ingest rejects or that hold NaN positions; the
+        # layout's failures exited 3 and left an empty run directory
         conf = tmp_path / "c.conf"
         conf.write_text(f"world.n_users = 8\nworld.days = 1\nworld.{key} = {value}\n")
         capsys.readouterr()
-        assert run(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 4
+        assert run(["generate", "--dir", str(tmp_path / "run"), "--config", str(conf)]) == 4
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and key in err
         assert err.count("\n") == 1
-        assert not (tmp_path / "wifi.jsonl").exists()
+        assert not (tmp_path / "run").exists()
 
     def test_negative_seed_beside_an_explicit_world_seed(self, tmp_path, capsys):
         # the world seed was valid, so every stage up to train used to run
@@ -414,6 +422,36 @@ class TestPeakMemory:
                 tracemalloc.stop()
         assert [stage for stage, bound in self.BOUNDS.items() if peaks[stage] >= bound] == [], peaks
 
+    # the traced peaks of the stages before train on the town (one day,
+    # seed 3), in copies of scans.npz's arrays: generate about 3.92-3.96,
+    # clean 4.18-4.19, pair 3.28 and featurize 5.39. One more int64 array
+    # per scan entry, kept to the end of the stage, adds 0.55 (0.38 to
+    # generate, whose peak comes before its scan table is complete).
+    PREP_BOUNDS = {"generate": 4.15, "clean": 4.45, "pair": 3.55, "featurize": 5.65}
+
+    def test_traced_peaks_in_copies_of_the_scan_table(self, tmp_path, tiny_world):
+        # a run on the tiny world first makes the stages' lazy imports
+        # (numpy.random, numpy.ma), which would count in a traced peak
+        conf = tmp_path / "world.conf"
+        conf.write_text(world_conf(tiny_world))
+        for stage in self.PREP_BOUNDS:
+            assert run([stage, "--dir", str(tmp_path / "tiny"), "--config", str(conf)]) == 0
+        conf.write_text("world.days = 1\nseed = 3\n")
+        peaks = {}
+        for stage in self.PREP_BOUNDS:
+            tracemalloc.start()
+            try:
+                assert run([stage, "--dir", str(tmp_path), "--config", str(conf)]) == 0, stage
+                peaks[stage] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        with np.load(tmp_path / "scans.npz") as archive:
+            table_bytes = sum(archive[f.name].nbytes for f in fields(ScanTable)
+                              if "dtype" in f.metadata)
+        peaks = {stage: peak / table_bytes for stage, peak in peaks.items()}
+        assert [stage for stage, bound in self.PREP_BOUNDS.items()
+                if peaks[stage] >= bound] == [], peaks
+
 
 class TestDeterminism:
     def test_stage_rerun_is_byte_identical(self, workdir):
@@ -522,6 +560,74 @@ class TestAcceptedLogsRunToReport:
         args = ["--dir", str(tmp_path)] + base[2:] + ["--model", "gbt", "--featureset", "FULL"]
         for stage in ("clean", "pair", "featurize", "train", "evaluate", "report"):
             assert run([stage] + args) == 0, stage
+
+
+# every WorldConfig knob but days: a few users, one day, and slots of 15
+# minutes to an hour, so that each world runs to report in about a second
+drawn_worlds = st.fixed_dictionaries({
+    "seed": st.integers(0, 2 ** 32 - 1),
+    "area_m": st.floats(600.0, 1500.0),
+    "n_routers": st.integers(8, 60),
+    "n_users": st.integers(3, 8),
+    "scan_period_s": st.sampled_from([900, 1200, 1800, 3600]),
+    "start_ts": st.integers(0, 4 * 10 ** 9),
+    "campus_fraction": st.floats(0.0, 0.6),
+    "path_loss_exponent": st.floats(1.5, 4.5),
+    "p0_dbm": st.floats(-70.0, -30.0),
+    "noise_sigma_db": st.floats(0.0, 6.0),
+    "device_noise_sigma_db": st.floats(0.0, 6.0),
+    "wifi_detect_floor_dbm": st.floats(-100.0, -60.0),
+    "bt_range_m": st.floats(5.0, 400.0),
+    "bt_detect_prob": st.floats(0.2, 1.0),
+    "bt_rssi_at_1m": st.floats(-70.0, -30.0),
+    "bt_path_exponent": st.floats(1.5, 4.0),
+    "bt_noise_sigma_db": st.floats(0.0, 6.0),
+    "campus_ssid": st.sampled_from(["dtu", "campus-net"]),
+    "site_pitch_m": st.floats(100.0, 300.0),
+    "n_buildings": st.integers(0, 3),
+    "rooms_per_building": st.integers(1, 9),
+    "building_radius_m": st.floats(0.0, 80.0),
+    "n_venues": st.integers(0, 3),
+    "dense_complex_units": st.integers(1, 12),
+    "street_routers_per_dense_complex": st.integers(0, 3),
+    "goer_fraction": st.floats(0.0, 1.0),
+    "group_size_cycle": st.lists(st.integers(2, 5), min_size=1, max_size=4).map(tuple),
+    "weekday_meeting_rate": st.floats(0.0, 3.0),
+    "weekend_meeting_rate": st.floats(0.0, 3.0),
+    "meeting_min_slots": st.integers(1, 6),
+    "meeting_max_slots": st.integers(6, 30),
+})
+
+
+class TestDrawnWorldsRunToReport:
+    @settings(max_examples=10, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(knobs=drawn_worlds)
+    def test_every_stage_exits_zero_or_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                      knobs):
+        """Each stage from generate to report, with 3-tree gbt, exits 0,
+        or exits 3 or 4 with one line and leaves its directory as it was."""
+        try:
+            world = WorldConfig(days=1, **knobs)
+        except ValueError:
+            reject()  # a world that cannot be laid out
+        monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 3)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as name:
+            d = Path(name)
+            conf = d / "world.conf"
+            values = {**asdict(world),
+                      "group_size_cycle": ",".join(map(str, world.group_size_cycle))}
+            conf.write_text("".join(f"world.{key} = {value}\n" for key, value in values.items()))
+            assert load_config(conf).world == world
+            for stage in ("generate", "clean", "pair", "featurize", "train", "evaluate", "report"):
+                before = snapshot(d)
+                capsys.readouterr()
+                code = run([stage, "--dir", str(d), "--config", str(conf)])
+                if code != 0:
+                    err = capsys.readouterr().err
+                    assert code in (3, 4) and err.count("\n") == 1, (stage, code, err)
+                    assert snapshot(d) == before, stage
+                    break
 
 
 class TestSeedPropagation:

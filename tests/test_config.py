@@ -13,6 +13,7 @@ from wifi_proximity.config import (
     parse_config_file,
 )
 from wifi_proximity.records import TS_END
+from wifi_proximity.synthgen import WorldConfig
 
 
 class TestParseFile:
@@ -131,7 +132,6 @@ class TestDataHash:
         assert PipelineConfig(train_size=0.6).data_hash() != base
 
     def test_changes_with_world(self):
-        from wifi_proximity.synthgen import WorldConfig
         base = PipelineConfig().data_hash()
         assert PipelineConfig(world=WorldConfig(n_users=100)).data_hash() != base
 
@@ -156,4 +156,8 @@ class TestLoadConfig:
         example = Path(__file__).resolve().parents[1] / "scripts" / "example.conf"
         assert load_config(example) == load_config(None)
         keys = {f.name for f in fields(PipelineConfig)} - {"world"}
+        # every world key too; world.seed only in a comment, since setting
+        # it would stop the pipeline seed from reaching the world
+        keys |= {f"world.{f.name}" for f in fields(WorldConfig)} - {"world.seed"}
         assert keys <= set(parse_config_file(example))
+        assert "# world.seed = 0\n" in example.read_text(encoding="utf-8")
