@@ -95,7 +95,7 @@ def stage_generate(cfg: PipelineConfig, args, paths) -> int:
         f"{paths['truth'].name} in {paths['wifi'].parent} (config {h})"
     )
     if args.stats:
-        stats = synthgen.calibrate_stats(scans, truth)
+        stats = synthgen.calibrate_stats(cfg.world, scans, truth)
         for key in sorted(stats):
             print(f"  {key} = {stats[key]}")
     return EXIT_OK

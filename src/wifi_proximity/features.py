@@ -96,11 +96,6 @@ class FeatureVector:
     at_home: int
     at_campus: int
 
-    def to_array(self) -> np.ndarray:
-        """Feature values in canonical order; missing correlations as NaN."""
-        vals = [getattr(self, name) for name in FEATURE_NAMES]
-        return np.array([np.nan if v is None else float(v) for v in vals])
-
 
 # ---------------------------------------------------------------------------
 # AP presence
@@ -678,7 +673,7 @@ def extract_feature_matrix(table: WifiScans, scan_a, scan_b, ts,
     Candidate i pairs table rows ``scan_a[i]`` and ``scan_b[i]`` at
     interaction time ``ts[i]``. Returns an (n, 16) float matrix in
     FEATURE_NAMES order with missing correlations as NaN, equal bit for
-    bit to ``extract_features(...).to_array()`` row by row, with
+    bit to the fields of ``extract_features(...)`` row by row, with
     popularity counted over every row of the table: the sightings of a
     common router that are their user's first within
     ``popularity_window_s`` of ``ts[i]`` (see _WindowPopularity).

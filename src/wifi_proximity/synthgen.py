@@ -22,9 +22,15 @@ along x over the sorted users, so only pairs within a band of
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
 formats; truth rows are written as JSON text. ``generate`` returns the
 scans and the truth, and ``calibrate_stats`` (``--stats``) reads no file:
-it counts overlaps with ``WifiScans.common``, draws at most
+from the world config it computes the row of each user's scan at each
+truth slot, counts overlaps with ``WifiScans.common``, draws at most
 ``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream, and
 tests the two samples on one ``evaluation.class_counts``.
+
+The code relies on the orders that the town fixes: users and routers
+are numbered by index, ``_user_id`` and ``_bssid`` name them so that
+index order is string order, and the scan table holds one scan per user
+and slot, user after user.
 """
 from __future__ import annotations
 
@@ -300,16 +306,8 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
     coords = np.arange(pitch / 2.0, cfg.area_m - pitch / 2.0 + 1e-9, pitch)
     sites = np.array([(x, y) for x in coords for y in coords])
     order = rng.permutation(len(sites))[:n_buildings + n_venues + n_dense_cplx + n_sparse_cplx]
-    sites = sites[order]
-    cursor = 0
-
-    building_centers = sites[cursor : cursor + n_buildings]
-    cursor += n_buildings
-    venue_centers = sites[cursor : cursor + n_venues]
-    cursor += n_venues
-    dense_centers = sites[cursor : cursor + n_dense_cplx]
-    cursor += n_dense_cplx
-    sparse_centers = sites[cursor : cursor + n_sparse_cplx]
+    building_centers, venue_centers, dense_centers, sparse_centers = np.split(
+        sites[order], np.cumsum([n_buildings, n_venues, n_dense_cplx]))
 
     router_pos: list[np.ndarray] = []
     router_ssid: list[str] = []
@@ -390,9 +388,9 @@ def build_layout(cfg: WorldConfig, rng: np.random.Generator) -> Layout:
         router_ssid=router_ssid,
         home_router_idx=np.array(home_idx, dtype=np.int64),
         home_pos=home_pos,
-        building_centers=np.asarray(building_centers, dtype=float).reshape(-1, 2),
+        building_centers=building_centers,
         room_centers=room_centers,
-        venue_centers=np.asarray(venue_centers, dtype=float).reshape(-1, 2),
+        venue_centers=venue_centers,
     )
 
 
@@ -407,11 +405,7 @@ def assign_groups(cfg: WorldConfig) -> list[list[int]]:
         size = min(cycle[i % len(cycle)], remaining)
         if remaining - size == 1:
             size += 1  # do not leave a singleton behind
-        members = list(range(next_user, next_user + size))
-        if size == 1 and groups:
-            groups[-1].extend(members)
-        else:
-            groups.append(members)
+        groups.append(list(range(next_user, next_user + size)))
         next_user += size
         remaining -= size
         i += 1
@@ -451,7 +445,7 @@ def schedule_meetings(
     """Draw group meetings from the weekday/weekend hour intensity tables.
 
     Start and length are drawn in 5-minute plan units, as build_plans
-    draws its times, and placed in slots by _PlanWriter.put's floor rule.
+    draws its times, and placed in slots by build_plans' floor rule.
     """
     units = DAY_S // _PLAN_UNIT_S  # plan units per day
     per_hour = 3600 // _PLAN_UNIT_S
@@ -529,26 +523,6 @@ def schedule_meetings(
     return meetings
 
 
-class _PlanWriter:
-    """Fills per-slot anchor arrays for one user from times in plan units."""
-
-    def __init__(self, n_slots: int, scan_period_s: int) -> None:
-        self.ax = np.zeros(n_slots, dtype=np.float64)
-        self.ay = np.zeros(n_slots, dtype=np.float64)
-        self.jr = np.zeros(n_slots, dtype=np.float64)
-        self.n_slots = n_slots
-        self.scan_period_s = scan_period_s
-
-    def put(self, u0: int, u1: int, xy: np.ndarray, jitter: float) -> None:
-        s0 = max(0, min(self.n_slots, u0 * _PLAN_UNIT_S // self.scan_period_s))
-        s1 = max(0, min(self.n_slots, u1 * _PLAN_UNIT_S // self.scan_period_s))
-        if s1 <= s0:
-            return
-        self.ax[s0:s1] = xy[0]
-        self.ay[s0:s1] = xy[1]
-        self.jr[s0:s1] = jitter
-
-
 def _slot(hour: float) -> int:
     """The plan unit at an hour of the day."""
     return int(hour * (3600 // _PLAN_UNIT_S))
@@ -564,6 +538,8 @@ def build_plans(
 
     Returns per-slot anchor arrays (x, y, jitter radius) of shape
     (n_users, n_slots) and, for campus goers, the building chosen per day.
+    Each plan interval, in plan units, covers the slots from its start's
+    floor to its end's, clamped to the days.
     """
     S = DAY_S // _PLAN_UNIT_S  # plan units per day
     n_slots = cfg.n_slots
@@ -584,9 +560,13 @@ def build_plans(
         return rng.random(2) * cfg.area_m
 
     for uidx in range(cfg.n_users):
-        plan = _PlanWriter(n_slots, cfg.scan_period_s)
-        home = layout.home_pos[uidx]
-        plan.put(0, cfg.days * S, home, 0.0)
+        def put(u0: int, u1: int, xy: np.ndarray, jitter: float) -> None:
+            s0 = max(0, min(n_slots, u0 * _PLAN_UNIT_S // cfg.scan_period_s))
+            s1 = max(0, min(n_slots, u1 * _PLAN_UNIT_S // cfg.scan_period_s))
+            if s1 > s0:
+                ax[uidx, s0:s1], ay[uidx, s0:s1], jr[uidx, s0:s1] = xy[0], xy[1], jitter
+
+        put(0, cfg.days * S, layout.home_pos[uidx], 0.0)
 
         for day in range(cfg.days):
             base = day * S
@@ -602,9 +582,9 @@ def build_plans(
                     else roam_point()
                 )
                 jitter = FIXED["visitor_radius_m"] if to_venue else 0.0
-                plan.put(base + start, base + start + 1, roam_point(), 0.0)
-                plan.put(base + start + 1, base + start + dur - 1, spot, jitter)
-                plan.put(base + start + dur - 1, base + start + dur, roam_point(), 0.0)
+                put(base + start, base + start + 1, roam_point(), 0.0)
+                put(base + start + 1, base + start + dur - 1, spot, jitter)
+                put(base + start + dur - 1, base + start + dur, roam_point(), 0.0)
 
             if weekend:
                 if rng.random() < FIXED["weekend_outing_prob"]:
@@ -622,20 +602,11 @@ def build_plans(
                 home_back = block2_end + u(1, 3)
                 room1 = int(rng.integers(cfg.rooms_per_building))
                 room2 = int(rng.integers(cfg.rooms_per_building))
-                plan.put(base + leave, base + arrive, roam_point(), 0.0)
-                plan.put(
-                    base + arrive,
-                    base + block1_end,
-                    layout.room_centers[bldg, room1],
-                    FIXED["room_radius_m"],
-                )
-                plan.put(
-                    base + block1_end,
-                    base + block2_end,
-                    layout.room_centers[bldg, room2],
-                    FIXED["room_radius_m"],
-                )
-                plan.put(base + block2_end, base + home_back, roam_point(), 0.0)
+                rooms = layout.room_centers[bldg]
+                put(base + leave, base + arrive, roam_point(), 0.0)
+                put(base + arrive, base + block1_end, rooms[room1], FIXED["room_radius_m"])
+                put(base + block1_end, base + block2_end, rooms[room2], FIXED["room_radius_m"])
+                put(base + block2_end, base + home_back, roam_point(), 0.0)
                 p_evening = FIXED["venue_evening_prob_weekday"]
             else:
                 if rng.random() < FIXED["errand_prob"]:
@@ -651,10 +622,6 @@ def build_plans(
                 dur = min(dur, S - start - 2)
                 venue_trip(start, dur, p_venue=1.0)
 
-        ax[uidx] = plan.ax
-        ay[uidx] = plan.ay
-        jr[uidx] = plan.jr
-
     return ax, ay, jr, day_building
 
 
@@ -665,20 +632,16 @@ def materialize_positions(
     jr: np.ndarray,
 ) -> np.ndarray:
     """Apply per-slot jitter draws to anchors; one rng substream per user."""
-    positions = np.empty((cfg.n_users, cfg.n_slots, 2))
+    positions = np.stack((ax, ay), axis=-1)
     for uidx in range(cfg.n_users):
         rng = _substream(cfg.seed, _STREAM_POSITIONS, uidx)
-        x = ax[uidx].copy()
-        y = ay[uidx].copy()
         mask = jr[uidx] > 0
         k = int(mask.sum())
         if k:
             r = jr[uidx][mask] * np.sqrt(rng.random(k))
             theta = rng.random(k) * TAU
-            x[mask] += r * np.cos(theta)
-            y[mask] += r * np.sin(theta)
-        positions[uidx, :, 0] = x
-        positions[uidx, :, 1] = y
+            positions[uidx, mask, 0] += r * np.cos(theta)
+            positions[uidx, mask, 1] += r * np.sin(theta)
     return positions
 
 
@@ -802,10 +765,6 @@ def wifi_scans(
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
         0.0, cfg.noise_sigma_db, (len(rpos), n_slots)
     )
-    by_name = sorted(range(len(rpos)), key=layout.router_bssid.__getitem__)
-    bssid_rank = np.empty(len(rpos), dtype=np.int64)
-    bssid_rank[by_name] = np.arange(len(rpos))
-
     rows, routers, levels = ([np.zeros(0, np.int64)] for _ in range(3))
     block = 64
     # (router, block): the squared reach at the block's peak field
@@ -838,8 +797,9 @@ def wifi_scans(
             rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
             # whole dBm, truncated as int() does a fractional floor
             router, level = cand[j], rssi.astype(np.int64)
-            # a scan's routers are distinct, so this order is total
-            order = np.lexsort((bssid_rank[router], -level, t))
+            # a scan's routers are distinct, so this order is total; _bssid
+            # names routers in index order, so the index orders by bssid
+            order = np.lexsort((router, -level, t))
             rows.append(uidx * n_slots + s0 + t[order])
             routers.append(router[order])
             levels.append(level[order])
@@ -933,67 +893,51 @@ def generate(
     return scans, _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
 
 
-def calibrate_stats(scans: WifiScans, truth: GroundTruth) -> dict:
+def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> dict:
     """APs-per-scan moments, the share of empty scans, and the AP overlap
     (``WifiScans.common``) of truly proximate dyads against random distant
-    ones, with a one-sided Mann-Whitney p-value, of what generate returns.
+    ones, with a one-sided Mann-Whitney p-value, of what generate returns
+    for the world ``cfg``.
 
-    A user's scan at a truth slot is their first at or after it within
-    one period (the smallest gap between truth slots, else 300 s); of two
-    at one ts, the first in table order. Distant dyads are drawn from
-    default_rng([STATS_SEED, 7]), as many as the proximate ones but at
-    least 200 and at most DISTANT_PAIRS, in at most 20 x DISTANT_PAIRS
-    draws; a dyad in the truth, or with no scan at the slot, is rejected.
-    When every (dyad, slot) triple would be rejected, none is drawn.
+    generate writes one scan per user and slot, user after user, and
+    _user_id names users in index order, so user u's scan at truth slot k
+    is row ``u * cfg.n_slots + (slot - cfg.start_ts) // cfg.scan_period_s``.
+    Distant dyads are drawn from default_rng([STATS_SEED, 7]), as many as
+    the proximate ones but at least 200 and at most DISTANT_PAIRS, in at
+    most 20 x DISTANT_PAIRS draws; a dyad in the truth at the slot is
+    rejected. When every (dyad, slot) triple would be rejected, none is
+    drawn.
     """
-    # generate makes a scan per user and slot, so every user has scans
     arr = np.diff(scans.offsets)
     out: dict = {"n_scans": len(arr), "mean_aps": float(arr.mean()),
                  "median_aps": float(np.median(arr)), "empty_fraction": float((arr == 0).mean())}
 
-    rank_of = {uid: r for r, uid in enumerate(sorted(scans.users))}
+    code = {uid: u for u, uid in enumerate(scans.users)}
     slots = sorted(truth.proximity)
-    period = int(np.diff(slots).min()) if len(slots) > 1 else 300
-    slot_ts = np.array(slots or [0], dtype=np.int64)  # a draw with no slot looks at ts 0
-    # ts lie in [0, TS_END), so the key orders rows by (rank, ts); the
-    # stable sort keeps table order among a user's scans at one ts
-    code_rank = np.array([rank_of[uid] for uid in scans.users], dtype=np.int64)
-    key = code_rank[scans.user] * TS_END + scans.ts
-    rows = np.argsort(key, kind="stable")
-    user_rank = np.arange(len(rank_of))[:, None]
-    found = rows[np.minimum(np.searchsorted(key[rows], user_rank * TS_END + slot_ts),
-                            len(rows) - 1)]
-    # at[r, k]: the row of user r's scan at slot k, or -1
-    ts = scans.ts[found]
-    at = np.where((key[found] // TS_END == user_rank) & (slot_ts <= ts) & (ts < slot_ts + period),
-                  found, -1)
+    # at[u, k]: the row of user u's scan at slot k
+    at = (np.arange(cfg.n_users)[:, None] * cfg.n_slots
+          + (np.array(slots, dtype=np.int64) - cfg.start_ts) // cfg.scan_period_s)
 
     table = scans.by_bssid()
-    close = [(rank_of[ua], rank_of[ub], k) for k, slot in enumerate(slots)
+    close = [(code[ua], code[ub], k) for k, slot in enumerate(slots)
              for ua, ub, _ in truth.proximity[slot]]
-    ra, rb, k = np.array(close, dtype=np.int64).reshape(-1, 3).T
-    a, b = at[ra, k], at[rb, k]
-    keep = (a >= 0) & (b >= 0)
-    proximate = np.bincount(table.common(a[keep], b[keep])[0], minlength=keep.sum())
+    ua, ub, k = np.array(close, dtype=np.int64).reshape(-1, 3).T
+    proximate = np.bincount(table.common(at[ua, k], at[ub, k])[0], minlength=len(k))
 
     seen = set(close)
-    # the (dyad, slot) triples that a draw can accept: dyads with a scan
-    # each at the slot, less those in the truth
-    present = at >= 0
-    per_slot = present.sum(0)
-    n_acceptable = (per_slot * (per_slot - 1) // 2).sum() - sum(
-        present[ua, k] and present[ub, k] for ua, ub, k in seen if ua < ub)
+    # the (dyad, slot) triples that a draw can accept: those not in the truth
+    n_acceptable = len(slots) * math.comb(cfg.n_users, 2) - len(seen)
     want = min(DISTANT_PAIRS, max(200, len(proximate))) if n_acceptable else 0
     rng = np.random.default_rng([STATS_SEED, 7])
     drawn: list[tuple[int, int]] = []
     for _ in range(20 * DISTANT_PAIRS):
         if len(drawn) >= want:
             break
-        ua, ub = sorted(rng.integers(0, len(rank_of), 2).tolist())
+        ua, ub = sorted(rng.integers(0, cfg.n_users, 2).tolist())
         if ua == ub:
             continue
-        k = int(rng.choice(len(slots))) if slots else 0
-        if (ua, ub, k) not in seen and at[ua, k] >= 0 and at[ub, k] >= 0:
+        k = int(rng.choice(len(slots)))
+        if (ua, ub, k) not in seen:
             drawn.append((at[ua, k], at[ub, k]))
     a, b = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
     distant = np.bincount(table.common(a, b)[0], minlength=len(a))

@@ -110,7 +110,8 @@ class Tree:
         """Raise ValueError unless this is a well-formed tree on n_features
         columns: seven 1-d arrays of one non-zero length, features in
         [-1, n_features), an internal node's children after it, -1
-        children at leaves, finite thresholds."""
+        children at leaves, finite thresholds, values and gains, and at
+        least one sample at every node, as grow_tree makes them."""
         n = len(self.feature)
         if n == 0 or any(getattr(self, f.name).shape != (n,) for f in fields(self)):
             raise ValueError("node arrays are empty or differ in length")
@@ -124,8 +125,11 @@ class Tree:
             if ((child[~leaf] <= node[~leaf]) | (child[~leaf] >= n)).any():
                 raise ValueError(f"a {name} child does not lie after its "
                                  "parent in the tree")
-        if not np.isfinite(self.threshold).all():
-            raise ValueError("a threshold is not finite")
+        for name in ("threshold", "value", "gain"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"a {name} is not finite")
+        if (self.n_samples < 1).any():
+            raise ValueError("a node holds no sample")
 
 
 def encode_columns(X: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:

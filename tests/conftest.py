@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from pairing_reference import BluetoothSighting
+from wifi_proximity.features import FEATURE_NAMES
 from wifi_proximity.ingest import BluetoothSightings, WifiScans, parse_wifi_log
 from wifi_proximity.records import ApObservation, CandidatePair, WifiScanRecord
 from wifi_proximity.synthgen import WorldConfig
@@ -22,6 +23,13 @@ TINY_WORLD_STATS = {
     "distant_overlap_mean": 0.6830601092896175,
     "n_proximate": 1281, "n_distant": 1281, "overlap_mannwhitney_p": 0.0,
 }
+
+
+def to_array(vec) -> np.ndarray:
+    """A FeatureVector's values in FEATURE_NAMES order, a missing
+    correlation as NaN: a row of extract_feature_matrix."""
+    return np.array([np.nan if v is None else float(v)
+                     for v in (getattr(vec, name) for name in FEATURE_NAMES)])
 
 
 def mac(i: int) -> str:

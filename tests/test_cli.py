@@ -1100,6 +1100,12 @@ def edit_array(name, array, change):
     return edit
 
 
+def nan_leaf_values(doc):
+    for tree in doc["trees"]:
+        tree["value"] = [{"__float__": "nan"} if feature == -1 else value
+                         for feature, value in zip(tree["feature"], tree["value"])]
+
+
 def first_ts_at_end(ts):
     ts[0] = TS_END
     return ts
@@ -1171,6 +1177,7 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
      edit_doc(MODEL, lambda doc: doc["imputation"].update(spearman_mean="x")), MODEL),
     ("evaluate", ["features.npz", MODEL],
      edit_doc(MODEL, lambda doc: doc.update(imputation=None)), MODEL),
+    ("evaluate", ["features.npz", MODEL], edit_doc(MODEL, nan_leaf_values), MODEL),
     ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_ts_at_end),
      "scans.npz"),
     ("report", ["features.npz", EVAL], edit_array("features.npz", "X", union_inf),
@@ -1191,7 +1198,8 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
 ], ids=["homes_missing", "home_without_user", "homes_number", "home_bssid_number",
         "eval_without_train", "eval_without_featureset", "eval_test_list",
         "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
-        "model_imputation_mean_text", "model_imputation_null", "pair_scan_at_ts_end",
+        "model_imputation_mean_text", "model_imputation_null", "model_leaf_values_nan",
+        "pair_scan_at_ts_end",
         "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
         "clean_wifi_log_is_a_directory", "clean_second_output_is_a_directory",

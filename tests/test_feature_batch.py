@@ -27,7 +27,7 @@ from wifi_proximity.ingest import WifiScans as ScanTable, month_key, parse_wifi_
 from wifi_proximity.pairing import CandidateTable
 from wifi_proximity.records import RSSI_MIN, TS_END, CandidatePair
 
-from conftest import ap, mac, records_of, scan, world_conf
+from conftest import ap, mac, records_of, scan, to_array, world_conf
 from feature_reference import _WindowUsers
 from ingest_reference import scan_table_from_records
 from oracles import oracle_popularity
@@ -42,7 +42,7 @@ def reference_matrix(records, pairs, home_map, **kwargs):
     for i, j, ts in pairs:
         pair = CandidatePair(records[i].user, records[j].user, records[i],
                              records[j], ts, 0)
-        rows.append(extract_features(pair, index, home_map, **kwargs).to_array())
+        rows.append(to_array(extract_features(pair, index, home_map, **kwargs)))
     return np.array(rows).reshape(len(pairs), 16)
 
 

@@ -29,7 +29,7 @@ from wifi_proximity.features import (
 from wifi_proximity.records import CandidatePair, OverlapView, intersect
 
 import matrix_reference
-from conftest import ap, mac, random_pair, scan
+from conftest import ap, mac, random_pair, scan, to_array
 from oracles import oracle_features, oracle_hour_of_week, oracle_popularity
 
 INT_FEATURES = {"overlap", "non_overlap", "union", "top_ap", "top_ap_6db",
@@ -464,7 +464,7 @@ class TestVectorLayout:
                             euclidean=0.5, top_ap=1, top_ap_6db=1,
                             hour_of_week=10, min_popularity=2, max_popularity=5,
                             adamic_adar=1.1, at_home=0, at_campus=1)
-        arr = vec.to_array()
+        arr = to_array(vec)
         assert len(arr) == 16
         assert arr[FEATURE_NAMES.index("overlap")] == 2
         assert math.isnan(arr[FEATURE_NAMES.index("spearman")])

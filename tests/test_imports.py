@@ -1,8 +1,8 @@
 """Every name that a module of the package imports is used in that module,
-every top-level function and class of the package is named by code
-outside the tests, only ``fileio`` names what reads or writes an .npz
-archive, and the package imports nothing but the standard library, numpy
-and itself.
+every top-level function and class of the package, and every method of
+such a class but a dunder, is named by code outside the tests, only
+``fileio`` names what reads or writes an .npz archive, and the package
+imports nothing but the standard library, numpy and itself.
 
 An import marked ``# noqa: F401`` is exempt: the three ``ThreadPoolExecutor``
 imports stay because the benchmark's tracer patches that name.
@@ -75,14 +75,24 @@ def names_in(source: str) -> Counter:
     return counts
 
 
+def definitions(source: str):
+    """(qualified name, name) of each top-level function and class of
+    source, and of each method of those classes other than a dunder."""
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            yield from ((f"{node.name}.{item.name}", item.name) for item in node.body
+                        if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not item.name.startswith("__"))
+
+
 def unnamed_definitions(modules: dict[str, str], others: list[str]) -> list[str]:
-    """The top-level functions and classes of the modules (name -> source)
-    that neither the modules nor the other sources name."""
+    """The definitions of the modules (name -> source) that neither the
+    modules nor the other sources name."""
     named = sum((names_in(source) for source in [*modules.values(), *others]), Counter())
-    return [f"{module}.{node.name}" for module, source in modules.items()
-            for node in ast.parse(source).body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-            and not named[node.name]]
+    return [f"{module}.{qualified}" for module, source in modules.items()
+            for qualified, name in definitions(source) if not named[name]]
 
 
 def test_every_definition_is_named_outside_the_tests():
@@ -97,9 +107,13 @@ def test_an_unnamed_definition_is_found():
               "def helper():\n    return 1\n"
               "def traced():\n    pass\n"
               "class Unused:\n    def method(self):\n        pass\n"
+              "class Used:\n    def __init__(self):\n        self.called()\n"
+              "    def called(self):\n        pass\n"
+              "    def orphan(self):\n        pass\n"
               "def lonely():\n    pass\n")
-    other = "import m\nm.used()\nwrap(m, 'traced')\n"
-    assert unnamed_definitions({"m": module}, [other]) == ["m.Unused", "m.lonely"]
+    other = "import m\nm.used()\nm.Used()\nwrap(m, 'traced')\n"
+    assert unnamed_definitions({"m": module}, [other]) == [
+        "m.Unused", "m.Unused.method", "m.Used.orphan", "m.lonely"]
 
 
 # the names through which a module could read or write an .npz archive

@@ -421,19 +421,19 @@ class TestGeneratedFiles:
         assert hits / len(truth.homes) >= 0.9
 
     def test_proximate_pairs_overlap_more(self, generated):
-        _, _, scans, truth = generated
-        stats = calibrate_stats(scans, truth)
+        cfg, _, scans, truth = generated
+        stats = calibrate_stats(cfg, scans, truth)
         assert stats["proximate_overlap_mean"] > stats["distant_overlap_mean"]
         assert stats["overlap_mannwhitney_p"] < 0.01
 
     def test_calibration_stats_unchanged(self, generated):
         # the figures the record-based parse of wifi.jsonl gave on the tiny world
-        _, _, scans, truth = generated
-        assert calibrate_stats(scans, truth) == TINY_WORLD_STATS
+        cfg, _, scans, truth = generated
+        assert calibrate_stats(cfg, scans, truth) == TINY_WORLD_STATS
 
     def test_calibration_stats_sane(self, generated):
         cfg, _, scans, truth = generated
-        stats = calibrate_stats(scans, truth)
+        stats = calibrate_stats(cfg, scans, truth)
         assert stats["n_scans"] == cfg.n_users * cfg.n_slots
         assert 1.0 < stats["mean_aps"] < 20.0
         assert 0.0 <= stats["empty_fraction"] < 0.3
@@ -451,19 +451,56 @@ class TestGeneratedFiles:
                 raise AssertionError(f"calibrate_stats drew with rng.{name}")
 
         monkeypatch.setattr(np.random, "default_rng", lambda *args: NoDraws())
-        assert calibrate_stats(scans, truth) == {
+        assert calibrate_stats(cfg, scans, truth) == {
             "n_scans": 48, "mean_aps": 3.6666666666666665, "median_aps": 1.0,
             "empty_fraction": 0.020833333333333332, "proximate_overlap_mean": 9.2,
             "n_proximate": 5, "distant_overlap_mean": 0.0, "n_distant": 0}
 
+    def test_a_world_with_one_truth_slot_counts_its_dyads(self, tmp_path):
+        """Four users close at the one truth slot of a 30-minute scan
+        period: each dyad's scans at that slot are found."""
+        cfg = WorldConfig(seed=16, n_users=4, n_routers=80, days=1, scan_period_s=1800,
+                          n_buildings=2, n_venues=2, area_m=1200.0)
+        scans, truth = generate(cfg, *(tmp_path / n for n in ("w.jsonl", "b.jsonl", "t.jsonl")))
+        assert [len(pairs) for pairs in truth.proximity.values()] == [6]
+        stats = calibrate_stats(cfg, scans, truth)
+        assert (stats["n_proximate"], stats["n_distant"]) == (6, 0)
+
+
+class TestOrders:
+    """The orders that wifi_scans and calibrate_stats rely on: index order
+    is id order for routers and users, and the scan table holds one scan
+    per user and slot, user after user."""
+
+    def test_bssids_sort_in_index_order(self):
+        idx = [0, 1, 254, 255, 256, 257, 65534, 65535, 65536, 65537, (1 << 24) - 2,
+               (1 << 24) - 1]
+        names = [synthgen._bssid(i) for i in idx]
+        assert names == sorted(names) and len(set(names)) == len(names)
+
+    @pytest.mark.parametrize("n_users", [1, 999, 1000, 1001, 12345])
+    def test_user_ids_sort_in_index_order(self, n_users):
+        ids = [synthgen._user_id(i, n_users) for i in range(n_users)]
+        assert ids == sorted(ids) and len(set(ids)) == n_users
+
+    def test_row_of_a_users_scan_at_a_slot(self, generated):
+        cfg, _, scans, _ = generated
+        rows = np.arange(cfg.n_users * cfg.n_slots)
+        u, k = np.divmod(rows, cfg.n_slots)
+        assert len(scans.ts) == len(rows)
+        assert np.array_equal(scans.user, u)
+        assert scans.users == [synthgen._user_id(i, cfg.n_users) for i in range(cfg.n_users)]
+        slot = cfg.start_ts + k * cfg.scan_period_s
+        assert ((slot <= scans.ts) & (scans.ts < slot + cfg.scan_period_s)).all()
+
 
 def calibrated_p(x, y) -> float:
     """calibrate_stats' p-value for proximate overlaps x and distant ones
-    y, fed through stand-ins for the scans and the truth: two users with a
-    scan at every slot, close at the first len(x) slots, whose common APs
-    number x at those and y at the drawn distant slots, in order."""
+    y, fed through stand-ins for the world, the scans and the truth: two
+    users with a scan at every slot, close at the first len(x) slots,
+    whose common APs number x at those and y at the drawn distant slots,
+    in order."""
     n_slots = 5 * len(x) + 20  # most draws land on a distant slot
-    ts = np.tile(np.arange(n_slots) * 300, 2)
     samples = iter([x, y])
 
     def common(a, b):
@@ -471,14 +508,14 @@ def calibrated_p(x, y) -> float:
         assert len(a) == len(counts)
         return (np.repeat(np.arange(len(a)), counts),)
 
-    scans = SimpleNamespace(offsets=np.arange(len(ts) + 1), users=["a", "b"], ts=ts,
-                            user=np.repeat([0, 1], n_slots),
+    scans = SimpleNamespace(offsets=np.arange(2 * n_slots + 1), users=["a", "b"],
                             by_bssid=lambda: SimpleNamespace(common=common))
     truth = SimpleNamespace(proximity={k * 300: [("a", "b", -60)] if k < len(x) else []
                                        for k in range(n_slots)})
+    cfg = SimpleNamespace(n_users=2, n_slots=n_slots, start_ts=0, scan_period_s=300)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthgen, "DISTANT_PAIRS", len(y))  # so len(y) distant dyads are drawn
-        stats = calibrate_stats(scans, truth)
+        stats = calibrate_stats(cfg, scans, truth)
     assert (stats["n_proximate"], stats["n_distant"]) == (len(x), len(y))
     return stats["overlap_mannwhitney_p"]
 

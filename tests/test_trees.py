@@ -143,6 +143,19 @@ class TestTreeStructure:
             dtype = np.dtype(f.metadata["dtype"])
             assert getattr(tree, f.name).dtype == getattr(clone, f.name).dtype == dtype
 
+    @pytest.mark.parametrize("name,at_leaf,bad,message", [
+        ("value", True, np.nan, "a value is not finite"),
+        ("gain", False, np.inf, "a gain is not finite"),
+        ("n_samples", True, 0, "a node holds no sample"),
+    ], ids=["nan_value", "inf_gain", "empty_node"])
+    def test_check_refuses_what_the_grower_never_makes(self, name, at_leaf, bad, message):
+        tree = grow(X6, Y6, criterion="variance", max_depth=2)
+        tree.check(1)
+        column = getattr(tree, name).copy()
+        column[np.flatnonzero((tree.feature == -1) == at_leaf)[0]] = bad
+        with pytest.raises(ValueError, match=message):
+            replace(tree, **{name: column}).check(1)
+
     def test_predictions_piecewise_constant_partition(self):
         X, y = TestDeterminism().random_problem(4, n=200, d=3)
         tree = grow(X, y, criterion="variance", max_depth=3)
