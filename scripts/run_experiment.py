@@ -63,11 +63,17 @@ def stage(name, base, extra=()):
 
 
 def run_curve(args, d, split):
-    """Learning curve on the train/test split the models were fitted on."""
+    """Learning curve on the train/test split the models were fitted on;
+    skipped, with a line that says so, when the train split has fewer
+    rows than the smallest size."""
     feats = FeatureTable.load(output_paths(d)["features"])
     X, y = feats.X, feats.label
     train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
     sizes = tuple(s for s in (100, 1000, 10000) if s <= len(train_idx))
+    if not sizes:
+        print(f"\ntraining-size curve skipped: the train split has {len(train_idx)} "
+              "rows, fewer than the smallest size, 100")
+        return
     curve = learning_curve(X[train_idx], y[train_idx],
                            X[test_idx], y[test_idx],
                            sizes=sizes, kinds=(args.model,),

@@ -7,8 +7,9 @@ and the miss rate by Bluetooth signal strength. Nothing is recomputed;
 this is a viewer for artifacts on disk. It reads every file before it
 prints, and exits 3 with one line naming the file when report.json, an
 eval file or the model file of an eval's featureset and kind cannot be
-read or lacks a field it shows; an eval file whose model file is absent
-is shown without its feature importance.
+read or lacks a field it shows. An eval file whose model file is absent
+is shown without its feature importance, and one whose model has no
+split with a note that says so.
 
     python3 scripts/summarize_run.py --dir run
 """
@@ -42,15 +43,19 @@ def report_lines(report: dict) -> list[str]:
 
 
 def eval_lines(doc: dict, model) -> list[str]:
-    lines = []
+    lines, title = [], f"{doc['featureset']} {doc['kind']}"
     if model is not None:
-        imp = feature_importance(model)
-        top = sorted(imp.items(), key=lambda kv: kv[1], reverse=True)[:6]
-        lines += ["", f"{doc['featureset']} {doc['kind']}: top feature importance"]
-        lines += [f"{name:>16}  {weight:.3f}" for name, weight in top]
+        try:
+            imp = feature_importance(model)
+        except ValueError:  # every tree is one leaf
+            lines += ["", f"{title}: no splits, so no feature importance"]
+        else:
+            top = sorted(imp.items(), key=lambda kv: kv[1], reverse=True)[:6]
+            lines += ["", f"{title}: top feature importance"]
+            lines += [f"{name:>16}  {weight:.3f}" for name, weight in top]
     bins = doc["test"].get("miss_rate_by_bt_rssi") or []
     if bins:
-        lines += ["", f"{doc['featureset']} {doc['kind']}: miss rate by bluetooth rssi"]
+        lines += ["", f"{title}: miss rate by bluetooth rssi"]
         for b in bins:
             bar = "#" * int(round(40 * b["miss_rate"]))
             lines.append(f"[{b['lo']:4.0f}, {b['hi']:4.0f})  n={b['n']:<7d} "

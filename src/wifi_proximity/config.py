@@ -41,9 +41,11 @@ class PipelineConfig:
     def __post_init__(self) -> None:
         # any two timestamps ingest accepts lie less than TS_END apart, so a
         # larger window pairs, labels and counts popularity as TS_END does.
-        # At TS_END the window keys still fit an int64: those of
-        # features._WindowUsers for up to about 1.2e7 routers, and those of
-        # pairing._strongest_sightings for up to about 3,480 users in a window.
+        # At TS_END the keys of pairing._strongest_sightings still fit an
+        # int64 for up to about 3,480 users in a window. Those of
+        # features._WindowPopularity do not depend on the window: they stay
+        # below n_bssids * (the range of query times + 2), so they fit an
+        # int64 for up to about 3.6e7 routers.
         if not 0 < self.delta_t_s <= TS_END:
             raise ConfigError(f"delta_t_s must lie in [1, {TS_END}]")
         if self.seed < 0:

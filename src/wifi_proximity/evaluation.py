@@ -296,7 +296,8 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     imputation on that subsample, trains on its model_matrix, and scores
     the fixed test set.
     The fits run one at a time; jobs is ignored (perfbench still passes it).
-    Returns kind -> size -> {"aucs", "median", "q25", "q75"}.
+    Returns kind -> size -> {"aucs", "median", "q25", "q75"}. Raises
+    ValueError when sizes is empty or its largest size exceeds the pool.
     """
     X_pool = np.asarray(X_pool, dtype=float)
     y_pool = np.asarray(y_pool, dtype=float)
@@ -304,6 +305,8 @@ def learning_curve(X_pool, y_pool, X_test, y_test, *, sizes,
     X_test = np.asfortranarray(X_test, dtype=float)
     y_test = np.asarray(y_test, dtype=float)
     params_by_kind = params_by_kind or {}
+    if not sizes:
+        raise ValueError("sizes is empty: no training size to draw")
     if max(sizes) > len(y_pool):
         raise ValueError("largest size exceeds the training pool")
 

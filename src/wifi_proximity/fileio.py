@@ -46,6 +46,8 @@ SCHEMA_SCANS = "scans.v1"
 SCHEMA_CANDIDATE_ARRAYS = "candidate_arrays.v1"
 SCHEMA_FEATURE_ARRAYS = "feature_arrays.v1"
 
+BLOCK_ROWS = 4096  # rows a writer formats and writes at a time
+
 
 class DataError(Exception):
     """Bad or missing input data (CLI exit code 3)."""
@@ -119,14 +121,14 @@ def write_jsonl(path, schema: str, cfg_hash: str, rows: Iterable[str]) -> int:
     """Write a JSONL file with a leading header line. Returns the row count.
 
     ``rows`` yields each row as the str of its JSON text, on one line,
-    encoded by the caller. It is iterated once, and written a block of
+    encoded by the caller. It is iterated once, and written BLOCK_ROWS
     rows per write call.
     """
     n = 0
     rows = iter(rows)
     with _replacing(path) as fh:
         fh.write(json.dumps({"schema": schema, "config_hash": cfg_hash}) + "\n")
-        while block := list(islice(rows, 4096)):
+        while block := list(islice(rows, BLOCK_ROWS)):
             fh.write("\n".join(block) + "\n")
             n += len(block)
     return n
@@ -181,10 +183,7 @@ def iter_jsonl(path) -> Iterator[tuple[int, str]]:
 # CSV (header comment line + column header + rows)
 # ---------------------------------------------------------------------------
 
-CSV_BLOCK_ROWS = 4096
-
-
-def column_blocks(columns, size: int = CSV_BLOCK_ROWS) -> Iterator[list]:
+def column_blocks(columns, size: int = BLOCK_ROWS) -> Iterator[list]:
     """Cut equal-length column arrays into blocks of at most size rows.
 
     Yields, per block, the list ``[column[lo:lo + size] for column in

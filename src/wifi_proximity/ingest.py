@@ -8,15 +8,15 @@ at a time: a block of lines in the form the ``lines()`` encoders write,
 each valid, is decoded in bulk, one check and decode per distinct user
 token and entry text; any other block is parsed line by line. The bulk
 path gives the per-line path's tables, skip counts and errors. The
-filter and the home detection count distinct keys on those codes, and
-``WifiScans.lines`` encodes the scans as cleaned.jsonl rows.
+filter and the home detection count distinct keys on those codes.
 ``WifiScans`` is the one scan table: ``by_bssid``, ``save`` and ``load``
 give and check the bssid order of scans.npz, and ``common`` finds the
 routers scan pairs share. ``parse_bluetooth_log`` keeps the sightings
-the same way, as a ``BluetoothSightings`` table, which
-``BluetoothSightings.lines`` encodes as bluetooth.jsonl rows. In both
-logs, a line that is not UTF-8, or that ``json.loads`` rejects, is
-malformed; ``fileio.iter_jsonl`` strips only JSON's whitespace.
+the same way, as a ``BluetoothSightings`` table. Both tables' ``lines``
+encode their log's rows, ``{"user":…,"ts":…,"<list>":[…]}``, with one
+routine, ``_rows``. In both logs, a line that is not UTF-8, or that
+``json.loads`` rejects, is malformed; ``fileio.iter_jsonl`` strips only
+JSON's whitespace.
 
 Routers that broadcast five or more distinct network names over the whole
 input are treated as ambiguous (several physical devices sharing a MAC)
@@ -28,6 +28,7 @@ bins of their scan history.
 from __future__ import annotations
 
 import json
+import math
 import re
 from array import array
 from dataclasses import dataclass, field, replace
@@ -48,8 +49,6 @@ from .records import (
     MalformedRecordError,
     check_id,
 )
-
-JSONL_BLOCK_ROWS = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -177,41 +176,16 @@ class WifiScans:
         return pa[hit], ea[hit], eb[pos[hit]]
 
     def lines(self):
-        """Yield each scan as the JSON text of its cleaned.jsonl row.
-
-        The text is what ``json.dumps`` gives the row with compact
-        separators. Each distinct user, bssid and ssid is encoded once,
-        and so is each distinct entry; the rows are built JSONL_BLOCK_ROWS
-        at a time, which bounds the memory the texts take.
-        """
+        """Yield each scan as the JSON text of its cleaned.jsonl row (see
+        _rows), with each distinct user, bssid and ssid encoded once."""
         users = [json.dumps(user) for user in self.users]
         bssids = [json.dumps(bssid) for bssid in self.bssids]
         ssids = [json.dumps(ssid) for ssid in self.ssids]
-        n_ssids, n_rssis = max(len(ssids), 1), 1 - RSSI_MIN
-        # keys built and coded in place, one entry array at a time: clean's peak memory
-        key_of = self.bssid.astype(np.int64)
-        key_of *= n_ssids
-        key_of += self.ssid
-        pairs = _code_in_place(key_of)
-        key_of *= n_rssis
-        key_of += self.rssi
-        key_of -= RSSI_MIN
-        keys = _code_in_place(key_of)
-        pair = pairs[keys // n_rssis]
-        # the text of each distinct (bssid, ssid, rssi) entry
-        aps = np.array([f'{{"bssid":{bssids[b]},"ssid":{ssids[s]},"rssi":{r}}}'
-                        for b, s, r in zip((pair // n_ssids).tolist(), (pair % n_ssids).tolist(),
-                                           (keys % n_rssis + RSSI_MIN).tolist())],
-                       dtype=object)
-        for lo in range(0, len(self), JSONL_BLOCK_ROWS):
-            hi = lo + JSONL_BLOCK_ROWS
-            bounds = self.offsets[lo:hi + 1]
-            first = bounds[0]
-            row_aps = aps[key_of[first:bounds[-1]]].tolist()
-            bounds = (bounds - first).tolist()
-            for user, ts, a, b in zip(self.user[lo:hi].tolist(), self.ts[lo:hi].tolist(),
-                                      bounds, bounds[1:]):
-                yield f'{{"user":{users[user]},"ts":{ts},"aps":[{",".join(row_aps[a:b])}]}}'
+        return _rows(users, self.user, self.ts, self.offsets, "aps",
+                     [(self.bssid, 0, len(bssids)), (self.ssid, 0, len(ssids)),
+                      (self.rssi, RSSI_MIN, 1 - RSSI_MIN)],
+                     lambda *values: [f'{{"bssid":{bssids[b]},"ssid":{ssids[s]},"rssi":{r}}}'
+                                      for b, s, r in zip(*values)])
 
 
 @dataclass(frozen=True, slots=True)
@@ -230,35 +204,46 @@ class BluetoothSightings:
         return len(self.ts)
 
     def lines(self):
-        """Yield each run of rows with one (user, ts) as the text of its
-        bluetooth.jsonl line, what ``json.dumps`` gives with compact
-        separators. Each id is encoded once. A peer of -1 is written
-        without a peer, which parse_bluetooth_log reads back as -1."""
+        """Yield each run of rows with one (user, ts) as the JSON text of
+        its bluetooth.jsonl line (see _rows), with each id encoded once. A
+        peer of -1 is written without a peer, read back as -1."""
         users = [json.dumps(user) for user in self.users]
-        seen = [f'{{"peer":{users[p]},"rssi":{r}}}' if p >= 0 else f'{{"rssi":{r}}}'
-                for p, r in zip(self.peer.tolist(), self.rssi.tolist())]
         # codes and times are >= 0, so the first row differs from -1 in both
         starts = np.flatnonzero(np.diff(self.user, prepend=-1) | np.diff(self.ts, prepend=-1))
-        bounds = starts.tolist() + [len(self)]
-        for user, ts, lo, hi in zip(self.user[starts].tolist(), self.ts[starts].tolist(),
-                                    bounds, bounds[1:]):
-            yield f'{{"user":{users[user]},"ts":{ts},"seen":[{",".join(seen[lo:hi])}]}}'
+        return _rows(users, self.user[starts], self.ts[starts],
+                     np.append(starts, len(self)), "seen",
+                     [(self.peer, -1, len(users) + 1), (self.rssi, RSSI_MIN, 1 - RSSI_MIN)],
+                     lambda *values: [f'{{"peer":{users[p]},"rssi":{r}}}' if p >= 0
+                                      else f'{{"rssi":{r}}}' for p, r in zip(*values)])
 
 
-def _code_in_place(key: np.ndarray) -> np.ndarray:
-    """Replace each value of key by its index among key's distinct values,
-    and return those values ascending: np.unique with return_inverse, with
-    at most three full-length integer arrays alive at once."""
-    order = np.argsort(key)
-    ordered = key[order]
-    new = np.empty(len(key), dtype=bool)
-    new[:1] = True
-    np.not_equal(ordered[1:], ordered[:-1], out=new[1:])
-    distinct = ordered[new]
-    np.cumsum(new, out=ordered)
-    key[order] = ordered
-    key -= 1
-    return distinct
+def _rows(users: list[str], user: np.ndarray, ts: np.ndarray, offsets: np.ndarray,
+          name: str, fields: list[tuple], texts):
+    """Yield each CSR row i as the text that compact ``json.dumps`` gives
+    ``{"user":…,"ts":…,name:[…]}``: the JSON string ``users[user[i]]``,
+    ``ts[i]`` and the texts of entries ``offsets[i]:offsets[i + 1]``.
+    ``fields`` gives an entry's fields as (per-entry array, lowest value,
+    number of values); ``texts`` maps one list of values per field to
+    those entries' texts. Rows are built fileio.BLOCK_ROWS at a time, and
+    each distinct entry of a block, found by one np.unique of its fields'
+    mixed-radix int64 key, is formatted once."""
+    if math.prod(size for _, _, size in fields) > 2 ** 63:
+        raise ValueError(f"too many distinct {name} entries for an int64 key")
+    for lo in range(0, len(ts), fileio.BLOCK_ROWS):
+        hi = lo + fileio.BLOCK_ROWS
+        bounds = offsets[lo:hi + 1]
+        columns = [column[bounds[0]:bounds[-1]] for column, _, _ in fields]
+        key = 0
+        for column, (_, low, size) in zip(columns, fields):
+            key = key * size + column.astype(np.int64) - low
+        key, inverse = np.unique(key, return_inverse=True)
+        first = np.empty(len(key), dtype=np.int64)  # an entry of each distinct key
+        first[inverse] = np.arange(len(inverse))
+        text = texts(*(column[first].tolist() for column in columns))
+        text = np.array(text, dtype=object)[inverse].tolist()
+        bounds = (bounds - bounds[0]).tolist()
+        for u, t, a, b in zip(user[lo:hi].tolist(), ts[lo:hi].tolist(), bounds, bounds[1:]):
+            yield f'{{"user":{users[u]},"ts":{t},"{name}":[{",".join(text[a:b])}]}}'
 
 
 def _ranges(starts: np.ndarray, lengths: np.ndarray):

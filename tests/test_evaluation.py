@@ -371,6 +371,11 @@ class TestLearningCurve:
         with pytest.raises(ValueError):
             learning_curve(X[:100], y[:100], X[100:], y[100:], sizes=(101,))
 
+    def test_no_size_rejected(self):
+        X, y = self.pool()
+        with pytest.raises(ValueError, match="sizes is empty"):
+            learning_curve(X[:100], y[:100], X[100:], y[100:], sizes=())
+
 
 class TestThresholdIntegration:
     def test_fit_threshold_feeds_report(self):

@@ -112,7 +112,7 @@ class TestCsv:
         columns = [np.array([f"u{i}\x00" for i in range(1000)], dtype=object),
                    np.arange(1000) * 10 ** 9, x, x * 1e300]
         blobs = set()
-        for size in (1, 7, 999, 1000, fileio.CSV_BLOCK_ROWS):
+        for size in (1, 7, 999, 1000, fileio.BLOCK_ROWS):
             p = tmp_path / f"{size}.csv"
             n = fileio.write_csv(p, fileio.SCHEMA_FEATURES, "h", ["u", "t", "x", "y"],
                                  fileio.column_blocks(columns, size))

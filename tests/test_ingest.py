@@ -1,13 +1,18 @@
 """Log parsing, the ambiguous-router filter, and home-router detection."""
 
 import json
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from ingest_reference import ambiguous_macs, collect_ssid_sets
+from wifi_proximity import fileio, synthgen
 from wifi_proximity.ingest import (
     BluetoothSightings,
+    WifiScans,
+    _rows,
     build_home_router_map,
     filter_ambiguous_macs,
     month_key,
@@ -117,6 +122,97 @@ class TestParseBluetooth:
         assert len(res.records) == 0 and res.skipped == 0
 
 
+def lines_at_block_sizes(table) -> list[str]:
+    """table.lines(), the same whether the rows are built 1, 2, 7 or
+    fileio.BLOCK_ROWS at a time."""
+    got = []
+    for rows in (1, 2, 7, fileio.BLOCK_ROWS):
+        with mock.patch.object(fileio, "BLOCK_ROWS", rows):
+            got.append(list(table.lines()))
+    assert all(lines == got[-1] for lines in got)
+    return got[-1]
+
+
+class TestWifiLines:
+    """WifiScans.lines against json.dumps, and back through the parser."""
+
+    @staticmethod
+    def table(users, bssids, ssids, rows):
+        """A table of (user, ts, [(bssid, ssid, rssi), ...]) code rows."""
+        entries = [entry for _, _, aps in rows for entry in aps]
+        bssid, ssid, rssi = list(zip(*entries)) or [(), (), ()]
+        return WifiScans(
+            users, np.array([row[0] for row in rows], dtype=np.int32),
+            np.array([row[1] for row in rows], dtype=np.int64),
+            np.cumsum([0] + [len(row[2]) for row in rows], dtype=np.int64),
+            bssids, np.array(bssid, dtype=np.int32), ssids, np.array(ssid, dtype=np.int32),
+            np.array(rssi, dtype=np.int16))
+
+    def check(self, users, bssids, ssids, rows):
+        """lines gives the rows' compact json.dumps texts, which parse back
+        to the table's scans."""
+        table = self.table(users, bssids, ssids, rows)
+        lines = lines_at_block_sizes(table)
+        docs = [{"user": users[u], "ts": ts, "aps": [
+            {"bssid": bssids[b], "ssid": ssids[s], "rssi": r} for b, s, r in aps]}
+            for u, ts, aps in rows]
+        assert lines == [json.dumps(doc, separators=(",", ":")) for doc in docs]
+        parsed = parse_wifi_log(enumerate(lines, 2), strict=True).records
+        assert records_of(parsed) == records_of(table)
+
+    @pytest.mark.parametrize("users, ssids", [
+        (["u1\x00", "u2\x00\x00"], ["", "\x00\x7f\t"]),
+        (["ü", "用户\u2028"], ["ü,用户\n", "\u2028"]),
+        (['q"\\', "\x7f\t"], ['q"\\', '\\"']),
+    ])
+    def test_ids_and_ssids_are_encoded_as_json_dumps_does(self, users, ssids):
+        self.check(users, [mac(1), mac(2)], ssids, [
+            (0, 0, [(0, 0, -5), (1, 1, -6)]), (1, TS_END - 1, [(1, 0, -7)])])
+
+    def test_rssi_bounds_and_scans_with_no_ap(self):
+        self.check(["a", "b"], [mac(1), mac(2)], ["", "net"], [
+            (0, 500, []), (1, 500, [(0, 1, 0), (1, 0, RSSI_MIN)]), (0, 600, []),
+            (0, 700, [(1, 1, RSSI_MIN)]), (1, 800, [])])
+
+    def test_entries_repeat_within_and_across_blocks(self):
+        """Rows straddle blocks of 2 and 7 rows, and the same entries recur
+        in one block and in the next."""
+        bssids, ssids = [mac(i) for i in range(4)], ["", "x", "y"]
+        rows = [(i % 3, 1000 + 60 * i, [(b, b % 3, -40 - i % 2) for b in range(i % 5)])
+                for i in range(17)]
+        self.check(["a", "b", "c"], bssids, ssids, rows)
+
+    @pytest.mark.parametrize("tables", [([], [], []), (["u1"], [mac(1)], ["net"])])
+    def test_an_empty_table_has_no_lines(self, tables):
+        self.check(*tables, [])
+
+    def test_an_entry_key_wider_than_int64_is_refused(self):
+        empty = np.empty(0, dtype=np.int32)
+        fields = [(empty, 0, 2 ** 24), (empty, 0, 2 ** 24), (empty, RSSI_MIN, 1 - RSSI_MIN)]
+        with pytest.raises(ValueError, match="int64 key"):
+            next(_rows([], empty, empty, np.zeros(1, dtype=np.int64), "aps", fields, None))
+
+    def test_the_town_is_encoded_in_less_memory_than_its_table(self, tmp_path):
+        """After one pass, iterating lines() over the town's parsed scans
+        traces a peak within the bytes of the table's six arrays: the
+        encoder holds a block of rows, not a key per entry of the log."""
+        paths = [tmp_path / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
+        synthgen.generate(synthgen.WorldConfig(days=1, seed=3), *paths)
+        table = parse_wifi_log(fileio.iter_jsonl(paths[0]), strict=True).records
+        table_bytes = sum(a.nbytes for a in (table.user, table.ts, table.offsets,
+                                             table.bssid, table.ssid, table.rssi))
+        for _ in table.lines():
+            pass
+        tracemalloc.start()
+        try:
+            for _ in table.lines():
+                pass
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.0 * table_bytes, peak / table_bytes
+
+
 class TestBluetoothLines:
     """BluetoothSightings.lines against json.dumps, and back through the parser."""
 
@@ -131,7 +227,7 @@ class TestBluetoothLines:
     def check(table, docs):
         """lines gives docs' compact json.dumps texts, which parse back to
         the table's sightings."""
-        lines = list(table.lines())
+        lines = lines_at_block_sizes(table)
         assert lines == [json.dumps(doc, separators=(",", ":")) for doc in docs]
         parsed = parse_bluetooth_log(enumerate(lines, 2), strict=True).records
         assert sightings_of(parsed) == sightings_of(table)
@@ -153,6 +249,18 @@ class TestBluetoothLines:
             {"user": "c", "ts": 500, "seen": [{"peer": "a", "rssi": 0},
                                               {"peer": "b", "rssi": RSSI_MIN}]},
         ])
+
+    def test_sightings_repeat_within_and_across_blocks(self):
+        """Lines straddle blocks of 2 and 7 lines, and the same sightings
+        recur in one block and in the next."""
+        rows = [(i % 2, p, 100 * (i // 2), -50 - i % 3) for i in range(15)
+                for p in (-1, 1 - i % 2, 2)[:1 + i % 3]]
+        users = ["a", "b", "c"]
+        docs = [{"user": users[i % 2], "ts": 100 * (i // 2),
+                 "seen": [{"rssi": -50 - i % 3} if p < 0 else
+                          {"peer": users[p], "rssi": -50 - i % 3}
+                          for p in (-1, 1 - i % 2, 2)[:1 + i % 3]]} for i in range(15)]
+        self.check(self.table(users, rows), docs)
 
     @pytest.mark.parametrize("users", [["u1\x00", "u2\x00\x00"], ["ü", "用户\u2028"],
                                        ['q"\\', "\x7f\t"]])

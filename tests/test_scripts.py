@@ -5,10 +5,14 @@ import argparse
 import importlib.util
 import json
 from pathlib import Path
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from wifi_proximity import cli, fileio, models
+from wifi_proximity.config import load_config
+from wifi_proximity.features import FEATURE_NAMES, FeatureTable
 
 from conftest import world_conf
 
@@ -130,3 +134,35 @@ def test_summarize_run_names_an_unreadable_file(tiny_run, tmp_path, capsys, name
     assert (code, out) == (3, "")
     assert len(err) == 1 and err[0].startswith("data error: ")
     assert str(tmp_path / name) in err[0]
+
+
+@pytest.fixture(scope="module")
+def flat_run(tmp_path_factory):
+    """train, evaluate and report on 40 candidates whose every feature is
+    0: the model is all leaves, and the train split has 20 rows."""
+    d = tmp_path_factory.mktemp("flat")
+    n = 40
+    label = np.arange(n) % 2
+    FeatureTable(np.zeros((n, len(FEATURE_NAMES))), label, np.arange(n),
+                 np.where(label == 1, -70.0, np.nan)).save(d / "features.npz",
+                                                         load_config().data_hash())
+    for stage in ("train", "evaluate", "report"):
+        assert cli.main([stage, "--dir", str(d)]) == 0, stage
+    return d
+
+
+def test_summarize_run_shows_a_model_without_splits(flat_run, capsys):
+    code, out, err = summarize(flat_run, capsys)
+    assert (code, err) == (0, [])
+    assert "FULL gradient-boosted: no splits, so no feature importance" in out.splitlines()
+    assert "top feature importance" not in out
+
+
+def test_curve_of_a_train_split_below_the_smallest_size_is_skipped(run_experiment,
+                                                                  flat_run, capsys):
+    split = fileio.read_json(flat_run / "eval_full_gbt.json", fileio.SCHEMA_EVAL)["split"]
+    run_experiment.run_curve(SimpleNamespace(model="gbt"), flat_run, split)
+    assert capsys.readouterr().out.splitlines() == [
+        "", "training-size curve skipped: the train split has 20 rows, "
+            "fewer than the smallest size, 100"]
+    assert not (flat_run / "learning_curve.json").exists()
