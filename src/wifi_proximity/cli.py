@@ -103,8 +103,7 @@ def stage_generate(cfg: PipelineConfig, args, paths) -> int:
 
 def stage_clean(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
-    fileio.read_jsonl_header(paths["wifi"], SCHEMA_WIFI)
-    parsed = _parse_log(parse_wifi_log, paths["wifi"], cfg.strict_parse)
+    parsed = _parse_log(parse_wifi_log, paths["wifi"], SCHEMA_WIFI, cfg.strict_parse)
     scans, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
     table = scans.by_bssid()
     homes = build_home_router_map(scans, cfg.home_bin_minutes, cfg.tz_offset_s)
@@ -135,8 +134,7 @@ def stage_clean(cfg: PipelineConfig, args, paths) -> int:
 def stage_pair(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     table = WifiScans.load(paths["scans"], h)
-    fileio.read_jsonl_header(paths["bluetooth"], SCHEMA_BLUETOOTH)
-    bt = _parse_log(parse_bluetooth_log, paths["bluetooth"], cfg.strict_parse)
+    bt = _parse_log(parse_bluetooth_log, paths["bluetooth"], SCHEMA_BLUETOOTH, cfg.strict_parse)
     windows, cands = pair_windows(table, bt.records, cfg.delta_t_s)
     found = ~np.isnan(cands.bt_rssi)
     bt_rssi = np.full(len(found), "", dtype=object)
@@ -154,8 +152,10 @@ def stage_pair(cfg: PipelineConfig, args, paths) -> int:
     return EXIT_OK
 
 
-def _parse_log(parse, path, strict: bool):
-    """Run parse over the JSONL log at path; a strict-mode error names the file."""
+def _parse_log(parse, path, schema: str, strict: bool):
+    """Check the header of the JSONL log at path against schema, then run
+    parse over its lines; a strict-mode error names the file."""
+    fileio.read_jsonl_header(path, schema)
     try:
         return parse(fileio.iter_jsonl(path), strict=strict)
     except MalformedRecordError as exc:

@@ -3,12 +3,16 @@
 ``parse_wifi_log`` checks each WiFi log line and keeps the scans as
 integer codes in flat typed buffers, a ``WifiScans`` table; it builds no
 object per scan or per access point. Each distinct raw bssid string is
-checked and lower-cased once. The parsers read PARSE_BLOCK_LINES lines
-at a time: a block of lines in the form the ``lines()`` encoders write,
-each valid, is decoded in bulk, one check and decode per distinct user
-token and entry text; any other block is parsed line by line. The bulk
-path gives the per-line path's tables, skip counts and errors. The
-filter and the home detection count distinct keys on those codes.
+checked and lower-cased once. Both parsers share one block loop,
+``_parse``, which reads PARSE_BLOCK_LINES lines at a time: a block of
+lines in the form the ``lines()`` encoders write, each valid, is decoded
+in bulk by one reader, ``_Written``, one check and decode per distinct
+user token and entry text; any other block is parsed line by line, and
+a rejected line's appends are undone. The bulk path gives the per-line
+path's tables, skip counts and errors. Each parser keeps only its
+tables, the code that takes a decoded block, its per-line checks and
+its table assembly. The filter and the home detection count distinct
+keys on those codes.
 ``WifiScans`` is the one scan table: ``by_bssid``, ``save`` and ``load``
 give and check the bssid order of scans.npz, and ``common`` finds the
 routers scan pairs share. ``parse_bluetooth_log`` keeps the sightings
@@ -267,13 +271,6 @@ _WIFI_ENTRY = re.compile(
 _BT_ENTRY = re.compile(rf'(?:"peer":({_STRING}),)?"rssi":({_RSSI})')
 
 
-def _written_head(key: str) -> re.Pattern:
-    """A written line: its user token, its ts (under 13 digits, so an int64)
-    and the text of its ``key`` list between the brackets, "" or "{…}"."""
-    return re.compile(rf'\{{"user":({_STRING}),"ts":(0|[1-9][0-9]{{0,11}}),'
-                      rf'"{key}":\[((?:\{{.*\}})?)\]\}}', re.DOTALL)
-
-
 def _load(line: str, line_no):
     """The JSON value of a log line. Malformed: bytes UTF-8 cannot decode (lone
     surrogates, see fileio.iter_jsonl), and all json.loads rejects, by
@@ -286,13 +283,6 @@ def _load(line: str, line_no):
         raise MalformedRecordError("line is not valid UTF-8", line_no)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is a ValueError
         raise MalformedRecordError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no)
-
-
-def _blocks(lines):
-    """The (line_no, text) pairs of lines, PARSE_BLOCK_LINES to a list."""
-    lines = iter(lines)
-    while block := list(islice(lines, PARSE_BLOCK_LINES)):
-        yield block
 
 
 def _extend(out: array, values: np.ndarray) -> None:
@@ -429,17 +419,20 @@ def _sighting_fields(names: _Interned, text: str):
 class _Written:
     """The bulk path of a log parser, for blocks of written lines: the
     form ``lines()`` gives, with fields the per-line path accepts. It
-    decodes each distinct user token and entry text once, and assigns no
-    code until the parser accepts the whole block. A subclass sets
-    ``entries``; no cache refers back to the reader, so dropping the
-    reader frees them all."""
+    decodes each distinct user token, to an id in ``names``, and each
+    distinct text of an entry of the ``key`` list, by ``entry`` to
+    ``width`` integers, once. It assigns no code: the parser codes a
+    block it accepts whole. The decoders get the parser's _Interned
+    tables, never the reader, so no cache refers back to the reader and
+    dropping the reader frees them all."""
 
-    head: re.Pattern  # the written line, as _written_head gives it
-    entries: _Decoded
-
-    def __init__(self):
-        self.names = _Interned()
-        self.users = _Decoded(partial(_user_fields, self.names), 1)
+    def __init__(self, key: str, names: _Interned, entry, width: int):
+        # a written line: its user token, its ts (under 13 digits, so an
+        # int64) and the text of its list between the brackets, "" or "{…}"
+        self.head = re.compile(rf'\{{"user":({_STRING}),"ts":(0|[1-9][0-9]{{0,11}}),'
+                               rf'"{key}":\[((?:\{{.*\}})?)\]\}}', re.DOTALL)
+        self.users = _Decoded(partial(_user_fields, names), 1)
+        self.entries = _Decoded(entry, width)
 
     def read(self, block):
         """(user name ids, ts, entry counts, entry fields) of the lines of
@@ -472,33 +465,35 @@ class _Written:
         return users[:, 0], ts, counts, entries
 
 
-class _WrittenWifi(_Written):
-    head = _written_head("aps")
-
-    def __init__(self):
-        super().__init__()
-        self.bssids, self.ssids = _Interned(), _Interned()
-        self.entries = _Decoded(partial(_ap_fields, self.bssids, self.ssids), 3)
-
-    def read(self, block):
-        """As _Written.read; None also if a line repeats a bssid, whose
-        strongest entry the per-line path keeps."""
-        read = super().read(block)
-        if read is not None and len(read[3]) > 1:
-            counts, aps = read[2], read[3]
-            rows = np.repeat(np.arange(len(counts)), counts)
-            line_bssid = np.sort(rows * len(self.bssids.values) + aps[:, 0])
-            if (line_bssid[1:] == line_bssid[:-1]).any():
-                return None
-        return read
-
-
-class _WrittenBluetooth(_Written):
-    head = _written_head("seen")
-
-    def __init__(self):
-        super().__init__()
-        self.entries = _Decoded(partial(_sighting_fields, self.names), 2)
+def _parse(lines, strict: bool, written: _Written, bulk, line, columns) -> int:
+    """Read lines, (line_no, text) pairs, PARSE_BLOCK_LINES at a time, and
+    return the count of malformed lines skipped. A block that
+    ``written.read`` accepts goes to ``bulk(names, ts, counts, entries)``,
+    which codes it and returns True, or declines it. Any other block goes
+    line by line: each line's JSON object goes to ``line(obj, line_no)``.
+    A line that raises MalformedRecordError leaves its columns, the
+    parser's typed arrays, as they were before it; in strict mode the
+    error aborts the parse."""
+    skipped = 0
+    lines = iter(lines)
+    while block := list(islice(lines, PARSE_BLOCK_LINES)):
+        read = written.read(block)
+        if read is not None and bulk(*read):
+            continue
+        for line_no, text in block:
+            ends = list(map(len, columns))
+            try:
+                obj = _load(text, line_no)
+                if type(obj) is not dict:
+                    raise MalformedRecordError("line is not a JSON object", line_no)
+                line(obj, line_no)
+            except MalformedRecordError:
+                for column, end in zip(columns, ends):
+                    del column[end:]
+                if strict:
+                    raise
+                skipped += 1
+    return skipped
 
 
 def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
@@ -514,14 +509,15 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     share a bssid, one entry is kept, at the first one's place: the
     strongest, the first of equals.
 
-    The lines are read PARSE_BLOCK_LINES at a time. A block whose every
-    line is valid and in the form WifiScans.lines writes, with no bssid
-    repeated within a line, takes the bulk path: one regex match per
-    line, one split for all entry texts, one check and decode per
-    distinct user token and entry text, and numpy for the codes. Any
-    other block is parsed line by line. Codes are assigned only to a
-    whole accepted block, in line order, so either path gives the same
-    table, skip count and first strict error.
+    The lines are read by ``_parse``, PARSE_BLOCK_LINES at a time. A
+    block whose every line is valid and in the form WifiScans.lines
+    writes takes the bulk path: one regex match per line, one split for
+    all entry texts, one check and decode per distinct user token and
+    entry text, and numpy for the codes. The bulk path declines a block
+    in which a line repeats a bssid. Any other block is parsed line by
+    line. Codes are assigned only to a whole accepted block, in line
+    order, so either path gives the same table, skip count and first
+    strict error.
     """
     users: dict[str, int] = {}
     raw_bssids: dict[str, int] = {}  # raw string -> code of its lower-case form
@@ -529,70 +525,66 @@ def parse_wifi_log(lines, strict: bool = False) -> ParseResult:
     ssids: dict[str, int] = {}
     user, ts, counts = array("i"), array("q"), array("q")
     bssid, ssid, rssi = array("i"), array("i"), array("h")
-    skipped = 0
-    written = _WrittenWifi()
-    for block in _blocks(lines):
-        read = written.read(block)
-        if read is not None:
-            names, times, n_aps, aps = read
-            _extend(user, written.names.code(names, users))
-            _extend(ts, times)
-            _extend(counts, n_aps)
-            _extend(bssid, written.bssids.code(aps[:, 0], bssids))
-            _extend(ssid, written.ssids.code(aps[:, 1], ssids))
-            _extend(rssi, aps[:, 2])
-            continue
-        for line_no, line in block:
-            start = len(bssid)
+    names, bssid_ids, ssid_ids = _Interned(), _Interned(), _Interned()
+
+    def bulk(name_ids, times, n_aps, aps):
+        if len(aps) > 1:  # the per-line path keeps a repeated bssid's strongest entry
+            rows = np.repeat(np.arange(len(n_aps)), n_aps)
+            line_bssid = np.sort(rows * len(bssid_ids.values) + aps[:, 0])
+            if (line_bssid[1:] == line_bssid[:-1]).any():
+                return False
+        _extend(user, names.code(name_ids, users))
+        _extend(ts, times)
+        _extend(counts, n_aps)
+        _extend(bssid, bssid_ids.code(aps[:, 0], bssids))
+        _extend(ssid, ssid_ids.code(aps[:, 1], ssids))
+        _extend(rssi, aps[:, 2])
+        return True
+
+    def line(obj, line_no):
+        aps = obj.get("aps")
+        if type(aps) is not list:
+            raise MalformedRecordError("missing aps list", line_no)
+        name = obj.get("user")
+        code = users.get(name) if type(name) is str else None
+        if code is None:
+            check_id(name, "user", line_no)
+        t = obj.get("ts")
+        if type(t) is not int:
+            raise MalformedRecordError("missing or non-integer ts", line_no)
+        if not 0 <= t < TS_END:
+            raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
+        start = len(bssid)
+        for raw in aps:
             try:
-                obj = _load(line, line_no)
-                if type(obj) is not dict:
-                    raise MalformedRecordError("line is not a JSON object", line_no)
-                aps = obj.get("aps")
-                if type(aps) is not list:
-                    raise MalformedRecordError("missing aps list", line_no)
-                name = obj.get("user")
-                code = users.get(name) if type(name) is str else None
-                if code is None:
-                    check_id(name, "user", line_no)
-                t = obj.get("ts")
-                if type(t) is not int:
-                    raise MalformedRecordError("missing or non-integer ts", line_no)
-                if not 0 <= t < TS_END:
-                    raise MalformedRecordError(f"ts {t} outside [0, {TS_END})", line_no)
-                for raw in aps:
-                    try:
-                        b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
-                    except (TypeError, KeyError) as exc:
-                        raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
-                    bc = raw_bssids.get(b) if type(b) is str else None
-                    if bc is None:
-                        bc = _bssid_code(b, raw_bssids, bssids, line_no)
-                    if type(s) is not str:
-                        raise MalformedRecordError("ssid is not a string", line_no)
-                    sc = ssids.get(s)
-                    if sc is None:
-                        sc = ssids[s] = len(ssids)
-                    if type(r) is not int or not RSSI_MIN <= r <= 0:
-                        raise _bad_rssi(r, line_no)
-                    bssid.append(bc)
-                    ssid.append(sc)
-                    rssi.append(r)
-                n = len(bssid) - start
-                if n > 1 and len(set(bssid[start:])) < n:
-                    _keep_strongest(bssid, ssid, rssi, start)
-            except MalformedRecordError:
-                del bssid[start:], ssid[start:], rssi[start:]
-                if strict:
-                    raise
-                skipped += 1
-                continue
-            if code is None:
-                code = users[name] = len(users)
-            user.append(code)
-            ts.append(t)
-            counts.append(len(bssid) - start)
-    del written  # its caches, before the columns are copied out
+                b, s, r = raw["bssid"], raw["ssid"], raw["rssi"]
+            except (TypeError, KeyError) as exc:
+                raise MalformedRecordError(f"ap entry missing field {exc}", line_no)
+            bc = raw_bssids.get(b) if type(b) is str else None
+            if bc is None:
+                bc = _bssid_code(b, raw_bssids, bssids, line_no)
+            if type(s) is not str:
+                raise MalformedRecordError("ssid is not a string", line_no)
+            sc = ssids.get(s)
+            if sc is None:
+                sc = ssids[s] = len(ssids)
+            if type(r) is not int or not RSSI_MIN <= r <= 0:
+                raise _bad_rssi(r, line_no)
+            bssid.append(bc)
+            ssid.append(sc)
+            rssi.append(r)
+        n = len(bssid) - start
+        if n > 1 and len(set(bssid[start:])) < n:
+            _keep_strongest(bssid, ssid, rssi, start)
+        if code is None:
+            code = users[name] = len(users)
+        user.append(code)
+        ts.append(t)
+        counts.append(len(bssid) - start)
+
+    skipped = _parse(
+        lines, strict, _Written("aps", names, partial(_ap_fields, bssid_ids, ssid_ids), 3),
+        bulk, line, (user, ts, counts, bssid, ssid, rssi))
     offsets = np.zeros(len(counts) + 1, dtype=np.int64)
     np.cumsum(np.array(counts, dtype=np.int64), out=offsets[1:])
     scans = WifiScans(
@@ -645,69 +637,59 @@ def parse_bluetooth_log(lines, strict: bool = False) -> ParseResult:
     list of objects, each with an integer rssi in [RSSI_MIN, 0] and at
     most one of a valid peer id and a mac.
 
-    Blocks of lines in the form BluetoothSightings.lines writes take the
-    bulk path, as in parse_wifi_log, with one decode per distinct
-    ``{"peer":…,"rssi":…}`` or ``{"rssi":…}`` entry text. Each accepted
-    line's user takes its code before the line's peers, as line by line.
+    The lines are read by ``_parse``, as in parse_wifi_log. Blocks of
+    lines in the form BluetoothSightings.lines writes take the bulk path,
+    with one decode per distinct ``{"peer":…,"rssi":…}`` or
+    ``{"rssi":…}`` entry text. Each accepted line's user takes its code
+    before the line's peers, as line by line.
     """
     users: dict[str, int] = {}
     user, peer, ts, rssi = array("i"), array("i"), array("q"), array("h")
-    skipped = 0
-    written = _WrittenBluetooth()
-    for block in _blocks(lines):
-        read = written.read(block)
-        if read is not None:
-            names, times, n_seen, seen = read
-            rows = np.repeat(np.arange(len(names)), n_seen)
-            # name ids in the order the per-line path meets them: each
-            # line's user, then the line's peers
-            met = np.empty(len(names) + len(seen), dtype=np.int64)
-            met[np.arange(len(names)) + np.cumsum(n_seen) - n_seen] = names
-            met[np.arange(len(seen)) + rows + 1] = seen[:, 0]
-            written.names.code(met[met >= 0], users)
-            codes = written.names.codes
-            _extend(user, codes[names][rows])
-            _extend(peer, np.where(seen[:, 0] >= 0, codes[seen[:, 0]], -1))
-            _extend(ts, times[rows])
-            _extend(rssi, seen[:, 1])
-            continue
-        for line_no, line in block:
-            start = len(ts)
-            try:
-                obj = _load(line, line_no)
-                if type(obj) is not dict:
-                    raise MalformedRecordError("line is not a JSON object", line_no)
-                name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
-                check_id(name, "user", line_no)
-                code = users.setdefault(name, len(users))
-                if type(t) is not int or not 0 <= t < TS_END:
-                    raise MalformedRecordError("missing or invalid ts", line_no)
-                if type(seen) is not list:
-                    raise MalformedRecordError("missing seen list", line_no)
-                for entry in seen:
-                    if type(entry) is not dict:
-                        raise MalformedRecordError("seen entry is not an object", line_no)
-                    p, r = entry.get("peer"), entry.get("rssi")
-                    if p is not None and entry.get("mac") is not None:
-                        raise MalformedRecordError("both peer and mac set", line_no)
-                    if p is not None:
-                        check_id(p, "peer", line_no)
-                    if type(r) is not int or not RSSI_MIN <= r <= 0:
-                        raise MalformedRecordError("missing or out-of-range rssi", line_no)
-                    user.append(code)
-                    peer.append(-1 if p is None else users.setdefault(p, len(users)))
-                    ts.append(t)
-                    rssi.append(r)
-            except MalformedRecordError:
-                del user[start:], peer[start:], ts[start:], rssi[start:]
-                if strict:
-                    raise
-                skipped += 1
-    del written
+    names = _Interned()
+
+    def bulk(name_ids, times, n_seen, seen):
+        rows = np.repeat(np.arange(len(name_ids)), n_seen)
+        # name ids in the order the per-line path meets them: each line's
+        # user, then the line's peers
+        met = np.empty(len(name_ids) + len(seen), dtype=np.int64)
+        met[np.arange(len(name_ids)) + np.cumsum(n_seen) - n_seen] = name_ids
+        met[np.arange(len(seen)) + rows + 1] = seen[:, 0]
+        names.code(met[met >= 0], users)
+        codes = names.codes
+        _extend(user, codes[name_ids][rows])
+        _extend(peer, np.where(seen[:, 0] >= 0, codes[seen[:, 0]], -1))
+        _extend(ts, times[rows])
+        _extend(rssi, seen[:, 1])
+        return True
+
+    def line(obj, line_no):
+        name, t, seen = obj.get("user"), obj.get("ts"), obj.get("seen")
+        check_id(name, "user", line_no)
+        code = users.setdefault(name, len(users))
+        if type(t) is not int or not 0 <= t < TS_END:
+            raise MalformedRecordError("missing or invalid ts", line_no)
+        if type(seen) is not list:
+            raise MalformedRecordError("missing seen list", line_no)
+        for entry in seen:
+            if type(entry) is not dict:
+                raise MalformedRecordError("seen entry is not an object", line_no)
+            p, r = entry.get("peer"), entry.get("rssi")
+            if p is not None and entry.get("mac") is not None:
+                raise MalformedRecordError("both peer and mac set", line_no)
+            if p is not None:
+                check_id(p, "peer", line_no)
+            if type(r) is not int or not RSSI_MIN <= r <= 0:
+                raise MalformedRecordError("missing or out-of-range rssi", line_no)
+            user.append(code)
+            peer.append(-1 if p is None else users.setdefault(p, len(users)))
+            ts.append(t)
+            rssi.append(r)
+
+    skipped = _parse(lines, strict, _Written("seen", names, partial(_sighting_fields, names), 2),
+                     bulk, line, (user, peer, ts, rssi))
     return ParseResult(BluetoothSightings(
         list(users), np.array(user, dtype=np.int32), np.array(peer, dtype=np.int32),
         np.array(ts, dtype=np.int64), np.array(rssi, dtype=np.int16)), skipped)
-
 
 # ---------------------------------------------------------------------------
 # Ambiguous-router filter

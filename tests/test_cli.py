@@ -31,9 +31,11 @@ from wifi_proximity.pairing import CandidateTable, split_indices
 from wifi_proximity.records import RSSI_MIN, TS_END
 from wifi_proximity.synthgen import WorldConfig
 
+import ingest_reference
 import matrix_reference
 import score_reference
 from conftest import TINY_WORLD_STATS, world_conf
+from test_parse_blocks import TIMES, ap, often, perturbed, sighting, users
 
 
 def run(args):
@@ -620,6 +622,52 @@ class TestDrawnWorldsRunToReport:
             conf.write_text("".join(f"world.{key} = {value}\n" for key, value in values.items()))
             assert load_config(conf).world == world
             for stage in ("generate", "clean", "pair", "featurize", "train", "evaluate", "report"):
+                before = snapshot(d)
+                capsys.readouterr()
+                code = run([stage, "--dir", str(d), "--config", str(conf)])
+                if code != 0:
+                    err = capsys.readouterr().err
+                    assert code in (3, 4) and err.count("\n") == 1, (stage, code, err)
+                    assert snapshot(d) == before, stage
+                    break
+
+
+# test_parse_blocks' lines, written and perturbed, with times drawn over
+# span seconds as well as its edge times: scans over an hour and
+# sightings over its first quarter, so that candidates come both with
+# and without a sighting
+@st.composite
+def log_line(draw, key: str, entry, span: int) -> str:
+    ts = often(st.integers(0, span).map(lambda s: 1580515200 + s), st.sampled_from(TIMES))
+    doc = {"user": draw(users), "ts": draw(ts), key: draw(st.lists(entry, max_size=4))}
+    return perturbed(draw, doc, key)
+
+
+class TestDrawnLogsRunToReport:
+    @settings(max_examples=10, derandomize=True, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(wifi=st.lists(log_line("aps", ap, 3599), min_size=100, max_size=200),
+           bluetooth=st.lists(log_line("seen", sighting, 900), min_size=20, max_size=60))
+    def test_every_stage_exits_zero_or_with_one_line(self, tmp_path, capsys, monkeypatch,
+                                                      wifi, bluetooth):
+        """Logs of drawn lines that ingest accepts, written and perturbed,
+        over a handful of users: each stage from clean to report, with
+        3-tree gbt, exits 0, or exits 3 or 4 with one line and leaves its
+        directory as it was."""
+        monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 3)
+        with tempfile.TemporaryDirectory(dir=tmp_path) as name:
+            d = Path(name)
+            # no router is ambiguous: each of the drawn ssids may name one
+            conf = d / "world.conf"
+            conf.write_text("ambiguous_ssid_threshold = 10\n")
+            h = load_config(conf).data_hash()
+            for log, schema, oracle, lines in (
+                    ("wifi.jsonl", fileio.SCHEMA_WIFI, ingest_reference.parse_wifi_lines, wifi),
+                    ("bluetooth.jsonl", fileio.SCHEMA_BLUETOOTH,
+                     ingest_reference.parse_bluetooth_lines, bluetooth)):
+                fileio.write_jsonl(d / log, schema, h,
+                                   [line for line in lines if oracle([(1, line)]).skipped == 0])
+            for stage in ("clean", "pair", "featurize", "train", "evaluate", "report"):
                 before = snapshot(d)
                 capsys.readouterr()
                 code = run([stage, "--dir", str(d), "--config", str(conf)])

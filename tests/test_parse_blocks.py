@@ -10,7 +10,9 @@ skip counts and the first strict-mode error must be the oracle's
 (`ingest_reference.parse_wifi_lines` and `parse_bluetooth_lines`).
 """
 
+import gc
 import json
+import weakref
 from dataclasses import fields
 
 import numpy as np
@@ -175,8 +177,8 @@ def test_written_logs_take_the_bulk_path(monkeypatch, tmp_path, tiny_world):
     conf.write_text(world_conf(tiny_world))
     assert cli.main(["generate", "--dir", str(tmp_path), "--config", str(conf)]) == 0
     for name, reader, (parse, oracle, _) in (
-            ("wifi.jsonl", ingest._WrittenWifi, PARSERS["wifi"]),
-            ("bluetooth.jsonl", ingest._WrittenBluetooth, PARSERS["bluetooth"])):
+            ("wifi.jsonl", ingest._Written, PARSERS["wifi"]),
+            ("bluetooth.jsonl", ingest._Written, PARSERS["bluetooth"])):
         lines = list(fileio.iter_jsonl(tmp_path / name))
         for size in (1, 7, ingest.PARSE_BLOCK_LINES):
             spy = Spy(monkeypatch, reader)
@@ -280,3 +282,69 @@ def test_lines_that_look_written_parse_as_line_by_line(line):
     for lines in ([line], [good, line], [line, good]):
         assert_parses_as_oracle(parse_wifi_log, reference.parse_wifi_lines,
                                 list(enumerate(lines, start=2)))
+
+
+def seen_text(*seen: str, user='"u1"', ts="5") -> str:
+    return '{"user":' + user + ',"ts":' + ts + ',"seen":[' + ",".join(seen) + "]}"
+
+
+PEER = '{"peer":"u2","rssi":-1}'
+LOOK_WRITTEN_BLUETOOTH = {
+    "escaped_comma_peer": seen_text(PEER, '{"peer":"p\\u002c1","rssi":-1}'),
+    "escaped_surrogate_peer": seen_text('{"peer":"p\\ud800","rssi":-1}'),
+    "null_peer": seen_text('{"peer":null,"rssi":-1}'),
+    "mac_entry": seen_text('{"mac":"ff:ee:dd:00:00:01","rssi":-1}'),
+    "peer_and_mac": seen_text('{"peer":"u2","mac":"ff:ee:dd:00:00:01","rssi":-1}'),
+    "empty_entry": seen_text("{}"),
+    "empty_second_entry": seen_text(PEER, "{}"),
+    "rssi_minus_zero": seen_text('{"rssi":-0}'),
+    "rssi_below_min": seen_text(PEER, '{"rssi":' + str(RSSI_MIN - 1) + "}"),
+    "ts_end": seen_text(PEER, ts=str(TS_END)),
+    "ts_13_digits": seen_text(PEER, ts="1234567890123"),
+    "extra_brackets": seen_text(PEER) + "]}",
+}
+
+
+@pytest.mark.parametrize("line", LOOK_WRITTEN_BLUETOOTH.values(), ids=LOOK_WRITTEN_BLUETOOTH)
+def test_bluetooth_lines_that_look_written_parse_as_line_by_line(line):
+    """Each line alone, after a written line in its block, and before one."""
+    good = compact({"user": "u3", "ts": 5, "seen": [{"peer": "u4", "rssi": -60}, {"rssi": 0}]})
+    for lines in ([line], [good, line], [line, good]):
+        assert_parses_as_oracle(parse_bluetooth_log, reference.parse_bluetooth_lines,
+                                list(enumerate(lines, start=2)))
+
+
+@pytest.mark.parametrize("log", PARSERS)
+def test_a_parse_frees_its_reader_without_the_cycle_collector(monkeypatch, log):
+    """The bulk path's caches refer to the parser's string tables, never
+    back to the reader, so reference counting alone frees the reader and
+    its caches as soon as a parse returns."""
+    parse = PARSERS[log][0]
+    if log == "wifi":
+        docs = [wifi_doc("u1", mac(1), "net"), wifi_doc("u2", mac(2), "café")]
+    else:
+        docs = [{"user": "u1", "ts": 5, "seen": [{"peer": "u2", "rssi": -1}, {"rssi": -2}]},
+                {"user": "u2", "ts": 6, "seen": [{"peer": "u1", "rssi": -3}]}]
+    # a written block, a block parsed line by line and a malformed line
+    lines = list(enumerate([compact(doc) for doc in docs] + [json.dumps(docs[0]), "{}"], start=2))
+    readers = []
+    init = ingest._Written.__init__
+
+    def tracked(reader, *args):
+        init(reader, *args)
+        readers.append(weakref.ref(reader))
+    monkeypatch.setattr(ingest._Written, "__init__", tracked)
+    monkeypatch.setattr(ingest, "PARSE_BLOCK_LINES", 2)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        for strict in (False, True):
+            try:
+                parse(lines, strict=strict)
+            except MalformedRecordError:
+                pass
+            assert readers[-1]() is None, strict
+    finally:
+        if enabled:
+            gc.enable()
+    assert len(readers) == 2
