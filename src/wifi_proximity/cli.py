@@ -11,10 +11,12 @@ From ``pair`` on, stages read arrays: ``pair`` writes the candidates that
 ``pairing.pair_windows`` returns as candidates.npz, which ``featurize``
 reads, and ``featurize`` writes features.npz, which ``train``,
 ``evaluate`` and ``report`` read. candidates.csv and features.csv are
-readable copies of the same rows that no stage reads. Those three build
-each side's model input with ``features.model_matrix``, one column-major
-gather of its rows, and check first that each side they use holds both
-classes, naming the file and the train count when one does not.
+readable copies of the same rows that no stage reads. Those three load
+and split features.npz in one step, ``_split_features``, with the split
+the config gives, and check that each side they use holds both classes,
+naming the file and the train count when one does not. They build each
+side's model input with ``features.model_matrix``, one column-major
+gather of its rows.
 
 Exit codes: 0 ok, 2 usage error, 3 data error, 4 config error.
 """
@@ -209,39 +211,43 @@ def _home_map(path, h: str) -> dict[tuple[str, str], str]:
     return {(entry["user"], entry["month"]): entry["bssid"] for entry in homes}
 
 
-def _nonempty_features(path, h: str) -> FeatureTable:
-    """features.npz, which must hold at least one row to split."""
-    feats = FeatureTable.load(path, h)
-    if len(feats.label) == 0:
-        raise DataError(f"{path}: has no rows")
-    return feats
-
-
 def _split_for(cfg: PipelineConfig, n: int):
     train_count = int(round(cfg.train_size * n))
     train_count = max(1, min(n - 1, train_count))
     return split_indices(n, train_count, cfg.seed)
 
 
-def _check_classes(path, train_count: int, sides, need: int = 1) -> None:
-    """DataError naming path unless the labels of each (side, labels) in
-    sides hold at least need rows of each class."""
-    for side, labels in sides:
-        n_pos = int(np.count_nonzero(labels))
-        if min(n_pos, len(labels) - n_pos) < need:
+def _split_features(cfg: PipelineConfig, path, sides, need: int = 1):
+    """features.npz split by cfg: (table, train rows, test rows, split), where
+    split is the object that train records in its model file and evaluate
+    requires there.
+
+    DataError names the file if it has no rows, or if a side named in
+    sides ("train", "test") holds fewer than need rows of either class.
+    """
+    feats = FeatureTable.load(path, cfg.data_hash())
+    if len(feats.label) == 0:
+        raise DataError(f"{path}: has no rows")
+    train_idx, test_idx = _split_for(cfg, len(feats.label))
+    for side in sides:
+        rows = train_idx if side == "train" else test_idx
+        n_pos = int(np.count_nonzero(feats.label[rows]))
+        if min(n_pos, len(rows) - n_pos) < need:
             what = ("without both classes" if need == 1 else
                     f"with fewer than {need} rows of a class, one per grid search fold")
-            raise DataError(f"{path}: split train_count {train_count} leaves {side} rows {what}")
+            raise DataError(f"{path}: split train_count {len(train_idx)} leaves {side} "
+                            f"rows {what}")
+    split = {"seed": cfg.seed, "train_size": cfg.train_size,
+             "train_count": len(train_idx), "n": len(feats.label)}
+    return feats, train_idx, test_idx, split
 
 
 def stage_train(cfg: PipelineConfig, args, paths) -> int:
+    """Fit the config's model on its train side, and record the split."""
     h = cfg.data_hash()
-    feats = _nonempty_features(paths["features"], h)
-    n = len(feats.label)
-    train_idx, _ = _split_for(cfg, n)
+    feats, train_idx, _, split = _split_features(cfg, paths["features"], ["train"],
+                                                 GRID_FOLDS if cfg.grid else 1)
     y = feats.label[train_idx]
-    _check_classes(paths["features"], len(train_idx), [("train", y)],
-                   GRID_FOLDS if cfg.grid else 1)
 
     imputation = fit_imputation(feats.X, train_idx)
     names = FEATURESETS[cfg.featureset]
@@ -264,14 +270,7 @@ def stage_train(cfg: PipelineConfig, args, paths) -> int:
         featureset=cfg.featureset,
         imputation=imputation,
     )
-    extra = {
-        "split": {
-            "seed": cfg.seed,
-            "train_size": cfg.train_size,
-            "train_count": int(len(train_idx)),
-            "n": n,
-        }
-    }
+    extra = {"split": split}
     if grid_results is not None:
         extra["grid"] = grid_results
     save_model(model, paths["model"], h, extra=extra)
@@ -283,39 +282,25 @@ def stage_train(cfg: PipelineConfig, args, paths) -> int:
     return EXIT_OK
 
 
-def _split_of(model_file, split, n: int) -> tuple[int, int]:
-    """The train count and seed of a model file's split of n rows.
-
-    ``split`` must be an object whose ``n`` is n, whose ``train_count``
-    lies in [0, n] and whose ``seed`` is at least 0, each an integer and
-    not a bool; otherwise DataError names the file and the field.
-    """
-    if not isinstance(split, dict) or type(split.get("n")) is not int or split["n"] != n:
-        raise DataError(f"{model_file}: split metadata missing or for a different dataset")
-    train_count, seed = split.get("train_count"), split.get("seed")
-    if type(train_count) is not int or not 0 <= train_count <= n:
-        raise DataError(f"{model_file}: split train_count {train_count!r} "
-                        f"is not an integer in [0, {n}]")
-    if type(seed) is not int or seed < 0:
-        raise DataError(f"{model_file}: split seed {seed!r} is not an integer >= 0")
-    return train_count, seed
-
-
 def stage_evaluate(cfg: PipelineConfig, args, paths) -> int:
+    """Score the config's split with a model of its kind, featureset and split."""
     h = cfg.data_hash()
     model_file = paths["model"]
     model, doc = load_model(model_file, h)
-    feats = _nonempty_features(paths["features"], h)
-    y = feats.label
-
-    split = doc.get("split")
-    train_count, seed = _split_of(model_file, split, len(y))
-    train_idx, test_idx = split_indices(len(y), train_count, seed)
+    if (model.featureset, model.kind, list(model.feature_names)) != (
+            cfg.featureset, cfg.model_kind, FEATURESETS[cfg.featureset]):
+        raise DataError(f"{model_file}: a {model.featureset} {model.kind} model on "
+                        f"{len(model.feature_names)} features, not the config's "
+                        f"{cfg.featureset} {cfg.model_kind}")
+    feats, train_idx, test_idx, split = _split_features(cfg, paths["features"],
+                                                        ["train", "test"])
+    if doc.get("split") != split:
+        raise DataError(f"{model_file}: split {doc.get('split')!r} is not the config's "
+                        f"split {split!r}")
     if len(test_idx) < 3:
         raise DataError(f"{paths['features']}: {len(test_idx)} test rows, too few "
                         "for the three union-size terciles")
-    y_train, y_test = y[train_idx], y[test_idx]
-    _check_classes(model_file, train_count, [("train", y_train), ("test", y_test)])
+    y_train, y_test = feats.label[train_idx], feats.label[test_idx]
 
     X, names = feats.X, model.feature_names
     scores_train = predict(model, model_matrix(X, train_idx, names, model.imputation))
@@ -364,12 +349,11 @@ def stage_evaluate(cfg: PipelineConfig, args, paths) -> int:
 
 
 def stage_report(cfg: PipelineConfig, args, paths) -> int:
+    """Single-feature baselines on the config's split, and one row per model eval."""
     h = cfg.data_hash()
-    feats = _nonempty_features(paths["features"], h)
+    feats, train_idx, test_idx, _ = _split_features(cfg, paths["features"], ["train", "test"])
     y = feats.label
-    train_idx, test_idx = _split_for(cfg, len(y))
     y_train, y_test = y[train_idx], y[test_idx]
-    _check_classes(paths["features"], len(train_idx), [("train", y_train), ("test", y_test)])
 
     imputation = fit_imputation(feats.X, train_idx)
     X_train, X_test = (model_matrix(feats.X, rows, FEATURE_NAMES, imputation)
@@ -396,7 +380,7 @@ def stage_report(cfg: PipelineConfig, args, paths) -> int:
     eval_paths = sorted(pattern.parent.glob(pattern.name))
     if args.evals:
         eval_paths = [Path(p) for p in args.evals]
-    featuresets = {}
+    featuresets, filed = {}, {}
     for path in eval_paths:
         doc = fileio.read_json(path, SCHEMA_EVAL)
         if doc.get("config_hash") != h:
@@ -413,6 +397,10 @@ def stage_report(cfg: PipelineConfig, args, paths) -> int:
                             "and kind, and train and test objects with numeric auc "
                             "and f1 and an integer n")
         key = f"{doc['featureset']}:{doc['kind']}"
+        if key in filed:
+            raise DataError(f"{path}: a {doc['featureset']} {doc['kind']} eval, as is "
+                            f"{filed[key]}; refusing to report one model twice")
+        filed[key] = path
         featuresets[key] = {
             "featureset": doc["featureset"],
             "kind": doc["kind"],

@@ -2,8 +2,11 @@
 
 Config files are plain text, one ``key = value`` per line, ``#`` starts
 a comment. Keys match PipelineConfig field names; world generator knobs
-use a ``world.`` prefix (e.g. ``world.n_users = 50``). Command-line
-flags override file values, which override defaults.
+use a ``world.`` prefix (e.g. ``world.n_users = 50``). The world takes
+the pipeline's ``seed`` unless ``world.seed`` is set, and always its
+``campus_ssid``, so the campus routers broadcast the ssid that featurize
+looks for. Command-line flags override file values, which override
+defaults.
 """
 from __future__ import annotations
 
@@ -123,10 +126,12 @@ def _coerce(name: str, text: str, target_type) -> object:
 # dataclass field types arrive as strings under `from __future__ import
 # annotations`; map them back to constructors
 _TYPE_NAMES = {"int": int, "float": float, "str": str, "bool": bool, "tuple[int, ...]": tuple}
-# the type of every config key; world generator knobs take a "world." prefix
+# the type of every config key; world generator knobs take a "world." prefix,
+# except campus_ssid, which the world takes from the pipeline
 _KEY_TYPES = {
     **{f.name: _TYPE_NAMES[f.type] for f in fields(PipelineConfig) if f.name != "world"},
-    **{f"world.{f.name}": _TYPE_NAMES[f.type] for f in fields(WorldConfig)},
+    **{f"world.{f.name}": _TYPE_NAMES[f.type] for f in fields(WorldConfig)
+       if f.name != "campus_ssid"},
 }
 
 
@@ -158,8 +163,10 @@ def build_config(file_values: dict | None = None, overrides: dict | None = None)
         else:
             pipeline_kwargs[key] = value
 
-    # the world inherits the pipeline seed unless one was given explicitly
+    # the world inherits the pipeline seed unless one was given explicitly,
+    # and always broadcasts the campus ssid that featurize looks for
     world_kwargs.setdefault("seed", pipeline_kwargs.get("seed", PipelineConfig.seed))
+    world_kwargs["campus_ssid"] = pipeline_kwargs.get("campus_ssid", PipelineConfig.campus_ssid)
 
     try:
         world = WorldConfig(**world_kwargs)

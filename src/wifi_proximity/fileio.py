@@ -358,7 +358,9 @@ def load_table(cls, path, schema: str, expect_hash: str | None = None):
                 for name in archive.namelist()
             }
         header = json.loads(arrays.pop("header").tobytes())
-    except (zipfile.BadZipFile, ValueError, EOFError, KeyError) as exc:
+    # zipfile raises RuntimeError for an encrypted member, and
+    # NotImplementedError, a RuntimeError, for an unknown compression method
+    except (zipfile.BadZipFile, ValueError, EOFError, KeyError, RuntimeError) as exc:
         raise DataError(f"{path}: unreadable array archive ({exc})") from exc
     if not isinstance(header, dict):
         raise DataError(f"{path}: archive header is not a JSON object")

@@ -2,10 +2,12 @@
 
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 import tracemalloc
+import zipfile
 from dataclasses import asdict, fields, replace
 from pathlib import Path
 
@@ -35,7 +37,17 @@ import ingest_reference
 import matrix_reference
 import score_reference
 from conftest import TINY_WORLD_STATS, world_conf
-from test_parse_blocks import TIMES, ap, often, perturbed, sighting, users
+from test_parse_blocks import (
+    TIMES,
+    USERS,
+    ap,
+    entry,
+    often,
+    perturbed,
+    rssis,
+    sighting,
+    users,
+)
 
 
 def run(args):
@@ -619,7 +631,9 @@ class TestDrawnWorldsRunToReport:
             conf = d / "world.conf"
             values = {**asdict(world),
                       "group_size_cycle": ",".join(map(str, world.group_size_cycle))}
-            conf.write_text("".join(f"world.{key} = {value}\n" for key, value in values.items()))
+            # the world takes the pipeline's campus ssid
+            conf.write_text(f"campus_ssid = {values.pop('campus_ssid')}\n" + "".join(
+                f"world.{key} = {value}\n" for key, value in values.items()))
             assert load_config(conf).world == world
             for stage in ("generate", "clean", "pair", "featurize", "train", "evaluate", "report"):
                 before = snapshot(d)
@@ -637,23 +651,42 @@ class TestDrawnWorldsRunToReport:
 # sightings over its first quarter, so that candidates come both with
 # and without a sighting
 @st.composite
-def log_line(draw, key: str, entry, span: int) -> str:
+def log_line(draw, key: str, entry, span: int, user=users) -> str:
     ts = often(st.integers(0, span).map(lambda s: 1580515200 + s), st.sampled_from(TIMES))
-    doc = {"user": draw(users), "ts": draw(ts), key: draw(st.lists(entry, max_size=4))}
+    doc = {"user": draw(user), "ts": draw(ts), key: draw(st.lists(entry, max_size=4))}
     return perturbed(draw, doc, key)
+
+
+# a Bluetooth log whose sightings all link a user with "b0", who never scans:
+# the scanning users it names are active, yet no sighting links two of them,
+# so every candidate is negative
+RELAY = "b0"
+relayed_logs = st.lists(st.one_of(
+    log_line("seen", entry(("peer", "rssi"), st.just(RELAY), rssis), 900),
+    log_line("seen", entry(("peer", "rssi"), users, rssis), 900, st.just(RELAY))),
+    min_size=20, max_size=60)
+
+
+def names(line: str) -> set:
+    """The user and the sighted peers of an accepted bluetooth.jsonl line."""
+    doc = json.loads(line)
+    return {doc["user"]} | {entry.get("peer") for entry in doc["seen"]} - {None}
 
 
 class TestDrawnLogsRunToReport:
     @settings(max_examples=10, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(wifi=st.lists(log_line("aps", ap, 3599), min_size=100, max_size=200),
-           bluetooth=st.lists(log_line("seen", sighting, 900), min_size=20, max_size=60))
+           bluetooth=st.one_of(st.lists(log_line("seen", sighting, 900), min_size=20,
+                                        max_size=60), relayed_logs),
+           absent=st.sets(st.sampled_from(USERS[:4]), max_size=1))
     def test_every_stage_exits_zero_or_with_one_line(self, tmp_path, capsys, monkeypatch,
-                                                      wifi, bluetooth):
+                                                      wifi, bluetooth, absent):
         """Logs of drawn lines that ingest accepts, written and perturbed,
         over a handful of users: each stage from clean to report, with
         3-tree gbt, exits 0, or exits 3 or 4 with one line and leaves its
-        directory as it was."""
+        directory as it was. Some logs are relayed_logs, and the
+        users in absent never appear in bluetooth.jsonl."""
         monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 3)
         with tempfile.TemporaryDirectory(dir=tmp_path) as name:
             d = Path(name)
@@ -665,8 +698,10 @@ class TestDrawnLogsRunToReport:
                     ("wifi.jsonl", fileio.SCHEMA_WIFI, ingest_reference.parse_wifi_lines, wifi),
                     ("bluetooth.jsonl", fileio.SCHEMA_BLUETOOTH,
                      ingest_reference.parse_bluetooth_lines, bluetooth)):
-                fileio.write_jsonl(d / log, schema, h,
-                                   [line for line in lines if oracle([(1, line)]).skipped == 0])
+                lines = [line for line in lines if oracle([(1, line)]).skipped == 0]
+                if log == "bluetooth.jsonl":
+                    lines = [line for line in lines if not absent & names(line)]
+                fileio.write_jsonl(d / log, schema, h, lines)
             for stage in ("clean", "pair", "featurize", "train", "evaluate", "report"):
                 before = snapshot(d)
                 capsys.readouterr()
@@ -901,11 +936,15 @@ class TestArtifactIntegrity:
         (lambda split: split.update(train_count=-5), "train_count"),
         (lambda split: split.update(train_count=split["n"] + 5), "train_count"),
         (lambda split: split.update(n=split["n"] - 1), "split"),
-        (lambda split: split.update(train_count=0), "train_count 0 leaves train rows"),
-        (lambda split: split.update(train_count=split["n"] - 3), "leaves test rows"),
+        (lambda split: split.update(train_count=0), "'train_count': 0"),
+        (lambda split: split.update(train_count=split["n"] - 3), "train_count"),
+        # valid splits, but not the config's: the model trained on other rows
+        (lambda split: split.update(seed=split["seed"] + 1), "is not the config's split"),
+        (lambda split: split.update(train_count=split["train_count"] + 1),
+         "is not the config's split"),
     ], ids=["no_train_count", "seed_text", "seed_bool", "train_count_fraction",
             "train_count_negative", "train_count_above_n", "n_of_other_rows",
-            "train_count_zero", "test_rows_of_one_class"])
+            "train_count_zero", "test_rows_of_one_class", "other_seed", "other_train_count"])
     def test_evaluate_rejects_bad_split_metadata(self, tmp_path, workdir, capsys,
                                                  edit, field):
         src, base = workdir
@@ -924,8 +963,9 @@ class TestArtifactIntegrity:
         capsys.readouterr()
         assert run(["evaluate", "--dir", str(tmp_path)] + base[2:]) == 3
         err = capsys.readouterr().err
-        assert err == (f"data error: {tmp_path / 'model_full_gbt.json'}: split metadata "
-                       "missing or for a different dataset\n")
+        split = fileio.read_json(src / "model_full_gbt.json", fileio.SCHEMA_MODEL)["split"]
+        assert err == (f"data error: {tmp_path / 'model_full_gbt.json'}: split [1, 2] is not "
+                       f"the config's split {split!r}\n")
         assert not list(tmp_path.glob("eval_*"))
 
     def test_evaluate_of_a_tree_with_a_cycle_ends(self, tmp_path, workdir):
@@ -1164,6 +1204,28 @@ def union_inf(X):
     return X
 
 
+def zip_field(name, local_at, central_at, change):
+    """An edit of a run directory that passes a 2-byte field of every local
+    and central header of name's zip archive through change: the flags lie
+    at 6 and 8, the compression method at 8 and 10."""
+    def edit(d):
+        blob = bytearray((d / name).read_bytes())
+        with zipfile.ZipFile(d / name) as archive:
+            infos, central = archive.infolist(), archive.start_dir
+        for info in infos:
+            for at in (info.header_offset + local_at, central + central_at):
+                struct.pack_into("<H", blob, at, change(struct.unpack_from("<H", blob, at)[0]))
+            # a central header is 46 bytes, then its name, extra and comment
+            central += 46 + sum(struct.unpack_from("<3H", blob, central + 28))
+        (d / name).write_bytes(bytes(blob))
+    return edit
+
+
+def copy_file(src, dst):
+    """An edit of a run directory that copies src over dst."""
+    return lambda d: (d / dst).write_bytes((d / src).read_bytes())
+
+
 def directory_at(name):
     """An edit of a run directory that puts a directory where name should be."""
     return lambda d: (d / name).mkdir()
@@ -1200,6 +1262,7 @@ def snapshot(d):
 
 
 HOMES, EVAL, MODEL = "home_routers.json", "eval_full_gbt.json", "model_full_gbt.json"
+NEARME_EVAL, NEARME_MODEL = "eval_nearme_gbt.json", "model_nearme_gbt.json"
 FEATURIZE_INPUTS = ["scans.npz", "candidates.npz", HOMES]
 SPLIT_INPUTS = ["features.npz", "world.conf"]
 CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
@@ -1226,6 +1289,18 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
     ("evaluate", ["features.npz", MODEL],
      edit_doc(MODEL, lambda doc: doc.update(imputation=None)), MODEL),
     ("evaluate", ["features.npz", MODEL], edit_doc(MODEL, nan_leaf_values), MODEL),
+    # a model filed under another kind's or featureset's name
+    ("evaluate", ["features.npz", MODEL], edit_doc(MODEL, lambda doc: doc.update(
+        kind="random-forest")), MODEL),
+    ("evaluate", ["features.npz", NEARME_MODEL], copy_file(NEARME_MODEL, MODEL), MODEL),
+    ("evaluate", ["features.npz", NEARME_MODEL], lambda d: (
+        copy_file(NEARME_MODEL, MODEL)(d), edit_doc(MODEL, lambda doc: doc.update(
+            featureset="FULL"))(d)), MODEL),
+    ("report", ["features.npz", EVAL], copy_file(EVAL, NEARME_EVAL), EVAL),
+    ("train", ["features.npz"], zip_field("features.npz", 6, 8, lambda flags: flags | 1),
+     "features.npz"),
+    ("featurize", FEATURIZE_INPUTS, zip_field("candidates.npz", 8, 10, lambda method: 99),
+     "candidates.npz"),
     ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_ts_at_end),
      "scans.npz"),
     ("report", ["features.npz", EVAL], edit_array("features.npz", "X", union_inf),
@@ -1247,6 +1322,9 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
         "eval_without_train", "eval_without_featureset", "eval_test_list",
         "model_hyperparameters_list", "model_featureset_number", "model_unknown_feature",
         "model_imputation_mean_text", "model_imputation_null", "model_leaf_values_nan",
+        "model_of_another_kind", "model_of_another_featureset",
+        "model_of_another_featuresets_features", "two_evals_of_one_model",
+        "features_encrypted", "candidates_compression_unknown",
         "pair_scan_at_ts_end",
         "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",

@@ -3,6 +3,7 @@
 from dataclasses import fields
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wifi_proximity.config import (
@@ -13,7 +14,7 @@ from wifi_proximity.config import (
     parse_config_file,
 )
 from wifi_proximity.records import TS_END
-from wifi_proximity.synthgen import WorldConfig
+from wifi_proximity.synthgen import WorldConfig, build_layout
 
 
 class TestParseFile:
@@ -65,6 +66,15 @@ class TestBuildConfig:
     def test_explicit_world_seed_wins(self):
         cfg = build_config({"seed": "5", "world.seed": "7"})
         assert cfg.world.seed == 7 and cfg.seed == 5
+
+    def test_the_world_broadcasts_the_pipelines_campus_ssid(self):
+        """The campus routers broadcast the ssid that featurize looks for,
+        and the world has no campus ssid key of its own."""
+        cfg = build_config({"campus_ssid": "corp"})
+        ssids = set(build_layout(cfg.world, np.random.default_rng(0)).router_ssid)
+        assert "corp" in ssids and "dtu" not in ssids
+        with pytest.raises(ConfigError, match="unknown world config key: world.campus_ssid"):
+            build_config({"world.campus_ssid": "corp"})
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config key"):
@@ -157,7 +167,9 @@ class TestLoadConfig:
         assert load_config(example) == load_config(None)
         keys = {f.name for f in fields(PipelineConfig)} - {"world"}
         # every world key too; world.seed only in a comment, since setting
-        # it would stop the pipeline seed from reaching the world
-        keys |= {f"world.{f.name}" for f in fields(WorldConfig)} - {"world.seed"}
+        # it would stop the pipeline seed from reaching the world, and no
+        # world.campus_ssid, which is not a key: the world takes campus_ssid
+        keys |= {f"world.{f.name}" for f in fields(WorldConfig)} - {"world.seed",
+                                                                   "world.campus_ssid"}
         assert keys <= set(parse_config_file(example))
         assert "# world.seed = 0\n" in example.read_text(encoding="utf-8")
