@@ -106,8 +106,12 @@ def stage_generate(cfg: PipelineConfig, args, paths) -> int:
 def stage_clean(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     parsed = _parse_log(parse_wifi_log, paths["wifi"], SCHEMA_WIFI, cfg.strict_parse)
+    skipped = parsed.skipped
     scans, report = filter_ambiguous_macs(parsed.records, cfg.ambiguous_ssid_threshold)
-    table = scans.by_bssid()
+    # one scan table at the peak: the parse-order table serves the home
+    # map and cleaned.jsonl, then only its bssid-order copy is kept (the
+    # filter returns the parsed table itself when it removes nothing)
+    del parsed
     homes = build_home_router_map(scans, cfg.home_bin_minutes, cfg.tz_offset_s)
     homes_doc = {
         "bin_minutes": cfg.home_bin_minutes,
@@ -117,18 +121,20 @@ def stage_clean(cfg: PipelineConfig, args, paths) -> int:
         ],
     }
     n = fileio.write_jsonl(paths["cleaned"], SCHEMA_WIFI, h, scans.lines())
+    table = scans.by_bssid()
+    del scans
     table.save(paths["scans"], h)
     fileio.write_json(
         paths["cleaning_report"],
         SCHEMA_CLEANING,
         h,
-        {**asdict(report), "skipped_lines": parsed.skipped, "records": n},
+        {**asdict(report), "skipped_lines": skipped, "records": n},
     )
     fileio.write_json(paths["homes"], SCHEMA_HOMES, h, homes_doc)
     print(
         f"clean: {n} records kept, {report.removed_observations} observations "
         f"from {report.ambiguous_macs} ambiguous MACs removed, "
-        f"{parsed.skipped} malformed lines skipped, {len(homes)} home routers"
+        f"{skipped} malformed lines skipped, {len(homes)} home routers"
     )
     return EXIT_OK
 
@@ -447,8 +453,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--grid", action="store_const", const=True,
                         help="grid-search hyperparameters during train")
     common.add_argument("--jobs", type=int,
-                        help="ignored (stages run on one thread); kept until the "
-                             "benchmark harness stops passing it")
+                        help="ignored (stages run on one thread, numpy's BLAS "
+                             "included); kept until the benchmark harness stops "
+                             "passing it")
 
     parser = argparse.ArgumentParser(
         prog="wifi-proximity",

@@ -3,6 +3,12 @@
 from __future__ import annotations
 
 import json
+import os
+
+# numpy's BLAS on one thread, as every stage and the benchmark run it; set
+# before the first import of numpy, which fixes the pool's size
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
 
 import numpy as np
 import pytest

@@ -361,24 +361,57 @@ class TestExitCodes:
 
 # the scipy modules loaded, printed last, after the code before it has run
 SCIPY_LOADED = "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+BLAS_THREADS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+# prints the three BLAS thread variables as numpy's import found them, or,
+# when numpy was not imported, 'unloaded' and their values at the end
+BLAS_SEEN = f"""
+import os, sys
+names = {BLAS_THREADS!r}
+seen = []
+class Spy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "numpy" and not seen:
+            seen.append([os.environ.get(n) for n in names])
+sys.meta_path.insert(0, Spy())
+exec(sys.argv[1])
+print(seen[0] if seen else ["unloaded"] + [os.environ.get(n) for n in names])
+"""
 
 
 class TestStartup:
     """Every CLI process pays for what the package imports. scipy would
-    cost each one 0.25-0.3 s and about 20 MB, so no stage loads it."""
+    cost each one 0.25-0.3 s and about 20 MB, so no stage loads it. And
+    the package sets numpy's BLAS to one thread before numpy loads, unless
+    the caller chose a number."""
 
-    def scipy_loaded(self, code, *args):
-        env = dict(os.environ)
+    def last_line(self, code, *args, blas=None):
+        """The last line that `python -c code args` prints with the package
+        on the path; blas, when given, replaces the BLAS thread variables."""
+        env = {k: v for k, v in os.environ.items() if blas is None or k not in BLAS_THREADS}
+        env.update(blas or {})
         package_root = str(Path(wifi_proximity.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(
             [package_root] + [p for p in [env.get("PYTHONPATH")] if p])
-        proc = subprocess.run([sys.executable, "-c", code + "\n" + SCIPY_LOADED, *args],
+        proc = subprocess.run([sys.executable, "-c", code, *args],
                               env=env, capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         return proc.stdout.splitlines()[-1]
 
+    def scipy_loaded(self, code, *args):
+        return self.last_line(code + "\n" + SCIPY_LOADED, *args)
+
     def test_importing_the_cli_loads_no_scipy(self):
         assert self.scipy_loaded("import sys, wifi_proximity.cli") == "[]"
+
+    def test_importing_the_package_pins_blas_before_numpy_loads(self):
+        assert self.last_line(BLAS_SEEN, "import wifi_proximity", blas={}) == \
+            "['unloaded', '1', '1', '1']"
+        assert self.last_line(BLAS_SEEN, "import wifi_proximity.cli", blas={}) == \
+            "['1', '1', '1']"
+
+    def test_a_blas_thread_count_the_caller_set_stays(self):
+        assert self.last_line(BLAS_SEEN, "import wifi_proximity.cli",
+                              blas={"OPENBLAS_NUM_THREADS": "2"}) == "['2', '1', '1']"
 
     def test_a_run_from_clean_to_report_loads_no_scipy(self, tmp_path, workdir):
         src, base = workdir
@@ -438,7 +471,8 @@ class TestPeakMemory:
 
     # the traced peaks of the stages before train on the town (one day,
     # seed 3), in copies of scans.npz's arrays: generate about 3.92-3.96,
-    # clean 4.18-4.19, pair 3.28 and featurize 5.39. One more int64 array
+    # clean 3.49 (4.18 when it held both orders of the scan table at
+    # once), pair 3.28 and featurize 5.39. One more int64 array
     # per scan entry, kept to the end of the stage, adds 0.55 (0.38 to
     # generate, whose peak comes before its scan table is complete).
     PREP_BOUNDS = {"generate": 4.15, "clean": 4.45, "pair": 3.55, "featurize": 5.65}
