@@ -25,11 +25,10 @@ sys.path[:0] = [str(Path(__file__).resolve().parents[1] / "src"),
 
 from summarize_run import report_lines
 from wifi_proximity import fileio
-from wifi_proximity.cli import main as run_stage, output_paths
+from wifi_proximity.cli import _split_features, main as run_stage, output_paths
+from wifi_proximity.config import load_config
 from wifi_proximity.evaluation import learning_curve
-from wifi_proximity.features import FeatureTable
 from wifi_proximity.models import FEATURESETS, KIND_SHORT
-from wifi_proximity.pairing import split_indices
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,13 +61,14 @@ def stage(name, base, extra=()):
         sys.exit(code)
 
 
-def run_curve(args, d, split):
-    """Learning curve on the train/test split the models were fitted on;
-    skipped, with a line that says so, when the train split has fewer
-    rows than the smallest size."""
-    feats = FeatureTable.load(output_paths(d)["features"])
+def run_curve(args, d, cfg):
+    """Learning curve on the train/test split that the run's config cfg
+    gives, the split the models were fitted on, of a features.npz whose
+    config hash is cfg's; skipped, with a line that says so, when the
+    train split has fewer rows than the smallest size."""
+    feats, train_idx, test_idx, _ = _split_features(cfg, output_paths(d)["features"],
+                                                    ["train", "test"])
     X, y = feats.X, feats.label
-    train_idx, test_idx = split_indices(len(y), split["train_count"], split["seed"])
     sizes = tuple(s for s in (100, 1000, 10000) if s <= len(train_idx))
     if not sizes:
         print(f"\ntraining-size curve skipped: the train split has {len(train_idx)} "
@@ -77,7 +77,7 @@ def run_curve(args, d, split):
     curve = learning_curve(X[train_idx], y[train_idx],
                            X[test_idx], y[test_idx],
                            sizes=sizes, kinds=(args.model,),
-                           repetitions=20, seed=split["seed"])
+                           repetitions=20, seed=cfg.seed)
     out = d / "learning_curve.json"
     serializable = {
         kind: {str(size): stats for size, stats in per_size.items()}
@@ -129,8 +129,8 @@ def main(argv=None) -> int:
     report = fileio.read_json(output_paths(d)["report"], fileio.SCHEMA_REPORT)
     print("\n" + "\n".join(report_lines(report)))
     if args.curve:
-        split = fileio.read_json(Path(evals[0]), fileio.SCHEMA_EVAL)["split"]
-        run_curve(args, d, split)
+        run_curve(args, d, load_config(args.config, {"seed": args.seed,
+                                                     "train_size": args.train_size}))
     print(f"\ntotal {time.monotonic() - t0:.0f}s")
     return 0
 

@@ -30,7 +30,8 @@ It counts popularity as the number of sightings that are their user's
 first in the window, with two binary searches per distinct (router,
 time) query (``_WindowPopularity``). The per-pair functions
 (``extract_features`` and its parts) are the reference it matches bit
-for bit.
+for bit. Both add the correlations' products with numpy's own sums: a
+BLAS dot adds in the order of the kernel OpenBLAS picks for the CPU.
 """
 
 from __future__ import annotations
@@ -129,10 +130,10 @@ def _average_ranks(x: np.ndarray) -> np.ndarray:
 
 def _pearson_coefficient(a: np.ndarray, b: np.ndarray) -> float:
     da, db = a - a.mean(), b - b.mean()
-    denom = math.sqrt(float(da @ da) * float(db @ db))
+    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
     if denom == 0.0:
         return math.nan
-    return float(min(1.0, max(-1.0, (da @ db) / denom)))
+    return float(min(1.0, max(-1.0, (da * db).sum() / denom)))
 
 
 def _half_beta_factors(k: np.ndarray) -> np.ndarray:
@@ -252,6 +253,7 @@ def rssi_distances(view: OverlapView) -> tuple[float, float]:
         return 0.0, 0.0
     diffs = np.array([r_a - r_b for _, r_a, r_b in view.common], dtype=float)
     manhattan = float(np.abs(diffs).sum()) / n
+    # a sum of squared integers, exact in any order up to 2**53
     euclidean = float(math.sqrt(float(diffs @ diffs))) / n
     return manhattan, euclidean
 
@@ -462,20 +464,16 @@ def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray
 def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """_pearson_coefficient of every row pair of two (k, n) matrices.
 
-    Each dot product is a stacked matmul of one row by one column, which
-    numpy hands to the same BLAS ddot of length n as ``da @ db``, so each
-    row rounds exactly as the per-pair function does.
+    Each sum of products is numpy's own reduction along a row of length
+    n, which adds in the order that ``(da * db).sum()`` does on one row,
+    so each row rounds exactly as the per-pair function does, on any CPU.
     """
     n = a.shape[1]
     da = a - (a.sum(axis=1) / n)[:, None]
     db = b - (b.sum(axis=1) / n)[:, None]
-
-    def dot(x, y):
-        return np.matmul(x[:, None, :], y[:, :, None])[:, 0, 0]
-
-    denom = np.sqrt(dot(da, da) * dot(db, db))
+    denom = np.sqrt((da * da).sum(axis=1) * (db * db).sum(axis=1))
     with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip(dot(da, db) / denom, -1.0, 1.0)
+        r = np.clip((da * db).sum(axis=1) / denom, -1.0, 1.0)
     return np.where(denom == 0.0, np.nan, r)
 
 

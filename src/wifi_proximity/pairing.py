@@ -123,6 +123,7 @@ def generate_candidates(table: WifiScans, rows, sightings: BluetoothSightings,
     routers, router = np.unique(table.bssid[entry], return_inverse=True)
     heard = np.zeros((n_users, len(routers)), dtype=np.float32)
     heard[user[owner], router] = 1.0
+    # sums of 0/1 products: > 0 exactly when one product is 1, in any order
     linked |= heard @ heard.T > 0
     user_a, user_b = np.nonzero(np.triu(linked, 1))
 

@@ -953,6 +953,7 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
         n = n1 + n2
         _, pos, neg = class_counts(np.r_[proximate, distant], np.repeat([1, 0], [n1, n2]))
         ties = pos + neg
+        # ties @ ...: a sum of integer products, exact in any order below 2**53
         sd = math.sqrt(n1 * n2 / 12 * ((n + 1) - float(ties @ (ties * ties - 1)) / (n * (n - 1))))
         z = (mann_whitney_u(pos, neg) - n1 * n2 / 2 - 0.5) / sd if sd else -math.inf
         out["overlap_mannwhitney_p"] = 0.5 * math.erfc(z * math.sqrt(0.5))

@@ -26,7 +26,8 @@ read from a damaged model file.
 Determinism contract: splits are chosen by strictly-greater gain
 comparisons scanning features in ascending index order, and within a
 feature the smallest qualifying threshold wins, so rebuilding from the
-same data, hyperparameters and rng state reproduces the tree exactly.
+same data, hyperparameters and rng state reproduces the tree exactly. A
+node is pure when its targets are all equal, a test no rounding decides.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 _LEAF = -1
-_PURE_SSE = 1e-12
 _MIN_HESSIAN = 1e-16
 
 
@@ -262,9 +262,9 @@ def grow_tree(codes: np.ndarray, values: list[np.ndarray], y: np.ndarray, *,
         t_node = gather(wy, rows)
         s = float(t_node.sum())
 
-        # on 0/1 targets the SSE test is the test that both classes are present
-        splittable = (max_depth is None or depth < max_depth) and (
-            float(t_node @ gather(y, rows)) - s * s / n_node > _PURE_SSE)
+        # a node is pure when its targets are all equal (max - min is 0); a
+        # test on its rounded SSE would turn on the summation order
+        splittable = (max_depth is None or depth < max_depth) and np.ptp(gather(y, rows)) > 0
 
         best = None  # (gain, feature, threshold, code)
         if splittable:

@@ -160,9 +160,15 @@ def test_summarize_run_shows_a_model_without_splits(flat_run, capsys):
 
 def test_curve_of_a_train_split_below_the_smallest_size_is_skipped(run_experiment,
                                                                   flat_run, capsys):
-    split = fileio.read_json(flat_run / "eval_full_gbt.json", fileio.SCHEMA_EVAL)["split"]
-    run_experiment.run_curve(SimpleNamespace(model="gbt"), flat_run, split)
+    run_experiment.run_curve(SimpleNamespace(model="gbt"), flat_run, load_config())
     assert capsys.readouterr().out.splitlines() == [
         "", "training-size curve skipped: the train split has 20 rows, "
             "fewer than the smallest size, 100"]
+    assert not (flat_run / "learning_curve.json").exists()
+
+
+def test_curve_refuses_features_of_another_config(run_experiment, flat_run):
+    with pytest.raises(fileio.DataError, match="features.npz"):
+        run_experiment.run_curve(SimpleNamespace(model="gbt"), flat_run,
+                                 load_config(None, {"seed": 5}))
     assert not (flat_run / "learning_curve.json").exists()

@@ -43,6 +43,15 @@ class TestVarianceTrees:
         assert tree.n_nodes == 1 and tree.feature[0] == -1
         assert tree.value[0] == pytest.approx(0.0)
 
+    def test_purity_is_equal_targets_not_a_small_sse(self):
+        """Targets 0.5 and 0.5 + 1e-7, whose SSE of 1.5e-14 lies below any
+        tolerance a rounded SSE could be held to, split; equal ones do not."""
+        y = np.where(Y6 == 1.0, 0.5 + 1e-7, 0.5)
+        tree = grow(X6, y, criterion="variance")
+        assert tree.n_nodes == 3 and tree.threshold[0] == 2.5
+        assert tree.value[1:].tolist() == [0.5, 0.5 + 1e-7]
+        assert grow(X6, np.full(6, 0.5 + 1e-7), criterion="variance").n_nodes == 1
+
     def test_gain_is_sse_decrease(self):
         tree = grow(X6, Y6, criterion="variance", max_depth=1)
         # parent SSE 6*0.25=1.5; children are pure: decrease is 1.5

@@ -10,6 +10,13 @@ with repeated rows.
 The column-bincount grower (`bincount_grow_tree`) takes the encoded
 matrix and row weights, as `trees.grow_tree` does, but every node
 bincounts all of a column's distinct values.
+
+Both keep the purity test that `trees.grow_tree` replaced: a node is pure
+when its SSE, computed as a BLAS dot less s^2/n, is at most 1e-12. On 0/1
+labels that is the test that both classes are present; on real targets
+it can call a node pure whose targets differ, which `trees.grow_tree`
+splits, so the growers agree on real targets only where no node's
+targets differ by so little.
 """
 
 from __future__ import annotations
