@@ -14,16 +14,17 @@ configs produce byte-identical output files.
 The WiFi scans are built as an ``ingest.WifiScans`` table, a block of
 slots per user at a time, and written by ``WifiScans.lines``, the
 encoder of cleaned.jsonl; no object is made per scan. The radio model
-is computed only on the cells within a router's reach, though every
-noise draw is made. Each slot's Bluetooth contacts come from a sweep
-along x over the sorted users, so only pairs within a band of
-``bt_range_m`` are measured. The sightings are an
+is computed only on the cells within a router's reach, and device noise
+is drawn only for the cells a scan hears. Each slot's Bluetooth
+contacts come from a sweep along x over the sorted users, so only pairs
+within a band of ``bt_range_m`` are measured. The sightings are an
 ``ingest.BluetoothSightings`` table in log order, written by
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
 formats; truth rows are written as JSON text. ``generate`` returns the
 scans and the truth, and ``calibrate_stats`` (``--stats``) reads no file:
 from the world config it computes the row of each user's scan at each
-truth slot, counts overlaps with ``WifiScans.common``, draws at most
+truth slot, counts overlaps with ``WifiScans.common`` on only the rows
+that a block of dyads reads, put in bssid order, draws at most
 ``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream, and
 tests the two samples on one ``evaluation.class_counts``.
 
@@ -90,6 +91,8 @@ FIXED = {
 
 # calibrate_stats draws at most this many distant dyads, from this seed
 DISTANT_PAIRS, STATS_SEED = 20000, 0
+# and counts the overlaps of this many dyads at a time
+_DYAD_BLOCK = 8192
 
 
 @dataclass(frozen=True)
@@ -746,11 +749,13 @@ def wifi_scans(
     layout's, so an entry's bssid and ssid codes are both its router's
     index. A scan lists its routers by descending RSSI, then by bssid.
     Work is vectorized over fixed blocks of slots: the candidate router
-    set is looked up once per block, and the device noise is drawn for
-    the whole block at once. The radio model is then evaluated only on
-    the cells within reach of their router at the block's peak field
-    (``_squared_reach``), a squared-distance test. Every noise draw is
-    still made, so each stream is consumed as if every cell were computed.
+    set is looked up once per block, and the radio model is evaluated
+    only on the cells within reach of their router at the block's peak
+    field (``_squared_reach``), a squared-distance test. Whether a cell
+    is heard depends on the shared shadowing field alone; the user's
+    device-noise stream then draws one value per heard cell, in
+    slot-then-router order, so the noise moves RSSIs and never which
+    routers a scan hears.
     """
     # beyond this mean-path distance a router cannot clear the floor
     margin = 4.0 * cfg.noise_sigma_db
@@ -781,7 +786,6 @@ def wifi_scans(
             cand = np.nonzero(d_center <= cutoff + spread)[0]
             if len(cand) == 0:
                 continue
-            noise = rng.normal(0.0, cfg.device_noise_sigma_db, (s1 - s0, len(cand)))
             dx = chunk[:, 0][:, None] - rpos[cand, 0][None, :]
             dy = chunk[:, 1][:, None] - rpos[cand, 1][None, :]
             t, j = np.nonzero(dx * dx + dy * dy <= reach2[cand, s0 // block])
@@ -792,8 +796,9 @@ def wifi_scans(
             base = mean_rssi + field[cand[j], s0 + t]
             visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
             t, j, base = t[visible], j[visible], base[visible]
+            # one device-noise draw per heard cell, in slot-then-router order;
             # sensitivity-limited readings pile up at the floor
-            rssi = np.rint(base + noise[t, j])
+            rssi = np.rint(base + rng.normal(0.0, cfg.device_noise_sigma_db, len(t)))
             rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
             # whole dBm, truncated as int() does a fractional floor
             router, level = cand[j], rssi.astype(np.int64)
@@ -893,6 +898,19 @@ def generate(
     return scans, _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
 
 
+def _overlaps(scans: WifiScans, dyads: np.ndarray) -> np.ndarray:
+    """The number of routers that rows dyads[0, i] and dyads[1, i] of scans
+    share, for every i. A block of dyads at a time, only the rows the block
+    reads are put in bssid order, as ``WifiScans.common`` needs them."""
+    counts = [np.zeros(0, dtype=np.int64)]
+    for lo in range(0, dyads.shape[1], _DYAD_BLOCK):
+        block = dyads[:, lo:lo + _DYAD_BLOCK]
+        rows, local = np.unique(block, return_inverse=True)
+        pair = scans.take(rows).by_bssid().common(*local.reshape(block.shape))[0]
+        counts.append(np.bincount(pair, minlength=block.shape[1]))
+    return np.concatenate(counts)
+
+
 def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> dict:
     """APs-per-scan moments, the share of empty scans, and the AP overlap
     (``WifiScans.common``) of truly proximate dyads against random distant
@@ -918,16 +936,15 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
     at = (np.arange(cfg.n_users)[:, None] * cfg.n_slots
           + (np.array(slots, dtype=np.int64) - cfg.start_ts) // cfg.scan_period_s)
 
-    table = scans.by_bssid()
     close = [(code[ua], code[ub], k) for k, slot in enumerate(slots)
              for ua, ub, _ in truth.proximity[slot]]
     ua, ub, k = np.array(close, dtype=np.int64).reshape(-1, 3).T
-    proximate = np.bincount(table.common(at[ua, k], at[ub, k])[0], minlength=len(k))
+    near = np.array((at[ua, k], at[ub, k]))  # (2, dyads): each side's row
 
     seen = set(close)
     # the (dyad, slot) triples that a draw can accept: those not in the truth
     n_acceptable = len(slots) * math.comb(cfg.n_users, 2) - len(seen)
-    want = min(DISTANT_PAIRS, max(200, len(proximate))) if n_acceptable else 0
+    want = min(DISTANT_PAIRS, max(200, len(close))) if n_acceptable else 0
     rng = np.random.default_rng([STATS_SEED, 7])
     drawn: list[tuple[int, int]] = []
     for _ in range(20 * DISTANT_PAIRS):
@@ -939,8 +956,8 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
         k = int(rng.choice(len(slots)))
         if (ua, ub, k) not in seen:
             drawn.append((at[ua, k], at[ub, k]))
-    a, b = np.array(drawn, dtype=np.int64).reshape(-1, 2).T
-    distant = np.bincount(table.common(a, b)[0], minlength=len(a))
+    proximate = _overlaps(scans, near)
+    distant = _overlaps(scans, np.array(drawn, dtype=np.int64).reshape(-1, 2).T)
 
     for name, counts in (("proximate", proximate), ("distant", distant)):
         out[f"{name}_overlap_mean"] = float(counts.mean()) if len(counts) else 0.0

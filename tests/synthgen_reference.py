@@ -4,7 +4,8 @@ that `synthgen.generate` replaced, kept as the reference they are
 compared with.
 
 `wifi_scan_rows` yields one dict per scan and evaluates the radio model
-on every (slot, candidate router) cell; `bluetooth_and_truth` measures
+on every (slot, candidate router) cell, drawing a device-noise value for
+each visible one; `bluetooth_and_truth` measures
 every user pair in every slot and keeps each user's sightings as a list
 of (ts, peer id, rssi) tuples; `write_bluetooth_and_truth` groups them
 into dict rows. Every dict row is encoded with `json.dumps` and compact
@@ -102,9 +103,11 @@ def wifi_scan_rows(
 ) -> Iterator[dict]:
     """Per-user scan rows, user-major then time-major.
 
-    Work is vectorized over runs of slots that share an anchor: the
-    candidate router set is looked up once per run, then distances and
-    shadowing noise are drawn for the whole run at once.
+    Work is vectorized over fixed blocks of slots: the candidate router
+    set is looked up once per block, and the radio model is evaluated on
+    every (slot, candidate router) cell of the block. The device noise is
+    drawn once per visible cell, in row-major (slot, router) order, from
+    the user's own stream.
     """
     # beyond this mean-path distance a router cannot clear the floor
     margin = 4.0 * cfg.noise_sigma_db
@@ -144,10 +147,11 @@ def wifi_scan_rows(
             )
             base = mean_rssi + field[cand, s0:s1].T
             visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
-            # sensitivity-limited readings pile up at the floor
-            rssi = np.rint(
-                base + rng.normal(0.0, cfg.device_noise_sigma_db, d.shape)
-            )
+            # one device-noise draw per visible cell, in row-major (t, j)
+            # order; sensitivity-limited readings pile up at the floor
+            noise = np.zeros(d.shape)
+            noise[visible] = rng.normal(0.0, cfg.device_noise_sigma_db, int(visible.sum()))
+            rssi = np.rint(base + noise)
             rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
             for t in range(s0, s1):
                 row = np.nonzero(visible[t - s0])[0]

@@ -591,16 +591,19 @@ def empty_ssids(rows):
     return rows
 
 
+# edits of a wifi.jsonl's rows that leave a log ingest accepts
+ACCEPTED_EDITS = {
+    "upper_case_bssids": upper_case_every_other_bssid,
+    "every_line_doubled": lambda rows: [row for row in rows for _ in range(2)],
+    "empty_aps_every_third_line": empty_aps_every_third_line,
+    "odd_user_ids": rename_two_users,
+    "ts_at_both_ends": ts_at_both_ends,
+    "empty_ssids": empty_ssids,
+}
+
+
 class TestAcceptedLogsRunToReport:
-    @pytest.mark.parametrize("edit", [
-        upper_case_every_other_bssid,
-        lambda rows: [row for row in rows for _ in range(2)],
-        empty_aps_every_third_line,
-        rename_two_users,
-        ts_at_both_ends,
-        empty_ssids,
-    ], ids=["upper_case_bssids", "every_line_doubled", "empty_aps_every_third_line",
-            "odd_user_ids", "ts_at_both_ends", "empty_ssids"])
+    @pytest.mark.parametrize("edit", ACCEPTED_EDITS.values(), ids=ACCEPTED_EDITS)
     def test_every_stage_exits_zero(self, tmp_path, workdir, edit):
         """A wifi.jsonl that ingest accepts runs from clean to report."""
         src, base = workdir
@@ -685,10 +688,24 @@ class TestDrawnWorldsRunToReport:
 # sightings over its first quarter, so that candidates come both with
 # and without a sighting
 @st.composite
-def log_line(draw, key: str, entry, span: int, user=users) -> str:
+def log_doc(draw, key: str, entry, span: int, user=users) -> dict:
     ts = often(st.integers(0, span).map(lambda s: 1580515200 + s), st.sampled_from(TIMES))
-    doc = {"user": draw(user), "ts": draw(ts), key: draw(st.lists(entry, max_size=4))}
-    return perturbed(draw, doc, key)
+    return {"user": draw(user), "ts": draw(ts), key: draw(st.lists(entry, max_size=4))}
+
+
+@st.composite
+def log_line(draw, key: str, entry, span: int, user=users) -> str:
+    return perturbed(draw, draw(log_doc(key, entry, span, user)), key)
+
+
+@st.composite
+def edited_wifi_log(draw) -> list[str]:
+    """Drawn wifi rows put through some of ACCEPTED_EDITS, in a drawn
+    order, and then written and perturbed."""
+    rows = draw(st.lists(log_doc("aps", ap, 3599), min_size=100, max_size=200))
+    for name in draw(st.lists(st.sampled_from(list(ACCEPTED_EDITS)), unique=True)):
+        rows = ACCEPTED_EDITS[name](rows)
+    return [perturbed(draw, row, "aps") for row in rows]
 
 
 # a Bluetooth log whose sightings all link a user with "b0", who never scans:
@@ -710,7 +727,7 @@ def names(line: str) -> set:
 class TestDrawnLogsRunToReport:
     @settings(max_examples=10, derandomize=True, deadline=None,
               suppress_health_check=[HealthCheck.function_scoped_fixture])
-    @given(wifi=st.lists(log_line("aps", ap, 3599), min_size=100, max_size=200),
+    @given(wifi=edited_wifi_log(),
            bluetooth=st.one_of(st.lists(log_line("seen", sighting, 900), min_size=20,
                                         max_size=60), relayed_logs),
            absent=st.sets(st.sampled_from(USERS[:4]), max_size=1))
@@ -720,7 +737,9 @@ class TestDrawnLogsRunToReport:
         over a handful of users: each stage from clean to report, with
         3-tree gbt, exits 0, or exits 3 or 4 with one line and leaves its
         directory as it was. Some logs are relayed_logs, and the
-        users in absent never appear in bluetooth.jsonl."""
+        users in absent never appear in bluetooth.jsonl. The wifi rows
+        go through some of the accepted-log edits before they are
+        perturbed."""
         monkeypatch.setitem(models.DEFAULT_GBT_PARAMS, "n_trees", 3)
         with tempfile.TemporaryDirectory(dir=tmp_path) as name:
             d = Path(name)

@@ -431,6 +431,13 @@ class TestGeneratedFiles:
         cfg, _, scans, truth = generated
         assert calibrate_stats(cfg, scans, truth) == TINY_WORLD_STATS
 
+    @pytest.mark.parametrize("block", [1, 7, 1280])
+    def test_calibration_stats_do_not_depend_on_the_dyad_block(self, generated, monkeypatch,
+                                                               block):
+        cfg, _, scans, truth = generated
+        monkeypatch.setattr(synthgen, "_DYAD_BLOCK", block)
+        assert calibrate_stats(cfg, scans, truth) == TINY_WORLD_STATS
+
     def test_calibration_stats_sane(self, generated):
         cfg, _, scans, truth = generated
         stats = calibrate_stats(cfg, scans, truth)
@@ -508,8 +515,10 @@ def calibrated_p(x, y) -> float:
         assert len(a) == len(counts)
         return (np.repeat(np.arange(len(a)), counts),)
 
+    # calibrate_stats reads each sample's rows through take and by_bssid
+    table = SimpleNamespace(by_bssid=lambda: SimpleNamespace(common=common))
     scans = SimpleNamespace(offsets=np.arange(2 * n_slots + 1), users=["a", "b"],
-                            by_bssid=lambda: SimpleNamespace(common=common))
+                            take=lambda rows: table)
     truth = SimpleNamespace(proximity={k * 300: [("a", "b", -60)] if k < len(x) else []
                                        for k in range(n_slots)})
     cfg = SimpleNamespace(n_users=2, n_slots=n_slots, start_ts=0, scan_period_s=300)
@@ -648,6 +657,61 @@ def test_generated_logs_match_the_reference(tmp_path, cfg):
     assert truth == reference
     for name in names:
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
+
+
+def heard(scans):
+    """The bssid codes of every scan's entries, in code order within a scan."""
+    return scans.bssid[np.lexsort((scans.bssid, scans.entry_rows()))]
+
+
+@settings(max_examples=30, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(cfg=small_worlds)
+def test_device_noise_never_decides_what_a_scan_hears(tmp_path, cfg):
+    """A world generated without device noise and with 6 dB of it hears
+    the same routers in every scan: the noise moves RSSIs only."""
+    paths = [tmp_path / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
+    quiet, loud = (generate(replace(cfg, device_noise_sigma_db=sigma), *paths)[0]
+                   for sigma in (0.0, 6.0))
+    assert np.array_equal(quiet.offsets, loud.offsets)
+    assert np.array_equal(heard(quiet), heard(loud))
+
+
+class CountedNormals:
+    """A Generator that counts the values its normal draws."""
+
+    def __init__(self, rng):
+        self.rng, self.drawn = rng, 0
+
+    def normal(self, *args, **kwargs):
+        values = self.rng.normal(*args, **kwargs)
+        self.drawn += np.size(values)
+        return values
+
+
+@pytest.mark.parametrize("cfg", [
+    WorldConfig(seed=7, n_users=24, n_routers=80, days=2, n_buildings=2, n_venues=2,
+                area_m=1200.0),
+    WorldConfig(days=1, seed=3),
+], ids=["tiny", "town"])
+def test_device_noise_is_drawn_once_per_heard_cell(monkeypatch, cfg):
+    """Each user's device-noise stream draws one value per entry of that
+    user's scans, and none for the cells a scan does not hear."""
+    world = synthgen._world(cfg)
+    streams: dict[int, CountedNormals] = {}
+    substream = synthgen._substream
+
+    def counted(seed, *tags):
+        rng = substream(seed, *tags)
+        if tags[0] == synthgen._STREAM_WIFI_NOISE:
+            rng = streams[tags[1]] = CountedNormals(rng)
+        return rng
+
+    monkeypatch.setattr(synthgen, "_substream", counted)
+    layout, user_ids, positions, phases = world
+    scans = synthgen.wifi_scans(cfg, layout, positions, user_ids, phases)
+    entries = np.bincount(scans.user[scans.entry_rows()], minlength=cfg.n_users)
+    assert [streams[u].drawn for u in range(cfg.n_users)] == entries.tolist()
 
 
 def assert_bluetooth_lines_round_trip(cfg):
