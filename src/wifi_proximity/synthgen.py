@@ -11,13 +11,14 @@ the proximity ground truth.
 Everything is driven by named substreams of one seed, so identical
 configs produce byte-identical output files.
 
-The WiFi scans are built as an ``ingest.WifiScans`` table, a block of
-slots per user at a time, and written by ``WifiScans.lines``, the
-encoder of cleaned.jsonl; no object is made per scan. The radio model
-is computed only on the cells within a router's reach, and device noise
-is drawn only for the cells a scan hears. Each slot's Bluetooth
-contacts come from a sweep along x over the sorted users, so only pairs
-within a band of ``bt_range_m`` are measured. The sightings are an
+The WiFi scans are built as an ``ingest.WifiScans`` table, a user at a
+time, and written by ``WifiScans.lines``, the encoder of cleaned.jsonl;
+no object is made per scan. The radio model is computed only on the
+(slot, router) pairs that a uniform grid of the routers' reach boxes,
+one per block of slots, puts near each other, and device noise is drawn
+only for the cells a scan hears. Each slot's Bluetooth contacts come
+from a sweep along x over the sorted users, so only pairs within a band
+of ``bt_range_m`` are measured. The sightings are an
 ``ingest.BluetoothSightings`` table in log order, written by
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
 formats; truth rows are written as JSON text. ``generate`` returns the
@@ -93,6 +94,12 @@ FIXED = {
 DISTANT_PAIRS, STATS_SEED = 20000, 0
 # and counts the overlaps of this many dyads at a time
 _DYAD_BLOCK = 8192
+
+# wifi_scans' reach grids: the side of a cell, in metres, which _reach_grid
+# doubles while a grid would hold more than _GRID_BUDGET cells and entries
+# per router
+_CELL_M = 32.0
+_GRID_BUDGET = 256
 
 
 @dataclass(frozen=True)
@@ -736,6 +743,48 @@ def _squared_reach(cfg: WorldConfig, field: np.ndarray) -> np.ndarray:
         return np.maximum(reach, 1.0) ** 2 * (1.0 + 1e-6)
 
 
+def _cells(x: np.ndarray, origin, cell, n) -> np.ndarray:
+    """The grid column or row of each coordinate x, as a float, clipped to
+    [0, n): a point off the grid takes the nearest cell, and an infinite
+    coordinate an end cell. Each rounded step is monotone, so a point
+    between two others lies in a cell between theirs."""
+    return np.clip(np.floor((x - origin) / cell), 0, n - 1)
+
+
+def _reach_grid(rpos: np.ndarray, reach2: np.ndarray, origin: np.ndarray,
+                extent: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """A uniform grid from origin over extent, and the routers whose reach
+    box touches each cell: (cell side, cells per axis, routers per cell,
+    routers). Cell ``row * nx + column`` holds the next run of routers, in
+    index order.
+
+    A box reaches a little further than sqrt(reach2), by more than the
+    rounding of the squared-distance test and of the box's own edges, so
+    a slot within reach of a router lies, by _cells' monotonicity, in a
+    cell of its box. The cell side starts at _CELL_M and doubles while the
+    grid would hold more than _GRID_BUDGET cells and entries per router,
+    which also bounds a grid whose reaches overflow to inf.
+    """
+    half = (np.sqrt(reach2) * (1.0 + 1e-9) + 1e-9 * np.abs(rpos).max())[:, None]
+    cell = _CELL_M
+    while True:
+        n = extent // cell + 1
+        lo = _cells(rpos - half, origin, cell, n)
+        width = _cells(rpos + half, origin, cell, n) - lo + 1
+        if n[0] * n[1] + (width[:, 0] * width[:, 1]).sum() <= _GRID_BUDGET * len(rpos):
+            break
+        cell *= 2
+    n, lo, width = n.astype(np.int64), lo.astype(np.int64), width.astype(np.int64)
+    count = width[:, 0] * width[:, 1]
+    router = np.repeat(np.arange(len(rpos), dtype=np.int32), count)
+    lo, width = np.repeat(lo, count, axis=0), np.repeat(width[:, 0], count)
+    k = np.arange(len(router)) - np.repeat(np.cumsum(count) - count, count)
+    key = (lo[:, 1] + k // width) * n[0] + lo[:, 0] + k % width
+    # stable, so that each cell keeps its routers in index order
+    order = np.argsort(key, kind="stable")
+    return cell, n, np.bincount(key, minlength=n[0] * n[1]), router[order]
+
+
 def wifi_scans(
     cfg: WorldConfig,
     layout: Layout,
@@ -748,16 +797,26 @@ def wifi_scans(
     User codes are user indices; the bssid and ssid tables are the
     layout's, so an entry's bssid and ssid codes are both its router's
     index. A scan lists its routers by descending RSSI, then by bssid.
-    Work is vectorized over fixed blocks of slots: the candidate router
-    set is looked up once per block, and the radio model is evaluated
-    only on the cells within reach of their router at the block's peak
-    field (``_squared_reach``), a squared-distance test. Whether a cell
-    is heard depends on the shared shadowing field alone; the user's
-    device-noise stream then draws one value per heard cell, in
-    slot-then-router order, so the noise moves RSSIs and never which
-    routers a scan hears.
+
+    The slots fall in fixed blocks of 64. In a block, a slot hears a
+    router only if two tests pass: the router lies within its reach at
+    its peak field over the block (``_squared_reach``), a squared-distance
+    test; and it lies within ``cutoff + spread`` of the block's centre,
+    spread being the user's furthest slot from that centre. ``cutoff`` is
+    the distance at which the mean path loss leaves a router 4 sigma of
+    shadowing under the floor. A larger shadowing would lift a router
+    beyond it over the floor, so the second test truncates the model: it
+    drops some routers that lie beyond ``cutoff`` from every slot of the
+    block, and which ones depends on the block's spread. Each block's
+    grid (``_reach_grid``) holds its routers' reach boxes, each slot looks
+    up the routers of its cell, and the tests and the radio model are
+    computed only on those (slot, router) pairs. Whether a cell is heard
+    depends on the shared shadowing field alone; the user's device-noise
+    stream then draws one value per heard cell, in slot-then-router
+    order, so the noise moves RSSIs and never which routers a scan hears.
     """
-    # beyond this mean-path distance a router cannot clear the floor
+    # cutoff: where the mean path loss leaves a router margin under the
+    # floor; not a bound on what can be heard (see the docstring)
     margin = 4.0 * cfg.noise_sigma_db
     # a float64 overflows to inf, where a float would raise, at a tiny exponent
     with np.errstate(over="ignore"):
@@ -770,44 +829,70 @@ def wifi_scans(
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
         0.0, cfg.noise_sigma_db, (len(rpos), n_slots)
     )
-    rows, routers, levels = ([np.zeros(0, np.int64)] for _ in range(3))
     block = 64
+    block_starts = range(0, n_slots, block)
     # (router, block): the squared reach at the block's peak field
-    reach2 = _squared_reach(cfg, np.maximum.reduceat(field, range(0, n_slots, block), axis=1))
+    reach2 = _squared_reach(cfg, np.maximum.reduceat(field, block_starts, axis=1))
+    slot_block = np.arange(n_slots) // block
+    # (user, block): the block's centre, and cutoff + spread
+    center = np.stack([positions[:, s0:s0 + block].mean(axis=1) for s0 in block_starts], axis=1)
+    limit = cutoff + np.maximum.reduceat(
+        np.hypot(*np.moveaxis(positions - center[:, slot_block], -1, 0)), block_starts, axis=1)
+
+    # every block's grid, in one table of the routers of each cell; a
+    # slot's cell is key0 + row * nx + column, with its block's key0
+    origin = rpos.min(axis=0)
+    extent = rpos.max(axis=0) - origin
+    cells, shapes, counts, members = zip(*(
+        _reach_grid(rpos, reach2[:, b], origin, extent) for b in range(len(block_starts))))
+    cell = np.array(cells)[slot_block, None]
+    shape = np.array(shapes)[slot_block]
+    key0 = np.cumsum([0] + [nx * ny for nx, ny in shapes])[slot_block]
+    first = np.cumsum(np.concatenate([[0], *counts]))
+    members = np.concatenate(members)
+    del counts
+
+    rx, ry = rpos.T.copy()
+    rows, routers, levels = ([np.zeros(0, np.int64)] for _ in range(3))
     for uidx in range(cfg.n_users):
         rng = _substream(cfg.seed, _STREAM_WIFI_NOISE, uidx)
         pos = positions[uidx]
-        for s0 in range(0, n_slots, block):
-            s1 = min(n_slots, s0 + block)
-            chunk = pos[s0:s1]
-            center = chunk.mean(axis=0)
-            spread = np.max(np.hypot(*(chunk - center).T))
-            d_center = np.hypot(*(rpos - center).T)
-            cand = np.nonzero(d_center <= cutoff + spread)[0]
-            if len(cand) == 0:
-                continue
-            dx = chunk[:, 0][:, None] - rpos[cand, 0][None, :]
-            dy = chunk[:, 1][:, None] - rpos[cand, 1][None, :]
-            t, j = np.nonzero(dx * dx + dy * dy <= reach2[cand, s0 // block])
-            d = np.hypot(dx[t, j], dy[t, j])
-            mean_rssi = cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(
-                np.maximum(d, 1.0)
-            )
-            base = mean_rssi + field[cand[j], s0 + t]
-            visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
-            t, j, base = t[visible], j[visible], base[visible]
-            # one device-noise draw per heard cell, in slot-then-router order;
-            # sensitivity-limited readings pile up at the floor
-            rssi = np.rint(base + rng.normal(0.0, cfg.device_noise_sigma_db, len(t)))
-            rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
-            # whole dBm, truncated as int() does a fractional floor
-            router, level = cand[j], rssi.astype(np.int64)
-            # a scan's routers are distinct, so this order is total; _bssid
-            # names routers in index order, so the index orders by bssid
-            order = np.lexsort((router, -level, t))
-            rows.append(uidx * n_slots + s0 + t[order])
-            routers.append(router[order])
-            levels.append(level[order])
+        xy = _cells(pos, origin, cell, shape).astype(np.int64)
+        key = key0 + xy[:, 1] * shape[:, 0] + xy[:, 0]
+        count = first[key + 1] - first[key]
+        # slot after slot, each slot's routers in index order
+        t = np.repeat(np.arange(n_slots), count)
+        router = members[np.arange(len(t)) + np.repeat(first[key] - np.cumsum(count) + count,
+                                                       count)]
+        dx, dy = pos[t, 0] - rx[router], pos[t, 1] - ry[router]
+        near = np.flatnonzero(dx * dx + dy * dy <= reach2[router, slot_block[t]])
+        t, router = t[near], router[near]
+        mean_rssi = cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(
+            np.maximum(np.hypot(dx[near], dy[near]), 1.0)
+        )
+        base = mean_rssi + field[router, t]
+        visible = np.flatnonzero(np.rint(base) >= cfg.wifi_detect_floor_dbm)
+        t, router, base = t[visible], router[visible], base[visible]
+        b = slot_block[t]
+        cx, cy = center[uidx].T
+        within = np.flatnonzero(np.hypot(rx[router] - cx[b], ry[router] - cy[b])
+                                <= limit[uidx, b])
+        t, router, base = t[within], router[within], base[within]
+        # one device-noise draw per heard cell, in slot-then-router order;
+        # sensitivity-limited readings pile up at the floor
+        rssi = np.rint(base + rng.normal(0.0, cfg.device_noise_sigma_db, len(t)))
+        rssi = np.clip(rssi, cfg.wifi_detect_floor_dbm, -1.0)
+        # whole dBm, truncated as int() does a fractional floor
+        level = rssi.astype(np.int64)
+        # by slot, then descending level: -level lies in [1, -RSSI_MIN], and
+        # a stable sort keeps the routers of a tie in index order, which is
+        # bssid order, as _bssid names them; a scan's routers are distinct,
+        # so the order is total
+        order = np.argsort(t * (1 - RSSI_MIN) - level, kind="stable")
+        rows.append(uidx * n_slots + t[order])
+        routers.append(router[order])
+        levels.append(level[order])
+    del first, members
 
     n_rows = cfg.n_users * n_slots
     offsets = np.zeros(n_rows + 1, dtype=np.int64)
@@ -953,7 +1038,7 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
         ua, ub = sorted(rng.integers(0, cfg.n_users, 2).tolist())
         if ua == ub:
             continue
-        k = int(rng.choice(len(slots)))
+        k = int(rng.integers(len(slots)))
         if (ua, ub, k) not in seen:
             drawn.append((at[ua, k], at[ub, k]))
     proximate = _overlaps(scans, near)

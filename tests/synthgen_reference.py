@@ -109,12 +109,15 @@ def wifi_scan_rows(
     drawn once per visible cell, in row-major (slot, router) order, from
     the user's own stream.
     """
-    # beyond this mean-path distance a router cannot clear the floor
+    # a router beyond cutoff + spread of the block's centre is not heard in
+    # the block, though a shadowing above margin would lift it over the floor
     margin = 4.0 * cfg.noise_sigma_db
-    cutoff = 10.0 ** (
-        (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
-        / (10.0 * cfg.path_loss_exponent)
-    )
+    # a float64 overflows to inf, where a float would raise, at a tiny exponent
+    with np.errstate(over="ignore"):
+        cutoff = np.float64(10.0) ** (
+            (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
+            / (10.0 * cfg.path_loss_exponent)
+        )
     rpos = layout.router_pos
     n_slots = cfg.n_slots
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(

@@ -572,8 +572,10 @@ def empty_aps_every_third_line(rows):
 
 
 def rename_two_users(rows):
-    """One user id that is not ASCII, and one ending in a NUL."""
-    names = {"u000": "u\u00e9000", "u001": "u001\x00"}
+    """The first two users of the rows take new ids: the first one that is
+    not ASCII (u000 becomes u\u00e9000), the second one ending in a NUL."""
+    first, *second = list(dict.fromkeys(row["user"] for row in rows))[:2]
+    names = {first: first[:1] + "\u00e9" + first[1:], **{u: u + "\x00" for u in second}}
     for row in rows:
         row["user"] = names.get(row["user"], row["user"])
     return rows

@@ -109,10 +109,7 @@ class TestWorldConfig:
         assert (positions[:, night] == layout.home_pos[:, None]).all()
 
     def test_a_tiny_path_loss_exponent_generates(self, tmp_path):
-        # every router is heard at p0, however far: the reach overflows
-        cfg = WorldConfig(seed=1, n_users=4, n_routers=12, days=1, scan_period_s=3600,
-                          n_buildings=2, n_venues=2, area_m=1200.0, path_loss_exponent=1e-9,
-                          noise_sigma_db=0.0, device_noise_sigma_db=0.0)
+        cfg = INFINITE_REACH
         paths = [tmp_path / name for name in ("w.jsonl", "b.jsonl", "t.jsonl")]
         generate(cfg, *paths)
         scans = parse_wifi_log(iter_jsonl(paths[0]), strict=True).records
@@ -595,6 +592,60 @@ class TestEmptyArea:
         assert by_count > 0
 
 
+# Worlds at the edges of wifi_scans' reach grids (synthgen._reach_grid);
+# test_the_grid_worlds_reach_their_edges checks that each still does.
+# every router is heard at p0, however far: each reach overflows to inf
+INFINITE_REACH = WorldConfig(seed=1, n_users=4, n_routers=12, days=1, scan_period_s=3600,
+                             n_buildings=2, n_venues=2, area_m=1200.0, path_loss_exponent=1e-9,
+                             noise_sigma_db=0.0, device_noise_sigma_db=0.0)
+# home routers alone, on a 64 m site grid: routers, and users at home, lie
+# on corners of the 32 m cells, which start at the routers' lower left
+ON_CELL_CORNERS = WorldConfig(seed=0, n_users=6, n_routers=6, days=1, scan_period_s=1800,
+                              campus_fraction=0.0, n_venues=0, area_m=320.0,
+                              site_pitch_m=64.0)
+# sites 1 km apart: a user out walking leaves the routers' bounding box,
+# and either hears a router from outside it or logs an empty scan
+OFF_THE_GRID = WorldConfig(seed=5, n_users=4, n_routers=20, days=1, scan_period_s=300,
+                           n_buildings=1, n_venues=0, area_m=5000.0, site_pitch_m=1000.0)
+# no shadowing, so the cutoff lies where the mean level is the floor,
+# 29.17 m; a neighbour's router 30 m away is heard at rint(-90.24) = -90
+# dBm, but not in a block that the user spends at home: there the
+# cutoff + spread rule drops it
+BEYOND_THE_CUTOFF = WorldConfig(seed=0, n_users=4, n_routers=12, days=1, scan_period_s=300,
+                                n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-60.7,
+                                path_loss_exponent=2.0, wifi_detect_floor_dbm=-90.0,
+                                noise_sigma_db=0.0, device_noise_sigma_db=0.0)
+
+
+def test_the_grid_worlds_reach_their_edges():
+    """Each world above is still an example of its edge."""
+    assert np.isinf(synthgen._squared_reach(INFINITE_REACH, np.zeros(1))).all()
+
+    layout, _, positions, _ = synthgen._world(ON_CELL_CORNERS)
+
+    def on_corners(xy):
+        return (np.mod(xy - layout.router_pos.min(axis=0), synthgen._CELL_M) == 0).all(axis=-1)
+
+    assert on_corners(layout.router_pos).sum() >= 2 and on_corners(positions).sum() >= 50
+
+    cfg = OFF_THE_GRID
+    layout, user_ids, positions, phases = synthgen._world(cfg)
+    lo, hi = layout.router_pos.min(axis=0), layout.router_pos.max(axis=0)
+    outside = ((positions < lo) | (positions > hi)).any(axis=-1).ravel()
+    scans = synthgen.wifi_scans(cfg, layout, positions, user_ids, phases)
+    assert (np.diff(scans.offsets)[outside] > 0).any()
+    assert (np.diff(scans.offsets)[outside] == 0).any()
+
+    cfg = BEYOND_THE_CUTOFF
+    layout, _, positions, _ = synthgen._world(cfg)
+    cutoff = 10.0 ** ((cfg.p0_dbm - cfg.wifi_detect_floor_dbm) / (10.0 * cfg.path_loss_exponent))
+    home = positions[:, 0]
+    assert (positions[:, :64] == home[:, None]).all()  # the first block, at home
+    d = np.hypot(*(home[:, None] - layout.router_pos).transpose(2, 0, 1))
+    level = np.rint(cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(d, 1.0)))
+    assert ((d > cutoff) & (level >= cfg.wifi_detect_floor_dbm)).any()
+
+
 # Small worlds: few users and routers and one day of slots of 5 minutes
 # to an hour (the schedules need a slot an hour at least), so that each
 # example generates in well under a second.
@@ -624,9 +675,10 @@ small_worlds = st.builds(
 # no router is ever heard: every scan is empty
 @example(cfg=WorldConfig(seed=1, n_users=4, n_routers=12, days=1, scan_period_s=1800,
                          n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-200.0))
-# sites 1 km apart, so that a user out walking logs empty scans
-@example(cfg=WorldConfig(seed=5, n_users=4, n_routers=20, days=1, scan_period_s=300,
-                         n_buildings=1, n_venues=0, area_m=5000.0, site_pitch_m=1000.0))
+@example(cfg=OFF_THE_GRID)
+@example(cfg=INFINITE_REACH)
+@example(cfg=ON_CELL_CORNERS)
+@example(cfg=BEYOND_THE_CUTOFF)
 # every reading clips to -1 dBm, so a scan's RSSIs all tie
 @example(cfg=WorldConfig(seed=2, n_users=5, n_routers=20, days=1, scan_period_s=1800,
                          n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=60.0,
@@ -814,3 +866,41 @@ def test_every_heard_cell_lies_within_reach(p0, exponent, floor, seed):
     assert heard.any()
     reach2 = synthgen._squared_reach(cfg, field)
     assert ((dx * dx + dy * dy)[heard] <= reach2[heard]).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(1, 40),
+       span=st.sampled_from([0.0, 64.0, 1e3, 1e6]),
+       reach=st.sampled_from([1.0, 40.0, 300.0, 1e4, math.inf]))
+@example(seed=0, n=12, span=1e6, reach=math.inf)
+def test_a_reach_grid_lists_each_router_in_the_cell_of_every_point_within_reach(
+        seed, n, span, reach):
+    """Points on and a few ulps either side of the edges of the routers'
+    reach, and points off the grid: each router within reach of a point,
+    by wifi_scans' squared-distance test, is listed in the point's cell.
+    Each cell lists its routers in index order, and the grid keeps to
+    its budget."""
+    rng = np.random.default_rng(seed)
+    # half of the routers on the corners of 32 m cells
+    rpos = rng.uniform(-span, span, (n, 2))
+    rpos[::2] = np.round(rpos[::2] / synthgen._CELL_M) * synthgen._CELL_M
+    reach2 = np.maximum(reach * rng.uniform(0.5, 1.5, n), 1.0) ** 2
+    r = np.where(np.isinf(reach2), span + 1e3, np.sqrt(reach2))
+    angle = rng.uniform(0.0, 2 * math.pi, (n, 8))
+    angle[:, :4] = np.arange(4) * math.pi / 2   # along the axes
+    edge = rpos[:, None] + r[:, None, None] * np.stack((np.cos(angle), np.sin(angle)), axis=-1)
+    points = np.concatenate([
+        (edge + rng.integers(-3, 4, edge.shape) * np.spacing(edge)).reshape(-1, 2),
+        rng.uniform(-3 * span - 1e3, 3 * span + 1e3, (50, 2))])
+
+    origin = rpos.min(axis=0)
+    cell, shape, counts, routers = synthgen._reach_grid(rpos, reach2, origin,
+                                                        rpos.max(axis=0) - origin)
+    assert shape.prod() + len(routers) <= synthgen._GRID_BUDGET * n
+    first = np.concatenate(([0], np.cumsum(counts)))
+    xy = synthgen._cells(points, origin, cell, shape).astype(np.int64)
+    for point, key in zip(points, xy[:, 1] * shape[0] + xy[:, 0]):
+        listed = routers[first[key]:first[key + 1]]
+        assert (np.diff(listed) > 0).all()
+        dx, dy = point[0] - rpos[:, 0], point[1] - rpos[:, 1]
+        assert np.isin(np.flatnonzero(dx * dx + dy * dy <= reach2), listed).all()
