@@ -30,8 +30,9 @@ It counts popularity as the number of sightings that are their user's
 first in the window, with two binary searches per distinct (router,
 time) query (``_WindowPopularity``). The per-pair functions
 (``extract_features`` and its parts) are the reference it matches bit
-for bit. Both add the correlations' products with numpy's own sums: a
-BLAS dot adds in the order of the kernel OpenBLAS picks for the CPU.
+for bit. Both take a correlation from exact integer sums of the RSSIs,
+or of doubled ranks (``_pearson_of_sums``), so no summation order or
+CPU kernel moves a bit.
 """
 
 from __future__ import annotations
@@ -115,25 +116,38 @@ def ap_presence(view: OverlapView) -> tuple[int, int, int, float]:
 # ---------------------------------------------------------------------------
 
 def _average_ranks(x: np.ndarray) -> np.ndarray:
+    """Twice x's 1-based average ranks (ties share their mean), as integers."""
     order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
+    ranks = np.empty(len(x), dtype=np.int64)
     sx = x[order]
     i = 0
     while i < len(x):
         j = i
         while j + 1 < len(x) and sx[j + 1] == sx[i]:
             j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
+        ranks[order[i:j + 1]] = i + j + 2
         i = j + 1
     return ranks
 
 
+def _pearson_of_sums(n, sa, sb, sab, saa, sbb):
+    """Pearson's r of integer vectors a and b of n entries from their sums
+    Σa, Σb, Σab, Σa² and Σb², elementwise over int64 arrays, or over Python
+    ints where int64 would overflow. cov = n·Σab − Σa·Σb, va = n·Σa² − (Σa)²
+    and vb alike are exact, so r = cov / √(va·vb) depends on no sum's order,
+    and collinear vectors give exactly ±1 while cov, va and vb lie below
+    2**53. NaN where va·vb is 0."""
+    cov, va, vb = (np.asarray(n * sxy - sx * sy).astype(float)
+                   for sxy, sx, sy in ((sab, sa, sb), (saa, sa, sa), (sbb, sb, sb)))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        r = np.clip(cov / np.sqrt(va * vb), -1.0, 1.0)
+    return np.where(va * vb == 0.0, np.nan, r)
+
+
 def _pearson_coefficient(a: np.ndarray, b: np.ndarray) -> float:
-    da, db = a - a.mean(), b - b.mean()
-    denom = math.sqrt(float((da * da).sum()) * float((db * db).sum()))
-    if denom == 0.0:
-        return math.nan
-    return float(min(1.0, max(-1.0, (da * db).sum() / denom)))
+    """Pearson's r of two integer vectors, from Python-int sums."""
+    a, b = a.astype(object), b.astype(object)
+    return float(_pearson_of_sums(len(a), *(x.sum() for x in (a, b, a * b, a * a, b * b))))
 
 
 def _half_beta_factors(k: np.ndarray) -> np.ndarray:
@@ -227,10 +241,8 @@ def rssi_correlations(view: OverlapView, alpha: float = DEFAULT_ALPHA):
     n = view.size
     if n < 3:
         return None, None
-    a = np.array([r_a for _, r_a, _ in view.common], dtype=float)
-    b = np.array([r_b for _, _, r_b in view.common], dtype=float)
-    if np.all(a == a[0]) or np.all(b == b[0]):
-        return None, None
+    a = np.array([r_a for _, r_a, _ in view.common], dtype=np.int64)
+    b = np.array([r_b for _, _, r_b in view.common], dtype=np.int64)
     pearson = _pearson_coefficient(a, b)
     spearman = _pearson_coefficient(_average_ranks(a), _average_ranks(b))
 
@@ -439,7 +451,7 @@ _BLOCK_PAIRS = 2048
 
 
 def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """_average_ranks within each owner's entries; ties share the mean rank.
+    """_average_ranks (doubled, as integers) within each owner's entries.
 
     The values are RSSIs, int16 widened to int64, so value - RSSI_MIN
     lies in [0, 2**16) and one sort of owner * 2**16 + that orders the
@@ -456,25 +468,9 @@ def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray
     run_start = np.maximum.accumulate(np.where(new_run, pos, 0))
     run_last = np.flatnonzero(np.append(new_run[1:], True))
     run_end = run_last[np.cumsum(new_run) - 1]
-    ranks = np.empty(len(order))
-    ranks[order] = 0.5 * ((run_start - owner_start) + (run_end - owner_start)) + 1.0
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = (run_start - owner_start) + (run_end - owner_start) + 2
     return ranks
-
-
-def _pearson_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """_pearson_coefficient of every row pair of two (k, n) matrices.
-
-    Each sum of products is numpy's own reduction along a row of length
-    n, which adds in the order that ``(da * db).sum()`` does on one row,
-    so each row rounds exactly as the per-pair function does, on any CPU.
-    """
-    n = a.shape[1]
-    da = a - (a.sum(axis=1) / n)[:, None]
-    db = b - (b.sum(axis=1) / n)[:, None]
-    denom = np.sqrt((da * da).sum(axis=1) * (db * db).sum(axis=1))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r = np.clip((da * db).sum(axis=1) / denom, -1.0, 1.0)
-    return np.where(denom == 0.0, np.nan, r)
 
 
 def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
@@ -489,19 +485,22 @@ def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
 
 
 def _correlation_columns(cp, ra, rb, overlap, alpha):
-    """(spearman, pearson) per pair, NaN where rssi_correlations gives None."""
+    """(spearman, pearson) per pair, NaN where rssi_correlations gives None:
+    _pearson_of_sums of the doubled ranks and of the RSSIs, each sum one
+    segment sum over a pair's run of common entries. The sums are Python
+    ints in a block whose top overlap n could overflow int64: each n·sum
+    is at most n²·m², m the larger of the top doubled rank 2n and 2**15."""
+    n = overlap[overlap > 0]
+    starts = np.cumsum(n) - n
+    vectors = [_average_ranks_by_owner(cp, ra), _average_ranks_by_owner(cp, rb), ra, rb]
+    top = int(n.max(initial=0))
+    if top ** 2 * max(2 * top, -RSSI_MIN) ** 2 >= 2 ** 63:
+        n, vectors = n.astype(object), [v.astype(object) for v in vectors]
     r = np.full((2, len(overlap)), np.nan)  # spearman, pearson
-    rank_a = _average_ranks_by_owner(cp, ra)
-    rank_b = _average_ranks_by_owner(cp, rb)
-    starts = np.cumsum(overlap) - overlap
-    for n in np.unique(overlap[overlap >= 3]).tolist():
-        pairs = np.flatnonzero(overlap == n)
-        idx = starts[pairs][:, None] + np.arange(n)
-        a, b = ra[idx].astype(float), rb[idx].astype(float)
-        varied = (a.min(axis=1) != a.max(axis=1)) & (b.min(axis=1) != b.max(axis=1))
-        pairs, idx = pairs[varied], idx[varied]
-        r[0, pairs] = _pearson_rows(rank_a[idx], rank_b[idx])
-        r[1, pairs] = _pearson_rows(a[varied], b[varied])
+    for row, (a, b) in enumerate((vectors[:2], vectors[2:])):
+        sums = [np.add.reduceat(x, starts) for x in (a, b, a * b, a * a, b * b)]
+        r[row, overlap > 0] = _pearson_of_sums(n, *sums)
+    r[:, overlap < 3] = np.nan
     return _significant_rows(r, overlap, alpha)
 
 

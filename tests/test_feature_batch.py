@@ -1,13 +1,15 @@
 """The batch feature kernel against the per-pair reference, bit for bit."""
 
 import json
+import math
 import re
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from wifi_proximity import fileio
 from wifi_proximity.cli import main
@@ -19,13 +21,13 @@ from wifi_proximity.features import (
     PopularityIndexError,
     _WindowPopularity,
     _pearson_coefficient,
-    _pearson_rows,
     extract_feature_matrix,
     extract_features,
+    rssi_correlations,
 )
 from wifi_proximity.ingest import WifiScans as ScanTable, month_key, parse_wifi_log
 from wifi_proximity.pairing import CandidateTable
-from wifi_proximity.records import RSSI_MIN, TS_END, CandidatePair
+from wifi_proximity.records import RSSI_MIN, TS_END, CandidatePair, OverlapView
 
 from conftest import ap, mac, records_of, scan, to_array, world_conf
 from feature_reference import _WindowUsers
@@ -132,18 +134,83 @@ def test_overlap_sizes_from_0_to_32_match_per_pair():
     assert_bit_identical(got, want)
     overlaps = got[:, 0]
     assert {0, 1, 2}.issubset(overlaps) and overlaps.max() >= 16
-    # correlations are kept on some long overlaps: the blocked ddot path
+    # correlations are kept on some long overlaps
     assert not np.isnan(got[overlaps >= 16, 5]).all()
 
 
-def test_pearson_rows_round_as_the_per_pair_dot():
-    rng = np.random.default_rng(5)
-    for n in range(3, 41):
-        a = rng.integers(-95, -20, size=(150, n)).astype(float)
-        b = a + rng.integers(-9, 10, size=(150, n))
-        got = _pearson_rows(a, b)
-        want = np.array([_pearson_coefficient(x, y) for x, y in zip(a, b)])
-        assert np.array_equal(got.view(np.int64), want.view(np.int64)), n
+def correlation_columns(vectors):
+    """(spearman, pearson) columns of extract_feature_matrix for pairs whose
+    common routers read the given (a, b) RSSI vectors, router i reading
+    a[i] and b[i]."""
+    records = []
+    for a, b in vectors:
+        records += [scan("a", T0, [ap(i, int(r)) for i, r in enumerate(a)]),
+                    scan("b", T0, [ap(i, int(r)) for i, r in enumerate(b)])]
+    pairs = [(2 * k, 2 * k + 1, T0) for k in range(len(vectors))]
+    got = batch_matrix(records, pairs, {})
+    return got[:, FEATURE_NAMES.index("spearman")], got[:, FEATURE_NAMES.index("pearson")]
+
+
+@st.composite
+def rssi_vectors(draw):
+    """3 to 40 RSSIs, in a band narrow enough for ties or wide, not all equal."""
+    lo = draw(st.integers(-95, -22))
+    hi = draw(st.integers(lo + 1, min(lo + 60, -20)))
+    a = np.array(draw(st.lists(st.integers(lo, hi), min_size=3, max_size=40)))
+    assume(a.min() < a.max())
+    return a
+
+
+@given(rssi_vectors(), st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(0, 30))
+@settings(max_examples=200, deadline=None)
+def test_collinear_integer_rssis_correlate_exactly(a, slope, shift):
+    b = slope * a
+    b -= b.max() + shift  # an RSSI, at most 0
+    want = float(np.sign(slope))
+    assert _pearson_coefficient(a, b) == want
+    spearman, pearson = correlation_columns([(a, b)])
+    assert pearson[0] == want and spearman[0] == want
+
+
+@given(rssi_vectors(), st.randoms(use_true_random=False))
+@settings(max_examples=100, deadline=None)
+def test_permuting_the_common_routers_keeps_the_correlations_bits(a, random):
+    rng = np.random.default_rng(random.getrandbits(32))
+    b = a + rng.integers(-9, 10, size=len(a))
+    perm = rng.permutation(len(a))
+    bits = lambda r: np.float64(r).view(np.int64)
+    assert bits(_pearson_coefficient(a[perm], b[perm])) == bits(_pearson_coefficient(a, b))
+    got, want = correlation_columns([(a[perm], b[perm])]), correlation_columns([(a, b)])
+    assert np.array_equal(np.array(got).view(np.int64), np.array(want).view(np.int64))
+
+
+def exact_r(a, b) -> float:
+    """Pearson's r of two integer sequences from Python-int sums."""
+    a, b, n = [int(x) for x in a], [int(x) for x in b], len(a)
+    cov = n * sum(x * y for x, y in zip(a, b)) - sum(a) * sum(b)
+    va = n * sum(x * x for x in a) - sum(a) ** 2
+    vb = n * sum(y * y for y in b) - sum(b) ** 2
+    return float(cov) / math.sqrt(float(va) * float(vb))
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_pair_past_the_int64_bound_keeps_exact_sums():
+    # 100,000 routers at the RSSI extremes: the doubled ranks' variance term
+    # n·Σr² − (Σr)² is about 2.5e19, past int64's 9.2e18
+    n = 100_000
+    rng = np.random.default_rng(3)
+    a = np.where(rng.random(n) < 0.5, RSSI_MIN, 0)
+    b = np.where(rng.random(n) < 0.2, RSSI_MIN - a, a)
+    ranks = lambda x: (2 * rankdata(x)).astype(np.int64)
+    want = (exact_r(ranks(a), ranks(b)), exact_r(a, b))
+    assert 0.3 < want[1] < 0.9
+    view = OverlapView(common=tuple((mac(i), int(x), int(y))
+                                    for i, (x, y) in enumerate(zip(a, b))),
+                       only_a=0, only_b=0)
+    assert rssi_correlations(view) == want
+    assert _pearson_coefficient(a, b) == want[1]
+    spearman, pearson = correlation_columns([(a, b)])
+    assert (spearman[0], pearson[0]) == want
 
 
 def test_low_popularity_raises_as_per_pair():
