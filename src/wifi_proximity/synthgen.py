@@ -798,32 +798,17 @@ def wifi_scans(
     layout's, so an entry's bssid and ssid codes are both its router's
     index. A scan lists its routers by descending RSSI, then by bssid.
 
-    The slots fall in fixed blocks of 64. In a block, a slot hears a
-    router only if two tests pass: the router lies within its reach at
-    its peak field over the block (``_squared_reach``), a squared-distance
-    test; and it lies within ``cutoff + spread`` of the block's centre,
-    spread being the user's furthest slot from that centre. ``cutoff`` is
-    the distance at which the mean path loss leaves a router 4 sigma of
-    shadowing under the floor. A larger shadowing would lift a router
-    beyond it over the floor, so the second test truncates the model: it
-    drops some routers that lie beyond ``cutoff`` from every slot of the
-    block, and which ones depends on the block's spread. Each block's
-    grid (``_reach_grid``) holds its routers' reach boxes, each slot looks
-    up the routers of its cell, and the tests and the radio model are
-    computed only on those (slot, router) pairs. Whether a cell is heard
-    depends on the shared shadowing field alone; the user's device-noise
-    stream then draws one value per heard cell, in slot-then-router
-    order, so the noise moves RSSIs and never which routers a scan hears.
+    A slot hears every router that the radio model puts at or over the
+    floor. The slots fall in fixed blocks of 64, and a router can be
+    heard only inside its reach at its peak field over the block
+    (``_squared_reach``). Each block's grid (``_reach_grid``) holds its
+    routers' reach boxes, each slot looks up the routers of its cell, and
+    the reach test and the radio model are computed only on those (slot,
+    router) pairs. Whether a cell is heard depends on the shared
+    shadowing field alone; the user's device-noise stream then draws one
+    value per heard cell, in slot-then-router order, so the noise moves
+    RSSIs and never which routers a scan hears.
     """
-    # cutoff: where the mean path loss leaves a router margin under the
-    # floor; not a bound on what can be heard (see the docstring)
-    margin = 4.0 * cfg.noise_sigma_db
-    # a float64 overflows to inf, where a float would raise, at a tiny exponent
-    with np.errstate(over="ignore"):
-        cutoff = np.float64(10.0) ** (
-            (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
-            / (10.0 * cfg.path_loss_exponent)
-        )
     rpos = layout.router_pos
     n_slots = cfg.n_slots
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
@@ -834,10 +819,6 @@ def wifi_scans(
     # (router, block): the squared reach at the block's peak field
     reach2 = _squared_reach(cfg, np.maximum.reduceat(field, block_starts, axis=1))
     slot_block = np.arange(n_slots) // block
-    # (user, block): the block's centre, and cutoff + spread
-    center = np.stack([positions[:, s0:s0 + block].mean(axis=1) for s0 in block_starts], axis=1)
-    limit = cutoff + np.maximum.reduceat(
-        np.hypot(*np.moveaxis(positions - center[:, slot_block], -1, 0)), block_starts, axis=1)
 
     # every block's grid, in one table of the routers of each cell; a
     # slot's cell is key0 + row * nx + column, with its block's key0
@@ -873,11 +854,6 @@ def wifi_scans(
         base = mean_rssi + field[router, t]
         visible = np.flatnonzero(np.rint(base) >= cfg.wifi_detect_floor_dbm)
         t, router, base = t[visible], router[visible], base[visible]
-        b = slot_block[t]
-        cx, cy = center[uidx].T
-        within = np.flatnonzero(np.hypot(rx[router] - cx[b], ry[router] - cy[b])
-                                <= limit[uidx, b])
-        t, router, base = t[within], router[within], base[within]
         # one device-noise draw per heard cell, in slot-then-router order;
         # sensitivity-limited readings pile up at the floor
         rssi = np.rint(base + rng.normal(0.0, cfg.device_noise_sigma_db, len(t)))

@@ -4,8 +4,8 @@ that `synthgen.generate` replaced, kept as the reference they are
 compared with.
 
 `wifi_scan_rows` yields one dict per scan and evaluates the radio model
-on every (slot, candidate router) cell, drawing a device-noise value for
-each visible one; `bluetooth_and_truth` measures
+on every (slot, router) cell, with no pruning, drawing a device-noise
+value for each visible one; `bluetooth_and_truth` measures
 every user pair in every slot and keeps each user's sightings as a list
 of (ts, peer id, rssi) tuples; `write_bluetooth_and_truth` groups them
 into dict rows. Every dict row is encoded with `json.dumps` and compact
@@ -103,21 +103,12 @@ def wifi_scan_rows(
 ) -> Iterator[dict]:
     """Per-user scan rows, user-major then time-major.
 
-    Work is vectorized over fixed blocks of slots: the candidate router
-    set is looked up once per block, and the radio model is evaluated on
-    every (slot, candidate router) cell of the block. The device noise is
-    drawn once per visible cell, in row-major (slot, router) order, from
-    the user's own stream.
+    Work is vectorized over fixed blocks of slots, and the radio model is
+    evaluated on every (slot, router) cell of the block: a scan hears
+    each router that the model puts at or over the floor. The device
+    noise is drawn once per visible cell, in row-major (slot, router)
+    order, from the user's own stream.
     """
-    # a router beyond cutoff + spread of the block's centre is not heard in
-    # the block, though a shadowing above margin would lift it over the floor
-    margin = 4.0 * cfg.noise_sigma_db
-    # a float64 overflows to inf, where a float would raise, at a tiny exponent
-    with np.errstate(over="ignore"):
-        cutoff = np.float64(10.0) ** (
-            (cfg.p0_dbm - (cfg.wifi_detect_floor_dbm - margin))
-            / (10.0 * cfg.path_loss_exponent)
-        )
     rpos = layout.router_pos
     n_slots = cfg.n_slots
     field = _substream(cfg.seed, _STREAM_WIFI_FIELD).normal(
@@ -127,28 +118,19 @@ def wifi_scan_rows(
     for uidx in range(cfg.n_users):
         rng = _substream(cfg.seed, _STREAM_WIFI_NOISE, uidx)
         pos = positions[uidx]
-        # fixed-size slot blocks: one candidate lookup covers the block
         out: list[tuple[int, list[tuple[str, str, int]]]] = []
         block = 64
         for s0 in range(0, n_slots, block):
             s1 = min(n_slots, s0 + block)
             chunk = pos[s0:s1]
-            center = chunk.mean(axis=0)
-            spread = np.max(np.hypot(*(chunk - center).T)) if s1 > s0 else 0.0
-            d_center = np.hypot(*(rpos - center).T)
-            cand = np.nonzero(d_center <= cutoff + spread)[0]
-            if len(cand) == 0:
-                for t in range(s0, s1):
-                    out.append((t, []))
-                continue
             d = np.hypot(
-                chunk[:, 0][:, None] - rpos[cand, 0][None, :],
-                chunk[:, 1][:, None] - rpos[cand, 1][None, :],
+                chunk[:, 0][:, None] - rpos[:, 0][None, :],
+                chunk[:, 1][:, None] - rpos[:, 1][None, :],
             )
             mean_rssi = cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(
                 np.maximum(d, 1.0)
             )
-            base = mean_rssi + field[cand, s0:s1].T
+            base = mean_rssi + field[:, s0:s1].T
             visible = np.rint(base) >= cfg.wifi_detect_floor_dbm
             # one device-noise draw per visible cell, in row-major (t, j)
             # order; sensitivity-limited readings pile up at the floor
@@ -159,7 +141,7 @@ def wifi_scan_rows(
             for t in range(s0, s1):
                 row = np.nonzero(visible[t - s0])[0]
                 aps = [
-                    (layout.router_bssid[cand[j]], layout.router_ssid[cand[j]], int(rssi[t - s0, j]))
+                    (layout.router_bssid[j], layout.router_ssid[j], int(rssi[t - s0, j]))
                     for j in row
                 ]
                 aps.sort(key=lambda item: (-item[2], item[0]))

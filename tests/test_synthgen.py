@@ -607,10 +607,10 @@ ON_CELL_CORNERS = WorldConfig(seed=0, n_users=6, n_routers=6, days=1, scan_perio
 # and either hears a router from outside it or logs an empty scan
 OFF_THE_GRID = WorldConfig(seed=5, n_users=4, n_routers=20, days=1, scan_period_s=300,
                            n_buildings=1, n_venues=0, area_m=5000.0, site_pitch_m=1000.0)
-# no shadowing, so the cutoff lies where the mean level is the floor,
+# no shadowing, so the cutoff, where the mean level is the floor, lies at
 # 29.17 m; a neighbour's router 30 m away is heard at rint(-90.24) = -90
-# dBm, but not in a block that the user spends at home: there the
-# cutoff + spread rule drops it
+# dBm, in the first block too, which the user spends at home: a scan
+# hears what the radio model says, however little its block's slots spread
 BEYOND_THE_CUTOFF = WorldConfig(seed=0, n_users=4, n_routers=12, days=1, scan_period_s=300,
                                 n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-60.7,
                                 path_loss_exponent=2.0, wifi_detect_floor_dbm=-90.0,
@@ -637,13 +637,17 @@ def test_the_grid_worlds_reach_their_edges():
     assert (np.diff(scans.offsets)[outside] == 0).any()
 
     cfg = BEYOND_THE_CUTOFF
-    layout, _, positions, _ = synthgen._world(cfg)
+    layout, user_ids, positions, phases = synthgen._world(cfg)
     cutoff = 10.0 ** ((cfg.p0_dbm - cfg.wifi_detect_floor_dbm) / (10.0 * cfg.path_loss_exponent))
     home = positions[:, 0]
     assert (positions[:, :64] == home[:, None]).all()  # the first block, at home
     d = np.hypot(*(home[:, None] - layout.router_pos).transpose(2, 0, 1))
     level = np.rint(cfg.p0_dbm - 10.0 * cfg.path_loss_exponent * np.log10(np.maximum(d, 1.0)))
     assert ((d > cutoff) & (level >= cfg.wifi_detect_floor_dbm)).any()
+    scans = synthgen.wifi_scans(cfg, layout, positions, user_ids, phases)
+    user, slot = np.divmod(scans.entry_rows(), cfg.n_slots)
+    first = slot < 64
+    assert (d[user[first], scans.bssid[first]] > cutoff).any()
 
 
 # Small worlds: few users and routers and one day of slots of 5 minutes
@@ -714,6 +718,23 @@ def test_generated_logs_match_the_reference(tmp_path, cfg):
 def heard(scans):
     """The bssid codes of every scan's entries, in code order within a scan."""
     return scans.bssid[np.lexsort((scans.bssid, scans.entry_rows()))]
+
+
+@settings(max_examples=30, deadline=None)
+@given(cfg=small_worlds)
+@example(cfg=BEYOND_THE_CUTOFF)
+def test_a_scan_hears_the_same_routers_wherever_the_rest_of_its_block_lies(cfg):
+    """Moving every user's last slot of the first block 1 km away leaves
+    the routers that each earlier slot of the block hears unchanged."""
+    layout, user_ids, positions, phases = synthgen._world(cfg)
+    last = min(64, cfg.n_slots) - 1
+    moved = positions.copy()
+    moved[:, last, 0] += 1000.0
+    kept = (np.arange(cfg.n_users * cfg.n_slots) % cfg.n_slots < last).nonzero()[0]
+    here, there = (synthgen.wifi_scans(cfg, layout, p, user_ids, phases).take(kept)
+                   for p in (positions, moved))
+    assert np.array_equal(here.offsets, there.offsets)
+    assert np.array_equal(heard(here), heard(there))
 
 
 @settings(max_examples=30, deadline=None,
@@ -823,8 +844,8 @@ def test_a_bt_level_below_the_rssi_range_clips_to_rssi_min(tmp_path):
 
 
 def test_scans_with_no_router_in_reach_match_the_reference():
-    """Blocks of slots spent far outside the town, where no router is a
-    candidate, give empty scans, as the per-scan writer's do."""
+    """Blocks of slots spent far outside the town, where no router is in
+    reach, give empty scans, as the per-scan writer's do."""
     cfg = WorldConfig(seed=4, n_users=3, n_routers=10, days=1, n_buildings=1,
                       n_venues=1, area_m=1200.0)
     layout, user_ids, positions, phases = synthgen._world(cfg)
