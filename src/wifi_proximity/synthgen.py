@@ -18,14 +18,16 @@ no object is made per scan. The radio model is computed only on the
 one per block of slots, puts near each other, and device noise is drawn
 only for the cells a scan hears. Each slot's Bluetooth contacts come
 from a sweep along x over the sorted users, so only pairs within a band
-of ``bt_range_m`` are measured. The sightings are an
+of ``bt_range_m`` are measured; the rest of the Bluetooth model runs
+once over all slots' pairs. The sightings are an
 ``ingest.BluetoothSightings`` table in log order, written by
 ``BluetoothSightings.lines``, so ``ingest`` alone knows both logs'
-formats; truth rows are written as JSON text. ``generate`` returns the
-scans and the truth, and ``calibrate_stats`` (``--stats``) reads no file:
-from the world config it computes the row of each user's scan at each
-truth slot, counts overlaps with ``WifiScans.common`` on only the rows
-that a block of dyads reads, put in bssid order, draws at most
+formats. The truth is columns of (slot, user a, user b, distance), its
+rows written as JSON text. ``generate`` returns the scans and the
+truth, and ``calibrate_stats`` (``--stats``) reads no file: from the
+world config it computes the row of each user's scan at each truth
+slot, counts overlaps with ``WifiScans.common`` on only the rows that a
+block of dyads reads, put in bssid order, draws at most
 ``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream, and
 tests the two samples on one ``evaluation.class_counts``.
 
@@ -234,10 +236,15 @@ class Layout:
 
 @dataclass
 class GroundTruth:
-    """True homes and per-slot close-proximity pairs (distance in meters)."""
+    """True homes, and every pair of users within Bluetooth range at a
+    slot as four columns in (slot, a, b) order: the slot's start ts, the
+    user indices a < b, and their distance in metres, unrounded."""
 
     homes: dict[str, str]
-    proximity: dict[int, list[tuple[str, str, float]]]
+    ts: np.ndarray
+    a: np.ndarray
+    b: np.ndarray
+    distance: np.ndarray
 
 
 def _substream(seed: int, *tags: int) -> np.random.Generator:
@@ -687,46 +694,42 @@ def bluetooth_and_truth(
     positions: np.ndarray,
     user_ids: list[str],
     phases: np.ndarray,
-) -> tuple[BluetoothSightings, dict[int, list[tuple[str, str, float]]]]:
-    """Scan-period Bluetooth detections plus the true proximity table.
+) -> tuple[BluetoothSightings, tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+    """Scan-period Bluetooth detections plus the true proximity pairs.
 
     For every slot, every ordered pair within bt_range_m yields a sighting
     with probability bt_detect_prob per direction; sighting RSSI decays
     log-linearly with distance and is clipped to [RSSI_MIN, -1]. All pairs
-    within range enter the truth table regardless of detection. The
-    sightings are a BluetoothSightings table in log order, coded by index
-    into user_ids.
+    within range enter the truth regardless of detection, as the columns
+    (slot ts, user a, user b, distance), a < b user indices, in (slot, a,
+    b) order. The sightings are a BluetoothSightings table in log order,
+    coded by index into user_ids. Only the pair search and the draws run
+    slot by slot: each slot's pairs draw their detections, then their
+    noise, as (pairs, 2) arrays from the one Bluetooth stream.
     """
     rng = _substream(cfg.seed, _STREAM_BLUETOOTH)
-    parts = [(np.zeros(0, np.int64),) * 4]  # per slot: user, peer, ts, rssi
-    proximity: dict[int, list[tuple[str, str, float]]] = {}
+    n_slots = positions.shape[1]
+    parts = []  # per slot: a, b, distance, detection draws, noise draws
+    for t in range(n_slots):
+        a, b, d = _close_pairs(positions[:, t], cfg.bt_range_m)
+        parts.append((a, b, d, rng.random((len(d), 2)),
+                      rng.normal(0.0, cfg.bt_noise_sigma_db, (len(d), 2))))
+    a, b, d, detect, noise = map(np.concatenate, zip(*parts))
+    slot_ts = cfg.start_ts + np.repeat(np.arange(n_slots, dtype=np.int64) * cfg.scan_period_s,
+                                       [len(part[2]) for part in parts])
 
-    for t in range(positions.shape[1]):
-        a_idx, b_idx, d = _close_pairs(positions[:, t], cfg.bt_range_m)
-        if not len(d):
-            continue
-        slot_ts = cfg.start_ts + t * cfg.scan_period_s
-        proximity[slot_ts] = [
-            (user_ids[a], user_ids[b], round(float(dd), 2))
-            for a, b, dd in zip(a_idx, b_idx, d)
-        ]
-        detect = rng.random((len(d), 2)) < cfg.bt_detect_prob
-        noise = rng.normal(0.0, cfg.bt_noise_sigma_db, (len(d), 2))
-        base = cfg.bt_rssi_at_1m - 10.0 * cfg.bt_path_exponent * np.log10(
-            np.maximum(d, 0.3)
-        )
-        level = np.clip(np.rint(base[:, None] + noise), RSSI_MIN, -1).astype(np.int64)
-        # in column 0 of detect and level a sees b, in column 1 b sees a
-        seer, seen = np.concatenate((a_idx, b_idx)), np.concatenate((b_idx, a_idx))
-        hit = detect.T.ravel()
-        parts.append((seer[hit], seen[hit], slot_ts + phases[seer[hit]], level.T.ravel()[hit]))
-    user, peer, ts, rssi = map(np.concatenate, zip(*parts))
+    base = cfg.bt_rssi_at_1m - 10.0 * cfg.bt_path_exponent * np.log10(np.maximum(d, 0.3))
+    level = np.clip(np.rint(base[:, None] + noise), RSSI_MIN, -1).astype(np.int64)
+    # in column 0 of detect and level a sees b, in column 1 b sees a
+    hit = (detect < cfg.bt_detect_prob).T.ravel()
+    user, peer = np.concatenate((a, b))[hit], np.concatenate((b, a))[hit]
+    ts = np.concatenate((slot_ts, slot_ts))[hit] + phases[user]
     # _user_id zero-pads the ids, so index order is string order and this
     # is log order: by user, then ts, then peer id
     order = np.lexsort((peer, ts, user))
     return BluetoothSightings(
         list(user_ids), user[order].astype(np.int32), peer[order].astype(np.int32),
-        ts[order], rssi[order].astype(np.int16)), proximity
+        ts[order], level.T.ravel()[hit][order].astype(np.int16)), (slot_ts, a, b, d)
 
 
 def _squared_reach(cfg: WorldConfig, field: np.ndarray) -> np.ndarray:
@@ -919,27 +922,27 @@ def _world(cfg: WorldConfig) -> tuple[Layout, list[str], np.ndarray, np.ndarray]
 
 
 def _write_truth(cfg: WorldConfig, layout: Layout, user_ids: list[str],
-                 proximity: dict[int, list[tuple[str, str, float]]],
-                 truth_path, cfg_hash: str) -> GroundTruth:
-    """Write the truth file and return the truth. Rows are built as JSON
-    text: each id is encoded once with json.dumps, and a distance with
-    repr, as json formats a float."""
-    quoted = {uid: json.dumps(uid) for uid in user_ids}
-    homes = {
-        user_ids[u]: layout.router_bssid[int(layout.home_router_idx[u])]
-        for u in range(cfg.n_users)
-    }
+                 pairs: tuple[np.ndarray, ...], truth_path, cfg_hash: str) -> GroundTruth:
+    """Write the truth file and return the truth, whose pairs are
+    bluetooth_and_truth's columns. Rows are built as JSON text: each id
+    is encoded once with json.dumps, and a distance as repr of Python's
+    round(d, 2), as json formats a float; one row per slot with a pair."""
+    truth = GroundTruth({user_ids[u]: layout.router_bssid[int(layout.home_router_idx[u])]
+                         for u in range(cfg.n_users)}, *pairs)
+    quoted = [json.dumps(uid) for uid in user_ids]
 
     def truth_rows() -> Iterator[str]:
-        for uid in user_ids:
-            yield f'{{"user":{quoted[uid]},"home_bssid":{json.dumps(homes[uid])}}}'
-        for ts in sorted(proximity):
-            pairs = ",".join(f"[{quoted[ua]},{quoted[ub]},{d!r}]"
-                             for ua, ub, d in sorted(proximity[ts]))
-            yield f'{{"ts":{ts},"pairs":[{pairs}]}}'
+        for u, uid in enumerate(user_ids):
+            yield f'{{"user":{quoted[u]},"home_bssid":{json.dumps(truth.homes[uid])}}}'
+        cells = [f"[{quoted[a]},{quoted[b]},{round(d, 2)!r}]" for a, b, d in
+                 zip(truth.a.tolist(), truth.b.tolist(), truth.distance.tolist())]
+        # each slot's run of pairs; a ts is never negative, so -1 marks both ends
+        bounds = np.flatnonzero(np.diff(truth.ts, prepend=-1, append=-1)).tolist()
+        for lo, hi in zip(bounds, bounds[1:]):
+            yield f'{{"ts":{int(truth.ts[lo])},"pairs":[{",".join(cells[lo:hi])}]}}'
 
     fileio.write_jsonl(truth_path, SCHEMA_GROUND_TRUTH, cfg_hash, truth_rows())
-    return GroundTruth(homes=homes, proximity=proximity)
+    return truth
 
 
 def generate(
@@ -952,11 +955,11 @@ def generate(
     """Simulate the world, write its WiFi, Bluetooth and truth files, return (scans, truth)."""
     cfg_hash = config_hash or fileio.config_hash({**asdict(cfg), **FIXED})
     layout, user_ids, positions, phases = _world(cfg)
-    sightings, proximity = bluetooth_and_truth(cfg, positions, user_ids, phases)
+    sightings, pairs = bluetooth_and_truth(cfg, positions, user_ids, phases)
     scans = wifi_scans(cfg, layout, positions, user_ids, phases)
     fileio.write_jsonl(wifi_path, SCHEMA_WIFI, cfg_hash, scans.lines())
     fileio.write_jsonl(bluetooth_path, SCHEMA_BLUETOOTH, cfg_hash, sightings.lines())
-    return scans, _write_truth(cfg, layout, user_ids, proximity, truth_path, cfg_hash)
+    return scans, _write_truth(cfg, layout, user_ids, pairs, truth_path, cfg_hash)
 
 
 def _overlaps(scans: WifiScans, dyads: np.ndarray) -> np.ndarray:
@@ -978,8 +981,8 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
     ones, with a one-sided Mann-Whitney p-value, of what generate returns
     for the world ``cfg``.
 
-    generate writes one scan per user and slot, user after user, and
-    _user_id names users in index order, so user u's scan at truth slot k
+    The truth's columns hold user indices, and generate writes one scan
+    per user and slot, user after user, so user u's scan at a truth slot
     is row ``u * cfg.n_slots + (slot - cfg.start_ts) // cfg.scan_period_s``.
     Distant dyads are drawn from default_rng([STATS_SEED, 7]), as many as
     the proximate ones but at least 200 and at most DISTANT_PAIRS, in at
@@ -991,21 +994,17 @@ def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> d
     out: dict = {"n_scans": len(arr), "mean_aps": float(arr.mean()),
                  "median_aps": float(np.median(arr)), "empty_fraction": float((arr == 0).mean())}
 
-    code = {uid: u for u, uid in enumerate(scans.users)}
-    slots = sorted(truth.proximity)
+    # the truth slots, and the number of each dyad's slot among them
+    slots, slot_of = np.unique(truth.ts, return_inverse=True)
     # at[u, k]: the row of user u's scan at slot k
     at = (np.arange(cfg.n_users)[:, None] * cfg.n_slots
-          + (np.array(slots, dtype=np.int64) - cfg.start_ts) // cfg.scan_period_s)
+          + (slots - cfg.start_ts) // cfg.scan_period_s)
+    near = np.array((at[truth.a, slot_of], at[truth.b, slot_of]))  # (2, dyads): each side's row
 
-    close = [(code[ua], code[ub], k) for k, slot in enumerate(slots)
-             for ua, ub, _ in truth.proximity[slot]]
-    ua, ub, k = np.array(close, dtype=np.int64).reshape(-1, 3).T
-    near = np.array((at[ua, k], at[ub, k]))  # (2, dyads): each side's row
-
-    seen = set(close)
+    seen = set(zip(truth.a.tolist(), truth.b.tolist(), slot_of.tolist()))
     # the (dyad, slot) triples that a draw can accept: those not in the truth
     n_acceptable = len(slots) * math.comb(cfg.n_users, 2) - len(seen)
-    want = min(DISTANT_PAIRS, max(200, len(close))) if n_acceptable else 0
+    want = min(DISTANT_PAIRS, max(200, len(slot_of))) if n_acceptable else 0
     rng = np.random.default_rng([STATS_SEED, 7])
     drawn: list[tuple[int, int]] = []
     for _ in range(20 * DISTANT_PAIRS):

@@ -13,7 +13,9 @@ separators (`encoded`). `generate` below writes the three raw logs from
 these three and from the parts of `synthgen` that did not change;
 `synthgen.generate`, which builds an `ingest.BluetoothSightings` table
 and writes it with `BluetoothSightings.lines`, must write the same bytes
-and return the same `GroundTruth`.
+and return the same truth: its homes, and its truth columns entry for
+entry as this `GroundTruth`'s per-slot lists, which hold each distance
+as `round(d, 2)`.
 
 `load_ground_truth` reads a written truth log back into a `GroundTruth`,
 for the tests that check it against the scans and the sightings.
@@ -22,7 +24,7 @@ for the tests that check it against the scans and the sightings.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
+from dataclasses import asdict, dataclass
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -33,11 +35,18 @@ from wifi_proximity.synthgen import (
     _STREAM_BLUETOOTH,
     _STREAM_WIFI_FIELD,
     _STREAM_WIFI_NOISE,
-    GroundTruth,
     Layout,
     WorldConfig,
     _substream,
 )
+
+
+@dataclass
+class GroundTruth:
+    """True homes and per-slot close-proximity pairs (distance in meters)."""
+
+    homes: dict[str, str]
+    proximity: dict[int, list[tuple[str, str, float]]]
 
 
 def encoded(rows: Iterable[dict]) -> Iterator[str]:

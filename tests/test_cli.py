@@ -254,14 +254,18 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 
-    def test_config_error(self, tmp_path):
+    def test_config_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.conf"
-        bad.write_text("train_size = 2.0\n")
-        assert run(["clean", "--dir", str(tmp_path), "--config", str(bad)]) == 4
-        assert run(["clean", "--dir", str(tmp_path),
-                    "--config", str(tmp_path / "missing.conf")]) == 4
-        bad.write_text("unknown_key = 1\n")
-        assert run(["clean", "--dir", str(tmp_path), "--config", str(bad)]) == 4
+        (tmp_path / "a_directory.conf").mkdir()
+        for path, text in [(bad, b"train_size = 2.0\n"), (tmp_path / "missing.conf", None),
+                           (bad, b"unknown_key = 1\n"), (bad, b"seed = 1\xff\n"),
+                           (tmp_path / "a_directory.conf", None)]:
+            if text is not None:
+                path.write_bytes(text)
+            capsys.readouterr()
+            assert run(["clean", "--dir", str(tmp_path), "--config", str(path)]) == 4, text
+            err = capsys.readouterr().err
+            assert err.startswith("config error: ") and err.count("\n") == 1, err
 
     def test_scan_period_that_does_not_divide_an_hour(self, tmp_path, capsys):
         conf = tmp_path / "c.conf"

@@ -250,7 +250,7 @@ class TestBluetoothAndTruth:
 
     def test_pinned_pair_always_detected(self):
         cfg, positions, phases = self.pinned_world()
-        sightings, proximity = synthgen.bluetooth_and_truth(
+        sightings, (ts, a, b, d) = synthgen.bluetooth_and_truth(
             cfg, positions, ["u0", "u1", "u2"], phases)
         sightings = self.by_user(sightings)
         assert len(sightings[0]) == cfg.n_slots
@@ -258,9 +258,8 @@ class TestBluetoothAndTruth:
         assert sightings[2] == []
         assert all(peer == "u1" for _, peer, _ in sightings[0])
         # truth records the pair with its true distance every slot
-        assert len(proximity) == cfg.n_slots
-        for ts, pairs in proximity.items():
-            assert pairs == [("u0", "u1", 5.0)]
+        assert ts.tolist() == [cfg.start_ts + k * cfg.scan_period_s for k in range(cfg.n_slots)]
+        assert (a == 0).all() and (b == 1).all() and (d == 5.0).all()
 
     def test_sightings_carry_the_observer_phase(self):
         cfg, positions, phases = self.pinned_world()
@@ -290,19 +289,30 @@ class TestBluetoothAndTruth:
     def test_detection_probability_thins_sightings(self):
         cfg, positions, phases = self.pinned_world()
         cfg2 = replace(cfg, bt_detect_prob=0.5)
-        sightings, proximity = synthgen.bluetooth_and_truth(
+        sightings, (ts, _, _, _) = synthgen.bluetooth_and_truth(
             cfg2, positions, ["u0", "u1", "u2"], phases)
         sightings = self.by_user(sightings)
         n = cfg2.n_slots
         assert 0.3 * n < len(sightings[0]) < 0.7 * n
-        assert len(proximity) == n  # truth is unaffected by detection
+        assert len(ts) == n  # truth is unaffected by detection
 
 
-def pair_intervals(truth: GroundTruth,
+def proximity_of(truth: GroundTruth,
+                 user_ids: list[str]) -> dict[int, list[tuple[str, str, float]]]:
+    """The truth columns as per-slot lists of (id a, id b, round(d, 2)),
+    the form of synthgen_reference's truth, in column order."""
+    out: dict[int, list[tuple[str, str, float]]] = {}
+    for ts, a, b, d in zip(truth.ts.tolist(), truth.a.tolist(), truth.b.tolist(),
+                           truth.distance.tolist()):
+        out.setdefault(ts, []).append((user_ids[a], user_ids[b], round(d, 2)))
+    return out
+
+
+def pair_intervals(proximity: dict[int, list[tuple[str, str, float]]],
                    period_s: int) -> dict[tuple[str, str], list[tuple[int, int]]]:
     """Merge per-slot proximity into [start, end) episodes per pair."""
     slots_by_pair: dict[tuple[str, str], list[int]] = {}
-    for ts, pairs in truth.proximity.items():
+    for ts, pairs in proximity.items():
         for ua, ub, _ in pairs:
             slots_by_pair.setdefault((ua, ub), []).append(ts)
     episodes: dict[tuple[str, str], list[tuple[int, int]]] = {}
@@ -328,8 +338,7 @@ class TestGroundTruthEpisodes:
             1600: [("a", "b", 2.0)],
             4000: [("a", "b", 2.0)],
         }
-        gt = GroundTruth(homes={}, proximity=proximity)
-        episodes = pair_intervals(gt, period_s=300)
+        episodes = pair_intervals(proximity, period_s=300)
         assert episodes[("a", "b")] == [(1000, 1900), (4000, 4300)]
 
 
@@ -382,11 +391,11 @@ class TestGeneratedFiles:
         assert homes == cfg.n_users
         assert slots > 0
 
-    def test_load_ground_truth_round_trip(self, world):
-        cfg, (_, _, truth_path), truth = world
+    def test_load_ground_truth_round_trip(self, generated):
+        _, (_, _, truth_path), scans, truth = generated
         loaded = load_ground_truth(truth_path)
         assert loaded.homes == truth.homes
-        assert loaded.proximity == truth.proximity
+        assert loaded.proximity == proximity_of(truth, scans.users)
 
     def test_load_ground_truth_rejects_a_line_that_is_not_utf8(self, world, tmp_path):
         _, (_, _, truth_path), _ = world
@@ -400,9 +409,9 @@ class TestGeneratedFiles:
         res = parse_bluetooth_log(iter_jsonl(bt), strict=True)
         assert len(res.records) and (res.records.peer >= 0).all()
 
-    def test_bluetooth_ts_within_dilated_truth(self, world):
-        cfg, (_, bt, _), truth = world
-        episodes = pair_intervals(truth, cfg.scan_period_s)
+    def test_bluetooth_ts_within_dilated_truth(self, generated):
+        cfg, (_, bt, _), scans, truth = generated
+        episodes = pair_intervals(proximity_of(truth, scans.users), cfg.scan_period_s)
         res = parse_bluetooth_log(iter_jsonl(bt), strict=True)
         for s in sightings_of(res.records):
             key = tuple(sorted((s.user, s.peer)))
@@ -448,7 +457,7 @@ class TestGeneratedFiles:
         cfg = WorldConfig(seed=0, n_users=2, n_routers=80, days=1, scan_period_s=3600,
                           n_buildings=2, n_venues=2, area_m=1200.0)
         scans, truth = generate(cfg, *(tmp_path / n for n in ("w.jsonl", "b.jsonl", "t.jsonl")))
-        assert [len(pairs) for pairs in truth.proximity.values()] == [1] * 5
+        assert np.unique(truth.ts, return_counts=True)[1].tolist() == [1] * 5
 
         class NoDraws:
             def __getattr__(self, name):
@@ -466,7 +475,7 @@ class TestGeneratedFiles:
         cfg = WorldConfig(seed=16, n_users=4, n_routers=80, days=1, scan_period_s=1800,
                           n_buildings=2, n_venues=2, area_m=1200.0)
         scans, truth = generate(cfg, *(tmp_path / n for n in ("w.jsonl", "b.jsonl", "t.jsonl")))
-        assert [len(pairs) for pairs in truth.proximity.values()] == [6]
+        assert np.unique(truth.ts, return_counts=True)[1].tolist() == [6]
         stats = calibrate_stats(cfg, scans, truth)
         assert (stats["n_proximate"], stats["n_distant"]) == (6, 0)
 
@@ -500,11 +509,11 @@ class TestOrders:
 
 def calibrated_p(x, y) -> float:
     """calibrate_stats' p-value for proximate overlaps x and distant ones
-    y, fed through stand-ins for the world, the scans and the truth: two
-    users with a scan at every slot, close at the first len(x) slots,
-    whose common APs number x at those and y at the drawn distant slots,
-    in order."""
-    n_slots = 5 * len(x) + 20  # most draws land on a distant slot
+    y, fed through stand-ins for the world, the scans and the truth: five
+    users with a scan at every slot, of whom users 0 and 1 are close at
+    each of the len(x) truth slots, whose common APs number x for those
+    dyads and y for the drawn distant ones, in order."""
+    n_users, n_slots = 5, len(x)  # most draws pick a distant dyad
     samples = iter([x, y])
 
     def common(a, b):
@@ -514,11 +523,10 @@ def calibrated_p(x, y) -> float:
 
     # calibrate_stats reads each sample's rows through take and by_bssid
     table = SimpleNamespace(by_bssid=lambda: SimpleNamespace(common=common))
-    scans = SimpleNamespace(offsets=np.arange(2 * n_slots + 1), users=["a", "b"],
-                            take=lambda rows: table)
-    truth = SimpleNamespace(proximity={k * 300: [("a", "b", -60)] if k < len(x) else []
-                                       for k in range(n_slots)})
-    cfg = SimpleNamespace(n_users=2, n_slots=n_slots, start_ts=0, scan_period_s=300)
+    scans = SimpleNamespace(offsets=np.arange(n_users * n_slots + 1), take=lambda rows: table)
+    truth = GroundTruth(homes={}, ts=np.arange(n_slots) * 300, a=np.zeros(n_slots, int),
+                        b=np.ones(n_slots, int), distance=np.ones(n_slots))
+    cfg = SimpleNamespace(n_users=n_users, n_slots=n_slots, start_ts=0, scan_period_s=300)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthgen, "DISTANT_PAIRS", len(y))  # so len(y) distant dyads are drawn
         stats = calibrate_stats(cfg, scans, truth)
@@ -700,17 +708,26 @@ small_worlds = st.builds(
                          n_buildings=2, n_venues=2, area_m=1200.0, p0_dbm=-60.0,
                          path_loss_exponent=2.0, wifi_detect_floor_dbm=-80.5,
                          noise_sigma_db=0.0, device_noise_sigma_db=0.0))
+# the tiny world and test_acceptance.py's test_09 world: a few thousand
+# truth entries each
+@example(cfg=WorldConfig(seed=7, n_users=24, n_routers=80, days=2, n_buildings=2,
+                         n_venues=2, area_m=1200.0))
+@example(cfg=WorldConfig(seed=3, n_users=40, n_routers=120, days=2, n_buildings=2,
+                         n_venues=2, area_m=1200.0))
 def test_generated_logs_match_the_reference(tmp_path, cfg):
     """The three raw logs are the bytes the per-scan writer and the
-    all-pairs Bluetooth search give, and so is the returned truth."""
+    all-pairs Bluetooth search give, and so is the returned truth: its
+    columns, as per-slot lists, hold the reference's slots, ids and
+    order, and its round(d, 2) distances."""
     got, want = tmp_path / "got", tmp_path / "want"
     for d in (got, want):
         d.mkdir(exist_ok=True)
     names = ("wifi.jsonl", "bluetooth.jsonl", "truth.jsonl")
-    _, truth = generate(cfg, *(got / n for n in names), config_hash="h")
+    scans, truth = generate(cfg, *(got / n for n in names), config_hash="h")
     reference = synthgen_reference.generate(cfg, *(want / n for n in names),
                                             config_hash="h")
-    assert truth == reference
+    assert truth.homes == reference.homes
+    assert list(proximity_of(truth, scans.users).items()) == list(reference.proximity.items())
     for name in names:
         assert (got / name).read_bytes() == (want / name).read_bytes(), name
 
