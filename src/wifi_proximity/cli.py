@@ -181,6 +181,9 @@ def stage_featurize(cfg: PipelineConfig, args, paths) -> int:
     h = cfg.data_hash()
     table = WifiScans.load(paths["scans"], h)
     cands = CandidateTable.load(paths["candidates"], h, len(table.ts))
+    if (cands.ts != np.minimum(table.ts[cands.row_a], table.ts[cands.row_b])).any():
+        raise DataError(f"{paths['candidates']}: a candidate's ts is not the earlier "
+                        "of its two scans' ts")
     home_map = _home_map(paths["homes"], h)
     X = extract_feature_matrix(
         table,

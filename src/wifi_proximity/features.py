@@ -8,10 +8,12 @@ adamic_adar), location (at_home, at_campus).
 Correlations are undefined with fewer than three common routers or when
 one side reads every signal at the same level, and are dropped when not
 statistically significant; such values stay missing until mean
-imputation, whose means come from training data only. Significance is a
-two-sided Student-t test, whose p-value ``two_sided_t_p`` computes in
-numpy from the incomplete beta function's continued fraction, as numpy is
-the package's one runtime dependency.
+imputation, whose means come from training data only. Significance is the
+two-sided Student-t test of the coefficient r over its n common routers,
+whose p-value ``correlation_p`` computes in numpy from r and n through the
+incomplete beta function's continued fraction, as numpy is the package's
+one runtime dependency; both feature paths keep a coefficient by one
+test, ``_significant_rows``.
 
 A router's popularity at an interaction is the number of distinct users
 who scanned it within ``popularity_window_s`` (``delta_t_s`` in the
@@ -45,6 +47,7 @@ import numpy as np
 from . import fileio
 from .fileio import DataError
 from .ingest import WifiScans, month_codes, month_key
+from .pairing import check_labeled_rows
 from .records import RSSI_MIN, CandidatePair, OverlapView, WifiScanRecord, intersect
 
 FEATURE_NAMES = [
@@ -187,48 +190,42 @@ def _beta_fraction(a: np.ndarray, b: np.ndarray, x: np.ndarray) -> np.ndarray:
     return fraction
 
 
-def two_sided_t_p(t, df) -> np.ndarray:
-    """P(|T| >= t) for Student's t with integer df >= 1, elementwise over
-    the broadcast of t >= 0 and df; NaN where t is NaN.
+def correlation_p(r, n) -> np.ndarray:
+    """The two-sided p-value of the t test of a correlation coefficient r
+    over n >= 3 points, P(|T| >= |r| sqrt(df / (1 - r^2))) for Student's t
+    with df = n - 2, elementwise over the broadcast of r and n; NaN where r
+    is NaN, 0 at |r| = 1.
 
-    With z = cos^2(theta) = df / (df + t^2), p is the regularized
-    incomplete beta I_z(df/2, 1/2). Its continued fraction is the upper
-    tail itself, so p keeps its relative precision however small it is.
-    That fraction converges fast only below z = (df + 2)/(df + 5), and
-    above it p is 1 - I_{1-z}(1/2, df/2) instead, whose fraction does;
-    there t < sqrt(3), so p > 0.08 and the subtraction costs little. Both
-    are sin(theta) cos^df(theta) / ((df/2) B(df/2, 1/2)) times their
-    fraction, the second also times df. Every step is elementwise, so a
-    value does not depend on what else is in the call.
+    With theta the angle whose sine is |r|, so that cos^2(theta) =
+    (1 - |r|)(1 + |r|) = df / (df + t^2), p is the regularized incomplete
+    beta I_{cos^2}(df/2, 1/2). Its continued fraction is the upper tail
+    itself, so p keeps its relative precision however small it is. That
+    fraction converges fast only below cos^2 = (df + 2)/(df + 5), and above
+    it p is 1 - I_{r^2}(1/2, df/2) instead, whose fraction does; there
+    t < sqrt(3), so p > 0.08 and the subtraction costs little. Both are
+    |r| cos^df(theta) / ((df/2) B(df/2, 1/2)) times their fraction, the
+    second also times df. Every step is elementwise, so a value does not
+    depend on what else is in the call.
     """
-    t, df = np.broadcast_arrays(np.asarray(t, dtype=float), np.asarray(df))
-    p = np.full(t.shape, np.nan)
-    ok = ~np.isnan(t)
-    t, k = t[ok], df[ok].astype(np.int64)
+    r, n = np.broadcast_arrays(np.asarray(r, dtype=float), np.asarray(n))
+    p = np.full(r.shape, np.nan)
+    ok = ~np.isnan(r)
+    sin, k = np.abs(r[ok]), n[ok].astype(np.int64) - 2
     kf = k.astype(float)
-    root = np.sqrt(kf)
-    far = t >= root
-    # tan or cot of theta, at most 1, so nothing overflows, even at t = inf
-    with np.errstate(divide="ignore"):
-        u = np.where(far, root / t, t / root)
-    w = np.sqrt(1.0 + u * u)
-    cos, sin = np.where(far, u, 1.0) / w, np.where(far, 1.0, u) / w
-    scale = _half_beta_factors(k) * sin * cos ** kf
-    tail = cos * cos < (kf + 2.0) / (kf + 5.0)
+    cos2 = (1.0 - sin) * (1.0 + sin)
+    scale = _half_beta_factors(k) * sin * np.power(cos2, kf / 2.0)
+    tail = cos2 < (kf + 2.0) / (kf + 5.0)
     half = kf / 2.0
     fraction = _beta_fraction(np.where(tail, half, 0.5), np.where(tail, 0.5, half),
-                              np.where(tail, cos * cos, sin * sin))
+                              np.where(tail, cos2, sin * sin))
     p[ok] = np.where(tail, scale * fraction, 1.0 - kf * scale * fraction)
     return p
 
 
-def _two_sided_p(r: float, n: int) -> float:
-    # t approximation with n-2 degrees of freedom; |r|=1 degenerates to p=0
-    df = n - 2
-    if 1.0 - r * r <= 0.0:
-        return 0.0
-    t = abs(r) * math.sqrt(df / (1.0 - r * r))
-    return float(two_sided_t_p(t, df))
+def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
+    """r where correlation_p says it is significant at alpha, else NaN; n,
+    each coefficient's overlap size, broadcasts against r."""
+    return np.where(correlation_p(r, n) < alpha, r, np.nan)
 
 
 def rssi_correlations(view: OverlapView, alpha: float = DEFAULT_ALPHA):
@@ -236,22 +233,17 @@ def rssi_correlations(view: OverlapView, alpha: float = DEFAULT_ALPHA):
 
     Either value is missing (None) when fewer than three routers overlap,
     when one side's readings have zero variance, or when the coefficient
-    is not significant at ``alpha``.
+    is not significant at ``alpha``: the test of _significant_rows, which
+    the batch kernel applies to its columns.
     """
     n = view.size
     if n < 3:
         return None, None
     a = np.array([r_a for _, r_a, _ in view.common], dtype=np.int64)
     b = np.array([r_b for _, _, r_b in view.common], dtype=np.int64)
-    pearson = _pearson_coefficient(a, b)
     spearman = _pearson_coefficient(_average_ranks(a), _average_ranks(b))
-
-    def significant(r):
-        if math.isnan(r) or _two_sided_p(r, n) >= alpha:
-            return None
-        return r
-
-    return significant(spearman), significant(pearson)
+    r = _significant_rows(np.array([spearman, _pearson_coefficient(a, b)]), n, alpha)
+    return tuple(None if math.isnan(x) else x for x in r.tolist())
 
 
 def rssi_distances(view: OverlapView) -> tuple[float, float]:
@@ -473,23 +465,14 @@ def _average_ranks_by_owner(owner: np.ndarray, values: np.ndarray) -> np.ndarray
     return ranks
 
 
-def _significant_rows(r: np.ndarray, n: np.ndarray, alpha: float) -> np.ndarray:
-    """r where _two_sided_p says it is significant at alpha, else NaN; n,
-    each pair's overlap size, broadcasts against r."""
-    df = n - 2
-    q = 1.0 - r * r
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.abs(r) * np.sqrt(df / q)  # inf at |r| = 1, where p is 0
-    p = two_sided_t_p(t, df)
-    return np.where(np.isnan(r) | (p >= alpha), np.nan, r)
-
-
 def _correlation_columns(cp, ra, rb, overlap, alpha):
     """(spearman, pearson) per pair, NaN where rssi_correlations gives None:
     _pearson_of_sums of the doubled ranks and of the RSSIs, each sum one
     segment sum over a pair's run of common entries. The sums are Python
     ints in a block whose top overlap n could overflow int64: each n·sum
-    is at most n²·m², m the larger of the top doubled rank 2n and 2**15."""
+    is at most n²·m², m the larger of the top doubled rank 2n and 2**15.
+    _significant_rows then drops each coefficient that is not significant
+    at alpha over its pair's overlap."""
     n = overlap[overlap > 0]
     starts = np.cumsum(n) - n
     vectors = [_average_ranks_by_owner(cp, ra), _average_ranks_by_owner(cp, rb), ra, rb]
@@ -737,7 +720,8 @@ class FeatureTable:
         Raises DataError unless load_table accepts the archive, it names
         this package's features, X has one column per feature, every
         value is finite or a missing correlation (NaN in a
-        CORRELATION_FEATURES column), and the labels are 0 or 1.
+        CORRELATION_FEATURES column), and pairing.check_labeled_rows
+        accepts its labels, ts and bt_rssi.
         """
         header, table = fileio.load_table(cls, path, fileio.SCHEMA_FEATURE_ARRAYS, expect_hash)
         if header.get("features") != FEATURE_NAMES or table.X.shape[1] != len(FEATURE_NAMES):
@@ -749,8 +733,7 @@ class FeatureTable:
         if not usable.all():
             name = FEATURE_NAMES[np.flatnonzero(~usable.all(axis=0))[0]]
             raise DataError(f"{path}: {name} holds an infinite or missing value")
-        if ((table.label != 0) & (table.label != 1)).any():
-            raise DataError(f"{path}: a label is neither 0 nor 1")
+        check_labeled_rows(path, table)
         return table
 
 

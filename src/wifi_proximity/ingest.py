@@ -103,16 +103,6 @@ class WifiScans:
         """The row of every entry."""
         return np.repeat(np.arange(len(self.ts), dtype=np.int32), np.diff(self.offsets))
 
-    def take(self, rows: np.ndarray) -> WifiScans:
-        """The scans of rows, in that order, with the same string tables."""
-        starts = self.offsets[rows]
-        lengths = self.offsets[rows + 1] - starts
-        _, entry = _ranges(starts, lengths)
-        offsets = np.zeros(len(rows) + 1, dtype=np.int64)
-        np.cumsum(lengths, out=offsets[1:])
-        return replace(self, user=self.user[rows], ts=self.ts[rows], offsets=offsets,
-                       bssid=self.bssid[entry], ssid=self.ssid[entry], rssi=self.rssi[entry])
-
     def by_bssid(self) -> WifiScans:
         """The same scans in bssid order, as scans.npz holds them.
 
@@ -263,8 +253,10 @@ def _rows(users: list[str], user: np.ndarray, ts: np.ndarray, offsets: np.ndarra
 def _ranges(starts: np.ndarray, lengths: np.ndarray):
     """(owner, index) of every position in the ranges [start, start + length)."""
     owner = np.repeat(np.arange(len(starts)), lengths)
-    first = np.cumsum(lengths) - lengths
-    return owner, np.arange(len(owner)) - first[owner] + starts[owner]
+    # one repeat and an in-place add: callers expand millions of positions
+    index = np.arange(len(owner))
+    index += np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return owner, index
 
 
 # ---------------------------------------------------------------------------

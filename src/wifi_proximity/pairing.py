@@ -22,7 +22,7 @@ import numpy as np
 from . import fileio
 from .fileio import DataError
 from .ingest import BluetoothSightings, WifiScans, _ranges
-from .records import LABEL_NEGATIVE, LABEL_POSITIVE
+from .records import LABEL_NEGATIVE, LABEL_POSITIVE, RSSI_MIN, TS_END
 
 WINDOW_S = 3600
 
@@ -195,8 +195,8 @@ class CandidateTable:
         """Read a table written by save, for a scan table of n_scans rows.
 
         Raises DataError unless load_table accepts the archive, it was
-        built from a table of n_scans rows, and its rows lie inside the
-        table and its labels are 0 or 1.
+        built from a table of n_scans rows, its rows lie inside the table,
+        and check_labeled_rows accepts its labels, ts and bt_rssi.
         """
         header, table = fileio.load_table(cls, path, fileio.SCHEMA_CANDIDATE_ARRAYS, expect_hash)
         if header.get("scans") != n_scans:
@@ -206,9 +206,24 @@ class CandidateTable:
         for rows in (table.row_a, table.row_b):
             if len(rows) and (rows.min() < 0 or rows.max() >= n_scans):
                 raise DataError(f"{path}: a row lies outside the scan table")
-        if ((table.label != 0) & (table.label != 1)).any():
-            raise DataError(f"{path}: a label is neither 0 nor 1")
+        check_labeled_rows(path, table)
         return table
+
+
+def check_labeled_rows(path, table) -> None:
+    """Raise DataError naming path unless table's labels, ts and bt_rssi
+    are as pair_windows gives them: each label 0 or 1, each ts in [0,
+    TS_END), and bt_rssi NaN on negatives and a whole number in [RSSI_MIN,
+    0] on positives. candidates.npz and features.npz both hold them."""
+    if ((table.label != 0) & (table.label != 1)).any():
+        raise DataError(f"{path}: a label is neither 0 nor 1")
+    if ((table.ts < 0) | (table.ts >= TS_END)).any():
+        raise DataError(f"{path}: a ts lies outside [0, {TS_END})")
+    bt = table.bt_rssi
+    reading = (bt >= RSSI_MIN) & (bt <= 0) & (np.rint(bt) == bt)
+    if np.where(table.label == LABEL_POSITIVE, ~reading, ~np.isnan(bt)).any():
+        raise DataError(f"{path}: a bt_rssi is not NaN on a negative, or not a whole "
+                        f"number in [{RSSI_MIN}, 0] on a positive")
 
 
 def _strongest_sightings(pair, ts, delta_t, sight_pair, sight_ts, sight_rssi):

@@ -26,8 +26,8 @@ formats. The truth is columns of (slot, user a, user b, distance), its
 rows written as JSON text. ``generate`` returns the scans and the
 truth, and ``calibrate_stats`` (``--stats``) reads no file: from the
 world config it computes the row of each user's scan at each truth
-slot, counts overlaps with ``WifiScans.common`` on only the rows that a
-block of dyads reads, put in bssid order, draws at most
+slot, counts overlaps by finding each (dyad, router) key of a dyad's
+first scan among those of its second, draws at most
 ``DISTANT_PAIRS`` distant dyads from the ``STATS_SEED`` stream, and
 tests the two samples on one ``evaluation.class_counts``.
 
@@ -52,7 +52,7 @@ from .fileio import (
     SCHEMA_GROUND_TRUTH,
     SCHEMA_WIFI,
 )
-from .ingest import BluetoothSightings, WifiScans
+from .ingest import BluetoothSightings, WifiScans, _ranges
 from .records import DAY_S, RSSI_MIN, TS_END
 
 TAU = 2.0 * math.pi
@@ -94,8 +94,6 @@ FIXED = {
 
 # calibrate_stats draws at most this many distant dyads, from this seed
 DISTANT_PAIRS, STATS_SEED = 20000, 0
-# and counts the overlaps of this many dyads at a time
-_DYAD_BLOCK = 8192
 
 # wifi_scans' reach grids: the side of a cell, in metres, which _reach_grid
 # doubles while a grid would hold more than _GRID_BUDGET cells and entries
@@ -677,9 +675,8 @@ def _close_pairs(pos: np.ndarray, range_m: float) -> tuple[np.ndarray, np.ndarra
     band = range_m + 1.0 + 1e-9 * float(np.abs(xs).max(initial=0.0))
     hi = np.searchsorted(xs, xs + band, side="right")
     counts = np.maximum(hi - np.arange(1, n + 1), 0)
-    first = np.repeat(np.arange(n), counts)
-    # the k-th partner of sorted user i is sorted user i + 1 + k
-    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(counts) - counts, counts)
+    # the partners of sorted user i are sorted users i + 1 onwards
+    first, second = _ranges(np.arange(1, n + 1), counts)
     a = np.minimum(order[first], order[second])
     b = np.maximum(order[first], order[second])
     diff = pos[a] - pos[b]
@@ -758,8 +755,8 @@ def _reach_grid(rpos: np.ndarray, reach2: np.ndarray, origin: np.ndarray,
                 extent: np.ndarray) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
     """A uniform grid from origin over extent, and the routers whose reach
     box touches each cell: (cell side, cells per axis, routers per cell,
-    routers). Cell ``row * nx + column`` holds the next run of routers, in
-    index order.
+    int32 routers). Cell ``row * nx + column`` holds the next run of
+    routers, in index order.
 
     A box reaches a little further than sqrt(reach2), by more than the
     rounding of the squared-distance test and of the box's own edges, so
@@ -779,13 +776,13 @@ def _reach_grid(rpos: np.ndarray, reach2: np.ndarray, origin: np.ndarray,
         cell *= 2
     n, lo, width = n.astype(np.int64), lo.astype(np.int64), width.astype(np.int64)
     count = width[:, 0] * width[:, 1]
-    router = np.repeat(np.arange(len(rpos), dtype=np.int32), count)
-    lo, width = np.repeat(lo, count, axis=0), np.repeat(width[:, 0], count)
-    k = np.arange(len(router)) - np.repeat(np.cumsum(count) - count, count)
+    # the k-th cell of a router's box, row by row
+    router, k = _ranges(np.zeros(len(rpos), dtype=np.int64), count)
+    lo, width = lo[router], width[router, 0]
     key = (lo[:, 1] + k // width) * n[0] + lo[:, 0] + k % width
     # stable, so that each cell keeps its routers in index order
     order = np.argsort(key, kind="stable")
-    return cell, n, np.bincount(key, minlength=n[0] * n[1]), router[order]
+    return cell, n, np.bincount(key, minlength=n[0] * n[1]), router[order].astype(np.int32)
 
 
 def wifi_scans(
@@ -845,9 +842,9 @@ def wifi_scans(
         key = key0 + xy[:, 1] * shape[:, 0] + xy[:, 0]
         count = first[key + 1] - first[key]
         # slot after slot, each slot's routers in index order
-        t = np.repeat(np.arange(n_slots), count)
-        router = members[np.arange(len(t)) + np.repeat(first[key] - np.cumsum(count) + count,
-                                                       count)]
+        t, member = _ranges(first[key], count)
+        router = members[member]
+        del member
         dx, dy = pos[t, 0] - rx[router], pos[t, 1] - ry[router]
         near = np.flatnonzero(dx * dx + dy * dy <= reach2[router, slot_block[t]])
         t, router = t[near], router[near]
@@ -964,20 +961,22 @@ def generate(
 
 def _overlaps(scans: WifiScans, dyads: np.ndarray) -> np.ndarray:
     """The number of routers that rows dyads[0, i] and dyads[1, i] of scans
-    share, for every i. A block of dyads at a time, only the rows the block
-    reads are put in bssid order, as ``WifiScans.common`` needs them."""
-    counts = [np.zeros(0, dtype=np.int64)]
-    for lo in range(0, dyads.shape[1], _DYAD_BLOCK):
-        block = dyads[:, lo:lo + _DYAD_BLOCK]
-        rows, local = np.unique(block, return_inverse=True)
-        pair = scans.take(rows).by_bssid().common(*local.reshape(block.shape))[0]
-        counts.append(np.bincount(pair, minlength=block.shape[1]))
-    return np.concatenate(counts)
+    share, for every i: the (i, router) keys of row dyads[0, i] found among
+    those of row dyads[1, i], so no whole-table copy is made."""
+    n_bssid = max(len(scans.bssids), 1)
+    keys = []
+    for rows in dyads:
+        starts = scans.offsets[rows]
+        owner, entry = _ranges(starts, scans.offsets[rows + 1] - starts)
+        keys.append(owner * n_bssid + scans.bssid[entry])
+    # a scan lists each of its routers once, so each side's keys are unique
+    shared = keys[0][np.isin(*keys, assume_unique=True)]
+    return np.bincount(shared // n_bssid, minlength=dyads.shape[1])
 
 
 def calibrate_stats(cfg: WorldConfig, scans: WifiScans, truth: GroundTruth) -> dict:
     """APs-per-scan moments, the share of empty scans, and the AP overlap
-    (``WifiScans.common``) of truly proximate dyads against random distant
+    (``_overlaps``) of truly proximate dyads against random distant
     ones, with a one-sided Mann-Whitney p-value, of what generate returns
     for the world ``cfg``.
 

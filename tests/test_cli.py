@@ -1253,9 +1253,21 @@ def nan_leaf_values(doc):
                          for feature, value in zip(tree["feature"], tree["value"])]
 
 
-def first_ts_at_end(ts):
-    ts[0] = TS_END
-    return ts
+def first_at(value):
+    """A change of an array that sets its first element to value."""
+    def change(a):
+        a[0] = value
+        return a
+    return change
+
+
+def nan_at(value, nan=True):
+    """A change of an array that sets its NaN elements (its others when nan
+    is false) to value."""
+    def change(a):
+        a[np.isnan(a) == nan] = value
+        return a
+    return change
 
 
 def union_inf(X):
@@ -1360,8 +1372,22 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
      "features.npz"),
     ("featurize", FEATURIZE_INPUTS, zip_field("candidates.npz", 8, 10, lambda method: 99),
      "candidates.npz"),
-    ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_ts_at_end),
+    ("pair", ["scans.npz", "bluetooth.jsonl"], edit_array("scans.npz", "ts", first_at(TS_END)),
      "scans.npz"),
+    # a positive's bt_rssi, a negative's bt_rssi and a ts out of range
+    ("evaluate", ["features.npz", MODEL],
+     edit_array("features.npz", "bt_rssi", nan_at(np.inf, nan=False)), "features.npz"),
+    ("featurize", FEATURIZE_INPUTS, edit_array("candidates.npz", "bt_rssi", nan_at(-50.0)),
+     "candidates.npz"),
+    ("evaluate", ["features.npz", MODEL], edit_array("features.npz", "ts", first_at(2 ** 62)),
+     "features.npz"),
+    ("featurize", FEATURIZE_INPUTS, edit_array("candidates.npz", "ts", first_at(10 ** 13)),
+     "candidates.npz"),
+    ("featurize", FEATURIZE_INPUTS, edit_array("candidates.npz", "ts", first_at(-5)),
+     "candidates.npz"),
+    # a ts in range, but not the earlier of the candidate's two scans' ts
+    ("featurize", FEATURIZE_INPUTS, edit_array("candidates.npz", "ts", lambda ts: ts + 1),
+     "candidates.npz"),
     ("report", ["features.npz", EVAL], edit_array("features.npz", "X", union_inf),
      "features.npz"),
     ("generate", [], file_at_run_dir, ""),
@@ -1384,7 +1410,9 @@ CLEAN_OUTPUTS = ["cleaned.jsonl", "scans.npz", "cleaning_report.json", HOMES]
         "model_of_another_kind", "model_of_another_featureset",
         "model_of_another_featuresets_features", "two_evals_of_one_model",
         "features_encrypted", "candidates_compression_unknown",
-        "pair_scan_at_ts_end",
+        "pair_scan_at_ts_end", "features_positive_bt_rssi_inf",
+        "candidates_negative_with_bt_rssi", "features_ts_2_62", "candidates_ts_1e13",
+        "candidates_ts_negative", "candidates_ts_after_its_scans",
         "report_union_inf",
         "generate_dir_is_a_file", "train_features_is_a_directory",
         "clean_wifi_log_is_a_directory", "clean_second_output_is_a_directory",

@@ -301,16 +301,14 @@ def run_hash(d):
 
 def test_featurize_low_popularity_exits_3_without_features(tiny_run, tmp_path, capsys):
     src, src_base = tiny_run
-    for name in ("scans.npz", "home_routers.json"):
+    for name in ("candidates.npz", "home_routers.json"):
         (tmp_path / name).write_bytes((src / name).read_bytes())
     h = run_hash(src)
-    n_scans = len(ScanTable.load(src / "scans.npz", h).ts)
-    cands = CandidateTable.load(src / "candidates.npz", h, n_scans)
-    k = np.flatnonzero(cands.label == 0)[-1]  # a negative: it shares a router
-    cands.ts[k] += 10 ** 6  # far from both scans
-    cands.save(tmp_path / "candidates.npz", h, n_scans)
+    table = ScanTable.load(src / "scans.npz", h)
+    # one user made every scan, so every router's popularity is 1
+    replace(table, user=np.zeros_like(table.user)).save(tmp_path / "scans.npz", h)
     assert main(["featurize", "--dir", str(tmp_path)] + src_base[2:]) == 3
-    assert "has popularity 0" in capsys.readouterr().err
+    assert "has popularity 1" in capsys.readouterr().err
     assert sorted(p.name for p in tmp_path.iterdir()) == [
         "candidates.npz", "home_routers.json", "scans.npz"]
 

@@ -17,6 +17,7 @@ from wifi_proximity.features import (
     PopularityIndexError,
     _significant_rows,
     apply_imputation,
+    correlation_p,
     extract_features,
     fit_imputation,
     hour_of_week,
@@ -24,7 +25,6 @@ from wifi_proximity.features import (
     rssi_correlations,
     rssi_distances,
     top_ap_features,
-    two_sided_t_p,
 )
 from wifi_proximity.records import CandidatePair, OverlapView, intersect
 
@@ -157,29 +157,42 @@ def scipy_p(t, df):
     return np.where((df == 1) & ((t < 1e-5) | (t > 1e150)), cauchy, 2.0 * stdtr(df, -t))
 
 
+def scipy_p_of_r(r, n):
+    """scipy_p of the t that r gives over n points: |r| sqrt(df / (1 - r^2))
+    with df = n - 2, and 1 - r^2 taken as (1 - |r|)(1 + |r|); 0 at |r| = 1."""
+    r, n = np.broadcast_arrays(np.abs(r), n)
+    q = (1.0 - r) * (1.0 + r)
+    with np.errstate(divide="ignore"):
+        t = r * np.sqrt((n - 2) / q)
+    return np.where(q == 0.0, 0.0, scipy_p(t, n - 2))
+
+
 class TestTwoSidedP:
-    DF = np.arange(1, 2001)[:, None]
-    T = np.concatenate([[0.0], np.geomspace(1e-8, 1e300, 250), [np.inf]])
+    N = np.arange(3, 2003)[:, None]
+    R = np.concatenate([[0.0], np.geomspace(1e-8, 0.5, 100),
+                        1.0 - np.geomspace(0.5, 2.0 ** -52, 150)[1:],
+                        [np.nextafter(1.0, 0.0), 1.0]])
 
     def test_matches_scipy_for_df_up_to_2000(self):
-        got = two_sided_t_p(self.T, self.DF)
-        want = scipy_p(self.T, self.DF)
+        got = correlation_p(self.R, self.N)
+        want = scipy_p_of_r(self.R, self.N)
         assert (got[:, 0] == 1.0).all() and (got[:, -1] == 0.0).all()
+        assert np.array_equal(correlation_p(-self.R, self.N), got)
         shown = want >= 1e-300
         np.testing.assert_allclose(got[shown], want[shown], rtol=1e-11, atol=0)
         assert got[~shown].max() < 2e-300
 
-    def test_nan_t_is_nan_for_any_df(self):
-        p = two_sided_t_p([[np.nan, 2.0], [np.nan, np.nan]], [-1, 3])
+    def test_nan_r_is_nan_for_any_n(self):
+        p = correlation_p([[np.nan, 0.5], [np.nan, np.nan]], [1, 5])
         assert np.isnan(p[:, 0]).all() and np.isnan(p[1, 1])
-        assert p[0, 1] == pytest.approx(2.0 * stdtr(3, -2.0), rel=1e-11)
+        assert p[0, 1] == pytest.approx(float(scipy_p_of_r(0.5, 5)), rel=1e-11)
 
     def test_a_value_does_not_depend_on_its_batch(self):
         rng = np.random.default_rng(5)
-        t = self.T[rng.integers(0, len(self.T), 400)]
-        df = rng.integers(1, 2001, 400)
-        batch = two_sided_t_p(t, df)
-        assert [float(two_sided_t_p(x, k)) for x, k in zip(t, df)] == batch.tolist()
+        r = np.concatenate([self.R, -self.R])[rng.integers(0, 2 * len(self.R), 400)]
+        n = rng.integers(3, 2003, 400)
+        batch = correlation_p(r, n)
+        assert [float(correlation_p(x, k)) for x, k in zip(r, n)] == batch.tolist()
 
     @pytest.mark.parametrize("alpha", [1e-12, 1e-6, 0.01, 0.05, 0.5, 0.999])
     def test_keeps_and_drops_as_scipy_does(self, alpha):

@@ -437,12 +437,16 @@ class TestGeneratedFiles:
         cfg, _, scans, truth = generated
         assert calibrate_stats(cfg, scans, truth) == TINY_WORLD_STATS
 
-    @pytest.mark.parametrize("block", [1, 7, 1280])
-    def test_calibration_stats_do_not_depend_on_the_dyad_block(self, generated, monkeypatch,
-                                                               block):
-        cfg, _, scans, truth = generated
-        monkeypatch.setattr(synthgen, "_DYAD_BLOCK", block)
-        assert calibrate_stats(cfg, scans, truth) == TINY_WORLD_STATS
+    def test_overlaps_count_the_routers_two_scans_share(self, generated):
+        _, _, scans, _ = generated
+        rng = np.random.default_rng(3)
+        dyads = rng.integers(0, len(scans), (2, 500))
+        dyads[1, :50] = dyads[0, :50]  # a scan shares all its routers with itself
+        routers = np.split(scans.bssid, scans.offsets[1:-1])
+        want = [len(set(routers[a]) & set(routers[b])) for a, b in dyads.T.tolist()]
+        assert synthgen._overlaps(scans, dyads).tolist() == want
+        assert want[:50] == np.diff(scans.offsets)[dyads[0, :50]].tolist()
+        assert synthgen._overlaps(scans, dyads[:, :0]).tolist() == []
 
     def test_calibration_stats_sane(self, generated):
         cfg, _, scans, truth = generated
@@ -516,19 +520,18 @@ def calibrated_p(x, y) -> float:
     n_users, n_slots = 5, len(x)  # most draws pick a distant dyad
     samples = iter([x, y])
 
-    def common(a, b):
+    def overlaps(scans, dyads):
         counts = next(samples)
-        assert len(a) == len(counts)
-        return (np.repeat(np.arange(len(a)), counts),)
+        assert dyads.shape == (2, len(counts))
+        return np.array(counts)
 
-    # calibrate_stats reads each sample's rows through take and by_bssid
-    table = SimpleNamespace(by_bssid=lambda: SimpleNamespace(common=common))
-    scans = SimpleNamespace(offsets=np.arange(n_users * n_slots + 1), take=lambda rows: table)
+    scans = SimpleNamespace(offsets=np.arange(n_users * n_slots + 1))
     truth = GroundTruth(homes={}, ts=np.arange(n_slots) * 300, a=np.zeros(n_slots, int),
                         b=np.ones(n_slots, int), distance=np.ones(n_slots))
     cfg = SimpleNamespace(n_users=n_users, n_slots=n_slots, start_ts=0, scan_period_s=300)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(synthgen, "DISTANT_PAIRS", len(y))  # so len(y) distant dyads are drawn
+        mp.setattr(synthgen, "_overlaps", overlaps)
         stats = calibrate_stats(cfg, scans, truth)
     assert (stats["n_proximate"], stats["n_distant"]) == (len(x), len(y))
     return stats["overlap_mannwhitney_p"]
@@ -747,11 +750,12 @@ def test_a_scan_hears_the_same_routers_wherever_the_rest_of_its_block_lies(cfg):
     last = min(64, cfg.n_slots) - 1
     moved = positions.copy()
     moved[:, last, 0] += 1000.0
-    kept = (np.arange(cfg.n_users * cfg.n_slots) % cfg.n_slots < last).nonzero()[0]
-    here, there = (synthgen.wifi_scans(cfg, layout, p, user_ids, phases).take(kept)
+    kept = np.arange(cfg.n_users * cfg.n_slots) % cfg.n_slots < last
+    here, there = (synthgen.wifi_scans(cfg, layout, p, user_ids, phases)
                    for p in (positions, moved))
-    assert np.array_equal(here.offsets, there.offsets)
-    assert np.array_equal(heard(here), heard(there))
+    assert np.array_equal(np.diff(here.offsets)[kept], np.diff(there.offsets)[kept])
+    assert np.array_equal(heard(here)[kept[here.entry_rows()]],
+                          heard(there)[kept[there.entry_rows()]])
 
 
 @settings(max_examples=30, deadline=None,
